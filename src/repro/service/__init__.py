@@ -8,7 +8,7 @@ into a durable admission pipeline:
   deadlines, retry + backoff + jitter, QoS-class shedding and
   degraded-quality admission, append-before-ack durability;
 * :mod:`repro.service.wal` — the CRC-framed, fsync'd write-ahead
-  decision log with atomic checkpoints and torn-tail repair;
+  decision log with append-only delta checkpoints and torn-tail repair;
 * :mod:`repro.service.recovery` — crash recovery that replays the log
   into a fresh arbitrator and *proves* (bit-identical replay + an
   independent audit) the result is the pre-crash schedule;

@@ -6,8 +6,8 @@ Every scenario runs the full fault → crash → recover → verify loop:
    :class:`~repro.service.service.AdmissionService` while injecting
    faults — transient/permanent decision-worker failures, decision-path
    delays, duplicate and dropped (fire-and-forget) requests, tight
-   deadlines, kill-mid-WAL-append partial writes, and outright process
-   kills.
+   deadlines, kill-mid-WAL-append and kill-mid-checkpoint-append partial
+   writes, and outright process kills.
 2. **Recover** from the WAL directory the crash left behind.
 3. **Verify** the robustness contract:
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import random
 import sys
 import tempfile
@@ -57,7 +58,7 @@ from repro.errors import (
 from repro.model.job import Job
 from repro.service.recovery import RecoveredState, recover
 from repro.service.service import AdmissionService, ServiceConfig
-from repro.service.wal import decision_to_tuple
+from repro.service.wal import decision_to_tuple, write_checkpoint
 from repro.verify.fuzz import _random_chain
 
 __all__ = [
@@ -83,7 +84,10 @@ class ChaosScenario:
     ``partial_write_after`` arms the WAL fail-point on the *n*-th append:
     odd values land mid-job-append, even values mid-decision-append (the
     service alternates job and decision appends), covering both halves of
-    the crash-mid-decision window.  ``crash_after_acks`` kills the whole
+    the crash-mid-decision window.  ``checkpoint_tear_after`` makes the
+    *n*-th checkpoint die inside its append to ``checkpoint.log``: a
+    ``partial_write_fraction`` prefix of the segment on disk, no
+    watermark, WAL not yet truncated.  ``crash_after_acks`` kills the whole
     service once that many decisions were acked.  ``permanent_fail_after``
     turns the decision path permanently faulty after N successful batches,
     exercising retry-exhaustion fail-stop.
@@ -102,6 +106,7 @@ class ChaosScenario:
     tight_timeout: float = 0.002
     partial_write_after: int | None = None
     partial_write_fraction: float = 0.5
+    checkpoint_tear_after: int | None = None
     crash_after_acks: int | None = None
     permanent_fail_after: int | None = None
     queue_limit: int = 64
@@ -171,6 +176,11 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
        crash_after_acks=20, graceful=False),
     _s("checkpoint-then-torn", 118, n_jobs=32, checkpoint_every=6,
        partial_write_after=11),
+    _s("torn-checkpoint-append", 124, n_jobs=32, checkpoint_every=6,
+       checkpoint_tear_after=3),
+    _s("malleable-torn-ckpt", 125, n_jobs=32, malleable=True,
+       checkpoint_every=8, checkpoint_tear_after=2,
+       partial_write_fraction=0.97),
     _s("malleable-baseline", 119, n_jobs=20, malleable=True),
     _s("malleable-kill", 120, malleable=True, crash_after_acks=8,
        graceful=False),
@@ -256,6 +266,35 @@ class ChaoticDecider:
 # ---------------------------------------------------------------------------
 
 
+def _arm_checkpoint_tear(
+    service: AdmissionService, nth: int, fraction: float
+) -> None:
+    """Make the service's ``nth`` checkpoint die inside its append.
+
+    The real append runs, then ``checkpoint.log`` is cut back to a prefix
+    of the new segment — byte for byte what a kill mid-``write`` leaves —
+    and the ``OSError`` fail-stops the service before the WAL truncation.
+    """
+    checkpoint = service.checkpoint
+    path = service.wal.directory / "checkpoint.log"
+
+    def torn() -> Path:
+        nonlocal nth
+        nth -= 1
+        if nth:
+            return checkpoint()
+        before = path.stat().st_size if path.exists() else 0
+        data = write_checkpoint(service.wal.directory, service.entries).read_bytes()
+        segment = data.rindex(b"\n", 0, -1) + 1 - before  # up to the watermark
+        keep = max(1, int(segment * fraction))
+        os.truncate(path, before + keep)
+        raise OSError(
+            f"injected crash: checkpoint append torn after {keep}/{segment} bytes"
+        )
+
+    service.checkpoint = torn  # type: ignore[method-assign]
+
+
 @dataclass(slots=True)
 class ChaosResult:
     """Outcome + honest accounting for one scenario run."""
@@ -303,6 +342,10 @@ async def _drive(
     if scenario.partial_write_after is not None:
         service.wal.partial_write_after = scenario.partial_write_after
         service.wal.partial_write_fraction = scenario.partial_write_fraction
+    if scenario.checkpoint_tear_after is not None:
+        _arm_checkpoint_tear(
+            service, scenario.checkpoint_tear_after, scenario.partial_write_fraction
+        )
     service.start()
     futures: dict[str, asyncio.Future] = {}
     dup_rids: set[str] = set()

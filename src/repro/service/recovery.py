@@ -3,11 +3,17 @@
 Recovery is a pure function of the WAL directory and the service
 configuration:
 
-1. load ``checkpoint.json`` (verified whole-payload SHA-256) — the
-   decided ledger through ``through_seq``;
+1. fold ``checkpoint.log`` — every frame CRC, every watermark's version,
+   digest and count verified, sequence numbers strictly increasing —
+   into the decided ledger through the last watermark's ``through_seq``,
+   ignoring an uncommitted tail after it (a checkpoint append the crash
+   interrupted: the WAL still holds those entries) and refusing a
+   version-1 snapshot;
 2. parse ``wal.log``, repairing (physically truncating) a torn tail the
    crash legitimately left, and fold its records into ledger entries,
-   skipping anything the checkpoint already covers;
+   skipping anything the checkpoint already covers and refusing a log
+   that was truncated against a later watermark than the checkpoint
+   reaches;
 3. replay every effective job, in ledger order, through a **fresh**
    arbitrator built with :func:`~repro.service.service.make_arbitrator`
    and demand — via :func:`repro.verify.checks.verify_replay` — that

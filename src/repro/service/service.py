@@ -257,7 +257,7 @@ class AdmissionService:
         if recovered is not None:
             self.arbitrator = recovered.arbitrator
             self.entries = list(recovered.entries)
-            self._seq = recovered.last_seq
+            self._seq = self.wal.last_seq = recovered.last_seq
             for entry, decision in zip(recovered.entries, recovered.decisions):
                 self._seen[entry.request_id] = ServiceDecision(
                     request_id=entry.request_id,
@@ -618,8 +618,8 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> Path:
-        """Snapshot the decided ledger and truncate the WAL."""
-        assert all(e.decision is not None for e in self.entries)
+        """Append the newly decided delta to ``checkpoint.log`` (an undecided
+        entry in it raises), then truncate the WAL."""
         path = write_checkpoint(self.wal.directory, self.entries)
         self.wal.truncate()
         self.counters["checkpoints"] += 1

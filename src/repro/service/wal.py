@@ -30,10 +30,9 @@ Record kinds:
     (post-degrade, i.e. exactly what the arbitrator will be offered),
     each with its monotonically increasing ledger sequence number,
     client request id, QoS class and the compact positional job encoding
-    (see ``_job_to_wire``).  The whole batch is a single framed record —
+    (see ``_job_from_wire``).  The whole batch is a single framed record —
     one ``json.dumps``, one CRC, one ``os.write`` — appended before the
-    decision is made.  (A legacy per-job ``"k":"job"`` record is still
-    understood on read.)
+    decision is made.
 ``dec``
     ``{"k":"dec","seqs":[...],"dec":[...]}`` — the decision batch for
     previously logged jobs.  Each decision is the canonical tuple
@@ -43,17 +42,34 @@ Record kinds:
     resolved; that one fsync also hardens the batch's ``jobs`` record,
     which is written earlier but only needs to be durable before the
     first ack.
+``base``
+    ``{"k":"base","through_seq":N}`` — first record of a log emptied by
+    :meth:`WriteAheadLog.truncate`: the checkpoint watermark it was
+    truncated against.  Recovery refuses a checkpoint that stops short of
+    it (the decisions in between exist nowhere else).
 
 Checkpoints
 -----------
 
-``checkpoint.json`` snapshots the complete decided ledger (all entries
-since the origin) plus the highest sequence number it covers.  It is
-written atomically (temp file + ``os.replace``) with a whole-payload
-SHA-256, after which ``wal.log`` is truncated to empty.  Recovery loads
-the checkpoint first and ignores WAL records with ``seq <=
-through_seq`` — so a crash *between* checkpoint write and log truncation
-replays idempotently.
+``checkpoint.log`` is append-only, in the same framing.  Each checkpoint
+appends one *segment* — a ``jobs`` and a ``dec`` record holding only the
+entries decided since the previous checkpoint — then one watermark,
+``{"k":"mark","v":WAL_VERSION,"through_seq":N,"count":n,"sha256":...}``
+(entries in, and SHA-256 over the bytes of, its segment), then one fsync,
+after which ``wal.log`` is truncated.  The writer finds the previous
+watermark in the file's last frame, so a checkpoint costs what changed,
+not what the ledger holds.
+
+The reader folds the segments in order, checking every frame CRC, every
+watermark's version, digest and count, and that sequence numbers strictly
+increase.  Frames after the last valid watermark are an *uncommitted
+tail* (a checkpoint append the crash interrupted), ignored on read and
+cut off by the next checkpoint: the WAL is truncated only once the
+watermark is durable, so it still holds those entries, and recovery
+skips WAL records with ``seq <= through_seq``, so a crash *between*
+watermark and truncation replays idempotently.  Damage before the last
+watermark raises :class:`~repro.errors.WalCorruptionError`; so does a
+version-1 ``checkpoint.json`` (no dual reader).
 """
 
 from __future__ import annotations
@@ -63,9 +79,9 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.admission import AdmissionDecision
 from repro.core.resources import ProcessorTimeRequest
@@ -85,7 +101,8 @@ __all__ = [
     "write_checkpoint",
 ]
 
-WAL_VERSION = 1
+#: Stamped into every checkpoint watermark; 1 was the whole-ledger snapshot.
+WAL_VERSION = 2
 
 #: ``(admitted, chain_index | None, ((start, width, duration), ...))`` —
 #: the canonical bit-exact decision fingerprint, the same shape the
@@ -105,44 +122,37 @@ def decision_to_tuple(decision: AdmissionDecision) -> DecisionTuple:
     return (False, None, ())
 
 
-def _job_to_wire(job: Job) -> list[object]:
-    """Compact positional encoding of one job.
-
-    The WAL logs every request's effective job, so its encoding is on the
-    ack critical path; positional lists (no repeated keys) keep the
-    per-job byte and ``json.dumps`` cost a fraction of the archival
-    :func:`repro.sim.persistence.job_to_dict` form.  Shape::
-
-        [job_id, release, name, [[label, params|null, [[task_name,
-            processors, duration, deadline|null, quality,
-            max_concurrency], ...]], ...]]
-    """
+def _chain_to_wire(chain: TaskChain) -> list[object]:
     return [
-        job.job_id,
-        job.release,
-        job.name,
+        chain.label,
+        dict(chain.params) if chain.params else None,
         [
             [
-                chain.label,
-                dict(chain.params) if chain.params else None,
-                [
-                    [
-                        t.name,
-                        t.request.processors,
-                        t.request.duration,
-                        None if math.isinf(t.deadline) else t.deadline,
-                        t.quality,
-                        t.max_concurrency,
-                    ]
-                    for t in chain.tasks
-                ],
+                t.name,
+                t.request.processors,
+                t.request.duration,
+                None if math.isinf(t.deadline) else t.deadline,
+                t.quality,
+                t.max_concurrency,
             ]
-            for chain in job.chains
+            for t in chain.tasks
         ],
     ]
 
 
 def _job_from_wire(data: Sequence[object]) -> Job:
+    """Decode the compact positional encoding of one job.
+
+    The WAL logs every request's effective job, so its encoding is on the
+    ack critical path; positional lists (no repeated keys) keep the
+    per-job byte and ``json.dumps`` cost a fraction of the archival
+    :func:`repro.sim.persistence.job_to_dict` form.  Shape (written by
+    :func:`_entry_json`, chains by :func:`_chain_to_wire`)::
+
+        [job_id, release, name, [[label, params|null, [[task_name,
+            processors, duration, deadline|null, quality,
+            max_concurrency], ...]], ...]]
+    """
     job_id, release, name, chains = data
     return Job(
         chains=tuple(
@@ -166,10 +176,6 @@ def _job_from_wire(data: Sequence[object]) -> Job:
         job_id=int(job_id),  # type: ignore[arg-type]
         name=str(name),
     )
-
-
-def _tuple_to_wire(tup: DecisionTuple) -> list[object]:
-    return [tup[0], tup[1], [list(p) for p in tup[2]]]
 
 
 def _tuple_from_wire(data: Sequence[object]) -> DecisionTuple:
@@ -201,16 +207,6 @@ class LedgerEntry:
     degraded: bool
     job: Job
     decision: DecisionTuple | None = None
-
-    def job_record(self) -> dict[str, object]:
-        return {
-            "k": "job",
-            "seq": self.seq,
-            "rid": self.request_id,
-            "cls": self.qos,
-            "deg": int(self.degraded),
-            "job": _job_to_wire(self.job),
-        }
 
     @staticmethod
     def from_job_record(body: Mapping[str, object]) -> "LedgerEntry":
@@ -263,23 +259,7 @@ def _chain_json(chain: TaskChain) -> str:
     hit = _chain_json_cache.get(id(chain))
     if hit is not None and hit[0] is chain:
         return hit[1]
-    fragment = _dumps(
-        [
-            chain.label,
-            dict(chain.params) if chain.params else None,
-            [
-                [
-                    t.name,
-                    t.request.processors,
-                    t.request.duration,
-                    None if math.isinf(t.deadline) else t.deadline,
-                    t.quality,
-                    t.max_concurrency,
-                ]
-                for t in chain.tasks
-            ],
-        ]
-    )
+    fragment = _dumps(_chain_to_wire(chain))
     if len(_chain_json_cache) >= _CHAIN_CACHE_LIMIT:
         _chain_json_cache.clear()
     _chain_json_cache[id(chain)] = (chain, fragment)
@@ -287,13 +267,12 @@ def _chain_json(chain: TaskChain) -> str:
 
 
 def _entry_json(e: "LedgerEntry") -> str:
-    """One job body, byte-identical to ``_dumps(e.job_record())``.
+    """One job body ``{"k":"job","seq":..,"rid":..,"cls":..,"deg":..,"job":[..]}``.
 
-    Assembled from cached chain fragments instead of re-serializing the
-    whole job: floats use ``repr`` (exactly what the JSON encoder emits)
-    and strings go through :func:`_quote`, so the output stays
-    bit-compatible with the reference dict encoding — which the WAL test
-    suite asserts.
+    Assembled from cached chain fragments instead of serializing a dict:
+    floats use ``repr`` (exactly what the JSON encoder emits) and strings
+    go through :func:`_quote`, so the output is byte-identical to the
+    plain dict encoding — which the WAL test suite asserts.
     """
     job = e.job
     return (
@@ -302,6 +281,28 @@ def _entry_json(e: "LedgerEntry") -> str:
         f'"job":[{job.job_id},{job.release!r},{_quote(job.name)},'
         f'[{",".join([_chain_json(c) for c in job.chains])}]]}}'
     )
+
+
+def _jobs_frame(entries: Sequence["LedgerEntry"]) -> bytes:
+    """One framed ``jobs`` record for a batch of effective jobs.
+
+    The body is assembled from per-chain cached JSON fragments
+    (:func:`_entry_json`) — byte-identical to encoding the record as a
+    dict, but an order of magnitude cheaper when jobs share chain objects.
+    """
+    body = (
+        '{"k":"jobs","jobs":['
+        + ",".join([_entry_json(e) for e in entries])
+        + "]}"
+    )
+    return _frame(body.encode("utf-8"))
+
+
+def _decisions_frame(
+    seqs: Sequence[int], decisions: Sequence[DecisionTuple]
+) -> bytes:
+    """One framed ``dec`` record (decision tuples encode as JSON arrays)."""
+    return _encode({"k": "dec", "seqs": list(seqs), "dec": list(decisions)})
 
 
 class WriteAheadLog:
@@ -325,6 +326,9 @@ class WriteAheadLog:
         self.fsync = fsync
         self.appends = 0
         self.syncs = 0
+        #: Highest sequence number logged through this handle; what
+        #: :meth:`truncate` records as the watermark it relied on.
+        self.last_seq = 0
         #: Chaos fail-point: when set to ``n``, the ``n``-th append from
         #: now writes ``partial_write_fraction`` of its bytes, then raises.
         self.partial_write_after: int | None = None
@@ -363,18 +367,10 @@ class WriteAheadLog:
         its requests were acked yet.  ``sync=False`` defers durability to
         the batch's :meth:`append_decisions` fsync (nothing is acked in
         between, so append-before-ack still holds).
-
-        The body is assembled from per-chain cached JSON fragments
-        (:func:`_entry_json`) — byte-identical to encoding
-        ``{"k": "jobs", "jobs": [e.job_record() for e in entries]}``,
-        but an order of magnitude cheaper when jobs share chain objects.
         """
-        body = (
-            '{"k":"jobs","jobs":['
-            + ",".join([_entry_json(e) for e in entries])
-            + "]}"
-        )
-        self._append(_frame(body.encode("utf-8")))
+        self._append(_jobs_frame(entries))
+        if entries:
+            self.last_seq = entries[-1].seq
         if sync:
             self.sync()
 
@@ -382,17 +378,22 @@ class WriteAheadLog:
         self, seqs: Sequence[int], decisions: Sequence[DecisionTuple]
     ) -> None:
         """Durably log one decision batch for previously logged jobs."""
-        record = {
-            "k": "dec",
-            "seqs": list(seqs),
-            "dec": [_tuple_to_wire(t) for t in decisions],
-        }
-        self._append(_encode(record))
+        self._append(_decisions_frame(seqs, decisions))
         self.sync()
 
     def truncate(self) -> None:
-        """Empty the log (post-checkpoint); durable immediately."""
+        """Empty the log (post-checkpoint); durable immediately.
+
+        The emptied log opens with a ``base`` record naming the last
+        sequence number it held, all of which the checkpoint now owns:
+        should ``checkpoint.log`` later lose its tail, recovery sees the
+        gap instead of a shorter ledger.
+        """
         os.ftruncate(self._fd, 0)
+        if self.last_seq:
+            os.write(
+                self._fd, _encode({"k": "base", "through_seq": self.last_seq})
+            )
         self.sync()
 
     def close(self) -> None:
@@ -411,22 +412,43 @@ class WriteAheadLog:
 # ---------------------------------------------------------------------------
 
 
-def _parse_line(line: bytes) -> dict[str, object] | None:
-    """Decode one framed record; ``None`` when the frame is damaged."""
-    if len(line) < 10 or line[8:9] != b" ":
+def _parse_frame(frame: bytes) -> dict[str, object] | None:
+    """Decode one newline-terminated frame; ``None`` when it is damaged."""
+    if len(frame) < 11 or frame[8:9] != b" ":
         return None
-    body = line[9:]
+    body = frame[9:-1]
     try:
-        crc = int(line[:8], 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        return None
-    try:
+        if zlib.crc32(body) & 0xFFFFFFFF != int(frame[:8], 16):
+            return None
         record = json.loads(body)
     except ValueError:
         return None
     return record if isinstance(record, dict) else None
+
+
+def _frames(path: Path) -> Iterator[tuple[dict[str, object], bytes]]:
+    """Yield ``(record, raw frame)`` for each good frame of a framed log.
+
+    A damaged frame is accepted only as the *final* one (the
+    partial-append crash artifact), where iteration simply stops; damage
+    followed by further frames raises
+    :class:`~repro.errors.WalCorruptionError`.  A missing log has none.
+    """
+    data = path.read_bytes() if path.exists() else b""
+    offset = 0
+    while offset < len(data):
+        newline = data.find(b"\n", offset)
+        raw = data[offset : newline + 1] if newline >= 0 else b""
+        record = _parse_frame(raw)
+        if record is None:
+            if 0 <= newline < len(data) - 1:
+                raise WalCorruptionError(
+                    f"{path}: damaged record at byte {offset} is followed "
+                    "by later records — log is corrupt beyond a torn tail"
+                )
+            return
+        yield record, raw
+        offset = newline + 1
 
 
 def read_wal(
@@ -441,35 +463,15 @@ def read_wal(
     :class:`~repro.errors.WalCorruptionError`.
     """
     path = Path(path)
-    if not path.exists():
-        return [], 0
-    data = path.read_bytes()
-    records: list[dict[str, object]] = []
-    offset = 0
-    good_end = 0
-    truncated = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            truncated = len(data) - offset  # torn tail: no newline
-            break
-        line = data[offset:newline]
-        record = _parse_line(line)
-        if record is None:
-            # Only acceptable as the final frame of the file.
-            if newline != len(data) - 1:
-                raise WalCorruptionError(
-                    f"{path}: damaged record at byte {offset} is followed "
-                    "by later records — log is corrupt beyond a torn tail"
-                )
-            truncated = len(data) - offset
-            break
+    records = []
+    good = 0
+    for record, raw in _frames(path):
         records.append(record)
-        offset = newline + 1
-        good_end = offset
+        good += len(raw)
+    truncated = path.stat().st_size - good if path.exists() else 0
     if truncated and repair:
         with open(path, "r+b") as fh:
-            fh.truncate(good_end)
+            fh.truncate(good)
             fh.flush()
             os.fsync(fh.fileno())
     return records, truncated
@@ -482,17 +484,18 @@ def records_to_entries(
 ) -> list[LedgerEntry]:
     """Fold raw WAL records into ordered, deduplicated ledger entries.
 
-    ``min_seq`` drops job records already covered by a checkpoint.
-    Replay is idempotent: a duplicate ``seq`` (the service re-appending
-    after a recovery) keeps the first occurrence; a ``dec`` record for an
-    entry that already has a decision must agree with it.
+    ``min_seq`` is the checkpoint watermark: job records at or below it
+    are dropped, and a ``base`` record above it means the checkpoint lost
+    entries this log was truncated against.  Replay is idempotent: a
+    duplicate ``seq`` (the service re-appending after a recovery) keeps
+    the first occurrence; a ``dec`` record for an entry that already has
+    a decision must agree with it.
     """
     by_seq: dict[int, LedgerEntry] = {}
     for record in records:
         kind = record.get("k")
-        if kind == "job" or kind == "jobs":
-            bodies = record["jobs"] if kind == "jobs" else (record,)
-            for body in bodies:  # type: ignore[union-attr]
+        if kind == "jobs":
+            for body in record["jobs"]:  # type: ignore[union-attr]
                 entry = LedgerEntry.from_job_record(body)
                 if entry.seq > min_seq and entry.seq not in by_seq:
                     by_seq[entry.seq] = entry
@@ -515,6 +518,13 @@ def records_to_entries(
                     raise WalCorruptionError(
                         f"conflicting decisions logged for seq {seq}"
                     )
+        elif kind == "base":
+            base = int(record["through_seq"])  # type: ignore[arg-type]
+            if base > min_seq:
+                raise WalCorruptionError(
+                    f"WAL was truncated against checkpoint watermark {base} "
+                    f"but the checkpoint only reaches {min_seq}"
+                )
         else:
             raise WalCorruptionError(f"unknown WAL record kind {kind!r}")
     return [by_seq[seq] for seq in sorted(by_seq)]
@@ -525,74 +535,120 @@ def records_to_entries(
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_payload(entries: Sequence[LedgerEntry]) -> dict[str, object]:
-    return {
-        "version": WAL_VERSION,
-        "through_seq": max((e.seq for e in entries), default=0),
-        "entries": [
-            {
-                **e.job_record(),
-                "dec": None if e.decision is None else _tuple_to_wire(e.decision),
-            }
-            for e in entries
-        ],
-    }
+def _fold_checkpoint(path: Path) -> tuple[list[LedgerEntry], int, int]:
+    """Verify ``checkpoint.log`` up to its last valid watermark.
 
-
-def write_checkpoint(
-    directory: str | Path, entries: Sequence[LedgerEntry]
-) -> Path:
-    """Atomically snapshot the decided ledger; returns the checkpoint path.
-
-    Entries without decisions are *excluded* (they are still only in the
-    WAL, which is truncated up to ``through_seq`` — an undecided entry
-    must never be checkpoint-hidden below that watermark, so callers
-    checkpoint only decided prefixes; :meth:`AdmissionService.checkpoint`
-    enforces this).
+    Returns ``(entries, through_seq, committed_bytes)``; whatever follows
+    ``committed_bytes`` is the uncommitted tail.
     """
-    directory = Path(directory)
-    payload = _checkpoint_payload(entries)
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    wrapper = {"sha256": hashlib.sha256(blob.encode()).hexdigest(), "data": payload}
-    tmp = directory / "checkpoint.json.tmp"
-    path = directory / "checkpoint.json"
-    tmp.write_text(json.dumps(wrapper, separators=(",", ":")) + "\n")
-    with open(tmp, "rb") as fh:
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    entries: list[LedgerEntry] = []
+    through_seq = committed = offset = 0
+    pending: list[dict[str, object]] = []
+    digest = hashlib.sha256()
+    try:
+        for record, raw in _frames(path):
+            offset += len(raw)
+            if record.get("k") != "mark":
+                pending.append(record)
+                digest.update(raw)
+                continue
+            # ``min_seq`` drops any entry at or below the previous
+            # watermark, so the count check also enforces sequence order.
+            segment = records_to_entries(pending, min_seq=through_seq)
+            if segment:
+                through_seq = segment[-1].seq
+            claimed = tuple(record[k] for k in ("v", "through_seq", "count", "sha256"))
+            if claimed != (WAL_VERSION, through_seq, len(segment), digest.hexdigest()):
+                raise WalCorruptionError(
+                    f"{path}: the segment ending at byte {offset} does not "
+                    "match its watermark (version, sequence, count or digest)"
+                )
+            entries += segment
+            committed, pending, digest = offset, [], hashlib.sha256()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise WalCorruptionError(f"{path}: unreadable checkpoint: {exc}") from exc
+    return entries, through_seq, committed
 
 
 def read_checkpoint(
     directory: str | Path,
 ) -> tuple[list[LedgerEntry], int]:
-    """Load ``checkpoint.json``; returns ``(entries, through_seq)``.
+    """Load ``checkpoint.log``; returns ``(entries, through_seq)``.
 
-    A missing checkpoint is the empty ledger.  A checksum or version
-    mismatch raises :class:`~repro.errors.WalCorruptionError` — a damaged
-    checkpoint silently ignored would silently drop acked decisions.
+    A missing checkpoint is the empty ledger, and an uncommitted tail is
+    ignored (the WAL still holds it).  Damage before the last watermark
+    raises :class:`~repro.errors.WalCorruptionError` — a damaged
+    checkpoint silently ignored would silently drop acked decisions — and
+    so does a version-1 snapshot, which this build cannot read.
     """
-    path = Path(directory) / "checkpoint.json"
-    if not path.exists():
-        return [], 0
-    try:
-        wrapper = json.loads(path.read_text())
-        payload = wrapper["data"]
-        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-        if hashlib.sha256(blob.encode()).hexdigest() != wrapper["sha256"]:
-            raise WalCorruptionError(f"{path}: checkpoint checksum mismatch")
-    except WalCorruptionError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise WalCorruptionError(f"{path}: unreadable checkpoint: {exc}") from exc
-    if payload.get("version") != WAL_VERSION:
+    directory = Path(directory)
+    if (directory / "checkpoint.json").exists():
         raise WalCorruptionError(
-            f"{path}: unsupported checkpoint version {payload.get('version')!r}"
+            f"{directory}: holds a version-1 checkpoint.json; this build reads "
+            f"only checkpoint.log (version {WAL_VERSION}) — recover the "
+            "directory with the release that wrote it"
         )
-    entries = []
-    for item in payload["entries"]:
-        entry = LedgerEntry.from_job_record(item)
-        if item.get("dec") is not None:
-            entry = replace(entry, decision=_tuple_from_wire(item["dec"]))
-        entries.append(entry)
-    return entries, int(payload["through_seq"])
+    return _fold_checkpoint(directory / "checkpoint.log")[:2]
+
+
+def _last_watermark(fd: int, path: Path) -> int:
+    """``through_seq`` of the watermark ``checkpoint.log`` ends with.
+
+    Reads only the file's tail (a watermark frame is ~150 bytes).  A file
+    that does not end in one holds an uncommitted tail: it is cut back to
+    the last committed byte, found by a full verified read — the one case
+    that costs more than the tail.
+    """
+    size = os.fstat(fd).st_size
+    if not size:
+        return 0
+    tail = os.pread(fd, 512, max(0, size - 512))
+    start = tail.rfind(b"\n", 0, -1) + 1
+    mark = _parse_frame(tail[start:]) if start or len(tail) == size else None
+    if mark and mark.get("k") == "mark" and mark.get("v") == WAL_VERSION:
+        return int(mark["through_seq"])  # type: ignore[arg-type]
+    _, through_seq, committed = _fold_checkpoint(path)
+    os.ftruncate(fd, committed)
+    return through_seq
+
+
+def write_checkpoint(
+    directory: str | Path, entries: Sequence[LedgerEntry]
+) -> Path:
+    """Append the entries decided since the last watermark; returns the path.
+
+    ``entries`` is the whole ledger in sequence order; only its suffix
+    above the previous watermark is encoded and written, then the new
+    watermark, then one fsync — the cost follows the delta.  An undecided
+    entry in that suffix raises :class:`~repro.errors.WalCorruptionError`
+    before anything is written: the caller truncates the WAL next, and an
+    entry hidden below the watermark undecided could never be re-decided.
+    """
+    path = Path(directory) / "checkpoint.log"
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        through_seq = _last_watermark(fd, path)
+        first = len(entries)
+        while first and entries[first - 1].seq > through_seq:
+            first -= 1
+        delta = entries[first:]
+        for e in delta:
+            if e.decision is None:
+                raise WalCorruptionError(
+                    f"refusing to checkpoint undecided entry seq {e.seq}"
+                )
+        segment = _jobs_frame(delta) + _decisions_frame(
+            [e.seq for e in delta], [e.decision for e in delta]
+        )
+        mark = {
+            "k": "mark",
+            "v": WAL_VERSION,
+            "through_seq": delta[-1].seq if delta else through_seq,
+            "count": len(delta),
+            "sha256": hashlib.sha256(segment).hexdigest(),
+        }
+        os.write(fd, segment + _encode(mark))
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    return path

@@ -582,26 +582,29 @@ class ScheduleAuditor:
                 if t >= origin:
                     boundaries.add(t)
         cuts = sorted(boundaries)
+        # One sweep: probes ascend, so a cursor into the (start-ordered)
+        # segments and a running busy count over sorted interval endpoints
+        # answer every probe without rescanning either description.
+        live = [iv for iv in intervals if iv.end > iv.start]
+        acquires = sorted((iv.start, iv.processors) for iv in live)
+        releases = sorted((iv.end, iv.processors) for iv in live)
+        seg = acquired = released = busy = 0
         for i, t0 in enumerate(cuts):
             t1 = cuts[i + 1] if i + 1 < len(cuts) else math.inf
             if t1 - t0 <= self.eps:
                 continue
             probe = t0 + min((t1 - t0) / 2, 0.5)
-            avail = next(
-                (
-                    a
-                    for seg_start, seg_end, a in segments
-                    if seg_start <= probe < seg_end
-                ),
-                None,
-            )
-            if avail is None:
+            while seg < len(segments) and segments[seg][1] <= probe:
+                seg += 1
+            if seg == len(segments) or segments[seg][0] > probe:
                 continue  # probe precedes the first retained segment
-            busy = sum(
-                iv.processors
-                for iv in intervals
-                if iv.start <= probe and iv.end > probe
-            )
+            avail = segments[seg][2]
+            while acquired < len(live) and acquires[acquired][0] <= probe:
+                busy += acquires[acquired][1]
+                acquired += 1
+            while released < len(live) and releases[released][0] <= probe:
+                busy -= releases[released][1]
+                released += 1
             expected = capacity - busy
             if strict and avail != expected:
                 self._flag(

@@ -16,7 +16,7 @@ from repro.service.chaos import (
 
 
 def test_committed_scenario_set_is_large_and_diverse():
-    assert len(SCENARIOS) >= 20
+    assert len(SCENARIOS) == 25
     assert len({s.name for s in SCENARIOS}) == len(SCENARIOS)
     assert any(s.partial_write_after is not None for s in SCENARIOS)
     assert any(s.crash_after_acks is not None for s in SCENARIOS)
@@ -26,6 +26,9 @@ def test_committed_scenario_set_is_large_and_diverse():
     assert any(s.tight_deadline_share > 0 for s in SCENARIOS)
     assert any(s.malleable for s in SCENARIOS)
     assert any(s.checkpoint_every > 0 for s in SCENARIOS)
+    torn_checkpoints = [s for s in SCENARIOS if s.checkpoint_tear_after is not None]
+    assert {s.malleable for s in torn_checkpoints} == {False, True}
+    assert all(s.checkpoint_every > 0 for s in torn_checkpoints)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import asyncio
 import random
+import shutil
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import VerificationError, WalCorruptionError
-from repro.service.chaos import chaos_workload
+from repro.service.chaos import _arm_checkpoint_tear, chaos_workload
 from repro.service.recovery import recover
 from repro.service.service import AdmissionService, ServiceConfig, make_arbitrator
 from repro.service.wal import (
@@ -25,10 +30,14 @@ def _workload(seed=21, n=14, malleable=False):
     return chaos_workload(random.Random(seed), n, malleable)
 
 
-def _run_service(config, wal_dir, jobs, *, kill_after=None, decide=None):
+def _run_service(
+    config, wal_dir, jobs, *, kill_after=None, decide=None, tear_checkpoint=None
+):
     async def run():
         kw = {} if decide is None else {"decide": decide}
         service = AdmissionService(config, wal_dir, **kw)
+        if tear_checkpoint is not None:
+            _arm_checkpoint_tear(service, tear_checkpoint, 0.5)
         service.start()
         answers = []
         for i, job in enumerate(jobs):
@@ -47,6 +56,8 @@ def _run_service(config, wal_dir, jobs, *, kill_after=None, decide=None):
             if kill_after is not None and service.counters["acked"] >= kill_after:
                 service.kill()
                 break
+            if not service.running:
+                break  # fail-stopped (an injected fault)
         if service.running:
             await service.stop()
         done = [f.result() for f in answers if f.done() and not f.exception()]
@@ -140,6 +151,113 @@ def test_recover_uses_checkpoint_and_watermark(tmp_path):
     ]
 
 
+def test_torn_checkpoint_append_recovers_and_the_next_checkpoint_commits(tmp_path):
+    capacity, jobs = _workload(seed=30, n=24)
+    config = ServiceConfig(capacity=capacity, max_batch=4, checkpoint_every=4)
+
+    service, _ = _run_service(config, tmp_path, jobs, tear_checkpoint=3)
+    assert service.stats()["failed"] and service.counters["checkpoints"] == 2
+    log = tmp_path / "checkpoint.log"
+    torn_size = log.stat().st_size
+    records, _ = read_wal(tmp_path / "wal.log")
+    assert len(records) > 1  # the WAL was not truncated under the torn append
+
+    state = recover(tmp_path, config)
+    assert state.report.ok and log.stat().st_size == torn_size
+    assert [(e.seq, e.decision) for e in state.entries] == [
+        (e.seq, e.decision) for e in service.entries
+    ]
+
+    # Restarted with checkpoints still on: the next one cuts the torn tail
+    # and commits; the finished ledger recovers from checkpoint + WAL.
+    async def finish():
+        restarted = AdmissionService(config, tmp_path, recovered=state)
+        restarted.start()
+        for i, job in enumerate(jobs):
+            await restarted.submit(job, request_id=f"req-{i}")
+        await restarted.stop()
+        return restarted
+
+    restarted = asyncio.run(finish())
+    assert restarted.counters["checkpoints"] >= 1
+    final = recover(tmp_path, config)
+    assert final.report.ok and len(final.entries) == len(jobs)
+    assert [(e.seq, e.decision) for e in final.entries] == [
+        (e.seq, e.decision) for e in restarted.entries
+    ]
+
+
+def _ledger(entries):
+    return [(e.seq, e.request_id, e.decision) for e in entries]
+
+
+@pytest.fixture(scope="module")
+def checkpointed_runs(tmp_path_factory):
+    """Three runs with >= 2 committed checkpoints each: one stopped right
+    after a checkpoint (the WAL holds nothing but its base record), one
+    killed with decisions still only in the WAL, one that died inside its
+    third checkpoint append (uncommitted tail, WAL not truncated)."""
+    runs = []
+    for name, n, how in (
+        ("at-watermark", 16, {}),
+        ("mid-wal", 22, {"kill_after": 19}),
+        ("torn-append", 16, {"tear_checkpoint": 3}),
+    ):
+        directory = tmp_path_factory.mktemp(name)
+        capacity, jobs = _workload(seed=31, n=n)
+        config = ServiceConfig(capacity=capacity, max_batch=4, checkpoint_every=4)
+        service, _ = _run_service(config, directory, jobs, **how)
+        assert service.counters["checkpoints"] >= 2
+        reference = _ledger(recover(directory, config).entries)
+        assert reference == _ledger(service.entries)
+        runs.append((directory, config, reference))
+    at_watermark, mid_wal, torn = (read_wal(d / "wal.log")[0] for d, _, _ in runs)
+    assert [r["k"] for r in at_watermark] == ["base"]
+    assert len(mid_wal) > 1 and len(torn) > 1
+    return runs
+
+
+def _recover_damaged(run, damage):
+    """Recover a copy of ``run`` whose checkpoint.log went through
+    ``damage(bytes) -> bytes``: the reference ledger or a refusal, never
+    a silently different ledger."""
+    directory, config, reference = run
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "wal"
+        shutil.copytree(directory, copy)
+        log = copy / "checkpoint.log"
+        log.write_bytes(damage(log.read_bytes()))
+        try:
+            state = recover(copy, config)
+        except WalCorruptionError:
+            return
+        assert _ledger(state.entries) == reference
+
+
+@given(which=st.integers(0, 2), where=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_checkpoint_log_never_recovers_a_different_ledger(
+    checkpointed_runs, which, where
+):
+    _recover_damaged(
+        checkpointed_runs[which], lambda data: data[: int(where * len(data))]
+    )
+
+
+@given(
+    which=st.integers(0, 2),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    mask=st.integers(1, 255),
+)
+def test_flipped_checkpoint_byte_never_recovers_a_different_ledger(
+    checkpointed_runs, which, where, mask
+):
+    def flip(data):
+        at = int(where * len(data))
+        return data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+
+    _recover_damaged(checkpointed_runs[which], flip)
+
+
 def test_restart_from_recovered_state_continues_the_sequence(tmp_path):
     capacity, jobs = _workload(seed=25, n=18)
     config = ServiceConfig(capacity=capacity, max_batch=2)
@@ -189,16 +307,47 @@ def test_recovery_rejects_a_ledger_that_cannot_be_reproduced(tmp_path):
 
 
 def test_recovery_rejects_checkpoint_hiding_undecided_entries(tmp_path):
+    import hashlib
+
+    from repro.service.wal import WAL_VERSION, _encode, _jobs_frame, write_checkpoint
+
     capacity, jobs = _workload(seed=27, n=2)
     config = ServiceConfig(capacity=capacity)
-    from repro.service.wal import write_checkpoint
-
     entries = [
         LedgerEntry(seq=1, request_id="req-0", qos=0, degraded=False, job=jobs[0])
     ]
-    write_checkpoint(tmp_path, entries)  # decision is still None
-    with pytest.raises(WalCorruptionError):
+    # The writer refuses (a real error, not an assert ``-O`` would strip),
+    # and only over the delta above the last watermark.
+    with pytest.raises(WalCorruptionError, match="undecided entry seq 1"):
+        write_checkpoint(tmp_path, entries)
+    assert (tmp_path / "checkpoint.log").stat().st_size == 0
+
+    # A committed segment whose jobs record has no decision: only another
+    # writer could produce it, and recover() refuses it too.
+    segment = _jobs_frame(entries)
+    mark = {"k": "mark", "v": WAL_VERSION, "through_seq": 1, "count": 1,
+            "sha256": hashlib.sha256(segment).hexdigest()}
+    (tmp_path / "checkpoint.log").write_bytes(segment + _encode(mark))
+    with pytest.raises(WalCorruptionError, match="hides undecided entry"):
         recover(tmp_path, config)
+
+
+def test_service_checkpoint_guards_only_the_delta(tmp_path):
+    capacity, jobs = _workload(seed=29, n=12)
+    config = ServiceConfig(capacity=capacity, max_batch=4, checkpoint_every=4)
+    service, _ = _run_service(config, tmp_path, jobs)
+    assert service.counters["checkpoints"] >= 2
+    # An undecided entry *below* the watermark is history the checkpoint
+    # no longer looks at; one above it stops the checkpoint cold.
+    service.entries[0].decision = None
+    service.entries.append(
+        LedgerEntry(seq=service.entries[-1].seq + 1, request_id="late",
+                    qos=0, degraded=False, job=jobs[0])
+    )
+    before = (tmp_path / "checkpoint.log").read_bytes()
+    with pytest.raises(WalCorruptionError, match="undecided entry"):
+        service.checkpoint()
+    assert (tmp_path / "checkpoint.log").read_bytes() == before
 
 
 def test_verify_replay_flags_divergence_and_audits(tmp_path):

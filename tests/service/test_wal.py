@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import zlib
 
@@ -12,6 +13,8 @@ from repro.errors import WalCorruptionError
 from repro.service.wal import (
     LedgerEntry,
     WriteAheadLog,
+    _chain_to_wire,
+    _encode,
     read_checkpoint,
     read_wal,
     records_to_entries,
@@ -29,6 +32,21 @@ def _entries(n=3, seed=0):
                     degraded=bool(i % 2), job=job)
         for i, job in enumerate(jobs)
     ]
+
+
+def job_record(e):
+    """Reference form of one logged job body: the plain dict whose JSON
+    encoding the fast path (``_entry_json``) must reproduce byte for byte."""
+    job = e.job
+    chains = [_chain_to_wire(chain) for chain in job.chains]
+    return {
+        "k": "job",
+        "seq": e.seq,
+        "rid": e.request_id,
+        "cls": e.qos,
+        "deg": int(e.degraded),
+        "job": [job.job_id, job.release, job.name, chains],
+    }
 
 
 DEC = (True, 0, ((0.0, 2, 3.0), (3.0, 1, 1.5)))
@@ -88,7 +106,7 @@ def test_fast_jobs_encoding_is_byte_identical_to_reference(tmp_path):
 
     reference = _frame(
         _dumps(
-            {"k": "jobs", "jobs": [e.job_record() for e in entries]}
+            {"k": "jobs", "jobs": [job_record(e) for e in entries]}
         ).encode("utf-8")
     )
     assert (tmp_path / "wal.log").read_bytes() == reference
@@ -137,7 +155,7 @@ def test_damage_before_valid_records_is_corruption(tmp_path):
 
 def test_records_to_entries_dedup_and_conflicts(tmp_path):
     entries = _entries(1)
-    job_rec = entries[0].job_record()
+    job_rec = {"k": "jobs", "jobs": [job_record(entries[0])]}
     dup = dict(job_rec)
     dec = {"k": "dec", "seqs": [1], "dec": [[True, 0, [[0.0, 2, 3.0]]]]}
     same = records_to_entries([job_rec, dup, dec, dec])
@@ -150,48 +168,152 @@ def test_records_to_entries_dedup_and_conflicts(tmp_path):
         records_to_entries([job_rec, dec, conflict])
     with pytest.raises(WalCorruptionError):
         records_to_entries([{"k": "mystery"}])
+    # The per-job top-level record nothing has written since batching
+    # is an unknown kind like any other.
+    with pytest.raises(WalCorruptionError):
+        records_to_entries([job_record(entries[0])])
+
+
+def _decided(n, seed=0):
+    entries = _entries(n, seed)
+    for i, e in enumerate(entries):
+        e.decision = DEC if i % 2 else REJ
+    return entries
+
+
+def _fingerprint(entries):
+    return [(e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in entries]
+
+
+def _checkpoint_in_steps(directory, entries, steps):
+    """Checkpoint ``entries`` cumulatively at each prefix length in ``steps``;
+    returns the log's size after each."""
+    sizes = []
+    for upto in steps:
+        write_checkpoint(directory, entries[:upto])
+        sizes.append((directory / "checkpoint.log").stat().st_size)
+    return sizes
 
 
 def test_checkpoint_round_trip_truncation_and_watermark(tmp_path):
-    entries = _entries(3)
-    for e in entries:
-        e.decision = REJ
+    entries = _decided(9)
     wal = WriteAheadLog(tmp_path)
-    wal.append_jobs(entries)
-    wal.append_decisions([e.seq for e in entries], [e.decision for e in entries])
-    write_checkpoint(tmp_path, entries)
-    wal.truncate()
+    for upto in (2, 5, 5, 9):  # four checkpoints, one with nothing new
+        fresh = [e for e in entries[:upto] if e.seq > wal.last_seq]
+        if fresh:
+            wal.append_jobs(fresh)
+            wal.append_decisions([e.seq for e in fresh], [e.decision for e in fresh])
+        write_checkpoint(tmp_path, entries[:upto])
+        wal.truncate()
+        loaded, through = read_checkpoint(tmp_path)
+        assert through == upto
+        assert _fingerprint(loaded) == _fingerprint(entries[:upto])
     wal.close()
 
-    assert (tmp_path / "wal.log").stat().st_size == 0
-    loaded, through = read_checkpoint(tmp_path)
-    assert through == 3
-    assert [(e.seq, e.request_id, e.decision) for e in loaded] == [
-        (e.seq, e.request_id, e.decision) for e in entries
-    ]
-    # Records at or below the watermark are checkpoint-covered: skipped.
-    assert records_to_entries([entries[0].job_record()], min_seq=through) == []
+    # The emptied WAL names the watermark it was truncated against, and
+    # nothing else; records at or below the watermark are skipped.
+    records, _ = read_wal(tmp_path / "wal.log")
+    assert records == [{"k": "base", "through_seq": 9}]
+    assert records_to_entries(records, min_seq=9) == []
+    covered = {"k": "jobs", "jobs": [job_record(entries[0])]}
+    assert records_to_entries([covered], min_seq=9) == []
+    # A checkpoint that stops short of that watermark has lost decisions.
+    with pytest.raises(WalCorruptionError, match="only reaches 5"):
+        records_to_entries(records, min_seq=5)
 
 
 def test_checkpoint_checksum_and_version_guards(tmp_path):
-    entries = _entries(1)
-    entries[0].decision = REJ
-    write_checkpoint(tmp_path, entries)
-    path = tmp_path / "checkpoint.json"
+    entries = _decided(6)
+    path = tmp_path / "checkpoint.log"
+    sizes = _checkpoint_in_steps(tmp_path, entries, (2, 4, 6))
+    good = path.read_bytes()
 
-    wrapper = json.loads(path.read_text())
-    wrapper["data"]["through_seq"] = 99  # tamper without re-hashing
-    path.write_text(json.dumps(wrapper))
+    # A flipped byte in any committed segment or non-final watermark.
+    for offset in (15, sizes[0] - 5, sizes[0] + 15, sizes[1] + 15):
+        data = bytearray(good)
+        data[offset] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(WalCorruptionError):
+            read_checkpoint(tmp_path)
+
+    # A well-framed watermark that lies about its segment, one field each.
+    segment, _, mark_line = good[sizes[1]:].rpartition(b"\n")[0].rpartition(b"\n")
+    mark = json.loads(mark_line[9:])
+    assert mark["k"] == "mark" and mark["through_seq"] == 6 and mark["count"] == 2
+    for field, wrong in (("v", 1), ("v", 3), ("count", 3), ("through_seq", 7),
+                         ("sha256", "0" * 64)):
+        forged = _encode({**mark, field: wrong})
+        path.write_bytes(good[: sizes[1]] + segment + b"\n" + forged)
+        with pytest.raises(WalCorruptionError):
+            read_checkpoint(tmp_path)
+    # A segment replayed under a fresh watermark breaks sequence order.
+    path.write_bytes(good + good[sizes[1]:])
     with pytest.raises(WalCorruptionError):
         read_checkpoint(tmp_path)
 
-    path.write_text("not json at all")
-    with pytest.raises(WalCorruptionError):
+    path.write_bytes(good)
+    assert read_checkpoint(tmp_path)[1] == 6
+    # No dual reader: a version-1 snapshot in the directory is refused.
+    (tmp_path / "checkpoint.json").write_text("{}")
+    with pytest.raises(WalCorruptionError, match="version-1"):
         read_checkpoint(tmp_path)
 
     missing = tmp_path / "fresh"
     missing.mkdir()
     assert read_checkpoint(missing) == ([], 0)
+
+
+def test_checkpoint_uncommitted_tail_is_ignored_then_cut_by_the_next_write(tmp_path):
+    entries = _decided(6)
+    path = tmp_path / "checkpoint.log"
+    sizes = _checkpoint_in_steps(tmp_path, entries, (2, 4))
+    committed = path.read_bytes()
+    write_checkpoint(tmp_path, entries)
+    third = path.read_bytes()[sizes[1]:]
+
+    # Every proper prefix of the third append is an uncommitted tail:
+    # torn jobs frame, whole segment without watermark, torn watermark.
+    segment_end = third.rindex(b"\n", 0, -1) + 1
+    for keep in (1, 40, len(third) // 2, segment_end, len(third) - 1):
+        path.write_bytes(committed + third[:keep])
+        loaded, through = read_checkpoint(tmp_path)
+        assert through == 4 and _fingerprint(loaded) == _fingerprint(entries[:4])
+        assert path.stat().st_size == sizes[1] + keep  # the reader writes nothing
+
+    # The next checkpoint cuts the tail off and commits over it.
+    write_checkpoint(tmp_path, entries)
+    assert path.read_bytes() == committed + third
+    assert _fingerprint(read_checkpoint(tmp_path)[0]) == _fingerprint(entries)
+
+
+def test_checkpoint_cost_follows_the_delta_not_the_ledger(tmp_path, monkeypatch):
+    """Counts, not time: bytes appended per checkpoint stay flat as the
+    ledger grows, and the writer reads O(1) bytes of what is already there."""
+    every, rounds = 8, 10
+    entries = _decided(every * rounds)
+    read = []
+    pread = os.pread
+
+    def counting_pread(fd, n, offset):
+        data = pread(fd, n, offset)
+        read.append(len(data))
+        return data
+
+    monkeypatch.setattr(os, "pread", counting_pread)
+    monkeypatch.setattr(
+        "repro.service.wal._fold_checkpoint",
+        lambda path: pytest.fail("steady-state checkpoint rescanned history"),
+    )
+    sizes = _checkpoint_in_steps(
+        tmp_path, entries, range(every, every * rounds + 1, every)
+    )
+    monkeypatch.undo()
+
+    appended = [b - a for a, b in zip([0] + sizes, sizes)]
+    assert len(appended) == rounds >= 8
+    assert max(appended) <= 1.25 * appended[0]  # seq digits grow, nothing else
+    assert len(read) == rounds - 1 and max(read) <= 512  # one tail read each
+    assert _fingerprint(read_checkpoint(tmp_path)[0]) == _fingerprint(entries)
 
 
 def test_partial_write_failpoint_tears_exactly_one_append(tmp_path):

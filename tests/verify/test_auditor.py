@@ -94,3 +94,63 @@ def test_profile_mode_off_skips_profile_check():
     )
     assert "profile" in strict.codes
     assert "profile" not in relaxed.codes
+
+
+def test_profile_sweep_matches_the_per_probe_reference():
+    """The sort + sweep cross-check flags exactly what probing every cut
+    point against every segment and every interval (the quadratic form it
+    replaced) flags — on clean schedules and on randomly corrupted ones."""
+    import math
+    import random
+
+    from repro.core.arbitrator import QoSArbitrator
+    from repro.verify.fuzz import random_case
+
+    def reference(auditor, schedule):
+        capacity, origin = schedule.capacity, schedule.profile.origin
+        segments = list(schedule.profile.segments())
+        intervals = auditor._intervals(list(schedule.placements))
+        cuts = sorted(
+            {origin}
+            | {s for s, _, _ in segments if s >= origin}
+            | {t for iv in intervals for t in (iv.start, iv.end) if t >= origin}
+        )
+        flagged = []
+        for t0, t1 in zip(cuts, cuts[1:] + [math.inf]):
+            if t1 - t0 <= auditor.eps:
+                continue
+            probe = t0 + min((t1 - t0) / 2, 0.5)
+            avail = next((a for s, e, a in segments if s <= probe < e), None)
+            if avail is None:
+                continue
+            busy = sum(iv.processors for iv in intervals if iv.start <= probe < iv.end)
+            if avail != capacity - busy:
+                flagged.append((probe, avail, capacity - busy))
+        return flagged
+
+    rng = random.Random(13)
+    corrupted = 0
+    for _ in range(40):
+        case = random_case(rng, max_jobs=10)
+        arbitrator = QoSArbitrator(case.capacity, keep_placements=True)
+        for job in case.jobs:
+            arbitrator.submit(job)
+        schedule = arbitrator.schedule
+        for _ in range(rng.randint(0, 3)):  # corrupt: give away or withhold
+            start = rng.randint(0, 40) / 2
+            try:
+                profile = schedule.profile
+                mutate = rng.choice((profile.reserve, profile.release))
+                mutate(start, start + rng.randint(1, 12) / 2, 1)
+            except Exception:
+                continue  # the profile refused an out-of-range edit
+        auditor = ScheduleAuditor(ledger=False)
+        report = auditor.audit(schedule, list(case.jobs))
+        got = [v for v in report.violations if v.code == "profile"]
+        want = reference(auditor, schedule)
+        assert [v.time for v in got] == [probe for probe, _, _ in want]
+        for v, (probe, avail, expected) in zip(got, want):
+            assert f"says {avail}p free" in v.detail
+            assert f"imply {expected}p" in v.detail
+        corrupted += bool(want)
+    assert corrupted >= 10
