@@ -39,7 +39,10 @@ the same random profiles, and the maximal-holes formulation in
 Each call bumps the profile's :class:`~repro.perf.ProfileStats` probe
 counters (``probes``, ``probe_segments``) so decision cost stays observable
 at simulation scale.  (For the tree back-end ``probe_segments`` counts
-*tree nodes visited*, the cost driver of that search.)
+*tree nodes visited*, the cost driver of that search; the compiled batch
+loop adds the segments it walked *after* skipping the starts an earlier
+probe of the same call ruled out — ``docs/perf.md``, "The no-fit
+frontier" — so its count is work done, not the serial scan's length.)
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@
  * compiler but no extension-build stack, and the ABI below needs nothing
  * beyond raw pointers).
  *
- * Every function is a line-for-line port of a pure-Python reference in
- * ``repro.core`` (profile._shift / compact / _ensure_prefix / free_area,
+ * Every function but two is a line-for-line port of a pure-Python
+ * reference in ``repro.core`` (profile._shift / compact / free_area,
  * first_fit._scalar_scan, greedy._prober / place_chain,
  * policies.select_candidate, chain.is_trivially_infeasible).  The float
  * operations replicate the exact IEEE-754 op order of those references —
@@ -16,6 +16,21 @@
  * results are bit-identical.  That is the contract the differential
  * fuzzer (``repro.verify.fuzz``) enforces against the scalar/vector/tree
  * oracles.
+ *
+ * The one deliberate deviation: inside ``repro_admit_batch`` the loop
+ * does not redo work an earlier step of the same call already settled.
+ * ``ef_probe`` starts its walk past every start time an earlier probe
+ * ruled out (the no-fit frontier above it), and ``prof_ensure_prefix``
+ * re-sums the prefix only from the first entry a shift made stale.  Both
+ * return the floats the references return — the walk visits fewer
+ * segments, so ``probe_segments`` is lower than the serial scan's — and
+ * both rest on ONE invariant: between entry and return of the call,
+ * availability never increases (the loop only commits; compaction only
+ * trims the past).  The facts live in the call's stack frame, so nothing
+ * survives into the next call, where a release, rollback or capacity
+ * fault may have raised availability.  A positive-delta shift inside the
+ * loop would break the invariant: ``prof_shift`` clears the table if it
+ * ever sees one.
  *
  * Two entry points matter:
  *
@@ -99,11 +114,33 @@ static int64_t bisect_right_d(const double *a, int64_t n, double x)
 /* The availability profile over caller-owned flat buffers             */
 /* ------------------------------------------------------------------ */
 
+/* One no-fit fact (see the file header): no request at least w wide and
+ * at least d long can start anywhere in [r, s). */
+typedef struct {
+    int64_t w;
+    double d;
+    double r;
+    double s;
+} Fact;
+
+/* Size of the fact table, replaced round-robin once full.  What picked
+ * it: the 266,667-job batch_backlog stream (seed 2024, chunks of 1,024,
+ * ~6,800 live segments, continuous durations so few shapes repeat), C
+ * call seconds / segments walked per decision on this sandbox — no table
+ * 4.90 / 8,159; 8: 3.12 / 3,488; 16: 1.95 / 2,156; 32: 1.62 / 1,190;
+ * 64: 1.24 / 626; 128: 1.53 / 352; 256: 2.09 / 235.  Past 64 the lookup
+ * costs more than the walk it saves.  On the 56-segment svc_flood
+ * profile the table holds a handful of facts and kernels.c_call_s stays
+ * inside its run-to-run spread (four traced pairs: 0.092-0.108 s
+ * before, 0.091-0.127 s after). */
+#define NFACTS 64
+
 /* Live segments occupy [lo, lo + n) of times/avail; compaction advances
  * lo instead of memmoving, shifts splice in place within the window.
- * prefix[0..n) is the free-area prefix cache over the live window,
- * rebuilt sequentially when prefix_valid drops (exactly like
- * AvailabilityProfile._ensure_prefix). */
+ * prefix[0..n) is the free-area prefix cache over the live window:
+ * entries below prefix_from survive a shift, the rest are re-summed in
+ * the same order when prefix_valid drops (the floats
+ * AvailabilityProfile._ensure_prefix produces from a full rebuild). */
 typedef struct {
     double *times;
     int64_t *avail;
@@ -115,7 +152,11 @@ typedef struct {
     int64_t n;
     int64_t capacity; /* machine capacity (processors) */
     int prefix_valid;
+    int64_t prefix_from; /* lowest index whose prefix entry is stale */
     int64_t *c; /* counters[N_COUNTERS] */
+    Fact facts[NFACTS];
+    int nfacts;
+    int fact_evict; /* round-robin victim once the table is full */
 } Prof;
 
 /* port of AvailabilityProfile._shift (validation included) */
@@ -218,7 +259,11 @@ static int prof_shift(Prof *p, double t0, double t1, int64_t delta)
     memcpy(times + i, nt, (size_t)w * sizeof(double));
     memcpy(avail + i, na, (size_t)w * sizeof(int64_t));
     p->n = new_n;
+    if (delta > 0)
+        p->nfacts = 0; /* availability rose: no no-fit fact survives */
     p->prefix_valid = 0;
+    if (i < p->prefix_from)
+        p->prefix_from = i;
     p->c[K_SHIFT_OPS] += 1;
     int64_t touched = last - i + 1;
     p->c[K_SEGMENTS_TOUCHED] += touched;
@@ -243,10 +288,14 @@ static void prof_compact(Prof *p, double before)
     if (times[0] < before)
         times[0] = before;
     p->prefix_valid = 0;
+    p->prefix_from = 0; /* the origin moved: every entry changes */
     p->c[K_COMPACTIONS] += 1;
 }
 
-/* port of AvailabilityProfile._ensure_prefix (same sequential sum) */
+/* port of AvailabilityProfile._ensure_prefix: the same sequential sum,
+ * resumed from the first stale entry (the accumulator there is the
+ * stored prefix[k - 1], so every addition is the one a rebuild from 0
+ * performs). */
 static void prof_ensure_prefix(Prof *p)
 {
     if (p->prefix_valid)
@@ -254,13 +303,18 @@ static void prof_ensure_prefix(Prof *p)
     const double *times = p->times + p->lo;
     const int64_t *avail = p->avail + p->lo;
     double *prefix = p->prefix;
-    prefix[0] = 0.0;
-    double acc = 0.0;
-    for (int64_t k = 1; k < p->n; k++) {
+    int64_t k = p->prefix_from;
+    if (k == 0) {
+        prefix[0] = 0.0;
+        k = 1;
+    }
+    double acc = prefix[k - 1];
+    for (; k < p->n; k++) {
         acc += (double)avail[k - 1] * (times[k] - times[k - 1]);
         prefix[k] = acc;
     }
     p->prefix_valid = 1;
+    p->prefix_from = p->n;
     p->c[K_PREFIX_REBUILDS] += 1;
 }
 
@@ -290,11 +344,16 @@ static double prof_free_area(Prof *p, double t0, double t1)
 /* Raw walk over [0, n) starting at segment i; release already clamped
  * to the origin and i already bisected by the caller.  Returns 1 and
  * *out_start on success, 0 on failure; *out_scanned counts the
- * segments examined exactly like _scalar_scan's probe_segments. */
-static int scan_walk(const double *times, const int64_t *avail, int64_t n,
+ * segments examined exactly like _scalar_scan's probe_segments, and
+ * *out_run_start is the start of the last run the walk considered (the
+ * returned start, or the run at which it gave up): nothing this wide
+ * and this long fits anywhere in [release, *out_run_start).  Forced
+ * inline so that repro_earliest_fit, which has no use for that last
+ * output, compiles to the walk without it. */
+static inline __attribute__((always_inline)) int scan_walk(const double *times, const int64_t *avail, int64_t n,
                      int64_t i, int64_t processors, double duration,
                      double release, double deadline, double *out_start,
-                     int64_t *out_scanned)
+                     int64_t *out_scanned, double *out_run_start)
 {
     int64_t first = i;
     int have = avail[i] >= processors;
@@ -308,6 +367,7 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
                 double seg_end = (j + 1 < n) ? times[j + 1] : INFINITY;
                 if (seg_end - run_start >= duration - TIME_EPS) {
                     *out_scanned = j - first + 1;
+                    *out_run_start = run_start;
                     if (run_start + duration > deadline + TIME_EPS)
                         return 0;
                     *out_start = run_start;
@@ -328,12 +388,14 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
                 j += 1;
             if (j == n) {
                 *out_scanned = n - first;
+                *out_run_start = run_start;
                 return 0; /* trailing segment deficient: never fits */
             }
             i = j;
             run_start = PYMAX(times[i], release);
             if (run_start + duration > deadline + TIME_EPS) {
                 *out_scanned = i - first + 1;
+                *out_run_start = run_start;
                 return 0;
             }
             have = 1;
@@ -341,8 +403,67 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
     }
 }
 
-/* Full earliest_fit port (pre-checks + clamp + bisect + walk), used by
- * the batched admission loop. */
+/* The no-fit frontier — with the prefix resume above, the only code in
+ * this file that is not a port.
+ *
+ * Inside one repro_admit_batch call availability never increases (the
+ * loop only commits; compaction only trims the past), so a finished walk
+ * for (w, d) from r whose last run began at s has proved a fact that
+ * stays true until the call returns: no request at least as wide and at
+ * least as long can start in [r, s).  ef_probe keeps such facts in the
+ * call's Prof frame and starts each walk at the largest s reachable from
+ * its own release through applicable facts.  The deadline never enters
+ * a fact (a walk that gave up on its deadline at s still ruled out
+ * [r, s) on availability alone), so a tighter or laxer deadline — the
+ * incumbent finish cap included — reuses it unchanged. */
+
+/* Latest time up to which the facts rule out a start for (w, d) at or
+ * after `from`; *since becomes the earliest r of the facts used, so the
+ * caller's own fact can cover their union.  Iterated to a fixed point:
+ * raising the bound can bring a later-starting fact into reach. */
+static double facts_frontier(const Prof *p, int64_t w, double d, double from,
+                             double *since)
+{
+    for (int again = 1; again;) {
+        again = 0;
+        for (int k = 0; k < p->nfacts; k++) {
+            const Fact *f = &p->facts[k];
+            if (f->s > from && f->r <= from && f->w <= w && f->d <= d) {
+                from = f->s;
+                if (f->r < *since)
+                    *since = f->r;
+                again = 1;
+            }
+        }
+    }
+    return from;
+}
+
+/* Record (w, d, r, s), dropping every fact it makes redundant (one that
+ * applies to no request and no release this one does not, and ends no
+ * later).  No stored fact can make the new one redundant: it would have
+ * applied in facts_frontier and carried the walk past s. */
+static void facts_insert(Prof *p, int64_t w, double d, double r, double s)
+{
+    int k = 0;
+    while (k < p->nfacts) {
+        const Fact *f = &p->facts[k];
+        if (w <= f->w && d <= f->d && r <= f->r && s >= f->s)
+            p->facts[k] = p->facts[--p->nfacts];
+        else
+            k += 1;
+    }
+    if (p->nfacts < NFACTS) {
+        k = p->nfacts++;
+    } else {
+        k = p->fact_evict;
+        p->fact_evict = (k + 1) % NFACTS;
+    }
+    p->facts[k] = (Fact){w, d, r, s};
+}
+
+/* Full earliest_fit port (pre-checks + clamp + bisect + walk) behind the
+ * frontier skip, used by the batched admission loop. */
 static int ef_probe(Prof *p, int64_t processors, double duration,
                     double release, double deadline, double *out_start)
 {
@@ -355,13 +476,18 @@ static int ef_probe(Prof *p, int64_t processors, double duration,
     const int64_t *avail = p->avail + p->lo;
     int64_t n = p->n;
     release = PYMAX(release, times[0]);
-    int64_t i = bisect_right_d(times, n, release) - 1;
+    double since = release;
+    double from = facts_frontier(p, processors, duration, release, &since);
+    int64_t i = bisect_right_d(times, n, from) - 1;
     if (i < 0)
         i = 0;
     int64_t scanned = 0;
-    int found = scan_walk(times, avail, n, i, processors, duration, release,
-                          deadline, out_start, &scanned);
+    double run_start;
+    int found = scan_walk(times, avail, n, i, processors, duration, from,
+                          deadline, out_start, &scanned, &run_start);
     p->c[K_PROBE_SEGMENTS] += scanned;
+    if (run_start > from) /* the walk learnt something the table lacked */
+        facts_insert(p, processors, duration, since, run_start);
     return found;
 }
 
@@ -524,8 +650,9 @@ int64_t repro_earliest_fit(const double *times, const int64_t *avail,
                            double duration, double release, double deadline,
                            double *out_start, int64_t *out_scanned)
 {
+    double run_start;
     return scan_walk(times, avail, n, i, processors, duration, release,
-                     deadline, out_start, out_scanned);
+                     deadline, out_start, out_scanned, &run_start);
 }
 
 /* min over avail[lo:hi] — the min_available window reduction. */
@@ -580,7 +707,10 @@ int64_t repro_admit_batch(
     prof.n = prof_state[1];
     prof.capacity = capacity;
     prof.prefix_valid = 0;
+    prof.prefix_from = 0;
     prof.c = counters;
+    prof.nfacts = 0;
+    prof.fact_evict = 0;
     Prof *p = &prof;
 
     double *cand_starts = dscratch;                      /* [MC][MT] */

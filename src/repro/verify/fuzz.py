@@ -28,6 +28,10 @@ rigid or malleable).  For each case the harness:
    batched runs both route through :mod:`repro.core.kernels`, so running
    the fuzzer under ``REPRO_KERNEL=compiled`` (CI does) pits the
    compiled C kernels against the pure-Python stack case by case.
+   A share of the campaign's cases are *floods* (:func:`random_flood`:
+   tens to hundreds of jobs from a few shapes) that get this check
+   alone: the C loop skips what an earlier probe of the same call ruled
+   out, and a case of six jobs never probes one shape twice.
 6. **Adversarial switches** — the ``"adaptive"`` back-end re-runs the
    case with its controller pinned to forced switch schedules (a new
    back-end every probe in the worst case) and must match the scalar
@@ -71,6 +75,7 @@ __all__ = [
     "FuzzCase",
     "FuzzReport",
     "random_case",
+    "random_flood",
     "run_case",
     "run_case_batch",
     "check_case",
@@ -113,6 +118,9 @@ _POLICIES: tuple[TieBreakPolicy, ...] = (
 
 #: Oracle is consulted only below this many jobs (rigid cases only).
 _ORACLE_MAX_JOBS = 6
+
+#: Every this-many-th case of a campaign is a flood (:func:`random_flood`).
+_FLOOD_EVERY = 20
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +233,58 @@ def random_case(
             )
         jobs.append(Job(chains=tuple(chains), release=release))
     return FuzzCase(capacity=capacity, jobs=tuple(jobs), malleable=malleable)
+
+
+def random_flood(
+    rng: random.Random,
+    *,
+    min_jobs: int = 20,
+    max_jobs: int = 200,
+) -> FuzzCase:
+    """Draw one campaign flood: many small jobs cut from a few shapes.
+
+    Two to six ``(width, duration)`` shapes make up two to five job
+    templates of one or two alternative chains, each chain one or two
+    tasks with lax (the backlog grows deep before anything is refused)
+    or tight deadlines; arrivals outpace the machine.  Probes therefore
+    repeat — same or pointwise-harder shape, later release — which is
+    what the batched C loop's no-fit facts feed on and what
+    :func:`random_case`'s handful of jobs never does.
+    """
+    capacity = rng.randint(2, 8)
+    shapes = [
+        (rng.randint(1, capacity), _nice(rng, 1, 16))
+        for _ in range(rng.randint(2, 6))
+    ]
+
+    def chain(tag: str) -> TaskChain:
+        lax = rng.random() < 0.5
+        tasks: list[TaskSpec] = []
+        elapsed = 0.0
+        for t in range(rng.randint(1, 2)):
+            procs, duration = rng.choice(shapes)
+            elapsed += duration
+            slack = _nice(rng, 40, 400) if lax else _nice(rng, 0, 6)
+            tasks.append(
+                TaskSpec(
+                    f"{tag}t{t}",
+                    ProcessorTimeRequest(procs, duration),
+                    deadline=elapsed + slack,
+                    quality=rng.randint(1, 4) / 4,
+                )
+            )
+        return TaskChain(tuple(tasks), label=tag)
+
+    templates = [
+        tuple(chain(f"f{k}c{c}") for c in range(rng.randint(1, 2)))
+        for k in range(rng.randint(2, 5))
+    ]
+    jobs: list[Job] = []
+    release = 0.0
+    for _ in range(rng.randint(min_jobs, max_jobs)):
+        release += _nice(rng, 0, 2)
+        jobs.append(Job(chains=rng.choice(templates), release=release))
+    return FuzzCase(capacity=capacity, jobs=tuple(jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -712,21 +772,29 @@ def fuzz(
 ) -> FuzzReport:
     """Run ``n`` random cases; shrink and persist any failure.
 
-    Fully deterministic in ``(n, seed)``.  ``corpus_dir=None`` skips
-    persistence (the report still carries the failures).
+    One case in :data:`_FLOOD_EVERY` is a :func:`random_flood` checked by
+    :func:`batch_failures` alone (the full battery on hundreds of jobs
+    would be most of the campaign's time, and the oracle is out of scope
+    above :data:`_ORACLE_MAX_JOBS` anyway).  Fully deterministic in
+    ``(n, seed)``.  ``corpus_dir=None`` skips persistence (the report
+    still carries the failures).
     """
     rng = random.Random(seed)
     failures: list[tuple[str, tuple[str, ...]]] = []
     written: list[str] = []
-    for _ in range(n):
-        malleable = rng.random() < malleable_share
-        case = random_case(rng, max_jobs=max_jobs, malleable=malleable)
-        whys = check_case(case)
+    for k in range(n):
+        if k % _FLOOD_EVERY == _FLOOD_EVERY - 1:
+            case, check = random_flood(rng), batch_failures
+        else:
+            malleable = rng.random() < malleable_share
+            case = random_case(rng, max_jobs=max_jobs, malleable=malleable)
+            check = check_case
+        whys = check(case)
         if not whys:
             continue
         if shrink_failures:
-            case = shrink(case, lambda c: bool(check_case(c)))
-            whys = check_case(case) or whys
+            case = shrink(case, lambda c: bool(check(c)))
+            whys = check(case) or whys
         case = dataclasses.replace(
             case, note=f"fuzz seed={seed} shrunk reproducer"
         )

@@ -20,13 +20,18 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
 from repro.core.policies import TieBreakPolicy
+from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
+from repro.model.chain import TaskChain
+from repro.model.job import Job
 from repro.model.quality import QualityComposition
+from repro.model.task import TaskSpec
 from repro.resilience.events import CapacityEvent
 from repro.verify.fuzz import (
     _RANDOM_POLICY_SEED,
     random_case,
+    random_flood,
     run_case,
     run_case_batch,
 )
@@ -234,3 +239,149 @@ def test_random_policy_batch_uses_serial_replay():
                 case, policy=TieBreakPolicy.RANDOM, audit=False
             )
             assert batch == serial
+
+
+# ---------------------------------------------------------------------------
+# Floods: the compiled loop's no-fit facts must stay invisible
+# ---------------------------------------------------------------------------
+#
+# Inside one ``repro_admit_batch`` call a probe starts past every start
+# time an earlier probe of the same call ruled out for a request no
+# wider and no longer (``_kernels.c``, "The no-fit frontier").  The cases
+# above have at most eight jobs and never reuse such a fact; these do.
+
+_DETERMINISTIC = (TieBreakPolicy.PAPER, TieBreakPolicy.FIRST, TieBreakPolicy.PREFIX)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    compact=st.booleans(),
+    prune=st.booleans(),
+    policy=st.sampled_from(_DETERMINISTIC),
+    kmode=st.sampled_from(KERNEL_MODES),
+)
+@settings(max_examples=30, deadline=None)
+def test_flood_batch_identical_to_serial(seed, compact, prune, policy, kmode):
+    """200-600 jobs from at most six shapes, one ``admit_batch`` call.
+
+    Without compaction the releases are also made non-monotone (a fact
+    learnt from a later release must not serve an earlier one).
+    """
+    rng = random.Random(seed)
+    case = random_flood(rng, min_jobs=200, max_jobs=600)
+    jobs = list(case.jobs)
+    if not compact:
+        jobs = [
+            Job(chains=j.chains, release=max(0.0, j.release - rng.randint(0, 60) / 2))
+            for j in jobs
+        ]
+    serial, batch = (
+        QoSArbitrator(case.capacity, compact=compact, prune=prune, policy=policy)
+        for _ in range(2)
+    )
+    for job in jobs:
+        serial.submit(job)
+    with kernels.use(kmode):
+        batch.admit_batch(jobs)
+    assert _state(batch) == _state(serial)
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+@pytest.mark.parametrize("how", ("rollback", "release"))
+def test_no_fit_facts_do_not_cross_calls(kmode, how):
+    """admit_batch, hand an admitted job's processors back, admit_batch.
+
+    The second call probes a profile whose availability *rose* where the
+    first call had ruled starts out; it must see the freed room exactly
+    as the serial loop does.
+    """
+    for seed in range(6):
+        case = random_flood(random.Random(seed), min_jobs=200, max_jobs=300)
+        cut = len(case.jobs) // 2
+        head, tail = list(case.jobs[:cut]), list(case.jobs[cut:])
+        serial, batch = (QoSArbitrator(case.capacity) for _ in range(2))
+        first = [serial.submit(job) for job in head]
+        with kernels.use(kmode):
+            assert [d.admitted for d in batch.admit_batch(head)] == [
+                d.admitted for d in first
+            ]
+        # The admitted job that finishes last: its room lies in the future
+        # of every later release, where the first call's probes gave up.
+        freed = max(
+            (d.placement for d in first if d.admitted), key=lambda cp: cp.finish
+        )
+        for arbitrator in (serial, batch):
+            if how == "rollback":
+                (cp,) = (
+                    c for c in arbitrator.schedule.placements
+                    if c.job_id == freed.job_id
+                )
+                arbitrator.schedule.rollback(cp)
+            else:
+                for pl in reversed(freed.placements):
+                    arbitrator.schedule.profile.release(
+                        pl.start, pl.end, pl.processors
+                    )
+        for job in tail:
+            serial.submit(job)
+        with kernels.use(kmode):
+            batch.admit_batch(tail)
+        assert _state(batch) == _state(serial)
+
+
+def _one_task(width, duration, deadline):
+    task = TaskSpec("t", ProcessorTimeRequest(width, duration), deadline=deadline)
+    return (TaskChain((task,), label="c"),)
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+def test_more_shapes_than_the_fact_table_holds(kmode):
+    """100 durations, each needing a later gap than the one before, so no
+    fact makes another redundant: an unbounded table peaks at 70 facts
+    here (instrumented build), the real one (64) has to evict."""
+    teeth, t = [], 0.0
+    for k in range(100):  # 3 of 4 processors busy for 1, then a gap of 1 + k/4
+        teeth.append(Job(chains=_one_task(3, 1.0, 1.0), release=t))
+        t += 2.0 + k / 4
+    durations = [1.0 + k / 4 for k in range(100)] * 3
+    random.Random(0).shuffle(durations)
+    flood = [Job(chains=_one_task(2, d, 10_000.0), release=0.0) for d in durations]
+    serial, batch = (QoSArbitrator(4, compact=False) for _ in range(2))
+    for arbitrator in (serial, batch):
+        assert all(arbitrator.submit(job).admitted for job in teeth)
+    for job in flood:
+        serial.submit(job)
+    with kernels.use(kmode):
+        batch.admit_batch(flood)
+    assert _state(batch) == _state(serial)
+
+
+@pytest.mark.skipif(
+    KERNEL_MODES == ("python",), reason="compiled kernel unavailable"
+)
+def test_repeated_rejections_do_not_rescan_the_profile():
+    """Counter regression: a flood of identical jobs that all fail after
+    walking a comb of too-short gaps.  The serial scalar scan walks the
+    comb once per job; the C loop walks it once per call."""
+    # 300 teeth: 3 of 4 processors busy over [2k, 2k+1), all free over
+    # [2k+1, 2k+2) — no gap holds a 2 x 1.5 request before t = 600.
+    comb = [
+        Job(chains=_one_task(3, 1.0, 1.0), release=2.0 * k) for k in range(300)
+    ]
+    flood = [Job(chains=_one_task(2, 1.5, 500.0), release=0.0) for _ in range(200)]
+    segments = []
+    for batched in (False, True):
+        arbitrator = QoSArbitrator(4, compact=False, backend="scalar")
+        assert all(arbitrator.submit(job).admitted for job in comb)
+        stats = arbitrator.schedule.profile.stats
+        before = stats.probe_segments
+        if batched:
+            with kernels.use("compiled"):
+                decisions = arbitrator.admit_batch(flood)
+        else:
+            decisions = [arbitrator.submit(job) for job in flood]
+        assert not any(d.admitted for d in decisions)
+        segments.append(stats.probe_segments - before)
+    serial_segments, batch_segments = segments
+    assert serial_segments >= 200 * 400
+    assert 3 * batch_segments <= serial_segments
