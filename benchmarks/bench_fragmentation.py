@@ -6,34 +6,25 @@ count.  This benchmark makes that axis explicit: it builds a congested
 profile with a controlled segment count — a backlog region of unit-width
 segments whose availability cycles through small values, followed by a
 fully-free frontier — and times complete admission decisions
-(:meth:`GreedyScheduler.choose`) for every scan back-end — including
-the ``"kernel"`` back-end of :mod:`repro.core.kernels`, compiled or
-pure-Python depending on ``REPRO_KERNEL`` — at each fragmentation level.
+(:meth:`GreedyScheduler.choose`) for both scans — the ``"scalar"`` walk
+and the ``"kernel"`` back-end of :mod:`repro.core.kernels`, compiled or
+pure-Python depending on ``REPRO_KERNEL`` — and for the ``"auto"`` rule
+that chooses between them, at each fragmentation level.
 
-The workload is the tree back-end's target regime: probes need far more
-processors than any backlog segment offers, so the scalar walk crosses the
-whole backlog (O(S) per probe) while the segment-tree descent skips it
-wholesale (O(log S)).  It is deliberately *query-dominated* — decisions
-probe, they do not commit — matching the regime where ``backend="tree"``
-is the right explicit choice (see ``docs/perf.md``).
+The workload is deliberately *query-dominated*: probes need far more
+processors than any backlog segment offers, so every probe crosses the
+whole backlog (O(S)) and decisions probe, they do not commit.  It is the
+committed data the ``"auto"`` crossovers are pinned against
+(``tests/core/test_auto_backend.py``).
 
-Three guards make the report trustworthy:
+Two guards make the report trustworthy:
 
 * every decision (admit/reject, chosen chain, every placement start/width)
-  is checksummed and must be identical across all three back-ends *and*
-  across ``prune=True``/``prune=False``;
+  is checksummed and must be identical across the back-ends *and* across
+  ``prune=True``/``prune=False``;
 * a commit pass re-runs the job stream with commits applied and checksums
   the admit sequence, chosen chains, utilization and the final profile
-  breakpoints across back-ends, then audits each profile's invariants
-  (which for the tree back-end replays the whole index against the
-  profile);
-* at 10k segments the tree must beat the scalar walk by at least 5x on
-  decision p50 — the headline claim of the report — or the benchmark
-  raises instead of writing numbers;
-* the self-tuning ``"adaptive"`` back-end rides the same matrix (same
-  checksums) and must land within :data:`ADAPTIVE_TOLERANCE` of the best
-  static back-end's p50 at every point — the controller has a full
-  warmup pass of counter signal to settle on the regime's winner.
+  breakpoints across back-ends, then audits each profile's invariants.
 
 The job mix also exercises the candidate prunes (duplicate configurations,
 pointwise-dominated doomed configurations), so the report carries probed
@@ -46,6 +37,7 @@ import hashlib
 import math
 import time
 
+from repro.core import kernels
 from repro.core.greedy import GreedyScheduler
 from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
@@ -56,6 +48,8 @@ from repro.model.task import TaskSpec
 __all__ = ["build_fragmented_schedule", "fragmentation_jobs", "run_fragmentation_bench"]
 
 CAPACITY = 64
+#: The two scans and the rule that chooses between them.
+_BACKENDS = ("scalar", "kernel", "auto")
 #: Availability cycle of the backlog region: every value is far below the
 #: probe widths, so no probe can place before the frontier.
 _BACKLOG_AVAIL = (1, 3, 6, 2, 5, 4)
@@ -149,7 +143,7 @@ def _timed_decisions(
     """Per-decision latency percentiles + decision checksum for one config."""
     schedule = build_fragmented_schedule(n_segments, backend)
     scheduler = GreedyScheduler(schedule, prune=prune)
-    for job in jobs:  # warmup: builds mirrors / prefix / tree once
+    for job in jobs:  # warmup: builds mirrors / prefix once
         scheduler.choose(job)
     samples: list[float] = []
     decisions: list[tuple | None] = []
@@ -190,34 +184,20 @@ def _commit_pass(n_segments: int, jobs: list[Job], backend: str) -> str:
     return _checksum(payload)
 
 
-#: Factor by which adaptive p50/p95 may trail the best static back-end at
-#: a committed fragmentation point (the self-tuning deliverable's "never
-#: worse than the best static choice by more than a small tolerance").
-ADAPTIVE_TOLERANCE = 1.10
-
-
 def run_fragmentation_bench(
     n_probes: int,
     segment_counts: tuple[int, ...] = (100, 1_000, 10_000),
 ) -> dict:
     """Latency-vs-fragmentation comparison across the scan back-ends.
 
-    Raises if any back-end or prune mode disagrees on any decision, if
-    the tree fails its 5x headline over the scalar walk at >= 10k
-    segments, or if the ``adaptive`` back-end trails the best static
-    back-end by more than :data:`ADAPTIVE_TOLERANCE` on p50 at any point.
-    The adaptive gate compares best-of-paired-re-measures on both sides:
-    warm-process p50s drift by 20%+ between identical runs, so each
-    side's minimum over up to three back-to-back samples stands in for
-    its true floor (wall-clock drift, not regime misclassification, is
-    the common flake).
+    Raises if any back-end or prune mode disagrees on any decision.
     """
     points = []
     for n_segments in segment_counts:
         jobs = fragmentation_jobs(n_probes, n_segments)
         backends: dict[str, dict] = {}
         checksums: dict[str, str] = {}
-        for backend in ("scalar", "vector", "tree", "kernel", "adaptive"):
+        for backend in _BACKENDS:
             report, checksum = _timed_decisions(n_segments, jobs, backend, prune=True)
             backends[backend] = report
             checksums[backend] = checksum
@@ -226,8 +206,7 @@ def run_fragmentation_bench(
         )
         checksums["scalar_unpruned"] = full_checksum
         commit_checksums = {
-            b: _commit_pass(n_segments, jobs, b)
-            for b in ("scalar", "vector", "tree", "kernel", "adaptive")
+            b: _commit_pass(n_segments, jobs, b) for b in _BACKENDS
         }
         if len(set(checksums.values())) != 1:
             raise AssertionError(
@@ -237,65 +216,11 @@ def run_fragmentation_bench(
             raise AssertionError(
                 f"commit divergence at {n_segments} segments: {commit_checksums}"
             )
-        static = {b: backends[b] for b in ("scalar", "vector", "tree", "kernel")}
-        best_p50 = min(r["p50_us"] for r in static.values())
-        best_p95 = min(r["p95_us"] for r in static.values())
-        for _ in range(2):
-            if (
-                backends["adaptive"]["p50_us"] <= ADAPTIVE_TOLERANCE * best_p50
-                and backends["adaptive"]["p95_us"]
-                <= ADAPTIVE_TOLERANCE * best_p95
-            ):
-                break
-            # Microsecond-scale p50s drift by 20%+ run-to-run in a warm
-            # process (allocator layout, GC), far above the gate's margin.
-            # Re-time adaptive and the best static back-end back-to-back
-            # and keep each side's *minimum* — both converge to their true
-            # floors, so only a genuine regression keeps failing the gate.
-            best_name = min(static, key=lambda b: static[b]["p50_us"])
-            retry_adaptive, _ = _timed_decisions(
-                n_segments, jobs, "adaptive", prune=True
-            )
-            retry_static, _ = _timed_decisions(
-                n_segments, jobs, best_name, prune=True
-            )
-            if retry_adaptive["p50_us"] < backends["adaptive"]["p50_us"]:
-                backends["adaptive"] = retry_adaptive
-            if retry_static["p50_us"] < static[best_name]["p50_us"]:
-                backends[best_name] = retry_static
-                static[best_name] = retry_static
-            best_p50 = min(r["p50_us"] for r in static.values())
-            best_p95 = min(r["p95_us"] for r in static.values())
-        if backends["adaptive"]["p50_us"] > ADAPTIVE_TOLERANCE * best_p50:
-            raise AssertionError(
-                f"adaptive p50 {backends['adaptive']['p50_us']}us exceeds "
-                f"{ADAPTIVE_TOLERANCE}x best static {best_p50}us at "
-                f"{n_segments} segments (best of paired re-measures)"
-            )
-        speedup_p50 = round(
-            backends["scalar"]["p50_us"] / backends["tree"]["p50_us"], 3
-        )
-        speedup_p95 = round(
-            backends["scalar"]["p95_us"] / backends["tree"]["p95_us"], 3
-        )
-        if n_segments >= 10_000 and speedup_p50 < 5.0:
-            raise AssertionError(
-                f"tree backend below its 5x headline at {n_segments} segments: "
-                f"{speedup_p50}x"
-            )
         points.append(
             {
                 "segments": n_segments,
                 "decisions": n_probes,
                 "backends": backends,
-                "speedup_tree_vs_scalar_p50": speedup_p50,
-                "speedup_tree_vs_scalar_p95": speedup_p95,
-                "adaptive_vs_best_static_p50": round(
-                    backends["adaptive"]["p50_us"] / best_p50, 3
-                ),
-                "adaptive_vs_best_static_p95": round(
-                    backends["adaptive"]["p95_us"] / best_p95, 3
-                ),
                 "pruning": {
                     "chains_probed_full": full_report["chains_probed"],
                     "chains_probed_pruned": backends["scalar"]["chains_probed"],
@@ -312,6 +237,7 @@ def run_fragmentation_bench(
     return {
         "capacity": CAPACITY,
         "workload": "unit-segment backlog + free frontier (see module docs)",
+        "kernel_backend": kernels.kernel_backend(),
         "points": points,
     }
 

@@ -57,12 +57,13 @@ class LegacyAvailabilityProfile(AvailabilityProfile):
     pass that deletes merged breakpoints one ``del`` at a time;
     ``free_area`` walks segments from scratch on every call; and
     ``earliest_fit`` probes take the per-segment scalar walk
-    (``VECTORIZED_SCAN = False`` opts out of the NumPy mirror scan).
+    (constructed with ``backend="scalar"``).
     """
 
     __slots__ = ()
 
-    VECTORIZED_SCAN = False
+    def __init__(self, capacity: int, origin: float = 0.0) -> None:
+        super().__init__(capacity, origin, backend="scalar")
 
     def _split_at(self, t: float) -> int:
         i = self._index_at(t)

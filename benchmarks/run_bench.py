@@ -1,6 +1,6 @@
 """Generate ``BENCH_sched.json``: the scheduler hot-path benchmark report.
 
-Two sections:
+Sections:
 
 * ``micro`` — the :mod:`bench_profile_ops` before/after pairs: the greedy
   inner loop (``earliest_fit`` + ``reserve``) and the tie-break's
@@ -17,10 +17,9 @@ Two sections:
   cache, and again warm — with checksums proving all three executions
   produced identical metrics.
 * ``fragmentation`` — decision latency vs live-profile segment count for
-  the three ``earliest_fit`` scan back-ends (:mod:`bench_fragmentation`),
-  with checksum guards proving every back-end and prune mode makes
-  bit-identical admission decisions, and a hard >=5x tree-vs-scalar
-  requirement at 10k segments.
+  the two ``earliest_fit`` scans and the ``"auto"`` rule that chooses
+  between them (:mod:`bench_fragmentation`), with checksum guards proving
+  every back-end and prune mode makes bit-identical admission decisions.
 * ``resilience`` — the fault-aware simulation loop
   (:mod:`repro.resilience`): a zero-event run checked bit-identical
   against the baseline simulator (the subsystem's no-overhead-when-idle
@@ -39,17 +38,13 @@ Two sections:
   ack), decisions checksummed across modes; at full scale the fsync'd
   service must stay within 2x of the recorded 100k/s direct floor (>=
   50k durable decisions/sec).
-* ``adaptive`` — the self-tuning back-end's regime-shift scenario
-  (:mod:`bench_adaptive`): one admission stream moving through backlog
-  growth -> fragmentation spike -> drain -> settled, run end-to-end under
-  every static scan back-end and under ``backend="adaptive"``, decisions
-  checksummed across all of them; at full scale the adaptive run must
-  strictly beat every static back-end's wall time.
 * ``perf_overhead`` — the always-on recorder's per-decision cost
   (slotted counter bumps + one latency sample) micro-timed and compared
   against the arrival section's decision p50; at full scale the overhead
   must stay <= 2% of the decision p50, the budget that keeps the
-  counters cheap enough to drive the adaptive controller permanently.
+  counters cheap enough to stay on in every run (``perf_snapshot()``,
+  ``RunMetrics`` and the per-layer metrics of ``benchmarks/e2e`` read
+  them).
 * ``reconfig`` — mid-execution malleability
   (:mod:`repro.resilience.reconfig`): an armed grow/shrink engine with a
   prohibitive reconfiguration cost on a zero-event trace must reproduce
@@ -92,7 +87,6 @@ from bench_profile_ops import (  # noqa: E402 - after sys.path bootstrap
 from bench_decision_throughput import (  # noqa: E402
     run_decision_throughput_bench,
 )
-from bench_adaptive import run_adaptive_bench  # noqa: E402
 from bench_fragmentation import run_fragmentation_bench  # noqa: E402
 from bench_service import run_service_bench  # noqa: E402
 from bench_sweep_runner import run_sweep_runner_bench  # noqa: E402
@@ -371,8 +365,9 @@ def run_reconfig_bench(
 
 
 #: Recorder overhead budget: the always-on counters may cost at most this
-#: fraction of the decision p50 (the satellite guard for keeping them
-#: permanently enabled as the adaptive controller's signal source).
+#: fraction of the decision p50 (the guard for keeping them permanently
+#: enabled: every ``perf_snapshot()`` and per-layer benchmark metric reads
+#: them, so there is no "profiling off" build to fall back to).
 PERF_OVERHEAD_BUDGET = 0.02
 
 
@@ -444,13 +439,6 @@ def generate(quick: bool = False) -> dict:
             2_000, (100,), False,
         )
         service_jobs, service_floor = 400, False
-        adaptive_kwargs = dict(
-            n_segments=1_500,
-            spike_probes=150,
-            drain_steps=60,
-            settled_probes=80,
-            strict=False,
-        )
         perf_overhead_enforced = False
     else:
         micro_n, area_n, area_resv, arrival_n = 10_000, 10_000, 2_000, 2_000
@@ -466,7 +454,6 @@ def generate(quick: bool = False) -> dict:
             20_000, (100, 1_000), True,
         )
         service_jobs, service_floor = 4_000, True
-        adaptive_kwargs = dict(strict=True)
         perf_overhead_enforced = True
     arrival = run_arrival_bench(arrival_n)
     return {
@@ -486,7 +473,6 @@ def generate(quick: bool = False) -> dict:
             sweep_n, sweep_values, workers=sweep_workers
         ),
         "fragmentation": run_fragmentation_bench(frag_decisions, frag_counts),
-        "adaptive": run_adaptive_bench(**adaptive_kwargs),
         "perf_overhead": run_perf_overhead_bench(
             arrival["decision_p50_us"], enforce=perf_overhead_enforced
         ),
@@ -539,24 +525,10 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  fragmentation @ {point['segments']} segments: "
             f"scalar p50={point['backends']['scalar']['p50_us']}us "
-            f"tree p50={point['backends']['tree']['p50_us']}us "
-            f"({point['speedup_tree_vs_scalar_p50']}x), decisions identical"
+            f"kernel p50={point['backends']['kernel']['p50_us']}us "
+            f"auto p50={point['backends']['auto']['p50_us']}us, "
+            f"decisions identical"
         )
-    adaptive = report["adaptive"]
-    verdict = (
-        "beats all static"
-        if adaptive["adaptive_beats_all_static"]
-        else "does NOT beat all static"
-    )
-    print(
-        f"  adaptive regime-shift @ {adaptive['n_segments']} segments: "
-        f"adaptive={adaptive['runs']['adaptive']['seconds']}s vs best "
-        f"static {adaptive['best_static']}="
-        f"{adaptive['runs'][adaptive['best_static']]['seconds']}s "
-        f"({adaptive['adaptive_vs_best_static']}x, {verdict}), "
-        f"switches={adaptive['runs']['adaptive']['autotune']['autotune_switches']}, "
-        f"decisions identical"
-    )
     overhead = report["perf_overhead"]
     print(
         f"  perf recorder overhead: "

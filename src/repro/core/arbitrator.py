@@ -71,8 +71,7 @@ class QoSArbitrator:
         Compact the availability profile to each arrival time.
     backend:
         Availability-profile scan back-end (see
-        :data:`~repro.core.profile.PROFILE_BACKENDS`).  ``"tree"`` keeps
-        decision latency sublinear in schedule fragmentation; decisions are
+        :data:`~repro.core.profile.PROFILE_BACKENDS`); decisions are
         bit-identical across back-ends.
     prune:
         Enable the decision-identical candidate prunes (duplicate collapse,
@@ -209,12 +208,6 @@ class QoSArbitrator:
         the post-change profile.  Admission/quality counters are *not*
         reset — they describe the whole run, not one capacity epoch.
         """
-        old = self.schedule.profile.autotune
-        if old is not None and schedule.profile.backend == "adaptive":
-            # Carry the adaptive controller across the capacity epoch so
-            # hysteresis state (current backend, dwell, EWMA) survives the
-            # rebuild instead of restarting cold on every fault.
-            schedule.profile.adopt_autotune(old)
         self.schedule = schedule
         self.scheduler.schedule = schedule
 
@@ -224,9 +217,7 @@ class QoSArbitrator:
         Jobs must be submitted in non-decreasing release order when profile
         compaction is enabled (the default), matching an arrival process.
         Each call records one wall-clock ``decision`` latency sample on
-        :attr:`Schedule.perf <repro.core.schedule.Schedule.perf>` and, when
-        the profile runs ``backend="adaptive"``, feeds the same sample to
-        the autotune controller's latency EWMA.
+        :attr:`Schedule.perf <repro.core.schedule.Schedule.perf>`.
         """
         self._quality_possible += job.best_quality(self.quality_composition)
         t0 = time.perf_counter()
@@ -238,11 +229,7 @@ class QoSArbitrator:
             else:  # pragma: no cover - closed enum
                 raise ConfigurationError(f"unknown objective {self.objective!r}")
         finally:
-            dt = time.perf_counter() - t0
-            self.schedule.perf.note_decision(dt)
-            autotune = self.schedule.profile.autotune
-            if autotune is not None:
-                autotune.observe_decision(dt)
+            self.schedule.perf.note_decision(time.perf_counter() - t0)
         if decision.admitted and decision.placement is not None:
             self._quality_sum += chain_quality(
                 decision.placement.chain, self.quality_composition
@@ -316,11 +303,7 @@ class QoSArbitrator:
                 out.append(decision)
             return out
         finally:
-            dt = time.perf_counter() - t0
-            perf.observe("decision_batch", dt)
-            autotune = self.schedule.profile.autotune
-            if autotune is not None:
-                autotune.observe_batch(len(jobs), dt)
+            perf.observe("decision_batch", time.perf_counter() - t0)
 
     def resubmit(self, job: Job) -> AdmissionDecision:
         """Re-offer a job already counted rejected by :meth:`submit`.
@@ -341,11 +324,7 @@ class QoSArbitrator:
             else:
                 decision = self._offer_max_quality(job)
         finally:
-            dt = time.perf_counter() - t0
-            self.schedule.perf.note_decision(dt)
-            autotune = self.schedule.profile.autotune
-            if autotune is not None:
-                autotune.observe_decision(dt)
+            self.schedule.perf.note_decision(time.perf_counter() - t0)
         if decision.admitted and decision.placement is not None:
             self.admission.rejected -= 1  # the provisional rejection
             self._quality_sum += chain_quality(

@@ -253,8 +253,6 @@ def _apply_batch_results(
     profile._np_times = new_times  # noqa: SLF001
     profile._np_avail = new_avail  # noqa: SLF001
     profile._prefix = None  # noqa: SLF001
-    if profile._segtree is not None:  # noqa: SLF001
-        profile._segtree.mark_dirty(0)  # noqa: SLF001
 
     stats = profile.stats
     stats.shift_ops += int(counters[0])

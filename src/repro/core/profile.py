@@ -37,52 +37,30 @@ each query O(log S).  :class:`~repro.perf.ProfileStats` counters
 (``stats``) record ops, per-op segments touched, probe scans and prefix
 rebuilds; they are always on and cost a few integer adds per operation.
 
-For fit probes on *large* profiles, the profile additionally maintains
-NumPy mirrors of ``_times`` and ``_avail`` (:meth:`_mirrors`): built lazily
-on the first probe, then kept in sync by the same windowed splice
-``_shift`` applies to the lists (one C-level concatenate each per
-mutation).  The :func:`~repro.core.first_fit.earliest_fit` search uses them
-to locate and feasibility-test runs of sufficient availability with
-vectorized comparisons instead of a per-segment Python loop — the
-difference between ~500µs and ~30µs per probe on a 10k-segment profile.
+The profile also keeps NumPy mirrors of ``_times`` and ``_avail``
+(:meth:`_mirrors`): built lazily on the first flat-array probe, then kept
+in sync by the same windowed splice ``_shift`` applies to the lists (one
+C-level concatenate each per mutation).  The flat-array scan and the C
+batch admission loop (:mod:`repro.core.kernels`) read them.
 
-Scan back-ends
---------------
-Four interchangeable back-ends answer fit/min/area queries, selected by
-the ``backend`` constructor argument (resolved per query by
-:meth:`scan_backend`):
+Two scans and how ``auto`` chooses
+----------------------------------
+Two back-ends answer fit/min/area queries, named by the ``backend``
+constructor argument and resolved per query by :meth:`scan_backend`:
 
-* ``"scalar"`` — the per-segment Python walks above (the seed semantics;
-  every other back-end must reproduce its results bit-for-bit);
-* ``"vector"`` — vectorized scans over the NumPy mirrors, O(S) with a much
-  smaller constant;
-* ``"tree"`` — a :class:`~repro.core.segtree.SegmentTreeIndex` over the
-  mirrors (built lazily, kept fresh by O(1) dirty marks from ``_shift`` /
-  ``compact`` plus lazy suffix consolidation), giving O(log S) descents
-  that skip whole subtrees — sublinear in fragmentation;
-* ``"kernel"`` — the scalar walk ported to C (:mod:`repro.core.kernels`),
-  with a bit-identical numpy fallback when no compiled kernel is loaded;
-* ``"auto"`` (default) — a static size-only rule: scalar below
-  :data:`VECTOR_MIN_SEGMENTS`, vector beyond — or the compiled kernel
-  from :data:`KERNEL_MIN_SEGMENTS` up when one is loaded;
-* ``"adaptive"`` — a self-tuning meta-controller
-  (:class:`repro.autotune.AdaptiveController`, owned by the profile as
-  :attr:`~AvailabilityProfile.autotune`) that watches the always-on
-  :class:`~repro.perf.ProfileStats` counters and switches among the four
-  concrete back-ends per *regime* — segment count, probe depth and
-  probe-to-mutation ratio — with hysteresis.  See ``docs/adaptive.md``.
+* ``"scalar"`` — the per-segment Python walks in this module and
+  :func:`~repro.core.first_fit._scalar_scan` (the seed semantics and the
+  verify layer's oracle; cheapest on small profiles);
+* ``"kernel"`` — the same walk over the flat mirrors in
+  :mod:`repro.core.kernels`: compiled C, or a NumPy fallback with
+  bit-identical answers when no compiled kernel is loaded;
+* ``"auto"`` (default) — chooses between the two from what the code can
+  observe, the live segment count and whether the compiled kernel loaded
+  (:func:`resolve_auto_backend`).
 
-``"auto"`` deliberately never selects the tree: whether the tree wins
-depends on the probe-to-mutation ratio, which a size-only rule cannot
-observe, not on the segment count alone.  Query-dominated fragmented
-regimes (admission control near saturation, where most submissions probe
-far and commit rarely) should opt in explicitly — that is where the
-descents are orders of magnitude ahead; mutation-heavy streams with
-random reservation positions pay O(S) tree consolidation per op and
-should not.  ``"adaptive"`` *can* observe that ratio and does select the
-tree when it pays.  Every back-end returns bit-identical answers, so the
-choice — static or switched mid-run — never changes a scheduling
-decision.  See ``docs/perf.md`` for the measured crossovers.
+Both return bit-identical answers, so the choice never changes a
+scheduling decision; forcing a side is for tests and oracles.  See
+``docs/perf.md`` for the measured crossovers.
 """
 
 from __future__ import annotations
@@ -96,78 +74,72 @@ import numpy as np
 from repro.errors import CapacityExceededError, ConfigurationError, SchedulingError
 from repro.core import kernels
 from repro.core.resources import TIME_EPS
-from repro.core.segtree import SegmentTreeIndex
 from repro.perf import ProfileStats
 
 __all__ = [
     "AvailabilityProfile",
     "PROFILE_BACKENDS",
     "KERNEL_MIN_SEGMENTS",
-    "TREE_MIN_SEGMENTS",
     "VECTOR_MIN_SEGMENTS",
+    "check_backend",
     "resolve_auto_backend",
 ]
 
 #: Valid values for the ``backend`` constructor argument.
-PROFILE_BACKENDS = ("auto", "adaptive", "scalar", "vector", "tree", "kernel")
+PROFILE_BACKENDS = ("auto", "scalar", "kernel")
 
-#: Segment count below which the scalar walk beats the vectorized scan's
-#: fixed per-call numpy overhead.  The committed fragmentation benchmark
-#: (``BENCH_sched.json``) puts the vector scan *behind* the scalar walk at
-#: both 100 segments (212µs vs 64µs p50) and 1000 segments (129µs vs
-#: 99µs) and only ahead at 10000 (145µs vs 641µs): the run-search
-#: allocates several temporaries per probe, so its fixed cost is far
-#: higher than a single comparison's.  The crossover therefore sits
-#: between 10^3 and 10^4 live segments; 2048 keeps ``"auto"`` on the
-#: cheap walk through the entire committed range where the walk wins
-#: (``tests/core/test_auto_backend.py`` pins this against the committed
-#: benchmark data).
+
+def check_backend(backend: object) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``backend``
+    is one of :data:`PROFILE_BACKENDS` (the one check every config object
+    and constructor that accepts a back-end name shares)."""
+    if backend not in PROFILE_BACKENDS:
+        raise ConfigurationError(
+            f"backend must be one of {PROFILE_BACKENDS}, got {backend!r}"
+        )
+
+
+#: Segment count from which the ``"kernel"`` back-end's *NumPy fallback*
+#: (the vectorized run search in :mod:`repro.core.kernels.pykernels`)
+#: beats the scalar walk.  The fragmentation benchmark, when it still
+#: timed that scan on its own (``BENCH_sched.json`` before PR 15),
+#: measured it *behind* the walk at both 100 segments (212µs vs 64µs p50)
+#: and 1000 segments (129µs vs 99µs) and only ahead at 10000 (145µs vs
+#: 641µs): the run search allocates several temporaries per probe, so its
+#: fixed cost is far higher than a single comparison's.  The crossover
+#: therefore sits between 10^3 and 10^4 live segments; 2048 keeps
+#: ``"auto"`` on the cheap walk through the entire range where the walk
+#: wins.
 VECTOR_MIN_SEGMENTS = 2048
-
-#: Segment count from which the ``"tree"`` back-end's O(log S) descents
-#: clearly beat both O(S) scans on *query-dominated* workloads (measured in
-#: ``benchmarks/bench_fragmentation.py``; the CI smoke asserts the win at
-#: 1000 segments).  Advisory: ``"auto"`` never selects the tree — see the
-#: module docs — so opting in is an explicit deployment choice (or the
-#: ``"adaptive"`` controller's, which *can* observe the probe-to-mutation
-#: ratio the tree's profitability depends on).
-TREE_MIN_SEGMENTS = 1000
 
 #: Segment count from which the *compiled* ``"kernel"`` back-end beats the
 #: scalar walk on serial decisions.  The committed decision-throughput
 #: data (``BENCH_sched.json``) puts serial-kernel *behind* serial-python
-#: at 100 segments (13.5k vs 16.1k decisions/s — the ctypes call overhead
-#: loses on a short walk) and ahead at 1000 (15.4k vs 9.6k/s), and the
-#: fragmentation points agree (kernel p50 63.5µs vs scalar 37.9µs at 100
-#: segments; 65.6µs vs 89.8µs at 1000).  The crossover therefore sits in
+#: at 100 segments (25.4k vs 31.0k decisions/s — the ctypes call overhead
+#: loses on a short walk) and ahead at 1000 (23.3k vs 12.7k/s), and the
+#: fragmentation points agree (kernel p50 53.9µs vs scalar 32.7µs at 100
+#: segments; 56.0µs vs 81.2µs at 1000).  The crossover therefore sits in
 #: (100, 1000]; 512 splits the bracket
 #: (``tests/core/test_auto_backend.py`` pins it against the committed
-#: data).  Only meaningful when the compiled kernel is loaded — the
-#: pure-Python kernel fallback never beats the walk it mirrors.
+#: data).
 KERNEL_MIN_SEGMENTS = 512
 
 
 def resolve_auto_backend(n_segments: int, kernel_compiled: bool | None = None) -> str:
     """The back-end ``"auto"`` picks for a profile of ``n_segments``.
 
-    With the compiled decision kernel loaded, ``"kernel"`` from
-    :data:`KERNEL_MIN_SEGMENTS` up (at every committed point at or past
-    the crossover the compiled scan beats both Python scans, vector
-    included); otherwise scalar below :data:`VECTOR_MIN_SEGMENTS` and
-    vector from there up.  ``kernel_compiled=None`` (the default) asks
-    the kernel layer; tests pass an explicit value to pin both regimes.
-
-    ``"auto"`` deliberately never resolves to ``"tree"``: whether the
-    tree wins depends on the probe-to-mutation ratio, which a size-only
-    resolver cannot observe (that is what ``backend="adaptive"`` is for).
-    The contract tested against the committed benchmark data is that auto
-    is never the *worst* scan at any committed fragmentation point.
+    ``"kernel"`` from :data:`KERNEL_MIN_SEGMENTS` up when the compiled
+    decision kernel is loaded, from :data:`VECTOR_MIN_SEGMENTS` up when
+    only its NumPy fallback is; ``"scalar"`` below.
+    ``kernel_compiled=None`` (the default) asks the kernel layer; tests
+    pass an explicit value to pin both regimes.  The contract tested
+    against the committed benchmark data is that auto is never the
+    *worst* scan at any committed fragmentation point.
     """
     if kernel_compiled is None:
         kernel_compiled = kernels.kernel_backend() == "compiled"
-    if kernel_compiled and n_segments >= KERNEL_MIN_SEGMENTS:
-        return "kernel"
-    return "vector" if n_segments >= VECTOR_MIN_SEGMENTS else "scalar"
+    crossover = KERNEL_MIN_SEGMENTS if kernel_compiled else VECTOR_MIN_SEGMENTS
+    return "kernel" if n_segments >= crossover else "scalar"
 
 
 class AvailabilityProfile:
@@ -183,8 +155,8 @@ class AvailabilityProfile:
     backend:
         Scan back-end for fit/min/area queries — one of
         :data:`PROFILE_BACKENDS`.  ``"auto"`` (default) picks by segment
-        count; the explicit values force one back-end (used by oracles,
-        equivalence tests and benchmarks).  All back-ends return
+        count; ``"scalar"`` / ``"kernel"`` force one side (used by
+        oracles, equivalence tests and benchmarks).  Both return
         bit-identical results.
     """
 
@@ -196,16 +168,8 @@ class AvailabilityProfile:
         "_np_times",
         "_np_avail",
         "_backend",
-        "_segtree",
-        "_autotune",
         "stats",
     )
-
-    #: Class-level switch consulted by :func:`~repro.core.first_fit.earliest_fit`:
-    #: when True (and the profile is large enough) fit probes scan the NumPy
-    #: availability mirror instead of walking segments in Python.  The legacy
-    #: baseline in ``benchmarks/`` sets this False to preserve seed behaviour.
-    VECTORIZED_SCAN = True
 
     def __init__(
         self, capacity: int, origin: float = 0.0, backend: str = "auto"
@@ -214,34 +178,21 @@ class AvailabilityProfile:
             raise ConfigurationError(f"capacity must be a positive int, got {capacity!r}")
         if math.isnan(origin) or math.isinf(origin):
             raise ConfigurationError(f"origin must be finite, got {origin!r}")
-        if backend not in PROFILE_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {PROFILE_BACKENDS}, got {backend!r}"
-            )
+        check_backend(backend)
         self._capacity = capacity
         self._times: list[float] = [origin]
         self._avail: list[int] = [capacity]
         #: Cached free-area prefix sums; None whenever the profile mutated
         #: since the last area query (rebuilt lazily by :meth:`_ensure_prefix`).
         self._prefix: "list[float] | np.ndarray | None" = None
-        #: NumPy mirrors of ``_times`` / ``_avail`` for vectorized fit
+        #: NumPy mirrors of ``_times`` / ``_avail`` for flat-array fit
         #: probes; built lazily by :meth:`_mirrors` and kept in sync
         #: incrementally by :meth:`_shift` / :meth:`compact` (never rebuilt
         #: from scratch on the mutation path).
         self._np_times: np.ndarray | None = None
         self._np_avail: np.ndarray | None = None
-        #: Configured scan back-end (see class docs) and the lazily built
-        #: segment-tree index used when it resolves to ``"tree"``.
+        #: Configured scan back-end (see class docs).
         self._backend = backend
-        self._segtree: SegmentTreeIndex | None = None
-        #: The ``"adaptive"`` back-end's meta-controller (None otherwise).
-        #: Imported lazily: :mod:`repro.autotune` reads this module's
-        #: thresholds, so a top-level import would be circular.
-        self._autotune = None
-        if backend == "adaptive":
-            from repro.autotune import AdaptiveController
-
-            self._autotune = AdaptiveController()
         #: Always-on operation counters (see :class:`repro.perf.ProfileStats`).
         self.stats = ProfileStats()
 
@@ -308,16 +259,6 @@ class AvailabilityProfile:
         new._np_times = None
         new._np_avail = None
         new._backend = self._backend
-        new._segtree = None
-        new._autotune = None
-        if self._autotune is not None:
-            from repro.autotune import AdaptiveController
-
-            # Fresh controller (stats are fresh too), but start it on the
-            # source's current choice so the copy resumes where it was.
-            new._autotune = AdaptiveController(
-                self._autotune.config, initial=self._autotune.current
-            )
         new.stats = ProfileStats()
         return new
 
@@ -375,7 +316,7 @@ class AvailabilityProfile:
         return self._avail[self._index_at(t)]
 
     def _mirrors(self) -> tuple[np.ndarray, np.ndarray]:
-        """NumPy views of ``(_times, _avail)`` for vectorized probes.
+        """NumPy views of ``(_times, _avail)`` for flat-array probes.
 
         Built from the lists on first use (O(S)); thereafter every windowed
         rewrite splices the same change into the mirrors at C speed, so they
@@ -393,78 +334,31 @@ class AvailabilityProfile:
         return times_m, avail_m
 
     def scan_backend(self) -> str:
-        """Resolve the back-end answering the next query (one of the four
-        concrete scans — never ``"auto"`` or ``"adaptive"``).
+        """Resolve the scan answering the next query: ``"scalar"`` or
+        ``"kernel"``, never ``"auto"``.
 
-        An explicit constructor choice wins; ``"adaptive"`` asks the
-        profile's :attr:`autotune` controller (which may switch per
-        regime); ``"auto"`` picks by live segment count (see the module
-        docs for why it never picks the tree), and profile classes that
-        disable :attr:`VECTORIZED_SCAN` always walk scalar.
+        An explicit constructor choice wins; ``"auto"`` picks by live
+        segment count (:func:`resolve_auto_backend`).
         """
         backend = self._backend
-        if backend == "adaptive":
-            return self._autotune.backend_for(self)
         if backend != "auto":
             return backend
-        if not self.VECTORIZED_SCAN:
-            return "scalar"
         return resolve_auto_backend(len(self._times))
-
-    @property
-    def autotune(self):
-        """The ``"adaptive"`` back-end's controller, or ``None``.
-
-        See :class:`repro.autotune.AdaptiveController`.
-        """
-        return self._autotune
-
-    def adopt_autotune(self, controller) -> None:
-        """Transplant an existing adaptive controller onto this profile.
-
-        Used when a capacity change rebuilds the :class:`Schedule` on a
-        new machine size: the replacement profile keeps the predecessor's
-        learned back-end choice, latency EWMA and switch history instead
-        of re-learning from scratch.  Only valid on an ``"adaptive"``
-        profile; the controller re-baselines onto this profile's counters.
-        """
-        if self._backend != "adaptive":
-            raise ConfigurationError(
-                f"adopt_autotune requires backend='adaptive', "
-                f"got {self._backend!r}"
-            )
-        self._autotune = controller
-        controller.rebind(self)
-
-    def _tree(self) -> SegmentTreeIndex:
-        """The consolidated segment-tree index (built on first use)."""
-        times_m, avail_m = self._mirrors()
-        tree = self._segtree
-        if tree is None:
-            tree = SegmentTreeIndex(times_m, avail_m)
-            self._segtree = tree
-        else:
-            tree.consolidate(times_m, avail_m)
-        return tree
 
     def min_available(self, t0: float, t1: float) -> int:
         """Minimum free processors over the interval ``[t0, t1)``.
 
         Degenerate intervals (``t1 <= t0``) report availability at ``t0``.
-        O(window) on the scalar/vector back-ends, O(log S) on the tree.
+        O(window).
         """
         if t1 <= t0:
             return self.available_at(t0)
         i = self._index_at(t0)
-        backend = self.scan_backend()
-        if backend == "tree":
-            # Same window as the scalar walk below: segment i plus every
-            # later segment starting strictly before t1 - TIME_EPS.
-            hi = max(bisect_left(self._times, t1 - TIME_EPS), i + 1)
-            return self._tree().range_min(i, hi)
-        if backend == "kernel":
-            # Same window, reduced flat over the int64 mirror by the
-            # kernel layer (compiled loop or numpy min — bit-identical).
+        if self.scan_backend() == "kernel":
+            # Same window as the scalar walk below (segment i plus every
+            # later segment starting strictly before t1 - TIME_EPS),
+            # reduced flat over the int64 mirror by the kernel layer
+            # (compiled loop or numpy min — bit-identical).
             hi = max(bisect_left(self._times, t1 - TIME_EPS), i + 1)
             _, avail_m = self._mirrors()
             return kernels.active().range_min(avail_m, i, hi)
@@ -521,16 +415,7 @@ class AvailabilityProfile:
             raise SchedulingError(
                 f"time {t0} precedes profile origin {self._times[0]}"
             )
-        backend = self.scan_backend()
-        if backend == "tree":
-            # The tree's incrementally maintained prefix is bit-identical to
-            # the list prefix (same sequential accumulation) but avoids the
-            # O(S) Python rebuild after every mutation.
-            prefix = self._tree().prefix()
-            return float(
-                self._cumulative_free(t1, prefix) - self._cumulative_free(t0, prefix)
-            )
-        if backend == "kernel":
+        if self.scan_backend() == "kernel":
             # np.cumsum over the mirror segment areas accumulates in the
             # same sequential order as the Python loop, so the cached
             # array is bit-identical to the list prefix (the rebuild just
@@ -665,12 +550,6 @@ class AvailabilityProfile:
             self._np_times = np.concatenate(
                 (mirror[:i], np.asarray(new_times, dtype=np.float64), mirror[hi:])
             )
-        tree = self._segtree
-        if tree is not None:
-            # Leaf i-1's *width* changes when the window starts at breakpoint
-            # i and merges into the left border segment, so the dirty suffix
-            # starts one leaf early.
-            tree.mark_dirty(i - 1 if i > 0 else 0)
         self._prefix = None
         stats = self.stats
         stats.shift_ops += 1
@@ -726,9 +605,6 @@ class AvailabilityProfile:
             mirror = mirror[i:].copy()
             mirror[0] = self._times[0]
             self._np_times = mirror
-        tree = self._segtree
-        if tree is not None:
-            tree.mark_dirty(0)  # every leaf index shifts left by i
         self._prefix = None
         self.stats.compactions += 1
 
@@ -755,8 +631,3 @@ class AvailabilityProfile:
         mirror = self._np_times
         if mirror is not None and list(mirror) != self._times:
             raise SchedulingError("NumPy breakpoint mirror out of sync")
-        if self._segtree is not None:
-            try:
-                self._tree().check_against(self._times, self._avail)
-            except AssertionError as exc:
-                raise SchedulingError(str(exc)) from exc

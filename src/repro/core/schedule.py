@@ -356,18 +356,12 @@ class Schedule:
 
         Profile counters come through prefixed with ``profile_``; the
         current segment count rides along as ``profile_segments`` (a proxy
-        for live-allocation fragmentation).  When the profile runs
-        ``backend="adaptive"`` the autotune controller's telemetry
-        (``autotune_backend``, ``autotune_switches``, ...) rides along
-        too.  See :mod:`repro.perf` and :mod:`repro.autotune`.
+        for live-allocation fragmentation).  See :mod:`repro.perf`.
         """
         out = self.perf.snapshot()
         for name, value in self.profile.stats.as_dict().items():
             out[f"profile_{name}"] = value
         out["profile_segments"] = len(self.profile)
-        autotune = self.profile.autotune
-        if autotune is not None:
-            out.update(autotune.snapshot())
         return out
 
     # ------------------------------------------------------------------

@@ -46,11 +46,11 @@ __all__ = [
 #: malleability — SweepConfig gained ``resize_policy``/``reconfig_cost``/
 #: ``reconfig_cost_per_proc``, the resilience block gained the resize
 #: ledger, and the renegotiation driver's overrun bookkeeping fixes
-#: changed perturbed-run outcomes.  v4: the scan ``backend`` (including
-#: the new ``"adaptive"`` choice) and the ``prune`` switch joined the
-#: serialized config.  Decisions are backend-identical, but RunMetrics
-#: now carries backend-dependent perf/autotune telemetry, so configs
-#: differing only in backend must not share a cache slot.
+#: changed perturbed-run outcomes.  v4: the scan ``backend`` and the
+#: ``prune`` switch joined the serialized config.  Decisions are
+#: backend-identical, but RunMetrics carries backend-dependent perf
+#: telemetry, so configs differing only in backend must not share a
+#: cache slot.
 KEY_VERSION = 4
 
 

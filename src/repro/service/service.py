@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Awaitable, Callable, Sequence
 from repro.core.admission import AdmissionDecision
 from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
 from repro.core.policies import TieBreakPolicy
+from repro.core.profile import check_backend
 from repro.errors import (
     ConfigurationError,
     ServiceUnavailableError,
@@ -148,6 +149,9 @@ class ServiceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Here, not at make_arbitrator(): by then AdmissionService has
+        # opened the WAL and recover() may have repaired its tail.
+        check_backend(self.backend)
         if self.policy is TieBreakPolicy.RANDOM:
             raise ConfigurationError(
                 "the admission service requires a deterministic tie-break "

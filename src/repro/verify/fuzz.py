@@ -4,7 +4,7 @@ One fuzz *case* is a random workload (capacity + release-ordered jobs,
 rigid or malleable).  For each case the harness:
 
 1. **Differential identity** — runs the full decision matrix
-   (scan back-ends × prune modes, per tie-break policy) and asserts every
+   (the two scans × prune modes, per tie-break policy) and asserts every
    combination produces the *bit-identical* decision sequence: admissions,
    chain choices, every task's (start, width, duration).  This is the
    repo's standing claim (PR 4's prune-exactness proofs, the back-end
@@ -32,10 +32,6 @@ rigid or malleable).  For each case the harness:
    tens to hundreds of jobs from a few shapes) that get this check
    alone: the C loop skips what an earlier probe of the same call ruled
    out, and a case of six jobs never probes one shape twice.
-6. **Adversarial switches** — the ``"adaptive"`` back-end re-runs the
-   case with its controller pinned to forced switch schedules (a new
-   back-end every probe in the worst case) and must match the scalar
-   reference bit for bit (see :func:`switch_failures`).
 
 On failure the case is **shrunk** — jobs removed, chains dropped, chain
 tails truncated, greedily to a local minimum that still fails — and the
@@ -79,7 +75,6 @@ __all__ = [
     "run_case",
     "run_case_batch",
     "check_case",
-    "switch_failures",
     "shrink",
     "persist_failure",
     "load_case",
@@ -92,21 +87,10 @@ CORPUS_VERSION = 1
 #: combinations must draw the same stream for identity to be meaningful.
 _RANDOM_POLICY_SEED = 1234
 
-#: Scan back-ends under differential test.  ``"adaptive"`` rides the
-#: matrix too: its controller may switch the live back-end at any probe
-#: based on wall-clock signals, so its membership asserts the decision
-#: sequence is invariant under *online* switching, not just static choice.
-_BACKENDS: tuple[str, ...] = ("scalar", "vector", "tree", "kernel", "adaptive")
-
-#: Forced switch schedules for the adversarial-switch check: the adaptive
-#: controller is pinned to replay these back-end sequences round-robin,
-#: one entry consumed per probe — including the every-probe-a-different-
-#: backend worst case no real signal trace would produce.
-_SWITCH_SCHEDULES: tuple[tuple[str, ...], ...] = (
-    ("scalar", "vector", "tree", "kernel"),
-    ("tree", "scalar"),
-    ("kernel", "vector", "scalar", "tree", "tree", "kernel"),
-)
+#: Scan back-ends under differential test: the reference walk against the
+#: flat-array walk (compiled C or its NumPy fallback, per ``REPRO_KERNEL``
+#: — CI runs the campaign under both).
+_BACKENDS: tuple[str, ...] = ("scalar", "kernel")
 
 #: Deterministic policies checked by the order-metamorphic test.
 _POLICIES: tuple[TieBreakPolicy, ...] = (
@@ -299,18 +283,12 @@ def run_case(
     prune: bool = True,
     policy: TieBreakPolicy = TieBreakPolicy.PAPER,
     audit: bool = True,
-    forced_switches: Sequence[str] | None = None,
 ) -> tuple[tuple, list[str]]:
     """Submit the case's jobs through one arbitrator configuration.
 
     Returns ``(digest, failures)``: the digest is a hashable decision
     fingerprint (per-job admission, chain index and exact placements, plus
     utilization), and ``failures`` holds auditor violations, if any.
-
-    ``forced_switches`` (requires ``backend="adaptive"``) pins the
-    adaptive controller to replay that back-end sequence round-robin,
-    one entry per profile probe, instead of following its signals — the
-    adversarial-switch fuzz mode.
     """
     arbitrator = QoSArbitrator(
         case.capacity,
@@ -321,8 +299,6 @@ def run_case(
         seed=_RANDOM_POLICY_SEED,
         keep_placements=True,
     )
-    if forced_switches is not None:
-        arbitrator.schedule.profile.autotune.force_backends(forced_switches)
     decisions = []
     for job in case.jobs:
         decision = arbitrator.submit(job)
@@ -586,39 +562,12 @@ def batch_failures(case: FuzzCase) -> list[str]:
     return failures
 
 
-def switch_failures(case: FuzzCase) -> list[str]:
-    """Adversarial back-end switch schedules are decision-invisible.
-
-    Runs the case under ``backend="adaptive"`` with the controller pinned
-    to each forced schedule in :data:`_SWITCH_SCHEDULES` — switching the
-    scan back-end between arbitrary probes, mid-job, mid-chain — and
-    asserts the digest matches the scalar reference.  This is the fuzz
-    mode the tentpole's safety argument rests on: since every reachable
-    switch sequence is decision-identical, the adaptive controller may
-    consume nondeterministic wall-clock signals freely.
-    """
-    failures: list[str] = []
-    reference, _ = run_case(case, backend="scalar", audit=False)
-    for schedule in _SWITCH_SCHEDULES:
-        digest, audit_fails = run_case(
-            case, backend="adaptive", forced_switches=schedule
-        )
-        failures.extend(audit_fails)
-        if digest != reference:
-            failures.append(
-                "switch divergence: forced schedule "
-                f"{'/'.join(schedule)} != scalar reference"
-            )
-    return failures
-
-
 def check_case(case: FuzzCase) -> list[str]:
     """All checks for one case; empty list means the case is clean."""
     failures = differential_failures(case)
     failures += metamorphic_failures(case)
     failures += oracle_failures(case)
     failures += batch_failures(case)
-    failures += switch_failures(case)
     return failures
 
 

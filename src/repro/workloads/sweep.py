@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.malleable import MalleableStrategy
 from repro.core.policies import TieBreakPolicy
+from repro.core.profile import check_backend
 from repro.errors import WorkloadError
 from repro.model.job import Job
 from repro.resilience.events import FaultModel, PerturbationTrace, generate_trace
@@ -76,6 +77,11 @@ class SweepConfig:
     #: Candidate-search pruning; decisions are identical either way (see
     #: :mod:`repro.core.greedy`).
     prune: bool = True
+
+    def __post_init__(self) -> None:
+        # Here, not in the arbitrator a runner worker builds: a bad name
+        # there crashes the worker, which the runner retries with backoff.
+        check_backend(self.backend)
 
     @property
     def resizing(self) -> bool:

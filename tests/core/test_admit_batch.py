@@ -82,7 +82,7 @@ def test_batch_identical_to_serial_across_matrix(kmode, backend, prune, policy):
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     malleable=st.booleans(),
-    backend=st.sampled_from(("auto", "scalar", "vector", "tree", "kernel")),
+    backend=st.sampled_from(("auto", "scalar", "kernel")),
     prune=st.booleans(),
     policy=st.sampled_from(tuple(TieBreakPolicy)),
     kmode=st.sampled_from(KERNEL_MODES),

@@ -1,22 +1,20 @@
 """Regression: the ``"auto"`` back-end resolver tracks the measured data.
 
-The original heuristic flipped to the vectorized scan at 64 segments —
-but the committed fragmentation benchmark (``BENCH_sched.json``) shows
-the vector scan's fixed per-probe numpy overhead keeps it *behind* the
-scalar walk at both 100 and 1000 live segments, winning only by 10000.
-``"auto"`` picking the slowest scan on committed measurement points is
-exactly the bug this file pins closed: at every committed fragmentation
-point, the back-end :func:`resolve_auto_backend` selects must not be the
-worst-measured one.
+``"auto"`` chooses between the two scans — the scalar walk and the
+flat-array ``"kernel"`` walk — from the live segment count and whether
+the compiled kernel loaded.  The original heuristic flipped to the
+vectorized NumPy scan at 64 segments, where its fixed per-probe overhead
+made it the *slowest* choice; ``"auto"`` picking the slowest scan on
+committed measurement points is exactly the bug this file pins closed: at
+every committed fragmentation point (``BENCH_sched.json``), the back-end
+:func:`resolve_auto_backend` selects must not be the worst-measured one.
 
-Since PR 9 the resolver also considers the compiled C kernel: the
-committed serial decision-throughput data shows the kernel path loses to
-pure Python at 100 live segments (fixed ctypes marshalling cost) but
-wins by 1000, so ``"auto"`` routes to ``"kernel"`` from
-``KERNEL_MIN_SEGMENTS`` up — *only* when the compiled library actually
-loaded (``kernel_compiled``); with the numpy fallback active the kernel
-path is just a slower vector scan, so the resolver falls back to the
-scalar/vector split.
+The committed serial decision-throughput data shows the compiled kernel
+losing to pure Python at 100 live segments (fixed ctypes marshalling
+cost) and winning by 1000, so ``"auto"`` routes to ``"kernel"`` from
+``KERNEL_MIN_SEGMENTS`` up when the compiled library actually loaded
+(``kernel_compiled``); with only the NumPy fallback active the crossover
+is the later ``VECTOR_MIN_SEGMENTS``.
 
 The tests read the committed benchmark report, so regenerating
 ``BENCH_sched.json`` on a machine with a different crossover will flag
@@ -32,12 +30,17 @@ from pathlib import Path
 import pytest
 
 from repro.core import kernels
+from repro.core.arbitrator import QoSArbitrator
 from repro.core.profile import (
+    PROFILE_BACKENDS,
     AvailabilityProfile,
     KERNEL_MIN_SEGMENTS,
     VECTOR_MIN_SEGMENTS,
     resolve_auto_backend,
 )
+from repro.errors import ConfigurationError
+from repro.service.service import ServiceConfig
+from repro.workloads.sweep import SweepConfig
 
 _BENCH = Path(__file__).resolve().parents[2] / "BENCH_sched.json"
 
@@ -52,42 +55,46 @@ def _fragmentation_points():
     return _report()["fragmentation"]["points"]
 
 
+def _committed_compiled() -> bool:
+    """Whether the committed ``kernel`` rows timed the compiled kernel."""
+    return _report()["fragmentation"]["kernel_backend"] == "compiled"
+
+
+def _scan_p50s(point) -> dict[str, float]:
+    return {name: point["backends"][name]["p50_us"] for name in ("scalar", "kernel")}
+
+
 def test_auto_is_never_the_worst_backend_on_committed_points():
+    compiled = _committed_compiled()
     for point in _fragmentation_points():
         segments = point["segments"]
-        for compiled, pool in ((False, ("scalar", "vector")),
-                               (True, ("scalar", "vector", "kernel"))):
-            p50 = {
-                name: data["p50_us"]
-                for name, data in point["backends"].items()
-                if name in pool
-            }
-            choice = resolve_auto_backend(segments, kernel_compiled=compiled)
-            worst = max(p50, key=p50.get)
-            assert choice in p50
-            assert choice != worst or len(set(p50.values())) == 1, (
-                f"auto (kernel_compiled={compiled}) resolves to {choice} at "
-                f"{segments} segments but the committed p50s are {p50} — "
-                f"re-tune VECTOR_MIN_SEGMENTS/KERNEL_MIN_SEGMENTS"
-            )
+        p50 = _scan_p50s(point)
+        choice = resolve_auto_backend(segments, kernel_compiled=compiled)
+        worst = max(p50, key=p50.get)
+        assert choice != worst or len(set(p50.values())) == 1, (
+            f"auto (kernel_compiled={compiled}) resolves to {choice} at "
+            f"{segments} segments but the committed p50s are {p50} — "
+            f"re-tune VECTOR_MIN_SEGMENTS/KERNEL_MIN_SEGMENTS"
+        )
 
 
 def test_crossover_is_between_committed_loss_and_win_points():
-    """2048 sits strictly inside the (1000, 10000) bracket the committed
-    data establishes: vector loses at 1000 and wins at 10000."""
-    points = {p["segments"]: p for p in _fragmentation_points()}
-    losses = [
-        s for s, p in points.items()
-        if p["backends"]["vector"]["p50_us"] > p["backends"]["scalar"]["p50_us"]
-    ]
-    wins = [
-        s for s, p in points.items()
-        if p["backends"]["vector"]["p50_us"] < p["backends"]["scalar"]["p50_us"]
-    ]
+    """The crossover of the kernel implementation the committed report
+    timed sits strictly inside the bracket its fragmentation points
+    establish: above every point where ``kernel`` loses to the scalar
+    walk, at or below every point where it wins."""
+    crossover = KERNEL_MIN_SEGMENTS if _committed_compiled() else VECTOR_MIN_SEGMENTS
+    losses, wins = [], []
+    for point in _fragmentation_points():
+        p50 = _scan_p50s(point)
+        if p50["kernel"] > p50["scalar"]:
+            losses.append(point["segments"])
+        elif p50["kernel"] < p50["scalar"]:
+            wins.append(point["segments"])
     if losses:
-        assert VECTOR_MIN_SEGMENTS > max(losses)
+        assert crossover > max(losses)
     if wins:
-        assert VECTOR_MIN_SEGMENTS <= min(wins)
+        assert crossover <= min(wins)
 
 
 def test_kernel_crossover_is_between_committed_throughput_points():
@@ -119,7 +126,8 @@ def test_kernel_crossover_is_between_committed_throughput_points():
 
 
 def test_resolver_thresholds():
-    # Without the compiled kernel: the original scalar/vector split.
+    # Without the compiled kernel: kernel (its NumPy fallback) only from
+    # VECTOR_MIN_SEGMENTS up.
     assert resolve_auto_backend(0, kernel_compiled=False) == "scalar"
     assert (
         resolve_auto_backend(VECTOR_MIN_SEGMENTS - 1, kernel_compiled=False)
@@ -127,11 +135,11 @@ def test_resolver_thresholds():
     )
     assert (
         resolve_auto_backend(VECTOR_MIN_SEGMENTS, kernel_compiled=False)
-        == "vector"
+        == "kernel"
     )
     assert (
         resolve_auto_backend(10 * VECTOR_MIN_SEGMENTS, kernel_compiled=False)
-        == "vector"
+        == "kernel"
     )
     # With the compiled kernel loaded: kernel from KERNEL_MIN_SEGMENTS up.
     assert resolve_auto_backend(0, kernel_compiled=True) == "scalar"
@@ -147,15 +155,17 @@ def test_resolver_thresholds():
         resolve_auto_backend(10 * VECTOR_MIN_SEGMENTS, kernel_compiled=True)
         == "kernel"
     )
-    # The kernel threshold lives below the vector one: by the time the
-    # vector scan starts paying for itself the kernel already wins.
+    # The compiled walk pays for itself before its NumPy fallback does.
     assert KERNEL_MIN_SEGMENTS < VECTOR_MIN_SEGMENTS
 
 
 def test_resolver_default_asks_kernel_layer():
+    # Between the two crossovers the answer depends on the loaded kernel.
+    with kernels.use("python"):
+        assert resolve_auto_backend(KERNEL_MIN_SEGMENTS) == "scalar"
     compiled = kernels.kernel_backend() == "compiled"
-    assert resolve_auto_backend(VECTOR_MIN_SEGMENTS) == resolve_auto_backend(
-        VECTOR_MIN_SEGMENTS, kernel_compiled=compiled
+    assert resolve_auto_backend(KERNEL_MIN_SEGMENTS) == resolve_auto_backend(
+        KERNEL_MIN_SEGMENTS, kernel_compiled=compiled
     )
 
 
@@ -164,8 +174,28 @@ def test_profile_scan_backend_follows_resolver():
     assert profile.scan_backend() == resolve_auto_backend(1) == "scalar"
     for i in range(VECTOR_MIN_SEGMENTS + 1):
         profile.reserve(2.0 * i, 2.0 * i + 1.0, 1)
-    # Above both thresholds "auto" resolves to kernel when compiled,
-    # vector otherwise — the profile must agree with the resolver either
-    # way.
-    assert profile.scan_backend() == resolve_auto_backend(len(profile))
-    assert profile.scan_backend() in ("vector", "kernel")
+    # Above both crossovers "auto" resolves to kernel whichever kernel
+    # implementation is loaded.
+    assert profile.scan_backend() == resolve_auto_backend(len(profile)) == "kernel"
+    # An explicit choice is never second-guessed by size.
+    assert AvailabilityProfile(4, backend="kernel").scan_backend() == "kernel"
+
+
+@pytest.mark.parametrize("name", ("vector", "tree", "adaptive"))
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda name: AvailabilityProfile(8, backend=name),
+        lambda name: QoSArbitrator(8, backend=name),
+        lambda name: ServiceConfig(capacity=8, backend=name),
+        lambda name: SweepConfig(backend=name),
+    ),
+    ids=("AvailabilityProfile", "QoSArbitrator", "ServiceConfig", "SweepConfig"),
+)
+def test_deleted_backend_names_are_rejected_at_construction(build, name):
+    """A stale name in a deployed config fails where the config is built,
+    with a message that lists what is still valid."""
+    with pytest.raises(ConfigurationError) as err:
+        build(name)
+    for valid in PROFILE_BACKENDS:
+        assert repr(valid) in str(err.value)

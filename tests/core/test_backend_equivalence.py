@@ -1,32 +1,34 @@
-"""Property tests: the concrete profile back-ends are bit-equivalent.
+"""Property tests: the two profile scans are bit-equivalent.
 
-The scalar walk is the reference implementation; the vector scan, the
-segment-tree index and the kernel layer are performance back-ends that
-must return *identical* results — not merely close ones — under every
-interleaving of mutation and query the scheduler can produce: reserve /
-release / compact on the profile, and the Schedule commit / rollback
-cycle on top.  Bit-equality is what lets the benchmarks checksum
-admission decisions across back-ends
-(``benchmarks/bench_fragmentation.py``) and what the ``"tree"`` /
-``"kernel"`` opt-ins rely on to be pure performance switches.
+The scalar walk is the reference implementation; the kernel layer is the
+performance back-end and must return *identical* results — not merely
+close ones — under every interleaving of mutation and query the
+scheduler can produce: reserve / release / compact on the profile, and
+the Schedule commit / rollback cycle on top.  Bit-equality is what lets
+the benchmarks checksum admission decisions across back-ends
+(``benchmarks/bench_fragmentation.py``) and what lets ``"auto"`` choose
+between the two by size alone.
 
-The ``"kernel"`` back-end routes through whichever decision kernel is
-active (compiled ``.so`` or the pure-NumPy fallback, per
-``REPRO_KERNEL``), so this file transitively pins both implementations
-to the scalar reference.
+Every example draws which decision kernel serves ``"kernel"`` (compiled
+``.so`` or the pure-NumPy fallback), so both implementations are pinned
+to the scalar reference whatever ``REPRO_KERNEL`` says.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.first_fit import earliest_fit
 from repro.core.greedy import GreedyScheduler
 from repro.core.profile import AvailabilityProfile
 from repro.core.schedule import Schedule
 from tests.conftest import nice_durations, nice_times, task_chains
+from tests.core.test_admit_batch import KERNEL_MODES
 
 #: The concrete back-ends ("auto" only delegates to these).
-BACKENDS = ("scalar", "vector", "tree", "kernel")
+BACKENDS = ("scalar", "kernel")
+
+kernel_modes = st.sampled_from(KERNEL_MODES)
 
 
 @st.composite
@@ -70,9 +72,14 @@ def profile_op_streams(draw, capacity: int, max_ops: int = 20):
     return ops
 
 
-@given(st.data())
-def test_mutation_interleaving_bit_equivalence(data):
+@given(st.data(), kernel_modes)
+def test_mutation_interleaving_bit_equivalence(data, kmode):
     """Same op stream -> bit-identical state and query answers everywhere."""
+    with kernels.use(kmode):
+        _check_mutation_interleaving(data)
+
+
+def _check_mutation_interleaving(data):
     capacity = data.draw(st.integers(min_value=1, max_value=8))
     ops = data.draw(profile_op_streams(capacity))
     profiles = {b: AvailabilityProfile(capacity, backend=b) for b in BACKENDS}
@@ -88,8 +95,8 @@ def test_mutation_interleaving_bit_equivalence(data):
         for profile in profiles.values():
             assert profile._times == ref._times
             assert profile._avail == ref._avail
-        # Paired queries after every mutation: this is what actually
-        # drives the tree's lazy consolidate through dirty state.
+        # Paired queries after every mutation: this is what drives the
+        # incrementally spliced mirrors through every window shape.
         q0 = max(ref._times[0], data.draw(nice_times))
         dur = data.draw(nice_durations)
         procs = data.draw(st.integers(min_value=1, max_value=capacity))
@@ -103,12 +110,17 @@ def test_mutation_interleaving_bit_equivalence(data):
         assert len(set(areas.values())) == 1, areas  # bit-equal, not approx
         assert len(set(fits.values())) == 1, fits
     for profile in profiles.values():
-        profile.check_invariants()  # tree back-end cross-checks the index
+        profile.check_invariants()  # cross-checks the mirrors
 
 
-@given(st.data())
-def test_schedule_commit_rollback_equivalence(data):
+@given(st.data(), kernel_modes)
+def test_schedule_commit_rollback_equivalence(data, kmode):
     """Place / commit / rollback through the scheduler stays in lock-step."""
+    with kernels.use(kmode):
+        _check_commit_rollback(data)
+
+
+def _check_commit_rollback(data):
     capacity = 8
     schedules = {b: Schedule(capacity, backend=b) for b in BACKENDS}
     schedulers = {b: GreedyScheduler(s) for b, s in schedules.items()}
@@ -146,7 +158,5 @@ def test_schedule_commit_rollback_equivalence(data):
             assert schedules[b].committed_area == ref.committed_area
             assert schedules[b].utilization() == ref.utilization()
     for b in BACKENDS:
-        # Touch the tree so check_invariants exercises check_against too.
-        schedules[b].profile.min_available(0.0, 1.0)
         schedules[b].profile.check_invariants()
         schedules[b].check_consistency()

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.policies import TieBreakPolicy
+from repro.core.profile import PROFILE_BACKENDS
 from repro.errors import (
     ConfigurationError,
     ServiceUnavailableError,
@@ -51,6 +52,21 @@ def test_random_tie_break_policy_is_rejected():
         ServiceConfig(capacity=4, queue_limit=0)
     with pytest.raises(ConfigurationError):
         ServiceConfig(capacity=4, degrade_keep=0)
+
+
+def test_unknown_backend_is_rejected_before_the_wal_is_touched(tmp_path):
+    """The name is checked when the config is built: a config that
+    survived to ``AdmissionService``/``recover`` would have created
+    ``wal.log`` (or repaired a torn tail) before ``make_arbitrator``
+    raised."""
+    with pytest.raises(ConfigurationError) as err:
+        ServiceConfig(capacity=8, backend="bogus")
+    for name in PROFILE_BACKENDS:
+        assert repr(name) in str(err.value)
+    good = _config(8)
+    with pytest.raises(ConfigurationError):
+        replace(good, backend="bogus")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_service_decisions_match_direct_serial_arbitrator(tmp_path):
