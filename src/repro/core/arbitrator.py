@@ -250,10 +250,10 @@ class QoSArbitrator:
         Cost is amortized two ways:
 
         * with the compiled kernel loaded and a supported configuration
-          (plain rigid scheduler, earliest-finish objective,
-          deterministic tie-break), the entire admission loop for the
-          batch — compaction, pruning, probing, tie-breaking, committing
-          — runs in **one C call** over flat arrays
+          (everything not listed under "What the C loop does not take" in
+          :mod:`repro.core.kernels.batch`), the entire admission loop for
+          the batch — compaction, pruning, probing, tie-breaking,
+          committing — runs in **one C call** over flat arrays
           (:func:`repro.core.kernels.batch.try_admit_batch_compiled`);
         * otherwise one vectorized area pre-screen over the batch-entry
           profile condemns hopeless configurations for the whole batch

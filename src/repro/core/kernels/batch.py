@@ -11,9 +11,6 @@ replays bit-identical to the serial submit loop in arrival order*):
    accounting back into the live objects.  The C kernel works on
    scratch copies, so any error status (unsupported policy, buffer
    overflow) simply discards them and falls through to strategy 2.
-   Eligibility: plain rigid :class:`GreedyScheduler`, EARLIEST_FINISH
-   objective, deterministic tie-break (RANDOM consumes a Python RNG
-   stream), compiled kernel loaded.
 
 2. :func:`prescreen_skips` + the ordinary serial loop — one vectorized
    area pre-screen over the batch-entry profile computes, for every
@@ -29,11 +26,24 @@ replays bit-identical to the serial submit loop in arrival order*):
    dominance proof in :mod:`repro.core.greedy`), so decisions are
    unchanged for every policy including RANDOM and for the malleable
    scheduler (area is conserved under reshaping).
+
+What the C loop does not take
+-----------------------------
+The complete list.  A batch with any of these is decided by strategy 2
+and counted in ``batch_fallbacks``:
+
+* ``TieBreakPolicy.RANDOM`` — consumes a Python RNG stream;
+* ``MalleableScheduler`` — reshaping is not implemented in C;
+* ``ArbitrationObjective.MAX_QUALITY`` — neither is quality-first choice;
+* a job with more than ``_MAX_CHAINS`` chains or a chain with more than
+  ``_MAX_TASKS`` tasks — the per-job C scratch is sized by their product;
+* no compiled kernel (``REPRO_KERNEL=python``, or no C compiler);
+* a nonzero C status (a buffer overflow; cannot occur with the sizes
+  :func:`try_admit_batch_compiled` allocates).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -94,8 +104,11 @@ class FlatBatch:
         return len(self.task_procs)
 
 
-def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch:
-    """Flatten a job vector for the C kernel / the vectorized pre-screen.
+def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch | None:
+    """Flatten a job vector for the C kernel, or return None.
+
+    ``None`` means a job has more than ``_MAX_CHAINS`` chains or a chain
+    more than ``_MAX_TASKS`` tasks; the sweep stops at that job.
 
     Written for throughput: this runs once per batch but touches every
     task, and at the 100k-decisions/sec operating point it is the
@@ -126,11 +139,15 @@ def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch:
         job_chains = job.chains
         if len(job_chains) > max_chains:
             max_chains = len(job_chains)
+            if max_chains > _MAX_CHAINS:
+                return None
         for chain in job_chains:
             chains_append(chain)
             tasks = chain.tasks
             if len(tasks) > max_tasks:
                 max_tasks = len(tasks)
+                if max_tasks > _MAX_TASKS:
+                    return None
             for task in tasks:
                 request = task.request
                 procs_append(request.processors)
@@ -171,18 +188,20 @@ def try_admit_batch_compiled(
     if policy_code is None:
         return None
     flat = flatten_jobs(jobs)
-    if flat.max_chains > _MAX_CHAINS or flat.max_tasks > _MAX_TASKS:
+    if flat is None:
         return None
     schedule = arbitrator.schedule
     profile = schedule.profile
 
-    n0 = len(profile._times)  # noqa: SLF001 - same package, hot path
+    n0 = len(profile)
     # Each committed task splits at most two segments; headroom on top.
     buf_cap = n0 + 2 * flat.n_tasks + 8
     times_buf = np.empty(buf_cap, dtype=np.float64)
     avail_buf = np.empty(buf_cap, dtype=np.int64)
-    times_buf[:n0] = profile._times  # noqa: SLF001
-    avail_buf[:n0] = profile._avail  # noqa: SLF001
+    # A memcpy when the previous call's write-back left the mirrors live.
+    times_m, avail_m = profile._mirrors()  # noqa: SLF001 - same package
+    times_buf[:n0] = times_m
+    avail_buf[:n0] = avail_m
     prof_state = np.array([0, n0], dtype=np.int64)
     out_chain = np.empty(len(jobs), dtype=np.int64)
     out_starts = np.empty(max(flat.n_tasks, 1), dtype=np.float64)
@@ -239,13 +258,14 @@ def _apply_batch_results(
 ) -> list[AdmissionDecision]:
     """Write the C results back into profile, schedule and accounting.
 
-    Replays exactly the per-job accounting order of the serial loop
-    (quality-possible before the decision, quality-sum and admission
-    counters after), so every float accumulator matches bit-for-bit.
+    Every accumulator the serial loop updates per job is updated here
+    with the same float operations in the same order, so each matches
+    bit-for-bit; the schedule's share is folded in once per batch
+    (:meth:`Schedule.record_commits`), not once per commit.
     """
     schedule = arbitrator.schedule
     profile = schedule.profile
-    lo, n = int(prof_state[0]), int(prof_state[1])
+    lo, n = prof_state.tolist()
     new_times = times_buf[lo : lo + n].copy()
     new_avail = avail_buf[lo : lo + n].copy()
     profile._times = new_times.tolist()  # noqa: SLF001
@@ -254,15 +274,16 @@ def _apply_batch_results(
     profile._np_avail = new_avail  # noqa: SLF001
     profile._prefix = None  # noqa: SLF001
 
+    counts = counters.tolist()
     stats = profile.stats
-    stats.shift_ops += int(counters[0])
-    stats.segments_touched += int(counters[1])
-    if counters[0]:
-        stats.last_touched = int(counters[2])
-    stats.probes += int(counters[3])
-    stats.probe_segments += int(counters[4])
-    stats.prefix_rebuilds += int(counters[5])
-    stats.compactions += int(counters[6])
+    stats.shift_ops += counts[0]
+    stats.segments_touched += counts[1]
+    if counts[0]:
+        stats.last_touched = counts[2]
+    stats.probes += counts[3]
+    stats.probe_segments += counts[4]
+    stats.prefix_rebuilds += counts[5]
+    stats.compactions += counts[6]
     perf = schedule.perf
     for name, slot in (
         ("chains_probed", 7),
@@ -271,12 +292,10 @@ def _apply_batch_results(
         ("chains_pruned_dominated", 10),
         ("commits", 11),
     ):
-        if counters[slot]:
-            perf.count(name, int(counters[slot]))
+        if counts[slot]:
+            perf.count(name, counts[slot])
 
-    admission = arbitrator.admission
     comp = arbitrator.quality_composition
-    task_off = flat.chain_task_off
 
     # Quality accounting.  PRODUCT / MIN compose with order-exact numpy
     # reductions (sequential multiply / exact min over each chain's task
@@ -310,44 +329,53 @@ def _apply_batch_results(
                     )
                 )[-1]
             )
+    else:
+        for job in flat.jobs:
+            arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
 
+    # One pass over the decided rows, every NumPy column read as a list:
+    # ``int(out_chain[jb])`` costs ~0.17 us a read, a list item ~0.01.
+    chosen = out_chain.tolist()
+    job_off = flat.job_chain_off.tolist()
+    task_off = flat.chain_task_off.tolist()
+    starts = out_starts.tolist()
+    task_area = (flat.task_procs * flat.task_dur).tolist()
+    chains = flat.chains
+    admission = arbitrator.admission
+    by_chain = admission.decisions_by_chain
+    rigid = Placement.rigid
+    refused = "no schedulable configuration"
     decisions: list[AdmissionDecision] = []
     append = decisions.append
-    for jb, job in enumerate(flat.jobs):
-        if chain_q is None:
-            arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
-        c = int(out_chain[jb])
+    committed: list[ChainPlacement] = []
+    finishes: list[float] = []
+    areas: list[float] = []
+    for job, c, off in zip(flat.jobs, chosen, job_off):
         if c < 0:
-            admission.rejected += 1
-            append(
-                AdmissionDecision(
-                    job.job_id, False, None,
-                    reason="no schedulable configuration",
-                )
-            )
+            append(AdmissionDecision(job.job_id, False, None, refused))
             continue
-        chain = flat.chains[c]
-        chain_index = c - int(flat.job_chain_off[jb])
-        t0 = int(task_off[c])
-        placements = tuple(
-            Placement.rigid(task, float(out_starts[t0 + k]))
-            for k, task in enumerate(chain.tasks)
+        chain = chains[c]
+        tasks = chain.tasks
+        t0 = task_off[c]
+        t1 = t0 + len(tasks)
+        chain_index = c - off
+        cp = ChainPlacement(  # positional: keywords cost 0.4 us a call
+            job.job_id, chain_index, chain,
+            tuple(map(rigid, tasks, starts[t0:t1])), job.release,
         )
-        cp = ChainPlacement(
-            job_id=job.job_id,
-            chain_index=chain_index,
-            chain=chain,
-            placements=placements,
-            release=job.release,
-        )
-        schedule.record_commit(cp)
-        admission.admitted += 1
-        admission.decisions_by_chain[chain_index] = (
-            admission.decisions_by_chain.get(chain_index, 0) + 1
-        )
+        committed.append(cp)
+        # What cp.finish and cp.total_area compute for rigid placements,
+        # from the same floats in the same order, without the properties.
+        finishes.append(starts[t1 - 1] + tasks[-1].duration)
+        areas.append(sum(task_area[t0:t1]))
+        by_chain[chain_index] = by_chain.get(chain_index, 0) + 1
         if chain_q is None:
             arbitrator._quality_sum += chain_quality(chain, comp)  # noqa: SLF001
         append(AdmissionDecision(job.job_id, True, cp))
+    admission.admitted += len(committed)
+    admission.rejected += len(chosen) - len(committed)
+    if committed:
+        schedule.record_commits(committed, finishes, areas)
     return decisions
 
 

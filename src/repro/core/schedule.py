@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.resources import time_leq
@@ -85,6 +85,15 @@ class Schedule:
         """All committed chain placements (empty if ``keep_placements=False``)."""
         return tuple(self._placements)
 
+    def _index_of(self, cp: ChainPlacement, what: str) -> int:
+        """Where ``cp`` is held; raises before anything has been undone."""
+        try:
+            return self._placements.index(cp)
+        except ValueError as exc:
+            raise ScheduleConsistencyError(
+                f"{what} of unknown placement for job {cp.job_id}"
+            ) from exc
+
     @property
     def committed_area(self) -> float:
         """Total processor-time promised to admitted jobs so far."""
@@ -153,6 +162,9 @@ class Schedule:
         which applies the profile reservations wholesale inside C — can
         replay the per-chain accounting without re-reserving.
         """
+        # The one-row case of record_commits, unrolled: this is the serial
+        # hot path, and delegating costs 1.2 us per commit (3% of a fig4
+        # decision).  tests/core/test_admit_batch.py pins the two equal.
         if self._keep:
             self._placements.append(cp)
         self._committed_area += cp.total_area
@@ -164,23 +176,49 @@ class Schedule:
         if cp.finish > self._last_finish:
             self._last_finish = cp.finish
 
+    def record_commits(
+        self,
+        cps: Sequence[ChainPlacement],
+        finishes: Sequence[float],
+        areas: Sequence[float],
+    ) -> None:
+        """Book-keep a non-empty run of committed placements, in order.
+
+        ``finishes[i]`` is ``cps[i].finish`` and ``areas[i]`` the
+        processor-time ``cps[i]`` adds here — its ``total_area``, or less
+        for a carried placement.  The batched kernel passes both as columns
+        it already has; the area is summed left to right, so every
+        accumulator ends exactly where one :meth:`record_commit` per
+        placement would leave it.
+        """
+        if self._keep:
+            self._placements.extend(cps)
+        area = self._committed_area
+        for a in areas:
+            area += a
+        self._committed_area = area
+        self._committed_jobs += len(cps)
+        releases = [cp.release for cp in cps]
+        self._releases.update(releases)
+        self._finishes.update(finishes)
+        self._first_release = min(self._first_release, min(releases))
+        self._last_finish = max(self._last_finish, max(finishes))
+
     def rollback(self, cp: ChainPlacement) -> None:
         """Undo a previously committed chain placement.
 
         The utilization window is recomputed from the surviving committed
         placements: rolling back the earliest-released or latest-finishing
         job shrinks ``first_release``/``last_finish`` accordingly instead of
-        leaving them stale.
+        leaving them stale.  With ``keep_placements=True`` a placement
+        this schedule does not hold (never committed, or already rolled
+        back) raises :class:`ScheduleConsistencyError` and changes nothing.
         """
+        at = self._index_of(cp, "rollback") if self._keep else None
         for pl in reversed(cp.placements):
             self.profile.release(pl.start, pl.end, pl.processors)
-        if self._keep:
-            try:
-                self._placements.remove(cp)
-            except ValueError as exc:  # pragma: no cover - misuse guard
-                raise ScheduleConsistencyError(
-                    f"rollback of unknown placement for job {cp.job_id}"
-                ) from exc
+        if at is not None:
+            del self._placements[at]
         self._committed_area -= cp.total_area
         self._committed_jobs -= 1
         self._releases[cp.release] -= 1
@@ -227,6 +265,7 @@ class Schedule:
         if cut <= cp.start:
             self.rollback(cp)
             return
+        at = self._index_of(cp, "rollback_tail") if self._keep else None
         released = 0.0
         for pl in reversed(cp.placements):
             if time_leq(pl.end, cut):  # sub-eps remainder: nothing to free
@@ -234,13 +273,8 @@ class Schedule:
             start = max(pl.start, cut)
             self.profile.release(start, pl.end, pl.processors)
             released += (pl.end - start) * pl.processors
-        if self._keep:
-            try:
-                self._placements.remove(cp)
-            except ValueError as exc:
-                raise ScheduleConsistencyError(
-                    f"rollback_tail of unknown placement for job {cp.job_id}"
-                ) from exc
+        if at is not None:
+            del self._placements[at]
         self._committed_area -= released
         self._finishes[cp.finish] -= 1
         if not self._finishes[cp.finish]:
@@ -327,16 +361,7 @@ class Schedule:
             for start, end, procs in reversed(reserved):
                 self.profile.release(start, end, procs)
             raise
-        if self._keep:
-            self._placements.append(cp)
-        self._committed_area += area
-        self._committed_jobs += 1
-        self._releases[cp.release] += 1
-        self._finishes[cp.finish] += 1
-        if cp.release < self._first_release:
-            self._first_release = cp.release
-        if cp.finish > self._last_finish:
-            self._last_finish = cp.finish
+        self.record_commits((cp,), (cp.finish,), (area,))
         self.perf.carries += 1
 
     def compact(self, before: float) -> None:

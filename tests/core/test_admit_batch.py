@@ -49,7 +49,10 @@ KERNEL_MODES = _kernel_modes()
 
 
 def _state(arbitrator: QoSArbitrator) -> tuple:
-    profile = arbitrator.schedule.profile
+    """Everything observable, the schedule's accounting and commit order
+    included: the batched write-back books a whole batch at once."""
+    schedule = arbitrator.schedule
+    profile = schedule.profile
     return (
         tuple(profile._times),  # noqa: SLF001 - identity, not API
         tuple(profile._avail),  # noqa: SLF001
@@ -59,6 +62,11 @@ def _state(arbitrator: QoSArbitrator) -> tuple:
         arbitrator._quality_sum,  # noqa: SLF001
         arbitrator._quality_possible,  # noqa: SLF001
         arbitrator.utilization(),
+        schedule.committed_area,
+        schedule.committed_jobs,
+        schedule.first_release,
+        schedule.last_finish,
+        schedule.placements,
     )
 
 
@@ -385,3 +393,181 @@ def test_repeated_rejections_do_not_rescan_the_profile():
     serial_segments, batch_segments = segments
     assert serial_segments >= 200 * 400
     assert 3 * batch_segments <= serial_segments
+
+
+# ---------------------------------------------------------------------------
+# Bulk write-back: one pass over the kernel's columns, one booking per batch
+# ---------------------------------------------------------------------------
+
+needs_compiled = pytest.mark.skipif(
+    KERNEL_MODES == ("python",), reason="compiled kernel unavailable"
+)
+
+
+def _flood(seed: int):
+    case = random_flood(random.Random(seed), min_jobs=200, max_jobs=300)
+    return case.capacity, list(case.jobs)
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+def test_batch_serial_batch_keeps_commit_order(kmode):
+    """admit_batch, submit, admit_batch: ``schedule.placements`` lists the
+    commits in the all-serial order."""
+    for seed in range(4):
+        capacity, jobs = _flood(seed)
+        a, b = len(jobs) // 3, 2 * len(jobs) // 3
+        serial, mixed = QoSArbitrator(capacity), QoSArbitrator(capacity)
+        for job in jobs:
+            serial.submit(job)
+        with kernels.use(kmode):
+            mixed.admit_batch(jobs[:a])
+            for job in jobs[a:b]:
+                mixed.submit(job)
+            mixed.admit_batch(jobs[b:])
+        assert mixed.schedule.placements == serial.schedule.placements
+        assert _state(mixed) == _state(serial)
+        mixed.schedule.check_consistency()
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+@pytest.mark.parametrize("which", ("earliest-release", "latest-finish"))
+def test_rollback_after_a_batch_shrinks_the_window(kmode, which):
+    """Rolling back the job that bounds the utilization window moves the
+    window exactly as after serial submits: the bulk booking fills the
+    release/finish multisets, not just the running extremes."""
+    for seed in range(4):
+        capacity, jobs = _flood(seed)
+        # No compaction: the earliest job's room must still be on the profile.
+        serial, batch = (QoSArbitrator(capacity, compact=False) for _ in range(2))
+        placed = [
+            d.placement for d in map(serial.submit, jobs) if d.admitted
+        ]
+        with kernels.use(kmode):
+            batch.admit_batch(jobs)
+        if which == "earliest-release":
+            cp = min(placed, key=lambda c: c.release)
+        else:
+            cp = max(placed, key=lambda c: c.finish)
+        for arbitrator in (serial, batch):
+            arbitrator.schedule.rollback(cp)  # equal by value in ``batch``
+        assert batch.schedule.first_release == serial.schedule.first_release
+        assert batch.schedule.last_finish == serial.schedule.last_finish
+        assert batch.utilization() == serial.utilization()
+        assert _state(batch) == _state(serial)
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+def test_decisions_share_their_placements_with_the_schedule(kmode):
+    capacity, jobs = _flood(0)
+    arbitrator = QoSArbitrator(capacity)
+    with kernels.use(kmode):
+        decisions = arbitrator.admit_batch(jobs)
+    assert isinstance(decisions, list)
+    assert [d.job_id for d in decisions] == [j.job_id for j in jobs]
+    held = arbitrator.schedule.placements
+    admitted = [d.placement for d in decisions if d.admitted]
+    assert len(held) == len(admitted) > 0
+    assert all(mine is theirs for mine, theirs in zip(admitted, held))
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+def test_keep_placements_false_retains_nothing(kmode):
+    capacity, jobs = _flood(1)
+    kept, flat = (
+        QoSArbitrator(capacity, keep_placements=keep) for keep in (True, False)
+    )
+    with kernels.use(kmode):
+        for arbitrator in (kept, flat):
+            decisions = arbitrator.admit_batch(jobs)
+    assert flat.schedule.placements == () != kept.schedule.placements
+    assert [d.placement for d in decisions if d.admitted] == list(
+        kept.schedule.placements
+    )
+    assert _state(flat)[:-1] == _state(kept)[:-1]  # all but ``placements``
+
+
+def test_record_commits_is_record_commit_repeated():
+    """The bulk form the batched write-back uses and the unrolled one-row
+    form on the serial path are two copies of one accounting."""
+    capacity, jobs = _flood(2)
+    placed = [
+        d.placement for d in map(QoSArbitrator(capacity).submit, jobs) if d.admitted
+    ]
+    one, bulk = Schedule(capacity), Schedule(capacity)
+    for cp in placed:
+        one.record_commit(cp)
+    mid = len(placed) // 2
+    for part in (placed[:mid], placed[mid:]):
+        bulk.record_commits(
+            part, [cp.finish for cp in part], [cp.total_area for cp in part]
+        )
+    for name in (
+        "placements", "committed_area", "committed_jobs", "first_release",
+        "last_finish", "_releases", "_finishes",
+    ):
+        assert getattr(bulk, name) == getattr(one, name), name
+
+
+def _long_chain_jobs(rng: random.Random, n_tasks: int, n_jobs: int) -> list[Job]:
+    """Two alternative chains of ``n_tasks`` tasks whose areas and
+    qualities are not exactly representable sums."""
+    jobs, release = [], 0.0
+    for _ in range(n_jobs):
+        chains = []
+        for c in range(2):
+            elapsed, tasks = 0.0, []
+            for t in range(n_tasks):
+                duration = rng.uniform(0.1, 3.0)
+                elapsed += duration
+                tasks.append(
+                    TaskSpec(
+                        f"c{c}t{t}",
+                        ProcessorTimeRequest(rng.randint(1, 5), duration),
+                        deadline=elapsed + rng.uniform(0.0, 6.0),
+                        quality=rng.uniform(0.05, 1.0),
+                    )
+                )
+            chains.append(TaskChain(tuple(tasks), label=f"c{c}"))
+        jobs.append(Job(chains=tuple(chains), release=release))
+        release += rng.uniform(0.0, 0.6 * n_tasks)  # about 1.5x overload
+    return jobs
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+@pytest.mark.parametrize("comp", tuple(QualityComposition))
+@pytest.mark.parametrize("n_tasks", (1, 3, 9))
+def test_float_accumulators_bit_equal_to_serial(kmode, comp, n_tasks):
+    """Sums of three or more terms are where an out-of-order reduction
+    (``np.add.reduceat``) parts from the serial left-to-right additions."""
+    jobs = _long_chain_jobs(random.Random(n_tasks), n_tasks, 120)
+    serial, batch = (
+        QoSArbitrator(8, quality_composition=comp) for _ in range(2)
+    )
+    for job in jobs:
+        serial.submit(job)
+    with kernels.use(kmode):
+        batch.admit_batch(jobs[:50])
+        batch.admit_batch(jobs[50:])
+    assert 0 < serial.admitted < len(jobs)
+    assert batch.schedule.committed_area == serial.schedule.committed_area
+    assert batch._quality_sum == serial._quality_sum  # noqa: SLF001
+    assert batch._quality_possible == serial._quality_possible  # noqa: SLF001
+    assert _state(batch) == _state(serial)
+
+
+@needs_compiled
+def test_oversized_job_stops_the_flatten_sweep(monkeypatch):
+    """A job the C loop does not take is found before the rest of the
+    batch is flattened, and the batch is decided by the serial loop."""
+    from repro.core.kernels import batch as kernel_batch
+
+    monkeypatch.setattr(kernel_batch, "_MAX_TASKS", 2)
+    jobs = _long_chain_jobs(random.Random(0), 3, 4)
+    assert kernel_batch.flatten_jobs(jobs) is None
+    serial, batch = QoSArbitrator(8), QoSArbitrator(8)
+    for job in jobs:
+        serial.submit(job)
+    with kernels.use("compiled"):
+        batch.admit_batch(jobs)
+    assert batch.perf_snapshot()["batch_fallbacks"] == 1
+    assert _state(batch) == _state(serial)

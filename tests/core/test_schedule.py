@@ -87,6 +87,32 @@ class TestCommit:
         with pytest.raises(ScheduleConsistencyError):
             s.rollback(other)
 
+    @pytest.mark.parametrize("undo", ("rollback", "rollback_tail"))
+    def test_second_rollback_raises_and_changes_nothing(self, undo):
+        """The guard used to fire after the profile had been released: a
+        second rollback handed another job's processors out as free."""
+        s = Schedule(4)
+        cp = chain_placement()
+        other = chain_placement(job_id=2)  # same interval, the other 2 procs
+        s.commit(cp)
+        s.commit(other)
+        s.rollback(cp)
+        before = (
+            list(s.profile._times), list(s.profile._avail),  # noqa: SLF001
+            s.committed_area, s.committed_jobs, s.placements,
+        )
+        with pytest.raises(ScheduleConsistencyError):
+            if undo == "rollback":
+                s.rollback(cp)
+            else:
+                s.rollback_tail(cp, 2.0)
+        assert before == (
+            list(s.profile._times), list(s.profile._avail),  # noqa: SLF001
+            s.committed_area, s.committed_jobs, s.placements,
+        )
+        assert s.profile.available_at(2.0) == 2  # ``other`` still owns its two
+        s.check_consistency()
+
     def test_keep_placements_false(self):
         s = Schedule(4, keep_placements=False)
         s.commit(chain_placement())
