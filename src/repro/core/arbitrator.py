@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from enum import Enum
-from typing import Sequence
+from typing import Container, Sequence
 
 from repro.core import kernels
 from repro.core.admission import AdmissionController, AdmissionDecision
@@ -210,6 +210,50 @@ class QoSArbitrator:
         """
         self.schedule = schedule
         self.scheduler.schedule = schedule
+        # The C loop's kernel context is the *profile's* (built on its
+        # first call), so the swap needs nothing here: the old context
+        # goes with the old profile.
+
+    def _c_loop_eligible(self) -> bool:
+        """Whether the C admission loop implements this configuration
+        (the arbitrator's half of "What the C loop does not take" in
+        :mod:`repro.core.kernels.batch`)."""
+        return (
+            self.objective is ArbitrationObjective.EARLIEST_FINISH
+            and type(self.scheduler) is GreedyScheduler
+            and self.scheduler.policy is not TieBreakPolicy.RANDOM
+        )
+
+    def _offer(self, job: Job, skip: "Container[int]" = ()) -> AdmissionDecision:
+        """Decide ``job`` in Python, then account for it — in that order,
+        so a decision that raises leaves every accumulator where it was."""
+        if self.objective is ArbitrationObjective.EARLIEST_FINISH:
+            decision = self.admission.offer(job, skip)
+        elif self.objective is ArbitrationObjective.MAX_QUALITY:
+            decision = self._offer_max_quality(job)
+        else:  # pragma: no cover - closed enum
+            raise ConfigurationError(f"unknown objective {self.objective!r}")
+        self._quality_possible += job.best_quality(self.quality_composition)
+        if decision.admitted and decision.placement is not None:
+            self._quality_sum += chain_quality(
+                decision.placement.chain, self.quality_composition
+            )
+        return decision
+
+    def _decide_one(self, job: Job) -> AdmissionDecision:
+        """One decision, one ``decision`` timer sample: a batch of one
+        through the C loop whenever :meth:`admit_batch` would take it,
+        except on ``backend="scalar"`` — the reference path, which stays
+        :class:`GreedyScheduler`'s."""
+        t0 = time.perf_counter()
+        try:
+            if self._c_loop_eligible() and self.schedule.profile.backend != "scalar":
+                decisions = kernel_batch.try_admit_batch_compiled(self, (job,))
+                if decisions is not None:
+                    return decisions[0]  # accounted by the write-back
+            return self._offer(job)
+        finally:
+            self.schedule.perf.note_decision(time.perf_counter() - t0)
 
     def submit(self, job: Job) -> AdmissionDecision:
         """Admission-control one job and commit its chosen configuration.
@@ -219,22 +263,7 @@ class QoSArbitrator:
         Each call records one wall-clock ``decision`` latency sample on
         :attr:`Schedule.perf <repro.core.schedule.Schedule.perf>`.
         """
-        self._quality_possible += job.best_quality(self.quality_composition)
-        t0 = time.perf_counter()
-        try:
-            if self.objective is ArbitrationObjective.EARLIEST_FINISH:
-                decision = self.admission.offer(job)
-            elif self.objective is ArbitrationObjective.MAX_QUALITY:
-                decision = self._offer_max_quality(job)
-            else:  # pragma: no cover - closed enum
-                raise ConfigurationError(f"unknown objective {self.objective!r}")
-        finally:
-            self.schedule.perf.note_decision(time.perf_counter() - t0)
-        if decision.admitted and decision.placement is not None:
-            self._quality_sum += chain_quality(
-                decision.placement.chain, self.quality_composition
-            )
-        return decision
+        return self._decide_one(job)
 
     def admit_batch(self, jobs: "Sequence[Job]") -> list[AdmissionDecision]:
         """Admission-control a vector of jobs in arrival order.
@@ -271,37 +300,17 @@ class QoSArbitrator:
         perf.batch_jobs += len(jobs)
         t0 = time.perf_counter()
         try:
-            earliest = self.objective is ArbitrationObjective.EARLIEST_FINISH
-            fast_eligible = (
-                earliest
-                and type(self.scheduler) is GreedyScheduler
-                and self.scheduler.policy is not TieBreakPolicy.RANDOM
-            )
-            if fast_eligible:
+            if self._c_loop_eligible():
                 decisions = kernel_batch.try_admit_batch_compiled(self, jobs)
                 if decisions is not None:
                     return decisions
             perf.batch_fallbacks += 1
-            skips = (
-                kernel_batch.prescreen_skips(self, jobs) if earliest else None
-            )
-            out: list[AdmissionDecision] = []
-            for k, job in enumerate(jobs):
-                self._quality_possible += job.best_quality(
-                    self.quality_composition
-                )
-                if earliest:
-                    decision = self.admission.offer(
-                        job, skips[k] if skips is not None else ()
-                    )
-                else:
-                    decision = self._offer_max_quality(job)
-                if decision.admitted and decision.placement is not None:
-                    self._quality_sum += chain_quality(
-                        decision.placement.chain, self.quality_composition
-                    )
-                out.append(decision)
-            return out
+            skips = None
+            if self.objective is ArbitrationObjective.EARLIEST_FINISH:
+                skips = kernel_batch.prescreen_skips(self, jobs)
+            if skips is None:
+                return [self._offer(job) for job in jobs]
+            return [self._offer(job, skip) for job, skip in zip(jobs, skips)]
         finally:
             perf.observe("decision_batch", time.perf_counter() - t0)
 
@@ -317,21 +326,12 @@ class QoSArbitrator:
         rejection is removed and the admission recorded as usual; on
         failure all counters are left exactly as :meth:`submit` set them.
         """
-        t0 = time.perf_counter()
-        try:
-            if self.objective is ArbitrationObjective.EARLIEST_FINISH:
-                decision = self.admission.offer(job)
-            else:
-                decision = self._offer_max_quality(job)
-        finally:
-            self.schedule.perf.note_decision(time.perf_counter() - t0)
-        if decision.admitted and decision.placement is not None:
-            self.admission.rejected -= 1  # the provisional rejection
-            self._quality_sum += chain_quality(
-                decision.placement.chain, self.quality_composition
-            )
-        else:
-            self.admission.rejected -= 1  # offer() double-counted the reject
+        possible = self._quality_possible
+        decision = self._decide_one(job)
+        self._quality_possible = possible  # counted by the original submit
+        # The provisional rejection on success, the second count of it on
+        # failure: one too many either way.
+        self.admission.rejected -= 1
         return decision
 
     def _offer_max_quality(self, job: Job) -> AdmissionDecision:

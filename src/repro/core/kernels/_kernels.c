@@ -24,13 +24,15 @@
  * re-sums the prefix only from the first entry a shift made stale.  Both
  * return the floats the references return — the walk visits fewer
  * segments, so ``probe_segments`` is lower than the serial scan's — and
- * both rest on ONE invariant: between entry and return of the call,
+ * both rest on ONE invariant: while the kernel alone mutates the profile,
  * availability never increases (the loop only commits; compaction only
- * trims the past).  The facts live in the call's stack frame, so nothing
- * survives into the next call, where a release, rollback or capacity
- * fault may have raised availability.  A positive-delta shift inside the
- * loop would break the invariant: ``prof_shift`` clears the table if it
- * ever sees one.
+ * trims the past).  The facts and the prefix resume point live in the
+ * per-profile context, so they serve the next call too — which is then
+ * indistinguishable from one longer batch — and the Python driver clears
+ * them whenever it re-uploads the profile, i.e. after any Python-side
+ * mutation (a release, rollback or capacity fault may have raised
+ * availability).  A positive-delta shift inside the loop would break the
+ * invariant: ``prof_shift`` clears the table if it ever sees one.
  *
  * Two entry points matter:
  *
@@ -53,12 +55,12 @@
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 #define UTIL_EPS 1e-12  /* policies.select_candidate utilization slack */
 
-#define ABI_VERSION 2
+#define ABI_VERSION 3
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
- * status means "this batch cannot be decided in C" — the Python driver
- * discards the scratch buffers (the live profile was never touched) and
- * falls back to the serial loop. */
+ * status means "this batch cannot be decided in C" — the context's live
+ * window is as it was at entry (the loop mutated the other buffer set)
+ * and the Python driver falls back to the serial loop. */
 #define BATCH_OK 0
 #define BATCH_ERR_OVERFLOW (-1)  /* profile outgrew the preallocated buffer */
 #define BATCH_ERR_SHIFT (-2)     /* _shift precondition violated (scheduler bug) */
@@ -71,8 +73,8 @@
 #define POLICY_FIRST 1
 #define POLICY_PREFIX 2
 
-/* Counter slots, accumulated into ProfileStats / PerfRecorder by the
- * Python driver after a successful batch. */
+/* Counter slots, zeroed at entry and accumulated into ProfileStats /
+ * PerfRecorder by the Python driver after a successful batch. */
 #define K_SHIFT_OPS 0
 #define K_SEGMENTS_TOUCHED 1
 #define K_LAST_TOUCHED 2
@@ -135,8 +137,15 @@ typedef struct {
  * before, 0.091-0.127 s after). */
 #define NFACTS 64
 
-/* Live segments occupy [lo, lo + n) of times/avail; compaction advances
+/* The per-profile context, built once by the Python driver
+ * (compiled.Context mirrors this layout field for field; every member is
+ * 8 bytes wide, and repro_ctx_size() lets the loader compare sizes).
+ *
+ * Live segments occupy [lo, lo + n) of times/avail; compaction advances
  * lo instead of memmoving, shifts splice in place within the window.
+ * times_alt/avail_alt are the second buffer set: a call copies the live
+ * window there, mutates the copy and flips the two (cur says which set
+ * the driver finds live), so an error status costs nothing to undo.
  * prefix[0..n) is the free-area prefix cache over the live window:
  * entries below prefix_from survive a shift, the rest are re-summed in
  * the same order when prefix_valid drops (the floats
@@ -144,19 +153,39 @@ typedef struct {
 typedef struct {
     double *times;
     int64_t *avail;
+    double *times_alt;
+    int64_t *avail_alt;
     double *prefix;
     double *scr_t;  /* shift replacement-window scratch */
     int64_t *scr_a;
-    int64_t cap_buf;  /* allocated length of times/avail */
+    int64_t cap_buf;  /* allocated length of each times/avail buffer */
+    int64_t cur;
     int64_t lo;
     int64_t n;
     int64_t capacity; /* machine capacity (processors) */
-    int prefix_valid;
+    int64_t prefix_valid;
     int64_t prefix_from; /* lowest index whose prefix entry is stale */
-    int64_t *c; /* counters[N_COUNTERS] */
+    /* scheduler configuration */
+    int64_t policy, use_dup, use_dom, use_cap, do_compact;
+    /* staged job columns: jobs own chains [job_chain_off[j],
+     * job_chain_off[j+1]); chain c owns tasks [chain_task_off[c],
+     * chain_task_off[c+1]) */
+    const double *releases;
+    const int64_t *job_chain_off;
+    const int64_t *chain_task_off;
+    const int64_t *task_procs;
+    const double *task_dur;
+    const double *task_deadline;
+    const double *task_quality;
+    int64_t max_chains, max_tasks;
+    double *dscratch;  /* max_chains*max_tasks + 3*max_chains + max_tasks */
+    int64_t *iscratch; /* 4*max_chains */
+    int64_t *out_chain;  /* per job: chosen global chain index, -1 = rejected */
+    double *out_starts;  /* chosen chains' task starts, flattened task indexing */
+    int64_t c[N_COUNTERS];
+    int64_t nfacts;
+    int64_t fact_evict; /* round-robin victim once the table is full */
     Fact facts[NFACTS];
-    int nfacts;
-    int fact_evict; /* round-robin victim once the table is full */
 } Prof;
 
 /* port of AvailabilityProfile._shift (validation included) */
@@ -406,12 +435,13 @@ static inline __attribute__((always_inline)) int scan_walk(const double *times, 
 /* The no-fit frontier — with the prefix resume above, the only code in
  * this file that is not a port.
  *
- * Inside one repro_admit_batch call availability never increases (the
- * loop only commits; compaction only trims the past), so a finished walk
- * for (w, d) from r whose last run began at s has proved a fact that
- * stays true until the call returns: no request at least as wide and at
- * least as long can start in [r, s).  ef_probe keeps such facts in the
- * call's Prof frame and starts each walk at the largest s reachable from
+ * While only repro_admit_batch mutates the profile availability never
+ * increases (the loop only commits; compaction only trims the past), so a
+ * finished walk for (w, d) from r whose last run began at s has proved a
+ * fact that stays true until the driver re-uploads the profile: no
+ * request at least as wide and at least as long can start in [r, s).
+ * ef_probe keeps such facts in the context and starts each walk at the
+ * largest s reachable from
  * its own release through applicable facts.  The deadline never enters
  * a fact (a walk that gave up on its deadline at s still ruled out
  * [r, s) on availability alone), so a tighter or laxer deadline — the
@@ -426,7 +456,7 @@ static double facts_frontier(const Prof *p, int64_t w, double d, double from,
 {
     for (int again = 1; again;) {
         again = 0;
-        for (int k = 0; k < p->nfacts; k++) {
+        for (int64_t k = 0; k < p->nfacts; k++) {
             const Fact *f = &p->facts[k];
             if (f->s > from && f->r <= from && f->w <= w && f->d <= d) {
                 from = f->s;
@@ -445,7 +475,7 @@ static double facts_frontier(const Prof *p, int64_t w, double d, double from,
  * applied in facts_frontier and carried the walk past s. */
 static void facts_insert(Prof *p, int64_t w, double d, double r, double s)
 {
-    int k = 0;
+    int64_t k = 0;
     while (k < p->nfacts) {
         const Fact *f = &p->facts[k];
         if (w <= f->w && d <= f->d && r <= f->r && s >= f->s)
@@ -641,6 +671,12 @@ int64_t repro_abi_version(void)
     return ABI_VERSION;
 }
 
+/* sizeof the context, for the loader's layout handshake */
+int64_t repro_ctx_size(void)
+{
+    return (int64_t)sizeof(Prof);
+}
+
 /* Single fit probe over the profile mirrors: the "kernel" scan back-end.
  * Pre-checks, clamping and the start-segment bisect already happened in
  * Python (earliest_fit's dispatcher).  Returns 1/0 (found), writes the
@@ -665,53 +701,53 @@ int64_t repro_range_min(const int64_t *avail, int64_t lo, int64_t hi)
     return m;
 }
 
-/* The whole serial admission loop for a job vector, in one call.
- *
- * Layout: jobs own chains [job_chain_off[j], job_chain_off[j+1]); chain
- * c owns tasks [chain_task_off[c], chain_task_off[c+1]).  Profile state
- * lives in times_buf/avail_buf at window [prof_state[0],
- * prof_state[0] + prof_state[1]); on BATCH_OK the final window is
- * written back to prof_state and out_chain[j] holds the chosen global
- * chain index (-1 = rejected) with the chosen chains' task starts in
- * out_starts (flattened task indexing).  Any error status leaves the
- * caller's live profile untouched (the buffers are scratch copies).
- *
- * dscratch: max_chains*max_tasks + 3*max_chains + max_tasks doubles;
- * iscratch: 4*max_chains int64s.  Replays greedy._prober exactly:
- * duplicate collapse, failure propagation, incumbent finish capping,
- * then select_candidate's earliest-finish + policy tie-break. */
-int64_t repro_admit_batch(
-    double *times_buf, int64_t *avail_buf, double *prefix_buf,
-    double *scratch_times, int64_t *scratch_avail, int64_t buf_cap,
-    int64_t *prof_state, int64_t capacity, int64_t n_jobs,
-    const double *releases, const int64_t *job_chain_off,
-    const int64_t *chain_task_off, const int64_t *task_procs,
-    const double *task_dur, const double *task_deadline,
-    const double *task_quality, int64_t policy, int64_t use_dup,
-    int64_t use_dom, int64_t use_cap, int64_t do_compact,
-    int64_t max_chains, int64_t max_tasks, double *dscratch,
-    int64_t *iscratch, int64_t *out_chain, double *out_starts,
-    int64_t *counters)
+/* make the other buffer set the live one */
+static void prof_flip(Prof *p)
 {
+    double *t = p->times;
+    int64_t *a = p->avail;
+    p->times = p->times_alt;
+    p->avail = p->avail_alt;
+    p->times_alt = t;
+    p->avail_alt = a;
+    p->cur ^= 1;
+}
+
+/* The whole serial admission loop for the n_jobs staged in the context,
+ * in one call.
+ *
+ * On BATCH_OK the context's live window is the profile after the batch,
+ * out_chain[j] holds the chosen global chain index (-1 = rejected) with
+ * the chosen chains' task starts in out_starts.  Any error status leaves
+ * the live window as it was at entry and drops what the call learnt.
+ * Replays greedy._prober exactly: duplicate collapse, failure
+ * propagation, incumbent finish capping, then select_candidate's
+ * earliest-finish + policy tie-break. */
+int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
+{
+    const int64_t policy = p->policy, use_dup = p->use_dup;
+    const int64_t use_dom = p->use_dom, use_cap = p->use_cap;
+    const int64_t capacity = p->capacity;
+    const int64_t max_chains = p->max_chains, max_tasks = p->max_tasks;
+    const double *releases = p->releases;
+    const int64_t *job_chain_off = p->job_chain_off;
+    const int64_t *chain_task_off = p->chain_task_off;
+    const int64_t *task_procs = p->task_procs;
+    const double *task_dur = p->task_dur;
+    const double *task_deadline = p->task_deadline;
+    const double *task_quality = p->task_quality;
+    double *dscratch = p->dscratch;
+    int64_t *iscratch = p->iscratch;
+    int64_t *counters = p->c;
     if (policy != POLICY_PAPER && policy != POLICY_FIRST &&
         policy != POLICY_PREFIX)
         return BATCH_ERR_POLICY;
-    Prof prof;
-    prof.times = times_buf;
-    prof.avail = avail_buf;
-    prof.prefix = prefix_buf;
-    prof.scr_t = scratch_times;
-    prof.scr_a = scratch_avail;
-    prof.cap_buf = buf_cap;
-    prof.lo = prof_state[0];
-    prof.n = prof_state[1];
-    prof.capacity = capacity;
-    prof.prefix_valid = 0;
-    prof.prefix_from = 0;
-    prof.c = counters;
-    prof.nfacts = 0;
-    prof.fact_evict = 0;
-    Prof *p = &prof;
+    memset(counters, 0, sizeof p->c);
+    const int64_t lo0 = p->lo, n0 = p->n;
+    memcpy(p->times_alt, p->times + lo0, (size_t)n0 * sizeof(double));
+    memcpy(p->avail_alt, p->avail + lo0, (size_t)n0 * sizeof(int64_t));
+    prof_flip(p);
+    p->lo = 0;
 
     double *cand_starts = dscratch;                      /* [MC][MT] */
     double *cand_finish = cand_starts + max_chains * max_tasks;
@@ -725,7 +761,7 @@ int64_t repro_admit_batch(
 
     for (int64_t jb = 0; jb < n_jobs; jb++) {
         double release = releases[jb];
-        if (do_compact)
+        if (p->do_compact)
             prof_compact(p, release);
         int64_t c_begin = job_chain_off[jb], c_end = job_chain_off[jb + 1];
         int64_t ncand = 0, nkeyed = 0, nfailed = 0;
@@ -809,7 +845,7 @@ int64_t repro_admit_batch(
             }
         }
         if (ncand == 0) {
-            out_chain[jb] = -1;
+            p->out_chain[jb] = -1;
             continue;
         }
         /* select_candidate: earliest finish, then the policy tie-break */
@@ -860,14 +896,19 @@ int64_t repro_admit_batch(
             double s = starts[t];
             int st = prof_shift(p, s, s + task_dur[ct0 + t],
                                 -task_procs[ct0 + t]);
-            if (st != BATCH_OK)
+            if (st != BATCH_OK) {
+                prof_flip(p);
+                p->lo = lo0;
+                p->n = n0;
+                p->nfacts = 0;
+                p->prefix_valid = 0;
+                p->prefix_from = 0;
                 return st;
-            out_starts[ct0 + t] = s;
+            }
+            p->out_starts[ct0 + t] = s;
         }
         counters[K_COMMITS] += 1;
-        out_chain[jb] = cc;
+        p->out_chain[jb] = cc;
     }
-    prof_state[0] = p->lo;
-    prof_state[1] = p->n;
     return BATCH_OK;
 }

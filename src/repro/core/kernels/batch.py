@@ -4,13 +4,15 @@
 Two strategies, both honouring the equivalence contract (*a batch
 replays bit-identical to the serial submit loop in arrival order*):
 
-1. :func:`try_admit_batch_compiled` — flatten the whole batch into
-   contiguous arrays and run ``repro_admit_batch`` (the entire serial
-   admission loop — compaction, prunes, probes, tie-breaks, commits) in
-   ONE C call, then write the resulting profile window, decisions and
-   accounting back into the live objects.  The C kernel works on
-   scratch copies, so any error status (unsupported policy, buffer
-   overflow) simply discards them and falls through to strategy 2.
+1. :func:`try_admit_batch_compiled` — flatten the whole batch, stage
+   it in the profile's kernel context and run ``repro_admit_batch`` (the
+   entire serial admission loop — compaction, prunes, probes,
+   tie-breaks, commits) in ONE C call, then write decisions and
+   accounting back into the live objects; the profile itself stays in
+   the context's arrays until Python reads it.  The C loop mutates a
+   copy of the live window, so any error status leaves the live state
+   as it was and falls through to strategy 2.  ``submit(job)`` is this
+   same path with a batch of one.
 
 2. :func:`prescreen_skips` + the ordinary serial loop — one vectorized
    area pre-screen over the batch-entry profile computes, for every
@@ -38,12 +40,44 @@ and counted in ``batch_fallbacks``:
 * a job with more than ``_MAX_CHAINS`` chains or a chain with more than
   ``_MAX_TASKS`` tasks — the per-job C scratch is sized by their product;
 * no compiled kernel (``REPRO_KERNEL=python``, or no C compiler);
-* a nonzero C status (a buffer overflow; cannot occur with the sizes
-  :func:`try_admit_batch_compiled` allocates).
+* a nonzero C status (a buffer overflow; cannot occur with the room
+  :meth:`_Context.sync` guarantees);
+* ``submit`` (not ``admit_batch``) on ``backend="scalar"`` — the seed
+  semantics and the verify layer's oracle stay Python-decided, so every
+  differential test compares the C loop with something that is not it.
+
+Context lifetime
+----------------
+One :class:`_Context` per :class:`AvailabilityProfile` (``profile._ctx``),
+built on the profile's first C call: every buffer pointer is cast once
+and re-cast only when that buffer grows.  Who owns what, and when the
+context's view of the profile is thrown away:
+
+* ``adopt_schedule`` swaps in a new ``Schedule`` and with it a new
+  profile, whose context is built on its own first call; the old one
+  goes with the old profile.
+* ``AvailabilityProfile.copy()`` copies the lists and leaves ``_ctx``
+  unset: a context serves exactly one profile.
+* ``kernels.use("python")`` / ``set_kernel`` while a context exists: the
+  Python path reads the lists (rebuilt from the context if they were
+  dropped) and its mutations mark the arrays stale; back on the compiled
+  kernel the next call re-uploads and starts with no facts.
+* ``REPRO_KERNEL_LIB`` pointing at another ``.so``: a context remembers
+  the kernel object that built it and is rebuilt when another one is
+  active.
+* Growth: :meth:`_Context.sync` guarantees room for two new segments per
+  task of the batch *before* the call and re-binds doubled buffers when
+  the headroom is used up, carrying the live window (and the no-fit
+  facts) across — the loop never returns ``BATCH_ERR_OVERFLOW`` and
+  ``kernels.stats.fallbacks`` stays 0.
+* The no-fit facts and the prefix resume point live in the context and
+  survive from one call to the next only while no Python-side mutation
+  intervened (``profile._dirty``); then two calls are one longer batch.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -51,6 +85,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.admission import AdmissionDecision
+from repro.core.kernels.compiled import Context
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy
 from repro.model.chain import TaskChain
@@ -78,7 +113,7 @@ _MAX_TASKS = 512
 
 @dataclass(slots=True)
 class FlatBatch:
-    """A job vector flattened into contiguous arrays (C layout).
+    """A job vector flattened into columns (plain lists, C layout).
 
     Chain areas and prefix sums are *not* flattened — the C kernel
     recomputes them from ``task_procs``/``task_dur`` with the exact
@@ -89,19 +124,15 @@ class FlatBatch:
 
     jobs: Sequence[Job]
     chains: list[TaskChain]  # global chain index -> chain object
-    releases: np.ndarray           # [n_jobs] float64
-    job_chain_off: np.ndarray      # [n_jobs+1] int64
-    chain_task_off: np.ndarray     # [n_chains+1] int64
-    task_procs: np.ndarray         # [n_tasks] int64
-    task_dur: np.ndarray           # [n_tasks] float64
-    task_deadline: np.ndarray      # [n_tasks] float64
-    task_quality: np.ndarray       # [n_tasks] float64
+    releases: list[float]          # [n_jobs]
+    job_chain_off: list[int]       # [n_jobs+1]
+    chain_task_off: list[int]      # [n_chains+1]
+    task_procs: list[int]          # [n_tasks]
+    task_dur: list[float]          # [n_tasks]
+    task_deadline: list[float]     # [n_tasks]
+    task_quality: list[float]      # [n_tasks]
     max_chains: int
     max_tasks: int
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_procs)
 
 
 def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch | None:
@@ -157,18 +188,112 @@ def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch | None:
             cto_append(len(task_procs))
         jco_append(len(chains))
     return FlatBatch(
-        jobs=jobs,
-        chains=chains,
-        releases=np.asarray(releases, dtype=np.float64),
-        job_chain_off=np.asarray(job_chain_off, dtype=np.int64),
-        chain_task_off=np.asarray(chain_task_off, dtype=np.int64),
-        task_procs=np.asarray(task_procs, dtype=np.int64),
-        task_dur=np.asarray(task_dur, dtype=np.float64),
-        task_deadline=np.asarray(task_deadline, dtype=np.float64),
-        task_quality=np.asarray(task_quality, dtype=np.float64),
-        max_chains=max_chains,
-        max_tasks=max_tasks,
+        jobs, chains, releases, job_chain_off, chain_task_off, task_procs,
+        task_dur, task_deadline, task_quality, max_chains, max_tasks,
     )
+
+
+_F8, _I8 = np.float64, np.int64
+
+#: Staged job columns (``FlatBatch`` fields) in the order they are written.
+_INPUTS = (
+    ("releases", _F8), ("job_chain_off", _I8), ("chain_task_off", _I8),
+    ("task_procs", _I8), ("task_dur", _F8), ("task_deadline", _F8),
+    ("task_quality", _F8),
+)
+
+
+class _Context:
+    """One profile's side of the kernel crossing (see "Context lifetime").
+
+    Owns the ``Context`` struct ``repro_admit_batch`` takes and, in
+    ``cols`` under the struct's field names, every buffer it points at:
+    two profile buffer sets (the C loop copies the live window into the
+    other set, mutates that and swaps the two pointer pairs, so
+    ``c.cur`` says whether the arrays bound as ``times``/``avail`` or as
+    ``times_alt``/``avail_alt`` are live), prefix and shift scratch, the
+    staged job columns, the output columns and the per-job scratch.
+    """
+
+    __slots__ = ("impl", "c", "ref", "cols", "room", "counters")
+
+    def __init__(self, impl, capacity: int) -> None:
+        self.impl = impl
+        self.c = c = Context()
+        self.ref = ctypes.byref(c)
+        c.capacity = capacity
+        self.counters = np.frombuffer(c, _I8, len(c.c), Context.c.offset)
+        self.cols: dict[str, np.ndarray] = {}
+        self.room = (0, 0, 0, 0, 0)  # jobs, chains, tasks, max_chains, max_tasks
+
+    def _bind(self, name: str, size: int, dtype=_F8) -> None:
+        arr = self.cols[name] = np.empty(size, dtype)
+        setattr(self.c, name, arr.ctypes.data)
+
+    def window(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the live window (valid until the next kernel call)."""
+        c, cols = self.c, self.cols
+        lo, hi = c.lo, c.lo + c.n
+        if c.cur:
+            return cols["times_alt"][lo:hi], cols["avail_alt"][lo:hi]
+        return cols["times"][lo:hi], cols["avail"][lo:hi]
+
+    def sync(self, profile, n_tasks: int) -> None:
+        """Make the live window the profile, with room for this batch.
+
+        Each committed task splits at most two segments.  The lists are
+        uploaded only when a Python-side mutation made the arrays stale,
+        and with them goes everything learnt about the old arrays.
+        """
+        c = self.c
+        stale = profile._dirty  # noqa: SLF001 - same package
+        n = len(profile)
+        need = n + 2 * n_tasks + 8
+        if not stale and need <= c.cap_buf:
+            return
+        source = (profile._times, profile._avail) if stale else self.window()  # noqa: SLF001
+        if need > c.cap_buf:
+            c.cap_buf = cap = 2 * need
+            for name in ("times", "times_alt", "prefix"):
+                self._bind(name, cap)
+            for name in ("avail", "avail_alt"):
+                self._bind(name, cap, _I8)
+            self._bind("scr_t", cap + 4)
+            self._bind("scr_a", cap + 4, _I8)
+            c.cur = c.prefix_valid = c.prefix_from = 0
+        c.lo, c.n = 0, n
+        times, avail = self.window()
+        times[:], avail[:] = source
+        if stale:
+            c.nfacts = c.prefix_valid = c.prefix_from = 0
+            profile._dirty = False  # noqa: SLF001
+
+    def stage(self, flat: FlatBatch) -> None:
+        """Copy the batch's columns into the staging arrays."""
+        nj, nc, nt = len(flat.jobs), len(flat.chains), len(flat.task_procs)
+        mc, mt = flat.max_chains, flat.max_tasks
+        room = self.room
+        if nj > room[0] or nc > room[1] or nt > room[2] or mc > room[3] or mt > room[4]:
+            # Re-bind every column with twice the room this batch needs.
+            # max_chains/max_tasks are the per-job scratch strides: any
+            # value at least the batch's own will do.
+            self.room = nj, nc, nt, mc, mt = (
+                max(2 * nj, room[0]), max(2 * nc, room[1]), max(2 * nt, room[2]),
+                max(min(2 * mc, _MAX_CHAINS), room[3]),
+                max(min(2 * mt, _MAX_TASKS), room[4]),
+            )
+            sizes = (nj, nj + 1, nc + 1, nt, nt, nt, nt)
+            for (name, dtype), size in zip(_INPUTS, sizes):
+                self._bind(name, size, dtype)
+            self._bind("out_chain", nj, _I8)
+            self._bind("out_starts", max(nt, 1))
+            self._bind("dscratch", mc * mt + 3 * mc + mt)
+            self._bind("iscratch", 4 * mc, _I8)
+            self.c.max_chains, self.c.max_tasks = mc, mt
+        cols = self.cols
+        for name, _ in _INPUTS:
+            values = getattr(flat, name)
+            cols[name][: len(values)] = values
 
 
 def try_admit_batch_compiled(
@@ -190,91 +315,46 @@ def try_admit_batch_compiled(
     flat = flatten_jobs(jobs)
     if flat is None:
         return None
-    schedule = arbitrator.schedule
-    profile = schedule.profile
-
-    n0 = len(profile)
-    # Each committed task splits at most two segments; headroom on top.
-    buf_cap = n0 + 2 * flat.n_tasks + 8
-    times_buf = np.empty(buf_cap, dtype=np.float64)
-    avail_buf = np.empty(buf_cap, dtype=np.int64)
-    # A memcpy when the previous call's write-back left the mirrors live.
-    times_m, avail_m = profile._mirrors()  # noqa: SLF001 - same package
-    times_buf[:n0] = times_m
-    avail_buf[:n0] = avail_m
-    prof_state = np.array([0, n0], dtype=np.int64)
-    out_chain = np.empty(len(jobs), dtype=np.int64)
-    out_starts = np.empty(max(flat.n_tasks, 1), dtype=np.float64)
-    counters = np.zeros(12, dtype=np.int64)
-    mc, mt = flat.max_chains, flat.max_tasks
-    status = impl.admit_batch(
-        times_buf=times_buf,
-        avail_buf=avail_buf,
-        prefix_buf=np.empty(buf_cap, dtype=np.float64),
-        scratch_times=np.empty(buf_cap + 4, dtype=np.float64),
-        scratch_avail=np.empty(buf_cap + 4, dtype=np.int64),
-        buf_cap=buf_cap,
-        prof_state=prof_state,
-        capacity=profile.capacity,
-        n_jobs=len(jobs),
-        releases=flat.releases,
-        job_chain_off=flat.job_chain_off,
-        chain_task_off=flat.chain_task_off,
-        task_procs=flat.task_procs,
-        task_dur=flat.task_dur,
-        task_deadline=flat.task_deadline,
-        task_quality=flat.task_quality,
-        policy=policy_code,
-        use_dup=int(scheduler.prune),  # policy is deterministic here
-        use_dom=int(scheduler.prune and scheduler.SUPPORTS_DOMINANCE),
-        use_cap=int(scheduler.prune and scheduler.SUPPORTS_FINISH_CAP),
-        do_compact=int(arbitrator.admission.compact),
-        max_chains=mc,
-        max_tasks=mt,
-        dscratch=np.empty(mc * mt + 3 * mc + mt, dtype=np.float64),
-        iscratch=np.empty(4 * mc, dtype=np.int64),
-        out_chain=out_chain,
-        out_starts=out_starts,
-        counters=counters,
-    )
+    profile = arbitrator.schedule.profile
+    ctx = profile._ctx  # noqa: SLF001 - same package
+    if ctx is None or ctx.impl is not impl:
+        profile._detach()  # noqa: SLF001 - the old context's last service
+        ctx = profile._ctx = _Context(impl, profile.capacity)  # noqa: SLF001
+    c = ctx.c
+    prune = scheduler.prune
+    c.policy = policy_code
+    c.use_dup = prune  # policy is deterministic here
+    c.use_dom = prune and scheduler.SUPPORTS_DOMINANCE
+    c.use_cap = prune and scheduler.SUPPORTS_FINISH_CAP
+    c.do_compact = arbitrator.admission.compact
+    ctx.stage(flat)
+    ctx.sync(profile, len(flat.task_procs))
+    status = impl.admit_batch(ctx.ref, len(jobs))
     if status != 0:
         kernels.note_fallback(f"admit_batch kernel status {status}")
+        profile._detach()  # noqa: SLF001 - trust the live window, nothing else
         return None
-    return _apply_batch_results(
-        arbitrator, flat, times_buf, avail_buf, prof_state, out_chain,
-        out_starts, counters,
-    )
+    return _apply_batch_results(arbitrator, flat, ctx)
 
 
 def _apply_batch_results(
-    arbitrator: "QoSArbitrator",
-    flat: FlatBatch,
-    times_buf: np.ndarray,
-    avail_buf: np.ndarray,
-    prof_state: np.ndarray,
-    out_chain: np.ndarray,
-    out_starts: np.ndarray,
-    counters: np.ndarray,
+    arbitrator: "QoSArbitrator", flat: FlatBatch, ctx: _Context
 ) -> list[AdmissionDecision]:
-    """Write the C results back into profile, schedule and accounting.
+    """Write the C results back into schedule and accounting.
 
     Every accumulator the serial loop updates per job is updated here
     with the same float operations in the same order, so each matches
     bit-for-bit; the schedule's share is folded in once per batch
-    (:meth:`Schedule.record_commits`), not once per commit.
+    (:meth:`Schedule.record_commits`), not once per commit.  The profile
+    is not written back at all: it stays in the context's arrays, and the
+    lists are dropped until somebody reads them.
     """
     schedule = arbitrator.schedule
     profile = schedule.profile
-    lo, n = prof_state.tolist()
-    new_times = times_buf[lo : lo + n].copy()
-    new_avail = avail_buf[lo : lo + n].copy()
-    profile._times = new_times.tolist()  # noqa: SLF001
-    profile._avail = new_avail.tolist()  # noqa: SLF001
-    profile._np_times = new_times  # noqa: SLF001
-    profile._np_avail = new_avail  # noqa: SLF001
-    profile._prefix = None  # noqa: SLF001
+    profile._list_times = profile._list_avail = None  # noqa: SLF001
+    profile._np_times = profile._np_avail = profile._prefix = None  # noqa: SLF001
 
-    counts = counters.tolist()
+    counts = ctx.counters.tolist()
     stats = profile.stats
     stats.shift_ops += counts[0]
     stats.segments_touched += counts[1]
@@ -285,61 +365,43 @@ def _apply_batch_results(
     stats.prefix_rebuilds += counts[5]
     stats.compactions += counts[6]
     perf = schedule.perf
-    for name, slot in (
-        ("chains_probed", 7),
-        ("chains_quick_rejected", 8),
-        ("chains_area_rejected", 9),
-        ("chains_pruned_dominated", 10),
-        ("commits", 11),
-    ):
-        if counts[slot]:
-            perf.count(name, counts[slot])
+    perf.chains_probed += counts[7]
+    perf.chains_quick_rejected += counts[8]
+    perf.chains_area_rejected += counts[9]
+    perf.chains_pruned_dominated += counts[10]
+    perf.commits += counts[11]
 
     comp = arbitrator.quality_composition
+    n_jobs, n_chains, n_tasks = len(flat.jobs), len(flat.chains), len(flat.task_procs)
+    cols = ctx.cols
+    chosen = cols["out_chain"][:n_jobs].tolist()
+    starts = cols["out_starts"][:n_tasks].tolist()
 
     # Quality accounting.  PRODUCT / MIN compose with order-exact numpy
-    # reductions (sequential multiply / exact min over each chain's task
-    # slice, then an exact max across each job's chains), and the running
-    # accumulators are replayed with a cumsum seeded by the current value
-    # — the identical left-to-right float additions the serial loop
-    # performs.  MEAN uses math.fsum, which has no cheap vector
-    # equivalent, so it keeps the per-job Python calls.
+    # reductions over the staged columns (sequential multiply / exact min
+    # over each chain's task slice, then an exact max across each job's
+    # chains); the running accumulators take them with the serial loop's
+    # own left-to-right Python additions.  MEAN uses math.fsum, which has
+    # no cheap vector equivalent, so it keeps the per-job Python calls.
     chain_q = None
-    if len(flat.chains) and flat.n_tasks:
-        starts_idx = flat.chain_task_off[:-1]
-        if comp is QualityComposition.PRODUCT:
-            chain_q = np.multiply.reduceat(flat.task_quality, starts_idx)
-        elif comp is QualityComposition.MIN:
-            chain_q = np.minimum.reduceat(flat.task_quality, starts_idx)
-    if chain_q is not None:
-        best_q = np.maximum.reduceat(chain_q, flat.job_chain_off[:-1])
-        arbitrator._quality_possible = float(  # noqa: SLF001
-            np.cumsum(
-                np.concatenate(
-                    ((arbitrator._quality_possible,), best_q)  # noqa: SLF001
-                )
-            )[-1]
+    if n_chains and n_tasks and comp is not QualityComposition.MEAN:
+        reduce = np.multiply if comp is QualityComposition.PRODUCT else np.minimum
+        chain_q = reduce.reduceat(
+            cols["task_quality"][:n_tasks], cols["chain_task_off"][:n_chains]
         )
-        admitted_q = chain_q[out_chain[out_chain >= 0]]
-        if admitted_q.size:
-            arbitrator._quality_sum = float(  # noqa: SLF001
-                np.cumsum(
-                    np.concatenate(
-                        ((arbitrator._quality_sum,), admitted_q)  # noqa: SLF001
-                    )
-                )[-1]
-            )
+        possible = arbitrator._quality_possible  # noqa: SLF001
+        for q in np.maximum.reduceat(chain_q, cols["job_chain_off"][:n_jobs]).tolist():
+            possible += q
+        arbitrator._quality_possible = possible  # noqa: SLF001
+        chain_q = chain_q.tolist()
     else:
         for job in flat.jobs:
             arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
 
     # One pass over the decided rows, every NumPy column read as a list:
     # ``int(out_chain[jb])`` costs ~0.17 us a read, a list item ~0.01.
-    chosen = out_chain.tolist()
-    job_off = flat.job_chain_off.tolist()
-    task_off = flat.chain_task_off.tolist()
-    starts = out_starts.tolist()
-    task_area = (flat.task_procs * flat.task_dur).tolist()
+    task_off = flat.chain_task_off
+    task_area = (cols["task_procs"][:n_tasks] * cols["task_dur"][:n_tasks]).tolist()
     chains = flat.chains
     admission = arbitrator.admission
     by_chain = admission.decisions_by_chain
@@ -350,7 +412,8 @@ def _apply_batch_results(
     committed: list[ChainPlacement] = []
     finishes: list[float] = []
     areas: list[float] = []
-    for job, c, off in zip(flat.jobs, chosen, job_off):
+    quality = arbitrator._quality_sum  # noqa: SLF001
+    for job, c, off in zip(flat.jobs, chosen, flat.job_chain_off):
         if c < 0:
             append(AdmissionDecision(job.job_id, False, None, refused))
             continue
@@ -369,9 +432,9 @@ def _apply_batch_results(
         finishes.append(starts[t1 - 1] + tasks[-1].duration)
         areas.append(sum(task_area[t0:t1]))
         by_chain[chain_index] = by_chain.get(chain_index, 0) + 1
-        if chain_q is None:
-            arbitrator._quality_sum += chain_quality(chain, comp)  # noqa: SLF001
+        quality += chain_q[c] if chain_q is not None else chain_quality(chain, comp)
         append(AdmissionDecision(job.job_id, True, cp))
+    arbitrator._quality_sum = quality  # noqa: SLF001
     admission.admitted += len(committed)
     admission.rejected += len(chosen) - len(committed)
     if committed:

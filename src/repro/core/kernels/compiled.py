@@ -3,9 +3,9 @@
 Loads the shared object built by :mod:`repro.core.kernels.build` and
 exposes the same interface as :mod:`repro.core.kernels.pykernels`, plus
 :meth:`CompiledKernels.admit_batch` — the one-call batched admission
-loop.  All array arguments are contiguous NumPy arrays passed by raw
-pointer; the C side never allocates, so ownership stays entirely with
-the caller.
+loop over a :class:`Context` the caller builds once per profile.  All
+array arguments are contiguous NumPy arrays passed by raw pointer; the C
+side never allocates, so ownership stays entirely with the caller.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.kernels.build import ABI_VERSION, ensure_built, notice
 from repro.errors import ConfigurationError
 
-__all__ = ["CompiledKernels", "load"]
+__all__ = ["CompiledKernels", "Context", "load"]
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -30,6 +30,39 @@ def _dp(arr: np.ndarray):
 
 def _ip(arr: np.ndarray):
     return arr.ctypes.data_as(_c_int64_p)
+
+
+_i64, _ptr = ctypes.c_int64, ctypes.c_void_p
+
+
+class _Fact(ctypes.Structure):
+    _fields_ = [("w", _i64), ("d", ctypes.c_double), ("r", ctypes.c_double),
+                ("s", ctypes.c_double)]
+
+
+class Context(ctypes.Structure):
+    """``Prof`` of ``_kernels.c``, field for field (the loader compares
+    sizes).  Pointer fields take ``ndarray.ctypes.data``; whoever sets one
+    keeps the array alive (:mod:`repro.core.kernels.batch` does)."""
+
+    _fields_ = [
+        *((name, _ptr) for name in (
+            "times", "avail", "times_alt", "avail_alt", "prefix", "scr_t",
+            "scr_a")),
+        *((name, _i64) for name in (
+            "cap_buf", "cur", "lo", "n", "capacity", "prefix_valid",
+            "prefix_from", "policy", "use_dup", "use_dom", "use_cap",
+            "do_compact")),
+        *((name, _ptr) for name in (
+            "releases", "job_chain_off", "chain_task_off", "task_procs",
+            "task_dur", "task_deadline", "task_quality")),
+        ("max_chains", _i64), ("max_tasks", _i64),
+        *((name, _ptr) for name in (
+            "dscratch", "iscratch", "out_chain", "out_starts")),
+        ("c", _i64 * 12),  # N_COUNTERS
+        ("nfacts", _i64), ("fact_evict", _i64),
+        ("facts", _Fact * 64),  # NFACTS
+    ]
 
 
 class CompiledKernels:
@@ -54,25 +87,21 @@ class CompiledKernels:
             _c_int64_p, ctypes.c_int64, ctypes.c_int64,
         )
         lib.repro_admit_batch.restype = ctypes.c_int64
-        lib.repro_admit_batch.argtypes = (
-            _c_double_p, _c_int64_p, _c_double_p, _c_double_p, _c_int64_p,
-            ctypes.c_int64,  # buf_cap
-            _c_int64_p,      # prof_state
-            ctypes.c_int64, ctypes.c_int64,  # capacity, n_jobs
-            _c_double_p, _c_int64_p, _c_int64_p,  # releases, job/chain offsets
-            _c_int64_p, _c_double_p, _c_double_p, _c_double_p,  # task arrays
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64,  # policy, use_dup, use_dom, use_cap, do_compact
-            ctypes.c_int64, ctypes.c_int64,  # max_chains, max_tasks
-            _c_double_p, _c_int64_p,         # dscratch, iscratch
-            _c_int64_p, _c_double_p, _c_int64_p,  # out_chain, out_starts, counters
-        )
+        lib.repro_admit_batch.argtypes = (ctypes.POINTER(Context), ctypes.c_int64)
         self._lib = lib
         got = int(lib.repro_abi_version())
         if got != ABI_VERSION:
             raise ConfigurationError(
                 f"compiled kernel ABI {got} != expected {ABI_VERSION} "
                 f"({path}); rebuild with python -m repro.core.kernels --build --force"
+            )
+        lib.repro_ctx_size.restype = ctypes.c_int64
+        lib.repro_ctx_size.argtypes = ()
+        size = int(lib.repro_ctx_size())
+        if size != ctypes.sizeof(Context):
+            raise ConfigurationError(
+                f"compiled kernel context is {size} bytes, compiled.Context "
+                f"{ctypes.sizeof(Context)} ({path}): layouts drifted"
             )
 
     # -- scan back-end protocol (mirrors pykernels) --------------------
@@ -101,27 +130,12 @@ class CompiledKernels:
 
     # -- batched admission ---------------------------------------------
 
-    def admit_batch(self, **kw) -> int:
-        """Raw batched admission call; see ``_kernels.c`` for the layout.
-
-        Keyword names match the C parameter names one-to-one.  Returns
-        the C status code (0 = OK); the driver in
-        :mod:`repro.core.kernels.batch` owns buffer preparation and
-        result write-back.
-        """
-        return int(self._lib.repro_admit_batch(
-            _dp(kw["times_buf"]), _ip(kw["avail_buf"]), _dp(kw["prefix_buf"]),
-            _dp(kw["scratch_times"]), _ip(kw["scratch_avail"]),
-            kw["buf_cap"], _ip(kw["prof_state"]), kw["capacity"],
-            kw["n_jobs"], _dp(kw["releases"]), _ip(kw["job_chain_off"]),
-            _ip(kw["chain_task_off"]), _ip(kw["task_procs"]),
-            _dp(kw["task_dur"]), _dp(kw["task_deadline"]),
-            _dp(kw["task_quality"]), kw["policy"], kw["use_dup"],
-            kw["use_dom"], kw["use_cap"], kw["do_compact"],
-            kw["max_chains"], kw["max_tasks"], _dp(kw["dscratch"]),
-            _ip(kw["iscratch"]), _ip(kw["out_chain"]), _dp(kw["out_starts"]),
-            _ip(kw["counters"]),
-        ))
+    def admit_batch(self, ctx, n_jobs: int) -> int:
+        """Decide the ``n_jobs`` staged in ``ctx`` (a ``byref`` of a
+        :class:`Context`); returns the C status code (0 = OK).  The driver
+        in :mod:`repro.core.kernels.batch` owns the context, staging and
+        result write-back."""
+        return self._lib.repro_admit_batch(ctx, n_jobs)
 
 
 _loaded: CompiledKernels | None = None

@@ -40,13 +40,30 @@ rebuilds; they are always on and cost a few integer adds per operation.
 The profile also keeps NumPy mirrors of ``_times`` and ``_avail``
 (:meth:`_mirrors`): built lazily on the first flat-array probe, then kept
 in sync by the same windowed splice ``_shift`` applies to the lists (one
-C-level concatenate each per mutation).  The flat-array scan and the C
-batch admission loop (:mod:`repro.core.kernels`) read them.
+C-level concatenate each per mutation).  The flat-array scan reads them.
 
-Two scans and how ``auto`` chooses
-----------------------------------
-Two back-ends answer fit/min/area queries, named by the ``backend``
-constructor argument and resolved per query by :meth:`scan_backend`:
+Which side is current
+---------------------
+The C admission loop (:mod:`repro.core.kernels.batch`) mutates its own
+arrays, held in a per-profile kernel context (``_ctx``).  A successful
+call drops the lists; the first Python-side read of ``_times`` /
+``_avail`` rebuilds them from the context's live window, so every scalar
+walk, ``holes``, the auditor, ``copy`` and ``==`` see the lists they
+always saw, while ``len()`` and ``origin`` answer from whichever side is
+current without converting.  A Python-side mutation (``_shift``,
+``compact``, an assignment to ``_times`` / ``_avail``) sets ``_dirty``:
+the arrays are stale and the next kernel call re-uploads the lists.
+
+Two scans and who still consults the resolver
+---------------------------------------------
+Whole decisions go through the C loop whenever it takes them (see "What
+the C loop does not take" in :mod:`repro.core.kernels.batch`), and that
+loop has its own walk.  What is left for the Python-side scans is the
+reference path — ``backend="scalar"``, RANDOM tie-breaks, malleable
+chains, MAX_QUALITY, ``REPRO_KERNEL=python`` — and point queries from
+outside the decision loop (``min_available``, ``free_area``, ``holes``).
+Two back-ends answer those, named by the ``backend`` constructor
+argument and resolved per query by :meth:`scan_backend`:
 
 * ``"scalar"`` — the per-segment Python walks in this module and
   :func:`~repro.core.first_fit._scalar_scan` (the seed semantics and the
@@ -113,7 +130,10 @@ def check_backend(backend: object) -> None:
 VECTOR_MIN_SEGMENTS = 2048
 
 #: Segment count from which the *compiled* ``"kernel"`` back-end beats the
-#: scalar walk on serial decisions.  The committed decision-throughput
+#: scalar walk when Python probes chain by chain — since ``submit`` became
+#: a batch of one through the C loop this governs only the reference path
+#: (RANDOM, malleable, MAX_QUALITY on a deep profile) and point queries.
+#: The committed decision-throughput
 #: data (``BENCH_sched.json``) puts serial-kernel *behind* serial-python
 #: at 100 segments (25.4k vs 31.0k decisions/s — the ctypes call overhead
 #: loses on a short walk) and ahead at 1000 (23.3k vs 12.7k/s), and the
@@ -162,8 +182,10 @@ class AvailabilityProfile:
 
     __slots__ = (
         "_capacity",
-        "_times",
-        "_avail",
+        "_list_times",
+        "_list_avail",
+        "_ctx",
+        "_dirty",
         "_prefix",
         "_np_times",
         "_np_avail",
@@ -180,8 +202,12 @@ class AvailabilityProfile:
             raise ConfigurationError(f"origin must be finite, got {origin!r}")
         check_backend(backend)
         self._capacity = capacity
-        self._times: list[float] = [origin]
-        self._avail: list[int] = [capacity]
+        #: Kernel context of the C admission loop (None until its first
+        #: call; owned by :mod:`repro.core.kernels.batch`) and whether its
+        #: arrays are stale — see "Which side is current".
+        self._ctx = None
+        self._times = [origin]
+        self._avail = [capacity]
         #: Cached free-area prefix sums; None whenever the profile mutated
         #: since the last area query (rebuilt lazily by :meth:`_ensure_prefix`).
         self._prefix: "list[float] | np.ndarray | None" = None
@@ -206,9 +232,46 @@ class AvailabilityProfile:
         return self._capacity
 
     @property
+    def _times(self) -> list[float]:
+        lst = self._list_times
+        return lst if lst is not None else self._pull()[0]
+
+    @_times.setter
+    def _times(self, value: list[float]) -> None:
+        self._list_times = value
+        self._dirty = True
+
+    @property
+    def _avail(self) -> list[int]:
+        lst = self._list_avail
+        return lst if lst is not None else self._pull()[1]
+
+    @_avail.setter
+    def _avail(self, value: list[int]) -> None:
+        self._list_avail = value
+        self._dirty = True
+
+    def _pull(self) -> tuple[list[float], list[int]]:
+        """Rebuild the dropped lists from the kernel context's live window."""
+        times, avail = self._ctx.window()
+        if self._list_times is None:
+            self._list_times = times.tolist()
+        if self._list_avail is None:
+            self._list_avail = avail.tolist()
+        return self._list_times, self._list_avail
+
+    def _detach(self) -> None:
+        """Make the lists the one current side (rebuilt first if dropped):
+        whatever the kernel context holds is stale from here on."""
+        if self._list_times is None or self._list_avail is None:
+            self._pull()
+        self._dirty = True
+
+    @property
     def origin(self) -> float:
         """Earliest instant described by the profile."""
-        return self._times[0]
+        lst = self._list_times
+        return lst[0] if lst is not None else float(self._ctx.window()[0][0])
 
     @property
     def backend(self) -> str:
@@ -228,7 +291,8 @@ class AvailabilityProfile:
             yield (start, end, avail)
 
     def __len__(self) -> int:
-        return len(self._times)
+        lst = self._list_times
+        return len(lst) if lst is not None else self._ctx.c.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AvailabilityProfile):
@@ -253,6 +317,7 @@ class AvailabilityProfile:
         """Return an independent deep copy (with fresh stats counters)."""
         new = AvailabilityProfile.__new__(AvailabilityProfile)
         new._capacity = self._capacity
+        new._ctx = None  # a context serves one profile
         new._times = list(self._times)
         new._avail = list(self._avail)
         new._prefix = None
@@ -537,6 +602,7 @@ class AvailabilityProfile:
             hi += 1  # absorb the right border segment's breakpoint
         times[i:hi] = new_times
         avail[i:hi] = new_avail
+        self._dirty = True
         # Same splice, applied to any live mirror in one C-level concatenate
         # each.  (Explicit dtypes: an empty replacement window must not
         # promote the availability mirror to float64.)

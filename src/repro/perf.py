@@ -93,8 +93,8 @@ class ProfileStats:
 #: slot on :class:`PerfRecorder`, so the hot sites (schedulers, schedule,
 #: arbitrator) increment them with a bare ``recorder.name += 1`` — no
 #: dict hashing, no string lookup per decision.  ``count()`` routes these
-#: names to their slots, so call sites that prefer the generic API (and
-#: the compiled batch kernel's counter write-back) stay correct.
+#: names to their slots, so call sites that prefer the generic API stay
+#: correct.
 HOT_COUNTERS = (
     "commits",
     "commit_failures",

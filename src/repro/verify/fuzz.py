@@ -24,10 +24,15 @@ rigid or malleable).  For each case the harness:
    would prove one of them invalid).
 5. **Batch identity** — :meth:`QoSArbitrator.admit_batch` over the whole
    case replays bit-identical to the serial submit loop, per policy.
-   The ``"kernel"`` scan back-end in the differential matrix and the
-   batched runs both route through :mod:`repro.core.kernels`, so running
-   the fuzzer under ``REPRO_KERNEL=compiled`` (CI does) pits the
-   compiled C kernels against the pure-Python stack case by case.
+   Which arm is which: ``submit`` is a batch of one through the C
+   admission loop on every back-end but ``"scalar"``, so under
+   ``REPRO_KERNEL=compiled`` (CI runs both) the ``"kernel"`` arm of the
+   differential matrix, the ``"auto"`` serial runs of the metamorphic and
+   batch checks and every batched run are **C** for the deterministic
+   rigid policies, and the ``"scalar"`` arm is the **reference**:
+   :class:`GreedyScheduler` over the Python walk.  The matrix pits the
+   two against each other case by case; RANDOM, malleable and
+   ``REPRO_KERNEL=python`` runs are Python on every arm.
    A share of the campaign's cases are *floods* (:func:`random_flood`:
    tens to hundreds of jobs from a few shapes) that get this check
    alone: the C loop skips what an earlier probe of the same call ruled
@@ -87,9 +92,11 @@ CORPUS_VERSION = 1
 #: combinations must draw the same stream for identity to be meaningful.
 _RANDOM_POLICY_SEED = 1234
 
-#: Scan back-ends under differential test: the reference walk against the
-#: flat-array walk (compiled C or its NumPy fallback, per ``REPRO_KERNEL``
-#: — CI runs the campaign under both).
+#: Back-ends under differential test: the reference (``GreedyScheduler``
+#: over the scalar walk) against ``"kernel"`` — whole decisions in the C
+#: loop when it is compiled and takes the policy, the flat-array walk
+#: under ``GreedyScheduler`` otherwise (CI runs the campaign under both
+#: ``REPRO_KERNEL`` settings).
 _BACKENDS: tuple[str, ...] = ("scalar", "kernel")
 
 #: Deterministic policies checked by the order-metamorphic test.

@@ -7,6 +7,10 @@ mode, tie-break policy, kernel implementation, scheduler flavour, and
 arbitration objective, including batches interrupted by a
 capacity-fault schedule swap from :mod:`repro.resilience`.  Identity is
 asserted on full observable state, not just the decision digests.
+
+``submit`` itself is a batch of one through the C loop on every back-end
+but ``"scalar"``, so the serial side of each comparison pins
+``backend="scalar"``: the tests stay C against Python, not C against C.
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ def test_batch_identical_to_serial_across_matrix(kmode, backend, prune, policy):
     with kernels.use(kmode):
         for seed in range(8):
             case = random_case(random.Random(seed), malleable=(seed % 4 == 3))
-            serial = run_case(
-                case, backend=backend, prune=prune, policy=policy, audit=False
+            serial = run_case(  # scalar: the Python-decided side
+                case, backend="scalar", prune=prune, policy=policy, audit=False
             )
             batch = run_case_batch(
                 case, backend=backend, prune=prune, policy=policy, audit=False
@@ -101,8 +105,8 @@ def test_batch_identity_property(seed, malleable, backend, prune, policy, kmode)
     any back-end × prune × tie-break × kernel, batch == serial."""
     with kernels.use(kmode):
         case = random_case(random.Random(seed), malleable=malleable)
-        serial = run_case(
-            case, backend=backend, prune=prune, policy=policy, audit=False
+        serial = run_case(  # scalar: the Python-decided side
+            case, backend="scalar", prune=prune, policy=policy, audit=False
         )
         batch = run_case_batch(
             case, backend=backend, prune=prune, policy=policy, audit=False
@@ -125,7 +129,9 @@ def test_single_job_batch_matches_submit(kmode):
         for seed in range(12):
             case = random_case(random.Random(seed))
             job = case.jobs[0]
-            a = QoSArbitrator(case.capacity, seed=_RANDOM_POLICY_SEED)
+            a = QoSArbitrator(  # scalar: submit decided in Python
+                case.capacity, seed=_RANDOM_POLICY_SEED, backend="scalar"
+            )
             b = QoSArbitrator(case.capacity, seed=_RANDOM_POLICY_SEED)
             d_serial = a.submit(job)
             (d_batch,) = b.admit_batch([job])
@@ -155,8 +161,10 @@ def test_batch_spanning_capacity_fault_event(kmode):
             cut = len(case.jobs) // 2
             arbs = []
             for batched in (False, True):
+                # scalar on the serial side: submit decided in Python
+                backend = "auto" if batched else "scalar"
                 arbitrator = QoSArbitrator(
-                    case.capacity, seed=_RANDOM_POLICY_SEED
+                    case.capacity, seed=_RANDOM_POLICY_SEED, backend=backend
                 )
 
                 def feed(jobs, *, batched=batched, arbitrator=arbitrator):
@@ -168,7 +176,7 @@ def test_batch_spanning_capacity_fault_event(kmode):
 
                 feed(case.jobs[:cut])
                 arbitrator.adopt_schedule(
-                    Schedule(event.new_capacity, origin=event.time)
+                    Schedule(event.new_capacity, origin=event.time, backend=backend)
                 )
                 feed(case.jobs[cut:])
                 arbs.append(arbitrator)
@@ -284,8 +292,10 @@ def test_flood_batch_identical_to_serial(seed, compact, prune, policy, kmode):
             for j in jobs
         ]
     serial, batch = (
-        QoSArbitrator(case.capacity, compact=compact, prune=prune, policy=policy)
-        for _ in range(2)
+        QoSArbitrator(
+            case.capacity, compact=compact, prune=prune, policy=policy, backend=backend
+        )
+        for backend in ("scalar", "auto")  # scalar: submit decided in Python
     )
     for job in jobs:
         serial.submit(job)
@@ -354,7 +364,9 @@ def test_more_shapes_than_the_fact_table_holds(kmode):
     durations = [1.0 + k / 4 for k in range(100)] * 3
     random.Random(0).shuffle(durations)
     flood = [Job(chains=_one_task(2, d, 10_000.0), release=0.0) for d in durations]
-    serial, batch = (QoSArbitrator(4, compact=False) for _ in range(2))
+    serial, batch = (  # scalar: submit decided in Python
+        QoSArbitrator(4, compact=False, backend=backend) for backend in ("scalar", "auto")
+    )
     for arbitrator in (serial, batch):
         assert all(arbitrator.submit(job).admitted for job in teeth)
     for job in flood:
@@ -416,7 +428,8 @@ def test_batch_serial_batch_keeps_commit_order(kmode):
     for seed in range(4):
         capacity, jobs = _flood(seed)
         a, b = len(jobs) // 3, 2 * len(jobs) // 3
-        serial, mixed = QoSArbitrator(capacity), QoSArbitrator(capacity)
+        # scalar: the all-serial order is the Python-decided one
+        serial, mixed = QoSArbitrator(capacity, backend="scalar"), QoSArbitrator(capacity)
         for job in jobs:
             serial.submit(job)
         with kernels.use(kmode):
@@ -438,7 +451,10 @@ def test_rollback_after_a_batch_shrinks_the_window(kmode, which):
     for seed in range(4):
         capacity, jobs = _flood(seed)
         # No compaction: the earliest job's room must still be on the profile.
-        serial, batch = (QoSArbitrator(capacity, compact=False) for _ in range(2))
+        serial, batch = (  # scalar: submit decided in Python
+            QoSArbitrator(capacity, compact=False, backend=backend)
+            for backend in ("scalar", "auto")
+        )
         placed = [
             d.placement for d in map(serial.submit, jobs) if d.admitted
         ]
@@ -540,8 +556,9 @@ def test_float_accumulators_bit_equal_to_serial(kmode, comp, n_tasks):
     """Sums of three or more terms are where an out-of-order reduction
     (``np.add.reduceat``) parts from the serial left-to-right additions."""
     jobs = _long_chain_jobs(random.Random(n_tasks), n_tasks, 120)
-    serial, batch = (
-        QoSArbitrator(8, quality_composition=comp) for _ in range(2)
+    serial, batch = (  # scalar: the serial loop's own Python additions
+        QoSArbitrator(8, quality_composition=comp, backend=backend)
+        for backend in ("scalar", "auto")
     )
     for job in jobs:
         serial.submit(job)

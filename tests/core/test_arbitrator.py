@@ -110,3 +110,64 @@ class TestSubmit:
             decisions = [arb.submit(two_path_job(release=float(i))) for i in range(5)]
             results.append([d.chain_index for d in decisions])
         assert results[0] == results[1]
+
+
+class TestAFailedDecisionCountsNothing:
+    """Decide, then account: a decision that raises (a reservation refused
+    inside ``Schedule.commit``) leaves every accumulator and the profile
+    exactly as they were — ``_quality_possible`` included, which used to
+    be bumped before deciding and then ran ahead of ``offered``."""
+
+    @staticmethod
+    def _snapshot(arb):
+        profile = arb.schedule.profile
+        return (
+            arb._quality_possible, arb._quality_sum,  # noqa: SLF001
+            arb.admitted, arb.rejected, arb.chain_usage(),
+            profile.breakpoints, tuple(profile.segments()),
+            arb.schedule.committed_jobs, arb.schedule.committed_area,
+        )
+
+    @pytest.mark.parametrize("objective", tuple(ArbitrationObjective))
+    @pytest.mark.parametrize("call", ("submit", "resubmit", "admit_batch"))
+    def test_commit_that_raises(self, monkeypatch, objective, call):
+        from repro.core.profile import AvailabilityProfile
+        from repro.errors import CapacityExceededError
+
+        from repro.core import kernels
+
+        # backend="scalar" (and, for admit_batch, the Python kernels): the
+        # Python path, the only one that commits through Schedule.commit —
+        # the C loop reports a status and falls back instead of raising.
+        arb = QoSArbitrator(4, objective=objective, backend="scalar")
+        assert arb.submit(two_path_job()).admitted
+        before = self._snapshot(arb)
+        offered = arb.admitted + arb.rejected
+
+        def refuse(self, t0, t1, processors):
+            raise CapacityExceededError("injected")
+
+        monkeypatch.setattr(AvailabilityProfile, "reserve", refuse)
+        with pytest.raises(CapacityExceededError), kernels.use("python"):
+            if call == "admit_batch":
+                arb.admit_batch([two_path_job(release=1.0)])
+            else:
+                getattr(arb, call)(two_path_job(release=1.0))
+        monkeypatch.undo()
+        assert self._snapshot(arb) == before
+        assert arb.admitted + arb.rejected == offered
+        assert arb.schedule.perf.commit_failures == 1
+
+    def test_resubmit_nets_out_exactly_one_rejection(self):
+        for admit in (True, False):
+            arb = QoSArbitrator(4, malleable=True)
+            blocker = arb.schedule.profile
+            blocker.reserve(0.0, 99.5, 4)
+            job = two_path_job()
+            assert not arb.submit(job).admitted
+            possible = arb._quality_possible  # noqa: SLF001
+            if admit:
+                blocker.release(0.0, 99.5, 4)
+            assert arb.resubmit(job).admitted is admit
+            assert (arb.admitted, arb.rejected) == ((1, 0) if admit else (0, 1))
+            assert arb._quality_possible == possible  # noqa: SLF001

@@ -1,0 +1,431 @@
+"""The per-profile kernel context: one crossing for every batch size.
+
+``submit(job)`` is a batch of one through ``repro_admit_batch`` over a
+context bound once per :class:`AvailabilityProfile`
+(:mod:`repro.core.kernels.batch`, "Context lifetime").  Between kernel
+calls the profile lives in the context's arrays; the lists come back on
+the first Python-side read, and a Python-side mutation makes the next
+call re-upload them.  Every test here runs an ``auto`` arbitrator (the C
+loop when compiled) beside the reference — ``backend="scalar"``, serial
+``submit``, decided by ``GreedyScheduler`` — and compares full state.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import kernels
+from repro.core.arbitrator import QoSArbitrator
+from repro.core.profile import AvailabilityProfile
+from repro.core.schedule import Schedule
+from repro.model.job import Job
+from repro.verify.fuzz import random_flood
+from tests.core.test_admit_batch import KERNEL_MODES, _one_task, _state, needs_compiled
+
+_STEPS = st.one_of(
+    st.just(("submit",)),
+    st.tuples(st.just("batch"), st.integers(1, 40)),
+    st.tuples(st.just("python"), st.integers(1, 5)),  # that many jobs, Python kernels
+    st.tuples(st.just("rollback"), st.integers(0, 10**6)),
+    st.tuples(st.just("reserve"), st.integers(0, 80), st.integers(1, 12), st.integers(1, 8)),
+    st.just(("release",)),
+    st.just(("compact",)),
+    st.tuples(st.just("adopt"), st.booleans()),
+    st.tuples(st.just("read"), st.sampled_from(
+        ("segments", "breakpoints", "check_invariants", "copy", "eq", "len")
+    )),
+)
+
+
+class _Pair:
+    """An ``auto`` arbitrator and the reference, driven in lockstep."""
+
+    def __init__(self, seed: int) -> None:
+        case = random_flood(random.Random(seed), min_jobs=150, max_jobs=300)
+        self.jobs = list(case.jobs)
+        self.at = 0
+        self.auto = QoSArbitrator(case.capacity)
+        self.ref = QoSArbitrator(case.capacity, backend="scalar")
+        self.reserved: list[tuple[float, float, int]] = []
+
+    def take(self, k: int) -> list[Job]:
+        jobs = self.jobs[self.at : self.at + k]
+        self.at += len(jobs)
+        return jobs
+
+    def profiles(self) -> tuple[AvailabilityProfile, AvailabilityProfile]:
+        return self.auto.schedule.profile, self.ref.schedule.profile
+
+    def step(self, op: tuple) -> None:
+        kind = op[0]
+        auto, ref = self.auto, self.ref
+        if kind in ("submit", "batch", "python"):
+            jobs = self.take(1 if kind == "submit" else op[1])
+            want = [ref.submit(job) for job in jobs]
+            if kind == "submit":
+                got = [auto.submit(job) for job in jobs]
+            elif kind == "batch":
+                got = auto.admit_batch(jobs)
+            else:
+                with kernels.use("python"):
+                    got = [auto.submit(job) for job in jobs]
+            assert got == want
+        elif kind == "rollback":
+            held = ref.schedule.placements
+            origin = ref.schedule.profile.origin
+            live = [cp for cp in held if cp.start >= origin]
+            if live:
+                cp = live[op[1] % len(live)]
+                for arbitrator in (auto, ref):
+                    arbitrator.schedule.rollback(cp)  # equal by value in ``auto``
+        elif kind == "reserve":
+            profile = ref.schedule.profile
+            t0 = profile.origin + op[1] / 2
+            t1 = t0 + op[2] / 2
+            width = min(op[3], profile.min_available(t0, t1))
+            if width >= 1:
+                for profile in self.profiles():
+                    profile.reserve(t0, t1, width)
+                self.reserved.append((t0, t1, width))
+        elif kind == "release":
+            if self.reserved:
+                t0, t1, width = self.reserved.pop()
+                t0 = max(t0, ref.schedule.profile.origin)
+                if t1 > t0 + 1e-6:
+                    for profile in self.profiles():
+                        profile.release(t0, t1, width)
+        elif kind == "compact":
+            if self.at < len(self.jobs):
+                for arbitrator in (auto, ref):
+                    arbitrator.schedule.compact(self.jobs[self.at].release)
+        elif kind == "adopt":
+            capacity = auto.capacity if op[1] else max(2, auto.capacity // 2)
+            origin = ref.schedule.profile.origin
+            auto.adopt_schedule(Schedule(capacity, origin=origin))
+            ref.adopt_schedule(Schedule(capacity, origin=origin, backend="scalar"))
+            self.reserved.clear()
+        else:
+            mine, theirs = self.profiles()
+            if op[1] == "segments":
+                assert list(mine.segments()) == list(theirs.segments())
+            elif op[1] == "breakpoints":
+                assert mine.breakpoints == theirs.breakpoints
+            elif op[1] == "check_invariants":
+                mine.check_invariants()
+            elif op[1] == "copy":
+                clone = mine.copy()
+                assert clone == mine and clone._ctx is None  # noqa: SLF001
+            elif op[1] == "eq":
+                assert mine == theirs
+            else:
+                assert (len(mine), mine.origin) == (len(theirs), theirs.origin)
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.lists(_STEPS, min_size=5, max_size=40))
+@settings(max_examples=25, deadline=None)
+def test_every_interleaving_matches_the_reference(kmode, seed, steps):
+    """Kernel calls of every size interleaved with Python-side reads and
+    mutations, a schedule swap and a kernel flip: same decisions, same
+    state, after every step."""
+    with kernels.use(kmode):
+        pair = _Pair(seed)
+        for op in steps:
+            pair.step(op)
+            assert len(pair.auto.schedule.profile) == len(pair.ref.schedule.profile)
+            assert _state(pair.auto) == _state(pair.ref)
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+@pytest.mark.parametrize("how", ("rollback", "release"))
+@pytest.mark.parametrize("batched", (False, True))
+def test_facts_do_not_outlive_a_python_side_release(kmode, how, batched):
+    """``test_no_fit_facts_do_not_cross_calls`` with the reference on the
+    serial side and ``submit`` as well as ``admit_batch`` after the
+    release: what the context learnt before it is gone."""
+    for seed in range(6):
+        case = random_flood(random.Random(seed), min_jobs=200, max_jobs=300)
+        cut = len(case.jobs) // 2
+        head, tail = list(case.jobs[:cut]), list(case.jobs[cut:])
+        with kernels.use(kmode):
+            auto = QoSArbitrator(case.capacity)
+            ref = QoSArbitrator(case.capacity, backend="scalar")
+            first = [ref.submit(job) for job in head]
+            assert [auto.submit(job) for job in head] == first
+            freed = max(
+                (d.placement for d in first if d.admitted), key=lambda cp: cp.finish
+            )
+            for arbitrator in (auto, ref):
+                if how == "rollback":
+                    arbitrator.schedule.rollback(freed)
+                else:
+                    for pl in reversed(freed.placements):
+                        arbitrator.schedule.profile.release(
+                            pl.start, pl.end, pl.processors
+                        )
+            want = [ref.submit(job) for job in tail]
+            got = auto.admit_batch(tail) if batched else [auto.submit(j) for j in tail]
+            assert got == want
+            assert _state(auto) == _state(ref)
+
+
+def _comb_jobs(n: int, seed: int) -> list[Job]:
+    """Job k must run over ``[2k, 2k + d)`` with ``d < 2``: with compaction
+    off every commit leaves two breakpoints behind for good."""
+    rng = random.Random(seed)
+    jobs = []
+    for k in range(n):
+        duration = rng.uniform(0.5, 1.5)
+        chains = _one_task(rng.randint(1, 8), duration, duration)
+        jobs.append(Job(chains=chains, release=2.0 * k, job_id=k))
+    return jobs
+
+
+@needs_compiled
+def test_growth_rebinds_and_never_overflows():
+    """From 1 to more than 10,000 segments through alternating submits and
+    1,024-job batches: the buffers are re-bound as the headroom runs out,
+    no call overflows, and the state is that of one call with room for
+    everything from the start (the Python reference would spend seconds
+    re-summing a 10,000-entry prefix per commit; it checks a head)."""
+    jobs = _comb_jobs(5_300, 3)
+    with kernels.use("compiled"):
+        fallbacks = kernels.stats.fallbacks
+        grown, once = (QoSArbitrator(64, compact=False) for _ in range(2))
+        ref = QoSArbitrator(64, compact=False, backend="scalar")
+        assert once.admit_batch(jobs)[:600] == [ref.submit(job) for job in jobs[:600]]
+        at, caps = 0, set()
+        while at < len(jobs):
+            for job in jobs[at : at + 16]:
+                grown.submit(job)
+            grown.admit_batch(jobs[at + 16 : at + 16 + 1024])
+            at += 16 + 1024
+            caps.add(grown.schedule.profile._ctx.c.cap_buf)  # noqa: SLF001
+        assert len(grown.schedule.profile) > 10_000
+        assert len(caps) >= 3  # re-bound more than once on the way
+        assert kernels.stats.fallbacks == fallbacks
+        assert grown.perf_snapshot()["batch_fallbacks"] == 0
+        assert _state(grown) == _state(once)
+        grown.schedule.profile.check_invariants()
+
+
+@needs_compiled
+@pytest.mark.parametrize("status", (-1, -2, -3))
+@pytest.mark.parametrize("arrays_current", (False, True))
+@pytest.mark.parametrize("batched", (False, True))
+def test_error_status_leaves_the_live_state_untouched(
+    monkeypatch, status, arrays_current, batched
+):
+    """A kernel that scribbles on everything it may write and returns an
+    error: the job is decided by the fallback, as the reference decides
+    it, whether the lists or the arrays were current at entry."""
+    case = random_flood(random.Random(11), min_jobs=60, max_jobs=60)
+    jobs = list(case.jobs)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        ref = QoSArbitrator(case.capacity, backend="scalar")
+        for job in jobs[:40]:
+            assert auto.submit(job) == ref.submit(job)
+        profile = auto.schedule.profile
+        if arrays_current:
+            assert profile._list_times is None  # noqa: SLF001 - dropped by the C call
+        else:
+            for p in (profile, ref.schedule.profile):
+                p.reserve(p.origin + 500.0, p.origin + 501.0, 1)
+            assert profile._dirty  # noqa: SLF001
+        impl = kernels.active()
+        real = impl.admit_batch
+
+        def scribbling(ctx_ref, n_jobs):
+            ctx = profile._ctx  # noqa: SLF001
+            c, cols = ctx.c, ctx.cols
+            spare = ("times", "avail") if c.cur else ("times_alt", "avail_alt")
+            for name in (*spare, "prefix", "scr_t", "scr_a", "out_chain",
+                         "out_starts", "dscratch", "iscratch"):
+                cols[name][:] = -7
+            ctx.counters[:] = 99
+            return status
+
+        monkeypatch.setattr(impl, "admit_batch", scribbling)
+        fallbacks = kernels.stats.fallbacks
+        want = ref.submit(jobs[40])
+        got = auto.admit_batch([jobs[40]])[0] if batched else auto.submit(jobs[40])
+        assert got == want
+        assert kernels.stats.fallbacks == fallbacks + 1
+        assert auto.perf_snapshot()["batch_fallbacks"] == int(batched)
+        assert _state(auto) == _state(ref)
+        monkeypatch.setattr(impl, "admit_batch", real)
+        for job in jobs[41:]:
+            assert auto.submit(job) == ref.submit(job)
+        assert _state(auto) == _state(ref)
+
+
+@needs_compiled
+def test_len_and_origin_build_no_list(monkeypatch):
+    pulls = []
+    pull = AvailabilityProfile._pull  # noqa: SLF001
+    monkeypatch.setattr(
+        AvailabilityProfile, "_pull", lambda self: pulls.append(1) or pull(self)
+    )
+    case = random_flood(random.Random(5), min_jobs=80, max_jobs=80)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        ref = QoSArbitrator(case.capacity, backend="scalar")
+        for job in case.jobs:
+            auto.submit(job)
+            ref.submit(job)
+            mine, theirs = auto.schedule.profile, ref.schedule.profile
+            assert (len(mine), mine.origin) == (len(theirs), theirs.origin)
+        assert auto.perf_snapshot()["profile_segments"] == len(theirs)
+        assert not pulls
+        assert mine.breakpoints == theirs.breakpoints
+        assert len(pulls) == 1
+        assert mine.breakpoints == theirs.breakpoints  # lists are back: no second pull
+        assert len(pulls) == 1
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+def test_submit_keeps_its_own_accounting(kmode):
+    """N submits: N ``decision`` samples, no ``decision_batch`` sample, no
+    batch counter touched, and the snapshot has the reference's keys."""
+    case = random_flood(random.Random(2), min_jobs=120, max_jobs=120)
+    with kernels.use(kmode):
+        auto = QoSArbitrator(case.capacity)
+        ref = QoSArbitrator(case.capacity, backend="scalar")
+        for job in case.jobs:
+            assert auto.submit(job) == ref.submit(job)
+        snap, want = auto.perf_snapshot(), ref.perf_snapshot()
+    assert 0 < auto.rejected < len(case.jobs)
+    assert snap["decision_count"] == len(case.jobs)
+    assert "decision_batch_count" not in snap
+    assert snap["batch_jobs"] == snap["batch_fallbacks"] == 0
+    assert set(snap) == set(want)
+    for name in ("commits", "chains_probed", "chains_quick_rejected",
+                 "chains_area_rejected", "chains_pruned_dominated",
+                 "profile_shift_ops", "profile_compactions"):
+        assert snap[name] == want[name], name
+
+
+# ---------------------------------------------------------------------------
+# Context lifetime (batch.py's module docstring, one test per sentence)
+# ---------------------------------------------------------------------------
+
+
+@needs_compiled
+def test_copy_does_not_share_the_context():
+    case = random_flood(random.Random(7), min_jobs=60, max_jobs=60)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        for job in case.jobs[:30]:
+            auto.submit(job)
+        profile = auto.schedule.profile
+        clone = profile.copy()
+        assert clone._ctx is None and profile._ctx is not None  # noqa: SLF001
+        before = (clone.breakpoints, tuple(clone.segments()))
+        for job in case.jobs[30:]:
+            auto.submit(job)
+        assert (clone.breakpoints, tuple(clone.segments())) == before
+        assert clone != profile
+
+
+@needs_compiled
+def test_adopted_schedule_gets_its_own_context():
+    case = random_flood(random.Random(8), min_jobs=60, max_jobs=60)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        for job in case.jobs[:30]:
+            auto.submit(job)
+        old = auto.schedule.profile
+        held = old.breakpoints
+        auto.adopt_schedule(Schedule(case.capacity, origin=old.origin))
+        for job in case.jobs[30:]:
+            auto.submit(job)
+        new = auto.schedule.profile
+        assert new._ctx is not None and new._ctx is not old._ctx  # noqa: SLF001
+        assert old.breakpoints == held
+
+
+@needs_compiled
+def test_kernel_flip_while_a_context_exists():
+    """``kernels.use("python")`` in mid-stream (the benchmark's oracle does
+    this in-process): the Python path reads the rebuilt lists, and back on
+    the compiled kernel the same context re-uploads what Python left."""
+    case = random_flood(random.Random(10), min_jobs=90, max_jobs=90)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        ref = QoSArbitrator(case.capacity, backend="scalar")
+        for job in case.jobs[:30]:
+            assert auto.submit(job) == ref.submit(job)
+        profile = auto.schedule.profile
+        ctx = profile._ctx  # noqa: SLF001
+        with kernels.use("python"):
+            for job in case.jobs[30:60]:
+                assert auto.submit(job) == ref.submit(job)
+        assert profile._dirty and profile._ctx is ctx  # noqa: SLF001
+        for job in case.jobs[60:]:
+            assert auto.submit(job) == ref.submit(job)
+        assert not profile._dirty and profile._ctx is ctx  # noqa: SLF001
+        assert _state(auto) == _state(ref)
+
+
+@needs_compiled
+def test_another_kernel_object_rebuilds_the_context(monkeypatch, tmp_path):
+    """``REPRO_KERNEL_LIB`` pointing at another ``.so``: the context built
+    by the first library is not handed to the second."""
+    from repro.core.kernels import compiled
+
+    case = random_flood(random.Random(9), min_jobs=60, max_jobs=60)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        ref = QoSArbitrator(case.capacity, backend="scalar")
+        for job in case.jobs[:30]:
+            assert auto.submit(job) == ref.submit(job)
+        first = auto.schedule.profile._ctx  # noqa: SLF001
+        monkeypatch.setenv("REPRO_KERNEL_LIB", str(tmp_path / "other.so"))
+        monkeypatch.setattr(compiled, "_loaded", None)
+        kernels.set_kernel("compiled")
+        assert kernels.active() is not first.impl
+        for job in case.jobs[30:]:
+            assert auto.submit(job) == ref.submit(job)
+        second = auto.schedule.profile._ctx  # noqa: SLF001
+        assert second is not first and second.impl is kernels.active()
+        assert _state(auto) == _state(ref)
+        monkeypatch.setattr(compiled, "_loaded", first.impl)
+    assert kernels.active() is first.impl or not kernels.active().compiled
+
+
+@needs_compiled
+def test_layout_drift_fails_the_load(monkeypatch):
+    """The loader (and so ``--check``) compares the C context's size with
+    the ctypes mirror's."""
+    import ctypes
+
+    from repro.core.kernels import compiled
+    from repro.core.kernels.__main__ import main
+    from repro.errors import ConfigurationError
+
+    assert main(["--check"]) == 0
+
+    class Drifted(compiled.Context):
+        _fields_ = [("one_more", ctypes.c_int64)]
+
+    with kernels.use("compiled"):
+        path = kernels.active().path
+    monkeypatch.setattr(compiled, "Context", Drifted)
+    with pytest.raises(ConfigurationError, match="layouts drifted"):
+        compiled.CompiledKernels(path)
+
+
+def test_rebuilt_lists_are_plain_lists():
+    """What a Python-side read gets back is ``list[float]`` / ``list[int]``,
+    not array views or NumPy scalars."""
+    auto = QoSArbitrator(4)
+    auto.submit(_comb_jobs(1, 0)[0])
+    profile = auto.schedule.profile
+    times, avail = profile._times, profile._avail  # noqa: SLF001
+    assert type(times) is list and {type(t) for t in times} == {float}
+    assert type(avail) is list and {type(a) for a in avail} == {int}

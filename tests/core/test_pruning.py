@@ -17,6 +17,12 @@ from repro.model.job import Job
 from repro.model.task import TaskSpec
 from repro.workloads.sweep import SweepConfig, run_point
 
+#: The counters under test are ``GreedyScheduler._prober``'s, so every
+#: arbitrator below that decides EARLIEST_FINISH pins the reference path
+#: (on ``auto`` a ``submit`` goes through the C loop when it is compiled;
+#: ``test_kernel_context.py`` holds that port to the same counts).
+PY = "scalar"
+
 COUNTERS = (
     "chains_probed",
     "chains_quick_rejected",
@@ -47,7 +53,7 @@ class TestPerfSnapshot:
             assert snap[name] == 0
 
     def test_probes_counted(self):
-        arb = QoSArbitrator(4)
+        arb = QoSArbitrator(4, backend=PY)
         arb.submit(Job.rigid(chain(2, 2.0, 100.0)))
         assert arb.perf_snapshot()["chains_probed"] == 1
 
@@ -61,7 +67,7 @@ class TestAreaReject:
         is free — rejected by the area bound without a first-fit walk.
         The narrow path (1 CPU x 5) still fits, so the job is admitted.
         """
-        arb = QoSArbitrator(4)
+        arb = QoSArbitrator(4, backend=PY)
         arb.schedule.profile.reserve(0.0, 95.0, 3)
         doomed = chain(2, 10.0, 12.0, label="doomed")
         narrow = chain(1, 5.0, 50.0, label="narrow")
@@ -77,8 +83,8 @@ class TestDominancePruning:
     def test_duplicate_chains_probed_once(self):
         dup = chain(2, 4.0, 100.0)
         job = Job.tunable_of([dup, dup, dup])
-        pruned = QoSArbitrator(8)
-        exhaustive = QoSArbitrator(8, prune=False)
+        pruned = QoSArbitrator(8, backend=PY)
+        exhaustive = QoSArbitrator(8, prune=False, backend=PY)
         d1, d2 = pruned.submit(job), exhaustive.submit(job)
         assert (d1.admitted, d1.chain_index) == (d2.admitted, d2.chain_index)
         assert pruned.perf_snapshot()["chains_probed"] == 1
@@ -95,7 +101,7 @@ class TestDominancePruning:
         more CPUs, for longer, by an earlier deadline — dominated.  The
         third, narrow path keeps the job admissible.
         """
-        arb = QoSArbitrator(4)
+        arb = QoSArbitrator(4, backend=PY)
         arb.schedule.profile.reserve(2.0, 100.0, 3)
         failing = chain(2, 3.0, 8.0, label="failing")
         harder = chain(3, 3.0, 7.0, label="harder")
@@ -107,7 +113,7 @@ class TestDominancePruning:
         snap = arb.perf_snapshot()
         assert snap["chains_pruned_dominated"] == 1
         assert snap["chains_probed"] == 2  # failing + narrow; harder skipped
-        oracle = QoSArbitrator(4, prune=False)
+        oracle = QoSArbitrator(4, prune=False, backend=PY)
         oracle.schedule.profile.reserve(2.0, 100.0, 3)
         d2 = oracle.submit(job)
         assert (decision.admitted, decision.chain_index) == (
