@@ -90,7 +90,11 @@ class ChaosScenario:
     watermark, WAL not yet truncated.  ``crash_after_acks`` kills the whole
     service once that many decisions were acked.  ``permanent_fail_after``
     turns the decision path permanently faulty after N successful batches,
-    exercising retry-exhaustion fail-stop.
+    exercising retry-exhaustion fail-stop; with ``kill_in_backoff`` the
+    service is killed while the first failed batch sleeps before its retry
+    (``backoff_base`` makes that sleep long enough to hit).
+    ``stop_under_backpressure`` sends every request at once, so all but
+    ``queue_limit`` callers wait in backpressure, then stops gracefully.
     """
 
     name: str
@@ -109,6 +113,9 @@ class ChaosScenario:
     checkpoint_tear_after: int | None = None
     crash_after_acks: int | None = None
     permanent_fail_after: int | None = None
+    kill_in_backoff: bool = False
+    backoff_base: float = 0.0002
+    stop_under_backpressure: bool = False
     queue_limit: int = 64
     max_batch: int = 4
     checkpoint_every: int = 0
@@ -127,8 +134,8 @@ class ChaosScenario:
             degrade_occupancy=self.degrade_occupancy,
             checkpoint_every=self.checkpoint_every,
             # Keep injected-retry storms fast but still exercise real sleeps.
-            backoff_base=0.0002,
-            backoff_cap=0.002,
+            backoff_base=self.backoff_base,
+            backoff_cap=10 * self.backoff_base,
             seed=self.seed,
         )
 
@@ -207,6 +214,10 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
         checkpoint_every=8,
         partial_write_after=7,
     ),
+    _s("kill-in-backoff", 126, permanent_fail_after=2, kill_in_backoff=True,
+       backoff_base=0.05, graceful=False),
+    _s("stop-under-backpressure", 127, n_jobs=32, queue_limit=4,
+       stop_under_backpressure=True),
 )
 
 
@@ -348,8 +359,26 @@ async def _drive(
         )
     service.start()
     futures: dict[str, asyncio.Future] = {}
+    handed_out: list[asyncio.Future] = []  # every future, awaited or not
     dup_rids: set[str] = set()
     crash = "none"
+    stuck: set[asyncio.Future] = set()
+    if scenario.stop_under_backpressure:
+        callers = [
+            asyncio.ensure_future(service.enqueue(job, request_id=f"req-{i}"))
+            for i, job in enumerate(jobs)
+        ]
+        await asyncio.sleep(0)  # queue_limit rows landed; the other callers wait
+        stop = asyncio.ensure_future(service.stop())
+        _, stuck = await asyncio.wait([stop, *callers], timeout=5.0)
+        for task in stuck:  # a regression fails the scenario, it does not hang it
+            task.cancel()
+        futures = {
+            f"req-{i}": caller.result()
+            for i, caller in enumerate(callers)
+            if caller.done() and caller.exception() is None
+        }
+        handed_out, jobs = list(futures.values()), ()
     for i, job in enumerate(jobs):
         rid = f"req-{i}"
         qos = rng.randrange(scenario.qos_classes)
@@ -362,10 +391,12 @@ async def _drive(
             fut = await service.enqueue(
                 job, qos=qos, timeout=timeout, request_id=rid
             )
+            handed_out.append(fut)
             if rng.random() < scenario.dup_prob:
                 dup_rids.add(rid)
                 dup = await service.enqueue(job, qos=qos, request_id=rid)
                 dup.add_done_callback(_swallow)
+                handed_out.append(dup)
         except ServiceUnavailableError:
             crash = "failstop"
             break
@@ -380,7 +411,7 @@ async def _drive(
         if (
             scenario.crash_after_acks is not None
             and service.counters["acked"] >= scenario.crash_after_acks
-        ):
+        ) or (scenario.kill_in_backoff and service.counters["retries"]):
             service.kill()
             crash = "killed"
             break
@@ -399,7 +430,10 @@ async def _drive(
         if fut.cancelled() or fut.exception() is not None:
             continue
         acked[rid] = fut.result()
-    return acked, service.stats(), crash, dup_rids
+    await asyncio.sleep(0)  # a kill()'s cancellation lands one loop turn later
+    stats = service.stats()
+    stats["pending_futures"] = len(stuck) + sum(not f.done() for f in handed_out)
+    return acked, stats, crash, dup_rids
 
 
 async def _finish(
@@ -451,6 +485,11 @@ def run_scenario(
             acked, stats, crash, dup_rids = asyncio.run(
                 _drive(scenario, config, directory, jobs, rng)
             )
+
+            if stats["pending_futures"]:
+                failures.append(
+                    f"{stats['pending_futures']} client futures left pending"
+                )
 
             # Phase B: recover (replay-identity + auditor enforced inside).
             state = recover(directory, calm)

@@ -7,11 +7,12 @@ properties a "predictable" resource manager owes its clients:
 * **Bounded ingress + backpressure** — requests enter a bounded queue;
   when it is full, :meth:`submit` *waits* (releasing the event loop)
   rather than buffering unboundedly, up to the request's deadline.
-* **Batching** — the drain loop coalesces whatever is queued (up to
-  ``max_batch``) into one :meth:`~repro.core.arbitrator.QoSArbitrator.
-  admit_batch` call, riding the compiled one-call admission kernel when
-  it is available.  Batch boundaries never change decisions (the batch
-  API's equivalence contract), so coalescing is pure amortization.
+* **Batching** — a batch is what is waiting: the drain loop takes
+  everything queued into one :meth:`~repro.core.arbitrator.QoSArbitrator.
+  admit_batch` call, one WAL frame pair and one fsync, riding the
+  compiled one-call admission kernel when it is available.  Batch
+  boundaries never change decisions (the batch API's equivalence
+  contract), so coalescing is pure amortization.
 * **Graceful degradation** — under overload the service degrades in
   order of honesty: QoS-class-aware **load shedding** (lower classes
   are turned away first, counted per class, never silently dropped) and
@@ -41,10 +42,10 @@ import asyncio
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Awaitable, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.core.admission import AdmissionDecision
 from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
@@ -72,8 +73,6 @@ __all__ = [
 
 _SENTINEL = object()
 
-_request_ids = itertools.count()
-
 
 class ServiceOutcome(Enum):
     """What the service tells a client about its request."""
@@ -91,9 +90,8 @@ class ServiceOutcome(Enum):
     TIMED_OUT = "timed-out"
 
 
-@dataclass(frozen=True, slots=True)
-class ServiceDecision:
-    """The service's answer for one request."""
+class ServiceDecision(NamedTuple):
+    """The service's answer for one request (immutable)."""
 
     request_id: str
     outcome: ServiceOutcome
@@ -108,6 +106,10 @@ class ServiceDecision:
         return self.outcome is ServiceOutcome.ADMITTED
 
 
+#: The outcome of a request that was decided, by ``AdmissionDecision.admitted``.
+_DECIDED = {True: ServiceOutcome.ADMITTED, False: ServiceOutcome.REJECTED}
+
+
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
     """Policy knobs for one :class:`AdmissionService`.
@@ -118,6 +120,13 @@ class ServiceConfig:
     beyond the tuple use its last entry.  ``degrade_occupancy`` is the
     occupancy at which tunable jobs are narrowed to their
     ``degrade_keep`` cheapest OR-paths before admission.
+
+    A batch is whatever is waiting when the drain loop wakes, so the bound
+    on a batch is ``queue_limit``.  ``max_batch`` caps one decision batch
+    (one ``admit_batch``, one WAL frame pair, one fsync) for a caller who
+    wants that bounded below the queue; at its default — the default
+    ``queue_limit`` — it does not bind.  A lower cap buys no earlier ack
+    (capped batches run back to back without yielding), only more fsyncs.
 
     The tie-break policy must be deterministic (``RANDOM`` is rejected):
     crash recovery replays the WAL through a *fresh* arbitrator and the
@@ -135,7 +144,7 @@ class ServiceConfig:
     # release order that profile compaction requires.
     compact: bool = False
     queue_limit: int = 1024
-    max_batch: int = 128
+    max_batch: int = 1024
     shed_thresholds: tuple[float, ...] = (1.01, 0.85, 0.6)
     degrade_occupancy: float = 0.5
     degrade_keep: int = 1
@@ -211,13 +220,10 @@ def degrade_job(job: Job, keep: int) -> tuple[Job, bool]:
     )
 
 
-@dataclass(slots=True)
-class _Pending:
-    request_id: str
-    qos: int
-    job: Job
-    future: asyncio.Future
-    deadline: float | None  # absolute, on the service clock
+#: What the ingress queue holds: the request's ledger row (built once, in
+#: ``enqueue``), its future and its absolute deadline on the service clock.
+#: The tuple dies with its batch; the row *is* the ledger entry.
+_Queued = tuple[LedgerEntry, asyncio.Future, "float | None"]
 
 
 #: Decision executor signature: must be atomic — either return the full
@@ -262,22 +268,21 @@ class AdmissionService:
             self.arbitrator = recovered.arbitrator
             self.entries = list(recovered.entries)
             self._seq = self.wal.last_seq = recovered.last_seq
-            for entry, decision in zip(recovered.entries, recovered.decisions):
-                self._seen[entry.request_id] = ServiceDecision(
-                    request_id=entry.request_id,
-                    outcome=ServiceOutcome.ADMITTED
-                    if decision.admitted
-                    else ServiceOutcome.REJECTED,
-                    qos=entry.qos,
-                    degraded=entry.degraded,
-                    decision=decision,
-                    seq=entry.seq,
+            for e, decision in zip(recovered.entries, recovered.decisions):
+                self._seen[e.request_id] = ServiceDecision(
+                    e.request_id, _DECIDED[decision.admitted], e.qos, e.degraded,
+                    decision, e.seq,
                 )
         else:
             self.arbitrator = make_arbitrator(config)
+        # Ids for requests submitted without one: unique within this life by
+        # the counter and across lives by the sequence number it started at
+        # (a life that logged nothing left nothing to collide with).
+        self._auto_ids = map(f"auto-{self._seq}-{{}}".format, itertools.count())
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=config.queue_limit)
         self._task: asyncio.Task | None = None
         self._stopping = False
+        self._blocked = 0  # enqueue() calls waiting in backpressure
         self._failed: str | None = None
         self._undecided_since_checkpoint = 0
         self.counters: dict[str, float] = {
@@ -310,21 +315,31 @@ class AdmissionService:
             self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain the queue, decide everything, close."""
+        """Graceful shutdown: decide everything accepted, refuse the rest, close.
+
+        Every request :meth:`enqueue` accepted before this call — queued,
+        or still waiting in backpressure — is decided, logged and acked;
+        every later caller gets :class:`~repro.errors.ServiceUnavailableError`.
+        When this returns no future is pending and the WAL is closed:
+        nothing is appended afterwards.
+        """
         self._stopping = True
-        await self._queue.put(_SENTINEL)
+        self._wake_drain()
         if self._task is not None:
             await self._task
             self._task = None
+        self._reject_all_pending("service is shutting down")
         self.wal.close()
 
     def kill(self) -> None:
-        """Simulated crash: stop abruptly, resolve nothing, abandon the WAL.
+        """Simulated crash: stop abruptly, decide nothing more, abandon the WAL.
 
         In-flight and queued requests are left unacked (their futures get
-        :class:`~repro.errors.ServiceUnavailableError`) — exactly the
-        client experience of a dying process; clients re-submit after
-        recovery and idempotency answers what was already decided.
+        :class:`~repro.errors.ServiceUnavailableError` — the in-flight
+        batch's when the drain loop's cancellation lands, one loop turn
+        later) — exactly the client experience of a dying process; clients
+        re-submit after recovery and idempotency answers what was already
+        decided.
         """
         self._failed = "killed"
         if self._task is not None:
@@ -342,20 +357,25 @@ class AdmissionService:
         self._reject_all_pending(reason)
         self.wal.abandon()
 
-    def _reject_all_pending(self, reason: str) -> None:
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is _SENTINEL:
-                continue
-            self._resolve_exception(item, reason)
+    def _wake_drain(self) -> None:
+        """Make a drain loop parked on an empty queue re-read the lifecycle flags."""
+        if not self._queue.full():
+            self._queue.put_nowait(_SENTINEL)
 
-    def _resolve_exception(self, pending: _Pending, reason: str) -> None:
-        self._seen.pop(pending.request_id, None)
-        if not pending.future.done():
-            pending.future.set_exception(ServiceUnavailableError(reason))
+    def _reject_all_pending(self, reason: str) -> None:
+        queued = []
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item is not _SENTINEL:
+                queued.append(item)
+        self._abandon(queued, reason)
+
+    def _abandon(self, batch: Sequence[_Queued], reason: str) -> None:
+        """Fail every request of ``batch`` that was not acked; the client retries."""
+        for row, future, _ in batch:
+            if not future.done():
+                self._seen.pop(row.request_id, None)
+                future.set_exception(ServiceUnavailableError(reason))
 
     # ------------------------------------------------------------------
     # Client API
@@ -370,9 +390,7 @@ class AdmissionService:
         request_id: str | None = None,
     ) -> ServiceDecision:
         """Request admission of ``job``; await the durable outcome."""
-        future = await self.enqueue(
-            job, qos=qos, timeout=timeout, request_id=request_id
-        )
+        future = await self.enqueue(job, qos=qos, timeout=timeout, request_id=request_id)
         return await asyncio.shield(future)
 
     async def enqueue(
@@ -390,15 +408,14 @@ class AdmissionService:
         can pipeline many requests before awaiting any decision.
         """
         if self._failed is not None or self._stopping:
-            raise ServiceUnavailableError(
-                self._failed or "service is shutting down"
-            )
+            raise ServiceUnavailableError(self._failed or "service is shutting down")
         loop = asyncio.get_running_loop()
-        rid = request_id if request_id is not None else f"auto-{next(_request_ids)}"
-        self.counters["submitted"] += 1
+        rid = request_id if request_id is not None else next(self._auto_ids)
+        counters = self.counters
+        counters["submitted"] += 1
         prior = self._seen.get(rid)
         if prior is not None:
-            self.counters["duplicates"] += 1
+            counters["duplicates"] += 1
             if isinstance(prior, ServiceDecision):
                 done: asyncio.Future = loop.create_future()
                 done.set_result(prior)
@@ -409,40 +426,52 @@ class AdmissionService:
         deadline = None if timeout is None else self.clock() + timeout
 
         # QoS-class-aware shedding: cheap, pre-queue, never logged.
-        occupancy = self._queue.qsize() / self.config.queue_limit
+        queue = self._queue
+        occupancy = queue.qsize() / self.config.queue_limit
         thresholds = self.config.shed_thresholds
         threshold = thresholds[min(qos, len(thresholds) - 1)]
         if occupancy >= threshold:
-            self.counters["shed"] += 1
+            counters["shed"] += 1
             key = f"shed_class_{min(qos, len(thresholds) - 1)}"
-            self.counters[key] = self.counters.get(key, 0) + 1
+            counters[key] = counters.get(key, 0) + 1
             done = loop.create_future()
-            done.set_result(
-                ServiceDecision(rid, ServiceOutcome.SHED, qos)
-            )
+            done.set_result(ServiceDecision(rid, ServiceOutcome.SHED, qos))
             return done
 
+        # The request's one record: this row is what the WAL is handed and
+        # what the ledger keeps; ``_process`` fills in seq and decision.
         future: asyncio.Future = loop.create_future()
-        pending = _Pending(rid, qos, job, future, deadline)
+        item = (LedgerEntry(0, rid, qos, False, job), future, deadline)
         self._seen[rid] = future
+        if not queue.full():
+            # Fast path: room in the queue — skip the put() coroutine
+            # machinery entirely.
+            queue.put_nowait(item)
+            return future
+        self._blocked += 1
         try:
             if deadline is None:
-                # Fast path: room in the queue, no deadline to arm —
-                # skip the put() coroutine machinery entirely.
-                if not self._queue.full():
-                    self._queue.put_nowait(pending)
-                else:
-                    await self._queue.put(pending)
+                await queue.put(item)
             else:
                 await asyncio.wait_for(
-                    self._queue.put(pending), max(0.0, deadline - self.clock())
+                    queue.put(item), max(0.0, deadline - self.clock())
                 )
         except asyncio.TimeoutError:
             self._seen.pop(rid, None)
-            self.counters["timed_out_backpressure"] += 1
-            future.set_result(
-                ServiceDecision(rid, ServiceOutcome.TIMED_OUT, qos)
-            )
+            counters["timed_out_backpressure"] += 1
+            future.set_result(ServiceDecision(rid, ServiceOutcome.TIMED_OUT, qos))
+        except asyncio.CancelledError:
+            self._seen.pop(rid, None)  # never landed: a retry must not await it
+            raise
+        finally:
+            self._blocked -= 1
+            if self._failed is not None:
+                # The drain loop died while this caller waited: nobody
+                # reads the queue its row may just have landed in.
+                self._reject_all_pending(self._failed)
+            elif self._stopping:
+                # stop() waits for the last blocked caller, landed or not.
+                self._wake_drain()
         return future
 
     def stats(self) -> dict[str, float]:
@@ -460,24 +489,28 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     async def _run(self) -> None:
+        queue, cap = self._queue, self.config.max_batch
         while True:
-            if self._stopping and self._queue.empty():
+            if self._stopping and queue.empty() and not self._blocked:
                 return
-            item = await self._queue.get()
+            item = await queue.get()
             if item is _SENTINEL:
                 continue
+            # A batch is what is waiting.  get_nowait() never yields, so a
+            # smaller cap would not ack anyone sooner: capped batches run
+            # back to back, each paying its own frames and fsync.
             batch = [item]
-            while len(batch) < self.config.max_batch:
+            while len(batch) < cap:
                 try:
-                    extra = self._queue.get_nowait()
+                    item = queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
-                if extra is _SENTINEL:
-                    continue
-                batch.append(extra)
+                if item is not _SENTINEL:
+                    batch.append(item)
             try:
                 await self._process(batch)
             except asyncio.CancelledError:
+                self._abandon(batch, "service crashed")  # kill() mid-backoff
                 raise
             except Exception as exc:
                 # Fail-stop: a decision path or WAL failure the retry
@@ -485,135 +518,103 @@ class AdmissionService:
                 # never was, in which case clients retry); recovery owns
                 # the rest.
                 self._fail(f"service failed: {exc}")
-                for pending in batch:
-                    self._resolve_exception(pending, str(exc))
+                self._abandon(batch, str(exc))
                 return
+            del batch, item  # an idle drain loop pins no futures
 
-    async def _process(self, batch: list[_Pending]) -> None:
+    async def _process(self, batch: list[_Queued]) -> None:
         now = self.clock()
-        live: list[_Pending] = []
-        for pending in batch:
-            if pending.deadline is not None and now > pending.deadline:
-                self.counters["timed_out_queue"] += 1
-                self._seen.pop(pending.request_id, None)
-                if not pending.future.done():
-                    pending.future.set_result(
+        config, counters, seen = self.config, self.counters, self._seen
+        rows: list[LedgerEntry] = []
+        seq = self._seq
+        for row, future, deadline in batch:
+            if deadline is not None and now > deadline:
+                counters["timed_out_queue"] += 1
+                seen.pop(row.request_id, None)
+                if not future.done():
+                    future.set_result(
                         ServiceDecision(
-                            pending.request_id,
-                            ServiceOutcome.TIMED_OUT,
-                            pending.qos,
+                            row.request_id, ServiceOutcome.TIMED_OUT, row.qos
                         )
                     )
             else:
-                live.append(pending)
-        if not live:
+                seq += 1
+                row.seq = seq
+                rows.append(row)
+        if not rows:
             return
+        self._seq = seq
+        # Expired rows were never numbered.
+        live = batch if len(rows) == len(batch) else [q for q in batch if q[0].seq]
 
         # Degraded-quality admission under backlog: narrow OR-paths
         # *before* logging, so the WAL holds the effective jobs.
-        occupancy = (
-            len(live) + self._queue.qsize()
-        ) / self.config.queue_limit
-        degrade = occupancy >= self.config.degrade_occupancy
-        new_entries: list[LedgerEntry] = []
-        for pending in live:
-            job, was_degraded = (
-                degrade_job(pending.job, self.config.degrade_keep)
-                if degrade
-                else (pending.job, False)
-            )
-            if was_degraded:
-                self.counters["degraded"] += 1
-            self._seq += 1
-            new_entries.append(
-                LedgerEntry(
-                    seq=self._seq,
-                    request_id=pending.request_id,
-                    qos=pending.qos,
-                    degraded=was_degraded,
-                    job=job,
-                )
-            )
+        occupancy = (len(rows) + self._queue.qsize()) / config.queue_limit
+        if occupancy >= config.degrade_occupancy:
+            for row in rows:
+                row.job, row.degraded = degrade_job(row.job, config.degrade_keep)
+                counters["degraded"] += row.degraded
 
         # Append-before-ack, step 1: the effective jobs.  Durability is
         # deferred to the decision append's fsync — no ack happens before
         # that, and a crash in between loses only unacked work.
-        self.wal.append_jobs(new_entries, sync=False)
-        self._undecided_since_checkpoint += len(new_entries)
+        self.wal.append_jobs(rows, sync=False)
+        self._undecided_since_checkpoint += len(rows)
 
-        decisions = await self._decide_with_retry(
-            [entry.job for entry in new_entries]
-        )
+        decisions = await self._decide_with_retry([row.job for row in rows])
 
         # Append-before-ack, step 2: the decisions; the one fsync hardens
         # both records of the batch.
         tuples = [decision_to_tuple(d) for d in decisions]
-        self.wal.append_decisions([e.seq for e in new_entries], tuples)
-        for entry, tup in zip(new_entries, tuples):
-            entry.decision = tup
-        self.entries.extend(new_entries)
-        self.counters["batches"] += 1
-        self.counters["batch_jobs"] += len(new_entries)
+        self.wal.append_decisions(range(rows[0].seq, seq + 1), tuples)
 
-        # Ack.  Counters are tallied locally and folded in once after the
-        # loop — this runs for every decision the service ever makes.
+        # Ack, one pass.  Counters are tallied locally and folded in once
+        # after the loop — this runs for every decision the service ever
+        # makes.
         now = self.clock()
-        seen = self._seen
         admitted = late = 0
-        for pending, entry, decision in zip(live, new_entries, decisions):
-            if decision.admitted:
-                outcome = ServiceOutcome.ADMITTED
-                admitted += 1
-            else:
-                outcome = ServiceOutcome.REJECTED
-            answer = ServiceDecision(
-                request_id=entry.request_id,
-                outcome=outcome,
-                qos=entry.qos,
-                degraded=entry.degraded,
-                decision=decision,
-                seq=entry.seq,
+        for (row, future, deadline), decision, tup in zip(live, decisions, tuples):
+            row.decision = tup
+            admitted += decision.admitted
+            answer = seen[row.request_id] = ServiceDecision(
+                row.request_id, _DECIDED[decision.admitted], row.qos, row.degraded,
+                decision, row.seq,
             )
-            seen[entry.request_id] = answer
-            if pending.deadline is not None and now > pending.deadline:
+            if deadline is not None and now > deadline:
                 # Decided — durably — after the client's patience ran out.
                 late += 1
-                answer = replace(
-                    answer, outcome=ServiceOutcome.TIMED_OUT, late=True
-                )
-            if not pending.future.done():
-                pending.future.set_result(answer)
-        self.counters["acked"] += len(new_entries)
-        self.counters["admitted"] += admitted
-        self.counters["rejected"] += len(new_entries) - admitted
-        self.counters["late_decisions"] += late
+                answer = answer._replace(outcome=ServiceOutcome.TIMED_OUT, late=True)
+            if not future.done():
+                future.set_result(answer)
+        self.entries.extend(rows)
+        counters["batches"] += 1
+        counters["batch_jobs"] += len(rows)
+        counters["acked"] += len(rows)
+        counters["admitted"] += admitted
+        counters["rejected"] += len(rows) - admitted
+        counters["late_decisions"] += late
 
-        if (
-            self.config.checkpoint_every
-            and self._undecided_since_checkpoint >= self.config.checkpoint_every
-        ):
+        every = config.checkpoint_every
+        if every and self._undecided_since_checkpoint >= every:
             self.checkpoint()
 
     async def _decide_with_retry(
         self, jobs: Sequence[Job]
     ) -> Sequence[AdmissionDecision]:
-        attempt = 0
+        attempt, config = 0, self.config
         while True:
             try:
                 return self._decide_fn(self.arbitrator, jobs)
             except TransientWorkerError as exc:
                 attempt += 1
                 self.counters["retries"] += 1
-                if attempt >= self.config.max_attempts:
+                if attempt >= config.max_attempts:
                     raise ServiceUnavailableError(
                         f"decision path failed {attempt} consecutive "
                         f"attempts; failing stop (last: {exc})"
                     ) from exc
-                delay = min(
-                    self.config.backoff_cap,
-                    self.config.backoff_base * (2 ** (attempt - 1)),
-                )
-                delay *= 1.0 + self.config.backoff_jitter * self._rng.random()
+                delay = min(config.backoff_cap, config.backoff_base * 2 ** (attempt - 1))
+                delay *= 1.0 + config.backoff_jitter * self._rng.random()
                 self.counters["retry_backoff_total"] += delay
                 await asyncio.sleep(delay)
 

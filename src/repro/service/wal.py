@@ -198,7 +198,8 @@ class LedgerEntry:
     *before* logging — the logged job is the degraded one, so replay needs
     no knowledge of the load situation that caused it.  ``decision`` is
     ``None`` for a job logged but not yet decided (the crash-mid-decision
-    window); recovery re-decides those.
+    window); recovery re-decides those.  The service builds one per request
+    in ``enqueue`` (``seq`` 0 until its batch numbers it): one row, queue to ledger.
     """
 
     seq: int
@@ -211,11 +212,8 @@ class LedgerEntry:
     @staticmethod
     def from_job_record(body: Mapping[str, object]) -> "LedgerEntry":
         return LedgerEntry(
-            seq=int(body["seq"]),  # type: ignore[arg-type]
-            request_id=str(body["rid"]),
-            qos=int(body["cls"]),  # type: ignore[arg-type]
-            degraded=bool(body["deg"]),
-            job=_job_from_wire(body["job"]),  # type: ignore[arg-type]
+            int(body["seq"]), str(body["rid"]), int(body["cls"]),  # type: ignore[arg-type]
+            bool(body["deg"]), _job_from_wire(body["job"]),  # type: ignore[arg-type]
         )
 
 

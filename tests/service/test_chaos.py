@@ -16,7 +16,7 @@ from repro.service.chaos import (
 
 
 def test_committed_scenario_set_is_large_and_diverse():
-    assert len(SCENARIOS) == 25
+    assert len(SCENARIOS) == 27
     assert len({s.name for s in SCENARIOS}) == len(SCENARIOS)
     assert any(s.partial_write_after is not None for s in SCENARIOS)
     assert any(s.crash_after_acks is not None for s in SCENARIOS)
@@ -29,6 +29,22 @@ def test_committed_scenario_set_is_large_and_diverse():
     torn_checkpoints = [s for s in SCENARIOS if s.checkpoint_tear_after is not None]
     assert {s.malleable for s in torn_checkpoints} == {False, True}
     assert all(s.checkpoint_every > 0 for s in torn_checkpoints)
+    # The two lifecycle scenarios: a kill inside a retry backoff long enough
+    # to hit, and a graceful stop with most callers still in backpressure.
+    assert any(s.kill_in_backoff and s.backoff_base >= 0.05 for s in SCENARIOS)
+    assert any(
+        s.stop_under_backpressure and s.n_jobs > 2 * s.queue_limit for s in SCENARIOS
+    )
+
+
+def test_a_future_left_pending_fails_the_scenario(monkeypatch):
+    """The bar every scenario is held to includes: no client waits for ever."""
+    from repro.service.service import AdmissionService
+
+    monkeypatch.setattr(AdmissionService, "_abandon", lambda self, batch, reason: None)
+    result = run_scenario(next(s for s in SCENARIOS if s.name == "kill-in-backoff"))
+    assert not result.ok
+    assert any("left pending" in f for f in result.failures)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)

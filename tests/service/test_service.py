@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,9 +18,11 @@ from repro.errors import (
     TransientWorkerError,
 )
 from repro.service.chaos import chaos_workload
+from repro.service.recovery import recover
 from repro.service.service import (
     AdmissionService,
     ServiceConfig,
+    ServiceDecision,
     ServiceOutcome,
     degrade_job,
     make_arbitrator,
@@ -35,6 +38,11 @@ def _config(capacity, **kw):
     kw.setdefault("backoff_base", 0.0002)
     kw.setdefault("backoff_cap", 0.002)
     return ServiceConfig(capacity=capacity, **kw)
+
+
+def _slow_decide(arbitrator, batch):
+    time.sleep(0.01)
+    return arbitrator.admit_batch(list(batch))
 
 
 async def _submit_all(service, jobs, **kw):
@@ -229,14 +237,8 @@ def test_late_decision_is_durable_and_flagged(tmp_path):
     capacity, jobs = _workload(n=2)
     config = _config(capacity)
 
-    def slow_decide(arbitrator, batch):
-        import time
-
-        time.sleep(0.01)
-        return arbitrator.admit_batch(list(batch))
-
     async def run():
-        service = AdmissionService(config, tmp_path, decide=slow_decide)
+        service = AdmissionService(config, tmp_path, decide=_slow_decide)
         service.start()
         answer = await service.submit(jobs[0], timeout=0.002, request_id="r0")
         await service.stop()
@@ -306,3 +308,298 @@ def test_permanent_worker_failure_fail_stops(tmp_path):
     assert service.counters["retries"] == 2  # both attempts failed
     # The job record hit the WAL before the failure; recovery owns it.
     assert service.counters["acked"] == 0
+
+
+# ----------------------------------------------------------------------
+# A batch is what is waiting; a request is one row
+# ----------------------------------------------------------------------
+
+
+def _run_queued(config, wal_dir, jobs, **service_kw):
+    """Queue every job before the drain loop starts, then serve and stop."""
+
+    async def run():
+        service = AdmissionService(config, wal_dir, **service_kw)
+        futures = [
+            await service.enqueue(job, request_id=f"req-{i}")
+            for i, job in enumerate(jobs)
+        ]
+        service.start()
+        answers = await asyncio.wait_for(asyncio.gather(*futures), 30)
+        await service.stop()
+        return service, answers
+
+    return asyncio.run(run())
+
+
+def test_everything_waiting_is_one_batch_one_fsync(tmp_path):
+    capacity, jobs = _workload(seed=15, n=50)
+    service, _ = _run_queued(_config(capacity), tmp_path / "default", jobs)
+    assert service.counters["batches"] == 1
+    assert service.counters["batch_jobs"] == len(jobs)
+    assert service.wal.syncs == 1 and service.wal.appends == 2
+
+    # The cap still binds when a caller sets it.
+    capped, _ = _run_queued(_config(capacity, max_batch=4), tmp_path / "capped", jobs)
+    assert capped.counters["batches"] == -(-len(jobs) // 4)
+    assert capped.wal.syncs == capped.counters["batches"]
+
+
+def test_default_max_batch_is_the_default_queue_limit():
+    config = ServiceConfig(capacity=4)
+    assert config.max_batch == config.queue_limit == 1024
+    assert isinstance(config.max_batch, int)
+    assert "max_batch" in ServiceConfig.__doc__
+
+
+def test_batch_boundaries_never_change_decisions(tmp_path):
+    capacity, jobs = _workload(seed=16, n=300)
+    ledgers, acks, recovered = [], [], []
+    for cap in (1, 7, 128, None):
+        kw = {} if cap is None else {"max_batch": cap}
+        config = _config(capacity, **kw)
+        wal_dir = tmp_path / f"cap-{cap}"
+        service, answers = _run_queued(config, wal_dir, jobs)
+        ledgers.append([(e.seq, e.request_id, e.decision) for e in service.entries])
+        acks.append(
+            [(a.request_id, a.outcome, a.seq, decision_to_tuple(a.decision)) for a in answers]
+        )
+        state = recover(wal_dir, config)
+        recovered.append([(e.seq, e.request_id, e.decision) for e in state.entries])
+    assert len(ledgers[0]) == len(jobs)
+    assert all(ledger == ledgers[0] for ledger in ledgers)
+    assert all(ack == acks[0] for ack in acks)
+    assert all(ledger == ledgers[0] for ledger in recovered)
+
+
+def test_service_decision_is_an_immutable_seven_field_record(tmp_path):
+    assert ServiceDecision._fields == (
+        "request_id", "outcome", "qos", "degraded", "decision", "seq", "late",
+    )
+    shed = ServiceDecision("r", ServiceOutcome.SHED, 2)
+    assert (shed.degraded, shed.decision, shed.seq, shed.late) == (False, None, None, False)
+    assert not shed.admitted
+    assert ServiceDecision("r", ServiceOutcome.ADMITTED, 0).admitted
+    with pytest.raises(AttributeError):
+        shed.outcome = ServiceOutcome.ADMITTED
+    with pytest.raises(AttributeError):
+        shed.extra = 1
+
+    # A late answer is the stored one but for ``outcome`` and ``late``.
+    capacity, jobs = _workload(n=2)
+
+    async def run():
+        service = AdmissionService(_config(capacity), tmp_path, decide=_slow_decide)
+        service.start()
+        answer = await service.submit(jobs[0], timeout=0.002, request_id="r0")
+        await service.stop()
+        return answer, service._seen["r0"]
+
+    late, stored = asyncio.run(run())
+    assert late.late and late.outcome is ServiceOutcome.TIMED_OUT
+    assert stored.outcome in (ServiceOutcome.ADMITTED, ServiceOutcome.REJECTED)
+    assert late == stored._replace(outcome=late.outcome, late=True)
+
+
+def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
+    import gc
+    import weakref
+
+    capacity, jobs = _workload(seed=17, n=9)
+
+    async def run():
+        service = AdmissionService(_config(capacity), tmp_path)
+        logged = []
+        append_jobs = service.wal.append_jobs
+
+        def spy(entries, **kw):
+            logged.extend(entries)
+            return append_jobs(entries, **kw)
+
+        service.wal.append_jobs = spy
+        futures = [
+            await service.enqueue(job, request_id=f"req-{i}")
+            for i, job in enumerate(jobs)
+        ]
+        service.start()
+        await asyncio.gather(*futures)
+        refs = [weakref.ref(f) for f in futures]
+        del futures
+        await asyncio.sleep(0)  # the idle drain loop holds no batch either
+        gc.collect()
+        alive = [r for r in refs if r() is not None]
+        rows_are_logged = len(logged) == len(service.entries) and all(
+            a is b for a, b in zip(logged, service.entries)
+        )
+        await service.stop()
+        return alive, rows_are_logged, service
+
+    alive, rows_are_logged, service = asyncio.run(run())
+    assert not alive
+    assert rows_are_logged
+    assert [e.seq for e in service.entries] == list(range(1, len(jobs) + 1))
+    assert all(e.decision is not None for e in service.entries)
+
+
+def test_fail_stop_after_a_partial_ack_resolves_nothing_twice(tmp_path):
+    capacity, jobs = _workload(seed=18, n=6)
+    config = _config(capacity, checkpoint_every=1)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)
+
+        def broken_checkpoint():
+            raise OSError("injected: checkpoint failed after the acks")
+
+        service.checkpoint = broken_checkpoint
+        futures = [
+            await service.enqueue(job, request_id=f"req-{i}")
+            for i, job in enumerate(jobs)
+        ]
+        service.start()
+        task = service._task
+        answers = await asyncio.wait_for(asyncio.gather(*futures), 30)
+        await asyncio.wait_for(task, 30)  # the handler itself raised nothing
+        return service, answers, task
+
+    service, answers, task = asyncio.run(run())
+    assert task.exception() is None
+    assert service.stats()["failed"] == 1
+    # Every request was acked — durably — before the failure, and stays so.
+    assert all(a.decision is not None for a in answers)
+    assert [service._seen[f"req-{i}"] for i in range(len(jobs))] == list(answers)
+
+
+# ----------------------------------------------------------------------
+# Lifecycle: no future is ever left pending
+# ----------------------------------------------------------------------
+
+
+def test_kill_during_retry_backoff_resolves_the_in_flight_batch(tmp_path):
+    capacity, jobs = _workload(n=2)
+    config = _config(capacity, backoff_base=0.05, backoff_cap=0.25)
+
+    def flaky(arbitrator, batch):
+        raise TransientWorkerError("injected")
+
+    async def run():
+        service = AdmissionService(config, tmp_path, decide=flaky)
+        service.start()
+        future = await service.enqueue(jobs[0], request_id="a")
+        await asyncio.sleep(0.02)  # the batch now sleeps in its backoff
+        assert service.counters["retries"] == 1 and not future.done()
+        service.kill()
+        with pytest.raises(ServiceUnavailableError):
+            await asyncio.wait_for(future, 5)
+        return service, future
+
+    service, future = asyncio.run(run())
+    assert future.done()
+    assert "a" not in service._seen
+
+
+def test_stop_under_backpressure_decides_every_accepted_request(tmp_path):
+    capacity, jobs = _workload(seed=19, n=12)
+    config = _config(capacity, queue_limit=4, degrade_occupancy=9.0)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)
+        service.start()
+        callers = [
+            asyncio.ensure_future(service.enqueue(job, request_id=f"req-{i}"))
+            for i, job in enumerate(jobs)
+        ]
+        await asyncio.sleep(0)  # four rows landed, eight callers are blocked
+        assert sum(caller.done() for caller in callers) == config.queue_limit
+        await asyncio.wait_for(service.stop(), 30)
+        done, pending = await asyncio.wait(callers, timeout=5)
+        assert not pending  # every enqueue() returned
+        futures = [caller.result() for caller in callers]
+        assert all(f.done() for f in futures)  # and every future resolved
+        with pytest.raises(ServiceUnavailableError):
+            await service.enqueue(jobs[0], request_id="after-stop")
+        return service, [f.result() for f in futures]
+
+    service, answers = asyncio.run(run())
+    assert [a.request_id for a in answers] == [f"req-{i}" for i in range(len(jobs))]
+    assert all(a.decision is not None for a in answers)
+    assert len(service.entries) == len(jobs)
+    assert service.wal._fd < 0 and service._queue.empty()
+    direct = make_arbitrator(config)
+    for job, answer in zip(jobs, answers):
+        assert decision_to_tuple(answer.decision) == decision_to_tuple(direct.submit(job))
+
+
+def test_caller_blocked_in_backpressure_survives_a_kill(tmp_path):
+    capacity, jobs = _workload(seed=19, n=6)
+    config = _config(capacity, queue_limit=2)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)  # never started: queue fills
+        callers = [
+            asyncio.ensure_future(service.enqueue(job, request_id=f"req-{i}"))
+            for i, job in enumerate(jobs)
+        ]
+        await asyncio.sleep(0)
+        service.kill()
+        done, pending = await asyncio.wait(callers, timeout=5)
+        assert not pending
+        for caller in callers:
+            with pytest.raises(ServiceUnavailableError):
+                await asyncio.wait_for(caller.result(), 5)
+        return service
+
+    service = asyncio.run(run())
+    assert not service._seen and service._queue.empty()
+
+
+def test_auto_request_ids_do_not_collide_across_lives(tmp_path, monkeypatch):
+    import itertools
+
+    import repro.service.service as service_module
+
+    capacity, jobs = _workload(seed=20, n=6)
+    config = _config(capacity)
+
+    async def life(recovered, batch):
+        service = AdmissionService(config, tmp_path, recovered=recovered)
+        service.start()
+        answers = [await service.submit(job) for job in batch]
+        await service.stop()
+        return service, answers
+
+    first, _ = asyncio.run(life(None, jobs[:3]))
+    assert first.counters["duplicates"] == 0
+    # A new process starts every module-level counter again; ids must not
+    # depend on one (this was ``_request_ids``, and the second life's three
+    # new jobs were answered with the first life's decisions).
+    monkeypatch.setattr(service_module, "_request_ids", itertools.count(), raising=False)
+    second, answers = asyncio.run(life(recover(tmp_path, config), jobs[3:]))
+    assert second.counters["duplicates"] == 0
+    assert len(second.entries) == 6
+    assert len({e.request_id for e in second.entries}) == 6
+    assert [a.decision.job_id for a in answers] == [j.job_id for j in jobs[3:]]
+    assert [a.seq for a in answers] == [4, 5, 6]
+
+
+def test_caller_cancelled_in_backpressure_leaves_no_orphan_future(tmp_path):
+    capacity, jobs = _workload(seed=19, n=3)
+    config = _config(capacity, queue_limit=1, degrade_occupancy=9.0)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)  # not started: the queue stays full
+        first = await service.enqueue(jobs[0], request_id="a")
+        blocked = asyncio.ensure_future(service.enqueue(jobs[1], request_id="b"))
+        await asyncio.sleep(0)
+        blocked.cancel()
+        await asyncio.wait([blocked], timeout=5)
+        assert blocked.cancelled() and "b" not in service._seen
+        service.start()
+        retry = await asyncio.wait_for(service.submit(jobs[1], request_id="b"), 5)
+        await first
+        await service.stop()
+        return service, retry
+
+    service, retry = asyncio.run(run())
+    assert retry.decision is not None and service.counters["duplicates"] == 0
+    assert [e.request_id for e in service.entries] == ["a", "b"]
