@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Container
 
 from repro.core.greedy import GreedyScheduler
-from repro.core.placement import ChainPlacement
+from repro.core.placement import ChainPlacement, slot_setters
 from repro.model.job import Job
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AdmissionDecision:
     """Outcome of offering one job to admission control."""
 
@@ -32,6 +32,15 @@ class AdmissionDecision:
     admitted: bool
     placement: ChainPlacement | None
     reason: str = ""
+
+    def __init__(
+        self, job_id: int, admitted: bool, placement: ChainPlacement | None,
+        reason: str = "",
+    ) -> None:  # stores through the slots: see placement.slot_setters
+        _set_job_id(self, job_id)
+        _set_admitted(self, admitted)
+        _set_placement(self, placement)
+        _set_reason(self, reason)
 
     @property
     def chain_index(self) -> int | None:
@@ -42,6 +51,11 @@ class AdmissionDecision:
     def finish(self) -> float | None:
         """Scheduled completion time, or ``None`` if rejected."""
         return self.placement.finish if self.placement else None
+
+
+_set_job_id, _set_admitted, _set_placement, _set_reason = slot_setters(
+    AdmissionDecision
+)
 
 
 class AdmissionController:

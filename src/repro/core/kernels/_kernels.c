@@ -43,10 +43,16 @@
  * - ``repro_admit_batch``: the whole serial admission loop for a vector
  *   of jobs in ONE call — compaction, pruning, probing, tie-breaks and
  *   profile commits all run in C over flattened arrays.  This is the
- *   100k+ decisions/sec path.
+ *   100k+ decisions/sec path.  It also finishes the float accounting it
+ *   holds the operands for: each admitted job's finish and area, and the
+ *   two quality accumulators (PRODUCT and MIN; MEAN is ``math.fsum`` and
+ *   stays Python's).  Those belong to the ARBITRATOR, not to the context:
+ *   the driver writes them into the struct before every call and reads
+ *   them back only on BATCH_OK.
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -55,7 +61,7 @@
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 #define UTIL_EPS 1e-12  /* policies.select_candidate utilization slack */
 
-#define ABI_VERSION 3
+#define ABI_VERSION 4
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -72,6 +78,11 @@
 #define POLICY_PAPER 0
 #define POLICY_FIRST 1
 #define POLICY_PREFIX 2
+
+/* Quality composition codes (Prof.qmode); 0 = MEAN, which is math.fsum
+ * and stays the driver's. */
+#define QMODE_PRODUCT 1
+#define QMODE_MIN 2
 
 /* Counter slots, zeroed at entry and accumulated into ProfileStats /
  * PerfRecorder by the Python driver after a successful batch. */
@@ -182,6 +193,13 @@ typedef struct {
     int64_t *iscratch; /* 4*max_chains */
     int64_t *out_chain;  /* per job: chosen global chain index, -1 = rejected */
     double *out_starts;  /* chosen chains' task starts, flattened task indexing */
+    /* one entry per ADMITTED job, in arrival order (c[K_COMMITS] of them) */
+    double *out_finish;  /* what cp.finish computes */
+    double *out_area;    /* what cp.total_area computes */
+    /* the arbitrator's accumulators: in before every call, out on BATCH_OK */
+    int64_t qmode;
+    double q_possible; /* += best chain quality of each job offered */
+    double q_sum;      /* += the chosen chain's quality */
     int64_t c[N_COUNTERS];
     int64_t nfacts;
     int64_t fact_evict; /* round-robin victim once the table is full */
@@ -607,6 +625,21 @@ static double chain_area(int64_t c, const int64_t *off, const int64_t *procs,
     return acc;
 }
 
+/* quality.chain_quality: compose_product (1.0 times each quality, left
+ * to right) or compose_min (Python's min: the first smallest) */
+static double chain_quality(int64_t c, const int64_t *off, const double *q,
+                            int64_t qmode)
+{
+    double acc = (qmode == QMODE_PRODUCT) ? 1.0 : q[off[c]];
+    for (int64_t k = off[c]; k < off[c + 1]; k++) {
+        if (qmode == QMODE_PRODUCT)
+            acc *= q[k];
+        else if (q[k] < acc)
+            acc = q[k];
+    }
+    return acc;
+}
+
 /* greedy._area_reject */
 static int area_reject(Prof *p, double release, double final_deadline,
                        double total_area)
@@ -677,6 +710,32 @@ int64_t repro_ctx_size(void)
     return (int64_t)sizeof(Prof);
 }
 
+/* Every member of Prof in declaration order, names and offsetof from one
+ * list: two swapped 8-byte fields, which sizeof cannot see, fail the load. */
+#define PROF_FIELDS(X)                                                        \
+    X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
+    X(cap_buf) X(cur) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)  \
+    X(policy) X(use_dup) X(use_dom) X(use_cap) X(do_compact) X(releases)     \
+    X(job_chain_off) X(chain_task_off) X(task_procs) X(task_dur)             \
+    X(task_deadline) X(task_quality) X(max_chains) X(max_tasks) X(dscratch)  \
+    X(iscratch) X(out_chain) X(out_starts) X(out_finish) X(out_area)         \
+    X(qmode) X(q_possible) X(q_sum) X(c) X(nfacts) X(fact_evict) X(facts)
+
+const char *repro_ctx_fields(void)
+{
+#define X(f) #f " "
+    return PROF_FIELDS(X);
+#undef X
+}
+
+const int64_t *repro_ctx_offsets(void)
+{
+#define X(f) offsetof(Prof, f),
+    static const int64_t offsets[] = {PROF_FIELDS(X)};
+#undef X
+    return offsets;
+}
+
 /* Single fit probe over the profile mirrors: the "kernel" scan back-end.
  * Pre-checks, clamping and the start-segment bisect already happened in
  * Python (earliest_fit's dispatcher).  Returns 1/0 (found), writes the
@@ -718,8 +777,11 @@ static void prof_flip(Prof *p)
  *
  * On BATCH_OK the context's live window is the profile after the batch,
  * out_chain[j] holds the chosen global chain index (-1 = rejected) with
- * the chosen chains' task starts in out_starts.  Any error status leaves
- * the live window as it was at entry and drops what the call learnt.
+ * the chosen chains' task starts in out_starts, out_finish/out_area hold
+ * one entry per admitted job, and q_possible/q_sum have taken every job's
+ * best and every chosen chain's quality, job by job in arrival order (the
+ * serial loop's own additions).  Any error status leaves the live window
+ * and both accumulators as at entry and drops what the call learnt.
  * Replays greedy._prober exactly: duplicate collapse, failure
  * propagation, incumbent finish capping, then select_candidate's
  * earliest-finish + policy tie-break. */
@@ -739,6 +801,8 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
     double *dscratch = p->dscratch;
     int64_t *iscratch = p->iscratch;
     int64_t *counters = p->c;
+    const int64_t qmode = p->qmode;
+    double q_possible = p->q_possible, q_sum = p->q_sum;
     if (policy != POLICY_PAPER && policy != POLICY_FIRST &&
         policy != POLICY_PREFIX)
         return BATCH_ERR_POLICY;
@@ -766,9 +830,15 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
         int64_t c_begin = job_chain_off[jb], c_end = job_chain_off[jb + 1];
         int64_t ncand = 0, nkeyed = 0, nfailed = 0;
         double cap = INFINITY;
+        double best_q = 0.0; /* job.best_quality: Python's max, first on ties */
         for (int64_t c = c_begin; c < c_end; c++) {
             int64_t t_begin = chain_task_off[c];
             int64_t ntasks = chain_task_off[c + 1] - t_begin;
+            if (qmode) {
+                double q = chain_quality(c, chain_task_off, task_quality, qmode);
+                if (c == c_begin || q > best_q)
+                    best_q = q;
+            }
             if (use_dup) {
                 int dup = 0;
                 for (int64_t k = 0; k < nkeyed; k++) {
@@ -844,6 +914,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
                     cap = new_cap;
             }
         }
+        q_possible += best_q;
         if (ncand == 0) {
             p->out_chain[jb] = -1;
             continue;
@@ -907,8 +978,14 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
             }
             p->out_starts[ct0 + t] = s;
         }
-        counters[K_COMMITS] += 1;
         p->out_chain[jb] = cc;
+        p->out_finish[counters[K_COMMITS]] = cand_finish[chosen];
+        p->out_area[counters[K_COMMITS]] = cand_area[chosen];
+        counters[K_COMMITS] += 1;
+        if (qmode)
+            q_sum += chain_quality(cc, chain_task_off, task_quality, qmode);
     }
+    p->q_possible = q_possible;
+    p->q_sum = q_sum;
     return BATCH_OK;
 }

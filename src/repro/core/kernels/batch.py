@@ -7,8 +7,9 @@ replays bit-identical to the serial submit loop in arrival order*):
 1. :func:`try_admit_batch_compiled` — flatten the whole batch, stage
    it in the profile's kernel context and run ``repro_admit_batch`` (the
    entire serial admission loop — compaction, prunes, probes,
-   tie-breaks, commits) in ONE C call, then write decisions and
-   accounting back into the live objects; the profile itself stays in
+   tie-breaks, commits, and the float accounting: finish, area, the
+   quality accumulators) in ONE C call, then build the decision objects
+   and fold the counters into the live ones; the profile itself stays in
    the context's arrays until Python reads it.  The C loop mutates a
    copy of the live window, so any error status leaves the live state
    as it was and falls through to strategy 2.  ``submit(job)`` is this
@@ -73,6 +74,13 @@ context's view of the profile is thrown away:
 * The no-fit facts and the prefix resume point live in the context and
   survive from one call to the next only while no Python-side mutation
   intervened (``profile._dirty``); then two calls are one longer batch.
+* The quality accumulators do NOT live in the context: a context belongs
+  to a profile, ``_quality_possible``/``_quality_sum`` to an arbitrator.
+  :func:`try_admit_batch_compiled` writes both into the struct before
+  every call and reads them back only on ``BATCH_OK``, so
+  ``adopt_schedule`` (new profile, new context), ``resubmit``'s restore
+  of ``_quality_possible`` and the error fallback depend on nothing
+  C-side between calls.
 """
 
 from __future__ import annotations
@@ -103,6 +111,10 @@ _POLICY_CODES = {
     TieBreakPolicy.FIRST: 1,
     TieBreakPolicy.PREFIX: 2,
 }
+
+#: Quality composition codes of ``_kernels.c``; MEAN (``math.fsum``) is
+#: absent and stays Python's.
+_QMODE_CODES = {QualityComposition.PRODUCT: 1, QualityComposition.MIN: 2}
 
 #: Per-job scratch in the C kernel is sized max_chains × max_tasks; bail
 #: out to the serial loop for pathological fan-outs instead of letting
@@ -287,6 +299,8 @@ class _Context:
                 self._bind(name, size, dtype)
             self._bind("out_chain", nj, _I8)
             self._bind("out_starts", max(nt, 1))
+            self._bind("out_finish", nj)
+            self._bind("out_area", nj)
             self._bind("dscratch", mc * mt + 3 * mc + mt)
             self._bind("iscratch", 4 * mc, _I8)
             self.c.max_chains, self.c.max_tasks = mc, mt
@@ -327,6 +341,9 @@ def try_admit_batch_compiled(
     c.use_dom = prune and scheduler.SUPPORTS_DOMINANCE
     c.use_cap = prune and scheduler.SUPPORTS_FINISH_CAP
     c.do_compact = arbitrator.admission.compact
+    c.qmode = _QMODE_CODES.get(arbitrator.quality_composition, 0)
+    c.q_possible = arbitrator._quality_possible  # noqa: SLF001
+    c.q_sum = arbitrator._quality_sum  # noqa: SLF001
     ctx.stage(flat)
     ctx.sync(profile, len(flat.task_procs))
     status = impl.admit_batch(ctx.ref, len(jobs))
@@ -342,12 +359,13 @@ def _apply_batch_results(
 ) -> list[AdmissionDecision]:
     """Write the C results back into schedule and accounting.
 
-    Every accumulator the serial loop updates per job is updated here
-    with the same float operations in the same order, so each matches
-    bit-for-bit; the schedule's share is folded in once per batch
-    (:meth:`Schedule.record_commits`), not once per commit.  The profile
-    is not written back at all: it stays in the context's arrays, and the
-    lists are dropped until somebody reads them.
+    The C loop has already done the float accounting, job by job with the
+    serial loop's own operations: each admitted job's finish and area are
+    columns, and the quality accumulators (PRODUCT / MIN) come back in the
+    struct it was handed them in.  What is left here is counters, objects
+    and one booking per batch (:meth:`Schedule.record_commits`).  The
+    profile is not written back at all: it stays in the context's arrays,
+    and the lists are dropped until somebody reads them.
     """
     schedule = arbitrator.schedule
     profile = schedule.profile
@@ -371,37 +389,16 @@ def _apply_batch_results(
     perf.chains_pruned_dominated += counts[10]
     perf.commits += counts[11]
 
-    comp = arbitrator.quality_composition
-    n_jobs, n_chains, n_tasks = len(flat.jobs), len(flat.chains), len(flat.task_procs)
-    cols = ctx.cols
-    chosen = cols["out_chain"][:n_jobs].tolist()
-    starts = cols["out_starts"][:n_tasks].tolist()
-
-    # Quality accounting.  PRODUCT / MIN compose with order-exact numpy
-    # reductions over the staged columns (sequential multiply / exact min
-    # over each chain's task slice, then an exact max across each job's
-    # chains); the running accumulators take them with the serial loop's
-    # own left-to-right Python additions.  MEAN uses math.fsum, which has
-    # no cheap vector equivalent, so it keeps the per-job Python calls.
-    chain_q = None
-    if n_chains and n_tasks and comp is not QualityComposition.MEAN:
-        reduce = np.multiply if comp is QualityComposition.PRODUCT else np.minimum
-        chain_q = reduce.reduceat(
-            cols["task_quality"][:n_tasks], cols["chain_task_off"][:n_chains]
-        )
-        possible = arbitrator._quality_possible  # noqa: SLF001
-        for q in np.maximum.reduceat(chain_q, cols["job_chain_off"][:n_jobs]).tolist():
-            possible += q
-        arbitrator._quality_possible = possible  # noqa: SLF001
-        chain_q = chain_q.tolist()
-    else:
-        for job in flat.jobs:
-            arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
-
     # One pass over the decided rows, every NumPy column read as a list:
     # ``int(out_chain[jb])`` costs ~0.17 us a read, a list item ~0.01.
+    n_jobs = len(flat.jobs)
+    cols = ctx.cols
+    chosen = cols["out_chain"][:n_jobs].tolist()
+    starts = cols["out_starts"][: len(flat.task_procs)].tolist()
+    n_admitted = counts[11]  # out_finish / out_area hold admitted rows only
+    finishes = cols["out_finish"][:n_admitted].tolist()
+    areas = cols["out_area"][:n_admitted].tolist()
     task_off = flat.chain_task_off
-    task_area = (cols["task_procs"][:n_tasks] * cols["task_dur"][:n_tasks]).tolist()
     chains = flat.chains
     admission = arbitrator.admission
     by_chain = admission.decisions_by_chain
@@ -410,34 +407,33 @@ def _apply_batch_results(
     decisions: list[AdmissionDecision] = []
     append = decisions.append
     committed: list[ChainPlacement] = []
-    finishes: list[float] = []
-    areas: list[float] = []
-    quality = arbitrator._quality_sum  # noqa: SLF001
     for job, c, off in zip(flat.jobs, chosen, flat.job_chain_off):
         if c < 0:
             append(AdmissionDecision(job.job_id, False, None, refused))
             continue
         chain = chains[c]
-        tasks = chain.tasks
-        t0 = task_off[c]
-        t1 = t0 + len(tasks)
         chain_index = c - off
         cp = ChainPlacement(  # positional: keywords cost 0.4 us a call
             job.job_id, chain_index, chain,
-            tuple(map(rigid, tasks, starts[t0:t1])), job.release,
+            tuple(map(rigid, chain.tasks, starts[task_off[c] : task_off[c + 1]])),
+            job.release,
         )
         committed.append(cp)
-        # What cp.finish and cp.total_area compute for rigid placements,
-        # from the same floats in the same order, without the properties.
-        finishes.append(starts[t1 - 1] + tasks[-1].duration)
-        areas.append(sum(task_area[t0:t1]))
         by_chain[chain_index] = by_chain.get(chain_index, 0) + 1
-        quality += chain_q[c] if chain_q is not None else chain_quality(chain, comp)
         append(AdmissionDecision(job.job_id, True, cp))
-    arbitrator._quality_sum = quality  # noqa: SLF001
-    admission.admitted += len(committed)
-    admission.rejected += len(chosen) - len(committed)
-    if committed:
+    admission.admitted += n_admitted
+    admission.rejected += n_jobs - n_admitted
+    struct = ctx.c
+    if struct.qmode:
+        arbitrator._quality_possible = struct.q_possible  # noqa: SLF001
+        arbitrator._quality_sum = struct.q_sum  # noqa: SLF001
+    else:  # MEAN composes with math.fsum, which stays Python's
+        comp = arbitrator.quality_composition
+        for job in flat.jobs:
+            arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
+        for cp in committed:
+            arbitrator._quality_sum += chain_quality(cp.chain, comp)  # noqa: SLF001
+    if n_admitted:
         schedule.record_commits(committed, finishes, areas)
     return decisions
 

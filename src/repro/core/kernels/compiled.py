@@ -42,8 +42,9 @@ class _Fact(ctypes.Structure):
 
 class Context(ctypes.Structure):
     """``Prof`` of ``_kernels.c``, field for field (the loader compares
-    sizes).  Pointer fields take ``ndarray.ctypes.data``; whoever sets one
-    keeps the array alive (:mod:`repro.core.kernels.batch` does)."""
+    the size and every field's offset).  Pointer fields take
+    ``ndarray.ctypes.data``; whoever sets one keeps the array alive
+    (:mod:`repro.core.kernels.batch` does)."""
 
     _fields_ = [
         *((name, _ptr) for name in (
@@ -58,7 +59,10 @@ class Context(ctypes.Structure):
             "task_dur", "task_deadline", "task_quality")),
         ("max_chains", _i64), ("max_tasks", _i64),
         *((name, _ptr) for name in (
-            "dscratch", "iscratch", "out_chain", "out_starts")),
+            "dscratch", "iscratch", "out_chain", "out_starts", "out_finish",
+            "out_area")),
+        ("qmode", _i64),
+        ("q_possible", ctypes.c_double), ("q_sum", ctypes.c_double),
         ("c", _i64 * 12),  # N_COUNTERS
         ("nfacts", _i64), ("fact_evict", _i64),
         ("facts", _Fact * 64),  # NFACTS
@@ -103,6 +107,20 @@ class CompiledKernels:
                 f"compiled kernel context is {size} bytes, compiled.Context "
                 f"{ctypes.sizeof(Context)} ({path}): layouts drifted"
             )
+        lib.repro_ctx_fields.restype = ctypes.c_char_p
+        lib.repro_ctx_fields.argtypes = ()
+        lib.repro_ctx_offsets.restype = _c_int64_p
+        lib.repro_ctx_offsets.argtypes = ()
+        names = lib.repro_ctx_fields().decode().split()
+        theirs = dict(zip(names, lib.repro_ctx_offsets()[: len(names)]))
+        mine = {name: getattr(Context, name).offset for name, _ in Context._fields_}
+        for name in (*theirs, *mine):
+            if theirs.get(name) != mine.get(name):
+                raise ConfigurationError(
+                    f"compiled kernel context has {name!r} at offset "
+                    f"{theirs.get(name)}, compiled.Context at {mine.get(name)} "
+                    f"({path}): layouts drifted"
+                )
 
     # -- scan back-end protocol (mirrors pykernels) --------------------
 

@@ -11,18 +11,32 @@ chain's precedence and deadline constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator
 
 from repro.core.resources import TIME_EPS, time_leq
 from repro.errors import ScheduleConsistencyError
 from repro.model.chain import TaskChain
 from repro.model.task import TaskSpec
 
-__all__ = ["Placement", "ChainPlacement"]
+__all__ = ["Placement", "ChainPlacement", "slot_setters"]
+
+_INF = math.inf
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls: type) -> tuple:
+    """Each field's slot-descriptor ``__set__``, in field order.
+
+    The generated ``__init__`` of a frozen dataclass stores every field by
+    name through ``object.__setattr__`` — half of what such an object
+    costs on the admission write-back — so the decision path's classes
+    write their own (``init=False``) and store through these.  Assignment
+    and ``del`` still raise ``FrozenInstanceError``.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Placement:
     """One task pinned to ``processors`` CPUs over ``[start, start+duration)``."""
 
@@ -31,16 +45,22 @@ class Placement:
     processors: int
     duration: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.start) or math.isinf(self.start):
+    def __init__(
+        self, task: TaskSpec, start: float, processors: int, duration: float
+    ) -> None:
+        if not -_INF < start < _INF:  # NaN fails every comparison
             raise ScheduleConsistencyError(
-                f"placement of {self.task.name!r} has non-finite start {self.start!r}"
+                f"placement of {task.name!r} has non-finite start {start!r}"
             )
-        if self.processors <= 0 or self.duration <= 0:
+        if processors <= 0 or not 0 < duration < _INF:
             raise ScheduleConsistencyError(
-                f"placement of {self.task.name!r} has non-positive extent "
-                f"({self.processors} procs, {self.duration} time)"
+                f"placement of {task.name!r} has non-positive extent "
+                f"({processors} procs, {duration} time)"
             )
+        _set_task(self, task)
+        _set_start(self, start)
+        _set_processors(self, processors)
+        _set_duration(self, duration)
 
     @property
     def end(self) -> float:
@@ -55,7 +75,8 @@ class Placement:
     @staticmethod
     def rigid(task: TaskSpec, start: float) -> "Placement":
         """Placement honouring the task's rigid request exactly."""
-        return Placement(task, start, task.processors, task.duration)
+        request = task.request
+        return Placement(task, start, request.processors, request.duration)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -64,7 +85,10 @@ class Placement:
         )
 
 
-@dataclass(frozen=True, slots=True)
+_set_task, _set_start, _set_processors, _set_duration = slot_setters(Placement)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ChainPlacement:
     """A complete schedule for one chain of one job.
 
@@ -84,13 +108,21 @@ class ChainPlacement:
     placements: tuple[Placement, ...]
     release: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "placements", tuple(self.placements))
-        if len(self.placements) != len(self.chain):
+    def __init__(
+        self, job_id: int, chain_index: int, chain: TaskChain,
+        placements: Iterable[Placement], release: float,
+    ) -> None:
+        placements = tuple(placements)
+        if len(placements) != len(chain.tasks):
             raise ScheduleConsistencyError(
-                f"job {self.job_id}: {len(self.placements)} placements for a "
-                f"{len(self.chain)}-task chain"
+                f"job {job_id}: {len(placements)} placements for a "
+                f"{len(chain)}-task chain"
             )
+        _set_job_id(self, job_id)
+        _set_chain_index(self, chain_index)
+        _set_chain(self, chain)
+        _set_placements(self, placements)
+        _set_release(self, release)
 
     def __iter__(self) -> Iterator[Placement]:
         return iter(self.placements)
@@ -144,3 +176,7 @@ class ChainPlacement:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         body = " ".join(str(p) for p in self.placements)
         return f"job#{self.job_id}[chain {self.chain_index}] {body}"
+
+
+(_set_job_id, _set_chain_index, _set_chain, _set_placements,
+ _set_release) = slot_setters(ChainPlacement)

@@ -570,6 +570,17 @@ def test_float_accumulators_bit_equal_to_serial(kmode, comp, n_tasks):
     assert batch._quality_sum == serial._quality_sum  # noqa: SLF001
     assert batch._quality_possible == serial._quality_possible  # noqa: SLF001
     assert _state(batch) == _state(serial)
+    # Batches of 1, 7 and the rest: a one-job call, a small batch (fully
+    # admitted at one task a chain, partly at three and nine) and a partly
+    # admitted large one all book ``committed_area`` / ``last_finish`` from
+    # the kernel's finish and area columns, which hold admitted rows only.
+    split = QoSArbitrator(8, quality_composition=comp)
+    with kernels.use(kmode):
+        sizes = [len(split.admit_batch(part)) for part in (jobs[:1], jobs[1:8], jobs[8:])]
+    assert sizes == [1, 7, len(jobs) - 8]
+    assert split.schedule.committed_area == serial.schedule.committed_area
+    assert split.schedule.last_finish == serial.schedule.last_finish
+    assert _state(split) == _state(serial)
 
 
 @needs_compiled

@@ -22,7 +22,9 @@ from repro.core import kernels
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.profile import AvailabilityProfile
 from repro.core.schedule import Schedule
+from repro.model.chain import TaskChain
 from repro.model.job import Job
+from repro.model.quality import QualityComposition
 from repro.verify.fuzz import random_flood
 from tests.core.test_admit_batch import KERNEL_MODES, _one_task, _state, needs_compiled
 
@@ -35,22 +37,49 @@ _STEPS = st.one_of(
     st.just(("release",)),
     st.just(("compact",)),
     st.tuples(st.just("adopt"), st.booleans()),
+    st.just(("resubmit",)),
     st.tuples(st.just("read"), st.sampled_from(
         ("segments", "breakpoints", "check_invariants", "copy", "eq", "len")
     )),
 )
 
 
+#: ``random_flood`` draws task qualities from {1/4, 1/2, 3/4, 1}: products
+#: and sums of those are exact in any order, so they never exercise the
+#: quality accumulators the C loop now carries.  These do: non-dyadic
+#: values, 0.0, 1.0, and few enough of them that a job's best quality is
+#: often reached by more than one chain.
+_QUALITIES = (0.0, 0.1, 0.3, 0.3, 0.7, 0.9, 1.0, 1.0)
+
+
+def _requalitied(rng: random.Random, job: Job) -> Job:
+    """``job`` with every task quality redrawn (inside the test: the
+    flood's own draws feed ``--fuzz --seed 42`` and the corpus)."""
+    chains = tuple(
+        TaskChain(
+            tuple(t.with_quality(rng.choice(_QUALITIES)) for t in chain.tasks),
+            label=chain.label,
+        )
+        for chain in job.chains
+    )
+    return Job(chains=chains, release=job.release, job_id=job.job_id)
+
+
 class _Pair:
     """An ``auto`` arbitrator and the reference, driven in lockstep."""
 
     def __init__(self, seed: int) -> None:
-        case = random_flood(random.Random(seed), min_jobs=150, max_jobs=300)
-        self.jobs = list(case.jobs)
+        rng = random.Random(seed)
+        case = random_flood(rng, min_jobs=150, max_jobs=300)
+        self.jobs = [_requalitied(rng, job) for job in case.jobs]
         self.at = 0
-        self.auto = QoSArbitrator(case.capacity)
-        self.ref = QoSArbitrator(case.capacity, backend="scalar")
+        comp = rng.choice(tuple(QualityComposition))
+        self.auto = QoSArbitrator(case.capacity, quality_composition=comp)
+        self.ref = QoSArbitrator(
+            case.capacity, quality_composition=comp, backend="scalar"
+        )
         self.reserved: list[tuple[float, float, int]] = []
+        self.refused: Job | None = None  # counted rejected once, by a submit
 
     def take(self, k: int) -> list[Job]:
         jobs = self.jobs[self.at : self.at + k]
@@ -74,6 +103,19 @@ class _Pair:
                 with kernels.use("python"):
                     got = [auto.submit(job) for job in jobs]
             assert got == want
+            for job, decision in zip(jobs, want):
+                if not decision.admitted:
+                    self.refused = job
+        elif kind == "resubmit":
+            # Re-offer the last refusal (after a rollback or release step
+            # it may fit now): ``_quality_possible`` is restored around the
+            # decision and the provisional rejection netted out.
+            if self.refused is not None:
+                job, self.refused = self.refused, None
+                want = ref.resubmit(job)
+                assert auto.resubmit(job) == want
+                if not want.admitted:
+                    self.refused = job
         elif kind == "rollback":
             held = ref.schedule.placements
             origin = ref.schedule.profile.origin
@@ -245,16 +287,33 @@ def test_error_status_leaves_the_live_state_untouched(
             c, cols = ctx.c, ctx.cols
             spare = ("times", "avail") if c.cur else ("times_alt", "avail_alt")
             for name in (*spare, "prefix", "scr_t", "scr_a", "out_chain",
-                         "out_starts", "dscratch", "iscratch"):
+                         "out_starts", "out_finish", "out_area", "dscratch",
+                         "iscratch"):
                 cols[name][:] = -7
             ctx.counters[:] = 99
+            c.q_possible, c.q_sum = -7.0, 1e9
             return status
 
+        def accounting():
+            return (
+                auto._quality_sum, auto._quality_possible,  # noqa: SLF001
+                dict(auto.admission.decisions_by_chain),
+                auto.schedule.committed_area, auto.schedule.last_finish,
+            )
+
+        # What the fallback finds when it takes over is what was there at
+        # entry: nothing the failed call wrote has been read back.
+        entry, found = accounting(), []
+        offer = auto._offer  # noqa: SLF001
+        monkeypatch.setattr(
+            auto, "_offer", lambda job, *skip: found.append(accounting()) or offer(job, *skip)
+        )
         monkeypatch.setattr(impl, "admit_batch", scribbling)
         fallbacks = kernels.stats.fallbacks
         want = ref.submit(jobs[40])
         got = auto.admit_batch([jobs[40]])[0] if batched else auto.submit(jobs[40])
         assert got == want
+        assert found == [entry]
         assert kernels.stats.fallbacks == fallbacks + 1
         assert auto.perf_snapshot()["batch_fallbacks"] == int(batched)
         assert _state(auto) == _state(ref)
@@ -409,14 +468,29 @@ def test_layout_drift_fails_the_load(monkeypatch):
     from repro.errors import ConfigurationError
 
     assert main(["--check"]) == 0
+    real = compiled.Context
 
-    class Drifted(compiled.Context):
+    class Drifted(real):
         _fields_ = [("one_more", ctypes.c_int64)]
 
     with kernels.use("compiled"):
         path = kernels.active().path
     monkeypatch.setattr(compiled, "Context", Drifted)
     with pytest.raises(ConfigurationError, match="layouts drifted"):
+        compiled.CompiledKernels(path)
+
+    # Same size, two 8-byte neighbours exchanged: only the per-field
+    # offsets (``repro_ctx_offsets``) can tell.
+    swap = {"q_possible": "q_sum", "q_sum": "q_possible"}
+
+    class Swapped(ctypes.Structure):
+        _fields_ = [
+            (swap.get(name, name), ctype) for name, ctype in real._fields_
+        ]
+
+    assert ctypes.sizeof(Swapped) == ctypes.sizeof(real)
+    monkeypatch.setattr(compiled, "Context", Swapped)
+    with pytest.raises(ConfigurationError, match="'q_possible'.*layouts drifted"):
         compiled.CompiledKernels(path)
 
 
