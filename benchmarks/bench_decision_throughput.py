@@ -2,15 +2,13 @@
 
 The headline benchmark of the compiled decision-kernel layer
 (:mod:`repro.core.kernels`): complete admission decisions per second —
-pre-screen, candidate probing, tie-break, commit — on a fragmented
-profile, across four execution modes over one identical job stream:
+candidate probing, tie-break, commit — on a fragmented profile, across
+three execution modes over one identical job stream:
 
-* ``serial-python`` — :meth:`QoSArbitrator.submit` per job, pure-Python
-  kernels (``REPRO_KERNEL=python``), the seed-equivalent hot path;
-* ``serial-kernel`` — submit per job with the ``"kernel"`` scan back-end
-  (compiled ``earliest_fit``/``range_min``/prefix when available);
-* ``batched-python`` — one :meth:`QoSArbitrator.admit_batch` call on the
-  Python kernels: vectorized area pre-screen + the serial loop;
+* ``serial-python`` — :meth:`QoSArbitrator.submit` per job, no C
+  (``REPRO_KERNEL=python``): the reference, the seed-equivalent hot path;
+* ``batched-python`` — one :meth:`QoSArbitrator.admit_batch` call, no C:
+  the same serial loop behind the batch API;
 * ``batched-compiled`` — one ``admit_batch`` call routed through the
   one-call C admission loop (only when the compiled kernel loads).
 
@@ -23,10 +21,13 @@ low-fragmentation point must clear **100k decisions/sec** in
 numbers (the ISSUE-7 headline); CI separately gates batched-compiled at
 >= 3x serial-python on the quick report.
 
-The workload reuses :mod:`bench_fragmentation`'s backlog profile and
-deterministic probe jobs, but *commits* admissions (throughput of real
-admission control, not read-only probing): the stream saturates the
-frontier, so late jobs exercise the reject path while early ones commit.
+The profile is a backlog region of unit-width segments whose
+availability cycles through small values, followed by a fully-free
+frontier; the probe jobs need far more processors than any backlog
+segment offers, so every probe crosses the whole backlog.  Admissions are
+*committed* (throughput of real admission control, not read-only
+probing): the stream saturates the frontier, so late jobs exercise the
+reject path while early ones commit.
 """
 
 from __future__ import annotations
@@ -34,22 +35,83 @@ from __future__ import annotations
 import hashlib
 import time
 
-from bench_fragmentation import CAPACITY, _BACKLOG_AVAIL, fragmentation_jobs
 from repro.core import kernels
 from repro.core.arbitrator import QoSArbitrator
+from repro.core.resources import ProcessorTimeRequest
+from repro.model.chain import TaskChain
+from repro.model.job import Job
+from repro.model.task import TaskSpec
 
-__all__ = ["run_decision_throughput_bench"]
+__all__ = ["fragmentation_jobs", "run_decision_throughput_bench"]
 
 #: Decisions/sec the batched-compiled mode must clear at the
 #: low-fragmentation point (full scale, compiled kernel available).
 THROUGHPUT_FLOOR = 100_000
 
+CAPACITY = 64
+#: Availability cycle of the backlog region: every value is far below the
+#: probe widths, so no probe can place before the frontier.  Adjacent
+#: values differ, so a backlog of ``n`` unit segments is ``n + 1`` live
+#: segments exactly.
+_BACKLOG_AVAIL = (1, 3, 6, 2, 5, 4)
 
-def _fragmented_arbitrator(n_segments: int, backend: str) -> QoSArbitrator:
+
+def _task(name: str, procs: int, dur: float, deadline: float, q: float = 1.0) -> TaskSpec:
+    return TaskSpec(name, ProcessorTimeRequest(procs, dur), deadline=deadline, quality=q)
+
+
+def fragmentation_jobs(n_jobs: int, n_segments: int) -> list[Job]:
+    """Deterministic probe jobs against a ``n_segments``-deep backlog.
+
+    All release at 0 with deadlines generous enough to place at the
+    frontier, cycling through three types:
+
+    * plain two-path tunable jobs (both paths feasible, distinct shapes);
+    * duplicate-path jobs (both paths identical — duplicate collapse);
+    * doomed-then-fallback jobs: two configurations whose deadlines end
+      inside the backlog (unplaceable, the second pointwise harder than
+      the first — failure propagation) plus a feasible fallback.
+    """
+    horizon = float(n_segments)
+    jobs: list[Job] = []
+    for i in range(n_jobs):
+        kind = i % 4
+        w1 = 16 + 8 * (i % 3)  # 16, 24, 32 — all above every backlog segment
+        d1 = 3.0 + (i % 4)
+        c1 = TaskChain(
+            (
+                _task("a", w1, d1, horizon + 100.0),
+                _task("b", w1 // 2, d1 / 2, horizon + 200.0),
+            ),
+            label="c1",
+        )
+        if kind <= 1:
+            c2 = TaskChain(
+                (
+                    _task("a", 48, 2.0, horizon + 100.0, q=0.8),
+                    _task("b", 12, d1, horizon + 200.0, q=0.8),
+                ),
+                label="c2",
+            )
+            jobs.append(Job((c1, c2), job_id=i))
+        elif kind == 2:
+            dup = TaskChain(tuple(c1.tasks), label="dup")
+            jobs.append(Job((c1, dup), job_id=i))
+        else:
+            # Deadlines end mid-backlog: no sufficient run exists before
+            # them, so both configurations force a full backlog scan when
+            # probed — the second is pointwise harder and prunable.
+            doomed1 = TaskChain((_task("a", w1, d1, horizon * 0.5),), label="doomed1")
+            doomed2 = TaskChain(
+                (_task("a", w1 + 8, d1 + 1.0, horizon * 0.4),), label="doomed2"
+            )
+            jobs.append(Job((doomed1, doomed2, c1), job_id=i))
+    return jobs
+
+
+def _fragmented_arbitrator(n_segments: int) -> QoSArbitrator:
     """An arbitrator whose profile carries the standard backlog pattern."""
-    arbitrator = QoSArbitrator(
-        CAPACITY, backend=backend, keep_placements=False
-    )
+    arbitrator = QoSArbitrator(CAPACITY, keep_placements=False)
     profile = arbitrator.schedule.profile
     for i in range(n_segments):
         profile.reserve(
@@ -76,10 +138,10 @@ def _digest(decisions) -> str:
 
 
 def _run_mode(
-    n_segments: int, jobs, *, backend: str, kernel_mode: str, batched: bool
+    n_segments: int, jobs, *, kernel_mode: str, batched: bool
 ) -> tuple[dict, str]:
     with kernels.use(kernel_mode):
-        arbitrator = _fragmented_arbitrator(n_segments, backend)
+        arbitrator = _fragmented_arbitrator(n_segments)
         t0 = time.perf_counter()
         if batched:
             decisions = arbitrator.admit_batch(jobs)
@@ -116,7 +178,7 @@ def run_decision_throughput_bench(
     segment_counts: tuple[int, ...] = (100, 1_000),
     enforce_floor: bool = False,
 ) -> dict:
-    """Throughput comparison across the four execution modes.
+    """Throughput comparison across the three execution modes.
 
     Raises on any decision/profile divergence between modes, and — with
     ``enforce_floor`` and the compiled kernel available — when
@@ -131,13 +193,12 @@ def run_decision_throughput_bench(
         have_compiled = False
 
     modes = [
-        ("serial-python", dict(backend="auto", kernel_mode="python", batched=False)),
-        ("serial-kernel", dict(backend="kernel", kernel_mode="auto", batched=False)),
-        ("batched-python", dict(backend="auto", kernel_mode="python", batched=True)),
+        ("serial-python", dict(kernel_mode="python", batched=False)),
+        ("batched-python", dict(kernel_mode="python", batched=True)),
     ]
     if have_compiled:
         modes.append(
-            ("batched-compiled", dict(backend="auto", kernel_mode="compiled", batched=True))
+            ("batched-compiled", dict(kernel_mode="compiled", batched=True))
         )
 
     points = []

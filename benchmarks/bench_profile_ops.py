@@ -123,8 +123,6 @@ class LegacyAvailabilityProfile(AvailabilityProfile):
             self._avail[i] += delta
         self._canonicalize(i0, i1)
         self._prefix = None
-        self._np_avail = None  # seed had no mirrors; never leave stale ones
-        self._np_times = None
         stats = self.stats
         stats.shift_ops += 1
         touched = max(i1 - i0, 1)

@@ -16,10 +16,6 @@ Sections:
   in parallel over worker processes with a cold content-addressed result
   cache, and again warm — with checksums proving all three executions
   produced identical metrics.
-* ``fragmentation`` — decision latency vs live-profile segment count for
-  the two ``earliest_fit`` scans and the ``"auto"`` rule that chooses
-  between them (:mod:`bench_fragmentation`), with checksum guards proving
-  every back-end and prune mode makes bit-identical admission decisions.
 * ``resilience`` — the fault-aware simulation loop
   (:mod:`repro.resilience`): a zero-event run checked bit-identical
   against the baseline simulator (the subsystem's no-overhead-when-idle
@@ -27,8 +23,8 @@ Sections:
   timed under full per-event verification.
 * ``decision_throughput`` — complete admission decisions per second
   (:mod:`bench_decision_throughput`): one identical committed job stream
-  run serial vs batched on the pure-Python vs compiled decision kernels
-  (:mod:`repro.core.kernels`), decisions and final profile checksummed
+  run serial vs batched, decided by the Python reference vs the compiled
+  kernel (:mod:`repro.core.kernels`), decisions and final profile checksummed
   across all modes; at full scale the batched-compiled mode must clear
   the 100k decisions/sec floor on the low-fragmentation point.
 * ``service`` — the fault-tolerant admission front-end
@@ -87,7 +83,6 @@ from bench_profile_ops import (  # noqa: E402 - after sys.path bootstrap
 from bench_decision_throughput import (  # noqa: E402
     run_decision_throughput_bench,
 )
-from bench_fragmentation import run_fragmentation_bench  # noqa: E402
 from bench_service import run_service_bench  # noqa: E402
 from bench_sweep_runner import run_sweep_runner_bench  # noqa: E402
 from repro.core.arbitrator import QoSArbitrator  # noqa: E402
@@ -434,7 +429,6 @@ def generate(quick: bool = False) -> dict:
         )
         resilience_n = 300
         reconfig_n = 300
-        frag_decisions, frag_counts = 60, (100, 1_000)
         throughput_jobs, throughput_counts, throughput_floor = (
             2_000, (100,), False,
         )
@@ -449,7 +443,6 @@ def generate(quick: bool = False) -> dict:
         )
         resilience_n = 2_000
         reconfig_n = 2_000
-        frag_decisions, frag_counts = 150, (100, 1_000, 10_000)
         throughput_jobs, throughput_counts, throughput_floor = (
             20_000, (100, 1_000), True,
         )
@@ -472,7 +465,6 @@ def generate(quick: bool = False) -> dict:
         "sweep": run_sweep_runner_bench(
             sweep_n, sweep_values, workers=sweep_workers
         ),
-        "fragmentation": run_fragmentation_bench(frag_decisions, frag_counts),
         "perf_overhead": run_perf_overhead_bench(
             arrival["decision_p50_us"], enforce=perf_overhead_enforced
         ),
@@ -521,14 +513,6 @@ def main(argv: list[str] | None = None) -> int:
         f"warm-cache={sweep['warm_cache_seconds']}s "
         f"({sweep['speedup_warm_cache']}x), checksums match"
     )
-    for point in report["fragmentation"]["points"]:
-        print(
-            f"  fragmentation @ {point['segments']} segments: "
-            f"scalar p50={point['backends']['scalar']['p50_us']}us "
-            f"kernel p50={point['backends']['kernel']['p50_us']}us "
-            f"auto p50={point['backends']['auto']['p50_us']}us, "
-            f"decisions identical"
-        )
     overhead = report["perf_overhead"]
     print(
         f"  perf recorder overhead: "

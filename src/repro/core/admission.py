@@ -15,7 +15,6 @@ Section 5 experiments).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container
 
 from repro.core.greedy import GreedyScheduler
 from repro.core.placement import ChainPlacement, slot_setters
@@ -86,15 +85,11 @@ class AdmissionController:
         """Total number of jobs offered so far."""
         return self.admitted + self.rejected
 
-    def offer(self, job: Job, skip: "Container[int]" = ()) -> AdmissionDecision:
-        """Run admission control and (on success) commit the chosen chain.
-
-        ``skip`` forwards pre-certified-unschedulable chain indices to the
-        scheduler (batched admission pre-screen); decisions are unchanged.
-        """
+    def offer(self, job: Job) -> AdmissionDecision:
+        """Run admission control and (on success) commit the chosen chain."""
         if self.compact:
             self.scheduler.schedule.compact(job.release)
-        placement = self.scheduler.schedule_job(job, skip)
+        placement = self.scheduler.schedule_job(job)
         if placement is None:
             self.rejected += 1
             return AdmissionDecision(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from enum import Enum
-from typing import Container, Sequence
+from typing import Sequence
 
 from repro.core import kernels
 from repro.core.admission import AdmissionController, AdmissionDecision
@@ -70,9 +70,11 @@ class QoSArbitrator:
     compact:
         Compact the availability profile to each arrival time.
     backend:
-        Availability-profile scan back-end (see
-        :data:`~repro.core.profile.PROFILE_BACKENDS`); decisions are
-        bit-identical across back-ends.
+        Who decides a ``submit``: ``"auto"`` (default) — the C admission
+        loop whenever it takes the configuration, the Python reference
+        otherwise; ``"scalar"`` — always the reference, the differential
+        oracle.  Decisions are bit-identical (``docs/perf.md``, "Who
+        decides, who scans").
     prune:
         Enable the decision-identical candidate prunes (duplicate collapse,
         failure propagation, incumbent finish capping, quality-ordered
@@ -176,8 +178,8 @@ class QoSArbitrator:
         The candidate-search counters are always present (0 when the event
         never fired) so dashboards and tests can read them unconditionally.
         Kernel-layer selection telemetry rides along: ``kernel_backend``
-        (``"compiled"`` or ``"python"`` — which decision-kernel
-        implementation serves ``REPRO_KERNEL``-routed paths) and
+        (``"compiled"`` or ``"python"`` — whether the C admission loop is
+        loaded or the reference decides everything) and
         ``kernel_fallbacks`` (process-wide count of compiled→python
         fallback events).
         """
@@ -188,7 +190,6 @@ class QoSArbitrator:
             "chains_area_rejected",
             "chains_pruned_dominated",
             "chains_pruned_quality",
-            "chains_prescreen_skipped",
             "batch_jobs",
             "batch_fallbacks",
         ):
@@ -224,11 +225,11 @@ class QoSArbitrator:
             and self.scheduler.policy is not TieBreakPolicy.RANDOM
         )
 
-    def _offer(self, job: Job, skip: "Container[int]" = ()) -> AdmissionDecision:
+    def _offer(self, job: Job) -> AdmissionDecision:
         """Decide ``job`` in Python, then account for it — in that order,
         so a decision that raises leaves every accumulator where it was."""
         if self.objective is ArbitrationObjective.EARLIEST_FINISH:
-            decision = self.admission.offer(job, skip)
+            decision = self.admission.offer(job)
         elif self.objective is ArbitrationObjective.MAX_QUALITY:
             decision = self._offer_max_quality(job)
         else:  # pragma: no cover - closed enum
@@ -276,18 +277,13 @@ class QoSArbitrator:
         Jobs must be in non-decreasing release order when compaction is
         enabled, exactly as for serial submission.
 
-        Cost is amortized two ways:
-
-        * with the compiled kernel loaded and a supported configuration
-          (everything not listed under "What the C loop does not take" in
-          :mod:`repro.core.kernels.batch`), the entire admission loop for
-          the batch — compaction, pruning, probing, tie-breaking,
-          committing — runs in **one C call** over flat arrays
-          (:func:`repro.core.kernels.batch.try_admit_batch_compiled`);
-        * otherwise one vectorized area pre-screen over the batch-entry
-          profile condemns hopeless configurations for the whole batch
-          at once, and the ordinary Python loop runs with those chains
-          skipped (``chains_prescreen_skipped``).
+        With the compiled kernel loaded and a supported configuration
+        (everything not listed under "What the C loop does not take" in
+        :mod:`repro.core.kernels.batch`), the entire admission loop for
+        the batch — compaction, pruning, probing, tie-breaking,
+        committing — runs in **one C call** over flat arrays
+        (:func:`repro.core.kernels.batch.try_admit_batch_compiled`);
+        otherwise the batch *is* the serial loop.
 
         Latency lands in one ``decision_batch`` timer sample (not one
         ``decision`` sample per job); ``batch_jobs`` counts jobs routed
@@ -305,12 +301,7 @@ class QoSArbitrator:
                 if decisions is not None:
                     return decisions
             perf.batch_fallbacks += 1
-            skips = None
-            if self.objective is ArbitrationObjective.EARLIEST_FINISH:
-                skips = kernel_batch.prescreen_skips(self, jobs)
-            if skips is None:
-                return [self._offer(job) for job in jobs]
-            return [self._offer(job, skip) for job, skip in zip(jobs, skips)]
+            return [self._offer(job) for job in jobs]
         finally:
             perf.observe("decision_batch", time.perf_counter() - t0)
 

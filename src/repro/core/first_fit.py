@@ -9,21 +9,13 @@ processors are free throughout ``[s, s + duration)`` and
 The search starts at the segment containing the release time — found by
 bisection, never by scanning from the profile origin — then looks for the
 first *run* of segments with sufficient availability that covers
-``duration``; the run's (release-clamped) start is the answer.  Two scans
-implement that search, selected by
-:meth:`AvailabilityProfile.scan_backend` (see the
-:mod:`repro.core.profile` module docs for how ``"auto"`` chooses):
-
-* :func:`_scalar_scan` walks segments one by one in Python — O(segments
-  scanned past the release), cheapest on small profiles and the reference
-  the verify layer's oracle runs;
-* :func:`_kernel_scan` runs the same walk over the profile's flat NumPy
-  mirrors in :mod:`repro.core.kernels` — compiled C, or a vectorized
-  NumPy run search when no compiled kernel is loaded.
-
-Both return bit-identical results — property tests drive them with the
-same random profiles, and the maximal-holes formulation in
-:mod:`repro.core.holes` provides an independent oracle.
+``duration``; the run's (release-clamped) start is the answer.  The walk
+goes segment by segment over the profile's lists — O(segments scanned
+past the release).  It is the reference the verify layer's oracle runs
+and the walk ``scan_walk`` in ``_kernels.c`` ports line for line for the
+C admission loop (``tests/core/test_kernels.py`` pins the two together);
+the maximal-holes formulation in :mod:`repro.core.holes` provides an
+independent oracle.
 
 Each call bumps the profile's :class:`~repro.perf.ProfileStats` probe
 counters (``probes``, ``probe_segments``) so decision cost stays observable
@@ -38,7 +30,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from repro.core import kernels
 from repro.core.profile import AvailabilityProfile
 from repro.core.resources import TIME_EPS
 
@@ -80,55 +71,11 @@ def earliest_fit(
     release = max(release, profile.origin)
 
     times = profile._times  # noqa: SLF001 - hot path, same package
+    avail = profile._avail  # noqa: SLF001
     n = len(times)
 
     # Segment containing the release instant (bisected, never scanned).
-    i = max(bisect_right(times, release) - 1, 0)
-
-    if profile.scan_backend() == "kernel":
-        return _kernel_scan(profile, n, i, processors, duration, release, deadline)
-    return _scalar_scan(profile, times, n, i, processors, duration, release, deadline)
-
-
-def _kernel_scan(
-    profile: AvailabilityProfile,
-    n: int,
-    i: int,
-    processors: int,
-    duration: float,
-    release: float,
-    deadline: float,
-) -> float | None:
-    """Flat-array search via the decision-kernel layer.
-
-    Dispatches to the compiled C port of the scalar walk when available
-    (``REPRO_KERNEL``), or to its bit-identical numpy fallback; see
-    :mod:`repro.core.kernels`.  Decisions always match the scalar walk;
-    the ``probe_segments`` accounting follows whichever implementation
-    serves the call.
-    """
-    times_m, avail_m = profile._mirrors()  # noqa: SLF001
-    start, scanned = kernels.active().earliest_fit_arrays(
-        times_m, avail_m, n, i, processors, duration, release, deadline
-    )
-    profile.stats.probe_segments += scanned
-    return start
-
-
-def _scalar_scan(
-    profile: AvailabilityProfile,
-    times: list[float],
-    n: int,
-    i: int,
-    processors: int,
-    duration: float,
-    release: float,
-    deadline: float,
-) -> float | None:
-    """Per-segment Python walk (the seed implementation's search loop)."""
-    stats = profile.stats
-    avail = profile._avail  # noqa: SLF001
-    first = i
+    i = first = max(bisect_right(times, release) - 1, 0)
 
     run_start: float | None = release if avail[i] >= processors else None
     while True:

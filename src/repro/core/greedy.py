@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Container, Sequence
+from typing import Sequence
 
 from repro.core.first_fit import earliest_fit
 from repro.core.placement import ChainPlacement, Placement
@@ -228,7 +228,6 @@ class GreedyScheduler:
         job: Job,
         prune: bool,
         finish_cap: bool,
-        skip: "Container[int]" = (),
     ):
         """Stateful per-chain probe applying the enabled prunes.
 
@@ -238,16 +237,6 @@ class GreedyScheduler:
         the prunes reason about, so callers that reorder (the max-quality
         arbitrator path) get exactly the prunes that are sound for their
         order.
-
-        ``skip`` holds chain indices certified unschedulable by an
-        *external* conservative check (the batched admission pre-screen,
-        :func:`repro.core.kernels.batch.prescreen_skips`); they return
-        ``None`` without being probed.  Decision-neutral by construction:
-        every skipped chain would have been rejected here too, and the
-        check runs before any prune state is touched, so the seen-shape /
-        dominance / finish-cap trajectories of the surviving chains are
-        unchanged (a skipped chain's duplicates and pointwise-harder
-        relatives are independently condemned by the same area argument).
         """
         perf = self.schedule.perf
         release = job.release
@@ -262,9 +251,6 @@ class GreedyScheduler:
         state = {"cap": math.inf}
 
         def probe(idx: int) -> ChainPlacement | None:
-            if idx in skip:
-                perf.chains_prescreen_skipped += 1
-                return None
             chain = job.chains[idx]
             if use_dup:
                 key = self._shape_key(chain)
@@ -311,7 +297,6 @@ class GreedyScheduler:
         chain_indices: Sequence[int],
         prune: bool,
         finish_cap: bool,
-        skip: "Container[int]" = (),
     ) -> list[ChainPlacement]:
         """Probe the given configurations in order, applying enabled prunes.
 
@@ -319,7 +304,7 @@ class GreedyScheduler:
         ``prune=False`` this is the plain exhaustive loop (the oracle the
         decision-identity tests compare against).
         """
-        probe = self._prober(job, prune, finish_cap, skip)
+        probe = self._prober(job, prune, finish_cap)
         out: list[ChainPlacement] = []
         for idx in chain_indices:
             cp = probe(idx)
@@ -337,26 +322,16 @@ class GreedyScheduler:
         """
         return self._enumerate(job, range(len(job.chains)), False, False)
 
-    def choose(
-        self, job: Job, skip: "Container[int]" = ()
-    ) -> ChainPlacement | None:
-        """Best schedulable configuration of ``job`` (not committed).
-
-        ``skip`` — chain indices pre-certified unschedulable (see
-        :meth:`_prober`) — never alters the decision, only the work.
-        """
-        cands = self._enumerate(
-            job, range(len(job.chains)), self.prune, True, skip
-        )
+    def choose(self, job: Job) -> ChainPlacement | None:
+        """Best schedulable configuration of ``job`` (not committed)."""
+        cands = self._enumerate(job, range(len(job.chains)), self.prune, True)
         if not cands:
             return None
         return select_candidate(self.schedule, cands, self.policy, self.rng)
 
-    def schedule_job(
-        self, job: Job, skip: "Container[int]" = ()
-    ) -> ChainPlacement | None:
+    def schedule_job(self, job: Job) -> ChainPlacement | None:
         """Choose and *commit* the best configuration; ``None`` if rejected."""
-        chosen = self.choose(job, skip)
+        chosen = self.choose(job)
         if chosen is not None:
             self.schedule.commit(chosen)
         return chosen

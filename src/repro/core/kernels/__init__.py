@@ -1,26 +1,29 @@
-"""Compiled decision-kernel layer with a bit-identical Python fallback.
+"""The compiled decision kernel: the C admission loop and its loader.
 
-This package provides the flat-array kernels behind the ``"kernel"``
-profile scan back-end and the batched admission fast path
-(:meth:`repro.core.arbitrator.QoSArbitrator.admit_batch`):
+One entry point does work — the admission loop behind
+:meth:`repro.core.arbitrator.QoSArbitrator.submit` and ``admit_batch``,
+the only code that reads the availability profile as flat arrays:
 
 * ``_kernels.c`` — hand-written C, built on demand by :mod:`.build` and
   bound via ctypes in :mod:`.compiled` (no Cython, no ``Python.h``);
-* :mod:`.pykernels` — the pure-Python/NumPy implementation of the same
-  interface, returning bit-identical *decisions* (probe instrumentation
-  counts may differ; see the pykernels docs);
-* :mod:`.batch` — flattening and write-back for the one-call batched
-  admission loop, plus the vectorized pre-screen used when only the
-  Python kernels are available.
+* :mod:`.batch` — flattening, the per-profile kernel context and the
+  write-back around the one C call.
+
+There is no Python port of the loop.  Without the compiled kernel every
+decision is the reference's (:class:`~repro.core.greedy.GreedyScheduler`
+over the profile's lists), bit-identical by the contract the
+differential fuzzer enforces — see ``docs/perf.md``, "Who decides, who
+scans".
 
 Selection is controlled by the ``REPRO_KERNEL`` environment variable,
 read lazily on first use:
 
 * ``auto`` (default) — compiled when a C compiler (or a cached build) is
-  available, Python otherwise;
+  available, the reference otherwise;
 * ``compiled`` — require the compiled kernel; raise
   :class:`~repro.errors.ConfigurationError` if it cannot be built;
-* ``python`` — force the fallback (the differential-fuzz oracle mode).
+* ``python`` — no C: the reference decides everything (the
+  differential-fuzz oracle mode).
 
 :func:`kernel_backend` and :data:`stats` surface what actually loaded —
 ``perf_snapshot()`` reports them as ``kernel_backend`` and
@@ -34,14 +37,11 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 __all__ = [
     "KERNEL_MODES",
     "active",
-    "free_area_prefix",
     "kernel_backend",
     "note_fallback",
     "requested_mode",
@@ -65,8 +65,17 @@ class KernelStats:
 
 
 #: Global fallback counter: bumped when a compiled path was requested or
-#: expected but the Python implementation had to serve instead.
+#: expected but the reference had to decide instead.
 stats = KernelStats()
+
+
+class _NoKernel:
+    """What :func:`active` returns when no C is loaded: nothing to call,
+    two flags that say so."""
+
+    compiled = False
+    supports_batch = False
+
 
 _active = None
 _mode: str | None = None
@@ -89,10 +98,8 @@ def note_fallback(reason: str) -> None:
 
 
 def _load(mode: str):
-    from repro.core.kernels import pykernels
-
     if mode == "python":
-        return pykernels
+        return _NoKernel
     try:
         from repro.core.kernels import compiled
 
@@ -104,7 +111,7 @@ def _load(mode: str):
                 f"unavailable: {exc}"
             ) from exc
         note_fallback(str(exc))
-        return pykernels
+        return _NoKernel
 
 
 def active():
@@ -146,23 +153,3 @@ def use(mode: str) -> Iterator[None]:
         yield
     finally:
         set_kernel(previous)
-
-
-def free_area_prefix(times: np.ndarray, avail: np.ndarray) -> np.ndarray:
-    """Free-area prefix sums over the mirrors, bit-identical to the loop.
-
-    ``out[k]`` integrates free processors from the origin to
-    ``times[k]``.  The per-segment areas are the same multiplications
-    the scalar :meth:`~repro.core.profile.AvailabilityProfile._ensure_prefix`
-    performs, and ``np.cumsum`` over a 1-D float64 array accumulates them
-    sequentially in the same order, so every element matches the list
-    prefix bit-for-bit (asserted by ``tests/core/test_kernels.py``).
-    """
-    n = times.shape[0]
-    seq = np.empty(n, dtype=np.float64)
-    seq[0] = 0.0
-    if n > 1:
-        np.multiply(
-            avail[:-1].astype(np.float64), np.diff(times), out=seq[1:]
-        )
-    return np.cumsum(seq, out=seq)

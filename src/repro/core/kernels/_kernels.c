@@ -8,14 +8,13 @@
  *
  * Every function but two is a line-for-line port of a pure-Python
  * reference in ``repro.core`` (profile._shift / compact / free_area,
- * first_fit._scalar_scan, greedy._prober / place_chain,
+ * first_fit.earliest_fit, greedy._prober / place_chain,
  * policies.select_candidate, chain.is_trivially_infeasible).  The float
  * operations replicate the exact IEEE-754 op order of those references —
  * max/min keep Python's first-argument-on-ties convention, accumulations
  * run in the same sequence — and the build flags forbid contraction, so
  * results are bit-identical.  That is the contract the differential
- * fuzzer (``repro.verify.fuzz``) enforces against the scalar/vector/tree
- * oracles.
+ * fuzzer (``repro.verify.fuzz``) enforces against the Python reference.
  *
  * The one deliberate deviation: inside ``repro_admit_batch`` the loop
  * does not redo work an earlier step of the same call already settled.
@@ -34,21 +33,16 @@
  * availability).  A positive-delta shift inside the loop would break the
  * invariant: ``prof_shift`` clears the table if it ever sees one.
  *
- * Two entry points matter:
- *
- * - ``repro_earliest_fit``: one fit probe over the profile's NumPy
- *   mirrors (the ``"kernel"`` scan back-end; correctness/differential
- *   path — per-call ctypes overhead makes it no faster than Python for
- *   single probes on small profiles).
- * - ``repro_admit_batch``: the whole serial admission loop for a vector
- *   of jobs in ONE call — compaction, pruning, probing, tie-breaks and
- *   profile commits all run in C over flattened arrays.  This is the
- *   100k+ decisions/sec path.  It also finishes the float accounting it
- *   holds the operands for: each admitted job's finish and area, and the
- *   two quality accumulators (PRODUCT and MIN; MEAN is ``math.fsum`` and
- *   stays Python's).  Those belong to the ARBITRATOR, not to the context:
- *   the driver writes them into the struct before every call and reads
- *   them back only on BATCH_OK.
+ * One entry point does work, ``repro_admit_batch``: the whole serial
+ * admission loop for a vector of jobs in ONE call — compaction, pruning,
+ * probing, tie-breaks and profile commits all run in C over flattened
+ * arrays.  This is the 100k+ decisions/sec path.  It also finishes the
+ * float accounting it holds the operands for: each admitted job's finish
+ * and area, and the two quality accumulators (PRODUCT and MIN; MEAN is
+ * ``math.fsum`` and stays Python's).  Those belong to the ARBITRATOR, not
+ * to the context: the driver writes them into the struct before every
+ * call and reads them back only on BATCH_OK.  The other exports are the
+ * loader's ABI and layout handshake.
  */
 
 #include <math.h>
@@ -385,19 +379,17 @@ static double prof_free_area(Prof *p, double t0, double t1)
 }
 
 /* ------------------------------------------------------------------ */
-/* The earliest-fit scan (port of first_fit._scalar_scan)              */
+/* The earliest-fit scan (port of first_fit.earliest_fit's walk)       */
 /* ------------------------------------------------------------------ */
 
 /* Raw walk over [0, n) starting at segment i; release already clamped
  * to the origin and i already bisected by the caller.  Returns 1 and
  * *out_start on success, 0 on failure; *out_scanned counts the
- * segments examined exactly like _scalar_scan's probe_segments, and
+ * segments examined exactly like earliest_fit's probe_segments, and
  * *out_run_start is the start of the last run the walk considered (the
  * returned start, or the run at which it gave up): nothing this wide
- * and this long fits anywhere in [release, *out_run_start).  Forced
- * inline so that repro_earliest_fit, which has no use for that last
- * output, compiles to the walk without it. */
-static inline __attribute__((always_inline)) int scan_walk(const double *times, const int64_t *avail, int64_t n,
+ * and this long fits anywhere in [release, *out_run_start). */
+static int scan_walk(const double *times, const int64_t *avail, int64_t n,
                      int64_t i, int64_t processors, double duration,
                      double release, double deadline, double *out_start,
                      int64_t *out_scanned, double *out_run_start)
@@ -734,30 +726,6 @@ const int64_t *repro_ctx_offsets(void)
     static const int64_t offsets[] = {PROF_FIELDS(X)};
 #undef X
     return offsets;
-}
-
-/* Single fit probe over the profile mirrors: the "kernel" scan back-end.
- * Pre-checks, clamping and the start-segment bisect already happened in
- * Python (earliest_fit's dispatcher).  Returns 1/0 (found), writes the
- * start and the scanned-segment count. */
-int64_t repro_earliest_fit(const double *times, const int64_t *avail,
-                           int64_t n, int64_t i, int64_t processors,
-                           double duration, double release, double deadline,
-                           double *out_start, int64_t *out_scanned)
-{
-    double run_start;
-    return scan_walk(times, avail, n, i, processors, duration, release,
-                     deadline, out_start, out_scanned, &run_start);
-}
-
-/* min over avail[lo:hi] — the min_available window reduction. */
-int64_t repro_range_min(const int64_t *avail, int64_t lo, int64_t hi)
-{
-    int64_t m = avail[lo];
-    for (int64_t k = lo + 1; k < hi; k++)
-        if (avail[k] < m)
-            m = avail[k];
-    return m;
 }
 
 /* make the other buffer set the live one */

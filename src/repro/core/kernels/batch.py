@@ -1,39 +1,24 @@
-"""Batched admission: flattening, the compiled fast path, the pre-screen.
+"""Batched admission: flattening, the kernel context, the write-back.
 
-:meth:`repro.core.arbitrator.QoSArbitrator.admit_batch` delegates here.
-Two strategies, both honouring the equivalence contract (*a batch
-replays bit-identical to the serial submit loop in arrival order*):
+:meth:`repro.core.arbitrator.QoSArbitrator.admit_batch` delegates here,
+under the equivalence contract *a batch replays bit-identical to the
+serial submit loop in arrival order*.
 
-1. :func:`try_admit_batch_compiled` — flatten the whole batch, stage
-   it in the profile's kernel context and run ``repro_admit_batch`` (the
-   entire serial admission loop — compaction, prunes, probes,
-   tie-breaks, commits, and the float accounting: finish, area, the
-   quality accumulators) in ONE C call, then build the decision objects
-   and fold the counters into the live ones; the profile itself stays in
-   the context's arrays until Python reads it.  The C loop mutates a
-   copy of the live window, so any error status leaves the live state
-   as it was and falls through to strategy 2.  ``submit(job)`` is this
-   same path with a batch of one.
-
-2. :func:`prescreen_skips` + the ordinary serial loop — one vectorized
-   area pre-screen over the batch-entry profile computes, for every
-   chain in the batch, a *conservative* version of the serial
-   :meth:`~repro.core.greedy.GreedyScheduler._area_reject`; chains it
-   condemns are skipped without probing.  Soundness: commits during the
-   batch only shrink free area and compaction preserves it, so the
-   snapshot free area upper-bounds the live value each job sees — and a
-   float-error margin makes the comparison a strict subset of the
-   serial reject even across differently-accumulated prefix sums.
-   Skipped chains would have returned ``None`` from the prober anyway
-   (their pointwise-harder dominators are area-rejected too, see the
-   dominance proof in :mod:`repro.core.greedy`), so decisions are
-   unchanged for every policy including RANDOM and for the malleable
-   scheduler (area is conserved under reshaping).
+:func:`try_admit_batch_compiled` flattens the whole batch, stages it in
+the profile's kernel context and runs ``repro_admit_batch`` (the entire
+serial admission loop — compaction, prunes, probes, tie-breaks, commits,
+and the float accounting: finish, area, the quality accumulators) in ONE
+C call, then builds the decision objects and folds the counters into the
+live ones; the profile itself stays in the context's arrays until Python
+reads it.  The C loop mutates a copy of the live window, so any error
+status leaves the live state as it was and the caller falls back to the
+reference: the plain serial loop over ``_offer``.  ``submit(job)`` is
+this same path with a batch of one.
 
 What the C loop does not take
 -----------------------------
-The complete list.  A batch with any of these is decided by strategy 2
-and counted in ``batch_fallbacks``:
+The complete list.  A batch with any of these is decided by the
+reference loop and counted in ``batch_fallbacks``:
 
 * ``TieBreakPolicy.RANDOM`` — consumes a Python RNG stream;
 * ``MalleableScheduler`` — reshaping is not implemented in C;
@@ -60,7 +45,7 @@ context's view of the profile is thrown away:
 * ``AvailabilityProfile.copy()`` copies the lists and leaves ``_ctx``
   unset: a context serves exactly one profile.
 * ``kernels.use("python")`` / ``set_kernel`` while a context exists: the
-  Python path reads the lists (rebuilt from the context if they were
+  reference reads the lists (rebuilt from the context if they were
   dropped) and its mutations mark the arrays stale; back on the compiled
   kernel the next call re-uploads and starts with no facts.
 * ``REPRO_KERNEL_LIB`` pointing at another ``.so``: a context remembers
@@ -103,7 +88,7 @@ from repro.model.quality import QualityComposition, chain_quality
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.arbitrator import QoSArbitrator
 
-__all__ = ["FlatBatch", "flatten_jobs", "prescreen_skips", "try_admit_batch_compiled"]
+__all__ = ["FlatBatch", "flatten_jobs", "try_admit_batch_compiled"]
 
 #: Tie-break policy codes of ``_kernels.c`` (RANDOM intentionally absent).
 _POLICY_CODES = {
@@ -320,7 +305,7 @@ def try_admit_batch_compiled(
     the live state untouched.
     """
     impl = kernels.active()
-    if not getattr(impl, "supports_batch", False):
+    if not impl.supports_batch:
         return None
     scheduler = arbitrator.scheduler
     policy_code = _POLICY_CODES.get(scheduler.policy)
@@ -369,8 +354,7 @@ def _apply_batch_results(
     """
     schedule = arbitrator.schedule
     profile = schedule.profile
-    profile._list_times = profile._list_avail = None  # noqa: SLF001
-    profile._np_times = profile._np_avail = profile._prefix = None  # noqa: SLF001
+    profile._list_times = profile._list_avail = profile._prefix = None  # noqa: SLF001
 
     counts = ctx.counters.tolist()
     stats = profile.stats
@@ -436,65 +420,3 @@ def _apply_batch_results(
     if n_admitted:
         schedule.record_commits(committed, finishes, areas)
     return decisions
-
-
-def prescreen_skips(
-    arbitrator: "QoSArbitrator", jobs: Sequence[Job]
-) -> list[frozenset[int]] | None:
-    """Conservative per-job chain-skip sets from one vectorized pass.
-
-    For every chain in the batch, evaluate the area-reject inequality
-    against the *batch-entry* profile snapshot with a float-error margin
-    (see the module docs for the soundness argument); chains condemned
-    here are guaranteed to be rejected by the serial prober too, so the
-    probe can skip them wholesale.  Returns ``None`` when the pre-screen
-    cannot help (empty profile windows are cheap anyway).
-    """
-    profile = arbitrator.schedule.profile
-    times_m, avail_m = profile._mirrors()  # noqa: SLF001
-    prefix = kernels.free_area_prefix(times_m, avail_m)
-    origin = float(times_m[0])
-    capacity = profile.capacity
-
-    releases: list[float] = []
-    final_deadlines: list[float] = []
-    areas: list[float] = []
-    owner_end = [0]
-    for job in jobs:
-        for chain in job.chains:
-            releases.append(job.release)
-            final_deadlines.append(chain.final_deadline)
-            areas.append(chain.total_area)
-        owner_end.append(len(releases))
-    if not releases:
-        return None
-
-    rel = np.asarray(releases, dtype=np.float64)
-    t1 = rel + np.asarray(final_deadlines, dtype=np.float64)
-    area = np.asarray(areas, dtype=np.float64)
-    t0 = np.maximum(rel, origin)
-    finite = np.isfinite(t1)
-    degenerate = finite & (t1 <= t0)
-
-    # Cumulative free area at t (vectorized _cumulative_free).
-    def cum_free(t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(times_m, t, side="right") - 1
-        clipped = np.maximum(idx, 0)
-        val = prefix[clipped] + avail_m[clipped] * (t - times_m[clipped])
-        return np.where(idx < 0, 0.0, val)
-
-    safe_t1 = np.where(finite, t1, origin)
-    free = cum_free(np.maximum(safe_t1, t0)) - cum_free(t0)
-    # Margin covering float divergence between this snapshot evaluation
-    # and the serial one (differently-originated prefix sums, live
-    # commits): absolute floor plus a relative term in the window area.
-    span = np.maximum(safe_t1 - t0, 0.0)
-    margin = 1e-7 + 1e-12 * capacity * span
-    rejected = degenerate | (finite & (free < area - 1e-6 - margin))
-
-    skips: list[frozenset[int]] = []
-    for jb in range(len(jobs)):
-        begin, end = owner_end[jb], owner_end[jb + 1]
-        doomed = np.flatnonzero(rejected[begin:end])
-        skips.append(frozenset(int(k) for k in doomed))
-    return skips

@@ -6,13 +6,13 @@ CPython extension: there is no ``Python.h`` dependency, no Cython, no
 build isolation, just ``cc -O2 -fPIC -shared`` plus the two flags that
 make bit-identity possible (``-fno-fast-math -ffp-contract=off``; fused
 multiply-adds or value-unsafe reassociation would break the equality
-contract with the pure-Python back-ends).
+contract with the pure-Python reference).
 
 The build is lazy, cached by mtime, and *optional*: when no C compiler
 is present :func:`ensure_built` raises :class:`ConfigurationError` and
-the kernel layer falls back to the pure-NumPy implementation (see
-:mod:`repro.core.kernels`).  ``python -m repro.core.kernels --build``
-runs the same build explicitly (the CI hook).
+the Python reference decides instead (see :mod:`repro.core.kernels`).
+``python -m repro.core.kernels --build`` runs the same build explicitly
+(the CI hook).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """ctypes binding for the compiled decision kernel (``_kernels.c``).
 
 Loads the shared object built by :mod:`repro.core.kernels.build` and
-exposes the same interface as :mod:`repro.core.kernels.pykernels`, plus
-:meth:`CompiledKernels.admit_batch` — the one-call batched admission
-loop over a :class:`Context` the caller builds once per profile.  All
-array arguments are contiguous NumPy arrays passed by raw pointer; the C
-side never allocates, so ownership stays entirely with the caller.
+exposes :meth:`CompiledKernels.admit_batch` — the one-call batched
+admission loop over a :class:`Context` the caller builds once per
+profile.  Every array the context points at is a contiguous NumPy array
+passed by raw pointer; the C side never allocates, so ownership stays
+entirely with the caller.
 """
 
 from __future__ import annotations
@@ -13,24 +13,10 @@ from __future__ import annotations
 import ctypes
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.kernels.build import ABI_VERSION, ensure_built, notice
 from repro.errors import ConfigurationError
 
 __all__ = ["CompiledKernels", "Context", "load"]
-
-_c_double_p = ctypes.POINTER(ctypes.c_double)
-_c_int64_p = ctypes.POINTER(ctypes.c_int64)
-
-
-def _dp(arr: np.ndarray):
-    return arr.ctypes.data_as(_c_double_p)
-
-
-def _ip(arr: np.ndarray):
-    return arr.ctypes.data_as(_c_int64_p)
-
 
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 
@@ -80,16 +66,6 @@ class CompiledKernels:
         lib = ctypes.CDLL(str(path))
         lib.repro_abi_version.restype = ctypes.c_int64
         lib.repro_abi_version.argtypes = ()
-        lib.repro_earliest_fit.restype = ctypes.c_int64
-        lib.repro_earliest_fit.argtypes = (
-            _c_double_p, _c_int64_p, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            _c_double_p, _c_int64_p,
-        )
-        lib.repro_range_min.restype = ctypes.c_int64
-        lib.repro_range_min.argtypes = (
-            _c_int64_p, ctypes.c_int64, ctypes.c_int64,
-        )
         lib.repro_admit_batch.restype = ctypes.c_int64
         lib.repro_admit_batch.argtypes = (ctypes.POINTER(Context), ctypes.c_int64)
         self._lib = lib
@@ -109,7 +85,7 @@ class CompiledKernels:
             )
         lib.repro_ctx_fields.restype = ctypes.c_char_p
         lib.repro_ctx_fields.argtypes = ()
-        lib.repro_ctx_offsets.restype = _c_int64_p
+        lib.repro_ctx_offsets.restype = ctypes.POINTER(ctypes.c_int64)
         lib.repro_ctx_offsets.argtypes = ()
         names = lib.repro_ctx_fields().decode().split()
         theirs = dict(zip(names, lib.repro_ctx_offsets()[: len(names)]))
@@ -121,32 +97,6 @@ class CompiledKernels:
                     f"{theirs.get(name)}, compiled.Context at {mine.get(name)} "
                     f"({path}): layouts drifted"
                 )
-
-    # -- scan back-end protocol (mirrors pykernels) --------------------
-
-    def earliest_fit_arrays(
-        self,
-        times: np.ndarray,
-        avail: np.ndarray,
-        n: int,
-        i: int,
-        processors: int,
-        duration: float,
-        release: float,
-        deadline: float,
-    ) -> tuple[float | None, int]:
-        out_start = ctypes.c_double()
-        out_scanned = ctypes.c_int64()
-        found = self._lib.repro_earliest_fit(
-            _dp(times), _ip(avail), n, i, processors, duration, release,
-            deadline, ctypes.byref(out_start), ctypes.byref(out_scanned),
-        )
-        return (out_start.value if found else None), out_scanned.value
-
-    def range_min(self, avail: np.ndarray, lo: int, hi: int) -> int:
-        return int(self._lib.repro_range_min(_ip(avail), lo, hi))
-
-    # -- batched admission ---------------------------------------------
 
     def admit_batch(self, ctx, n_jobs: int) -> int:
         """Decide the ``n_jobs`` staged in ``ctx`` (a ``byref`` of a
@@ -169,7 +119,7 @@ def load() -> CompiledKernels:
     one clean forced rebuild, announced with a ``::notice`` annotation —
     never a hard crash.  If even the rebuilt object cannot be loaded the
     failure is normalized to :class:`~repro.errors.ConfigurationError`
-    so ``REPRO_KERNEL=auto`` falls back to the Python kernels.
+    so ``REPRO_KERNEL=auto`` falls back to the Python reference.
     """
     global _loaded
     if _loaded is None:

@@ -37,11 +37,6 @@ each query O(log S).  :class:`~repro.perf.ProfileStats` counters
 (``stats``) record ops, per-op segments touched, probe scans and prefix
 rebuilds; they are always on and cost a few integer adds per operation.
 
-The profile also keeps NumPy mirrors of ``_times`` and ``_avail``
-(:meth:`_mirrors`): built lazily on the first flat-array probe, then kept
-in sync by the same windowed splice ``_shift`` applies to the lists (one
-C-level concatenate each per mutation).  The flat-array scan reads them.
-
 Which side is current
 ---------------------
 The C admission loop (:mod:`repro.core.kernels.batch`) mutates its own
@@ -54,56 +49,44 @@ current without converting.  A Python-side mutation (``_shift``,
 ``compact``, an assignment to ``_times`` / ``_avail``) sets ``_dirty``:
 the arrays are stale and the next kernel call re-uploads the lists.
 
-Two scans and who still consults the resolver
----------------------------------------------
+Who decides
+-----------
 Whole decisions go through the C loop whenever it takes them (see "What
 the C loop does not take" in :mod:`repro.core.kernels.batch`), and that
-loop has its own walk.  What is left for the Python-side scans is the
-reference path — ``backend="scalar"``, RANDOM tie-breaks, malleable
-chains, MAX_QUALITY, ``REPRO_KERNEL=python`` — and point queries from
-outside the decision loop (``min_available``, ``free_area``, ``holes``).
-Two back-ends answer those, named by the ``backend`` constructor
-argument and resolved per query by :meth:`scan_backend`:
-
-* ``"scalar"`` — the per-segment Python walks in this module and
-  :func:`~repro.core.first_fit._scalar_scan` (the seed semantics and the
-  verify layer's oracle; cheapest on small profiles);
-* ``"kernel"`` — the same walk over the flat mirrors in
-  :mod:`repro.core.kernels`: compiled C, or a NumPy fallback with
-  bit-identical answers when no compiled kernel is loaded;
-* ``"auto"`` (default) — chooses between the two from what the code can
-  observe, the live segment count and whether the compiled kernel loaded
-  (:func:`resolve_auto_backend`).
-
-Both return bit-identical answers, so the choice never changes a
-scheduling decision; forcing a side is for tests and oracles.  See
-``docs/perf.md`` for the measured crossovers.
+loop has its own walk over the context's arrays.  Everything else — the
+reference path (``backend="scalar"``, RANDOM tie-breaks, malleable
+chains, MAX_QUALITY, ``REPRO_KERNEL=python``) and point queries from
+outside the decision loop (``min_available``, ``free_area``, ``holes``)
+— reads the two lists with the per-segment Python walks in this module
+and :func:`~repro.core.first_fit.earliest_fit`.  The ``backend``
+constructor argument says who decides, never how a query is scanned:
+``"auto"`` (default) lets the C loop decide whatever it takes,
+``"scalar"`` keeps every ``submit`` on the reference.  Both make
+bit-identical decisions; ``docs/perf.md`` ("Who decides, who scans") has
+what the reference path costs on a deep profile.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.errors import CapacityExceededError, ConfigurationError, SchedulingError
-from repro.core import kernels
 from repro.core.resources import TIME_EPS
 from repro.perf import ProfileStats
 
 __all__ = [
     "AvailabilityProfile",
     "PROFILE_BACKENDS",
-    "KERNEL_MIN_SEGMENTS",
-    "VECTOR_MIN_SEGMENTS",
     "check_backend",
-    "resolve_auto_backend",
 ]
 
-#: Valid values for the ``backend`` constructor argument.
-PROFILE_BACKENDS = ("auto", "scalar", "kernel")
+#: Valid values for the ``backend`` constructor argument.  A tuple (and
+#: in this order) because ``benchmarks/e2e/layers.py`` reports
+#: ``PROFILE_BACKENDS.index(profile.scan_backend())``; ROADMAP 9(ii)
+#: removes that reader.
+PROFILE_BACKENDS = ("auto", "scalar")
 
 
 def check_backend(backend: object) -> None:
@@ -114,52 +97,6 @@ def check_backend(backend: object) -> None:
         raise ConfigurationError(
             f"backend must be one of {PROFILE_BACKENDS}, got {backend!r}"
         )
-
-
-#: Segment count from which the ``"kernel"`` back-end's *NumPy fallback*
-#: (the vectorized run search in :mod:`repro.core.kernels.pykernels`)
-#: beats the scalar walk.  The fragmentation benchmark, when it still
-#: timed that scan on its own (``BENCH_sched.json`` before PR 15),
-#: measured it *behind* the walk at both 100 segments (212µs vs 64µs p50)
-#: and 1000 segments (129µs vs 99µs) and only ahead at 10000 (145µs vs
-#: 641µs): the run search allocates several temporaries per probe, so its
-#: fixed cost is far higher than a single comparison's.  The crossover
-#: therefore sits between 10^3 and 10^4 live segments; 2048 keeps
-#: ``"auto"`` on the cheap walk through the entire range where the walk
-#: wins.
-VECTOR_MIN_SEGMENTS = 2048
-
-#: Segment count from which the *compiled* ``"kernel"`` back-end beats the
-#: scalar walk when Python probes chain by chain — since ``submit`` became
-#: a batch of one through the C loop this governs only the reference path
-#: (RANDOM, malleable, MAX_QUALITY on a deep profile) and point queries.
-#: The committed decision-throughput
-#: data (``BENCH_sched.json``) puts serial-kernel *behind* serial-python
-#: at 100 segments (25.4k vs 31.0k decisions/s — the ctypes call overhead
-#: loses on a short walk) and ahead at 1000 (23.3k vs 12.7k/s), and the
-#: fragmentation points agree (kernel p50 53.9µs vs scalar 32.7µs at 100
-#: segments; 56.0µs vs 81.2µs at 1000).  The crossover therefore sits in
-#: (100, 1000]; 512 splits the bracket
-#: (``tests/core/test_auto_backend.py`` pins it against the committed
-#: data).
-KERNEL_MIN_SEGMENTS = 512
-
-
-def resolve_auto_backend(n_segments: int, kernel_compiled: bool | None = None) -> str:
-    """The back-end ``"auto"`` picks for a profile of ``n_segments``.
-
-    ``"kernel"`` from :data:`KERNEL_MIN_SEGMENTS` up when the compiled
-    decision kernel is loaded, from :data:`VECTOR_MIN_SEGMENTS` up when
-    only its NumPy fallback is; ``"scalar"`` below.
-    ``kernel_compiled=None`` (the default) asks the kernel layer; tests
-    pass an explicit value to pin both regimes.  The contract tested
-    against the committed benchmark data is that auto is never the
-    *worst* scan at any committed fragmentation point.
-    """
-    if kernel_compiled is None:
-        kernel_compiled = kernels.kernel_backend() == "compiled"
-    crossover = KERNEL_MIN_SEGMENTS if kernel_compiled else VECTOR_MIN_SEGMENTS
-    return "kernel" if n_segments >= crossover else "scalar"
 
 
 class AvailabilityProfile:
@@ -173,11 +110,12 @@ class AvailabilityProfile:
         The earliest instant described by the profile; all processors are
         free from ``origin`` onward in a fresh profile.
     backend:
-        Scan back-end for fit/min/area queries — one of
-        :data:`PROFILE_BACKENDS`.  ``"auto"`` (default) picks by segment
-        count; ``"scalar"`` / ``"kernel"`` force one side (used by
-        oracles, equivalence tests and benchmarks).  Both return
-        bit-identical results.
+        Who decides a ``submit`` on the schedule that owns this profile —
+        one of :data:`PROFILE_BACKENDS`.  ``"auto"`` (default): the C
+        admission loop whenever it takes the configuration, the Python
+        reference otherwise; ``"scalar"``: always the reference (the
+        differential oracle).  Decisions are bit-identical; queries on
+        the profile itself read the lists either way.
     """
 
     __slots__ = (
@@ -187,8 +125,6 @@ class AvailabilityProfile:
         "_ctx",
         "_dirty",
         "_prefix",
-        "_np_times",
-        "_np_avail",
         "_backend",
         "stats",
     )
@@ -210,14 +146,8 @@ class AvailabilityProfile:
         self._avail = [capacity]
         #: Cached free-area prefix sums; None whenever the profile mutated
         #: since the last area query (rebuilt lazily by :meth:`_ensure_prefix`).
-        self._prefix: "list[float] | np.ndarray | None" = None
-        #: NumPy mirrors of ``_times`` / ``_avail`` for flat-array fit
-        #: probes; built lazily by :meth:`_mirrors` and kept in sync
-        #: incrementally by :meth:`_shift` / :meth:`compact` (never rebuilt
-        #: from scratch on the mutation path).
-        self._np_times: np.ndarray | None = None
-        self._np_avail: np.ndarray | None = None
-        #: Configured scan back-end (see class docs).
+        self._prefix: list[float] | None = None
+        #: Configured back-end (see class docs).
         self._backend = backend
         #: Always-on operation counters (see :class:`repro.perf.ProfileStats`).
         self.stats = ProfileStats()
@@ -275,7 +205,7 @@ class AvailabilityProfile:
 
     @property
     def backend(self) -> str:
-        """Configured scan back-end (``"auto"`` resolves per query)."""
+        """Configured back-end (who decides a ``submit``; see class docs)."""
         return self._backend
 
     @property
@@ -321,8 +251,6 @@ class AvailabilityProfile:
         new._times = list(self._times)
         new._avail = list(self._avail)
         new._prefix = None
-        new._np_times = None
-        new._np_avail = None
         new._backend = self._backend
         new.stats = ProfileStats()
         return new
@@ -336,7 +264,7 @@ class AvailabilityProfile:
     ) -> "AvailabilityProfile":
         """Build a profile from ``(start_time, available)`` pairs.
 
-        The pairs must be in strictly increasing time order; each pair opens
+        The times must be finite and strictly increasing; each pair opens
         a segment lasting until the next pair (the last to ``+inf``).
         """
         if not segments:
@@ -346,6 +274,8 @@ class AvailabilityProfile:
         avail: list[int] = []
         prev_t = -math.inf
         for t, a in segments:
+            if not math.isfinite(t):
+                raise ConfigurationError(f"segment times must be finite, got {t!r}")
             if t <= prev_t:
                 raise ConfigurationError("segment times must be strictly increasing")
             if not 0 <= a <= capacity:
@@ -380,35 +310,11 @@ class AvailabilityProfile:
         """Free processors at instant ``t`` (right-open convention)."""
         return self._avail[self._index_at(t)]
 
-    def _mirrors(self) -> tuple[np.ndarray, np.ndarray]:
-        """NumPy views of ``(_times, _avail)`` for flat-array probes.
-
-        Built from the lists on first use (O(S)); thereafter every windowed
-        rewrite splices the same change into the mirrors at C speed, so they
-        are never rebuilt from scratch while probes and mutations alternate
-        — the access pattern of the scheduling hot path.
-        """
-        avail_m = self._np_avail
-        if avail_m is None:
-            avail_m = np.asarray(self._avail, dtype=np.int64)
-            self._np_avail = avail_m
-        times_m = self._np_times
-        if times_m is None:
-            times_m = np.asarray(self._times, dtype=np.float64)
-            self._np_times = times_m
-        return times_m, avail_m
-
     def scan_backend(self) -> str:
-        """Resolve the scan answering the next query: ``"scalar"`` or
-        ``"kernel"``, never ``"auto"``.
-
-        An explicit constructor choice wins; ``"auto"`` picks by live
-        segment count (:func:`resolve_auto_backend`).
-        """
-        backend = self._backend
-        if backend != "auto":
-            return backend
-        return resolve_auto_backend(len(self._times))
+        """Always ``"scalar"``: queries on the profile walk its lists.
+        Kept only for ``benchmarks/e2e/layers.py``, which reports it as
+        ``autotune.backend_final``; ROADMAP 9(ii) removes that reader."""
+        return "scalar"
 
     def min_available(self, t0: float, t1: float) -> int:
         """Minimum free processors over the interval ``[t0, t1)``.
@@ -419,14 +325,6 @@ class AvailabilityProfile:
         if t1 <= t0:
             return self.available_at(t0)
         i = self._index_at(t0)
-        if self.scan_backend() == "kernel":
-            # Same window as the scalar walk below (segment i plus every
-            # later segment starting strictly before t1 - TIME_EPS),
-            # reduced flat over the int64 mirror by the kernel layer
-            # (compiled loop or numpy min — bit-identical).
-            hi = max(bisect_left(self._times, t1 - TIME_EPS), i + 1)
-            _, avail_m = self._mirrors()
-            return kernels.active().range_min(avail_m, i, hi)
         lo = self._avail[i]
         n = len(self._times)
         i += 1
@@ -436,7 +334,7 @@ class AvailabilityProfile:
             i += 1
         return lo
 
-    def _ensure_prefix(self) -> "list[float] | np.ndarray":
+    def _ensure_prefix(self) -> list[float]:
         """Return the cached free-area prefix sums, rebuilding if stale.
 
         ``prefix[k]`` is the free processor-time integral from the origin to
@@ -458,7 +356,7 @@ class AvailabilityProfile:
             self.stats.prefix_rebuilds += 1
         return prefix
 
-    def _cumulative_free(self, t: float, prefix: "Sequence[float] | np.ndarray") -> float:
+    def _cumulative_free(self, t: float, prefix: list[float]) -> float:
         """Free area integrated over ``[origin, t)`` (``t >= origin``)."""
         times = self._times
         i = bisect_right(times, t) - 1
@@ -479,21 +377,6 @@ class AvailabilityProfile:
         if t0 < self._times[0] - TIME_EPS:
             raise SchedulingError(
                 f"time {t0} precedes profile origin {self._times[0]}"
-            )
-        if self.scan_backend() == "kernel":
-            # np.cumsum over the mirror segment areas accumulates in the
-            # same sequential order as the Python loop, so the cached
-            # array is bit-identical to the list prefix (the rebuild just
-            # runs at C speed).  Shares the ``_prefix`` cache slot and its
-            # invalidation-on-mutation lifecycle.
-            prefix = self._prefix
-            if prefix is None:
-                times_m, avail_m = self._mirrors()
-                prefix = kernels.free_area_prefix(times_m, avail_m)
-                self._prefix = prefix
-                self.stats.prefix_rebuilds += 1
-            return float(
-                self._cumulative_free(t1, prefix) - self._cumulative_free(t0, prefix)
             )
         prefix = self._ensure_prefix()
         return self._cumulative_free(t1, prefix) - self._cumulative_free(t0, prefix)
@@ -603,19 +486,6 @@ class AvailabilityProfile:
         times[i:hi] = new_times
         avail[i:hi] = new_avail
         self._dirty = True
-        # Same splice, applied to any live mirror in one C-level concatenate
-        # each.  (Explicit dtypes: an empty replacement window must not
-        # promote the availability mirror to float64.)
-        mirror = self._np_avail
-        if mirror is not None:
-            self._np_avail = np.concatenate(
-                (mirror[:i], np.asarray(new_avail, dtype=np.int64), mirror[hi:])
-            )
-        mirror = self._np_times
-        if mirror is not None:
-            self._np_times = np.concatenate(
-                (mirror[:i], np.asarray(new_times, dtype=np.float64), mirror[hi:])
-            )
         self._prefix = None
         stats = self.stats
         stats.shift_ops += 1
@@ -662,15 +532,6 @@ class AvailabilityProfile:
         self._avail = self._avail[i:]
         if self._times[0] < before:
             self._times[0] = before
-        mirror = self._np_avail
-        if mirror is not None:
-            self._np_avail = mirror[i:]
-        mirror = self._np_times
-        if mirror is not None:
-            # Copy before the re-anchor write: the slice is a view.
-            mirror = mirror[i:].copy()
-            mirror[0] = self._times[0]
-            self._np_times = mirror
         self._prefix = None
         self.stats.compactions += 1
 
@@ -691,9 +552,3 @@ class AvailabilityProfile:
         for a, b in zip(self._avail, self._avail[1:]):
             if a == b:
                 raise SchedulingError("profile not canonical: equal neighbours")
-        mirror = self._np_avail
-        if mirror is not None and list(mirror) != self._avail:
-            raise SchedulingError("NumPy availability mirror out of sync")
-        mirror = self._np_times
-        if mirror is not None and list(mirror) != self._times:
-            raise SchedulingError("NumPy breakpoint mirror out of sync")

@@ -39,9 +39,11 @@ class Schedule:
         keep memory flat; consistency auditing then only covers the profile
         invariants.
     backend:
-        Scan back-end for the owned availability profile (see
-        :data:`~repro.core.profile.PROFILE_BACKENDS`); all back-ends make
-        bit-identical scheduling decisions.
+        Passed to the owned availability profile (see
+        :class:`~repro.core.profile.AvailabilityProfile`): ``"auto"`` lets
+        the C admission loop decide what it takes, ``"scalar"`` keeps
+        every ``submit`` on the Python reference; decisions are
+        bit-identical.
     """
 
     def __init__(

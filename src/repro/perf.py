@@ -108,7 +108,6 @@ HOT_COUNTERS = (
     "chains_area_rejected",
     "chains_pruned_dominated",
     "chains_pruned_quality",
-    "chains_prescreen_skipped",
     "batch_jobs",
     "batch_fallbacks",
 )

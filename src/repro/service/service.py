@@ -137,6 +137,8 @@ class ServiceConfig:
     malleable: bool = False
     objective: ArbitrationObjective = ArbitrationObjective.EARLIEST_FINISH
     policy: TieBreakPolicy = TieBreakPolicy.PAPER
+    # "auto" (the C admission loop decides) or "scalar" (the Python
+    # reference does); see QoSArbitrator.  Decisions are bit-identical.
     backend: str = "auto"
     prune: bool = True
     # Shed or timed-out requests may be retried after later-release jobs

@@ -26,7 +26,7 @@ rigid or malleable).  For each case the harness:
    case replays bit-identical to the serial submit loop, per policy.
    Which arm is which: ``submit`` is a batch of one through the C
    admission loop on every back-end but ``"scalar"``, so under
-   ``REPRO_KERNEL=compiled`` (CI runs both) the ``"kernel"`` arm of the
+   ``REPRO_KERNEL=compiled`` (CI runs both) the ``"auto"`` arm of the
    differential matrix, the ``"auto"`` serial runs of the metamorphic and
    batch checks and every batched run are **C** for the deterministic
    rigid policies, and the ``"scalar"`` arm is the **reference**:
@@ -93,11 +93,10 @@ CORPUS_VERSION = 1
 _RANDOM_POLICY_SEED = 1234
 
 #: Back-ends under differential test: the reference (``GreedyScheduler``
-#: over the scalar walk) against ``"kernel"`` — whole decisions in the C
-#: loop when it is compiled and takes the policy, the flat-array walk
-#: under ``GreedyScheduler`` otherwise (CI runs the campaign under both
-#: ``REPRO_KERNEL`` settings).
-_BACKENDS: tuple[str, ...] = ("scalar", "kernel")
+#: over the scalar walk) against ``"auto"`` — whole decisions in the C
+#: loop when it is compiled and takes the policy, the reference again
+#: otherwise (CI runs the campaign under both ``REPRO_KERNEL`` settings).
+_BACKENDS: tuple[str, ...] = ("scalar", "auto")
 
 #: Deterministic policies checked by the order-metamorphic test.
 _POLICIES: tuple[TieBreakPolicy, ...] = (

@@ -71,8 +71,9 @@ class SweepConfig:
     resize_policy: ResizePolicy = ResizePolicy.OFF
     reconfig_cost: float = 0.0
     reconfig_cost_per_proc: float = 0.0
-    #: Availability-profile scan back-end; all back-ends make bit-identical
-    #: decisions (see :data:`repro.core.profile.PROFILE_BACKENDS`).
+    #: Who decides: ``"auto"`` (the C admission loop whenever it takes the
+    #: configuration) or ``"scalar"`` (always the Python reference);
+    #: decisions are bit-identical (see :class:`~repro.core.arbitrator.QoSArbitrator`).
     backend: str = "auto"
     #: Candidate-search pruning; decisions are identical either way (see
     #: :mod:`repro.core.greedy`).

@@ -75,7 +75,7 @@ def _state(arbitrator: QoSArbitrator) -> tuple:
 
 
 @pytest.mark.parametrize("kmode", KERNEL_MODES)
-@pytest.mark.parametrize("backend", ("auto", "kernel"))
+@pytest.mark.parametrize("backend", ("auto",))
 @pytest.mark.parametrize("prune", (True, False))
 @pytest.mark.parametrize("policy", tuple(TieBreakPolicy))
 def test_batch_identical_to_serial_across_matrix(kmode, backend, prune, policy):
@@ -94,7 +94,7 @@ def test_batch_identical_to_serial_across_matrix(kmode, backend, prune, policy):
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     malleable=st.booleans(),
-    backend=st.sampled_from(("auto", "scalar", "kernel")),
+    backend=st.sampled_from(("auto", "scalar")),
     prune=st.booleans(),
     policy=st.sampled_from(tuple(TieBreakPolicy)),
     kmode=st.sampled_from(KERNEL_MODES),

@@ -111,57 +111,3 @@ class TestProperties:
             assert b is None
         else:
             assert b is not None and b >= a - 1e-9
-
-
-class TestScanBackends:
-    """The scalar walk and the vectorized NumPy scan (the ``"kernel"``
-    back-end's fallback when no compiled kernel loads) are interchangeable."""
-
-    @given(loaded_profiles(), st.integers(1, 8), nice_durations, nice_times)
-    def test_vector_scan_matches_scalar_scan(self, profile, procs, duration, release):
-        from bisect import bisect_right
-
-        from repro.core.first_fit import _scalar_scan
-        from repro.core.kernels import pykernels
-
-        if procs > profile.capacity:
-            return
-        release = max(release, profile.origin)
-        times = profile._times
-        n = len(times)
-        i = max(bisect_right(times, release) - 1, 0)
-        scalar = _scalar_scan(profile, times, n, i, procs, duration, release, 1e9)
-        vector, _ = pykernels.earliest_fit_arrays(
-            *profile._mirrors(), n, i, procs, duration, release, 1e9
-        )
-        assert scalar == vector
-
-    def test_large_profile_dispatches_to_vector_scan(self):
-        from repro.core import kernels
-        from repro.core.profile import VECTOR_MIN_SEGMENTS
-
-        profile = AvailabilityProfile(8)
-        for k in range(VECTOR_MIN_SEGMENTS):
-            profile.reserve(2.0 * k, 2.0 * k + 1.0, 1 + k % 3)
-        assert len(profile) >= VECTOR_MIN_SEGMENTS
-        with kernels.use("python"):
-            assert profile.scan_backend() == "kernel"
-            start = earliest_fit(profile, 8, 3.0, 0.0)
-        # The vectorized path builds the mirrors on first use.
-        assert profile._np_avail is not None
-        assert profile._np_times is not None
-        # And returns a plain float the rest of the stack can serialize.
-        assert type(start) is float
-        # Cross-check against the scalar walk on an identical profile.
-        legacy = profile.copy()
-        from bisect import bisect_right
-
-        from repro.core.first_fit import _scalar_scan
-
-        i = max(bisect_right(legacy._times, 0.0) - 1, 0)
-        assert (
-            _scalar_scan(
-                legacy, legacy._times, len(legacy._times), i, 8, 3.0, 0.0, float("inf")
-            )
-            == start
-        )

@@ -7,10 +7,13 @@ Three layers of guarantees:
   ``kernel_backend`` / ``kernel_fallbacks`` fields of ``perf_snapshot``;
 * **build** — the on-demand C build is cached by mtime and stamps an ABI
   version that the ctypes binding refuses to load when mismatched;
-* **bit-identity** — the compiled kernels return *identical* decisions
-  (and identical floats) to the pure-Python implementation and to the
-  scalar reference walk, on randomized fragmented profiles.  Compiled
-  cases are skipped (not silently passed) when no compiler is present.
+* **bit-identity** — the C loop's walk (``scan_walk``) returns the
+  *identical* start (the same float, or the same refusal) as the
+  reference walk, :func:`repro.core.first_fit.earliest_fit`, on
+  randomized fragmented profiles.  A one-chain, one-task job *is* a
+  probe, so the C side is reached through the one entry point there is:
+  ``admit_batch``.  Compiled cases are skipped (not silently passed)
+  when no compiler is present.
 """
 
 from __future__ import annotations
@@ -18,15 +21,20 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.arbitrator import QoSArbitrator
+from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
 from repro.core.first_fit import earliest_fit
-from repro.core.kernels import build, pykernels
+from repro.core.kernels import build
+from repro.core.policies import TieBreakPolicy
 from repro.core.profile import AvailabilityProfile
+from repro.core.resources import ProcessorTimeRequest
 from repro.errors import ConfigurationError
+from repro.model.chain import TaskChain
+from repro.model.job import Job
+from repro.model.task import TaskSpec
+from tests.core.test_admit_batch import _one_task, _state
 
 
 def _have_compiled() -> bool:
@@ -66,7 +74,7 @@ def test_use_restores_previous_mode():
     before = kernels.kernel_backend()
     with kernels.use("python"):
         assert kernels.kernel_backend() == "python"
-        assert kernels.active() is pykernels
+        assert kernels.active().compiled is False
     assert kernels.kernel_backend() == before
 
 
@@ -81,8 +89,15 @@ def test_note_fallback_counts_and_surfaces_in_perf_snapshot():
 
 
 def test_python_kernels_do_not_support_batch():
-    assert pykernels.compiled is False
-    assert pykernels.supports_batch is False
+    """What ``REPRO_KERNEL=python`` loads has nothing to call: every
+    decision is the reference's and a batch counts as a fallback."""
+    with kernels.use("python"):
+        impl = kernels.active()
+        assert impl.compiled is False and impl.supports_batch is False
+        arbitrator = QoSArbitrator(4)
+        jobs = [Job(chains=_one_task(2, 1.0, 5.0), release=0.0, job_id=k) for k in range(3)]
+        assert [d.admitted for d in arbitrator.admit_batch(jobs)] == [True, True, True]
+        assert arbitrator.perf_snapshot()["batch_fallbacks"] == 1
 
 
 # -- build / ABI -------------------------------------------------------
@@ -113,91 +128,157 @@ def test_missing_compiler_raises_configuration_error(monkeypatch):
 # -- bit-identity ------------------------------------------------------
 
 
-def test_free_area_prefix_matches_scalar_loop():
-    rng = random.Random(7)
-    for _ in range(50):
-        profile = _fragmented_profile(rng)
-        times, avail = profile._mirrors()  # noqa: SLF001
-        got = kernels.free_area_prefix(times, avail)
-        acc, expect = 0.0, [0.0]
-        for k in range(1, len(profile._times)):  # noqa: SLF001
-            acc += profile._avail[k - 1] * (  # noqa: SLF001
-                profile._times[k] - profile._times[k - 1]  # noqa: SLF001
-            )
-            expect.append(acc)
-        assert got.tolist() == expect  # bit-exact, not approx
+def _probe_through_admit_batch(profile, procs, dur, release, deadline):
+    """The start ``admit_batch`` gives a ``procs x dur`` task released at
+    ``release`` with absolute ``deadline`` on a copy of ``profile``, or
+    None when it refuses: one chain of one task, so the decision is one
+    probe.  Deadlines are relative in a job, hence ``deadline - release``
+    (exact for the dyadic draws below)."""
+    arbitrator = QoSArbitrator(profile.capacity, compact=False)
+    arbitrator.schedule.profile = profile.copy()
+    job = Job(chains=_one_task(procs, dur, deadline - release), release=release)
+    (decision,) = arbitrator.admit_batch([job])
+    assert arbitrator.perf_snapshot()["batch_fallbacks"] == (
+        0 if kernels.kernel_backend() == "compiled" else 1
+    )
+    return decision.placement.start if decision.admitted else None
 
 
 @needs_compiled
 def test_compiled_matches_python_kernels_on_random_probes():
-    from repro.core.kernels import compiled
-
-    clib = compiled.load()
+    """``scan_walk`` against the reference walk, probes released at a
+    breakpoint of the profile."""
     rng = random.Random(11)
-    for _ in range(200):
-        profile = _fragmented_profile(rng)
-        times, avail = profile._mirrors()  # noqa: SLF001
-        n = len(profile._times)  # noqa: SLF001
-        i = rng.randrange(0, n)
-        procs = rng.randint(1, profile.capacity)
-        dur = rng.randrange(1, 10) * 0.25
-        release = float(times[i])
-        deadline = release + rng.randrange(1, 40) * 0.5
-        c_start, _ = clib.earliest_fit_arrays(
-            times, avail, n, i, procs, dur, release, deadline
-        )
-        p_start, _ = pykernels.earliest_fit_arrays(
-            times, avail, n, i, procs, dur, release, deadline
-        )
-        assert c_start == p_start  # exact float equality or both None
-        lo = rng.randrange(0, n)
-        hi = rng.randrange(lo + 1, n + 1)
-        assert clib.range_min(avail, lo, hi) == pykernels.range_min(
-            avail, lo, hi
-        )
+    with kernels.use("compiled"):
+        for _ in range(200):
+            profile = _fragmented_profile(rng)
+            times = profile.breakpoints
+            procs = rng.randint(1, profile.capacity)
+            dur = rng.randrange(1, 10) * 0.25
+            release = times[rng.randrange(0, len(times))]
+            deadline = release + rng.randrange(1, 40) * 0.5
+            c_start = _probe_through_admit_batch(profile, procs, dur, release, deadline)
+            p_start = earliest_fit(profile, procs, dur, release, deadline)
+            assert c_start == p_start  # exact float equality or both None
 
 
 @needs_compiled
 def test_kernel_backend_decisions_match_scalar_reference():
+    """The same with releases off the breakpoints, under both kernels."""
     rng = random.Random(23)
     for _ in range(60):
         seed = rng.randrange(1 << 30)
-        case_rng = random.Random(seed)
         starts = {}
         for kmode in ("compiled", "python"):
+            case_rng = random.Random(seed)  # same probe for both modes
             with kernels.use(kmode):
-                prof_rng = random.Random(seed)
-                scalar = _fragmented_profile(prof_rng, capacity=16)
-                kernel = scalar.copy()
-                kernel._backend = "kernel"  # noqa: SLF001
+                profile = _fragmented_profile(random.Random(seed), capacity=16)
                 procs = case_rng.randint(1, 16)
                 dur = case_rng.randrange(1, 12) * 0.25
                 release = case_rng.randrange(0, 30) * 0.5
                 deadline = release + case_rng.randrange(1, 50) * 0.5
-                want = earliest_fit(scalar, procs, dur, release, deadline)
-                got = earliest_fit(kernel, procs, dur, release, deadline)
+                want = earliest_fit(profile, procs, dur, release, deadline)
+                got = _probe_through_admit_batch(profile, procs, dur, release, deadline)
                 assert got == want
                 starts[kmode] = want
-            case_rng = random.Random(seed)  # same probe for both modes
         assert starts["compiled"] == starts["python"]
 
 
-def test_range_min_matches_python_min():
-    rng = random.Random(3)
-    avail = np.array([rng.randint(0, 9) for _ in range(64)], dtype=np.int64)
-    for _ in range(100):
-        lo = rng.randrange(0, 64)
-        hi = rng.randrange(lo + 1, 65)
-        assert kernels.active().range_min(avail, lo, hi) == min(
-            avail[lo:hi].tolist()
+@needs_compiled
+def test_probe_infinite_tail_and_exact_deadline():
+    gap = AvailabilityProfile.from_segments(4, [(0.0, 0), (1.0, 4)])
+    hole = AvailabilityProfile.from_segments(4, [(0.0, 4), (3.0, 1), (5.0, 4)])
+    cases = [
+        # the last segment extends to +inf: any fit starting there succeeds
+        (gap, 2, 100.0, 0.0, math.inf, 1.0),
+        # start 1 + duration 3 meets the deadline exactly, and within the
+        # TIME_EPS slack either side of it; one clear step past, it misses
+        (gap, 2, 3.0, 0.0, 4.0, 1.0),
+        (gap, 2, 3.0, 0.0, 4.0 - 5e-10, 1.0),
+        (gap, 2, 3.0, 0.0, 4.0 - 1e-6, None),
+        # a run exactly as long as the task, and one short by under TIME_EPS
+        (hole, 2, 3.0, 0.0, 100.0, 0.0),
+        (hole, 2, 3.0 + 5e-10, 0.0, 100.0, 0.0),
+        (hole, 2, 3.0 + 1e-6, 0.0, 100.0, 5.0),
+        # the winning run is the trailing one and the deadline falls before it
+        (hole, 2, 4.0, 0.0, 8.0, None),
+    ]
+    with kernels.use("compiled"):
+        for profile, procs, dur, release, deadline, want in cases:
+            assert earliest_fit(profile, procs, dur, release, deadline) == want
+            assert _probe_through_admit_batch(profile, procs, dur, release, deadline) == want
+
+
+@needs_compiled
+def test_deadline_is_checked_on_a_run_the_walk_starts_inside():
+    """A probe whose bound the no-fit frontier raised starts inside a
+    sufficient run without having passed the deadline test that guards
+    entering one: the test on the winning run is the only one left."""
+    jobs = [
+        Job(chains=_one_task(2, 3.0, 100.0), release=0.0, job_id=0),  # starts at 1
+        Job(chains=_one_task(2, 3.0, 3.5), release=0.0, job_id=1),  # 1 + 3 > 3.5
+    ]
+    decisions = {}
+    with kernels.use("compiled"):
+        for backend in ("auto", "scalar"):
+            arbitrator = QoSArbitrator(8, compact=False, backend=backend)
+            arbitrator.schedule.profile = AvailabilityProfile.from_segments(
+                8, [(0.0, 0), (1.0, 8)], backend=backend
+            )
+            decisions[backend] = [arbitrator.submit(job) for job in jobs]
+    assert decisions["auto"] == decisions["scalar"]
+    assert [d.admitted for d in decisions["auto"]] == [True, False]
+
+
+@pytest.mark.parametrize(
+    "config",
+    (
+        dict(policy=TieBreakPolicy.RANDOM, seed=5),
+        dict(malleable=True),
+        dict(objective=ArbitrationObjective.MAX_QUALITY),
+    ),
+    ids=("random", "malleable", "max-quality"),
+)
+def test_reference_configurations_on_a_deep_profile(config):
+    """What the C loop does not take, on a profile deeper than any scan
+    crossover there ever was (512): ``auto`` and ``scalar`` decide alike,
+    starts and chosen chains included."""
+    rng = random.Random(9)
+    # 5 of 8 processors busy for 1-2 time units every 3: narrow tasks fit
+    # under the teeth, wide ones only in gaps of three different lengths.
+    comb = [
+        Job(chains=_one_task(5, 1.0 + (k % 3) / 2, 2.0), release=3.0 * k, job_id=k)
+        for k in range(320)
+    ]
+
+    def chain():
+        tasks = tuple(
+            TaskSpec(
+                "t",
+                ProcessorTimeRequest(rng.choice((2, 3, 4, 6)), rng.choice((0.5, 1.0, 1.5, 2.5))),
+                deadline=rng.choice((6.0, 40.0, 300.0)),
+                quality=rng.choice((0.3, 0.7, 1.0)),
+            )
+            for _ in range(rng.randint(1, 2))
         )
+        return TaskChain(tasks, label="c")
 
-
-def test_earliest_fit_arrays_infinite_tail():
-    # the last segment extends to +inf: any fit starting there succeeds
-    times = np.array([0.0, 1.0], dtype=np.float64)
-    avail = np.array([0, 4], dtype=np.int64)
-    start, _ = kernels.active().earliest_fit_arrays(
-        times, avail, 2, 0, 2, 100.0, 0.0, math.inf
+    flood = []
+    for k in range(150):
+        chains = [chain() for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            chains.append(chains[0])  # a tie for RANDOM to break
+        flood.append(Job(chains=tuple(chains), release=6.0 * k, job_id=1000 + k))
+    auto, scalar = (
+        QoSArbitrator(8, compact=False, backend=backend, **config)
+        for backend in ("auto", "scalar")
     )
-    assert start == 1.0
+    for arbitrator in (auto, scalar):
+        assert all(arbitrator.submit(job).admitted for job in comb)
+        assert len(arbitrator.schedule.profile) >= 600
+    decisions = [auto.submit(job) for job in flood]
+    assert decisions == [scalar.submit(job) for job in flood]
+    assert _state(auto) == _state(scalar)
+    assert len(auto.schedule.profile) >= 600
+    chosen = {d.chain_index for d in decisions}
+    assert len(chosen) >= 3  # not one answer throughout

@@ -4,8 +4,12 @@ import math
 
 import pytest
 
-from repro.core.profile import AvailabilityProfile
+from repro.core.arbitrator import QoSArbitrator
+from repro.core.profile import PROFILE_BACKENDS, AvailabilityProfile
+from repro.core.schedule import Schedule
 from repro.errors import CapacityExceededError, ConfigurationError, SchedulingError
+from repro.service import ServiceConfig
+from repro.workloads.sweep import SweepConfig
 
 
 class TestConstruction:
@@ -49,9 +53,42 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             AvailabilityProfile.from_segments(4, [(5.0, 1), (0.0, 2)])
 
+    def test_from_segments_rejects_nan_breakpoint(self):
+        # nan <= prev is false: a plain ordering test lets it through and
+        # builds a profile bisect cannot search.
+        with pytest.raises(ConfigurationError):
+            AvailabilityProfile.from_segments(
+                8, [(0, 8), (float("nan"), 3), (5, 2)]
+            )
+
+    def test_from_segments_rejects_infinite_breakpoint(self):
+        with pytest.raises(ConfigurationError):
+            AvailabilityProfile.from_segments(8, [(0, 8), (float("inf"), 3)])
+
     def test_from_segments_rejects_out_of_range(self):
         with pytest.raises(ConfigurationError):
             AvailabilityProfile.from_segments(4, [(0.0, 5)])
+
+
+@pytest.mark.parametrize("name", ("vector", "tree", "adaptive", "kernel"))
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda name: AvailabilityProfile(8, backend=name),
+        lambda name: Schedule(8, backend=name),
+        lambda name: QoSArbitrator(8, backend=name),
+        lambda name: ServiceConfig(capacity=8, backend=name),
+        lambda name: SweepConfig(backend=name),
+    ),
+    ids=("profile", "schedule", "arbitrator", "service", "sweep"),
+)
+def test_deleted_backend_names_are_rejected_at_construction(build, name):
+    """A stale name in a deployed config fails where the config is built,
+    with a message that lists what is still valid."""
+    with pytest.raises(ConfigurationError) as err:
+        build(name)
+    for valid in PROFILE_BACKENDS:
+        assert repr(valid) in str(err.value)
 
 
 class TestReserve:

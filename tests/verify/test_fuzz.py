@@ -51,7 +51,7 @@ def test_run_case_digest_is_stable_across_backends():
     case = random_case(rng, max_jobs=4)
     digests = {
         run_case(case, backend=backend, audit=False)[0]
-        for backend in ("scalar", "kernel", "auto")
+        for backend in ("scalar", "auto")
     }
     assert len(digests) == 1
 
