@@ -35,11 +35,12 @@
  *
  * One entry point does work, ``repro_admit_batch``: the whole serial
  * admission loop for a vector of jobs in ONE call — compaction, pruning,
- * probing, tie-breaks and profile commits all run in C over flattened
- * arrays.  This is the 100k+ decisions/sec path.  It also finishes the
- * float accounting it holds the operands for: each admitted job's finish
- * and area, and the two quality accumulators (PRODUCT and MIN; MEAN is
- * ``math.fsum`` and stays Python's).  Those belong to the ARBITRATOR, not
+ * probing, tie-breaks and profile commits all run in C over one packed
+ * record of the jobs (Prof.record) and the profile's flat arrays.  This
+ * is the 100k+ decisions/sec path.  It also finishes the float accounting
+ * it holds the operands for: each admitted job's finish and area (the
+ * head of its row of Prof.out_rows), and the two quality accumulators
+ * (PRODUCT and MIN; MEAN is ``math.fsum`` and stays Python's).  Those belong to the ARBITRATOR, not
  * to the context: the driver writes them into the struct before every
  * call and reads them back only on BATCH_OK.  The other exports are the
  * loader's ABI and layout handshake.
@@ -55,7 +56,7 @@
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 #define UTIL_EPS 1e-12  /* policies.select_candidate utilization slack */
 
-#define ABI_VERSION 4
+#define ABI_VERSION 5
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -92,7 +93,9 @@
 #define K_AREA_REJECTED 9
 #define K_PRUNED_DOMINATED 10
 #define K_COMMITS 11
-#define N_COUNTERS 12
+#define K_ROW_CELLS 12 /* cells of out_rows written: not a statistic, the
+                        * write-back's read length */
+#define N_COUNTERS 13
 
 /* Python max(a, b) returns the FIRST argument on ties (max(-0.0, 0.0)
  * is -0.0); same for min.  These macros keep that convention so even
@@ -172,24 +175,20 @@ typedef struct {
     int64_t prefix_from; /* lowest index whose prefix entry is stale */
     /* scheduler configuration */
     int64_t policy, use_dup, use_dom, use_cap, do_compact;
-    /* staged job columns: jobs own chains [job_chain_off[j],
-     * job_chain_off[j+1]); chain c owns tasks [chain_task_off[c],
-     * chain_task_off[c+1]) */
-    const double *releases;
-    const int64_t *job_chain_off;
-    const int64_t *chain_task_off;
-    const int64_t *task_procs;
-    const double *task_dur;
-    const double *task_deadline;
-    const double *task_quality;
+    /* the staged jobs, one run of cells in arrival order: per job
+     * [release][n_chains], per chain [n_tasks], per task a Task.  Every
+     * cell is a double, the counts and widths too (exact: the packer
+     * refuses a width above 2**53); no job has more than max_chains
+     * chains, no chain more than max_tasks tasks. */
+    const double *record;
     int64_t max_chains, max_tasks;
     double *dscratch;  /* max_chains*max_tasks + 3*max_chains + max_tasks */
-    int64_t *iscratch; /* 4*max_chains */
-    int64_t *out_chain;  /* per job: chosen global chain index, -1 = rejected */
-    double *out_starts;  /* chosen chains' task starts, flattened task indexing */
-    /* one entry per ADMITTED job, in arrival order (c[K_COMMITS] of them) */
-    double *out_finish;  /* what cp.finish computes */
-    double *out_area;    /* what cp.total_area computes */
+    int64_t *iscratch; /* 6*max_chains */
+    int64_t *out_chain;  /* per job: chosen chain's index in the job, -1 = rejected */
+    /* one row per ADMITTED job, in arrival order (c[K_COMMITS] rows,
+     * c[K_ROW_CELLS] cells): [finish][area][start of each task of the
+     * chosen chain] -- what cp.finish and cp.total_area compute */
+    double *out_rows;
     /* the arbitrator's accumulators: in before every call, out on BATCH_OK */
     int64_t qmode;
     double q_possible; /* += best chain quality of each job offered */
@@ -535,68 +534,64 @@ static int ef_probe(Prof *p, int64_t processors, double duration,
 /* Chain-level helpers (ports from greedy.py / chain.py / policies.py) */
 /* ------------------------------------------------------------------ */
 
-/* greedy._shape_key equality for chains a and b (flattened layout) */
-static int shape_equal(int64_t a, int64_t b, const int64_t *off,
-                       const int64_t *procs, const double *dur,
-                       const double *dl, const double *q)
+/* One task of the record: four cells. */
+typedef struct {
+    double procs; /* an integer value; converted where the profile needs one */
+    double dur;
+    double deadline;
+    double quality;
+} Task;
+
+/* greedy._shape_key equality for chains a and b */
+static int shape_equal(const Task *a, int64_t na, const Task *b, int64_t nb)
 {
-    int64_t a0 = off[a], b0 = off[b];
-    int64_t n = off[a + 1] - a0;
-    if (off[b + 1] - b0 != n)
+    if (na != nb)
         return 0;
-    for (int64_t k = 0; k < n; k++) {
-        if (procs[a0 + k] != procs[b0 + k])
+    for (int64_t k = 0; k < na; k++) {
+        if (a[k].procs != b[k].procs)
             return 0;
-        if (dur[a0 + k] != dur[b0 + k])
+        if (a[k].dur != b[k].dur)
             return 0;
-        if (dl[a0 + k] != dl[b0 + k])
+        if (a[k].deadline != b[k].deadline)
             return 0;
-        if (q[a0 + k] != q[b0 + k])
+        if (a[k].quality != b[k].quality)
             return 0;
     }
     return 1;
 }
 
 /* greedy._harder_than_failed for one (chain, failed-chain) pair */
-static int harder_than(int64_t c, int64_t o, const int64_t *off,
-                       const int64_t *procs, const double *dur,
-                       const double *dl)
+static int harder_than(const Task *c, int64_t nc, const Task *o, int64_t no)
 {
-    int64_t c0 = off[c], o0 = off[o];
-    int64_t n = off[c + 1] - c0;
-    if (off[o + 1] - o0 != n)
+    if (nc != no)
         return 0;
-    for (int64_t k = 0; k < n; k++) {
-        if (!(procs[c0 + k] >= procs[o0 + k]))
+    for (int64_t k = 0; k < nc; k++) {
+        if (!(c[k].procs >= o[k].procs))
             return 0;
-        if (!(dur[c0 + k] >= dur[o0 + k]))
+        if (!(c[k].dur >= o[k].dur))
             return 0;
-        if (!(dl[c0 + k] <= dl[o0 + k]))
+        if (!(c[k].deadline <= o[k].deadline))
             return 0;
     }
     return 1;
 }
 
 /* chain.is_trivially_infeasible (eff is caller scratch of >= n tasks) */
-static int quick_reject(int64_t c, const int64_t *off, const int64_t *procs,
-                        const double *dur, const double *dl, int64_t capacity,
-                        double *eff)
+static int quick_reject(const Task *t, int64_t n, int64_t capacity, double *eff)
 {
-    int64_t t0 = off[c];
-    int64_t n = off[c + 1] - t0;
-    int64_t maxw = procs[t0];
+    double maxw = t[0].procs;
     for (int64_t k = 1; k < n; k++)
-        if (procs[t0 + k] > maxw)
-            maxw = procs[t0 + k];
-    if (maxw > capacity)
+        if (t[k].procs > maxw)
+            maxw = t[k].procs;
+    if (maxw > (double)capacity)
         return 1;
     for (int64_t k = 0; k < n; k++)
-        eff[k] = dl[t0 + k];
+        eff[k] = t[k].deadline;
     for (int64_t k = n - 2; k >= 0; k--)
-        eff[k] = PYMIN(eff[k], eff[k + 1] - dur[t0 + k + 1]);
+        eff[k] = PYMIN(eff[k], eff[k + 1] - t[k + 1].dur);
     double elapsed = 0.0;
     for (int64_t k = 0; k < n; k++) {
-        elapsed += dur[t0 + k];
+        elapsed += t[k].dur;
         if (elapsed > eff[k] + QUICK_EPS)
             return 1;
     }
@@ -606,28 +601,24 @@ static int quick_reject(int64_t c, const int64_t *off, const int64_t *procs,
 /* chain.total_area: sum(t.area) == 0.0 + p0*d0 + p1*d1 + ... --
  * sequential, same floats as the Python property (0.0 + a == a exactly
  * for the positive areas the model validates). */
-static double chain_area(int64_t c, const int64_t *off, const int64_t *procs,
-                         const double *dur)
+static double chain_area(const Task *t, int64_t n)
 {
-    int64_t t0 = off[c];
-    int64_t n = off[c + 1] - t0;
     double acc = 0.0;
     for (int64_t k = 0; k < n; k++)
-        acc += (double)procs[t0 + k] * dur[t0 + k];
+        acc += t[k].procs * t[k].dur;
     return acc;
 }
 
 /* quality.chain_quality: compose_product (1.0 times each quality, left
  * to right) or compose_min (Python's min: the first smallest) */
-static double chain_quality(int64_t c, const int64_t *off, const double *q,
-                            int64_t qmode)
+static double chain_quality(const Task *t, int64_t n, int64_t qmode)
 {
-    double acc = (qmode == QMODE_PRODUCT) ? 1.0 : q[off[c]];
-    for (int64_t k = off[c]; k < off[c + 1]; k++) {
+    double acc = (qmode == QMODE_PRODUCT) ? 1.0 : t[0].quality;
+    for (int64_t k = 0; k < n; k++) {
         if (qmode == QMODE_PRODUCT)
-            acc *= q[k];
-        else if (q[k] < acc)
-            acc = q[k];
+            acc *= t[k].quality;
+        else if (t[k].quality < acc)
+            acc = t[k].quality;
     }
     return acc;
 }
@@ -665,16 +656,13 @@ static double window_util(Prof *p, double release, double finish,
 /* policies._prefix_key three-way comparison: Python tuple lexicographic
  * order over chain.prefix_areas() (shorter prefix of an equal run sorts
  * first). */
-static int prefix_cmp(int64_t a, int64_t b, const int64_t *off,
-                      const int64_t *procs, const double *dur)
+static int prefix_cmp(const Task *a, int64_t na, const Task *b, int64_t nb)
 {
-    int64_t a0 = off[a], na = off[a + 1] - a0;
-    int64_t b0 = off[b], nb = off[b + 1] - b0;
     int64_t m = (na < nb) ? na : nb;
     double acc_a = 0.0, acc_b = 0.0;
     for (int64_t k = 0; k < m; k++) {
-        acc_a += (double)procs[a0 + k] * dur[a0 + k];
-        acc_b += (double)procs[b0 + k] * dur[b0 + k];
+        acc_a += a[k].procs * a[k].dur;
+        acc_b += b[k].procs * b[k].dur;
         if (acc_a < acc_b)
             return -1;
         if (acc_a > acc_b)
@@ -707,11 +695,10 @@ int64_t repro_ctx_size(void)
 #define PROF_FIELDS(X)                                                        \
     X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
     X(cap_buf) X(cur) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)  \
-    X(policy) X(use_dup) X(use_dom) X(use_cap) X(do_compact) X(releases)     \
-    X(job_chain_off) X(chain_task_off) X(task_procs) X(task_dur)             \
-    X(task_deadline) X(task_quality) X(max_chains) X(max_tasks) X(dscratch)  \
-    X(iscratch) X(out_chain) X(out_starts) X(out_finish) X(out_area)         \
-    X(qmode) X(q_possible) X(q_sum) X(c) X(nfacts) X(fact_evict) X(facts)
+    X(policy) X(use_dup) X(use_dom) X(use_cap) X(do_compact) X(record)       \
+    X(max_chains) X(max_tasks) X(dscratch) X(iscratch) X(out_chain)          \
+    X(out_rows) X(qmode) X(q_possible) X(q_sum) X(c) X(nfacts) X(fact_evict) \
+    X(facts)
 
 const char *repro_ctx_fields(void)
 {
@@ -744,12 +731,11 @@ static void prof_flip(Prof *p)
  * in one call.
  *
  * On BATCH_OK the context's live window is the profile after the batch,
- * out_chain[j] holds the chosen global chain index (-1 = rejected) with
- * the chosen chains' task starts in out_starts, out_finish/out_area hold
- * one entry per admitted job, and q_possible/q_sum have taken every job's
- * best and every chosen chain's quality, job by job in arrival order (the
- * serial loop's own additions).  Any error status leaves the live window
- * and both accumulators as at entry and drops what the call learnt.
+ * out_chain[j] holds the chosen chain's index in job j (-1 = rejected),
+ * out_rows one row per admitted job, and q_possible/q_sum have taken every
+ * job's best and every chosen chain's quality, job by job in arrival order
+ * (the serial loop's own additions).  Any error status leaves the live
+ * window and both accumulators as at entry and drops what the call learnt.
  * Replays greedy._prober exactly: duplicate collapse, failure
  * propagation, incumbent finish capping, then select_candidate's
  * earliest-finish + policy tie-break. */
@@ -759,13 +745,6 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
     const int64_t use_dom = p->use_dom, use_cap = p->use_cap;
     const int64_t capacity = p->capacity;
     const int64_t max_chains = p->max_chains, max_tasks = p->max_tasks;
-    const double *releases = p->releases;
-    const int64_t *job_chain_off = p->job_chain_off;
-    const int64_t *chain_task_off = p->chain_task_off;
-    const int64_t *task_procs = p->task_procs;
-    const double *task_dur = p->task_dur;
-    const double *task_deadline = p->task_deadline;
-    const double *task_quality = p->task_quality;
     double *dscratch = p->dscratch;
     int64_t *iscratch = p->iscratch;
     int64_t *counters = p->c;
@@ -790,28 +769,41 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
     int64_t *keyed = cand_chain + max_chains;
     int64_t *failed = keyed + max_chains;
     int64_t *tied = failed + max_chains;
+    int64_t *chain_at = tied + max_chains; /* the job's chains: first task's cell */
+    int64_t *chain_n = chain_at + max_chains; /* ... and task count */
+    const double *record = p->record;
+#define TASKS(c) ((const Task *)(record + chain_at[c]))
+#define PREFIX_LT(a, b) \
+    (prefix_cmp(TASKS(a), chain_n[a], TASKS(b), chain_n[b]) < 0)
 
+    int64_t cell = 0; /* the next job's first cell */
     for (int64_t jb = 0; jb < n_jobs; jb++) {
-        double release = releases[jb];
+        double release = record[cell];
+        int64_t n_chains = (int64_t)record[cell + 1];
+        cell += 2;
+        for (int64_t c = 0; c < n_chains; c++) {
+            chain_n[c] = (int64_t)record[cell];
+            chain_at[c] = cell + 1;
+            cell += 1 + 4 * chain_n[c];
+        }
         if (p->do_compact)
             prof_compact(p, release);
-        int64_t c_begin = job_chain_off[jb], c_end = job_chain_off[jb + 1];
         int64_t ncand = 0, nkeyed = 0, nfailed = 0;
         double cap = INFINITY;
         double best_q = 0.0; /* job.best_quality: Python's max, first on ties */
-        for (int64_t c = c_begin; c < c_end; c++) {
-            int64_t t_begin = chain_task_off[c];
-            int64_t ntasks = chain_task_off[c + 1] - t_begin;
+        for (int64_t c = 0; c < n_chains; c++) {
+            const Task *tasks = TASKS(c);
+            int64_t ntasks = chain_n[c];
             if (qmode) {
-                double q = chain_quality(c, chain_task_off, task_quality, qmode);
-                if (c == c_begin || q > best_q)
+                double q = chain_quality(tasks, ntasks, qmode);
+                if (c == 0 || q > best_q)
                     best_q = q;
             }
             if (use_dup) {
                 int dup = 0;
                 for (int64_t k = 0; k < nkeyed; k++) {
-                    if (shape_equal(keyed[k], c, chain_task_off, task_procs,
-                                    task_dur, task_deadline, task_quality)) {
+                    if (shape_equal(TASKS(keyed[k]), chain_n[keyed[k]], tasks,
+                                    ntasks)) {
                         dup = 1;
                         break;
                     }
@@ -825,8 +817,8 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
             if (use_dom && nfailed) {
                 int harder = 0;
                 for (int64_t k = 0; k < nfailed; k++) {
-                    if (harder_than(c, failed[k], chain_task_off, task_procs,
-                                    task_dur, task_deadline)) {
+                    if (harder_than(tasks, ntasks, TASKS(failed[k]),
+                                    chain_n[failed[k]])) {
                         harder = 1;
                         break;
                     }
@@ -837,14 +829,12 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
                 }
             }
             counters[K_CHAINS_PROBED] += 1;
-            if (quick_reject(c, chain_task_off, task_procs, task_dur,
-                             task_deadline, capacity, eff)) {
+            if (quick_reject(tasks, ntasks, capacity, eff)) {
                 counters[K_QUICK_REJECTED] += 1;
                 continue;
             }
-            double ca = chain_area(c, chain_task_off, task_procs, task_dur);
-            if (area_reject(p, release, task_deadline[t_begin + ntasks - 1],
-                            ca)) {
+            double ca = chain_area(tasks, ntasks);
+            if (area_reject(p, release, tasks[ntasks - 1].deadline, ca)) {
                 counters[K_AREA_REJECTED] += 1;
                 if (use_dom)
                     failed[nfailed++] = c;
@@ -855,17 +845,18 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
             double *starts = cand_starts + ncand * max_tasks;
             int ok = 1;
             for (int64_t t = 0; t < ntasks; t++) {
-                double dl = release + task_deadline[t_begin + t];
+                double dl = release + tasks[t].deadline;
                 if (cap < dl)
                     dl = cap;
                 double s;
-                if (!ef_probe(p, task_procs[t_begin + t],
-                              task_dur[t_begin + t], earliest, dl, &s)) {
+                /* past quick_reject the width is at most the capacity */
+                if (!ef_probe(p, (int64_t)tasks[t].procs, tasks[t].dur,
+                              earliest, dl, &s)) {
                     ok = 0;
                     break;
                 }
                 starts[t] = s;
-                earliest = s + task_dur[t_begin + t];
+                earliest = s + tasks[t].dur;
             }
             if (!ok) {
                 if (use_dom)
@@ -902,8 +893,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
         } else if (policy == POLICY_PREFIX) {
             chosen = tied[0];
             for (int64_t k = 1; k < ntied; k++)
-                if (prefix_cmp(cand_chain[tied[k]], cand_chain[chosen],
-                               chain_task_off, task_procs, task_dur) < 0)
+                if (PREFIX_LT(cand_chain[tied[k]], cand_chain[chosen]))
                     chosen = tied[k];
         } else {
             /* PAPER: max window utilization, then min prefix key */
@@ -920,21 +910,21 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
             for (int64_t k = 0; k < ntied; k++) {
                 if (cand_util[k] >= best_util - UTIL_EPS) {
                     if (chosen < 0 ||
-                        prefix_cmp(cand_chain[tied[k]], cand_chain[chosen],
-                                   chain_task_off, task_procs, task_dur) < 0)
+                        PREFIX_LT(cand_chain[tied[k]], cand_chain[chosen]))
                         chosen = tied[k];
                 }
             }
         }
         /* commit: reserve every task interval in chain order */
         int64_t cc = cand_chain[chosen];
-        int64_t ct0 = chain_task_off[cc];
-        int64_t cn = chain_task_off[cc + 1] - ct0;
+        const Task *ctasks = TASKS(cc);
+        int64_t cn = chain_n[cc];
         const double *starts = cand_starts + chosen * max_tasks;
+        double *row = p->out_rows + counters[K_ROW_CELLS];
         for (int64_t t = 0; t < cn; t++) {
             double s = starts[t];
-            int st = prof_shift(p, s, s + task_dur[ct0 + t],
-                                -task_procs[ct0 + t]);
+            int st = prof_shift(p, s, s + ctasks[t].dur,
+                                -(int64_t)ctasks[t].procs);
             if (st != BATCH_OK) {
                 prof_flip(p);
                 p->lo = lo0;
@@ -944,15 +934,18 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
                 p->prefix_from = 0;
                 return st;
             }
-            p->out_starts[ct0 + t] = s;
+            row[2 + t] = s;
         }
+        row[0] = cand_finish[chosen];
+        row[1] = cand_area[chosen];
+        counters[K_ROW_CELLS] += 2 + cn;
         p->out_chain[jb] = cc;
-        p->out_finish[counters[K_COMMITS]] = cand_finish[chosen];
-        p->out_area[counters[K_COMMITS]] = cand_area[chosen];
         counters[K_COMMITS] += 1;
         if (qmode)
-            q_sum += chain_quality(cc, chain_task_off, task_quality, qmode);
+            q_sum += chain_quality(ctasks, cn, qmode);
     }
+#undef PREFIX_LT
+#undef TASKS
     p->q_possible = q_possible;
     p->q_sum = q_sum;
     return BATCH_OK;

@@ -1,19 +1,22 @@
-"""Batched admission: flattening, the kernel context, the write-back.
+"""Batched admission: the packed record, the kernel context, the write-back.
 
 :meth:`repro.core.arbitrator.QoSArbitrator.admit_batch` delegates here,
 under the equivalence contract *a batch replays bit-identical to the
 serial submit loop in arrival order*.
 
-:func:`try_admit_batch_compiled` flattens the whole batch, stages it in
-the profile's kernel context and runs ``repro_admit_batch`` (the entire
+:func:`try_admit_batch_compiled` packs the whole batch into one record
+(:func:`flatten_jobs`), copies it into the profile's kernel context with
+one slice assignment and runs ``repro_admit_batch`` (the entire
 serial admission loop — compaction, prunes, probes, tie-breaks, commits,
 and the float accounting: finish, area, the quality accumulators) in ONE
-C call, then builds the decision objects and folds the counters into the
-live ones; the profile itself stays in the context's arrays until Python
-reads it.  The C loop mutates a copy of the live window, so any error
-status leaves the live state as it was and the caller falls back to the
-reference: the plain serial loop over ``_offer``.  ``submit(job)`` is
-this same path with a batch of one.
+C call, then builds the decision objects from the two columns it answers
+with (``out_chain``: each job's chosen chain, by its index in the job;
+``out_rows``: per admitted job ``[finish, area, start of each task]``)
+and folds the counters into the live ones; the profile itself stays in
+the context's arrays until Python reads it.  The C loop mutates a copy of
+the live window, so any error status leaves the live state as it was and
+the caller falls back to the reference: the plain serial loop over
+``_offer``.  ``submit(job)`` is this same path with a batch of one.
 
 What the C loop does not take
 -----------------------------
@@ -25,6 +28,8 @@ reference loop and counted in ``batch_fallbacks``:
 * ``ArbitrationObjective.MAX_QUALITY`` — neither is quality-first choice;
 * a job with more than ``_MAX_CHAINS`` chains or a chain with more than
   ``_MAX_TASKS`` tasks — the per-job C scratch is sized by their product;
+* a task wider than ``_MAX_WIDTH`` processors — every cell of the record
+  is a double, and the reference rejects such a job anyway;
 * no compiled kernel (``REPRO_KERNEL=python``, or no C compiler);
 * a nonzero C status (a buffer overflow; cannot occur with the room
   :meth:`_Context.sync` guarantees);
@@ -55,7 +60,11 @@ context's view of the profile is thrown away:
   task of the batch *before* the call and re-binds doubled buffers when
   the headroom is used up, carrying the live window (and the no-fit
   facts) across — the loop never returns ``BATCH_ERR_OVERFLOW`` and
-  ``kernels.stats.fallbacks`` stays 0.
+  ``kernels.stats.fallbacks`` stays 0.  :meth:`_Context.stage` does the
+  same for the job side: a record longer than any before it (or more
+  jobs, or a larger fan-out) re-binds the record buffer, the two output
+  columns and the scratch at twice the size, and touches nothing of the
+  profile half.
 * The no-fit facts and the prefix resume point live in the context and
   survive from one call to the next only while no Python-side mutation
   intervened (``profile._dirty``); then two calls are one longer batch.
@@ -71,7 +80,8 @@ context's view of the profile is thrown away:
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+import struct
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -81,14 +91,13 @@ from repro.core.admission import AdmissionDecision
 from repro.core.kernels.compiled import Context
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy
-from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.quality import QualityComposition, chain_quality
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.arbitrator import QoSArbitrator
 
-__all__ = ["FlatBatch", "flatten_jobs", "try_admit_batch_compiled"]
+__all__ = ["flatten_jobs", "try_admit_batch_compiled"]
 
 #: Tie-break policy codes of ``_kernels.c`` (RANDOM intentionally absent).
 _POLICY_CODES = {
@@ -108,96 +117,82 @@ _MAX_CHAINS = 512
 _MAX_TASKS = 512
 
 
-@dataclass(slots=True)
-class FlatBatch:
-    """A job vector flattened into columns (plain lists, C layout).
-
-    Chain areas and prefix sums are *not* flattened — the C kernel
-    recomputes them from ``task_procs``/``task_dur`` with the exact
-    float operations of :attr:`TaskChain.total_area` /
-    :meth:`TaskChain.prefix_areas`, which keeps flattening (the
-    dominant Python-side cost of a batch) to one attribute sweep.
-    """
-
-    jobs: Sequence[Job]
-    chains: list[TaskChain]  # global chain index -> chain object
-    releases: list[float]          # [n_jobs]
-    job_chain_off: list[int]       # [n_jobs+1]
-    chain_task_off: list[int]      # [n_chains+1]
-    task_procs: list[int]          # [n_tasks]
-    task_dur: list[float]          # [n_tasks]
-    task_deadline: list[float]     # [n_tasks]
-    task_quality: list[float]      # [n_tasks]
-    max_chains: int
-    max_tasks: int
+#: Every cell of the record is an IEEE double, counts and widths included;
+#: a width above this is not exactly one, so the record cannot hold it.
+_MAX_WIDTH = 2**53
 
 
-def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch | None:
-    """Flatten a job vector for the C kernel, or return None.
+@lru_cache(maxsize=256)
+def _cell_packer(n_cells: int):
+    """``struct`` packer for a record of ``n_cells`` doubles (~20 ns a cell;
+    ``ndarray[:n] = list`` and ``array('d', list)`` both cost ~35)."""
+    return struct.Struct(f"={n_cells}d").pack
 
-    ``None`` means a job has more than ``_MAX_CHAINS`` chains or a chain
-    more than ``_MAX_TASKS`` tasks; the sweep stops at that job.
 
-    Written for throughput: this runs once per batch but touches every
-    task, and at the 100k-decisions/sec operating point it is the
-    largest Python-side cost — hence the bound methods and direct
+def flatten_jobs(jobs: Sequence[Job]) -> tuple[bytes, int, int] | None:
+    """Pack a job vector into the one record the C loop reads, or None.
+
+    The record is a run of 8-byte cells (doubles): per job ``[release]
+    [n_chains]``, per chain ``[n_tasks]``, per task ``[processors]
+    [duration][deadline][quality]``.  Returned with it are the batch's
+    largest chain and task counts — the strides of the C loop's per-job
+    scratch.  Chain areas and prefix sums are *not* packed: the C kernel
+    recomputes them with the exact float operations of
+    :attr:`TaskChain.total_area` / :meth:`TaskChain.prefix_areas`.
+
+    ``None`` means the C loop does not take the batch — a job with more
+    than ``_MAX_CHAINS`` chains, a chain with more than ``_MAX_TASKS``
+    tasks, or a width past ``_MAX_WIDTH`` (refused, not clamped: two
+    distinct oversize widths must not collapse into duplicates) — and the
+    sweep stops at that job.
+
+    Written for throughput: one attribute sweep into one list, direct
     ``request`` field access instead of the (property-indirected)
-    ``TaskSpec`` accessors.
+    ``TaskSpec`` accessors, one ``struct`` call for the lot.  A job
+    offering the very tuple of chains the job before it offered (every
+    ``SyntheticParams`` stream does) repeats that job's cells instead of
+    sweeping again; nothing outlives the call.
     """
-    releases: list[float] = []
-    job_chain_off = [0]
-    chain_task_off = [0]
-    task_procs: list[int] = []
-    task_dur: list[float] = []
-    task_deadline: list[float] = []
-    task_quality: list[float] = []
-    chains: list[TaskChain] = []
-    max_chains = 0
-    max_tasks = 0
-    rel_append = releases.append
-    jco_append = job_chain_off.append
-    cto_append = chain_task_off.append
-    procs_append = task_procs.append
-    dur_append = task_dur.append
-    dl_append = task_deadline.append
-    q_append = task_quality.append
-    chains_append = chains.append
+    cells: list[float] = []
+    append = cells.append
+    max_chains = max_tasks = 0
+    swept = None  # the chains tuple whose cells are cells[at:end]
+    at = end = 0
     for job in jobs:
-        rel_append(job.release)
+        append(job.release)
         job_chains = job.chains
-        if len(job_chains) > max_chains:
-            max_chains = len(job_chains)
-            if max_chains > _MAX_CHAINS:
+        if job_chains is swept:
+            cells += cells[at:end]
+            continue
+        swept, at = job_chains, len(cells)
+        n = len(job_chains)
+        append(n)
+        if n > max_chains:
+            max_chains = n
+            if n > _MAX_CHAINS:
                 return None
         for chain in job_chains:
-            chains_append(chain)
             tasks = chain.tasks
-            if len(tasks) > max_tasks:
-                max_tasks = len(tasks)
-                if max_tasks > _MAX_TASKS:
+            n = len(tasks)
+            append(n)
+            if n > max_tasks:
+                max_tasks = n
+                if n > _MAX_TASKS:
                     return None
             for task in tasks:
                 request = task.request
-                procs_append(request.processors)
-                dur_append(request.duration)
-                dl_append(task.deadline)
-                q_append(task.quality)
-            cto_append(len(task_procs))
-        jco_append(len(chains))
-    return FlatBatch(
-        jobs, chains, releases, job_chain_off, chain_task_off, task_procs,
-        task_dur, task_deadline, task_quality, max_chains, max_tasks,
-    )
+                width = request.processors
+                if width > _MAX_WIDTH:
+                    return None
+                append(width)
+                append(request.duration)
+                append(task.deadline)
+                append(task.quality)
+        end = len(cells)
+    return _cell_packer(len(cells))(*cells), max_chains, max_tasks
 
 
 _F8, _I8 = np.float64, np.int64
-
-#: Staged job columns (``FlatBatch`` fields) in the order they are written.
-_INPUTS = (
-    ("releases", _F8), ("job_chain_off", _I8), ("chain_task_off", _I8),
-    ("task_procs", _I8), ("task_dur", _F8), ("task_deadline", _F8),
-    ("task_quality", _F8),
-)
 
 
 class _Context:
@@ -209,10 +204,11 @@ class _Context:
     other set, mutates that and swaps the two pointer pairs, so
     ``c.cur`` says whether the arrays bound as ``times``/``avail`` or as
     ``times_alt``/``avail_alt`` are live), prefix and shift scratch, the
-    staged job columns, the output columns and the per-job scratch.
+    staged record (``inbuf`` is its byte view), the two output columns and
+    the per-job scratch.
     """
 
-    __slots__ = ("impl", "c", "ref", "cols", "room", "counters")
+    __slots__ = ("impl", "c", "ref", "cols", "room", "counters", "inbuf")
 
     def __init__(self, impl, capacity: int) -> None:
         self.impl = impl
@@ -221,7 +217,7 @@ class _Context:
         c.capacity = capacity
         self.counters = np.frombuffer(c, _I8, len(c.c), Context.c.offset)
         self.cols: dict[str, np.ndarray] = {}
-        self.room = (0, 0, 0, 0, 0)  # jobs, chains, tasks, max_chains, max_tasks
+        self.room = (0, 0, 0, 0)  # jobs, record bytes, max_chains, max_tasks
 
     def _bind(self, name: str, size: int, dtype=_F8) -> None:
         arr = self.cols[name] = np.empty(size, dtype)
@@ -265,34 +261,29 @@ class _Context:
             c.nfacts = c.prefix_valid = c.prefix_from = 0
             profile._dirty = False  # noqa: SLF001
 
-    def stage(self, flat: FlatBatch) -> None:
-        """Copy the batch's columns into the staging arrays."""
-        nj, nc, nt = len(flat.jobs), len(flat.chains), len(flat.task_procs)
-        mc, mt = flat.max_chains, flat.max_tasks
+    def stage(self, record: bytes, n_jobs: int, mc: int, mt: int) -> None:
+        """Copy the batch's record into the staging buffer."""
+        size = len(record)
         room = self.room
-        if nj > room[0] or nc > room[1] or nt > room[2] or mc > room[3] or mt > room[4]:
-            # Re-bind every column with twice the room this batch needs.
-            # max_chains/max_tasks are the per-job scratch strides: any
-            # value at least the batch's own will do.
-            self.room = nj, nc, nt, mc, mt = (
-                max(2 * nj, room[0]), max(2 * nc, room[1]), max(2 * nt, room[2]),
-                max(min(2 * mc, _MAX_CHAINS), room[3]),
-                max(min(2 * mt, _MAX_TASKS), room[4]),
+        if n_jobs > room[0] or size > room[1] or mc > room[2] or mt > room[3]:
+            # Re-bind with twice the room this batch needs.  max_chains /
+            # max_tasks are the per-job scratch strides: any value at least
+            # the batch's own will do.
+            self.room = jobs, nbytes, mc, mt = (
+                max(2 * n_jobs, room[0]), max(2 * size, room[1]),
+                max(min(2 * mc, _MAX_CHAINS), room[2]),
+                max(min(2 * mt, _MAX_TASKS), room[3]),
             )
-            sizes = (nj, nj + 1, nc + 1, nt, nt, nt, nt)
-            for (name, dtype), size in zip(_INPUTS, sizes):
-                self._bind(name, size, dtype)
-            self._bind("out_chain", nj, _I8)
-            self._bind("out_starts", max(nt, 1))
-            self._bind("out_finish", nj)
-            self._bind("out_area", nj)
+            self._bind("record", nbytes // 8)
+            self.inbuf = memoryview(self.cols["record"]).cast("B")
+            self._bind("out_chain", jobs, _I8)
+            # A row is two cells and one per task of the chosen chain; in
+            # the record a job is three cells at least and a task four.
+            self._bind("out_rows", 2 * jobs + nbytes // 32)
             self._bind("dscratch", mc * mt + 3 * mc + mt)
-            self._bind("iscratch", 4 * mc, _I8)
+            self._bind("iscratch", 6 * mc, _I8)
             self.c.max_chains, self.c.max_tasks = mc, mt
-        cols = self.cols
-        for name, _ in _INPUTS:
-            values = getattr(flat, name)
-            cols[name][: len(values)] = values
+        self.inbuf[:size] = record
 
 
 def try_admit_batch_compiled(
@@ -314,6 +305,7 @@ def try_admit_batch_compiled(
     flat = flatten_jobs(jobs)
     if flat is None:
         return None
+    record, max_chains, max_tasks = flat
     profile = arbitrator.schedule.profile
     ctx = profile._ctx  # noqa: SLF001 - same package
     if ctx is None or ctx.impl is not impl:
@@ -329,25 +321,28 @@ def try_admit_batch_compiled(
     c.qmode = _QMODE_CODES.get(arbitrator.quality_composition, 0)
     c.q_possible = arbitrator._quality_possible  # noqa: SLF001
     c.q_sum = arbitrator._quality_sum  # noqa: SLF001
-    ctx.stage(flat)
-    ctx.sync(profile, len(flat.task_procs))
+    ctx.stage(record, len(jobs), max_chains, max_tasks)
+    # A task is four cells of a record that spends three more on a job of
+    # one chain: exact for those, a few tasks over otherwise.
+    ctx.sync(profile, (len(record) - 24 * len(jobs)) // 32)
     status = impl.admit_batch(ctx.ref, len(jobs))
     if status != 0:
         kernels.note_fallback(f"admit_batch kernel status {status}")
         profile._detach()  # noqa: SLF001 - trust the live window, nothing else
         return None
-    return _apply_batch_results(arbitrator, flat, ctx)
+    return _apply_batch_results(arbitrator, jobs, ctx)
 
 
 def _apply_batch_results(
-    arbitrator: "QoSArbitrator", flat: FlatBatch, ctx: _Context
+    arbitrator: "QoSArbitrator", jobs: Sequence[Job], ctx: _Context
 ) -> list[AdmissionDecision]:
     """Write the C results back into schedule and accounting.
 
     The C loop has already done the float accounting, job by job with the
-    serial loop's own operations: each admitted job's finish and area are
-    columns, and the quality accumulators (PRODUCT / MIN) come back in the
-    struct it was handed them in.  What is left here is counters, objects
+    serial loop's own operations: each admitted job's finish and area head
+    its row of ``out_rows`` (its chain's task starts are the rest of it),
+    and the quality accumulators (PRODUCT / MIN) come back in the struct
+    it was handed them in.  What is left here is counters, objects
     and one booking per batch (:meth:`Schedule.record_commits`).  The
     profile is not written back at all: it stays in the context's arrays,
     and the lists are dropped until somebody reads them.
@@ -373,17 +368,13 @@ def _apply_batch_results(
     perf.chains_pruned_dominated += counts[10]
     perf.commits += counts[11]
 
-    # One pass over the decided rows, every NumPy column read as a list:
+    # One pass over the decided jobs, both NumPy columns read as lists:
     # ``int(out_chain[jb])`` costs ~0.17 us a read, a list item ~0.01.
-    n_jobs = len(flat.jobs)
+    n_jobs = len(jobs)
     cols = ctx.cols
     chosen = cols["out_chain"][:n_jobs].tolist()
-    starts = cols["out_starts"][: len(flat.task_procs)].tolist()
-    n_admitted = counts[11]  # out_finish / out_area hold admitted rows only
-    finishes = cols["out_finish"][:n_admitted].tolist()
-    areas = cols["out_area"][:n_admitted].tolist()
-    task_off = flat.chain_task_off
-    chains = flat.chains
+    rows = cols["out_rows"][: counts[12]].tolist()  # admitted jobs only
+    n_admitted = counts[11]
     admission = arbitrator.admission
     by_chain = admission.decisions_by_chain
     rigid = Placement.rigid
@@ -391,29 +382,35 @@ def _apply_batch_results(
     decisions: list[AdmissionDecision] = []
     append = decisions.append
     committed: list[ChainPlacement] = []
-    for job, c, off in zip(flat.jobs, chosen, flat.job_chain_off):
+    finishes: list[float] = []
+    areas: list[float] = []
+    at = 0  # the next admitted job's row: finish, area, one start per task
+    for job, c in zip(jobs, chosen):
         if c < 0:
             append(AdmissionDecision(job.job_id, False, None, refused))
             continue
-        chain = chains[c]
-        chain_index = c - off
+        chain = job.chains[c]
+        tasks = chain.tasks
+        starts = at + 2
+        finishes.append(rows[at])
+        areas.append(rows[at + 1])
+        at = starts + len(tasks)
         cp = ChainPlacement(  # positional: keywords cost 0.4 us a call
-            job.job_id, chain_index, chain,
-            tuple(map(rigid, chain.tasks, starts[task_off[c] : task_off[c + 1]])),
+            job.job_id, c, chain, tuple(map(rigid, tasks, rows[starts:at])),
             job.release,
         )
         committed.append(cp)
-        by_chain[chain_index] = by_chain.get(chain_index, 0) + 1
+        by_chain[c] = by_chain.get(c, 0) + 1
         append(AdmissionDecision(job.job_id, True, cp))
     admission.admitted += n_admitted
     admission.rejected += n_jobs - n_admitted
-    struct = ctx.c
-    if struct.qmode:
-        arbitrator._quality_possible = struct.q_possible  # noqa: SLF001
-        arbitrator._quality_sum = struct.q_sum  # noqa: SLF001
+    state = ctx.c  # not ``struct``: that is the module the packer uses
+    if state.qmode:
+        arbitrator._quality_possible = state.q_possible  # noqa: SLF001
+        arbitrator._quality_sum = state.q_sum  # noqa: SLF001
     else:  # MEAN composes with math.fsum, which stays Python's
         comp = arbitrator.quality_composition
-        for job in flat.jobs:
+        for job in jobs:
             arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
         for cp in committed:
             arbitrator._quality_sum += chain_quality(cp.chain, comp)  # noqa: SLF001

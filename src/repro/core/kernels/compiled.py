@@ -28,9 +28,12 @@ class _Fact(ctypes.Structure):
 
 class Context(ctypes.Structure):
     """``Prof`` of ``_kernels.c``, field for field (the loader compares
-    the size and every field's offset).  Pointer fields take
-    ``ndarray.ctypes.data``; whoever sets one keeps the array alive
-    (:mod:`repro.core.kernels.batch` does)."""
+    the size and every field's offset): the profile's buffers and state,
+    the scheduler flags, ONE input pointer (``record``, the packed job
+    vector), the per-job scratch, two output pointers (``out_chain``,
+    ``out_rows``), the quality accumulators, the counters and the no-fit
+    facts.  Pointer fields take ``ndarray.ctypes.data``; whoever sets one
+    keeps the array alive (:mod:`repro.core.kernels.batch` does)."""
 
     _fields_ = [
         *((name, _ptr) for name in (
@@ -40,16 +43,13 @@ class Context(ctypes.Structure):
             "cap_buf", "cur", "lo", "n", "capacity", "prefix_valid",
             "prefix_from", "policy", "use_dup", "use_dom", "use_cap",
             "do_compact")),
-        *((name, _ptr) for name in (
-            "releases", "job_chain_off", "chain_task_off", "task_procs",
-            "task_dur", "task_deadline", "task_quality")),
+        ("record", _ptr),
         ("max_chains", _i64), ("max_tasks", _i64),
         *((name, _ptr) for name in (
-            "dscratch", "iscratch", "out_chain", "out_starts", "out_finish",
-            "out_area")),
+            "dscratch", "iscratch", "out_chain", "out_rows")),
         ("qmode", _i64),
         ("q_possible", ctypes.c_double), ("q_sum", ctypes.c_double),
-        ("c", _i64 * 12),  # N_COUNTERS
+        ("c", _i64 * 13),  # N_COUNTERS
         ("nfacts", _i64), ("fact_evict", _i64),
         ("facts", _Fact * 64),  # NFACTS
     ]

@@ -287,8 +287,7 @@ def test_error_status_leaves_the_live_state_untouched(
             c, cols = ctx.c, ctx.cols
             spare = ("times", "avail") if c.cur else ("times_alt", "avail_alt")
             for name in (*spare, "prefix", "scr_t", "scr_a", "out_chain",
-                         "out_starts", "out_finish", "out_area", "dscratch",
-                         "iscratch"):
+                         "out_rows", "dscratch", "iscratch"):
                 cols[name][:] = -7
             ctx.counters[:] = 99
             c.q_possible, c.q_sum = -7.0, 1e9

@@ -12,11 +12,15 @@ import pytest
 
 from repro.core.policies import TieBreakPolicy
 from repro.core.profile import PROFILE_BACKENDS
+from repro.core.resources import ProcessorTimeRequest
 from repro.errors import (
     ConfigurationError,
     ServiceUnavailableError,
     TransientWorkerError,
 )
+from repro.model.chain import TaskChain
+from repro.model.job import Job
+from repro.model.task import TaskSpec
 from repro.service.chaos import chaos_workload
 from repro.service.recovery import recover
 from repro.service.service import (
@@ -308,6 +312,43 @@ def test_permanent_worker_failure_fail_stops(tmp_path):
     assert service.counters["retries"] == 2  # both attempts failed
     # The job record hit the WAL before the failure; recovery owns it.
     assert service.counters["acked"] == 0
+
+
+def test_an_oversize_width_is_a_rejection_not_a_poison_request(tmp_path):
+    """A job whose width fits no 64-bit cell is a valid model object and an
+    unschedulable one: the batch that carries it is acked (``REJECTED`` for
+    it, the rest as a direct arbitrator decides them), the service keeps
+    running, and the directory — whose WAL now holds that job — recovers."""
+    def job(width, release, job_id):
+        task = TaskSpec("t", ProcessorTimeRequest(width, 1.0), deadline=50.0)
+        return Job(chains=(TaskChain((task,)),), release=release, job_id=job_id)
+
+    jobs = [job(2, 0.0, 0), job(2**70, 1.0, 1), job(2, 2.0, 2), job(3, 3.0, 3)]
+    config = _config(8)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)
+        service.start()
+        futures = [  # one batch: the oversize job and its neighbours together
+            await service.enqueue(j, request_id=f"req-{i}") for i, j in enumerate(jobs[:3])
+        ]
+        answers = list(await asyncio.gather(*futures))
+        assert service.running
+        answers.append(await service.submit(jobs[3], request_id="req-3"))
+        await service.stop()
+        return answers, service.stats()
+
+    answers, stats = asyncio.run(run())
+    assert [a.outcome for a in answers] == [
+        ServiceOutcome.ADMITTED, ServiceOutcome.REJECTED,
+        ServiceOutcome.ADMITTED, ServiceOutcome.ADMITTED,
+    ]
+    direct = make_arbitrator(replace(config, backend="scalar"))
+    for j, answer in zip(jobs, answers):
+        assert decision_to_tuple(answer.decision) == decision_to_tuple(direct.submit(j))
+    assert stats["acked"] == len(jobs) and stats["failed"] == 0
+    state = recover(tmp_path, config)
+    assert [d.admitted for d in state.decisions] == [True, False, True, True]
 
 
 # ----------------------------------------------------------------------
