@@ -69,7 +69,9 @@ class ProcessorTimeRequest:
     processors:
         Positive integer number of processors required simultaneously.
     duration:
-        Positive length of virtual time the processors are held.
+        Length of virtual time the processors are held: finite and above
+        :data:`TIME_EPS`, the profile's empty-interval tolerance, so every
+        accepted request can be reserved.
     """
 
     processors: int
@@ -84,9 +86,10 @@ class ProcessorTimeRequest:
             raise InvalidTaskError(
                 f"processor count must be positive, got {self.processors}"
             )
-        if not (self.duration > 0) or math.isinf(self.duration) or math.isnan(self.duration):
+        if not (self.duration > TIME_EPS) or math.isinf(self.duration):
             raise InvalidTaskError(
-                f"duration must be positive and finite, got {self.duration!r}"
+                f"duration must be finite and exceed TIME_EPS ({TIME_EPS}), "
+                f"got {self.duration!r}"
             )
 
     @property

@@ -15,7 +15,8 @@ that cost observable without slowing the hot path down:
   owned by each :class:`~repro.core.schedule.Schedule` and fed by the greedy
   and malleable schedulers, the arbitrator (per-submit decision latency) and
   the simulator.  Snapshots surface in
-  :attr:`repro.sim.metrics.RunMetrics.perf` and in ``BENCH_sched.json``.
+  :attr:`repro.sim.metrics.RunMetrics.perf` and in the per-layer metrics
+  of ``benchmarks/e2e``.
 
 Everything here measures *wall* time (``time.perf_counter``); virtual
 (simulated) time is never involved.
@@ -23,6 +24,7 @@ Everything here measures *wall* time (``time.perf_counter``); virtual
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -33,6 +35,9 @@ __all__ = ["ProfileStats", "PerfRecorder", "percentile"]
 def percentile(samples: list[float], q: float) -> float:
     """Nearest-rank percentile of ``samples`` (``q`` in [0, 100]).
 
+    The smallest sample with at least ``q`` percent of the samples at or
+    below it: index ``ceil(q·n/100) − 1``.  ``q * n`` is formed first
+    because ``q / 100`` is inexact (``0.07 * 100`` is ``7.000000000000001``).
     Returns ``nan`` for an empty sample list.  Kept dependency-free so the
     perf layer never imports numpy on the hot path.
     """
@@ -43,8 +48,7 @@ def percentile(samples: list[float], q: float) -> float:
         return ordered[0]
     if q >= 100:
         return ordered[-1]
-    rank = max(0, min(len(ordered) - 1, round(q / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
+    return ordered[max(0, math.ceil(q * len(ordered) / 100) - 1)]
 
 
 class ProfileStats:
@@ -123,11 +127,10 @@ class PerfRecorder:
     handful of slotted attribute adds plus one list append for the
     ``decision`` latency sample (see :meth:`note_decision`); everything
     dict-shaped — merging, percentiles, the flat report — happens lazily
-    in :meth:`snapshot`, off the hot path.  The ``run_bench.py``
-    ``perf_overhead`` section guards the total at <= 2% of the decision
-    p50.  Latency streams store one float per observation (one per job
-    submission in the simulator), negligible at the paper's
-    10,000-arrival scale.
+    in :meth:`snapshot`, off the hot path (``docs/perf.md``, "Benchmarking",
+    measures that per-decision cost).  Latency streams store one float per
+    observation (one per job submission in the simulator), negligible at
+    the paper's 10,000-arrival scale.
     """
 
     __slots__ = HOT_COUNTERS + (

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.arbitrator import QoSArbitrator
 from repro.core.resources import (
     TIME_EPS,
     ProcessorTimeRequest,
@@ -13,6 +14,9 @@ from repro.core.resources import (
     time_lt,
 )
 from repro.errors import InvalidTaskError
+from repro.model.chain import TaskChain
+from repro.model.job import Job
+from repro.model.task import TaskSpec
 
 
 class TestTimeComparisons:
@@ -73,6 +77,27 @@ class TestProcessorTimeRequest:
     def test_zero_duration_rejected(self):
         with pytest.raises(InvalidTaskError):
             ProcessorTimeRequest(1, 0.0)
+
+    @pytest.mark.parametrize("duration", [1e-12, TIME_EPS])
+    def test_duration_at_or_below_time_eps_rejected(self, duration):
+        # The profile treats [t, t + TIME_EPS] as empty: such a request
+        # could be accepted here and never reserved.
+        with pytest.raises(InvalidTaskError):
+            ProcessorTimeRequest(4, duration)
+
+    def test_duration_just_above_time_eps_is_decided_by_both_paths(self):
+        def job(duration):
+            task = TaskSpec("t", ProcessorTimeRequest(4, duration), deadline=10.0)
+            return Job(chains=(TaskChain((task,)),), release=0.0)
+
+        runs = []
+        for backend in ("auto", "scalar"):
+            arb = QoSArbitrator(16, backend=backend)
+            placed = [arb.submit(job(d)).placement for d in (2e-9, 1.0)]
+            spans = [(p.start, p.end) for cp in placed for p in cp.placements]
+            runs.append((spans, list(arb.schedule.profile.segments())))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [(0.0, 2e-9), (0.0, 1.0)]
 
     def test_infinite_duration_rejected(self):
         with pytest.raises(InvalidTaskError):

@@ -7,6 +7,8 @@ transactional mechanics are pinned bit-exactly: an undone resize must
 leave no trace in the availability profile or the driver's ledgers.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from repro.resilience.events import (
     CapacityEvent,
     FaultModel,
     OverrunEvent,
+    PerturbationTrace,
     generate_trace,
 )
 from repro.resilience.reconfig import (
@@ -33,6 +36,7 @@ from repro.resilience.reconfig import (
 from repro.resilience.simulator import simulate_resilient
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.rng import RandomStreams
+from repro.sim.simulator import simulate_arrivals
 from repro.verify.auditor import ScheduleAuditor
 from repro.workloads.synthetic import SyntheticParams
 
@@ -284,6 +288,38 @@ class TestResizeAndOverruns:
         assert due == pytest.approx(7.0)
         assert driver.pending_overruns() == ((job.job_id, due),)
         assert driver.handle_overrun(job.job_id) is True
+
+
+class TestArmedButIdle:
+    def test_prohibitive_cost_engine_reproduces_the_plain_simulator(self):
+        """A grow/shrink engine whose every resize costs 1e9 time units,
+        on an empty trace: it probes, every probe fails against the
+        deadlines and is rolled back, and the run is the resize-free
+        simulator's bit for bit — so the undo path is an exact inverse."""
+        params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
+
+        def factory(i, release):
+            return params.tunable_job(release)
+
+        def poisson():
+            return PoissonArrivals(35.0, RandomStreams(2024))
+
+        baseline = simulate_arrivals(
+            QoSArbitrator(32, malleable=True), factory, poisson(), 300
+        )
+        engine = ReconfigEngine(ResizePolicy.GROW_SHRINK, ReconfigCostModel(1e9))
+        armed = simulate_resilient(
+            QoSArbitrator(32, malleable=True, keep_placements=True),
+            factory,
+            list(poisson().times(300)),
+            PerturbationTrace(),
+            reconfig=engine,
+        )
+        ledger = engine.ledger()
+        assert ledger["grows"] == ledger["shrinks"] == 0 and not engine.records
+        assert ledger["grow_attempts"] + ledger["shrink_attempts"] > 0
+        assert armed.resilience["events"] == 0
+        assert replace(armed, resilience={}) == baseline
 
 
 class TestSimulatorEventOrder:

@@ -15,6 +15,7 @@ from repro.core.profile import PROFILE_BACKENDS
 from repro.core.resources import ProcessorTimeRequest
 from repro.errors import (
     ConfigurationError,
+    InvalidTaskError,
     ServiceUnavailableError,
     TransientWorkerError,
 )
@@ -349,6 +350,26 @@ def test_an_oversize_width_is_a_rejection_not_a_poison_request(tmp_path):
     assert stats["acked"] == len(jobs) and stats["failed"] == 0
     state = recover(tmp_path, config)
     assert [d.admitted for d in state.decisions] == [True, False, True, True]
+
+
+def test_a_sub_time_eps_duration_cannot_become_a_poison_request(tmp_path):
+    """A duration the profile would call empty is refused where the job is
+    built, so it never reaches the WAL (where it would fail-stop the drain
+    loop and every later ``recover``); its neighbours are one ordinary
+    batch."""
+    def job(duration, release, job_id):
+        task = TaskSpec("t", ProcessorTimeRequest(4, duration), deadline=50.0)
+        return Job(chains=(TaskChain((task,)),), release=release, job_id=job_id)
+
+    with pytest.raises(InvalidTaskError):
+        job(1e-12, 1.0, 1)
+    jobs = [job(2.0, 0.0, 0), job(2.0, 2.0, 2)]
+    config = _config(16)
+    service, answers = _run_queued(config, tmp_path, jobs)
+    assert [a.outcome for a in answers] == [ServiceOutcome.ADMITTED] * 2
+    stats = service.stats()
+    assert stats["batches"] == 1 and stats["acked"] == 2 and stats["failed"] == 0
+    assert [d.admitted for d in recover(tmp_path, config).decisions] == [True, True]
 
 
 # ----------------------------------------------------------------------

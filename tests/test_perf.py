@@ -33,6 +33,16 @@ class TestPercentile:
         samples = [float(i) for i in range(1, 101)]
         assert percentile(samples, 95) == 95.0
 
+    def test_rank_rounds_up_not_to_even(self):
+        # ceil(q·n/100): 2.5 -> 3rd and 28.5 -> 29th, where round-half-even
+        # picks the 2nd and the 28th.
+        assert percentile([1, 2, 3, 4, 5], 50) == 3
+        assert percentile(list(range(1, 31)), 95) == 29
+
+    def test_rank_is_computed_from_q_times_n(self):
+        # (7 / 100) * 100 is 7.000000000000001, which would ceil to the 8th.
+        assert percentile(list(range(1, 101)), 7) == 7
+
 
 class TestProfileStats:
     def test_reset_and_as_dict(self):
