@@ -408,7 +408,22 @@ class AdmissionService:
         This is the streaming half of :meth:`submit`: it applies dedup,
         shedding and backpressure, then hands back the future so callers
         can pipeline many requests before awaiting any decision.
+
+        Input contract, checked before anything is queued or logged: ``job``
+        is a :class:`~repro.model.job.Job`, ``request_id`` a ``str`` or
+        ``None`` and ``qos`` an ``int`` (not a ``bool``) ≥ 0.  A violation
+        raises ``TypeError`` or ``ValueError`` to this caller alone.
         """
+        if not isinstance(job, Job):
+            raise TypeError(f"job must be a Job, not {type(job).__name__}")
+        if request_id is not None and not isinstance(request_id, str):
+            raise TypeError(
+                f"request_id must be a str or None, not {type(request_id).__name__}"
+            )
+        if isinstance(qos, bool) or not isinstance(qos, int):
+            raise TypeError(f"qos must be an int, not {type(qos).__name__}")
+        if qos < 0:
+            raise ValueError(f"qos must be >= 0, got {qos}")
         if self._failed is not None or self._stopping:
             raise ServiceUnavailableError(self._failed or "service is shutting down")
         loop = asyncio.get_running_loop()

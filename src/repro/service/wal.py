@@ -20,18 +20,24 @@ is detected as either a line without a trailing newline or a checksum
 mismatch **on the final line** — both are legitimate crash artifacts and
 recovery truncates them.  A bad record *followed by valid records* can
 only mean real corruption and raises
-:class:`~repro.errors.WalCorruptionError` instead of being papered over.
+:class:`~repro.errors.WalCorruptionError` instead of being papered over,
+and so does a checksum-valid record of the wrong shape.
 
 Record kinds:
 
 ``jobs``
-    ``{"k":"jobs","jobs":[{"seq":N,"rid":...,"cls":C,"deg":0|1,
-    "job":[...]},...]}`` — one ingress batch of *effective* jobs
-    (post-degrade, i.e. exactly what the arbitrator will be offered),
-    each with its monotonically increasing ledger sequence number,
-    client request id, QoS class and the compact positional job encoding
-    (see ``_job_from_wire``).  The whole batch is a single framed record —
-    one ``json.dumps``, one CRC, one ``os.write`` — appended before the
+    ``{"k":"jobs","v":3,"seq":[...],"rid":[...],"cls":[...],"deg":[...],
+    "id":[...],"rel":[...],"name":[...],"chains":[...],"ref":[[i,...],...]}``
+    — one ingress batch of *effective* jobs (post-degrade, i.e. exactly
+    what the arbitrator will be offered) as columns: ledger sequence
+    number, client request id, QoS class, degraded flag (0|1), job id,
+    release and name.  ``chains`` holds each distinct chain object of the
+    batch once, in the archival :func:`repro.sim.persistence.chain_to_dict`
+    form, and ``ref[i]`` lists job ``i``'s OR-paths as indexes into it.
+    The table belongs to its frame, so every frame decodes on its own;
+    the reader builds each entry once, so jobs from one frame share chain
+    objects.  The whole batch is a single framed record — one
+    ``json.dumps``, one CRC, one ``os.write`` — appended before the
     decision is made.
 ``dec``
     ``{"k":"dec","seqs":[...],"dec":[...]}`` — the decision batch for
@@ -68,15 +74,15 @@ cut off by the next checkpoint: the WAL is truncated only once the
 watermark is durable, so it still holds those entries, and recovery
 skips WAL records with ``seq <= through_seq``, so a crash *between*
 watermark and truncation replays idempotently.  Damage before the last
-watermark raises :class:`~repro.errors.WalCorruptionError`; so does a
-version-1 ``checkpoint.json`` (no dual reader).
+watermark raises :class:`~repro.errors.WalCorruptionError`; so do a
+version-1 ``checkpoint.json`` and a version-2 ``jobs`` record (one without
+``"v"``), in either log (no dual reader).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -84,11 +90,10 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from repro.core.admission import AdmissionDecision
-from repro.core.resources import ProcessorTimeRequest
-from repro.errors import WalCorruptionError
+from repro.errors import ModelError, WalCorruptionError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
-from repro.model.task import TaskSpec
+from repro.sim.persistence import chain_from_dict, chain_to_dict
 
 __all__ = [
     "WAL_VERSION",
@@ -101,8 +106,9 @@ __all__ = [
     "write_checkpoint",
 ]
 
-#: Stamped into every checkpoint watermark; 1 was the whole-ledger snapshot.
-WAL_VERSION = 2
+#: Stamped into every ``jobs`` record and checkpoint watermark.  1 was the
+#: whole-ledger snapshot, 2 the per-job positional ``jobs`` encoding.
+WAL_VERSION = 3
 
 #: ``(admitted, chain_index | None, ((start, width, duration), ...))`` —
 #: the canonical bit-exact decision fingerprint, the same shape the
@@ -120,62 +126,6 @@ def decision_to_tuple(decision: AdmissionDecision) -> DecisionTuple:
             tuple((pl.start, pl.processors, pl.duration) for pl in cp.placements),
         )
     return (False, None, ())
-
-
-def _chain_to_wire(chain: TaskChain) -> list[object]:
-    return [
-        chain.label,
-        dict(chain.params) if chain.params else None,
-        [
-            [
-                t.name,
-                t.request.processors,
-                t.request.duration,
-                None if math.isinf(t.deadline) else t.deadline,
-                t.quality,
-                t.max_concurrency,
-            ]
-            for t in chain.tasks
-        ],
-    ]
-
-
-def _job_from_wire(data: Sequence[object]) -> Job:
-    """Decode the compact positional encoding of one job.
-
-    The WAL logs every request's effective job, so its encoding is on the
-    ack critical path; positional lists (no repeated keys) keep the
-    per-job byte and ``json.dumps`` cost a fraction of the archival
-    :func:`repro.sim.persistence.job_to_dict` form.  Shape (written by
-    :func:`_entry_json`, chains by :func:`_chain_to_wire`)::
-
-        [job_id, release, name, [[label, params|null, [[task_name,
-            processors, duration, deadline|null, quality,
-            max_concurrency], ...]], ...]]
-    """
-    job_id, release, name, chains = data
-    return Job(
-        chains=tuple(
-            TaskChain(
-                tuple(
-                    TaskSpec(
-                        str(tname),
-                        ProcessorTimeRequest(int(procs), float(dur)),
-                        deadline=math.inf if dl is None else float(dl),
-                        quality=float(q),
-                        max_concurrency=int(mc),
-                    )
-                    for tname, procs, dur, dl, q, mc in tasks
-                ),
-                label=str(label),
-                params=params,  # type: ignore[arg-type]
-            )
-            for label, params, tasks in chains  # type: ignore[union-attr]
-        ),
-        release=float(release),  # type: ignore[arg-type]
-        job_id=int(job_id),  # type: ignore[arg-type]
-        name=str(name),
-    )
 
 
 def _tuple_from_wire(data: Sequence[object]) -> DecisionTuple:
@@ -209,13 +159,6 @@ class LedgerEntry:
     job: Job
     decision: DecisionTuple | None = None
 
-    @staticmethod
-    def from_job_record(body: Mapping[str, object]) -> "LedgerEntry":
-        return LedgerEntry(
-            int(body["seq"]), str(body["rid"]), int(body["cls"]),  # type: ignore[arg-type]
-            bool(body["deg"]), _job_from_wire(body["job"]),  # type: ignore[arg-type]
-        )
-
 
 def _frame(body: bytes) -> bytes:
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
@@ -232,68 +175,62 @@ def _encode(record: Mapping[str, object]) -> bytes:
     return _frame(_dumps(record).encode("utf-8"))
 
 
-def _quote(s: str) -> str:
-    """JSON string literal; inline for the common escape-free case."""
-    if '"' in s or "\\" in s or not s.isprintable():
-        return _dumps(s)
-    return f'"{s}"'
+def _jobs_frame(entries: Sequence[LedgerEntry]) -> bytes:
+    """One framed ``jobs`` record: one column per field plus a chain table.
 
-
-_CHAIN_CACHE_LIMIT = 4096
-
-#: Chain -> JSON-fragment cache, keyed by ``id`` with the chain itself
-#: held as a strong reference — so a cached id can never be recycled by a
-#: different object while its entry exists, making the identity check
-#: sound.  Generators that stamp out many jobs from one template share
-#: chain objects (e.g. :meth:`repro.workloads.synthetic.SyntheticParams.
-#: _chains`), which turns the per-job chain encoding — the dominant WAL
-#: append cost — into a dict hit.  Chains are immutable by convention;
-#: mutating one after it was logged is undefined behaviour everywhere in
-#: this codebase, the cache merely shares that assumption.
-_chain_json_cache: dict[int, tuple[TaskChain, str]] = {}
-
-
-def _chain_json(chain: TaskChain) -> str:
-    hit = _chain_json_cache.get(id(chain))
-    if hit is not None and hit[0] is chain:
-        return hit[1]
-    fragment = _dumps(_chain_to_wire(chain))
-    if len(_chain_json_cache) >= _CHAIN_CACHE_LIMIT:
-        _chain_json_cache.clear()
-    _chain_json_cache[id(chain)] = (chain, fragment)
-    return fragment
-
-
-def _entry_json(e: "LedgerEntry") -> str:
-    """One job body ``{"k":"job","seq":..,"rid":..,"cls":..,"deg":..,"job":[..]}``.
-
-    Assembled from cached chain fragments instead of serializing a dict:
-    floats use ``repr`` (exactly what the JSON encoder emits) and strings
-    go through :func:`_quote`, so the output is byte-identical to the
-    plain dict encoding — which the WAL test suite asserts.
+    Chains are interned by identity for this call only (``entries`` keeps
+    every id alive until it returns): jobs stamped from one template
+    encode their shared chains once, equal-but-distinct chains stay
+    distinct, and no state outlives the frame.
     """
-    job = e.job
-    return (
-        f'{{"k":"job","seq":{e.seq},"rid":{_quote(e.request_id)},'
-        f'"cls":{e.qos},"deg":{1 if e.degraded else 0},'
-        f'"job":[{job.job_id},{job.release!r},{_quote(job.name)},'
-        f'[{",".join([_chain_json(c) for c in job.chains])}]]}}'
-    )
+    jobs = [e.job for e in entries]
+    table = {id(c): c for job in jobs for c in job.chains}
+    index = {key: i for i, key in enumerate(table)}
+    return _encode({
+        "k": "jobs",
+        "v": WAL_VERSION,
+        "seq": [e.seq for e in entries],
+        "rid": [e.request_id for e in entries],
+        "cls": [e.qos for e in entries],
+        "deg": [int(e.degraded) for e in entries],
+        "id": [job.job_id for job in jobs],
+        "rel": [job.release for job in jobs],
+        "name": [job.name for job in jobs],
+        "chains": [chain_to_dict(c) for c in table.values()],
+        "ref": [[index[id(c)] for c in job.chains] for job in jobs],
+    })
 
 
-def _jobs_frame(entries: Sequence["LedgerEntry"]) -> bytes:
-    """One framed ``jobs`` record for a batch of effective jobs.
+def _jobs_from_frame(record: Mapping[str, object]) -> list[LedgerEntry]:
+    """The ledger entries of one ``jobs`` record.
 
-    The body is assembled from per-chain cached JSON fragments
-    (:func:`_entry_json`) — byte-identical to encoding the record as a
-    dict, but an order of magnitude cheaper when jobs share chain objects.
+    Each chain-table entry is built once, and jobs with equal ``ref``
+    lists share one chains tuple.  A frame of another version raises.
     """
-    body = (
-        '{"k":"jobs","jobs":['
-        + ",".join([_entry_json(e) for e in entries])
-        + "]}"
-    )
-    return _frame(body.encode("utf-8"))
+    version = record.get("v", 2)  # version 2 frames carried no "v"
+    if version != WAL_VERSION:
+        raise WalCorruptionError(
+            f"jobs record of WAL version {version!r}; this build reads only "
+            f"version {WAL_VERSION} — recover the directory with the release "
+            "that wrote it"
+        )
+    keys = ("seq", "rid", "cls", "deg", "id", "rel", "name", "ref")
+    columns: list = [record[k] for k in keys]
+    if len({len(c) for c in columns}) > 1:
+        raise WalCorruptionError("jobs record columns differ in length")
+    table = [chain_from_dict(c) for c in record["chains"]]  # type: ignore[union-attr]
+    shared: dict[tuple[int, ...], tuple[TaskChain, ...]] = {}
+    entries = []
+    for seq, rid, cls, deg, job_id, release, name, ref in zip(*columns):
+        ref = tuple(ref)
+        chains = shared.get(ref)
+        if chains is None:
+            if min(ref, default=0) < 0:
+                raise IndexError(f"chain reference {min(ref)}")
+            chains = shared[ref] = tuple(table[i] for i in ref)
+        job = Job(chains, float(release), int(job_id), str(name))
+        entries.append(LedgerEntry(int(seq), str(rid), int(cls), bool(deg), job))
+    return entries
 
 
 def _decisions_frame(
@@ -487,44 +424,52 @@ def records_to_entries(
     entries this log was truncated against.  Replay is idempotent: a
     duplicate ``seq`` (the service re-appending after a recovery) keeps
     the first occurrence; a ``dec`` record for an entry that already has
-    a decision must agree with it.
+    a decision must agree with it.  A checksum-valid record of the wrong
+    shape raises :class:`~repro.errors.WalCorruptionError` like any other
+    damage.
     """
     by_seq: dict[int, LedgerEntry] = {}
-    for record in records:
-        kind = record.get("k")
-        if kind == "jobs":
-            for body in record["jobs"]:  # type: ignore[union-attr]
-                entry = LedgerEntry.from_job_record(body)
-                if entry.seq > min_seq and entry.seq not in by_seq:
-                    by_seq[entry.seq] = entry
-        elif kind == "dec":
-            seqs = record["seqs"]
-            decisions = record["dec"]
-            for seq, wire in zip(seqs, decisions):  # type: ignore[arg-type]
-                seq = int(seq)  # type: ignore[arg-type]
-                if seq <= min_seq:
-                    continue
-                entry = by_seq.get(seq)
-                if entry is None:
+    try:
+        for record in records:
+            kind = record.get("k")
+            if kind == "jobs":
+                for entry in _jobs_from_frame(record):
+                    if entry.seq > min_seq and entry.seq not in by_seq:
+                        by_seq[entry.seq] = entry
+            elif kind == "dec":
+                seqs, decisions = record["seqs"], record["dec"]
+                if len(seqs) != len(decisions):  # type: ignore[arg-type]
                     raise WalCorruptionError(
-                        f"decision record references unknown seq {seq}"
+                        f"decision record holds {len(seqs)} seqs but "  # type: ignore[arg-type]
+                        f"{len(decisions)} decisions"  # type: ignore[arg-type]
                     )
-                tup = _tuple_from_wire(wire)  # type: ignore[arg-type]
-                if entry.decision is None:
-                    entry.decision = tup
-                elif entry.decision != tup:
+                for seq, wire in zip(seqs, decisions):  # type: ignore[call-overload]
+                    seq = int(seq)
+                    if seq <= min_seq:
+                        continue
+                    entry = by_seq.get(seq)
+                    if entry is None:
+                        raise WalCorruptionError(
+                            f"decision record references unknown seq {seq}"
+                        )
+                    tup = _tuple_from_wire(wire)
+                    if entry.decision is None:
+                        entry.decision = tup
+                    elif entry.decision != tup:
+                        raise WalCorruptionError(
+                            f"conflicting decisions logged for seq {seq}"
+                        )
+            elif kind == "base":
+                base = int(record["through_seq"])  # type: ignore[call-overload]
+                if base > min_seq:
                     raise WalCorruptionError(
-                        f"conflicting decisions logged for seq {seq}"
+                        f"WAL was truncated against checkpoint watermark {base} "
+                        f"but the checkpoint only reaches {min_seq}"
                     )
-        elif kind == "base":
-            base = int(record["through_seq"])  # type: ignore[arg-type]
-            if base > min_seq:
-                raise WalCorruptionError(
-                    f"WAL was truncated against checkpoint watermark {base} "
-                    f"but the checkpoint only reaches {min_seq}"
-                )
-        else:
-            raise WalCorruptionError(f"unknown WAL record kind {kind!r}")
+            else:
+                raise WalCorruptionError(f"unknown WAL record kind {kind!r}")
+    except (KeyError, TypeError, ValueError, IndexError, ModelError) as exc:
+        raise WalCorruptionError(f"malformed WAL record: {exc!r}") from exc
     return [by_seq[seq] for seq in sorted(by_seq)]
 
 
@@ -543,28 +488,25 @@ def _fold_checkpoint(path: Path) -> tuple[list[LedgerEntry], int, int]:
     through_seq = committed = offset = 0
     pending: list[dict[str, object]] = []
     digest = hashlib.sha256()
-    try:
-        for record, raw in _frames(path):
-            offset += len(raw)
-            if record.get("k") != "mark":
-                pending.append(record)
-                digest.update(raw)
-                continue
-            # ``min_seq`` drops any entry at or below the previous
-            # watermark, so the count check also enforces sequence order.
-            segment = records_to_entries(pending, min_seq=through_seq)
-            if segment:
-                through_seq = segment[-1].seq
-            claimed = tuple(record[k] for k in ("v", "through_seq", "count", "sha256"))
-            if claimed != (WAL_VERSION, through_seq, len(segment), digest.hexdigest()):
-                raise WalCorruptionError(
-                    f"{path}: the segment ending at byte {offset} does not "
-                    "match its watermark (version, sequence, count or digest)"
-                )
-            entries += segment
-            committed, pending, digest = offset, [], hashlib.sha256()
-    except (ValueError, KeyError, TypeError) as exc:
-        raise WalCorruptionError(f"{path}: unreadable checkpoint: {exc}") from exc
+    for record, raw in _frames(path):
+        offset += len(raw)
+        if record.get("k") != "mark":
+            pending.append(record)
+            digest.update(raw)
+            continue
+        # ``min_seq`` drops any entry at or below the previous
+        # watermark, so the count check also enforces sequence order.
+        segment = records_to_entries(pending, min_seq=through_seq)
+        if segment:
+            through_seq = segment[-1].seq
+        claimed = tuple(record.get(k) for k in ("v", "through_seq", "count", "sha256"))
+        if claimed != (WAL_VERSION, through_seq, len(segment), digest.hexdigest()):
+            raise WalCorruptionError(
+                f"{path}: the segment ending at byte {offset} does not "
+                "match its watermark (version, sequence, count or digest)"
+            )
+        entries += segment
+        committed, pending, digest = offset, [], hashlib.sha256()
     return entries, through_seq, committed
 
 
@@ -577,7 +519,8 @@ def read_checkpoint(
     ignored (the WAL still holds it).  Damage before the last watermark
     raises :class:`~repro.errors.WalCorruptionError` — a damaged
     checkpoint silently ignored would silently drop acked decisions — and
-    so does a version-1 snapshot, which this build cannot read.
+    so do a version-1 snapshot and version-2 segments, which this build
+    cannot read.
     """
     directory = Path(directory)
     if (directory / "checkpoint.json").exists():

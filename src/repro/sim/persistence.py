@@ -20,6 +20,8 @@ from repro.model.task import TaskSpec
 from repro.sim.metrics import RunMetrics
 
 __all__ = [
+    "chain_to_dict",
+    "chain_from_dict",
     "job_to_dict",
     "job_from_dict",
     "dump_workload",
@@ -53,36 +55,38 @@ def _task_from_dict(data: Mapping[str, object]) -> TaskSpec:
     )
 
 
+def chain_to_dict(chain: TaskChain) -> dict[str, object]:
+    """Serialize one OR-path (label, params, tasks)."""
+    return {
+        "label": chain.label,
+        "params": dict(chain.params) if chain.params else None,
+        "tasks": [_task_to_dict(t) for t in chain.tasks],
+    }
+
+
+def chain_from_dict(data: Mapping[str, object]) -> TaskChain:
+    """Reconstruct a chain serialized by :func:`chain_to_dict`."""
+    return TaskChain(
+        tuple(_task_from_dict(t) for t in data["tasks"]),  # type: ignore[union-attr]
+        label=str(data.get("label", "")),
+        params=data.get("params"),  # type: ignore[arg-type]
+    )
+
+
 def job_to_dict(job: Job) -> dict[str, object]:
     """Serialize one job (identity, release, all chains)."""
     return {
         "job_id": job.job_id,
         "release": job.release,
         "name": job.name,
-        "chains": [
-            {
-                "label": chain.label,
-                "params": dict(chain.params) if chain.params else None,
-                "tasks": [_task_to_dict(t) for t in chain.tasks],
-            }
-            for chain in job.chains
-        ],
+        "chains": [chain_to_dict(chain) for chain in job.chains],
     }
 
 
 def job_from_dict(data: Mapping[str, object]) -> Job:
     """Reconstruct a job serialized by :func:`job_to_dict`."""
-    chains = []
-    for chain_data in data["chains"]:  # type: ignore[union-attr]
-        chains.append(
-            TaskChain(
-                tuple(_task_from_dict(t) for t in chain_data["tasks"]),
-                label=str(chain_data.get("label", "")),
-                params=chain_data.get("params"),
-            )
-        )
     return Job(
-        chains=tuple(chains),
+        chains=tuple(chain_from_dict(c) for c in data["chains"]),  # type: ignore[union-attr]
         release=float(data["release"]),  # type: ignore[arg-type]
         job_id=int(data["job_id"]),  # type: ignore[arg-type]
         name=str(data.get("name", "")),

@@ -24,6 +24,7 @@ from repro.service.wal import (
     read_wal,
 )
 from repro.verify.checks import verify_replay
+from repro.workloads.synthetic import SyntheticParams
 
 
 def _workload(seed=21, n=14, malleable=False):
@@ -330,6 +331,41 @@ def test_recovery_rejects_checkpoint_hiding_undecided_entries(tmp_path):
     (tmp_path / "checkpoint.log").write_bytes(segment + _encode(mark))
     with pytest.raises(WalCorruptionError, match="hides undecided entry"):
         recover(tmp_path, config)
+
+
+def test_recovered_jobs_share_chain_objects_within_a_frame(tmp_path):
+    """One template's chains come back as one set of objects per frame —
+    a checkpoint segment and a WAL batch alike — and no frame borrows
+    from another."""
+    params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
+    jobs = [params.tunable_job(float(i)) for i in range(12)]
+    config = ServiceConfig(capacity=64)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)
+        service.start()
+        for half in (jobs[:6], jobs[6:]):  # one batch each
+            futures = [
+                await service.enqueue(job, request_id=f"req-{job.job_id}")
+                for job in half
+            ]
+            await asyncio.gather(*futures)
+            if half is jobs[:6]:
+                service.checkpoint()
+        await service.stop()
+        return service
+
+    service = asyncio.run(run())
+    assert service.counters["batches"] == 2
+    state = recover(tmp_path, config)
+    assert _ledger(state.entries) == _ledger(service.entries)
+    checkpointed, logged = state.entries[:6], state.entries[6:]
+    for frame in (checkpointed, logged):
+        assert all(e.job.chains is frame[0].job.chains for e in frame)
+    assert all(
+        a is not b
+        for a, b in zip(checkpointed[0].job.chains, logged[0].job.chains)
+    )
 
 
 def test_service_checkpoint_guards_only_the_delta(tmp_path):

@@ -372,6 +372,49 @@ def test_a_sub_time_eps_duration_cannot_become_a_poison_request(tmp_path):
     assert [d.admitted for d in recover(tmp_path, config).decisions] == [True, True]
 
 
+@pytest.mark.parametrize(
+    ("error", "kw"),
+    [
+        (TypeError, {"request_id": 5}),
+        (TypeError, {"request_id": b"r"}),
+        (TypeError, {"qos": True}),
+        (TypeError, {"qos": 1.0}),
+        (ValueError, {"qos": -1}),
+        (TypeError, {"job": "not a job"}),
+    ],
+    ids=["int-id", "bytes-id", "bool-qos", "float-qos", "negative-qos", "not-a-job"],
+)
+def test_a_malformed_request_is_refused_to_its_caller_alone(tmp_path, error, kw):
+    """``enqueue`` checks its arguments before anything is queued, counted
+    or logged.  An integer request id used to reach the WAL encoder and
+    fail-stop the service, failing the innocent request queued beside it
+    and every later client; ``qos=-1`` was admitted as class -1."""
+    capacity, jobs = _workload(n=3)
+    config = _config(capacity)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)
+        innocent = await service.enqueue(jobs[0], request_id="innocent")
+        args = {"job": jobs[1], "request_id": "bad", **kw}
+        job = args.pop("job")
+        with pytest.raises(error):
+            await service.enqueue(job, **args)
+        with pytest.raises(error):  # submit() is the same gate
+            await service.submit(job, **args)
+        service.start()
+        first = await innocent
+        later = await service.submit(jobs[2], request_id="later")
+        await service.stop()
+        return service, first, later
+
+    service, first, later = asyncio.run(run())
+    assert first.decision is not None and later.decision is not None
+    stats = service.stats()
+    assert stats["failed"] == 0 and stats["submitted"] == 2 and stats["queue_depth"] == 0
+    assert [e.request_id for e in service.entries] == ["innocent", "later"]
+    assert [e.request_id for e in recover(tmp_path, config).entries] == ["innocent", "later"]
+
+
 # ----------------------------------------------------------------------
 # A batch is what is waiting; a request is one row
 # ----------------------------------------------------------------------

@@ -1,20 +1,34 @@
-"""WAL framing, torn-tail semantics, checkpoints, and the fail-point."""
+"""WAL framing, the columnar ``jobs`` record, torn-tail semantics,
+checkpoints, and the fail-point."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import random
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.resources import ProcessorTimeRequest
 from repro.errors import WalCorruptionError
+from repro.model.chain import TaskChain
+from repro.model.job import Job
+from repro.model.task import TaskSpec
+from repro.service.recovery import recover
+from repro.service.service import ServiceConfig, degrade_job
 from repro.service.wal import (
+    WAL_VERSION,
     LedgerEntry,
     WriteAheadLog,
-    _chain_to_wire,
     _encode,
+    _jobs_frame,
     read_checkpoint,
     read_wal,
     records_to_entries,
@@ -22,6 +36,7 @@ from repro.service.wal import (
 )
 from repro.sim.persistence import job_to_dict
 from repro.verify.fuzz import random_case
+from repro.workloads.synthetic import SyntheticParams
 
 
 def _entries(n=3, seed=0):
@@ -34,23 +49,27 @@ def _entries(n=3, seed=0):
     ]
 
 
-def job_record(e):
-    """Reference form of one logged job body: the plain dict whose JSON
-    encoding the fast path (``_entry_json``) must reproduce byte for byte."""
-    job = e.job
-    chains = [_chain_to_wire(chain) for chain in job.chains]
-    return {
-        "k": "job",
-        "seq": e.seq,
-        "rid": e.request_id,
-        "cls": e.qos,
-        "deg": int(e.degraded),
-        "job": [job.job_id, job.release, job.name, chains],
-    }
+def jobs_record(entries):
+    """The ``jobs`` record :meth:`WriteAheadLog.append_jobs` logs for
+    ``entries``, as the reader parses it."""
+    return json.loads(_jobs_frame(entries)[9:])
 
 
 DEC = (True, 0, ((0.0, 2, 3.0), (3.0, 1, 1.5)))
 REJ = (False, None, ())
+
+
+def _jobs_as_written(entries):
+    """Each job as the archival dict, compared by ``repr`` so ``-0.0`` and
+    ``0.0`` differ."""
+    return [repr(job_to_dict(e.job)) for e in entries]
+
+
+def _sharing(entries):
+    """Each job's chains as the position of that chain object's first
+    occurrence: which jobs share which chain objects."""
+    first: dict[int, int] = {}
+    return [[first.setdefault(id(c), len(first)) for c in e.job.chains] for e in entries]
 
 
 def test_wal_round_trips_jobs_and_decisions(tmp_path):
@@ -72,54 +91,150 @@ def test_wal_round_trips_jobs_and_decisions(tmp_path):
     ]
 
 
-def test_fast_jobs_encoding_is_byte_identical_to_reference(tmp_path):
-    """The cached-fragment assembly must match the plain dict encoding.
-
-    ``append_jobs`` builds its record from ``_entry_json`` (identity-
-    cached chain fragments, inline float reprs); the bytes on disk must
-    be exactly what encoding ``{"k": "jobs", "jobs": [job_record()...]}``
-    through the reference JSON encoder would produce — including awkward
-    strings that force the escape fallback, and repeated (shared) chain
-    objects that exercise the cache-hit path.
-    """
-    from repro.workloads.synthetic import SyntheticParams
-    from repro.service.wal import _dumps, _frame
-
+def test_jobs_from_one_frame_share_chain_objects(tmp_path):
     params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
-    shared = [params.tunable_job(float(i)) for i in range(4)]
-    assert shared[0].chains[0] is shared[1].chains[0]  # cache-hit fuel
-    odd = _entries(3, seed=7)
-    entries = [
-        LedgerEntry(seq=i + 1, request_id=rid, qos=i % 3,
-                    degraded=bool(i % 2), job=job)
-        for i, (rid, job) in enumerate(
-            zip(
-                ['plain', 'quo"te', 'back\\slash', 'uni-é', 'ctrl-\n',
-                 'r5', 'r6'],
-                shared + [e.job for e in odd],
-            )
-        )
-    ]
+    jobs = [params.tunable_job(float(i)) for i in range(4)]
+    assert jobs[0].chains[0] is jobs[1].chains[0]  # one template's chains
+    entries = [LedgerEntry(i + 1, f"r{i}", 0, False, j) for i, j in enumerate(jobs)]
+    assert len(jobs_record(entries)["chains"]) == len(jobs[0].chains)
+
     wal = WriteAheadLog(tmp_path, fsync=False)
-    wal.append_jobs(entries)
+    wal.append_jobs(entries[:2])
+    wal.append_jobs(entries[2:])
     wal.close()
+    a, b, c, d = (e.job for e in records_to_entries(read_wal(tmp_path / "wal.log")[0]))
+    # Equal reference lists share one tuple of shared chain objects ...
+    assert a.chains is b.chains and c.chains is d.chains
+    # ... and a frame needs nothing from the one before it.
+    assert all(x is not y for x, y in zip(a.chains, c.chains))
+    assert [job_to_dict(j) for j in (a, b, c, d)] == [job_to_dict(j) for j in jobs]
 
-    reference = _frame(
-        _dumps(
-            {"k": "jobs", "jobs": [job_record(e) for e in entries]}
-        ).encode("utf-8")
+
+def test_equal_but_distinct_chains_stay_distinct():
+    """Interning is by identity: two chains that compare equal (qualities
+    ``0.0`` and ``-0.0``) are two table entries and decode as two objects."""
+    def chain(quality):
+        task = TaskSpec("t", ProcessorTimeRequest(2, 1.0), quality=quality)
+        return TaskChain((task,), label="c")
+
+    zero, negative = chain(0.0), chain(-0.0)
+    assert zero == negative and zero is not negative
+    entries = [
+        LedgerEntry(1, "a", 0, False, Job(chains=(zero,), release=0.0, job_id=1)),
+        LedgerEntry(2, "b", 0, False, Job(chains=(negative, zero), release=1.0, job_id=2)),
+    ]
+    record = jobs_record(entries)
+    assert record["ref"] == [[0], [1, 0]] and len(record["chains"]) == 2
+    a, b = (e.job for e in records_to_entries([record]))
+    assert b.chains[1] is a.chains[0] and b.chains[0] is not a.chains[0]
+    assert math.copysign(1.0, b.chains[0].tasks[0].quality) == -1.0
+    assert _jobs_as_written(records_to_entries([record])) == _jobs_as_written(entries)
+
+
+# ----------------------------------------------------------------------
+# Any ledger round-trips through both logs
+# ----------------------------------------------------------------------
+
+_AWKWARD = st.sampled_from(['quo"te', "back\\slash", "uni-é✓", "ctrl-\n\t\x00\x1f", " "])
+_TEXT = _AWKWARD | st.text(max_size=6)
+
+
+@st.composite
+def _awkward_chain(draw):
+    tasks = tuple(
+        TaskSpec(
+            draw(_AWKWARD | st.text(min_size=1, max_size=6)),
+            ProcessorTimeRequest(
+                draw(st.integers(1, 8)), draw(st.sampled_from([1e-3, 0.5, 1.0, 2.75]))
+            ),
+            deadline=draw(st.sampled_from([math.inf, 40.0, 1e12])),
+            quality=draw(st.sampled_from([0.0, -0.0, 0.25, 1.0])),
+        )
+        for _ in range(draw(st.integers(1, 3)))
     )
-    assert (tmp_path / "wal.log").read_bytes() == reference
+    values = st.integers(-3, 3) | _TEXT | st.floats(allow_nan=False)
+    params = draw(st.none() | st.dictionaries(_TEXT, values, max_size=2))
+    return TaskChain(tasks, label=draw(_TEXT), params=params)
 
-    records, truncated = read_wal(tmp_path / "wal.log")
-    assert truncated == 0
-    loaded = records_to_entries(records)
-    assert [(e.seq, e.request_id) for e in loaded] == [
-        (e.seq, e.request_id) for e in entries
+
+@st.composite
+def _ledgers(draw):
+    """Decided ledgers built from fuzzer jobs plus every way chains get shared."""
+    base = random_case(random.Random(draw(st.integers(0, 2**16))), max_jobs=6).jobs
+    jobs: list[Job] = []
+    for i in range(draw(st.integers(1, 10))):
+        prev = draw(st.sampled_from(jobs)) if jobs else base[0]
+        how = draw(st.sampled_from(["case", "shared", "copy", "degraded", "twice", "awkward"]))
+        if how == "case":
+            job = base[i % len(base)]
+        elif how == "shared":
+            job = Job(chains=prev.chains, release=prev.release + 1.0, name=draw(_TEXT))
+        elif how == "copy":  # equal chains, distinct objects
+            job = Job(
+                chains=tuple(TaskChain(c.tasks, label=c.label, params=c.params) for c in prev.chains),
+                release=prev.release,
+            )
+        elif how == "degraded":
+            job = degrade_job(prev, draw(st.integers(1, 2)))[0]
+        elif how == "twice":  # one chain object offered twice by one job
+            job = Job(chains=(prev.chains[0],) + prev.chains, release=prev.release)
+        else:
+            job = Job(
+                chains=tuple(draw(st.lists(_awkward_chain(), min_size=1, max_size=3))),
+                release=draw(st.sampled_from([0.0, -0.0, 0.1, 1e9])),
+                name=draw(_TEXT),
+            )
+        jobs.append(job)
+    return [
+        LedgerEntry(i + 1, draw(_TEXT), draw(st.integers(0, 5)), draw(st.booleans()),
+                    job, draw(st.sampled_from([DEC, REJ])))
+        for i, job in enumerate(jobs)
     ]
-    assert [job_to_dict(e.job) for e in loaded] == [
-        job_to_dict(e.job) for e in entries
-    ]
+
+
+@given(entries=_ledgers(), cuts=st.lists(st.integers(1, 9), max_size=3))
+def test_ledgers_round_trip_through_the_wal_and_the_checkpoint(entries, cuts):
+    bounds = sorted({c for c in cuts if c < len(entries)} | {0, len(entries)})
+    frames = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        wal = WriteAheadLog(directory, fsync=False)
+        for frame in frames:
+            wal.append_jobs(frame, sync=False)
+            wal.append_decisions([e.seq for e in frame], [e.decision for e in frame])
+        wal.close()
+        records, truncated = read_wal(directory / "wal.log")
+        assert truncated == 0
+        from_wal = records_to_entries(records)
+        for upto in bounds[1:]:
+            write_checkpoint(directory, entries[:upto])
+        from_checkpoint, through = read_checkpoint(directory)
+    assert through == len(entries)
+    for loaded in (from_wal, from_checkpoint):
+        assert [(e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in loaded] == [
+            (e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in entries
+        ]
+        assert _jobs_as_written(loaded) == _jobs_as_written(entries)
+        for a, b in zip(bounds, bounds[1:]):
+            assert _sharing(loaded[a:b]) == _sharing(entries[a:b])
+
+
+# ----------------------------------------------------------------------
+# Damage
+# ----------------------------------------------------------------------
+
+
+def _three_frames(path):
+    """A log of a ``jobs``, a ``dec`` and a final ``jobs`` frame; returns
+    its bytes and the offset the final frame starts at."""
+    entries = _entries(4, seed=3)
+    wal = WriteAheadLog(path, fsync=False)
+    wal.append_jobs(entries[:2])
+    wal.append_decisions([1, 2], [DEC, REJ])
+    wal.append_jobs(entries[2:])
+    wal.close()
+    data = (path / "wal.log").read_bytes()
+    return data, data.rindex(b"\n", 0, -1) + 1
 
 
 def test_torn_tail_is_tolerated_and_repaired(tmp_path):
@@ -139,6 +254,30 @@ def test_torn_tail_is_tolerated_and_repaired(tmp_path):
     assert read_wal(path) == (records, 0)
 
 
+def test_a_cut_anywhere_in_the_last_frame_is_a_torn_tail(tmp_path):
+    data, last = _three_frames(tmp_path)
+    path = tmp_path / "wal.log"
+    kept = read_wal(path)[0][:-1]
+    for cut in range(last, len(data)):
+        path.write_bytes(data[:cut])
+        assert read_wal(path, repair=True) == (kept, cut - last)
+        assert path.read_bytes() == data[:last]
+    assert len(records_to_entries(kept)) == 2
+
+
+def test_a_flipped_byte_in_any_earlier_frame_is_corruption(tmp_path):
+    data, last = _three_frames(tmp_path)
+    path = tmp_path / "wal.log"
+    # All but the newline that ends the second frame: flipping it joins
+    # that frame to the last one, and the joined frame reads as a torn tail.
+    # (No 0x20: it only changes the case of a checksum's hex digit.)
+    for at in range(last - 1):
+        for mask in (0x01, 0x80, 0xFF):
+            path.write_bytes(data[:at] + bytes([data[at] ^ mask]) + data[at + 1:])
+            with pytest.raises(WalCorruptionError):
+                read_wal(path)
+
+
 def test_damage_before_valid_records_is_corruption(tmp_path):
     entries = _entries(2)
     wal = WriteAheadLog(tmp_path)
@@ -153,9 +292,96 @@ def test_damage_before_valid_records_is_corruption(tmp_path):
         read_wal(path)
 
 
+def _malformed():
+    good = jobs_record(_entries(2))
+    without_rel = {k: v for k, v in good.items() if k != "rel"}
+
+    def dec(seqs, decisions):
+        return {"k": "dec", "seqs": seqs, "dec": decisions}
+
+    return {
+        "dec-without-decisions": [good, {"k": "dec", "seqs": [1]}],
+        "two-field-decision": [good, dec([1], [[True, 0]])],
+        "more-seqs-than-decisions": [good, dec([1, 2], [[False, None, []]])],
+        "more-decisions-than-seqs": [good, dec([1], [[False, None, []]] * 2)],
+        "jobs-list-of-dicts": [{"k": "jobs", "jobs": [{"seq": 1}]}],
+        "jobs-is-a-number": [{"k": "jobs", "jobs": 7}],
+        "missing-column": [without_rel],
+        "short-column": [{**good, "rid": good["rid"][:1]}],
+        "chain-index-out-of-range": [{**good, "ref": [[99], [0]]}],
+        "negative-chain-index": [{**good, "ref": [[-1], [0]]}],
+        "job-without-chains": [{**good, "ref": [[], [0]]}],
+        "chain-without-tasks": [{**good, "chains": [{"label": "c"}]}],
+        "chains-is-a-number": [{**good, "chains": 7}],
+        "release-is-text": [{**good, "rel": ["soon", 1.0]}],
+        "base-without-watermark": [{"k": "base"}],
+    }
+
+
+_MALFORMED = _malformed()
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_a_malformed_record_is_corruption(tmp_path, name):
+    """Checksum-valid frames of the wrong shape: refused as corruption by
+    the fold, by recovery and by the checkpoint reader, never a
+    ``KeyError``/``TypeError``/``ValueError`` or a silently shorter ledger."""
+    records = _MALFORMED[name]
+    with pytest.raises(WalCorruptionError):
+        records_to_entries(records)
+    frames = b"".join(_encode(r) for r in records)
+    (tmp_path / "wal.log").write_bytes(frames)
+    assert read_wal(tmp_path / "wal.log") == (records, 0)  # the framing is sound
+    with pytest.raises(WalCorruptionError):
+        recover(tmp_path, ServiceConfig(capacity=8))
+
+    mark = {"k": "mark", "v": WAL_VERSION, "through_seq": 1, "count": 1,
+            "sha256": hashlib.sha256(frames).hexdigest()}
+    (tmp_path / "checkpoint.log").write_bytes(frames + _encode(mark))
+    with pytest.raises(WalCorruptionError):
+        read_checkpoint(tmp_path)
+
+
+def _version_2_jobs_record(entries):
+    """A ``jobs`` record as version 2 wrote it: no ``"v"``, one positional
+    job per entry."""
+    def chain(c):
+        return [c.label, None, [[t.name, t.processors, t.duration, None, t.quality,
+                                 t.max_concurrency] for t in c.tasks]]
+
+    return {"k": "jobs", "jobs": [
+        {"k": "job", "seq": e.seq, "rid": e.request_id, "cls": e.qos,
+         "deg": int(e.degraded),
+         "job": [e.job.job_id, e.job.release, e.job.name, [chain(c) for c in e.job.chains]]}
+        for e in entries
+    ]}
+
+
+def test_version_2_logs_and_checkpoints_are_refused(tmp_path):
+    entries = _entries(2)
+    segment = _encode(_version_2_jobs_record(entries)) + _encode(
+        {"k": "dec", "seqs": [1, 2], "dec": [DEC, REJ]}
+    )
+    (tmp_path / "wal.log").write_bytes(segment)
+    with pytest.raises(WalCorruptionError, match="version 2"):
+        recover(tmp_path, ServiceConfig(capacity=8))
+
+    old = tmp_path / "checkpointed"
+    old.mkdir()
+    mark = {"k": "mark", "v": 2, "through_seq": 2, "count": 2,
+            "sha256": hashlib.sha256(segment).hexdigest()}
+    log = old / "checkpoint.log"
+    log.write_bytes(segment + _encode(mark))
+    with pytest.raises(WalCorruptionError, match="version 2"):
+        read_checkpoint(old)
+    with pytest.raises(WalCorruptionError, match="version 2"):
+        write_checkpoint(old, [*entries, LedgerEntry(3, "r2", 0, False, entries[0].job, DEC)])
+    assert log.read_bytes() == segment + _encode(mark)  # nothing cut, nothing added
+
+
 def test_records_to_entries_dedup_and_conflicts(tmp_path):
     entries = _entries(1)
-    job_rec = {"k": "jobs", "jobs": [job_record(entries[0])]}
+    job_rec = jobs_record(entries)
     dup = dict(job_rec)
     dec = {"k": "dec", "seqs": [1], "dec": [[True, 0, [[0.0, 2, 3.0]]]]}
     same = records_to_entries([job_rec, dup, dec, dec])
@@ -171,7 +397,12 @@ def test_records_to_entries_dedup_and_conflicts(tmp_path):
     # The per-job top-level record nothing has written since batching
     # is an unknown kind like any other.
     with pytest.raises(WalCorruptionError):
-        records_to_entries([job_record(entries[0])])
+        records_to_entries([{**job_rec, "k": "job"}])
+
+
+# ----------------------------------------------------------------------
+# Checkpoints
+# ----------------------------------------------------------------------
 
 
 def _decided(n, seed=0):
@@ -215,7 +446,7 @@ def test_checkpoint_round_trip_truncation_and_watermark(tmp_path):
     records, _ = read_wal(tmp_path / "wal.log")
     assert records == [{"k": "base", "through_seq": 9}]
     assert records_to_entries(records, min_seq=9) == []
-    covered = {"k": "jobs", "jobs": [job_record(entries[0])]}
+    covered = jobs_record(entries[:1])
     assert records_to_entries([covered], min_seq=9) == []
     # A checkpoint that stops short of that watermark has lost decisions.
     with pytest.raises(WalCorruptionError, match="only reaches 5"):
@@ -240,8 +471,8 @@ def test_checkpoint_checksum_and_version_guards(tmp_path):
     segment, _, mark_line = good[sizes[1]:].rpartition(b"\n")[0].rpartition(b"\n")
     mark = json.loads(mark_line[9:])
     assert mark["k"] == "mark" and mark["through_seq"] == 6 and mark["count"] == 2
-    for field, wrong in (("v", 1), ("v", 3), ("count", 3), ("through_seq", 7),
-                         ("sha256", "0" * 64)):
+    for field, wrong in (("v", WAL_VERSION - 1), ("v", WAL_VERSION + 1), ("count", 3),
+                         ("through_seq", 7), ("sha256", "0" * 64)):
         forged = _encode({**mark, field: wrong})
         path.write_bytes(good[: sizes[1]] + segment + b"\n" + forged)
         with pytest.raises(WalCorruptionError):
@@ -290,7 +521,13 @@ def test_checkpoint_cost_follows_the_delta_not_the_ledger(tmp_path, monkeypatch)
     """Counts, not time: bytes appended per checkpoint stay flat as the
     ledger grows, and the writer reads O(1) bytes of what is already there."""
     every, rounds = 8, 10
-    entries = _decided(every * rounds)
+    # The same jobs in every segment, so each holds the same chain table.
+    template = _entries(every)
+    entries = [
+        LedgerEntry(r * every + e.seq, e.request_id, e.qos, e.degraded, e.job, REJ)
+        for r in range(rounds)
+        for e in template
+    ]
     read = []
     pread = os.pread
 
