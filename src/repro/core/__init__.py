@@ -26,11 +26,6 @@ from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.policies import TieBreakPolicy
 from repro.core.assignment import AssignedSlice, assign_processors
-from repro.core.multiresource import (
-    MultiResourceProfile,
-    VectorRequest,
-    earliest_vector_fit,
-)
 
 __all__ = [
     "TIME_EPS",
@@ -53,7 +48,4 @@ __all__ = [
     "TieBreakPolicy",
     "AssignedSlice",
     "assign_processors",
-    "VectorRequest",
-    "MultiResourceProfile",
-    "earliest_vector_fit",
 ]

@@ -23,6 +23,22 @@ from repro.perf import PerfRecorder
 __all__ = ["Schedule"]
 
 
+def _clipped(cp: ChainPlacement, cut: float) -> list[tuple[float, float, int]]:
+    """``cp``'s reserved intervals clipped to ``[cut, inf)``, in task order.
+
+    The one slicing rule of the tail primitives (:meth:`Schedule.rollback_tail`,
+    :meth:`Schedule.restore_tail`, :meth:`Schedule.adopt_carried`).  An
+    interval ending within ``TIME_EPS`` of ``cut`` is history, not a
+    reservable remainder: reserving it would trip the profile's
+    degenerate-interval guard.
+    """
+    return [
+        (max(pl.start, cut), pl.end, pl.processors)
+        for pl in cp.placements
+        if not time_leq(pl.end, cut)
+    ]
+
+
 class Schedule:
     """Mutable record of all committed allocations on ``capacity`` processors.
 
@@ -249,8 +265,10 @@ class Schedule:
         prefix (before ``cut``) stays accounted — those processors really
         were busy.  Concretely:
 
-        * every reserved interval ``[start, end)`` with ``end > cut`` is
-          released over ``[max(start, cut), end)``;
+        * every reserved interval ``[start, end)`` ending more than
+          ``TIME_EPS`` after ``cut`` is released over ``[max(start, cut),
+          end)`` — the same clip :meth:`restore_tail` and
+          :meth:`adopt_carried` reserve;
         * committed area shrinks by exactly the released processor-time;
         * the job's committed finish moves from ``cp.finish`` to ``cut``
           (the consumed stub still bounds the utilization window);
@@ -269,12 +287,9 @@ class Schedule:
             return
         at = self._index_of(cp, "rollback_tail") if self._keep else None
         released = 0.0
-        for pl in reversed(cp.placements):
-            if time_leq(pl.end, cut):  # sub-eps remainder: nothing to free
-                continue
-            start = max(pl.start, cut)
-            self.profile.release(start, pl.end, pl.processors)
-            released += (pl.end - start) * pl.processors
+        for start, end, procs in reversed(_clipped(cp, cut)):
+            self.profile.release(start, end, procs)
+            released += (end - start) * procs
         if at is not None:
             del self._placements[at]
         self._committed_area -= released
@@ -294,7 +309,10 @@ class Schedule:
         back from ``cut`` to ``cp.finish``.  The mid-execution resize engine
         uses this to abandon a *tentative* resize: it tail-rolls a running
         placement back, probes a reshaped remainder, and — when the reshape
-        is rejected — restores the original reservation bit for bit.
+        is rejected — restores the original reservation: the accounting bit
+        for bit, the profile up to its ``TIME_EPS`` snapping (a breakpoint
+        within ``TIME_EPS`` of ``cut`` that the rollback merged away comes
+        back at ``cut``).
 
         Must be called with the same ``cut`` that was passed to
         :meth:`rollback_tail`, while the freed region is still free (the
@@ -304,22 +322,7 @@ class Schedule:
         if cut <= cp.start:
             self.commit(cp)
             return
-        restored = 0.0
-        reserved: list[tuple[float, float, int]] = []
-        try:
-            for pl in cp.placements:
-                # Mirror of rollback_tail's skip — the two must slice
-                # identically for restore to be an exact inverse.
-                if time_leq(pl.end, cut):
-                    continue
-                start = max(pl.start, cut)
-                self.profile.reserve(start, pl.end, pl.processors)
-                reserved.append((start, pl.end, pl.processors))
-                restored += (pl.end - start) * pl.processors
-        except Exception:
-            for start, end, procs in reversed(reserved):
-                self.profile.release(start, end, procs)
-            raise
+        restored = self._reserve_clipped(cp, cut)
         if self._keep:
             self._placements.append(cp)
         self._committed_area += restored
@@ -346,25 +349,28 @@ class Schedule:
         pre-change portion burned on the predecessor machine and is that
         schedule's history.
         """
+        area = self._reserve_clipped(cp, cut)
+        self.record_commits((cp,), (cp.finish,), (area,))
+        self.perf.carries += 1
+
+    def _reserve_clipped(self, cp: ChainPlacement, cut: float) -> float:
+        """Reserve ``cp``'s post-``cut`` intervals, all or none; their area.
+
+        On any failure the intervals already reserved are released again,
+        in reverse, before the error propagates.
+        """
         reserved: list[tuple[float, float, int]] = []
         area = 0.0
         try:
-            for pl in cp.placements:
-                # time_leq, not <=: a remainder shorter than TIME_EPS is
-                # history, not a reservable interval — reserving it would
-                # trip the profile's degenerate-interval guard.
-                if time_leq(pl.end, cut):
-                    continue
-                start = max(pl.start, cut)
-                self.profile.reserve(start, pl.end, pl.processors)
-                reserved.append((start, pl.end, pl.processors))
-                area += (pl.end - start) * pl.processors
+            for start, end, procs in _clipped(cp, cut):
+                self.profile.reserve(start, end, procs)
+                reserved.append((start, end, procs))
+                area += (end - start) * procs
         except Exception:
             for start, end, procs in reversed(reserved):
                 self.profile.release(start, end, procs)
             raise
-        self.record_commits((cp,), (cp.finish,), (area,))
-        self.perf.carries += 1
+        return area
 
     def compact(self, before: float) -> None:
         """Forget profile structure before ``before`` (see profile docs).

@@ -5,7 +5,13 @@
 * :mod:`repro.qos.negotiation` — the request/grant/reject message protocol.
 * :mod:`repro.qos.contract` — the resource contract an admitted application
   holds (its allocation profile plus the control-parameter configuration).
-* :mod:`repro.qos.renegotiation` — renegotiation on resource-level change.
+* :mod:`repro.qos.renegotiation` — one-shot renegotiation on a
+  resource-level change; it carries running placements through
+  :meth:`~repro.core.schedule.Schedule.adopt_carried`, as the online
+  :class:`~repro.resilience.driver.RenegotiationDriver` does.
+
+Revision of a running contract on changing *application* demands (the
+other half of §3.1) is not implemented.
 """
 
 from repro.qos.agent import QoSAgent
@@ -17,11 +23,8 @@ from repro.qos.negotiation import (
     negotiate,
 )
 from repro.qos.renegotiation import CapacityChange, RenegotiationResult, renegotiate
-from repro.qos.revision import RevisionResult, revise_contract
 
 __all__ = [
-    "RevisionResult",
-    "revise_contract",
     "QoSAgent",
     "ResourceContract",
     "ReservationRequest",

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.greedy import GreedyScheduler
 from repro.core.placement import ChainPlacement
 from repro.core.policies import TieBreakPolicy
+from repro.core.resources import time_leq
 from repro.core.schedule import Schedule
-from repro.errors import ConfigurationError, NegotiationError
+from repro.errors import CapacityExceededError, ConfigurationError, NegotiationError
 from repro.model.job import Job
 
 __all__ = ["CapacityChange", "RenegotiationResult", "renegotiate"]
@@ -55,9 +56,13 @@ class RenegotiationResult:
     Attributes
     ----------
     schedule:
-        The new post-change schedule (origin at the change time).
+        The new post-change schedule (origin at the change time).  It holds
+        the carried placements as well as the re-admitted ones, and its
+        ``committed_area`` counts a carried placement's post-change
+        (clipped) area only — the same booking as the online driver's.
     finished:
-        Placements that completed before the change (untouched).
+        Placements that completed by the change, within ``TIME_EPS``
+        (untouched).
     carried:
         Running placements whose reservations survived the change.
     reallocated:
@@ -94,13 +99,18 @@ def renegotiate(
     (the placements are the renegotiation input).  ``jobs_by_id`` must
     cover every job whose placement had not started by ``change.time`` —
     renegotiation needs their full path sets.
+
+    A running placement is carried with :meth:`Schedule.adopt_carried
+    <repro.core.schedule.Schedule.adopt_carried>`, the primitive
+    :class:`~repro.resilience.driver.RenegotiationDriver` uses, so it is
+    booked in the new schedule's placements and ``committed_area``.
     """
     tau = change.time
     finished: list[ChainPlacement] = []
     running: list[ChainPlacement] = []
     future: list[ChainPlacement] = []
     for cp in old_schedule.placements:
-        if cp.finish <= tau:
+        if time_leq(cp.finish, tau):
             finished.append(cp)
         elif cp.start < tau:
             running.append(cp)
@@ -113,26 +123,13 @@ def renegotiate(
     carried: list[ChainPlacement] = []
     dropped: list[int] = []
 
-    # Carry running placements that still fit; note a chain may straddle the
-    # change with some tasks done and some pending — reserve every remaining
-    # (possibly clipped) task interval.  Carrying is greedy in (start, id)
+    # Carry running placements that still fit, greedily in (start, id)
     # order: reservations that individually fit may *collectively* exceed
-    # the shrunken machine, in which case later jobs are dropped (their
-    # partial reservations rolled back).
-    from repro.errors import CapacityExceededError
-
+    # the shrunken machine, in which case later jobs are dropped.
     for cp in sorted(running, key=lambda c: (c.start, c.job_id)):
-        reserved: list[tuple[float, float, int]] = []
         try:
-            for pl in cp.placements:
-                if pl.end <= tau:
-                    continue
-                start = max(pl.start, tau)
-                new_schedule.profile.reserve(start, pl.end, pl.processors)
-                reserved.append((start, pl.end, pl.processors))
+            new_schedule.adopt_carried(cp, tau)
         except CapacityExceededError:
-            for start, end, procs in reversed(reserved):
-                new_schedule.profile.release(start, end, procs)
             dropped.append(cp.job_id)
             continue
         carried.append(cp)

@@ -94,19 +94,14 @@ def _run_selftest() -> list[str]:
 
 
 def _replay_corpus(corpus_dir: Path) -> list[str]:
-    from repro.verify import corpus_entry_failures
+    from repro.verify.corpus import corpus_files, replay_corpus_file
 
-    entries = sorted(corpus_dir.glob("*.json"))
+    entries = corpus_files(corpus_dir)
     if not entries:
         return [f"no corpus entries under {corpus_dir}"]
-    failures: list[str] = []
-    for path in entries:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            failures.append(f"{path.name}: unreadable ({exc})")
-            continue
-        failures += [f"{path.name}: {why}" for why in corpus_entry_failures(payload)]
+    failures = [
+        f"{path.name}: {why}" for path in entries for why in replay_corpus_file(path)
+    ]
     print(f"corpus: replayed {len(entries)} entr(ies) from {corpus_dir}")
     return failures
 

@@ -6,6 +6,10 @@ replay of the placements that survived — whatever order commits and
 rollbacks happened in.  This is the property the stale-window rollback bug
 violated: a rollback of the earliest-released or latest-finishing job left
 ``first_release``/``last_finish`` pointing at the departed placement.
+
+The tail primitives (``rollback_tail``, ``restore_tail``, ``adopt_carried``)
+share one clip; their properties below pin that clip's sub-``TIME_EPS``
+skip and the all-or-nothing reservation behind it.
 """
 
 from __future__ import annotations
@@ -13,13 +17,15 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.first_fit import earliest_fit
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.profile import AvailabilityProfile
+from repro.core.resources import TIME_EPS, ProcessorTimeRequest
 from repro.core.schedule import Schedule
+from repro.errors import CapacityExceededError
 from repro.model.chain import TaskChain
 from repro.model.task import TaskSpec
 
@@ -125,3 +131,146 @@ def test_interleaving_keeps_perf_counter_balance(ops):
         schedule.rollback(cp)
     assert schedule.profile == Schedule(CAPACITY).profile
     assert schedule.committed_area == pytest.approx(0.0)
+
+
+# ----------------------------------------------------------------------
+# The tail primitives: rollback_tail / restore_tail / adopt_carried
+# ----------------------------------------------------------------------
+
+#: Below TIME_EPS (1e-9) and exact on the half-unit grid, so every clipped
+#: area below is exact and accounting can be compared with ``==``.
+_NUDGE = 2.0 ** -31
+
+_tasks = st.lists(
+    st.tuples(
+        st.integers(1, CAPACITY),  # processors
+        st.integers(1, 8),  # duration, half-units
+        st.integers(0, 2),  # gap before the task, half-units
+    ),
+    min_size=1,
+    max_size=4,
+)
+#: One-task placements: (processors, duration, release), half-units.
+_others = st.tuples(
+    st.integers(1, CAPACITY), st.integers(1, 8), st.integers(0, 16)
+)
+
+
+def _carry(start_tick: int, tasks, cut_tick: int, nudge: float):
+    """A chain laid out from ``start_tick`` and a cut at ``cut_tick + nudge``.
+
+    Returns ``(placement, cut_tick, cut)``; ticks are half-units.
+    """
+    specs = tuple(
+        TaskSpec(f"t{i}", ProcessorTimeRequest(procs, dur / 2),
+                 deadline=_LOOSE_DEADLINE)
+        for i, (procs, dur, _gap) in enumerate(tasks)
+    )
+    placements = []
+    tick = start_tick
+    for spec, (_procs, dur, gap) in zip(specs, tasks):
+        tick += gap
+        placements.append(Placement.rigid(spec, tick / 2))
+        tick += dur
+    cp = ChainPlacement(
+        job_id=0,
+        chain_index=0,
+        chain=TaskChain(specs),
+        placements=tuple(placements),
+        release=0.0,
+    )
+    return cp, cut_tick, cut_tick / 2 + nudge
+
+
+@st.composite
+def carries(draw):
+    """A multi-task placement and a cut strictly after its start.
+
+    The cut is a grid tick, or one nudged by less than TIME_EPS either way,
+    so task ends within TIME_EPS of the cut come up often.
+    """
+    start_tick = draw(st.integers(0, 8))
+    tasks = draw(_tasks)
+    first = start_tick + tasks[0][2]
+    last = start_tick + sum(dur + gap for _procs, dur, gap in tasks)
+    cut_tick = draw(st.integers(first + 1, last))
+    nudge = draw(st.sampled_from((-_NUDGE, 0.0, _NUDGE)))
+    return _carry(start_tick, tasks, cut_tick, nudge)
+
+
+def _state(schedule: Schedule):
+    """Everything the tail primitives touch (placements in job order)."""
+    return (
+        tuple(schedule.profile.segments()),
+        sorted(schedule.placements, key=lambda cp: cp.job_id),
+        schedule.committed_area,
+        schedule.committed_jobs,
+        schedule.first_release,
+        schedule.last_finish,
+    )
+
+
+@given(carries(), st.lists(_others, max_size=6))
+def test_restore_tail_undoes_rollback_tail(carry, others):
+    cp, _tick, cut = carry
+    schedule = Schedule(CAPACITY)
+    schedule.commit(cp)
+    for job_id, (procs, dur, release) in enumerate(others, start=1):
+        schedule.commit(_place(schedule, job_id, procs, dur / 2, release / 2))
+    before = _state(schedule)
+    schedule.rollback_tail(cp, cut)
+    schedule.restore_tail(cp, cut)
+    after = _state(schedule)
+    assert after[1:] == before[1:]
+    # Segments match up to the profile's TIME_EPS snapping: a breakpoint
+    # within TIME_EPS of the cut that the rollback merged away comes back
+    # at the cut itself, which the profile treats as the same instant.
+    assert len(after[0]) == len(before[0])
+    for (start, _end, avail), (start0, _end0, avail0) in zip(after[0], before[0]):
+        assert avail == avail0
+        assert abs(start - start0) <= TIME_EPS
+    schedule.check_consistency()
+
+
+@given(carries())
+def test_adopt_carried_reserves_exactly_the_clipped_remainder(carry):
+    cp, cut_tick, cut = carry
+    schedule = Schedule(CAPACITY, origin=cut)
+    schedule.adopt_carried(cp, cut)
+    # A task ending on or before the cut's tick leaves at most a
+    # sub-TIME_EPS remainder: history, not a reservation.
+    expected = AvailabilityProfile(CAPACITY, origin=cut)
+    area = 0.0
+    for pl in cp.placements:
+        if pl.end * 2 > cut_tick:
+            start = max(pl.start, cut)
+            expected.reserve(start, pl.end, pl.processors)
+            area += (pl.end - start) * pl.processors
+    assert schedule.profile == expected
+    assert schedule.committed_area == area
+    assert schedule.placements == (cp,)
+    assert schedule.last_finish == cp.finish
+
+
+@given(carries(), st.lists(_others, min_size=1, max_size=4))
+# The first clipped task fits and the second does not: a partial
+# reservation exists when the error is raised.
+@example(
+    carry=_carry(0, ((2, 4, 0), (CAPACITY, 4, 0)), cut_tick=1, nudge=0.0),
+    others=[(1, 2, 6)],
+)
+def test_failed_adopt_carried_changes_nothing(carry, others):
+    cp, _tick, cut = carry
+    schedule = Schedule(CAPACITY, origin=cut)
+    for job_id, (procs, dur, release) in enumerate(others, start=1):
+        schedule.commit(
+            _place(schedule, job_id, procs, dur / 2, max(release / 2, cut))
+        )
+    before = _state(schedule)
+    try:
+        schedule.adopt_carried(cp, cut)
+    except CapacityExceededError:
+        assert _state(schedule) == before
+    else:
+        assert schedule.placements[-1] is cp
+    schedule.check_consistency()

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
+from repro.core.resources import ProcessorTimeRequest
 from repro.errors import ConfigurationError, NegotiationError
+from repro.model.chain import TaskChain
+from repro.model.job import Job
+from repro.model.task import TaskSpec
 from repro.qos.renegotiation import CapacityChange, renegotiate
 from repro.workloads.synthetic import SyntheticParams
 
@@ -178,3 +182,77 @@ class TestRenegotiateEdgeCases:
         result = renegotiate(arb.schedule, CapacityChange(tau, 7), jobs)
         assert result.carried == ()
         assert list(result.dropped) == [cp.job_id]
+
+
+def _chain_job(*tasks):
+    """A one-path job released at 0 from ``(name, procs, duration)`` tasks."""
+    chain = TaskChain(
+        tuple(
+            TaskSpec(name, ProcessorTimeRequest(procs, duration), deadline=1000.0)
+            for name, procs, duration in tasks
+        )
+    )
+    return Job.rigid(chain, release=0.0)
+
+
+class TestSubEpsRemainder:
+    """A change within ``TIME_EPS`` before a task's end leaves no remainder.
+
+    The one-shot path used to clip by hand with ``<=`` and reserve the
+    sub-eps sliver ``[10 - 5e-10, 10)``, which the profile refuses as an
+    empty interval; it now carries through ``Schedule.adopt_carried``.
+    """
+
+    TAU = 10.0 - 5e-10
+
+    def _admit(self, *tasks):
+        arb = QoSArbitrator(8)
+        job = _chain_job(*tasks)
+        decision = arb.submit(job)
+        assert decision.admitted
+        return arb, {job.job_id: job}, decision.placement
+
+    def test_lone_task_ending_at_the_change_is_finished(self):
+        arb, jobs, cp = self._admit(("a", 4, 10.0))
+        result = renegotiate(arb.schedule, CapacityChange(self.TAU, 8), jobs)
+        assert result.finished == (cp,)
+        assert result.carried == () and result.dropped == ()
+        assert result.schedule.placements == ()
+        assert result.schedule.profile.available_at(self.TAU) == 8
+
+    def test_following_task_is_carried_without_the_sliver(self):
+        arb, jobs, cp = self._admit(("a", 4, 10.0), ("b", 2, 5.0))
+        result = renegotiate(arb.schedule, CapacityChange(self.TAU, 8), jobs)
+        assert result.carried == (cp,)
+        assert result.dropped == ()
+        profile = result.schedule.profile
+        profile.check_invariants()
+        assert result.schedule.committed_area == 2 * 5.0  # task b only
+        assert profile.available_at(12.0) == 6
+        assert profile.available_at(15.0) == 8
+
+
+class TestCarriedBooking:
+    """``result.schedule`` books carried placements, as the driver does."""
+
+    def test_carried_placements_and_clipped_area_are_booked(self, loaded):
+        arb, jobs = loaded
+        tau = 30.0
+        result = renegotiate(arb.schedule, CapacityChange(tau, 8), jobs)
+        assert result.carried, "fixture must straddle the change"
+        booked = result.schedule.placements
+        assert booked[: len(result.carried)] == result.carried
+        assert booked[len(result.carried):] == tuple(
+            new for _old, new in result.reallocated
+        )
+        clipped = sum(
+            (pl.end - max(pl.start, tau)) * pl.processors
+            for cp in result.carried
+            for pl in cp.placements
+            if pl.end > tau
+        )
+        readmitted = sum(new.total_area for _old, new in result.reallocated)
+        assert result.schedule.committed_jobs == len(booked)
+        assert result.schedule.committed_area == pytest.approx(clipped + readmitted)
+        assert result.schedule.committed_area < sum(cp.total_area for cp in booked)
+        result.schedule.check_consistency()

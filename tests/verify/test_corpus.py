@@ -54,6 +54,20 @@ def test_unreadable_entry_is_reported_not_crashed(tmp_path):
     assert failures and "unreadable" in failures[0]
 
 
+def test_cli_replays_through_the_same_functions(tmp_path, capsys):
+    """``--replay-corpus`` reports what ``replay_corpus_file`` reports."""
+    from repro.verify.__main__ import main
+
+    bad = tmp_path / "fuzz-bad.json"
+    bad.write_text("{not json")
+    assert main(["--replay-corpus", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"replayed 1 entr(ies) from {tmp_path}" in out
+    (why,) = replay_corpus_file(bad)
+    assert f"  fuzz-bad.json: {why}" in err.splitlines()
+    assert main(["--replay-corpus", str(tmp_path / "empty")]) == 1
+
+
 def test_version_gate_rejects_future_workloads():
     failures = corpus_entry_failures(
         {"kind": "workload", "version": 999, "capacity": 4, "jobs": []}
