@@ -10,13 +10,14 @@ package exercises that claim end to end:
 * :mod:`repro.resilience.driver` — the stateful multi-event
   renegotiation driver with degrade-don't-drop re-planning across a job's
   OR-graph paths;
-* :mod:`repro.resilience.simulator` — the merged arrival + perturbation
-  discrete-event loop, bit-identical to the fault-free baseline under an
-  empty trace;
 * :mod:`repro.resilience.reconfig` — mid-execution malleability: the
   grow/shrink policy engine that resizes *running* jobs at
   capacity-freeing and capacity-pressure events under an explicit
   reconfiguration-cost model.
+
+The discrete-event loop that applies a trace is the arrival simulator
+itself: :class:`repro.sim.simulator.ArrivalSimulator` with ``trace=`` (and
+optionally ``reconfig=``).
 """
 
 from repro.resilience.driver import (
@@ -38,7 +39,6 @@ from repro.resilience.reconfig import (
     ResizePolicy,
     ResizeRecord,
 )
-from repro.resilience.simulator import ResilientSimulator, simulate_resilient
 
 __all__ = [
     "BurstEvent",
@@ -51,9 +51,7 @@ __all__ = [
     "ReconfigEngine",
     "RenegotiationDriver",
     "ResilienceOutcome",
-    "ResilientSimulator",
     "ResizePolicy",
     "ResizeRecord",
     "ResizeTxn",
-    "simulate_resilient",
 ]

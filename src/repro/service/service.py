@@ -141,10 +141,6 @@ class ServiceConfig:
     # reference does); see QoSArbitrator.  Decisions are bit-identical.
     backend: str = "auto"
     prune: bool = True
-    # Shed or timed-out requests may be retried after later-release jobs
-    # were decided, so the service cannot promise the non-decreasing
-    # release order that profile compaction requires.
-    compact: bool = False
     queue_limit: int = 1024
     max_batch: int = 1024
     shed_thresholds: tuple[float, ...] = (1.01, 0.85, 0.6)
@@ -185,7 +181,10 @@ def make_arbitrator(config: ServiceConfig) -> QoSArbitrator:
         policy=config.policy,
         backend=config.backend,
         prune=config.prune,
-        compact=config.compact,
+        # Shed or timed-out requests may be retried after later-release
+        # jobs were decided, so the service cannot promise the
+        # non-decreasing release order that profile compaction requires.
+        compact=False,
         keep_placements=True,
     )
 

@@ -19,7 +19,7 @@ from repro.verify.auditor import (
     AuditReport,
     ScheduleAuditor,
     Violation,
-    audit_schedule,
+    audit_run,
 )
 from repro.verify.oracle import (
     OracleLimitError,
@@ -35,7 +35,7 @@ __all__ = [
     "AuditReport",
     "ScheduleAuditor",
     "Violation",
-    "audit_schedule",
+    "audit_run",
     "OracleLimitError",
     "OracleLimits",
     "OraclePlacement",

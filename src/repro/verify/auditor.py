@@ -69,7 +69,7 @@ __all__ = [
     "Violation",
     "AuditReport",
     "ScheduleAuditor",
-    "audit_schedule",
+    "audit_run",
 ]
 
 #: The auditor's own time tolerance.  Numerically equal to the scheduler's
@@ -671,22 +671,44 @@ class ScheduleAuditor:
                 )
 
 
-def audit_schedule(
+def audit_run(
     schedule: "Schedule",
     jobs: "Sequence[Job] | Mapping[int, Job] | None" = None,
     *,
     malleable: bool = False,
-    match_config: bool = True,
-    ledger: bool = True,
-    profile_mode: str = "strict",
-    since: float | None = None,
+    perturbed: bool = False,
+    resizes: "Iterable[object]" = (),
 ) -> AuditReport:
-    """One-shot convenience wrapper around :class:`ScheduleAuditor`."""
-    auditor = ScheduleAuditor(
-        malleable=malleable,
-        match_config=match_config,
-        ledger=ledger,
-        profile_mode=profile_mode,
-        since=since,
+    """Audit a simulated run's schedule under the one rule every hook uses.
+
+    A run nothing perturbed (static negotiation, the Section 5 model) is
+    audited strictly.  A perturbed run — trace events or an active resize
+    engine — legitimately diverges from the plain commit/rollback ledger:
+    consumed tail-rollback stubs stay reserved (the profile need only be
+    conservative), re-planned chains are rebased remainders of offered
+    ones (no configuration match), and carried placements keep pre-change
+    intervals from the previous machine size (capacity is judged from the
+    schedule's profile origin onward).  ``resizes`` — a
+    :class:`~repro.resilience.reconfig.ResizeRecord` stream — is audited
+    too, its violations appended to the schedule's.
+    """
+    if perturbed:
+        auditor = ScheduleAuditor(
+            malleable=malleable,
+            match_config=False,
+            ledger=False,
+            profile_mode="bound",
+            since=schedule.profile.origin,
+        )
+    else:
+        auditor = ScheduleAuditor(malleable=malleable)
+    report = auditor.audit(schedule, jobs)
+    records = list(resizes)
+    if not records:
+        return report
+    resized = auditor.audit_resizes(records)
+    return AuditReport(
+        violations=report.violations + resized.violations,
+        checked_placements=report.checked_placements + resized.checked_placements,
+        checked_slices=report.checked_slices,
     )
-    return auditor.audit(schedule, jobs)

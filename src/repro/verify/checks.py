@@ -11,12 +11,11 @@ Three consumers share this module:
   disagrees with the reported metrics or the audit is dirty;
 * the test suite replays both paths on the committed figure configs.
 
-:func:`audited_point` mirrors :func:`repro.workloads.sweep.run_point`
-exactly except that placements are retained and every offered job is
-recorded, so the independent auditor can re-validate the final schedule
-against the actual job definitions.  Fault-free runs audit strictly;
-perturbed runs audit with the relaxations the resilience model requires
-(tail-rollback stubs stay reserved, re-planned chains are rebased).
+:func:`audited_point` runs the unit :func:`repro.workloads.sweep.build_point`
+assembles — the same one :func:`~repro.workloads.sweep.run_point` runs —
+with placements retained and every offered job recorded, so the
+independent auditor can re-validate the final schedule against the actual
+job definitions, under :func:`repro.verify.auditor.audit_run`'s rule.
 """
 
 from __future__ import annotations
@@ -28,21 +27,16 @@ from repro.core.arbitrator import QoSArbitrator
 from repro.core.placement import ChainPlacement, Placement
 from repro.errors import VerificationError
 from repro.model.job import Job
-from repro.resilience.events import PerturbationTrace, generate_trace
-from repro.resilience.simulator import simulate_resilient
-from repro.sim.arrivals import PoissonArrivals
 from repro.sim.metrics import RunMetrics
 from repro.sim.persistence import metrics_to_dict
-from repro.sim.rng import RandomStreams
-from repro.sim.simulator import simulate_arrivals
-from repro.verify.auditor import AuditReport, ScheduleAuditor
+from repro.verify.auditor import AuditReport, ScheduleAuditor, audit_run
 from repro.verify.oracle import (
     OracleLimitError,
     OracleLimits,
     OracleSolution,
     exhaustive_best,
 )
-from repro.workloads.sweep import SweepConfig, _job_factory
+from repro.workloads.sweep import SweepConfig, _job_factory, build_point
 
 __all__ = [
     "audited_point",
@@ -62,10 +56,8 @@ def audited_point(
     Returns the run's metrics (computed identically to
     :func:`~repro.workloads.sweep.run_point` — retaining placements does
     not perturb any reported number) together with the independent audit
-    of the final schedule.
+    of the final schedule and of any resize records.
     """
-    streams = RandomStreams(config.seed)
-    process = PoissonArrivals(config.interval, streams)
     base_factory = _job_factory(config, system)
     offered: list[Job] = []
 
@@ -74,69 +66,18 @@ def audited_point(
         offered.append(job)
         return job
 
-    perturbed = config.faults is not None and not config.faults.empty
-    arbitrator = QoSArbitrator(
-        config.processors,
-        malleable=config.malleable,
-        strategy=config.strategy,
-        policy=config.policy,
-        backend=config.backend,
-        prune=config.prune,
-        keep_placements=True,
+    simulator, arrivals = build_point(
+        config, system, recording_factory, keep_placements=True
     )
-    engine = config.reconfig_engine()
-    if perturbed or engine is not None:
-        arrivals = list(process.times(config.n_jobs))
-        if perturbed:
-            horizon = (arrivals[-1] if arrivals else 0.0) + config.params.d2
-            trace = generate_trace(
-                config.faults,
-                streams,
-                horizon=horizon,
-                base_capacity=config.processors,
-                n_arrivals=config.n_jobs,
-            )
-        else:
-            trace = PerturbationTrace()
-        metrics = simulate_resilient(
-            arbitrator,
-            recording_factory,
-            arrivals,
-            trace,
-            verify=config.verify,
-            reconfig=engine,
-        )
-        # Renegotiated schedules legitimately diverge from the plain
-        # commit/rollback ledger: consumed stubs stay accounted, re-planned
-        # chains are rebased remainders of offered ones, and carried
-        # placements keep pre-change intervals from the previous machine
-        # size (hence ``since``: capacity is judged from the final
-        # schedule's origin onward).
-        auditor = ScheduleAuditor(
-            malleable=config.malleable,
-            match_config=False,
-            ledger=False,
-            profile_mode="bound",
-            since=arbitrator.schedule.profile.origin,
-        )
-    else:
-        metrics = simulate_arrivals(
-            arbitrator,
-            recording_factory,
-            process,
-            config.n_jobs,
-            verify=config.verify,
-        )
-        auditor = ScheduleAuditor(malleable=config.malleable)
-    report = auditor.audit(arbitrator.schedule, offered)
-    if engine is not None and engine.records:
-        resize_report = auditor.audit_resizes(engine.records)
-        report = AuditReport(
-            violations=report.violations + resize_report.violations,
-            checked_placements=report.checked_placements
-            + resize_report.checked_placements,
-            checked_slices=report.checked_slices,
-        )
+    metrics = simulator.run(arrivals)
+    engine = simulator.reconfig
+    report = audit_run(
+        simulator.arbitrator.schedule,
+        offered,
+        malleable=config.malleable,
+        perturbed=simulator.perturbed,
+        resizes=engine.records if engine is not None else (),
+    )
     return metrics, report
 
 

@@ -78,7 +78,6 @@ __all__ = [
     "random_case",
     "random_flood",
     "run_case",
-    "run_case_batch",
     "check_case",
     "shrink",
     "persist_failure",
@@ -289,12 +288,18 @@ def run_case(
     prune: bool = True,
     policy: TieBreakPolicy = TieBreakPolicy.PAPER,
     audit: bool = True,
+    batch: bool = False,
 ) -> tuple[tuple, list[str]]:
     """Submit the case's jobs through one arbitrator configuration.
 
     Returns ``(digest, failures)``: the digest is a hashable decision
     fingerprint (per-job admission, chain index and exact placements, plus
     utilization), and ``failures`` holds auditor violations, if any.
+
+    ``batch`` decides the jobs in one ``admit_batch`` call instead of one
+    ``submit`` each — the compiled one-call fast path when the kernel
+    layer resolves to ``compiled`` and the configuration supports it, the
+    serial path otherwise — whose contract is a bit-identical digest.
     """
     arbitrator = QoSArbitrator(
         case.capacity,
@@ -305,9 +310,12 @@ def run_case(
         seed=_RANDOM_POLICY_SEED,
         keep_placements=True,
     )
+    if batch:
+        made = arbitrator.admit_batch(list(case.jobs))
+    else:
+        made = [arbitrator.submit(job) for job in case.jobs]
     decisions = []
-    for job in case.jobs:
-        decision = arbitrator.submit(job)
+    for decision in made:
         if decision.admitted and decision.placement is not None:
             cp = decision.placement
             decisions.append(
@@ -330,62 +338,8 @@ def run_case(
         )
         if not report.ok:
             failures.append(
-                f"audit[{backend},prune={prune},{policy.value}]: "
-                + "; ".join(str(v) for v in report.violations[:4])
-            )
-    return digest, failures
-
-
-def run_case_batch(
-    case: FuzzCase,
-    *,
-    backend: str = "auto",
-    prune: bool = True,
-    policy: TieBreakPolicy = TieBreakPolicy.PAPER,
-    audit: bool = True,
-) -> tuple[tuple, list[str]]:
-    """Like :func:`run_case`, but through one ``admit_batch`` call.
-
-    Exercises the batched admission API — the compiled one-call fast
-    path when the kernel layer resolves to ``compiled`` and the
-    configuration supports it, the pre-screened serial path otherwise —
-    whose contract is bit-identical decisions to the serial loop
-    :func:`run_case` drives.
-    """
-    arbitrator = QoSArbitrator(
-        case.capacity,
-        malleable=case.malleable,
-        backend=backend,
-        prune=prune,
-        policy=policy,
-        seed=_RANDOM_POLICY_SEED,
-        keep_placements=True,
-    )
-    decisions = []
-    for decision in arbitrator.admit_batch(list(case.jobs)):
-        if decision.admitted and decision.placement is not None:
-            cp = decision.placement
-            decisions.append(
-                (
-                    True,
-                    cp.chain_index,
-                    tuple(
-                        (pl.start, pl.processors, pl.duration)
-                        for pl in cp.placements
-                    ),
-                )
-            )
-        else:
-            decisions.append((False, None, ()))
-    digest = (tuple(decisions), arbitrator.utilization())
-    failures: list[str] = []
-    if audit:
-        report = ScheduleAuditor(malleable=case.malleable).audit(
-            arbitrator.schedule, case.jobs
-        )
-        if not report.ok:
-            failures.append(
-                f"audit[batch,{backend},prune={prune},{policy.value}]: "
+                f"audit[{'batch,' if batch else ''}{backend},prune={prune},"
+                f"{policy.value}]: "
                 + "; ".join(str(v) for v in report.violations[:4])
             )
     return digest, failures
@@ -558,7 +512,7 @@ def batch_failures(case: FuzzCase) -> list[str]:
     policies = _POLICIES if not case.malleable else (TieBreakPolicy.PAPER,)
     for policy in policies:
         serial, _ = run_case(case, policy=policy, audit=False)
-        batched, audit_fails = run_case_batch(case, policy=policy)
+        batched, audit_fails = run_case(case, policy=policy, batch=True)
         failures.extend(audit_fails)
         if batched != serial:
             failures.append(

@@ -18,17 +18,23 @@ from repro.core.policies import TieBreakPolicy
 from repro.core.profile import check_backend
 from repro.errors import WorkloadError
 from repro.model.job import Job
-from repro.resilience.events import FaultModel, PerturbationTrace, generate_trace
+from repro.resilience.events import FaultModel, generate_trace
 from repro.resilience.reconfig import ReconfigCostModel, ReconfigEngine, ResizePolicy
-from repro.resilience.simulator import simulate_resilient
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import RandomStreams
-from repro.sim.simulator import simulate_arrivals
+from repro.sim.simulator import ArrivalSimulator
 from repro.workloads import presets
 from repro.workloads.synthetic import SyntheticParams
 
-__all__ = ["SYSTEMS", "SweepConfig", "SweepResult", "run_point", "run_sweep"]
+__all__ = [
+    "SYSTEMS",
+    "SweepConfig",
+    "SweepResult",
+    "build_point",
+    "run_point",
+    "run_sweep",
+]
 
 #: The three task systems compared throughout Section 5.
 SYSTEMS: tuple[str, ...] = ("tunable", "shape1", "shape2")
@@ -41,18 +47,16 @@ class SweepConfig:
     ``axis`` names the swept parameter: one of ``"interval"``, ``"laxity"``,
     ``"processors"``, ``"alpha"``, ``"fault_rate"``.
 
-    ``faults`` selects the fault-aware simulator (:mod:`repro.resilience`)
-    with a perturbation trace drawn from the given
-    :class:`~repro.resilience.events.FaultModel`; ``None`` (or an
-    all-zero-rate model) runs the fault-free baseline simulator,
+    ``faults`` perturbs the run with a trace drawn from the given
+    :class:`~repro.resilience.events.FaultModel` (:mod:`repro.resilience`);
+    ``None`` (or an all-zero-rate model) is the fault-free run,
     bit-identically to configs predating the field.
 
     ``resize_policy``/``reconfig_cost`` enable mid-execution grow/shrink of
     running malleable jobs (:mod:`repro.resilience.reconfig`); any enabled
-    direction routes the point through the fault-aware simulator (with an
-    empty trace when ``faults`` is off) since only its event loop can fire
-    resize events.  ``reconfig_cost`` is the fixed checkpoint term of the
-    :class:`~repro.resilience.reconfig.ReconfigCostModel`;
+    direction attaches a resize engine to the point's simulator, whose
+    event loop fires the resize events.  ``reconfig_cost`` is the fixed
+    checkpoint term of the :class:`~repro.resilience.reconfig.ReconfigCostModel`;
     ``reconfig_cost_per_proc`` its per-processor redistribute term.
     ``ResizePolicy.OFF`` (the default) is bit-identical to configs
     predating the fields.
@@ -127,50 +131,38 @@ def _job_factory(config: SweepConfig, system: str) -> Callable[[int, float], Job
     raise WorkloadError(f"unknown task system {system!r}; expected one of {SYSTEMS}")
 
 
-def run_point(config: SweepConfig, system: str) -> RunMetrics:
-    """Simulate one task system at one configuration point.
+def build_point(
+    config: SweepConfig,
+    system: str,
+    job_factory: Callable[[int, float], Job] | None = None,
+    keep_placements: bool = False,
+) -> tuple[ArrivalSimulator, list[float]]:
+    """Assemble one sweep unit: its simulator and its arrival times.
 
-    With a non-empty fault model, the arrivals are drawn first (from the
-    same substreams as the fault-free path — the perturbation trace uses
-    disjoint substreams, so arrivals match the fault-free run exactly) and
-    replayed through the fault-aware simulator.  An enabled resize policy
-    routes through the same simulator (with an empty trace when faults are
-    off) so completion-/pressure-triggered resize events can fire; only the
-    ``tunable`` system is malleable, so rigid systems never resize.
+    The one place a unit's arbitrator, arrivals, trace and resize engine
+    are built: :func:`run_point` runs the result, and
+    :func:`repro.verify.checks.audited_point` runs it with a recording
+    ``job_factory`` and ``keep_placements=True`` (which changes no
+    reported number) and audits it.  The perturbation trace is drawn
+    after the arrivals, from disjoint substreams, so arrivals match the
+    fault-free run exactly.  An enabled resize policy attaches a resize
+    engine (only the ``tunable`` system is malleable, so rigid systems
+    never resize).  A perturbed unit always retains placements: they are
+    the renegotiation input.
     """
+    factory = job_factory or _job_factory(config, system)
     streams = RandomStreams(config.seed)
-    process = PoissonArrivals(config.interval, streams)
-    faulty = config.faults is not None and not config.faults.empty
-    if faulty or config.resizing:
-        arrivals = list(process.times(config.n_jobs))
-        if faulty:
-            horizon = (arrivals[-1] if arrivals else 0.0) + config.params.d2
-            trace = generate_trace(
-                config.faults,
-                streams,
-                horizon=horizon,
-                base_capacity=config.processors,
-                n_arrivals=config.n_jobs,
-            )
-        else:
-            trace = PerturbationTrace()
-        arbitrator = QoSArbitrator(
-            config.processors,
-            malleable=config.malleable,
-            strategy=config.strategy,
-            policy=config.policy,
-            backend=config.backend,
-            prune=config.prune,
-            keep_placements=True,  # renegotiation input
+    arrivals = list(PoissonArrivals(config.interval, streams).times(config.n_jobs))
+    trace = None
+    if config.faults is not None and not config.faults.empty:
+        trace = generate_trace(
+            config.faults,
+            streams,
+            horizon=(arrivals[-1] if arrivals else 0.0) + config.params.d2,
+            base_capacity=config.processors,
+            n_arrivals=config.n_jobs,
         )
-        return simulate_resilient(
-            arbitrator,
-            _job_factory(config, system),
-            arrivals,
-            trace,
-            verify=config.verify,
-            reconfig=config.reconfig_engine(),
-        )
+    engine = config.reconfig_engine()
     arbitrator = QoSArbitrator(
         config.processors,
         malleable=config.malleable,
@@ -178,15 +170,18 @@ def run_point(config: SweepConfig, system: str) -> RunMetrics:
         policy=config.policy,
         backend=config.backend,
         prune=config.prune,
-        keep_placements=False,
+        keep_placements=keep_placements or trace is not None or engine is not None,
     )
-    return simulate_arrivals(
-        arbitrator,
-        _job_factory(config, system),
-        process,
-        config.n_jobs,
-        verify=config.verify,
+    simulator = ArrivalSimulator(
+        arbitrator, factory, verify=config.verify, trace=trace, reconfig=engine
     )
+    return simulator, arrivals
+
+
+def run_point(config: SweepConfig, system: str) -> RunMetrics:
+    """Simulate one task system at one configuration point."""
+    simulator, arrivals = build_point(config, system)
+    return simulator.run(arrivals)
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,6 @@ from repro.verify.fuzz import (
     random_case,
     random_flood,
     run_case,
-    run_case_batch,
 )
 
 
@@ -85,8 +84,9 @@ def test_batch_identical_to_serial_across_matrix(kmode, backend, prune, policy):
             serial = run_case(  # scalar: the Python-decided side
                 case, backend="scalar", prune=prune, policy=policy, audit=False
             )
-            batch = run_case_batch(
-                case, backend=backend, prune=prune, policy=policy, audit=False
+            batch = run_case(
+                case, backend=backend, prune=prune, policy=policy, audit=False,
+                batch=True,
             )
             assert batch == serial
 
@@ -108,8 +108,9 @@ def test_batch_identity_property(seed, malleable, backend, prune, policy, kmode)
         serial = run_case(  # scalar: the Python-decided side
             case, backend="scalar", prune=prune, policy=policy, audit=False
         )
-        batch = run_case_batch(
-            case, backend=backend, prune=prune, policy=policy, audit=False
+        batch = run_case(
+            case, backend=backend, prune=prune, policy=policy, audit=False,
+            batch=True,
         )
         assert batch == serial
 
@@ -251,8 +252,8 @@ def test_random_policy_batch_uses_serial_replay():
             serial = run_case(
                 case, policy=TieBreakPolicy.RANDOM, audit=False
             )
-            batch = run_case_batch(
-                case, policy=TieBreakPolicy.RANDOM, audit=False
+            batch = run_case(
+                case, policy=TieBreakPolicy.RANDOM, audit=False, batch=True
             )
             assert batch == serial
 

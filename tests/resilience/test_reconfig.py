@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
-from repro.resilience import simulator as sim_mod
 from repro.resilience.driver import RenegotiationDriver
 from repro.resilience.events import (
     CapacityEvent,
@@ -33,11 +32,11 @@ from repro.resilience.reconfig import (
     ReconfigEngine,
     ResizePolicy,
 )
-from repro.resilience.simulator import simulate_resilient
 from repro.sim.arrivals import PoissonArrivals
+from repro.sim import simulator as sim_mod
 from repro.sim.rng import RandomStreams
-from repro.sim.simulator import simulate_arrivals
-from repro.verify.auditor import ScheduleAuditor
+from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
+from repro.verify.auditor import ScheduleAuditor, audit_run
 from repro.workloads.synthetic import SyntheticParams
 
 
@@ -251,12 +250,7 @@ class TestResizeTxn:
         assert rec.spent == pytest.approx(12.0)  # 3 time units x 4 wide
         assert rec.wasted == pytest.approx(12.0)
         assert rec.resizes == 1
-        report = ScheduleAuditor(
-            malleable=True,
-            match_config=False,
-            ledger=False,
-            profile_mode="bound",
-        ).audit(arb.schedule, [job])
+        report = audit_run(arb.schedule, [job], malleable=True, perturbed=True)
         assert report.ok, report.summary()
 
     def test_nothing_in_flight_returns_none(self):
@@ -308,13 +302,12 @@ class TestArmedButIdle:
             QoSArbitrator(32, malleable=True), factory, poisson(), 300
         )
         engine = ReconfigEngine(ResizePolicy.GROW_SHRINK, ReconfigCostModel(1e9))
-        armed = simulate_resilient(
+        armed = ArrivalSimulator(
             QoSArbitrator(32, malleable=True, keep_placements=True),
             factory,
-            list(poisson().times(300)),
-            PerturbationTrace(),
+            trace=PerturbationTrace(),
             reconfig=engine,
-        )
+        ).run(poisson().times(300))
         ledger = engine.ledger()
         assert ledger["grows"] == ledger["shrinks"] == 0 and not engine.records
         assert ledger["grow_attempts"] + ledger["shrink_attempts"] > 0
@@ -376,14 +369,13 @@ class TestSimulatorEventOrder:
                 for ev in trace.capacity_events
             ),
         )
-        metrics = simulate_resilient(
+        metrics = ArrivalSimulator(
             QoSArbitrator(16, malleable=True, keep_placements=True),
             lambda i, release: params.tunable_job(release),
-            arrivals,
-            jittered,
             verify=True,
+            trace=jittered,
             reconfig=ReconfigEngine(ResizePolicy.GROW_SHRINK),
-        )
+        ).run(arrivals)
         r = metrics.resilience
         assert r["affected"] == (
             r["survived"] + r["dropped"] + r["deadline_misses"]

@@ -1,8 +1,9 @@
-"""ResilientSimulator: baseline identity, replay determinism, event mixing."""
+"""The perturbed arrival loop: baseline identity, replay determinism, event mixing."""
 
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
+from repro.errors import SimulationError
 from repro.resilience.events import (
     BurstEvent,
     CapacityEvent,
@@ -11,10 +12,10 @@ from repro.resilience.events import (
     PerturbationTrace,
     generate_trace,
 )
-from repro.resilience.simulator import simulate_resilient
 from repro.sim.arrivals import PoissonArrivals
+from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import RandomStreams
-from repro.sim.simulator import simulate_arrivals
+from repro.sim.simulator import ArrivalSimulator
 from repro.workloads.sweep import SweepConfig, run_point
 from repro.workloads.synthetic import SyntheticParams
 
@@ -54,33 +55,41 @@ def _perturbed_run(system="tunable", seed=SEED, n=N, model=MODEL, verify=True):
         n_arrivals=n,
     )
     arbitrator = QoSArbitrator(P, keep_placements=True)
-    metrics = simulate_resilient(
-        arbitrator, _factory(system), arrivals, trace, verify=verify
-    )
+    metrics = ArrivalSimulator(
+        arbitrator, _factory(system), verify=verify, trace=trace
+    ).run(arrivals)
     return metrics, trace
 
 
 class TestEmptyTraceIdentity:
     def test_bit_identical_to_baseline(self):
         """Regression: a zero-event trace reproduces the fault-free
-        baseline metrics exactly, with an empty resilience block."""
-        base_arb = QoSArbitrator(P)
-        base = simulate_arrivals(
-            base_arb,
-            _factory(),
-            PoissonArrivals(INTERVAL, RandomStreams(SEED)),
-            N,
+        baseline metrics exactly, with an empty resilience block.  The
+        reference is a plain submit loop, independent of the simulator."""
+        ref_arb = QoSArbitrator(P)
+        collector = MetricsCollector()
+        for release in _arrivals():
+            decision = ref_arb.submit(PARAMS.tunable_job(release))
+            deadline = None
+            if decision.admitted:
+                deadline = release + decision.placement.chain.final_deadline
+            collector.observe(decision, deadline)
+        sched = ref_arb.schedule
+        reference = collector.finalize(
+            utilization=ref_arb.utilization(),
+            chain_usage=ref_arb.chain_usage(),
+            achieved_quality=ref_arb.achieved_quality,
+            horizon=sched.last_finish if sched.committed_jobs else 0.0,
         )
-        res_arb = QoSArbitrator(P)
-        res = simulate_resilient(
-            res_arb, _factory(), _arrivals(), PerturbationTrace()
-        )
+        sim = ArrivalSimulator(QoSArbitrator(P), _factory(), trace=PerturbationTrace())
+        res = sim.run(_arrivals())
+        assert sim.driver is None  # nothing perturbs: no driver, no bookkeeping
         assert res.resilience == {}
-        assert res == base
+        assert res == reference
 
     def test_run_point_empty_fault_model_is_baseline_path(self):
-        """SweepConfig(faults=FaultModel()) dispatches to the baseline
-        simulator — bit-identical to faults=None."""
+        """SweepConfig(faults=FaultModel()) is the fault-free run —
+        bit-identical to faults=None."""
         cfg_none = SweepConfig(params=PARAMS, processors=P, n_jobs=N, seed=SEED)
         cfg_empty = SweepConfig(
             params=PARAMS, processors=P, n_jobs=N, seed=SEED, faults=FaultModel()
@@ -120,7 +129,7 @@ class TestEventMixing:
     def test_burst_arrivals_counted_and_submitted(self):
         trace = PerturbationTrace(bursts=(BurstEvent(500.0, 5),))
         arb = QoSArbitrator(P, keep_placements=True)
-        metrics = simulate_resilient(arb, _factory(), _arrivals(n=50), trace)
+        metrics = ArrivalSimulator(arb, _factory(), trace=trace).run(_arrivals(n=50))
         assert metrics.offered == 50 + 5
         assert metrics.resilience["burst_arrivals"] == 5
 
@@ -136,7 +145,7 @@ class TestEventMixing:
             bursts=(BurstEvent(arrivals[15], 3),),
         )
         arb = QoSArbitrator(P, keep_placements=True)
-        metrics = simulate_resilient(arb, _factory(), arrivals, trace)
+        metrics = ArrivalSimulator(arb, _factory(), trace=trace).run(arrivals)
         r = metrics.resilience
         assert r["capacity_events"] == 2
         assert r["burst_arrivals"] == 3
@@ -149,7 +158,17 @@ class TestEventMixing:
         tau = 100.0
         trace = PerturbationTrace(capacity_events=(CapacityEvent(tau, 12),))
         arb = QoSArbitrator(P, keep_placements=True)
-        metrics = simulate_resilient(
-            arb, _factory("shape1"), [0.0, tau], trace
+        metrics = ArrivalSimulator(arb, _factory("shape1"), trace=trace).run(
+            [0.0, tau]
         )
         assert metrics.admitted == 1  # only the pre-fault arrival
+
+    def test_decreasing_base_arrival_rejected_under_a_trace(self):
+        """One arrival-order contract with or without a trace: a decreasing
+        base arrival raises instead of being silently re-sorted."""
+        trace = PerturbationTrace(bursts=(BurstEvent(15.0, 2),))
+        sim = ArrivalSimulator(
+            QoSArbitrator(P, keep_placements=True), _factory(), trace=trace
+        )
+        with pytest.raises(SimulationError, match="precedes"):
+            sim.run([10.0, 5.0, 20.0])

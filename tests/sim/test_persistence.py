@@ -17,7 +17,7 @@ from repro.sim.persistence import (
     metrics_to_dict,
 )
 from repro.sim.rng import RandomStreams
-from repro.sim.simulator import simulate_arrivals
+from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
 from repro.workloads.synthetic import SyntheticParams
 
 
@@ -115,7 +115,6 @@ class TestMetricsRoundTrip:
         """A perturbed run's nested resilience block survives the JSON hop
         exactly (it is how the result cache persists fault experiments)."""
         from repro.resilience.events import FaultModel, generate_trace
-        from repro.resilience.simulator import simulate_resilient
 
         arrivals = list(PoissonArrivals(8.0, RandomStreams(1)).times(60))
         trace = generate_trace(
@@ -127,9 +126,9 @@ class TestMetricsRoundTrip:
         )
         assert not trace.empty
         arb = QoSArbitrator(8, keep_placements=True)
-        metrics = simulate_resilient(
-            arb, lambda i, r: params.tunable_job(r), arrivals, trace
-        )
+        metrics = ArrivalSimulator(
+            arb, lambda i, r: params.tunable_job(r), trace=trace
+        ).run(arrivals)
         assert metrics.resilience  # the block is populated
         payload = metrics_to_dict(metrics)
         assert "resilience" in payload

@@ -1,7 +1,12 @@
 """Unit tests for the arrival-driven simulator."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.arbitrator import QoSArbitrator
 from repro.errors import SimulationError
 from repro.sim.arrivals import DeterministicArrivals, TraceArrivals
@@ -108,3 +113,27 @@ class TestRun:
         assert m.perf["chains_probed"] >= m.offered
         # Wall-clock diagnostics stay out of the experiment-result dict.
         assert "decision_p50_us" not in m.as_dict()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("repro.resilience", "repro.sim"), ("repro.sim", "repro.resilience")],
+)
+def test_fresh_interpreter_imports_in_either_order(first, second):
+    """repro.resilience imports repro.sim (for its RNG streams); the
+    simulator reaches back into repro.resilience only when a run is
+    perturbed, so neither import order may hit a cycle."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = "\n".join(
+        [
+            f"import sys; sys.path.insert(0, {src!r})",
+            f"import {first}",
+            f"import {second}",
+            "import repro.sim.simulator as s",
+            "assert 'RenegotiationDriver' not in vars(s), 'module-level import'",
+        ]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

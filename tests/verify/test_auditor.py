@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify.auditor import ScheduleAuditor, audit_schedule
+from repro.verify.auditor import ScheduleAuditor, audit_run
 from repro.verify.mutants import (
     MUTANT_BUILDERS,
     audit_scenario,
@@ -22,11 +22,8 @@ ALL_MUTANTS = build_all_mutants()
 
 
 def _audit(scenario):
-    return audit_schedule(
-        scenario.schedule,
-        list(scenario.jobs),
-        malleable=scenario.malleable,
-        match_config=True,
+    return audit_run(
+        scenario.schedule, list(scenario.jobs), malleable=scenario.malleable
     )
 
 

@@ -9,12 +9,11 @@ import pytest
 from repro.core.arbitrator import QoSArbitrator
 from repro.errors import VerificationError
 from repro.resilience.events import FaultModel, generate_trace
-from repro.resilience.simulator import simulate_resilient
 from repro.runner.core import ExperimentRunner, RunnerConfig
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
-from repro.sim.simulator import simulate_arrivals
+from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
 from repro.verify.checks import audited_point, verify_unit
 from repro.workloads.sweep import SweepConfig, _job_factory
 
@@ -116,7 +115,9 @@ def test_resilient_simulator_audit_passes_on_perturbed_run():
     assert (
         trace.capacity_events or trace.overruns or trace.bursts
     ), "fixture must actually perturb the run"
-    metrics = simulate_resilient(arbitrator, factory, arrivals, trace, audit=True)
+    metrics = ArrivalSimulator(arbitrator, factory, audit=True, trace=trace).run(
+        arrivals
+    )
     assert metrics.offered >= PERTURBED.n_jobs  # bursts may add arrivals
 
 
