@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.analysis.tables import format_table
 from repro.core.arbitrator import QoSArbitrator
 from repro.sim.arrivals import PoissonArrivals
-from repro.sim.executor import BestEffortMetrics, ChainSelector, EDFExecutor
+from repro.sim.executor import BestEffortMetrics, EDFExecutor
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import simulate_arrivals
 from repro.workloads import SweepConfig, presets
@@ -53,9 +53,11 @@ def run_best_effort_comparison(
     intervals: tuple[float, ...] = (10.0, 20.0, 30.0, 45.0, 60.0, 85.0),
     n_jobs: int | None = None,
     seed: int = presets.DEFAULT_SEED,
-    selector: ChainSelector = ChainSelector.FIRST,
 ) -> list[BestEffortComparison]:
-    """Compare both managers across arrival intervals (tunable job stream)."""
+    """Compare both managers across arrival intervals (tunable job stream).
+
+    The best-effort side runs each tunable job's first chain.
+    """
     config = SweepConfig(n_jobs=presets.n_jobs(n_jobs), seed=seed)
     rows: list[BestEffortComparison] = []
     for interval in intervals:
@@ -70,7 +72,7 @@ def run_best_effort_comparison(
             config.n_jobs,
         )
 
-        executor = EDFExecutor(config.processors, selector=selector)
+        executor = EDFExecutor(config.processors)
         best_effort: BestEffortMetrics = executor.run(
             config.params.tunable_job(t) for t in arrivals
         )

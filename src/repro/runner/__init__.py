@@ -31,7 +31,6 @@ __all__ = [
     "RunnerConfig",
     "canonical_json",
     "get_default_runner",
-    "set_default_runner",
     "sweep_config_from_dict",
     "sweep_config_to_dict",
     "unit_key",
@@ -47,12 +46,6 @@ def get_default_runner() -> ExperimentRunner:
     if _default_runner is None:
         _default_runner = ExperimentRunner(RunnerConfig())
     return _default_runner
-
-
-def set_default_runner(runner: ExperimentRunner | None) -> None:
-    """Install (or with ``None``, reset) the process-wide default runner."""
-    global _default_runner
-    _default_runner = runner
 
 
 @contextmanager

@@ -16,13 +16,15 @@ Semantics
   (``now + duration <= deadline``); otherwise its whole job is dropped as
   *late* (its chain cannot complete on time).  Work already spent on a
   later-dropped job is counted as *wasted*.
-* ``backfill=True`` (default) lets tasks behind a too-wide queue head start
-  if they fit; ``backfill=False`` is strict head-of-line EDF.
-* A tunable job must pick one path up front (there is no negotiation in a
-  best-effort world); :class:`ChainSelector` offers the obvious policies.
+* Tasks behind a queue head too wide for the free processors start if they
+  fit; the head keeps its place in the queue.
+* A tunable job runs its first chain (the application's default): there is
+  no negotiation in a best-effort world.
 
-The executor runs on the generic discrete-event engine
-(:class:`repro.sim.engine.SimulationEngine`).
+:meth:`EDFExecutor.run` is one virtual-time loop over a plain ``heapq`` of
+``(time, seq, item)``, the item an arriving :class:`~repro.model.job.Job`
+or a finishing task's job state, as
+:class:`~repro.sim.simulator.ArrivalSimulator` is over its own heap.
 """
 
 from __future__ import annotations
@@ -31,36 +33,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.model.chain import TaskChain
 from repro.model.job import Job
-from repro.sim.engine import SimulationEngine
 
-__all__ = ["ChainSelector", "BestEffortMetrics", "EDFExecutor"]
-
-
-class ChainSelector(Enum):
-    """How a tunable job picks its single path in a best-effort system."""
-
-    #: The first enumerated chain (the application's default).
-    FIRST = "first"
-    #: The chain with the smallest zero-gap execution time.
-    MIN_DURATION = "min-duration"
-    #: The chain with the smallest maximum width (easiest to squeeze in).
-    MIN_WIDTH = "min-width"
-
-
-def _select(job: Job, selector: ChainSelector) -> TaskChain:
-    if selector is ChainSelector.FIRST or len(job.chains) == 1:
-        return job.chains[0]
-    if selector is ChainSelector.MIN_DURATION:
-        return min(job.chains, key=lambda c: c.total_duration)
-    if selector is ChainSelector.MIN_WIDTH:
-        return min(job.chains, key=lambda c: c.max_width)
-    raise ConfigurationError(f"unknown selector {selector!r}")  # pragma: no cover
+__all__ = ["BestEffortMetrics", "EDFExecutor"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,9 +83,9 @@ class BestEffortMetrics:
 class _JobState:
     __slots__ = ("job", "chain", "next_task", "consumed_area")
 
-    def __init__(self, job: Job, chain: TaskChain) -> None:
+    def __init__(self, job: Job) -> None:
         self.job = job
-        self.chain = chain
+        self.chain = job.chains[0]
         self.next_task = 0
         self.consumed_area = 0.0
 
@@ -115,32 +93,18 @@ class _JobState:
 class EDFExecutor:
     """Queue-based best-effort execution of parallel real-time job chains.
 
-    Parameters
-    ----------
-    capacity:
-        Number of processors.
-    selector:
-        Path choice for tunable jobs (no negotiation here).
-    backfill:
-        Allow non-head ready tasks to start when the EDF head does not fit.
+    ``capacity`` is the number of processors.  An executor runs one arrival
+    sequence.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        selector: ChainSelector = ChainSelector.FIRST,
-        backfill: bool = True,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.selector = selector
-        self.backfill = backfill
-        self._engine = SimulationEngine()
-        self._engine.on("arrival", self._on_arrival)
-        self._engine.on("finish", self._on_finish)
         self._free = capacity
         self._ready: list[tuple[float, int, _JobState]] = []  # (abs deadline, seq, state)
+        self._events: list[tuple[float, int, Job | _JobState]] = []  # (time, seq, item)
+        # One counter numbers every push, so equal keys keep insertion order.
         self._seq = itertools.count()
         self._offered = 0
         self._on_time = 0
@@ -152,14 +116,29 @@ class EDFExecutor:
     # ------------------------------------------------------------------
 
     def run(self, jobs: Iterable[Job]) -> BestEffortMetrics:
-        """Execute a complete arrival sequence to quiescence."""
+        """Execute a complete arrival sequence to quiescence.
+
+        Every arrival is pushed, in release order, before the first event
+        runs; a finish is pushed when its task is dispatched.  So at equal
+        instants arrivals pop before finishes, and the arriving job is
+        queued before the finishing task frees its processors.
+        """
         last = -math.inf
         for job in jobs:
             if job.release < last:
                 raise SimulationError("jobs must be supplied in release order")
+            if job.release < 0.0:
+                raise SimulationError(f"release {job.release} is before time 0.0")
             last = job.release
-            self._engine.at(job.release, "arrival", payload=job)
-        self._engine.run()
+            heapq.heappush(self._events, (job.release, next(self._seq), job))
+        while self._events:
+            now, _, item = heapq.heappop(self._events)
+            if isinstance(item, Job):
+                self._offered += 1
+                self._enqueue(_JobState(item))
+            else:
+                self._finish(now, item)
+            self._dispatch(now)
         return BestEffortMetrics(
             offered=self._offered,
             on_time=self._on_time,
@@ -181,9 +160,18 @@ class EDFExecutor:
         self._late += 1
         self._wasted_area += state.consumed_area
 
-    def _dispatch(self, engine: SimulationEngine) -> None:
+    def _finish(self, now: float, state: _JobState) -> None:
+        task = state.chain[state.next_task]
+        self._free += task.processors
+        self._horizon = max(self._horizon, now)
+        state.next_task += 1
+        if state.next_task == len(state.chain):
+            self._on_time += 1
+        else:
+            self._enqueue(state)
+
+    def _dispatch(self, now: float) -> None:
         """Start every ready task allowed by EDF order and free processors."""
-        now = engine.now
         deferred: list[tuple[float, int, _JobState]] = []
         while self._ready:
             abs_deadline, seq, state = self._ready[0]
@@ -197,34 +185,12 @@ class EDFExecutor:
                 self._drop(state)  # can never run on this machine
                 continue
             if task.processors > self._free:
-                if not self.backfill:
-                    break
                 deferred.append(heapq.heappop(self._ready))
                 continue
             heapq.heappop(self._ready)
             self._free -= task.processors
             self._busy_area += task.area
             state.consumed_area += task.area
-            engine.after(task.duration, "finish", payload=state)
+            heapq.heappush(self._events, (now + task.duration, next(self._seq), state))
         for item in deferred:
             heapq.heappush(self._ready, item)
-
-    # Handlers ----------------------------------------------------------
-
-    def _on_arrival(self, engine: SimulationEngine, event) -> None:
-        job: Job = event.payload
-        self._offered += 1
-        self._enqueue(_JobState(job, _select(job, self.selector)))
-        self._dispatch(engine)
-
-    def _on_finish(self, engine: SimulationEngine, event) -> None:
-        state: _JobState = event.payload
-        task = state.chain[state.next_task]
-        self._free += task.processors
-        self._horizon = max(self._horizon, engine.now)
-        state.next_task += 1
-        if state.next_task == len(state.chain):
-            self._on_time += 1
-        else:
-            self._enqueue(state)
-        self._dispatch(engine)

@@ -4,8 +4,9 @@ Replays an arrival process against a :class:`~repro.core.arbitrator.QoSArbitrato
 each arrival instantiates a job from a *job factory*, submits it, and
 records the admission decision.  Because allocations are committed at
 arrival and never revised (static negotiation, fault-free system — the
-Section 5 model), this arrival loop *is* the full simulation; the generic
-engine in :mod:`repro.sim.engine` is only needed by runtime-level demos.
+Section 5 model), this arrival loop *is* the full simulation.  The only
+other virtual-time loop is the best-effort executor's
+(:mod:`repro.sim.executor`), which has no arbitrator to replay.
 
 The same loop also applies the events of a
 :class:`~repro.resilience.events.PerturbationTrace` at their virtual times

@@ -36,3 +36,22 @@ class TestBestEffortComparison:
         text = render_best_effort(rows)
         assert "resv_on_time" in text
         assert "edf_wasted" in text
+
+
+def test_best_effort_fields_are_pinned_exactly():
+    # Any change to the executor's event order or dispatch rule moves these.
+    rows = run_best_effort_comparison(intervals=(12.0, 40.0), n_jobs=200)
+    assert [
+        (
+            r.interval,
+            r.offered,
+            r.edf_on_time,
+            r.edf_utilization,
+            r.edf_goodput_utilization,
+            r.edf_wasted_area,
+        )
+        for r in rows
+    ] == [
+        (12.0, 200, 18, 0.8905957650878741, 0.3271576279914639, 24800.0),
+        (40.0, 200, 106, 0.7832548848990321, 0.6016305637630246, 25600.0),
+    ]

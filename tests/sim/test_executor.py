@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
-from repro.sim.executor import BestEffortMetrics, ChainSelector, EDFExecutor
+from repro.sim.executor import BestEffortMetrics, EDFExecutor
 from repro.workloads.synthetic import SyntheticParams
 
 
@@ -59,6 +59,40 @@ class TestBasics:
         with pytest.raises(SimulationError):
             EDFExecutor(4).run([job(release=5.0), job(release=0.0)])
 
+    def test_negative_release_rejected(self):
+        with pytest.raises(SimulationError, match="before time 0.0"):
+            EDFExecutor(4).run([job(release=-5.0)])
+
+
+def test_arrival_is_queued_before_a_same_instant_finish():
+    # At t=5 job a's first task finishes and job b arrives.  b is queued
+    # first, so when a's task frees the machine EDF starts b (absolute
+    # deadline 13) ahead of a's second task (deadline 100).  Were the
+    # finish handled first, a's second task would take the machine and b,
+    # starting at 10, would miss its deadline.
+    a = Job.rigid(
+        TaskChain(
+            (
+                TaskSpec("a0", ProcessorTimeRequest(4, 5.0), deadline=5.0),
+                TaskSpec("a1", ProcessorTimeRequest(4, 5.0), deadline=100.0),
+            )
+        ),
+        release=0.0,
+    )
+    b = Job.rigid(
+        TaskChain((TaskSpec("b0", ProcessorTimeRequest(4, 5.0), deadline=8.0),)),
+        release=5.0,
+    )
+    assert EDFExecutor(4).run([a, b]) == BestEffortMetrics(
+        offered=2,
+        on_time=2,
+        late=0,
+        busy_area=60.0,
+        wasted_area=0.0,
+        horizon=15.0,
+        capacity=4,
+    )
+
 
 class TestDeadlines:
     def test_late_job_dropped(self):
@@ -108,29 +142,21 @@ class TestDeadlines:
         assert m.late == 1
 
 
-class TestBackfill:
-    def make_jobs(self):
-        # Head of queue needs the full machine; a narrow job behind it
-        # could run in the 2 free processors.
+class TestDispatch:
+    def test_narrow_task_starts_beside_a_waiting_wide_head(self):
+        # The EDF head needs the full machine; a narrow job behind it runs
+        # in the 2 free processors instead of waiting behind the head.
         wide_running = job(procs=2, dur=10.0, deadline=100.0, release=0.0)
         wide_waiting = job(procs=4, dur=5.0, deadline=30.0, release=1.0)
         narrow = job(procs=2, dur=5.0, deadline=100.0, release=2.0)
-        return [wide_running, wide_waiting, narrow]
-
-    def test_backfill_lets_narrow_run(self):
-        m = EDFExecutor(4, backfill=True).run(self.make_jobs())
+        m = EDFExecutor(4).run([wide_running, wide_waiting, narrow])
         assert m.on_time == 3
         assert m.horizon == pytest.approx(15.0)
 
-    def test_strict_edf_blocks(self):
-        m = EDFExecutor(4, backfill=False).run(self.make_jobs())
-        assert m.on_time == 3
-        # narrow waits behind wide_waiting: 10 (wide_running) + 5 + 5
-        assert m.horizon == pytest.approx(20.0)
 
-
-class TestChainSelector:
-    def make_tunable(self, release=0.0):
+class TestTunableJob:
+    def test_runs_its_first_chain(self):
+        # A tunable job runs its first chain: the wide, fast one here.
         fast = TaskChain(
             (TaskSpec("a", ProcessorTimeRequest(4, 2.0), deadline=100.0),),
             label="wide-fast",
@@ -139,22 +165,8 @@ class TestChainSelector:
             (TaskSpec("a", ProcessorTimeRequest(1, 6.0), deadline=100.0),),
             label="narrow-slow",
         )
-        return Job.tunable_of([fast, narrow], release=release)
-
-    def test_first(self):
-        ex = EDFExecutor(4, selector=ChainSelector.FIRST)
-        m = ex.run([self.make_tunable()])
+        m = EDFExecutor(4).run([Job.tunable_of([fast, narrow])])
         assert m.horizon == pytest.approx(2.0)
-
-    def test_min_duration(self):
-        ex = EDFExecutor(4, selector=ChainSelector.MIN_DURATION)
-        m = ex.run([self.make_tunable()])
-        assert m.horizon == pytest.approx(2.0)
-
-    def test_min_width(self):
-        ex = EDFExecutor(4, selector=ChainSelector.MIN_WIDTH)
-        m = ex.run([self.make_tunable()])
-        assert m.horizon == pytest.approx(6.0)
 
 
 class TestAgainstArbitrator:

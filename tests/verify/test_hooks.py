@@ -1,4 +1,4 @@
-"""The opt-in audit hooks: engine, simulators, and the runner post-check."""
+"""The opt-in audit hooks: the simulator, audited units and the runner post-check."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.errors import VerificationError
 from repro.resilience.events import FaultModel, generate_trace
 from repro.runner.core import ExperimentRunner, RunnerConfig
 from repro.sim.arrivals import PoissonArrivals
-from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
 from repro.verify.checks import audited_point, verify_unit
@@ -35,37 +34,6 @@ def _arrivals_setup(config, system="tunable"):
         config.processors, malleable=config.malleable, keep_placements=True
     )
     return streams, process, factory, arbitrator
-
-
-# ---------------------------------------------------------------------------
-# Engine-level hook
-# ---------------------------------------------------------------------------
-
-
-def test_engine_audit_callback_fires_after_every_event():
-    seen = []
-    eng = SimulationEngine(audit=lambda engine, ev: seen.append((engine.now, ev.kind)))
-    eng.on("ping", lambda engine, ev: None)
-    eng.at(1.0, "ping")
-    eng.at(2.0, "ping")
-    eng.at(3.0, "unhandled")  # no kind handler, but still audited
-    eng.run()
-    assert seen == [(1.0, "ping"), (2.0, "ping"), (3.0, "unhandled")]
-
-
-def test_engine_audit_exception_aborts_the_run():
-    def tripwire(engine, ev):
-        if engine.now >= 2.0:
-            raise VerificationError("planted")
-
-    eng = SimulationEngine(audit=tripwire)
-    eng.on("ping", lambda engine, ev: None)
-    for t in (1.0, 2.0, 3.0):
-        eng.at(t, "ping")
-    with pytest.raises(VerificationError):
-        eng.run()
-    assert eng.processed == 2  # clock and counters locate the failure
-    assert eng.now == 2.0
 
 
 # ---------------------------------------------------------------------------
