@@ -11,7 +11,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ConfigurationError
 
@@ -25,6 +24,10 @@ def mean_ci(
 
     With a single sample the interval degenerates to the point.
     """
+    # Here, not at module level: ``import repro`` reaches this module, and
+    # scipy would otherwise load into every service and runner process.
+    from scipy import stats as sps
+
     if not samples:
         raise ConfigurationError("mean_ci requires at least one sample")
     if not 0 < confidence < 1:

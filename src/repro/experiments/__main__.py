@@ -121,8 +121,6 @@ def main(argv: list[str] | None = None) -> int:
             f"cache_misses={snap.get('cache_misses', 0)} "
             f"pool={snap.get('units_executed_pool', 0)} "
             f"inline={snap.get('units_executed_inline', 0)} "
-            f"retries={snap.get('pool_retries', 0)} "
-            f"retry_backoff_total={snap.get('retry_backoff_total', 0.0):.3f}s "
             f"unit_p50={snap.get('unit_p50_us', 0) / 1e3:.1f}ms "
             f"unit_p95={snap.get('unit_p95_us', 0) / 1e3:.1f}ms",
             file=sys.stderr,

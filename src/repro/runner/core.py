@@ -9,21 +9,21 @@ layers of savings, all of them invisible in the results:
    e.g. the Figure-6a interval grid is a subset of Figure 5(a)'s).
 2. **Cache** — an optional on-disk :class:`~repro.runner.cache.ResultCache`
    memoizes every unit across runs and across experiments.
-3. **Fan-out** — cache misses are dispatched to a
-   :class:`~concurrent.futures.ProcessPoolExecutor` in contiguous chunks
-   (~4 chunks per worker for load balancing).  Chunks that time out or
-   lose their worker are retried on a fresh pool up to
-   :attr:`RunnerConfig.retries` times, then fall back to in-process
-   execution, so a dying pool degrades to the serial path instead of
+3. **Fan-out** — cache misses are dispatched, in one pass, to one
+   spawned :class:`~concurrent.futures.ProcessPoolExecutor` in contiguous
+   chunks (~4 chunks per worker for load balancing).  A chunk whose
+   future raises — its worker died, or its body failed — is re-run
+   in-process, so a dying pool degrades to the serial path instead of
    failing the experiment.
 
 Determinism: results are merged **by unit key in submission order**,
 never completion order, and common-random-numbers pairing is carried by
 the seed inside each unit's config — so parallel, serial, deduped and
-cached executions of the same batch produce identical metrics (floats
-survive the JSON hop exactly: Python's float repr is shortest
-round-trip).  Genuine simulation errors are *not* swallowed by the
-fallback: an in-process re-run re-raises them synchronously.
+cached executions of the same batch produce identical metrics.  Units
+cross to a worker as pickled ``(key, SweepConfig, system)`` tuples and
+come back as ``(key, RunMetrics, seconds)``; pickle round-trips both
+exactly.  Genuine simulation errors are *not* swallowed by the fallback:
+the in-process re-run re-raises them synchronously.
 
 Interruption: every unit's result is written to the cache the moment it
 is retrieved — not batched at the end — so a ``KeyboardInterrupt``
@@ -36,20 +36,18 @@ entries as cache hits.
 from __future__ import annotations
 
 import math
-import random
+import multiprocessing
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.perf import PerfRecorder
 from repro.runner.cache import ResultCache
 from repro.runner.key import sweep_config_to_dict, unit_key
-from repro.runner.worker import run_unit_chunk
+from repro.runner.worker import Unit, UnitResult, run_unit_chunk
 from repro.sim.metrics import RunMetrics
-from repro.sim.persistence import metrics_from_dict
 from repro.workloads.sweep import SweepConfig, run_point
 
 __all__ = ["RunnerConfig", "ExperimentRunner"]
@@ -64,19 +62,7 @@ class RunnerConfig:
     """Execution policy for one :class:`ExperimentRunner`.
 
     ``jobs <= 1`` means pure in-process execution (no pool is ever
-    created); ``cache_dir=None`` disables memoization; ``timeout`` is
-    per *chunk*, in wall-clock seconds (``None`` = wait forever);
-    ``retries`` counts fresh-pool retry rounds after a chunk failure
-    before falling back in-process.
-
-    Retry rounds back off exponentially (``backoff_base * 2**(round-1)``,
-    capped at ``backoff_cap``) with seeded jitter (up to
-    ``backoff_jitter`` of the delay, drawn from ``Random(backoff_seed)``
-    so runs are reproducible) — re-submitting immediately into the same
-    transient condition (OOM-killed workers, a saturated machine) just
-    burns the retry budget.  Total sleep is surfaced as
-    ``retry_backoff_total`` in :meth:`ExperimentRunner.perf_snapshot`.
-    ``backoff_base=0`` disables the sleep entirely.
+    created); ``cache_dir=None`` disables memoization.
 
     ``audit=True`` adds an independent post-check: after a batch merges,
     every unique unit is re-run in-process with placements retained, its
@@ -91,14 +77,7 @@ class RunnerConfig:
 
     jobs: int = 1
     cache_dir: str | Path | None = None
-    chunk_size: int | None = None
-    timeout: float | None = None
-    retries: int = 1
     audit: bool = False
-    backoff_base: float = 0.25
-    backoff_cap: float = 4.0
-    backoff_jitter: float = 0.5
-    backoff_seed: int = 0
 
 
 class ExperimentRunner:
@@ -108,7 +87,7 @@ class ExperimentRunner:
         self,
         config: RunnerConfig | None = None,
         *,
-        _chunk_fn: Callable[..., list[dict[str, object]]] = run_unit_chunk,
+        _chunk_fn: Callable[..., list[UnitResult]] = run_unit_chunk,
     ) -> None:
         self.config = config or RunnerConfig()
         self.cache = (
@@ -117,7 +96,6 @@ class ExperimentRunner:
             else None
         )
         self.perf = PerfRecorder()
-        self._backoff_rng = random.Random(self.config.backoff_seed)
         # Pool dispatch target; in-process fallback always runs the real
         # simulation so fault-injecting stubs (tests) still yield results.
         self._chunk_fn = _chunk_fn
@@ -206,7 +184,7 @@ class ExperimentRunner:
 
     def _execute(
         self,
-        work: list[tuple[str, SweepConfig, str]],
+        work: list[Unit],
         store: Callable[[str, RunMetrics], None],
     ) -> None:
         """Run every (key, config, system) unit, pooled when configured.
@@ -216,28 +194,11 @@ class ExperimentRunner:
         resolves, inline results after each simulation — so the caller's
         cache reflects all completed work even if a later unit raises.
         """
-        if not work:
-            return
-
-        def store_chunk(chunk_results: list[dict[str, object]]) -> None:
-            for item in chunk_results:
-                store(str(item["key"]), metrics_from_dict(item["metrics"]))  # type: ignore[arg-type]
-                self.perf.observe("unit", float(item["seconds"]))  # type: ignore[arg-type]
-                self.perf.count("units_executed_pool")
-
+        leftover = work
         if self.config.jobs > 1 and len(work) > 1:
-            chunks = self._chunked(work)
-            done = self._run_chunks_pooled(chunks, store_chunk)
-            leftover = [
-                unit
-                for index, chunk in enumerate(chunks)
-                if index not in done
-                for unit in chunk_units(chunk)
-            ]
+            leftover = self._run_pooled(work, store)
             if leftover:
                 self.perf.count("pool_fallback_units", len(leftover))
-        else:
-            leftover = work
         for key, config, system in leftover:
             t0 = time.perf_counter()
             metrics = run_point(config, system)
@@ -245,99 +206,51 @@ class ExperimentRunner:
             self.perf.count("units_executed_inline")
             store(key, metrics)
 
-    def _chunked(
-        self, work: list[tuple[str, SweepConfig, str]]
-    ) -> list[list[dict[str, object]]]:
-        """Split units into contiguous payload chunks for dispatch."""
-        size = self.config.chunk_size or max(
+    def _run_pooled(
+        self,
+        work: list[Unit],
+        store: Callable[[str, RunMetrics], None],
+    ) -> list[Unit]:
+        """One pass over one pool; returns the units of failed chunks.
+
+        Every chunk is submitted at once and the futures are read in
+        submission order, each chunk's results stored before the next
+        future is awaited.  A future that raises — its chunk body failed,
+        or its worker died, after which every later future raises too —
+        hands its units back for the in-process fallback.
+        """
+        size = max(
             1, math.ceil(len(work) / (self.config.jobs * _CHUNKS_PER_WORKER))
         )
-        payloads = [
-            {
-                "key": key,
-                "config": sweep_config_to_dict(config),
-                "system": system,
-                "_unit": (key, config, system),
-            }
-            for key, config, system in work
-        ]
-        return [payloads[i : i + size] for i in range(0, len(payloads), size)]
-
-    def _run_chunks_pooled(
-        self,
-        chunks: list[list[dict[str, object]]],
-        store_chunk: Callable[[list[dict[str, object]]], None],
-    ) -> dict[int, list[dict[str, object]]]:
-        """Dispatch chunks to a process pool; retry failures on a fresh one.
-
-        ``store_chunk`` is called with each chunk's results as soon as its
-        future resolves (before later futures are awaited), so completed
-        work is persisted even when a subsequent chunk interrupts the
-        batch.  Returns per-chunk results for whatever succeeded; chunks
-        missing from the mapping are the caller's to run in-process.  The
-        ``_unit`` bookkeeping field never crosses the process boundary.
-        """
-        wire = [
-            [{k: v for k, v in p.items() if k != "_unit"} for p in chunk]
-            for chunk in chunks
-        ]
-        done: dict[int, list[dict[str, object]]] = {}
-        remaining = set(range(len(chunks)))
-        for attempt in range(self.config.retries + 1):
-            if not remaining:
-                break
-            if attempt:
-                self.perf.count("pool_retries")
-                self._backoff(attempt)
-            pool: ProcessPoolExecutor | None = None
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.config.jobs, len(remaining))
-                )
-                futures = {
-                    pool.submit(self._chunk_fn, wire[index]): index
-                    for index in sorted(remaining)
-                }
-                self.perf.count("pool_chunks_dispatched", len(futures))
-                for future, index in futures.items():
-                    chunk_results = future.result(timeout=self.config.timeout)
-                    done[index] = chunk_results
-                    remaining.discard(index)
-                    store_chunk(chunk_results)
-            except (FutureTimeoutError, BrokenExecutor, OSError):
-                # Worker death or a stuck chunk: abandon this pool and
-                # retry what's left (fresh pool or in-process fallback).
-                self.perf.count("pool_chunk_failures")
-            except KeyboardInterrupt:
-                # Ctrl-C (possibly relayed from a worker process): cancel
-                # what hasn't started, count it, and propagate — results
-                # already handed to store_chunk stay flushed.
-                self.perf.count("pool_interrupts")
-                raise
-            except Exception:
-                # A genuine error from the chunk body; the in-process
-                # fallback will re-raise it with a clean traceback.
-                self.perf.count("pool_chunk_failures")
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-        return done
-
-    def _backoff(self, attempt: int) -> None:
-        """Sleep before retry round ``attempt`` (exponential + jitter)."""
-        if self.config.backoff_base <= 0:
-            return
-        delay = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * (2 ** (attempt - 1)),
+        chunks = [work[i : i + size] for i in range(0, len(work), size)]
+        failed: list[Unit] = []
+        # Spawn, not fork: a fork taken while another thread holds a lock
+        # leaves that lock held forever in the child, which can deadlock.
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.config.jobs, len(chunks)),
+            mp_context=multiprocessing.get_context("spawn"),
         )
-        delay *= 1.0 + self.config.backoff_jitter * self._backoff_rng.random()
-        self.perf.count("retry_backoff_total", delay)
-        time.sleep(delay)
-
-
-def chunk_units(
-    chunk: list[dict[str, object]],
-) -> list[tuple[str, SweepConfig, str]]:
-    """Recover the original unit tuples from a payload chunk."""
-    return [payload["_unit"] for payload in chunk]  # type: ignore[misc]
+        try:
+            futures = [
+                (pool.submit(self._chunk_fn, chunk), chunk) for chunk in chunks
+            ]
+            self.perf.count("pool_chunks_dispatched", len(futures))
+            for future, chunk in futures:
+                try:
+                    results = future.result()
+                except Exception:
+                    self.perf.count("pool_chunk_failures")
+                    failed.extend(chunk)
+                    continue
+                for key, metrics, seconds in results:
+                    store(key, metrics)
+                    self.perf.observe("unit", seconds)
+                    self.perf.count("units_executed_pool")
+        except KeyboardInterrupt:
+            # Ctrl-C (possibly relayed from a worker process): count it
+            # and propagate; results already stored stay flushed.
+            self.perf.count("pool_interrupts")
+            raise
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        return failed

@@ -85,7 +85,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         # Here, not in the arbitrator a runner worker builds: a bad name
-        # there crashes the worker, which the runner retries with backoff.
+        # there fails the worker's chunk, and only the in-process re-run
+        # would report it.
         check_backend(self.backend)
 
     @property

@@ -1,13 +1,36 @@
 """Unit tests for summary statistics."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.stats import bootstrap_ci, mean_ci, relative_benefit
 from repro.errors import ConfigurationError
+
+
+def test_service_and_runner_imports_load_no_scipy():
+    """scipy is for confidence intervals only; a service process or a
+    spawned runner worker must not pay for loading it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = "\n".join(
+        [
+            f"import sys; sys.path.insert(0, {src!r})",
+            "import repro, repro.service.service, repro.service.recovery",
+            "import repro.runner.worker, repro.workloads.sweep",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestMeanCI:

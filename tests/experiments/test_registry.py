@@ -87,6 +87,8 @@ class TestCLI:
         assert cache_dir.exists()
         err = capsys.readouterr().err
         assert "[runner]" in err and "cache_misses=3" in err
+        # All three units ran in the pool: a dying pool would fall back.
+        assert "pool=3" in err and "inline=0" in err
         # Second invocation: warm cache.
         assert main(["tiny", "--cache-dir", str(cache_dir)]) == 0
         assert "cache_hits=3" in capsys.readouterr().err

@@ -11,7 +11,8 @@ import pytest
 
 import repro.runner.core as runner_core
 from repro.runner import ExperimentRunner, RunnerConfig, using_runner
-from repro.runner.worker import _crashing_chunk, _interrupting_chunk, _slow_chunk
+from repro.runner.key import unit_key
+from repro.runner.worker import _crashing_chunk, _interrupting_chunk
 from repro.workloads.replicate import replicate_point
 from repro.workloads.sweep import SweepConfig, run_sweep
 
@@ -135,7 +136,7 @@ class TestFailurePaths:
     def test_worker_crash_falls_back_in_process(self, tmp_path):
         serial = run_sweep("interval", VALUES[:2], CFG)
         broken = ExperimentRunner(
-            RunnerConfig(jobs=2, cache_dir=tmp_path, retries=1),
+            RunnerConfig(jobs=2, cache_dir=tmp_path),
             _chunk_fn=_crashing_chunk,
         )
         rescued = run_sweep("interval", VALUES[:2], CFG, runner=broken)
@@ -145,47 +146,43 @@ class TestFailurePaths:
         assert snap["pool_fallback_units"] == 2 * len(serial.systems)
         assert snap["units_executed_inline"] == 2 * len(serial.systems)
 
-    def test_retry_backoff_is_deterministic_and_counted(self, tmp_path):
-        def run(seed):
-            broken = ExperimentRunner(
-                RunnerConfig(
-                    jobs=2,
-                    retries=2,
-                    backoff_base=0.002,
-                    backoff_cap=0.008,
-                    backoff_seed=seed,
-                ),
-                _chunk_fn=_crashing_chunk,
-            )
-            run_sweep("interval", VALUES[:1], CFG, runner=broken)
-            return broken.perf_snapshot()
+    def test_genuine_unit_error_reraises_after_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        """The fallback re-runs a dead pool's units; a real error surfaces."""
+        real_run_point = runner_core.run_point
+        calls = {"n": 0}
 
-        a, b, c = run(3), run(3), run(4)
-        assert a["pool_retries"] == b["pool_retries"] == 2
-        # Same seed → bit-identical total sleep; different seed → different
-        # jitter.  Either way the honest total is surfaced in the snapshot.
-        assert a["retry_backoff_total"] == b["retry_backoff_total"] > 0
-        assert c["retry_backoff_total"] != a["retry_backoff_total"]
+        def failing_run_point(config, system):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ValueError("unit failed")
+            return real_run_point(config, system)
 
-    def test_zero_backoff_base_disables_sleep(self):
+        monkeypatch.setattr(runner_core, "run_point", failing_run_point)
+        units = [(CFG.with_axis("interval", v), "tunable") for v in VALUES]
         broken = ExperimentRunner(
-            RunnerConfig(jobs=2, retries=1, backoff_base=0.0),
-            _chunk_fn=_crashing_chunk,
+            RunnerConfig(jobs=2, cache_dir=tmp_path), _chunk_fn=_crashing_chunk
         )
-        run_sweep("interval", VALUES[:1], CFG, runner=broken)
-        snap = broken.perf_snapshot()
-        assert snap["pool_retries"] == 1
-        assert "retry_backoff_total" not in snap
+        with pytest.raises(ValueError, match="unit failed"):
+            broken.run_units(units)
+        assert broken.cache.get(unit_key(*units[0])) is not None
+        assert broken.cache.get(unit_key(*units[1])) is None
 
-    def test_chunk_timeout_falls_back_in_process(self):
-        serial = run_sweep("interval", VALUES[:1], CFG)
-        slow = ExperimentRunner(
-            RunnerConfig(jobs=2, timeout=0.2, retries=0),
-            _chunk_fn=_slow_chunk,
-        )
-        rescued = run_sweep("interval", VALUES[:1], CFG, runner=slow)
-        assert _rows(serial) == _rows(rescued)
-        assert slow.perf_snapshot()["pool_chunk_failures"] >= 1
+    def test_pool_workers_are_spawned_not_forked(self, monkeypatch):
+        contexts = []
+
+        class RecordingPool(runner_core.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                contexts.append(kwargs.get("mp_context"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner_core, "ProcessPoolExecutor", RecordingPool)
+        runner = ExperimentRunner(RunnerConfig(jobs=2))
+        runner.run_units([(CFG, "tunable"), (CFG, "shape1")])
+        assert runner.perf_snapshot()["units_executed_pool"] == 2
+        assert len(contexts) == 1 and contexts[0] is not None
+        assert contexts[0].get_start_method() == "spawn"
 
     def test_inline_interrupt_flushes_completed_units(
         self, tmp_path, monkeypatch
@@ -220,15 +217,15 @@ class TestFailurePaths:
     def test_pool_interrupt_cancels_and_flushes(self, tmp_path):
         """A worker-relayed Ctrl-C re-raises after flushing earlier chunks.
 
-        The interrupting unit is submitted last (chunk_size=1 keeps units
-        in their own chunks, results are consumed in submission order),
-        so every earlier unit's result is flushed before the interrupt
+        The interrupting unit is submitted last (4 units over 2 workers
+        chunk by 1, and results are consumed in submission order), so
+        every earlier unit's result is flushed before the interrupt
         propagates.
         """
         units = [(CFG.with_axis("interval", v), "tunable") for v in VALUES]
         units.append((CFG, "shape2"))  # the marked interrupter, last
         interrupted = ExperimentRunner(
-            RunnerConfig(jobs=2, cache_dir=tmp_path, chunk_size=1),
+            RunnerConfig(jobs=2, cache_dir=tmp_path),
             _chunk_fn=_interrupting_chunk,
         )
         with pytest.raises(KeyboardInterrupt):
