@@ -82,7 +82,7 @@ class QoSArbitrator:
         ``False`` probes every configuration in full; decisions are
         identical either way.
     seed:
-        Seed for the RANDOM tie-break policy only.
+        Seed for the RANDOM tie-break policy only, which requires one.
     """
 
     def __init__(

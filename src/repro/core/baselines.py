@@ -38,7 +38,7 @@ class BestFitScheduler(GreedyScheduler):
     early as possible inside the chosen hole.
 
     This runs the hole enumeration per task and is therefore noticeably
-    slower than first fit; it exists for the ablation benchmarks and as a
+    slower than first fit; it exists for the ablation experiments and as a
     second implementation against which the property tests cross-check
     feasibility.
     """

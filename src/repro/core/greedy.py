@@ -62,6 +62,7 @@ from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy, select_candidate
 from repro.core.resources import TIME_EPS
 from repro.core.schedule import Schedule
+from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 
@@ -79,7 +80,7 @@ class GreedyScheduler:
     policy:
         Tie-break rule among equally-early-finishing configurations.
     rng:
-        Only used by :attr:`TieBreakPolicy.RANDOM`.
+        Only used by :attr:`TieBreakPolicy.RANDOM`, which requires it.
     prune:
         Enable the decision-identical candidate prunes described in the
         module docs (default True).  ``False`` is the oracle mode: every
@@ -104,6 +105,8 @@ class GreedyScheduler:
         rng: random.Random | None = None,
         prune: bool = True,
     ) -> None:
+        if policy is TieBreakPolicy.RANDOM and rng is None:
+            raise ConfigurationError("TieBreakPolicy.RANDOM needs a seed or rng")
         self.schedule = schedule
         self.policy = policy
         self.rng = rng

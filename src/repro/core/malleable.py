@@ -17,7 +17,7 @@ both defensible readings as :class:`MalleableStrategy`:
 * ``EARLIEST_FINISH``: scan all counts, take the placement finishing
   earliest; ties favour the wider configuration.
 
-``benchmarks/bench_ablation_malleable.py`` compares the two.
+The ``ablation-malleable`` experiment compares the two.
 """
 
 from __future__ import annotations

@@ -9,18 +9,19 @@ their tasks."
 
 :class:`TieBreakPolicy` selects the tie-break chain; the primary
 earliest-finish criterion always applies.  ``PAPER`` is the rule quoted
-above; the other values exist for the ablation benchmarks.
+above; the other values exist for the ablation experiments.
 """
 
 from __future__ import annotations
 
-import random
 from enum import Enum
 from typing import Sequence, TYPE_CHECKING
 
 from repro.core.resources import TIME_EPS
 
 if TYPE_CHECKING:  # pragma: no cover
+    import random
+
     from repro.core.placement import ChainPlacement
     from repro.core.schedule import Schedule
 
@@ -69,7 +70,8 @@ def select_candidate(
 
     ``candidates`` must be non-empty.  The earliest finish time wins
     outright; candidates finishing within :data:`~repro.core.resources.TIME_EPS`
-    of the minimum are tied and resolved by ``policy``.
+    of the minimum are tied and resolved by ``policy``; ``RANDOM`` draws
+    from ``rng``, which it requires.
     """
     if not candidates:
         raise ValueError("select_candidate requires at least one candidate")
@@ -78,7 +80,9 @@ def select_candidate(
     if len(tied) == 1 or policy is TieBreakPolicy.FIRST:
         return tied[0]
     if policy is TieBreakPolicy.RANDOM:
-        return (rng or random).choice(tied)
+        if rng is None:
+            raise ValueError("TieBreakPolicy.RANDOM requires an rng")
+        return rng.choice(tied)
     if policy is TieBreakPolicy.PREFIX:
         return min(tied, key=_prefix_key)
     # PAPER: maximize window utilization, then minimize prefix consumption.

@@ -11,6 +11,11 @@ each unit's metrics are memoized in a content-addressed on-disk cache
 re-runs and overlapping experiments are cache hits.  ``--no-cache``
 disables memoization.  Results are bit-identical whichever way the units
 were executed; see :mod:`repro.runner`.
+
+Committed output: stdout over all ids at the default scale is
+``results/quick_report.txt``, which CI diffs against a fresh run.  A change
+that legitimately moves a table re-mints it with ``python -m
+repro.experiments --jobs 2 --no-cache > results/quick_report.txt``.
 """
 
 from __future__ import annotations

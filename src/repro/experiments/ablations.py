@@ -22,7 +22,7 @@ from repro.sim.arrivals import BurstyArrivals, PoissonArrivals
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
 from repro.workloads import SweepConfig, presets
-from repro.workloads.sweep import run_point
+from repro.workloads.sweep import _job_factory, run_point
 
 __all__ = [
     "ablation_policy",
@@ -33,17 +33,15 @@ __all__ = [
 ]
 
 
-def _base(n_jobs: int | None, seed: int) -> SweepConfig:
-    return SweepConfig(n_jobs=presets.n_jobs(n_jobs), seed=seed)
+def _base() -> SweepConfig:
+    return SweepConfig(n_jobs=presets.n_jobs(), seed=presets.DEFAULT_SEED)
 
 
-def ablation_policy(
-    n_jobs: int | None = None, seed: int = presets.DEFAULT_SEED
-) -> str:
+def ablation_policy() -> str:
     """Tie-break policy comparison on the tunable system."""
     rows = []
     for policy in TieBreakPolicy:
-        cfg = replace(_base(n_jobs, seed), policy=policy)
+        cfg = replace(_base(), policy=policy)
         m = run_point(cfg, "tunable")
         rows.append(
             {
@@ -56,13 +54,11 @@ def ablation_policy(
     return format_table(rows, title="ablation: tie-break policy (tunable system)")
 
 
-def ablation_malleable_strategy(
-    n_jobs: int | None = None, seed: int = presets.DEFAULT_SEED
-) -> str:
+def ablation_malleable_strategy() -> str:
     """The two malleable placement strategies, all three systems."""
     rows = []
     for strategy in MalleableStrategy:
-        cfg = replace(_base(n_jobs, seed), malleable=True, strategy=strategy)
+        cfg = replace(_base(), malleable=True, strategy=strategy)
         for system in ("tunable", "shape1", "shape2"):
             m = run_point(cfg, system)
             rows.append(
@@ -76,16 +72,14 @@ def ablation_malleable_strategy(
     return format_table(rows, title="ablation: malleable strategy")
 
 
-def ablation_fit_rule(
-    n_jobs: int | None = None, seed: int = presets.DEFAULT_SEED
-) -> str:
+def ablation_fit_rule() -> str:
     """First fit (the paper) vs best fit over maximal holes.
 
     Best fit re-enumerates holes per task and is orders of magnitude
     slower, so this ablation caps the arrival count.
     """
-    n = min(presets.n_jobs(n_jobs), 400)
-    cfg = replace(_base(None, seed), n_jobs=n)
+    n = min(presets.n_jobs(), 400)
+    cfg = replace(_base(), n_jobs=n)
     rows = []
     for label, use_best_fit in (("first-fit", False), ("best-fit", True)):
         arb = QoSArbitrator(cfg.processors, keep_placements=False)
@@ -109,11 +103,9 @@ def ablation_fit_rule(
     return format_table(rows, title=f"ablation: fit rule (n={n} arrivals)")
 
 
-def ablation_conservative(
-    n_jobs: int | None = None, seed: int = presets.DEFAULT_SEED
-) -> str:
+def ablation_conservative() -> str:
     """Negotiated admission vs all-paths-schedulable conservatism."""
-    cfg = _base(n_jobs, seed)
+    cfg = _base()
     rows = []
     for label, cls in (
         ("negotiated", QoSArbitrator),
@@ -137,11 +129,9 @@ def ablation_conservative(
     return format_table(rows, title="ablation: admission conservatism")
 
 
-def ablation_bursty(
-    n_jobs: int | None = None, seed: int = presets.DEFAULT_SEED
-) -> str:
+def ablation_bursty() -> str:
     """Does the tunability benefit survive bursty (non-Poisson) arrivals?"""
-    cfg = _base(n_jobs, seed)
+    cfg = _base()
     rows = []
     for label, make_process in (
         (
@@ -160,17 +150,8 @@ def ablation_bursty(
         for system in ("tunable", "shape1", "shape2"):
             arb = QoSArbitrator(cfg.processors, keep_placements=False)
             streams = RandomStreams(cfg.seed)
-            factory = (
-                (lambda i, release: cfg.params.tunable_job(release))
-                if system == "tunable"
-                else (
-                    lambda i, release, s=int(system[-1]): cfg.params.rigid_job(
-                        s, release
-                    )
-                )
-            )
             metrics = simulate_arrivals(
-                arb, factory, make_process(streams), cfg.n_jobs
+                arb, _job_factory(cfg, system), make_process(streams), cfg.n_jobs
             )
             rows.append(
                 {

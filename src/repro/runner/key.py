@@ -50,8 +50,9 @@ __all__ = [
 #: ``prune`` switch joined the serialized config.  Decisions are
 #: backend-identical, but RunMetrics carries backend-dependent perf
 #: telemetry, so configs differing only in backend must not share a
-#: cache slot.
-KEY_VERSION = 4
+#: cache slot.  v5: a sweep unit seeds its RANDOM tie-break, so a warm
+#: cache must not serve an unseeded draw under a deterministic key.
+KEY_VERSION = 5
 
 
 def canonical_json(obj: object) -> str:

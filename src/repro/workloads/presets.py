@@ -51,7 +51,7 @@ X: int = 16
 T: float = 25.0
 N_JOBS_PAPER: int = 10_000
 
-#: Reduced default used by tests/benchmarks unless REPRO_FULL_SCALE is set.
+#: Reduced default (results/quick_report.txt) unless REPRO_FULL_SCALE is set.
 N_JOBS_QUICK: int = 2_000
 
 #: Fixed values of non-swept parameters (our documented choices — see

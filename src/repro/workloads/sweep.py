@@ -145,10 +145,10 @@ def build_point(
     :func:`repro.verify.checks.audited_point` runs it with a recording
     ``job_factory`` and ``keep_placements=True`` (which changes no
     reported number) and audits it.  The perturbation trace is drawn
-    after the arrivals, from disjoint substreams, so arrivals match the
-    fault-free run exactly.  An enabled resize policy attaches a resize
-    engine (only the ``tunable`` system is malleable, so rigid systems
-    never resize).  A perturbed unit always retains placements: they are
+    after the arrivals and the RANDOM tie-break's seed from a third
+    substream, so arrivals match the fault-free run exactly.  An enabled
+    resize policy attaches a resize engine (only the ``tunable`` system is
+    malleable, so rigid systems never resize).  A perturbed unit always retains placements: they are
     the renegotiation input.
     """
     factory = job_factory or _job_factory(config, system)
@@ -172,6 +172,7 @@ def build_point(
         backend=config.backend,
         prune=config.prune,
         keep_placements=keep_placements or trace is not None or engine is not None,
+        seed=streams.python("tie-break").getrandbits(64),
     )
     simulator = ArrivalSimulator(
         arbitrator, factory, verify=config.verify, trace=trace, reconfig=engine

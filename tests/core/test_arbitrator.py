@@ -6,6 +6,7 @@ from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
 from repro.core.greedy import GreedyScheduler
 from repro.core.malleable import MalleableScheduler
 from repro.core.resources import ProcessorTimeRequest
+from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
@@ -110,6 +111,12 @@ class TestSubmit:
             decisions = [arb.submit(two_path_job(release=float(i))) for i in range(5)]
             results.append([d.chain_index for d in decisions])
         assert results[0] == results[1]
+
+    def test_unseeded_random_policy_is_refused(self):
+        from repro.core.policies import TieBreakPolicy
+
+        with pytest.raises(ConfigurationError, match="RANDOM needs a seed"):
+            QoSArbitrator(8, policy=TieBreakPolicy.RANDOM)
 
 
 class TestAFailedDecisionCountsNothing:
