@@ -510,6 +510,20 @@ class AvailabilityProfile:
             raise SchedulingError(f"processors must be positive, got {processors}")
         self._shift(t0, t1, processors)
 
+    def savepoint(self) -> tuple[list[float], list[int]]:
+        """Copies of the breakpoint lists, for :meth:`restore`."""
+        return list(self._times), list(self._avail)
+
+    def restore(self, saved: tuple[list[float], list[int]]) -> None:
+        """Put back the segments of a :meth:`savepoint`, bit for bit.
+
+        Undoing a reservation by releasing it is exact only up to the
+        ``TIME_EPS`` snapping of :meth:`_shift`: a breakpoint merged away
+        in between comes back at the released edge, not where it was.
+        """
+        self._times, self._avail = saved
+        self._prefix = None
+
     def compact(self, before: float) -> None:
         """Forget structure earlier than ``before``.
 

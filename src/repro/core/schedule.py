@@ -356,19 +356,17 @@ class Schedule:
     def _reserve_clipped(self, cp: ChainPlacement, cut: float) -> float:
         """Reserve ``cp``'s post-``cut`` intervals, all or none; their area.
 
-        On any failure the intervals already reserved are released again,
-        in reverse, before the error propagates.
+        On any failure the profile is restored from a savepoint taken
+        before the first reservation, so it is left bit for bit as it was.
         """
-        reserved: list[tuple[float, float, int]] = []
+        saved = self.profile.savepoint()
         area = 0.0
         try:
             for start, end, procs in _clipped(cp, cut):
                 self.profile.reserve(start, end, procs)
-                reserved.append((start, end, procs))
                 area += (end - start) * procs
         except Exception:
-            for start, end, procs in reversed(reserved):
-                self.profile.release(start, end, procs)
+            self.profile.restore(saved)
             raise
         return area
 
