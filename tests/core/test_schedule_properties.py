@@ -259,6 +259,16 @@ def test_adopt_carried_reserves_exactly_the_clipped_remainder(carry):
     carry=_carry(0, ((2, 4, 0), (CAPACITY, 4, 0)), cut_tick=1, nudge=0.0),
     others=[(1, 2, 6)],
 )
+# The first clipped task's end snaps to a breakpoint at 5 - 2**-31 and
+# merges it away; releasing that task after the second fails would bring
+# the breakpoint back at 5.0, not where it was.
+@example(
+    carry=_carry(
+        0, ((1, 1, 0), (1, 1, 0), (1, 6, 2), (1, 1, 0)),
+        cut_tick=2, nudge=-_NUDGE,
+    ),
+    others=[(5, 8, 0), (2, 1, 0), (4, 1, 0)],
+)
 def test_failed_adopt_carried_changes_nothing(carry, others):
     cp, _tick, cut = carry
     schedule = Schedule(CAPACITY, origin=cut)
