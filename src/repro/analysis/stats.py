@@ -1,8 +1,8 @@
 """Summary statistics for experiment repetitions.
 
 The paper reports single 10,000-arrival runs; for the scaled-down defaults
-this module adds seed-replication confidence intervals so shape assertions
-in the benchmark harness are not fooled by one lucky seed.
+this module adds seed-replication confidence intervals so a shape claim
+read off one seeded run is not fooled by one lucky seed.
 """
 
 from __future__ import annotations

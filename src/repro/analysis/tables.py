@@ -1,8 +1,8 @@
 """Fixed-width text tables for experiment output.
 
-The benchmark harnesses print the same rows/series the paper's figures
-plot; these helpers render them readably in terminals, logs and
-EXPERIMENTS.md.
+``python -m repro.experiments`` prints the same rows/series the paper's
+figures plot (committed as ``results/quick_report.txt``); these helpers
+render them readably in terminals, logs and EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -66,11 +66,57 @@ def test_fig5c_tunable_beats_the_best_shape_by_5pct_on_the_small_machine():
     assert t["tunable"][0] > max(t["shape1"][0], t["shape2"][0]) + 0.05 * ARRIVALS
 
 
+def test_fig5d_benefit_below_the_pivot_and_none_from_it():
+    t = table("fig5d", "fig5d: throughput vs")
+    slack = 0.02 * max(t["tunable"])
+    for alpha, tun, s1, s2 in zip(t["alpha"], t["tunable"], t["shape1"], t["shape2"]):
+        if alpha <= 0.5:
+            assert tun > max(s1, s2)
+        if alpha >= 0.625:
+            assert abs(tun - s1) <= slack
+    assert t["alpha"][-1] == 1
+    assert t["tunable"][-1] == t["shape1"][-1] == t["shape2"][-1]
+
+
+def fig6a_peak_throughput():
+    """The peak throughput of fig6a's interval sweep, read off fig5a.
+
+    Both run the rigid model with the default seed, so every fig6a interval
+    is a fig5a point with the same benefit.
+    """
+    fig5a = table("fig5a", "fig5a: throughput vs")
+    fig6a = table("fig6a", "fig6a (non-malleable): throughput benefit vs interval")
+    at = [fig5a["interval"].index(v) for v in fig6a["interval"]]
+    systems = [fig5a[s] for s in ("tunable", "shape1", "shape2")]
+    for k, i in enumerate(at):
+        for shape in ("shape1", "shape2"):
+            benefit = fig5a["tunable"][i] - fig5a[shape][i]
+            assert fig6a[f"benefit_over_{shape}"][k] == benefit
+    return max(column[i] for column in systems for i in at)
+
+
 @pytest.mark.parametrize("axis", ["interval", "laxity"])
 def test_fig6a_benefit_holds_along_the_axis_and_is_large_inside_it(axis):
+    n = fig6a_peak_throughput()
     t = table("fig6a", f"fig6a (non-malleable): throughput benefit vs {axis}")
-    assert min(t["benefit_over_shape1"] + t["benefit_over_shape2"]) >= -0.02 * ARRIVALS
-    assert max(t["benefit_over_shape1"][1:-1]) > 0.05 * ARRIVALS
+    assert min(t["benefit_over_shape1"] + t["benefit_over_shape2"]) >= -0.02 * n
+    assert max(t["benefit_over_shape1"][1:-1]) > 0.05 * n
+
+
+def test_fig6b_malleable_benefit_is_smaller_but_significant_mid_axis():
+    def panel(tag, axis):
+        return table(f"fig6{tag[0]}", f"fig6{tag}: throughput benefit vs {axis}")
+
+    for axis in ("interval", "laxity"):
+        rigid = panel("a (non-malleable)", axis)["benefit_over_shape1"]
+        assert sum(panel("b (malleable)", axis)["benefit_over_shape1"]) < sum(rigid)
+    # The malleable peak throughput is not in the report; ARRIVALS bounds it,
+    # so 2% of ARRIVALS is the stricter floor.
+    mid_interval = {h: c[2] for h, c in panel("b (malleable)", "interval").items()}
+    assert mid_interval["benefit_over_shape1"] > 0.02 * ARRIVALS
+    assert mid_interval["benefit_over_shape2"] > 0.02 * ARRIVALS
+    mid_laxity = {h: c[3] for h, c in panel("b (malleable)", "laxity").items()}
+    assert mid_laxity["benefit_over_shape2"] > 0.02 * ARRIVALS
 
 
 def test_fig2_coarse_path_moves_work_from_step1_to_step3():
