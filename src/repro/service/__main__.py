@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -20,8 +21,6 @@ from typing import Sequence
 
 from repro.service.chaos import ChaosScenario, _drive, _finish, chaos_workload
 from repro.service.recovery import recover
-
-import random
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -4,9 +4,11 @@
 QoSArbitrator` into a long-running asyncio service with the robustness
 properties a "predictable" resource manager owes its clients:
 
-* **Bounded ingress + backpressure** — requests enter a bounded queue;
-  when it is full, :meth:`submit` *waits* (releasing the event loop)
-  rather than buffering unboundedly, up to the request's deadline.
+* **Bounded ingress + backpressure** — requests enter a bounded queue (a
+  plain deque: one future parks the idle drain loop, a FIFO of waiter
+  futures holds callers blocked on a full queue); when it is full,
+  :meth:`submit` *waits* (releasing the event loop) rather than buffering
+  unboundedly, up to the request's deadline.
 * **Batching** — a batch is what is waiting: the drain loop takes
   everything queued into one :meth:`~repro.core.arbitrator.QoSArbitrator.
   admit_batch` call, one WAL frame pair and one fsync, riding the
@@ -40,9 +42,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import operator
 import random
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -70,8 +74,6 @@ __all__ = [
     "degrade_job",
     "make_arbitrator",
 ]
-
-_SENTINEL = object()
 
 
 class ServiceOutcome(Enum):
@@ -210,15 +212,7 @@ def degrade_job(job: Job, keep: int) -> tuple[Job, bool]:
         key=lambda i: (_chain_cost(job.chains[i]), len(job.chains[i].tasks), i),
     )
     kept = sorted(order[:keep])
-    return (
-        Job(
-            chains=tuple(job.chains[i] for i in kept),
-            release=job.release,
-            job_id=job.job_id,
-            name=job.name,
-        ),
-        True,
-    )
+    return replace(job, chains=tuple(job.chains[i] for i in kept)), True
 
 
 #: What the ingress queue holds: the request's ledger row (built once, in
@@ -280,7 +274,9 @@ class AdmissionService:
         # the counter and across lives by the sequence number it started at
         # (a life that logged nothing left nothing to collide with).
         self._auto_ids = map(f"auto-{self._seq}-{{}}".format, itertools.count())
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=config.queue_limit)
+        self._queue: deque[_Queued] = deque()
+        self._idle: asyncio.Future | None = None  # parks an idle drain loop
+        self._waiters: deque[asyncio.Future] = deque()  # blocked callers, FIFO
         self._task: asyncio.Task | None = None
         self._stopping = False
         self._blocked = 0  # enqueue() calls waiting in backpressure
@@ -359,16 +355,25 @@ class AdmissionService:
         self.wal.abandon()
 
     def _wake_drain(self) -> None:
-        """Make a drain loop parked on an empty queue re-read the lifecycle flags."""
-        if not self._queue.full():
-            self._queue.put_nowait(_SENTINEL)
+        """Make a parked drain loop re-read the queue and lifecycle flags."""
+        idle, self._idle = self._idle, None
+        if idle is not None and not idle.done():
+            idle.set_result(None)
+
+    def _wake_waiters(self, n: int) -> None:
+        """Wake the ``n`` oldest live callers blocked on a full queue."""
+        waiters = self._waiters
+        while n > 0 and waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                n -= 1
 
     def _reject_all_pending(self, reason: str) -> None:
-        queued = []
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is not _SENTINEL:
-                queued.append(item)
+        queued = list(self._queue)
+        self._queue.clear()
+        # Blocked callers land their rows, see the failure and reject them.
+        self._wake_waiters(len(self._waiters))
         self._abandon(queued, reason)
 
     def _abandon(self, batch: Sequence[_Queued], reason: str) -> None:
@@ -408,10 +413,12 @@ class AdmissionService:
         shedding and backpressure, then hands back the future so callers
         can pipeline many requests before awaiting any decision.
 
-        Input contract, checked before anything is queued or logged: ``job``
-        is a :class:`~repro.model.job.Job`, ``request_id`` a ``str`` or
-        ``None`` and ``qos`` an ``int`` (not a ``bool``) ≥ 0.  A violation
-        raises ``TypeError`` or ``ValueError`` to this caller alone.
+        Input contract, checked before anything is counted, queued or
+        logged: ``job`` is a :class:`~repro.model.job.Job` whose ``job_id``
+        fits the WAL's signed 64-bit column, ``request_id`` a ``str`` or
+        ``None`` and ``qos`` an ``int`` (not a ``bool``) in ``[0, 2**63)``.
+        A violation raises ``TypeError`` or ``ValueError`` to this caller
+        alone (past this gate it would fail-stop the service).
         """
         if not isinstance(job, Job):
             raise TypeError(f"job must be a Job, not {type(job).__name__}")
@@ -421,8 +428,10 @@ class AdmissionService:
             )
         if isinstance(qos, bool) or not isinstance(qos, int):
             raise TypeError(f"qos must be an int, not {type(qos).__name__}")
-        if qos < 0:
-            raise ValueError(f"qos must be >= 0, got {qos}")
+        if not 0 <= qos < 2**63:
+            raise ValueError(f"qos must be in [0, 2**63), got {qos}")
+        if not -(2**63) <= operator.index(job.job_id) < 2**63:
+            raise ValueError(f"job.job_id must fit in 64 signed bits, got {job.job_id}")
         if self._failed is not None or self._stopping:
             raise ServiceUnavailableError(self._failed or "service is shutting down")
         loop = asyncio.get_running_loop()
@@ -442,8 +451,8 @@ class AdmissionService:
         deadline = None if timeout is None else self.clock() + timeout
 
         # QoS-class-aware shedding: cheap, pre-queue, never logged.
-        queue = self._queue
-        occupancy = queue.qsize() / self.config.queue_limit
+        queue, limit = self._queue, self.config.queue_limit
+        occupancy = len(queue) / limit
         thresholds = self.config.shed_thresholds
         threshold = thresholds[min(qos, len(thresholds) - 1)]
         if occupancy >= threshold:
@@ -459,19 +468,28 @@ class AdmissionService:
         future: asyncio.Future = loop.create_future()
         item = (LedgerEntry(0, rid, qos, False, job), future, deadline)
         self._seen[rid] = future
-        if not queue.full():
-            # Fast path: room in the queue — skip the put() coroutine
-            # machinery entirely.
-            queue.put_nowait(item)
+        if len(queue) < limit:
+            queue.append(item)
+            if self._idle is not None:
+                self._wake_drain()
             return future
         self._blocked += 1
         try:
-            if deadline is None:
-                await queue.put(item)
-            else:
-                await asyncio.wait_for(
-                    queue.put(item), max(0.0, deadline - self.clock())
-                )
+            while len(queue) >= limit:
+                waiter = loop.create_future()
+                self._waiters.append(waiter)
+                try:
+                    await asyncio.wait_for(
+                        waiter, None if deadline is None else max(0.0, deadline - self.clock())
+                    )
+                except BaseException:
+                    # Cancelled, the waiter is skipped by the next wake-up;
+                    # woken, it passes its wake-up on.
+                    if not waiter.cancel() and not waiter.cancelled():
+                        self._wake_waiters(1)
+                    raise
+            queue.append(item)
+            self._wake_drain()
         except asyncio.TimeoutError:
             self._seen.pop(rid, None)
             counters["timed_out_backpressure"] += 1
@@ -495,7 +513,7 @@ class AdmissionService:
         out = dict(self.counters)
         out["wal_appends"] = self.wal.appends
         out["wal_syncs"] = self.wal.syncs
-        out["queue_depth"] = self._queue.qsize()
+        out["queue_depth"] = len(self._queue)
         out["ledger_entries"] = len(self.entries)
         out["failed"] = int(self._failed is not None)
         return out
@@ -506,23 +524,23 @@ class AdmissionService:
 
     async def _run(self) -> None:
         queue, cap = self._queue, self.config.max_batch
+        loop = asyncio.get_running_loop()
         while True:
-            if self._stopping and queue.empty() and not self._blocked:
-                return
-            item = await queue.get()
-            if item is _SENTINEL:
+            if not queue:
+                if self._stopping and not self._blocked:
+                    return
+                self._idle = loop.create_future()
+                await self._idle
                 continue
-            # A batch is what is waiting.  get_nowait() never yields, so a
+            # A batch is what is waiting.  Taking it never yields, so a
             # smaller cap would not ack anyone sooner: capped batches run
             # back to back, each paying its own frames and fsync.
-            batch = [item]
-            while len(batch) < cap:
-                try:
-                    item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is not _SENTINEL:
-                    batch.append(item)
+            if len(queue) <= cap:
+                batch = list(queue)
+                queue.clear()
+            else:
+                batch = [queue.popleft() for _ in range(cap)]
+            self._wake_waiters(len(batch))
             try:
                 await self._process(batch)
             except asyncio.CancelledError:
@@ -536,7 +554,7 @@ class AdmissionService:
                 self._fail(f"service failed: {exc}")
                 self._abandon(batch, str(exc))
                 return
-            del batch, item  # an idle drain loop pins no futures
+            del batch  # an idle drain loop pins no futures
 
     async def _process(self, batch: list[_Queued]) -> None:
         now = self.clock()
@@ -565,7 +583,7 @@ class AdmissionService:
 
         # Degraded-quality admission under backlog: narrow OR-paths
         # *before* logging, so the WAL holds the effective jobs.
-        occupancy = (len(rows) + self._queue.qsize()) / config.queue_limit
+        occupancy = (len(rows) + len(self._queue)) / config.queue_limit
         if occupancy >= config.degrade_occupancy:
             for row in rows:
                 row.job, row.degraded = degrade_job(row.job, config.degrade_keep)
@@ -580,9 +598,11 @@ class AdmissionService:
         decisions = await self._decide_with_retry([row.job for row in rows])
 
         # Append-before-ack, step 2: the decisions; the one fsync hardens
-        # both records of the batch.
-        tuples = [decision_to_tuple(d) for d in decisions]
-        self.wal.append_decisions(range(rows[0].seq, seq + 1), tuples)
+        # both records of the batch.  The pass that encodes them also
+        # builds the ledger's tuples.
+        tuples = self.wal.append_decisions(
+            range(rows[0].seq, seq + 1), map(decision_to_tuple, decisions)
+        )
 
         # Ack, one pass.  Counters are tallied locally and folded in once
         # after the loop — this runs for every decision the service ever

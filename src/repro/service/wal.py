@@ -26,28 +26,28 @@ and so does a checksum-valid record of the wrong shape.
 Record kinds:
 
 ``jobs``
-    ``{"k":"jobs","v":3,"seq":[...],"rid":[...],"cls":[...],"deg":[...],
-    "id":[...],"rel":[...],"name":[...],"chains":[...],"ref":[[i,...],...]}``
-    — one ingress batch of *effective* jobs (post-degrade, i.e. exactly
-    what the arbitrator will be offered) as columns: ledger sequence
-    number, client request id, QoS class, degraded flag (0|1), job id,
-    release and name.  ``chains`` holds each distinct chain object of the
+    ``{"k":"jobs","v":4,"rid":[...],"name":[...],"chains":[...],"ref":[[i,...],...],
+    "seq":C,"cls":C,"deg":C,"id":C,"rel":C,"nix":C,"pix":C}`` — one ingress
+    batch of *effective* jobs (post-degrade: exactly what the arbitrator
+    will be offered), appended before it is decided.  Each ``C`` is one
+    *packed* column — one little-endian array, base64'd into a JSON string
+    (int64; ``rel`` float64; ``deg`` one byte) — of, per job: sequence
+    number, QoS class, degraded flag, job id, release, and its index into
+    the ``name`` and ``ref`` tables.  JSON stays for the request ids, the
+    distinct names, the chain table (each distinct chain object of the
     batch once, in the archival :func:`repro.sim.persistence.chain_to_dict`
-    form, and ``ref[i]`` lists job ``i``'s OR-paths as indexes into it.
-    The table belongs to its frame, so every frame decodes on its own;
-    the reader builds each entry once, so jobs from one frame share chain
-    objects.  The whole batch is a single framed record — one
-    ``json.dumps``, one CRC, one ``os.write`` — appended before the
-    decision is made.
+    form) and the path table (each distinct ``job.chains`` as indexes into
+    ``chains``).  Tables are interned by identity and belong to their
+    frame, so every frame decodes on its own and its jobs share chains.
 ``dec``
-    ``{"k":"dec","seqs":[...],"dec":[...]}`` — the decision batch for
-    previously logged jobs.  Each decision is the canonical tuple
-    ``[admitted, chain_index, [[start, width, duration], ...]]`` (floats
-    round-trip exactly through JSON: Python prints shortest round-trip
-    reprs).  Appended and fsync'd before any future in the batch is
-    resolved; that one fsync also hardens the batch's ``jobs`` record,
-    which is written earlier but only needs to be durable before the
-    first ack.
+    ``{"k":"dec","seq":C,"chain":C,"tasks":C,"start":C,"width":C,"dur":C}``
+    — the decision batch for logged jobs, packed the same way: per
+    decision its sequence number and chosen chain (−1 = rejected), per
+    admitted one its task count, per placed task its ``(start, width,
+    duration)`` cell, read back as the canonical tuple (doubles
+    round-trip bit-exactly).  Appended and fsync'd before any future in
+    the batch is resolved; that fsync also hardens the batch's ``jobs``
+    record, which only needs to be durable before the first ack.
 ``base``
     ``{"k":"base","through_seq":N}`` — first record of a log emptied by
     :meth:`WriteAheadLog.truncate`: the checkpoint watermark it was
@@ -75,8 +75,9 @@ watermark is durable, so it still holds those entries, and recovery
 skips WAL records with ``seq <= through_seq``, so a crash *between*
 watermark and truncation replays idempotently.  Damage before the last
 watermark raises :class:`~repro.errors.WalCorruptionError`; so do a
-version-1 ``checkpoint.json`` and a version-2 ``jobs`` record (one without
-``"v"``), in either log (no dual reader).
+version-1 ``checkpoint.json`` and, naming their version, ``jobs`` records
+of version 2 (no ``"v"``) or 3 (JSON number lists) in either log (no dual
+reader).
 """
 
 from __future__ import annotations
@@ -84,10 +85,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import zlib
+from base64 import b64decode
+from binascii import b2a_base64
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.admission import AdmissionDecision
 from repro.errors import ModelError, WalCorruptionError
@@ -107,13 +111,16 @@ __all__ = [
 ]
 
 #: Stamped into every ``jobs`` record and checkpoint watermark.  1 was the
-#: whole-ledger snapshot, 2 the per-job positional ``jobs`` encoding.
-WAL_VERSION = 3
+#: whole-ledger snapshot, 2 the per-job positional ``jobs`` encoding, 3 the
+#: columns as JSON number lists.
+WAL_VERSION = 4
 
 #: ``(admitted, chain_index | None, ((start, width, duration), ...))`` —
 #: the canonical bit-exact decision fingerprint, the same shape the
 #: differential fuzzer digests (:mod:`repro.verify.fuzz`).
 DecisionTuple = tuple[bool, int | None, tuple[tuple[float, int, float], ...]]
+
+_REJECTED: DecisionTuple = (False, None, ())
 
 
 def decision_to_tuple(decision: AdmissionDecision) -> DecisionTuple:
@@ -123,21 +130,9 @@ def decision_to_tuple(decision: AdmissionDecision) -> DecisionTuple:
         return (
             True,
             cp.chain_index,
-            tuple((pl.start, pl.processors, pl.duration) for pl in cp.placements),
+            tuple([(pl.start, pl.processors, pl.duration) for pl in cp.placements]),
         )
-    return (False, None, ())
-
-
-def _tuple_from_wire(data: Sequence[object]) -> DecisionTuple:
-    admitted, chain, placements = data
-    return (
-        bool(admitted),
-        None if chain is None else int(chain),
-        tuple(
-            (float(s), int(p), float(d))
-            for s, p, d in placements  # type: ignore[union-attr]
-        ),
-    )
+    return _REJECTED
 
 
 @dataclass(slots=True)
@@ -175,38 +170,75 @@ def _encode(record: Mapping[str, object]) -> bytes:
     return _frame(_dumps(record).encode("utf-8"))
 
 
-def _jobs_frame(entries: Sequence[LedgerEntry]) -> bytes:
-    """One framed ``jobs`` record: one column per field plus a chain table.
+def _packed_frame(head: bytes, packed: Sequence[tuple[bytes, bytes]]) -> bytes:
+    """Frame a JSON object: ``head`` (without its closing brace), then each
+    ``(key, base64)`` of ``packed`` as a string member, spliced in as bytes
+    (base64 needs no escaping; the JSON encoder would copy every byte)."""
+    return _frame(head + b"".join([b',"%s":"%s"' % kv for kv in packed]) + b"}")
 
-    Chains are interned by identity for this call only (``entries`` keeps
-    every id alive until it returns): jobs stamped from one template
-    encode their shared chains once, equal-but-distinct chains stay
-    distinct, and no state outlives the frame.
+
+def _pack(typecode: str, values: Sequence) -> bytes:
+    """One packed column (an int out of range raises ``struct.error``)."""
+    return b2a_base64(struct.pack(f"<{len(values)}{typecode}", *values), newline=False)
+
+
+def _unpack(typecode: str, text: object) -> tuple:
+    """One packed column's values; malformed text raises ``ValueError``,
+    ``TypeError`` or ``struct.error``."""
+    data = b64decode(text, validate=True)  # type: ignore[arg-type]
+    return struct.unpack(f"<{len(data) // struct.calcsize(typecode)}{typecode}", data)
+
+
+#: The packed columns of a ``jobs`` record, in the order its reader zips them.
+_JOB_COLUMNS = (("seq", "q"), ("cls", "q"), ("deg", "B"), ("id", "q"),
+                ("rel", "d"), ("nix", "q"), ("pix", "q"))
+
+
+def _jobs_frame(entries: Sequence[LedgerEntry]) -> bytes:
+    """One framed ``jobs`` record: packed per-job columns plus the tables.
+
+    Chains and ``job.chains`` tuples are interned by identity for this call
+    only (``entries`` keeps every id alive until it returns): shared chains
+    encode once, equal-but-distinct ones stay distinct, distinct tuples of
+    the same chains are one path, and no state outlives the frame.
     """
     jobs = [e.job for e in entries]
-    table = {id(c): c for job in jobs for c in job.chains}
-    index = {key: i for i, key in enumerate(table)}
-    return _encode({
+    table: dict[int, tuple[int, TaskChain]] = {}  # id -> (index, chain)
+    paths: dict[tuple[int, ...], int] = {}  # chain indexes -> path index
+    path_at: dict[int, int] = {}  # id(job.chains) -> path index
+    path_ix = []
+    for job in jobs:
+        chains = job.chains
+        path = path_at.get(id(chains))
+        if path is None:
+            ref = tuple([table.setdefault(id(c), (len(table), c))[0] for c in chains])
+            path = path_at[id(chains)] = paths.setdefault(ref, len(paths))
+        path_ix.append(path)
+    names: dict[str, int] = {}
+    name_ix = [names.setdefault(job.name, len(names)) for job in jobs]
+    head = _dumps({
         "k": "jobs",
         "v": WAL_VERSION,
-        "seq": [e.seq for e in entries],
         "rid": [e.request_id for e in entries],
-        "cls": [e.qos for e in entries],
-        "deg": [int(e.degraded) for e in entries],
-        "id": [job.job_id for job in jobs],
-        "rel": [job.release for job in jobs],
-        "name": [job.name for job in jobs],
-        "chains": [chain_to_dict(c) for c in table.values()],
-        "ref": [[index[id(c)] for c in job.chains] for job in jobs],
+        "name": list(names),
+        "chains": [chain_to_dict(c) for _, c in table.values()],
+        "ref": list(paths),
     })
+    return _packed_frame(head.encode("utf-8")[:-1], (
+        (b"seq", _pack("q", [e.seq for e in entries])),
+        (b"cls", _pack("q", [e.qos for e in entries])),
+        (b"deg", _pack("B", [e.degraded for e in entries])),
+        (b"id", _pack("q", [job.job_id for job in jobs])),
+        (b"rel", _pack("d", [job.release for job in jobs])),
+        (b"nix", _pack("q", name_ix)),
+        (b"pix", _pack("q", path_ix)),
+    ))
 
 
 def _jobs_from_frame(record: Mapping[str, object]) -> list[LedgerEntry]:
-    """The ledger entries of one ``jobs`` record.
-
-    Each chain-table entry is built once, and jobs with equal ``ref``
-    lists share one chains tuple.  A frame of another version raises.
-    """
+    """The ledger entries of one ``jobs`` record (each table entry built
+    once, so jobs of one path share one chains tuple); another version
+    raises."""
     version = record.get("v", 2)  # version 2 frames carried no "v"
     if version != WAL_VERSION:
         raise WalCorruptionError(
@@ -214,30 +246,67 @@ def _jobs_from_frame(record: Mapping[str, object]) -> list[LedgerEntry]:
             f"version {WAL_VERSION} — recover the directory with the release "
             "that wrote it"
         )
-    keys = ("seq", "rid", "cls", "deg", "id", "rel", "name", "ref")
-    columns: list = [record[k] for k in keys]
-    if len({len(c) for c in columns}) > 1:
+    rids, names = record["rid"], record["name"]
+    columns = [_unpack(code, record[key]) for key, code in _JOB_COLUMNS]
+    if len({len(c) for c in columns} | {len(rids)}) > 1:  # type: ignore[arg-type]
         raise WalCorruptionError("jobs record columns differ in length")
     table = [chain_from_dict(c) for c in record["chains"]]  # type: ignore[union-attr]
-    shared: dict[tuple[int, ...], tuple[TaskChain, ...]] = {}
-    entries = []
-    for seq, rid, cls, deg, job_id, release, name, ref in zip(*columns):
-        ref = tuple(ref)
-        chains = shared.get(ref)
-        if chains is None:
-            if min(ref, default=0) < 0:
-                raise IndexError(f"chain reference {min(ref)}")
-            chains = shared[ref] = tuple(table[i] for i in ref)
-        job = Job(chains, float(release), int(job_id), str(name))
-        entries.append(LedgerEntry(int(seq), str(rid), int(cls), bool(deg), job))
-    return entries
+    indexes = [*record["ref"], *columns[-2:]]  # type: ignore[misc]
+    if any(min(ix, default=0) < 0 for ix in indexes):
+        raise IndexError("negative chain, name or path index")
+    paths = [tuple(table[i] for i in ref) for ref in record["ref"]]  # type: ignore[union-attr]
+    return [
+        LedgerEntry(seq, str(rid), cls, bool(deg),
+                    Job(paths[p], release, job_id, str(names[n])))  # type: ignore[index]
+        for rid, seq, cls, deg, job_id, release, n, p in zip(rids, *columns)  # type: ignore[call-overload]
+    ]
 
 
 def _decisions_frame(
-    seqs: Sequence[int], decisions: Sequence[DecisionTuple]
-) -> bytes:
-    """One framed ``dec`` record (decision tuples encode as JSON arrays)."""
-    return _encode({"k": "dec", "seqs": list(seqs), "dec": list(decisions)})
+    seqs: Sequence[int], decisions: Iterable[DecisionTuple]
+) -> tuple[bytes, list[DecisionTuple]]:
+    """One framed ``dec`` record, and ``decisions`` as a list: one pass
+    builds both, so a lazy ``map(decision_to_tuple, ...)`` is walked once."""
+    tuples: list[DecisionTuple] = []
+    chosen: list[int] = []
+    counts: list[int] = []
+    cells: list[tuple[float, int, float]] = []
+    for tup in decisions:
+        tuples.append(tup)
+        chain = tup[1]
+        if chain is None:
+            chosen.append(-1)
+        else:
+            chosen.append(chain)
+            counts.append(len(tup[2]))
+            cells += tup[2]
+    starts, widths, durations = zip(*cells) if cells else ((), (), ())
+    return _packed_frame(b'{"k":"dec"', (
+        (b"seq", _pack("q", seqs)), (b"chain", _pack("q", chosen)),
+        (b"tasks", _pack("q", counts)), (b"start", _pack("d", starts)),
+        (b"width", _pack("q", widths)), (b"dur", _pack("d", durations)),
+    )), tuples
+
+
+def _decisions_from_frame(
+    record: Mapping[str, object],
+) -> Iterator[tuple[int, DecisionTuple]]:
+    """``(seq, decision)`` for each decision of one ``dec`` record."""
+    seqs, chosen, counts = (_unpack("q", record[k]) for k in ("seq", "chain", "tasks"))
+    cells = list(zip(*(_unpack(code, record[k]) for k, code in
+                       (("start", "d"), ("width", "q"), ("dur", "d"))), strict=True))
+    if (len(seqs) != len(chosen) or min(chosen, default=0) < -1
+            or len(counts) != len(chosen) - chosen.count(-1)
+            or min(counts, default=0) < 0 or sum(counts) != len(cells)):
+        raise WalCorruptionError("dec record's seqs, chains, task counts and cells disagree")
+    counted, at = iter(counts), 0
+    for seq, chain in zip(seqs, chosen):
+        if chain < 0:
+            yield seq, _REJECTED
+        else:
+            n = next(counted)
+            yield seq, (True, chain, tuple(cells[at : at + n]))
+            at += n
 
 
 class WriteAheadLog:
@@ -295,13 +364,11 @@ class WriteAheadLog:
     ) -> None:
         """Log a batch of effective jobs (one write; fsync unless deferred).
 
-        The whole batch is one framed record — one ``json.dumps``, one
-        CRC, one ``os.write`` — which keeps the per-job WAL cost small
-        relative to the decision it protects.  A torn append therefore
-        loses the entire batch, which is exactly the right unit: none of
-        its requests were acked yet.  ``sync=False`` defers durability to
-        the batch's :meth:`append_decisions` fsync (nothing is acked in
-        between, so append-before-ack still holds).
+        The whole batch is one framed record — one CRC, one ``os.write`` —
+        so a torn append loses the entire batch, which is exactly the right
+        unit: none of its requests were acked yet.  ``sync=False`` defers
+        durability to the batch's :meth:`append_decisions` fsync (nothing
+        is acked in between, so append-before-ack still holds).
         """
         self._append(_jobs_frame(entries))
         if entries:
@@ -310,11 +377,14 @@ class WriteAheadLog:
             self.sync()
 
     def append_decisions(
-        self, seqs: Sequence[int], decisions: Sequence[DecisionTuple]
-    ) -> None:
-        """Durably log one decision batch for previously logged jobs."""
-        self._append(_decisions_frame(seqs, decisions))
+        self, seqs: Sequence[int], decisions: Iterable[DecisionTuple]
+    ) -> list[DecisionTuple]:
+        """Durably log one decision batch for previously logged jobs;
+        returns ``decisions`` as the list the encoding pass collected."""
+        frame, tuples = _decisions_frame(seqs, decisions)
+        self._append(frame)
         self.sync()
+        return tuples
 
     def truncate(self) -> None:
         """Empty the log (post-checkpoint); durable immediately.
@@ -437,14 +507,7 @@ def records_to_entries(
                     if entry.seq > min_seq and entry.seq not in by_seq:
                         by_seq[entry.seq] = entry
             elif kind == "dec":
-                seqs, decisions = record["seqs"], record["dec"]
-                if len(seqs) != len(decisions):  # type: ignore[arg-type]
-                    raise WalCorruptionError(
-                        f"decision record holds {len(seqs)} seqs but "  # type: ignore[arg-type]
-                        f"{len(decisions)} decisions"  # type: ignore[arg-type]
-                    )
-                for seq, wire in zip(seqs, decisions):  # type: ignore[call-overload]
-                    seq = int(seq)
+                for seq, tup in _decisions_from_frame(record):
                     if seq <= min_seq:
                         continue
                     entry = by_seq.get(seq)
@@ -452,7 +515,6 @@ def records_to_entries(
                         raise WalCorruptionError(
                             f"decision record references unknown seq {seq}"
                         )
-                    tup = _tuple_from_wire(wire)
                     if entry.decision is None:
                         entry.decision = tup
                     elif entry.decision != tup:
@@ -468,7 +530,7 @@ def records_to_entries(
                     )
             else:
                 raise WalCorruptionError(f"unknown WAL record kind {kind!r}")
-    except (KeyError, TypeError, ValueError, IndexError, ModelError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, struct.error, ModelError) as exc:
         raise WalCorruptionError(f"malformed WAL record: {exc!r}") from exc
     return [by_seq[seq] for seq in sorted(by_seq)]
 
@@ -519,8 +581,8 @@ def read_checkpoint(
     ignored (the WAL still holds it).  Damage before the last watermark
     raises :class:`~repro.errors.WalCorruptionError` — a damaged
     checkpoint silently ignored would silently drop acked decisions — and
-    so do a version-1 snapshot and version-2 segments, which this build
-    cannot read.
+    so do a version-1 snapshot and version-2 or -3 segments, which this
+    build cannot read.
     """
     directory = Path(directory)
     if (directory / "checkpoint.json").exists():
@@ -579,8 +641,8 @@ def write_checkpoint(
                     f"refusing to checkpoint undecided entry seq {e.seq}"
                 )
         segment = _jobs_frame(delta) + _decisions_frame(
-            [e.seq for e in delta], [e.decision for e in delta]
-        )
+            [e.seq for e in delta], [e.decision for e in delta]  # type: ignore[misc]
+        )[0]
         mark = {
             "k": "mark",
             "v": WAL_VERSION,

@@ -380,15 +380,21 @@ def test_a_sub_time_eps_duration_cannot_become_a_poison_request(tmp_path):
         (TypeError, {"qos": True}),
         (TypeError, {"qos": 1.0}),
         (ValueError, {"qos": -1}),
+        (ValueError, {"qos": 2**63}),
         (TypeError, {"job": "not a job"}),
+        (ValueError, {"job_id": 2**63}),
+        (ValueError, {"job_id": -(2**63) - 1}),
     ],
-    ids=["int-id", "bytes-id", "bool-qos", "float-qos", "negative-qos", "not-a-job"],
+    ids=["int-id", "bytes-id", "bool-qos", "float-qos", "negative-qos", "huge-qos",
+         "not-a-job", "huge-job-id", "huge-negative-job-id"],
 )
 def test_a_malformed_request_is_refused_to_its_caller_alone(tmp_path, error, kw):
     """``enqueue`` checks its arguments before anything is queued, counted
     or logged.  An integer request id used to reach the WAL encoder and
     fail-stop the service, failing the innocent request queued beside it
-    and every later client; ``qos=-1`` was admitted as class -1."""
+    and every later client; ``qos=-1`` was admitted as class -1.  A job id
+    or class outside signed 64 bits does not fit the WAL's packed columns
+    and would fail-stop it the same way."""
     capacity, jobs = _workload(n=3)
     config = _config(capacity)
 
@@ -397,6 +403,8 @@ def test_a_malformed_request_is_refused_to_its_caller_alone(tmp_path, error, kw)
         innocent = await service.enqueue(jobs[0], request_id="innocent")
         args = {"job": jobs[1], "request_id": "bad", **kw}
         job = args.pop("job")
+        if "job_id" in args:
+            job = replace(job, job_id=args.pop("job_id"))
         with pytest.raises(error):
             await service.enqueue(job, **args)
         with pytest.raises(error):  # submit() is the same gate
@@ -629,7 +637,7 @@ def test_stop_under_backpressure_decides_every_accepted_request(tmp_path):
     assert [a.request_id for a in answers] == [f"req-{i}" for i in range(len(jobs))]
     assert all(a.decision is not None for a in answers)
     assert len(service.entries) == len(jobs)
-    assert service.wal._fd < 0 and service._queue.empty()
+    assert service.wal._fd < 0 and service.stats()["queue_depth"] == 0
     direct = make_arbitrator(config)
     for job, answer in zip(jobs, answers):
         assert decision_to_tuple(answer.decision) == decision_to_tuple(direct.submit(job))
@@ -655,7 +663,7 @@ def test_caller_blocked_in_backpressure_survives_a_kill(tmp_path):
         return service
 
     service = asyncio.run(run())
-    assert not service._seen and service._queue.empty()
+    assert not service._seen and service.stats()["queue_depth"] == 0
 
 
 def test_auto_request_ids_do_not_collide_across_lives(tmp_path, monkeypatch):
@@ -708,3 +716,42 @@ def test_caller_cancelled_in_backpressure_leaves_no_orphan_future(tmp_path):
     service, retry = asyncio.run(run())
     assert retry.decision is not None and service.counters["duplicates"] == 0
     assert [e.request_id for e in service.entries] == ["a", "b"]
+
+
+def test_backpressure_waiters_land_in_order_and_pass_on_a_wake_up(tmp_path):
+    """Blocked callers land oldest first; one that times out is skipped, and
+    one cancelled after its wake-up hands that wake-up to the next caller,
+    which would otherwise wait on an idle service."""
+    capacity, jobs = _workload(seed=19, n=5)
+    config = _config(capacity, queue_limit=1, degrade_occupancy=9.0)
+    callers: dict[str, asyncio.Future] = {}
+
+    def decide(arbitrator, batch):
+        if not callers["a"].done():
+            callers["a"].cancel()  # woken by this batch, not yet running
+        return arbitrator.admit_batch(list(batch))
+
+    async def run():
+        service = AdmissionService(config, tmp_path, decide=decide)  # not started
+        first = await service.enqueue(jobs[0], request_id="x")
+        for rid, job, timeout in (("a", jobs[1], None), ("late", jobs[2], 0.01),
+                                  ("b", jobs[3], None), ("c", jobs[4], None)):
+            callers[rid] = asyncio.ensure_future(
+                service.enqueue(job, request_id=rid, timeout=timeout)
+            )
+        await asyncio.sleep(0.05)  # "late" gives up in backpressure
+        late = callers["late"].result().result()
+        service.start()
+        await asyncio.wait_for(first, 5)
+        answers = [
+            await asyncio.wait_for(await asyncio.wait_for(callers[rid], 5), 5)
+            for rid in ("b", "c")
+        ]
+        await service.stop()
+        return service, late, answers
+
+    service, late, answers = asyncio.run(run())
+    assert late.outcome is ServiceOutcome.TIMED_OUT
+    assert service.counters["timed_out_backpressure"] == 1
+    assert callers["a"].cancelled() and all(a.decision is not None for a in answers)
+    assert [e.request_id for e in service.entries] == ["x", "b", "c"]

@@ -1,5 +1,5 @@
-"""WAL framing, the columnar ``jobs`` record, torn-tail semantics,
-checkpoints, and the fail-point."""
+"""WAL framing, the packed ``jobs`` and ``dec`` records, torn-tail
+semantics, checkpoints, and the fail-point."""
 
 from __future__ import annotations
 
@@ -21,12 +21,14 @@ from repro.errors import WalCorruptionError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
+from repro.service import wal
 from repro.service.recovery import recover
 from repro.service.service import ServiceConfig, degrade_job
 from repro.service.wal import (
     WAL_VERSION,
     LedgerEntry,
     WriteAheadLog,
+    _decisions_frame,
     _encode,
     _jobs_frame,
     read_checkpoint,
@@ -34,7 +36,7 @@ from repro.service.wal import (
     records_to_entries,
     write_checkpoint,
 )
-from repro.sim.persistence import job_to_dict
+from repro.sim.persistence import chain_to_dict, job_to_dict
 from repro.verify.fuzz import random_case
 from repro.workloads.synthetic import SyntheticParams
 
@@ -53,6 +55,17 @@ def jobs_record(entries):
     """The ``jobs`` record :meth:`WriteAheadLog.append_jobs` logs for
     ``entries``, as the reader parses it."""
     return json.loads(_jobs_frame(entries)[9:])
+
+
+def _pack(typecode, values):
+    """One packed column as the reader finds it in a parsed record."""
+    return wal._pack(typecode, values).decode("ascii")
+
+
+def dec_record(seqs, decisions):
+    """The ``dec`` record :meth:`WriteAheadLog.append_decisions` logs, as
+    the reader parses it."""
+    return json.loads(_decisions_frame(seqs, decisions)[0][9:])
 
 
 DEC = (True, 0, ((0.0, 2, 3.0), (3.0, 1, 1.5)))
@@ -157,9 +170,13 @@ def _awkward_chain(draw):
     return TaskChain(tasks, label=draw(_TEXT), params=params)
 
 
+_INT64 = st.sampled_from([-(2**63), -1, 0, 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
+
+
 @st.composite
 def _ledgers(draw):
-    """Decided ledgers built from fuzzer jobs plus every way chains get shared."""
+    """Decided ledgers built from fuzzer jobs plus every way chains get shared,
+    with job ids and classes anywhere in the packed columns' 64-bit range."""
     base = random_case(random.Random(draw(st.integers(0, 2**16))), max_jobs=6).jobs
     jobs: list[Job] = []
     for i in range(draw(st.integers(1, 10))):
@@ -184,9 +201,13 @@ def _ledgers(draw):
                 release=draw(st.sampled_from([0.0, -0.0, 0.1, 1e9])),
                 name=draw(_TEXT),
             )
+        if draw(st.booleans()):
+            job = Job(chains=job.chains, release=job.release, job_id=draw(_INT64),
+                      name=job.name)
         jobs.append(job)
+    qos = st.integers(0, 5) | st.sampled_from([2**63 - 1])
     return [
-        LedgerEntry(i + 1, draw(_TEXT), draw(st.integers(0, 5)), draw(st.booleans()),
+        LedgerEntry(i + 1, draw(_TEXT), draw(qos), draw(st.booleans()),
                     job, draw(st.sampled_from([DEC, REJ])))
         for i, job in enumerate(jobs)
     ]
@@ -295,21 +316,31 @@ def test_damage_before_valid_records_is_corruption(tmp_path):
 def _malformed():
     good = jobs_record(_entries(2))
     without_rel = {k: v for k, v in good.items() if k != "rel"}
-
-    def dec(seqs, decisions):
-        return {"k": "dec", "seqs": seqs, "dec": decisions}
+    admitted, rejected = dec_record([1, 2], [DEC, DEC]), dec_record([1], [REJ])
 
     return {
-        "dec-without-decisions": [good, {"k": "dec", "seqs": [1]}],
-        "two-field-decision": [good, dec([1], [[True, 0]])],
-        "more-seqs-than-decisions": [good, dec([1, 2], [[False, None, []]])],
-        "more-decisions-than-seqs": [good, dec([1], [[False, None, []]] * 2)],
+        "dec-without-decisions": [good, {"k": "dec", "seq": _pack("q", [1])}],
+        # A cell short of its width.
+        "two-field-decision": [good, {**admitted, "width": _pack("q", [2, 1, 2])}],
+        "more-seqs-than-decisions": [good, {**rejected, "seq": _pack("q", [1, 2])}],
+        "more-decisions-than-seqs": [good, {**rejected, "chain": _pack("q", [-1, -1])}],
+        "count-without-a-chain": [good, {**rejected, "tasks": _pack("q", [0])}],
+        "counts-beyond-the-cells": [good, {**admitted, "tasks": _pack("q", [2, 3])}],
+        "negative-task-count": [good, {**admitted, "tasks": _pack("q", [-1, 5])}],
+        "chain-below-rejected": [good, {**rejected, "chain": _pack("q", [-2])}],
+        "column-not-base64": [good, {**rejected, "seq": "AQ*AAAAAAAA="}],
+        "column-not-whole-cells": [good, {**rejected, "seq": _pack("B", [1] * 7)}],
+        "column-is-a-list": [good, {**rejected, "seq": [1]}],
         "jobs-list-of-dicts": [{"k": "jobs", "jobs": [{"seq": 1}]}],
         "jobs-is-a-number": [{"k": "jobs", "jobs": 7}],
         "missing-column": [without_rel],
         "short-column": [{**good, "rid": good["rid"][:1]}],
+        "short-packed-column": [{**good, "id": _pack("q", [1])}],
         "chain-index-out-of-range": [{**good, "ref": [[99], [0]]}],
         "negative-chain-index": [{**good, "ref": [[-1], [0]]}],
+        "path-index-out-of-range": [{**good, "pix": _pack("q", [0, 9])}],
+        "negative-path-index": [{**good, "pix": _pack("q", [0, -1])}],
+        "negative-name-index": [{**good, "nix": _pack("q", [-1, 0])}],
         "job-without-chains": [{**good, "ref": [[], [0]]}],
         "chain-without-tasks": [{**good, "chains": [{"label": "c"}]}],
         "chains-is-a-number": [{**good, "chains": 7}],
@@ -357,39 +388,64 @@ def _version_2_jobs_record(entries):
     ]}
 
 
-def test_version_2_logs_and_checkpoints_are_refused(tmp_path):
-    entries = _entries(2)
-    segment = _encode(_version_2_jobs_record(entries)) + _encode(
-        {"k": "dec", "seqs": [1, 2], "dec": [DEC, REJ]}
-    )
-    (tmp_path / "wal.log").write_bytes(segment)
-    with pytest.raises(WalCorruptionError, match="version 2"):
-        recover(tmp_path, ServiceConfig(capacity=8))
+def _version_3_jobs_record(entries):
+    """A ``jobs`` record as version 3 wrote it: every column a JSON list."""
+    jobs = [e.job for e in entries]
+    table = {id(c): c for job in jobs for c in job.chains}
+    index = {key: i for i, key in enumerate(table)}
+    return {
+        "k": "jobs", "v": 3, "seq": [e.seq for e in entries],
+        "rid": [e.request_id for e in entries], "cls": [e.qos for e in entries],
+        "deg": [int(e.degraded) for e in entries], "id": [j.job_id for j in jobs],
+        "rel": [j.release for j in jobs], "name": [j.name for j in jobs],
+        "chains": [chain_to_dict(c) for c in table.values()],
+        "ref": [[index[id(c)] for c in j.chains] for j in jobs],
+    }
 
-    old = tmp_path / "checkpointed"
+
+def _assert_refused_by_version(directory, jobs_record, version):
+    """A log and a checkpoint holding an old ``jobs`` record are refused,
+    naming its version, and a checkpoint write on top of one changes nothing."""
+    entries = _entries(2)
+    segment = _encode(jobs_record(entries)) + _encode(
+        {"k": "dec", "seqs": [1, 2], "dec": [DEC, REJ]}  # as versions 2 and 3 wrote it
+    )
+    (directory / "wal.log").write_bytes(segment)
+    with pytest.raises(WalCorruptionError, match=f"version {version}"):
+        recover(directory, ServiceConfig(capacity=8))
+
+    old = directory / "checkpointed"
     old.mkdir()
-    mark = {"k": "mark", "v": 2, "through_seq": 2, "count": 2,
+    mark = {"k": "mark", "v": version, "through_seq": 2, "count": 2,
             "sha256": hashlib.sha256(segment).hexdigest()}
     log = old / "checkpoint.log"
     log.write_bytes(segment + _encode(mark))
-    with pytest.raises(WalCorruptionError, match="version 2"):
+    with pytest.raises(WalCorruptionError, match=f"version {version}"):
         read_checkpoint(old)
-    with pytest.raises(WalCorruptionError, match="version 2"):
+    with pytest.raises(WalCorruptionError, match=f"version {version}"):
         write_checkpoint(old, [*entries, LedgerEntry(3, "r2", 0, False, entries[0].job, DEC)])
     assert log.read_bytes() == segment + _encode(mark)  # nothing cut, nothing added
+
+
+def test_version_2_logs_and_checkpoints_are_refused(tmp_path):
+    _assert_refused_by_version(tmp_path, _version_2_jobs_record, 2)
+
+
+def test_version_3_logs_and_checkpoints_are_refused(tmp_path):
+    _assert_refused_by_version(tmp_path, _version_3_jobs_record, 3)
 
 
 def test_records_to_entries_dedup_and_conflicts(tmp_path):
     entries = _entries(1)
     job_rec = jobs_record(entries)
     dup = dict(job_rec)
-    dec = {"k": "dec", "seqs": [1], "dec": [[True, 0, [[0.0, 2, 3.0]]]]}
+    dec = dec_record([1], [(True, 0, ((0.0, 2, 3.0),))])
     same = records_to_entries([job_rec, dup, dec, dec])
     assert len(same) == 1 and same[0].decision == (True, 0, ((0.0, 2, 3.0),))
 
     with pytest.raises(WalCorruptionError):  # decision for unknown seq
-        records_to_entries([{"k": "dec", "seqs": [7], "dec": [[False, None, []]]}])
-    conflict = {"k": "dec", "seqs": [1], "dec": [[False, None, []]]}
+        records_to_entries([dec_record([7], [REJ])])
+    conflict = dec_record([1], [REJ])
     with pytest.raises(WalCorruptionError):
         records_to_entries([job_rec, dec, conflict])
     with pytest.raises(WalCorruptionError):
