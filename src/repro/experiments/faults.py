@@ -1,7 +1,7 @@
 """Extension experiment: graceful degradation under an online fault stream.
 
 The trace-driven generalization of :mod:`repro.experiments.survival`: where
-that experiment renegotiates one offline capacity drop over a finished
+that experiment renegotiates one capacity drop over a pre-admitted
 batch, this one runs the full online loop — Poisson processor failures
 with exponential repair, latent execution-time overruns and arrival
 bursts, all drawn from seed-derived substreams (identical across the three

@@ -3,27 +3,28 @@
 Section 3.1 says the arbitrator "triggers renegotiation on detecting a
 significant change in resource levels (e.g., on a fault ...)".  This
 experiment quantifies what tunability buys in that scenario: admit a batch
-of jobs on a P-processor machine, drop it to P' mid-run, renegotiate, and
-count the *affected* jobs (those not yet finished at the drop) that keep a
+of jobs on a P-processor machine, drop it to P' mid-run, renegotiate
+through :class:`~repro.resilience.driver.RenegotiationDriver`, and count
+the *affected* jobs (those not yet finished at the drop) that keep a
 reservation.  A tunable job can be re-admitted on a different path — e.g.
 its narrow-first transposition when the machine can no longer host the
 wide task early — so its survival rate should dominate both rigid shapes'.
 
-Superseded by the trace-driven :mod:`repro.experiments.faults`, which runs
-the same comparison as an *online* event stream (repeated failures with
-repair, overruns, bursts) through :mod:`repro.resilience` instead of one
-offline drop over a finished batch; this batch variant is kept as the
-minimal, assumption-free illustration of the renegotiation primitive.
+The trace-driven :mod:`repro.experiments.faults` runs the same comparison
+as an online event stream (repeated failures with repair, overruns,
+bursts); this batch variant is one capacity event over a pre-admitted
+batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.core.arbitrator import QoSArbitrator
-from repro.model.job import Job
-from repro.qos.renegotiation import CapacityChange, renegotiate
+from repro.resilience.driver import RenegotiationDriver
+from repro.resilience.events import CapacityEvent, PerturbationTrace
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.rng import RandomStreams
 from repro.workloads import presets
@@ -85,41 +86,38 @@ def run_survival(
     n = min(presets.n_jobs(n_jobs), 2_000)
     points: list[SurvivalPoint] = []
     for system in ("tunable", "shape1", "shape2"):
-        arrivals = list(
-            PoissonArrivals(interval, RandomStreams(seed)).times(n)
-        )
-        arbitrator = QoSArbitrator(processors)
-        jobs: dict[int, Job] = {}
-        for release in arrivals:
-            if system == "tunable":
-                job = params.tunable_job(release)
-            else:
-                job = params.rigid_job(int(system[-1]), release)
-            jobs[job.job_id] = job
-            arbitrator.submit(job)
-        finishes = sorted(cp.finish for cp in arbitrator.schedule.placements)
-        if not finishes:
-            continue
-        tau = finishes[len(finishes) // 2]
+        arrivals = PoissonArrivals(interval, RandomStreams(seed)).times(n)
+        if system == "tunable":
+            jobs = [params.tunable_job(release) for release in arrivals]
+        else:
+            jobs = [params.rigid_job(int(system[-1]), release) for release in arrivals]
         for new_capacity in new_capacities:
-            result = renegotiate(
-                arbitrator.schedule, CapacityChange(tau, new_capacity), jobs
-            )
-            affected = (
-                len(result.carried)
-                + len(result.reallocated)
-                + len(result.dropped)
-            )
+            # The driver swaps the arbitrator's schedule at the event, so
+            # each drop renegotiates a freshly admitted batch.
+            arbitrator = QoSArbitrator(processors)
+            driver = RenegotiationDriver(arbitrator)
+            for job, decision in zip(jobs, arbitrator.admit_batch(jobs)):
+                if decision.admitted:
+                    driver.register(job, decision.placement)
+            finishes = sorted(cp.finish for cp in arbitrator.schedule.placements)
+            if not finishes:
+                break
+            event = CapacityEvent(finishes[len(finishes) // 2], new_capacity)
+            driver.on_capacity_change(event)
+            driver.sweep_finished(math.inf)
+            r = driver.finalize(
+                PerturbationTrace(capacity_events=(event,))
+            ).resilience
             points.append(
                 SurvivalPoint(
                     system=system,
                     new_capacity=new_capacity,
                     admitted=arbitrator.admitted,
-                    affected=affected,
-                    carried=len(result.carried),
-                    reallocated=len(result.reallocated),
-                    path_switches=result.path_switches,
-                    dropped=len(result.dropped),
+                    affected=r["affected"],
+                    carried=r["carried"],
+                    reallocated=r["replans"],
+                    path_switches=r["path_switches"],
+                    dropped=r["dropped"],
                 )
             )
     return points

@@ -5,13 +5,11 @@
 * :mod:`repro.qos.negotiation` — the request/grant/reject message protocol.
 * :mod:`repro.qos.contract` — the resource contract an admitted application
   holds (its allocation profile plus the control-parameter configuration).
-* :mod:`repro.qos.renegotiation` — one-shot renegotiation on a
-  resource-level change; it carries running placements through
-  :meth:`~repro.core.schedule.Schedule.adopt_carried`, as the online
-  :class:`~repro.resilience.driver.RenegotiationDriver` does.
 
-Revision of a running contract on changing *application* demands (the
-other half of §3.1) is not implemented.
+Renegotiation on a resource-level change is
+:class:`~repro.resilience.driver.RenegotiationDriver`'s.  Revision of a
+running contract on changing *application* demands (the other half of
+§3.1) is not implemented.
 """
 
 from repro.qos.agent import QoSAgent
@@ -22,7 +20,6 @@ from repro.qos.negotiation import (
     ReservationRequest,
     negotiate,
 )
-from repro.qos.renegotiation import CapacityChange, RenegotiationResult, renegotiate
 
 __all__ = [
     "QoSAgent",
@@ -31,7 +28,4 @@ __all__ = [
     "ReservationGrant",
     "ReservationReject",
     "negotiate",
-    "CapacityChange",
-    "RenegotiationResult",
-    "renegotiate",
 ]

@@ -1,13 +1,13 @@
 """Stateful multi-event renegotiation (the online Section 3.1 arbitrator).
 
-:func:`repro.qos.renegotiation.renegotiate` re-plans a committed schedule
-across exactly one offline capacity change.  The
-:class:`RenegotiationDriver` generalizes it into the *online* monitoring
-loop the paper describes: it rides along with a live arbitrator, tracks
-every admitted job from admission to completion, and re-plans the affected
-subset at each event of a :class:`~repro.resilience.events.PerturbationTrace`
-— a sequence of capacity changes and detected execution-time overruns, in
-arrival order with ordinary admissions interleaved.
+The :class:`RenegotiationDriver` is the one renegotiation rule, the
+monitoring loop the paper describes: it rides along with a live
+arbitrator, tracks every admitted job from admission to completion, and
+re-plans the affected subset at each event of a
+:class:`~repro.resilience.events.PerturbationTrace` — a sequence of
+capacity changes and detected execution-time overruns, in arrival order
+with ordinary admissions interleaved.  A single offline capacity drop over
+a pre-admitted batch is the same call on a one-event trace.
 
 The re-planning policy is **degrade, don't drop**: an affected tunable job
 is first offered the remainder of its current path (rebased against its
@@ -273,12 +273,11 @@ class RenegotiationDriver:
     def on_capacity_change(self, event: CapacityEvent) -> None:
         """Rebuild the committed schedule on the post-event machine size.
 
-        Mirrors the one-shot :func:`~repro.qos.renegotiation.renegotiate`
-        — finished placements are history, running placements are carried
+        Finished placements are history, running placements are carried
         (clipped at the event time) in ``(start, job_id)`` order, pending
-        placements are re-admitted in ``(release, job_id)`` order — but
-        instead of dropping a job whose reservation no longer fits, the
-        driver re-plans it across its remaining paths first.
+        placements are re-admitted in ``(release, job_id)`` order.  A
+        running job whose reservation no longer fits is re-planned across
+        its remaining paths before it is dropped.
         """
         tau = event.time
         self.sweep_finished(tau)
@@ -592,6 +591,9 @@ class RenegotiationDriver:
         of the old placement is charged to ``spent`` (and the discarded
         share to ``wasted``).
         """
+        # A pre-admitted job may be re-planned before its release; the
+        # offer must not start it earlier than the job itself allows.
+        now = max(now, rec.original_release)
         cp = rec.placement
         if failed_index is not None:
             k = failed_index

@@ -1,5 +1,7 @@
 """End-to-end integration: DSL -> agent -> arbitrator -> runtime -> metrics."""
 
+import math
+
 import pytest
 
 from repro.apps.junction import (
@@ -13,7 +15,7 @@ from repro.calypso import ApplicationManager, CalypsoRuntime
 from repro.calypso.faults import FaultInjector
 from repro.core.arbitrator import QoSArbitrator
 from repro.lang.preprocess import build_agent
-from repro.qos.renegotiation import CapacityChange, renegotiate
+from repro.resilience import CapacityEvent, PerturbationTrace, RenegotiationDriver
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import render_gantt, schedule_records
 from repro.workloads.synthetic import SyntheticParams
@@ -82,17 +84,16 @@ class TestFullStack:
     def test_renegotiation_after_admission(self):
         params = SyntheticParams(x=4, t=5.0, alpha=0.5, laxity=0.6)
         arb = QoSArbitrator(8)
-        jobs = {}
+        driver = RenegotiationDriver(arb)
         for i in range(8):
             job = params.tunable_job(release=3.0 * i)
-            jobs[job.job_id] = job
-            arb.submit(job)
-        result = renegotiate(arb.schedule, CapacityChange(10.0, 4), jobs)
-        result.schedule.profile.check_invariants()
-        assert (
-            len(result.finished)
-            + len(result.carried)
-            + len(result.reallocated)
-            + len(result.dropped)
-            == arb.admitted
-        )
+            decision = arb.submit(job)
+            if decision.admitted:
+                driver.register(job, decision.placement)
+        event = CapacityEvent(10.0, 4)
+        driver.on_capacity_change(event)
+        driver.check_consistency()
+        driver.sweep_finished(math.inf)
+        r = driver.finalize(PerturbationTrace(capacity_events=(event,))).resilience
+        assert r["survived"] + r["dropped"] == r["affected"] <= arb.admitted
+        assert r["carried"] + r["replans"] == r["survived"]

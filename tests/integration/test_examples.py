@@ -47,6 +47,7 @@ class TestExamples:
     def test_renegotiation(self):
         out = run_example("renegotiation.py")
         assert "capacity drops" in out
+        assert "switched" in out
 
     def test_adaptive_refinement(self):
         out = run_example("adaptive_refinement.py")
