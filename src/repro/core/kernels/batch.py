@@ -16,7 +16,9 @@ and folds the counters into the live ones; the profile itself stays in
 the context's arrays until Python reads it.  The C loop mutates a copy of
 the live window, so any error status leaves the live state as it was and
 the caller falls back to the reference: the plain serial loop over
-``_offer``.  ``submit(job)`` is this same path with a batch of one.
+``_offer``.  ``submit(job)`` is this same path with a batch of one; when
+the job offers the very chains tuple the staged record was packed from,
+only the record's release cell is rewritten (see "Context lifetime").
 
 What the C loop does not take
 -----------------------------
@@ -68,6 +70,24 @@ context's view of the profile is thrown away:
 * The no-fit facts and the prefix resume point live in the context and
   survive from one call to the next only while no Python-side mutation
   intervened (``profile._dirty``); then two calls are one longer batch.
+* The staged record: ``ctx.chains`` is the ``job.chains`` tuple a one-job
+  record was packed from — the one strong reference to model objects a
+  context holds, kept so that the identity check stays sound (a tuple
+  kept alive cannot be freed and its id reused).  A later one-job call
+  offering that very tuple (``is``, not ``==``: ``0.0 == -0.0``, and
+  their cells differ) rewrites the release cell in place and skips
+  :func:`flatten_jobs` and :meth:`_Context.stage`, unless a Python-side
+  mutation is pending (``profile._dirty``: a ``kernels.use("python")``
+  decision, ``reserve``, ``rollback``, the ``_detach`` of an error-status
+  fallback) — then it packs and stages as any call does.  Every
+  :meth:`_Context.stage` replaces the reference (a one-job record) or
+  drops it (a batch of several jobs); it goes with the context
+  (``adopt_schedule``, ``copy()``, another kernel object).  The C loop
+  only reads the record.
+* The scheduler and config flags (``policy``, ``use_dup``, ``use_dom``,
+  ``use_cap``, ``do_compact``, ``qmode``) are stored only when they
+  differ from the ones the context last stored (``ctx.flags``): two
+  arbitrators may take turns on one profile through ``adopt_schedule``.
 * The quality accumulators do NOT live in the context: a context belongs
   to a profile, ``_quality_possible``/``_quality_sum`` to an arbitrator.
   :func:`try_admit_batch_compiled` writes both into the struct before
@@ -127,6 +147,10 @@ def _cell_packer(n_cells: int):
     """``struct`` packer for a record of ``n_cells`` doubles (~20 ns a cell;
     ``ndarray[:n] = list`` and ``array('d', list)`` both cost ~35)."""
     return struct.Struct(f"={n_cells}d").pack
+
+
+#: Rewrites a staged one-job record's release cell (its first) in place.
+_pack_release = struct.Struct("=d").pack_into
 
 
 def flatten_jobs(jobs: Sequence[Job]) -> tuple[bytes, int, int] | None:
@@ -204,11 +228,18 @@ class _Context:
     other set, mutates that and swaps the two pointer pairs, so
     ``c.cur`` says whether the arrays bound as ``times``/``avail`` or as
     ``times_alt``/``avail_alt`` are live), prefix and shift scratch, the
-    staged record (``inbuf`` is its byte view), the two output columns and
-    the per-job scratch.
+    staged record (``inbuf`` is its byte view), the two output columns
+    (``chosen`` / ``rows``: their memoryviews, read item by item by a
+    one-job write-back) and the per-job scratch.  ``chains`` is the tuple
+    the staged record was packed from when it is one job's, and ``tasks``
+    the task count :meth:`sync` makes room for; ``flags`` the scheduler
+    and config flags last stored in the struct.
     """
 
-    __slots__ = ("impl", "c", "ref", "cols", "room", "counters", "inbuf")
+    __slots__ = (
+        "impl", "c", "ref", "cols", "room", "counters", "inbuf", "chosen",
+        "rows", "chains", "tasks", "flags",
+    )
 
     def __init__(self, impl, capacity: int) -> None:
         self.impl = impl
@@ -218,6 +249,8 @@ class _Context:
         self.counters = np.frombuffer(c, _I8, len(c.c), Context.c.offset)
         self.cols: dict[str, np.ndarray] = {}
         self.room = (0, 0, 0, 0)  # jobs, record bytes, max_chains, max_tasks
+        self.chains = self.flags = None
+        self.tasks = 0
 
     def _bind(self, name: str, size: int, dtype=_F8) -> None:
         arr = self.cols[name] = np.empty(size, dtype)
@@ -261,8 +294,16 @@ class _Context:
             c.nfacts = c.prefix_valid = c.prefix_from = 0
             profile._dirty = False  # noqa: SLF001
 
-    def stage(self, record: bytes, n_jobs: int, mc: int, mt: int) -> None:
-        """Copy the batch's record into the staging buffer."""
+    def stage(
+        self, record: bytes, n_jobs: int, mc: int, mt: int, chains=None
+    ) -> None:
+        """Copy the batch's record into the staging buffer.
+
+        ``chains`` is the one job's ``chains`` tuple when the record was
+        packed from exactly one job (``None`` otherwise): the next one-job
+        call offering that very tuple rewrites the release cell and reuses
+        the rest (see "Context lifetime").
+        """
         size = len(record)
         room = self.room
         if n_jobs > room[0] or size > room[1] or mc > room[2] or mt > room[3]:
@@ -280,10 +321,16 @@ class _Context:
             # A row is two cells and one per task of the chosen chain; in
             # the record a job is three cells at least and a task four.
             self._bind("out_rows", 2 * jobs + nbytes // 32)
+            self.chosen = memoryview(self.cols["out_chain"])
+            self.rows = memoryview(self.cols["out_rows"])
             self._bind("dscratch", mc * mt + 3 * mc + mt)
             self._bind("iscratch", 6 * mc, _I8)
             self.c.max_chains, self.c.max_tasks = mc, mt
         self.inbuf[:size] = record
+        self.chains = chains
+        # A task is four cells of a record that spends three more on a job
+        # of one chain: exact for those, a few tasks over otherwise.
+        self.tasks = (size - 24 * n_jobs) // 32
 
 
 def try_admit_batch_compiled(
@@ -302,29 +349,41 @@ def try_admit_batch_compiled(
     policy_code = _POLICY_CODES.get(scheduler.policy)
     if policy_code is None:
         return None
-    flat = flatten_jobs(jobs)
-    if flat is None:
-        return None
-    record, max_chains, max_tasks = flat
     profile = arbitrator.schedule.profile
     ctx = profile._ctx  # noqa: SLF001 - same package
-    if ctx is None or ctx.impl is not impl:
-        profile._detach()  # noqa: SLF001 - the old context's last service
-        ctx = profile._ctx = _Context(impl, profile.capacity)  # noqa: SLF001
+    if (
+        ctx is not None and ctx.impl is impl and len(jobs) == 1
+        and jobs[0].chains is ctx.chains and not profile._dirty  # noqa: SLF001
+    ):  # the staged record is this job's but for its release
+        _pack_release(ctx.inbuf, 0, jobs[0].release)
+    else:
+        flat = flatten_jobs(jobs)
+        if flat is None:
+            return None
+        if ctx is None or ctx.impl is not impl:
+            profile._detach()  # noqa: SLF001 - the old context's last service
+            ctx = profile._ctx = _Context(impl, profile.capacity)  # noqa: SLF001
+        record, max_chains, max_tasks = flat
+        one = jobs[0].chains if len(jobs) == 1 else None
+        ctx.stage(record, len(jobs), max_chains, max_tasks, one)
     c = ctx.c
     prune = scheduler.prune
-    c.policy = policy_code
-    c.use_dup = prune  # policy is deterministic here
-    c.use_dom = prune and scheduler.SUPPORTS_DOMINANCE
-    c.use_cap = prune and scheduler.SUPPORTS_FINISH_CAP
-    c.do_compact = arbitrator.admission.compact
-    c.qmode = _QMODE_CODES.get(arbitrator.quality_composition, 0)
+    flags = (
+        policy_code, prune, scheduler.SUPPORTS_DOMINANCE,
+        scheduler.SUPPORTS_FINISH_CAP, arbitrator.admission.compact,
+        arbitrator.quality_composition,
+    )
+    if flags != ctx.flags:  # a profile may change arbitrators (adopt_schedule)
+        ctx.flags = flags
+        c.policy = policy_code
+        c.use_dup = prune  # policy is deterministic here
+        c.use_dom = prune and scheduler.SUPPORTS_DOMINANCE
+        c.use_cap = prune and scheduler.SUPPORTS_FINISH_CAP
+        c.do_compact = arbitrator.admission.compact
+        c.qmode = _QMODE_CODES.get(arbitrator.quality_composition, 0)
     c.q_possible = arbitrator._quality_possible  # noqa: SLF001
     c.q_sum = arbitrator._quality_sum  # noqa: SLF001
-    ctx.stage(record, len(jobs), max_chains, max_tasks)
-    # A task is four cells of a record that spends three more on a job of
-    # one chain: exact for those, a few tasks over otherwise.
-    ctx.sync(profile, (len(record) - 24 * len(jobs)) // 32)
+    ctx.sync(profile, ctx.tasks)
     status = impl.admit_batch(ctx.ref, len(jobs))
     if status != 0:
         kernels.note_fallback(f"admit_batch kernel status {status}")
@@ -343,7 +402,9 @@ def _apply_batch_results(
     its row of ``out_rows`` (its chain's task starts are the rest of it),
     and the quality accumulators (PRODUCT / MIN) come back in the struct
     it was handed them in.  What is left here is counters, objects
-    and one booking per batch (:meth:`Schedule.record_commits`).  The
+    and one booking per batch: :meth:`Schedule.record_commit` for the
+    one row of a one-job call, :meth:`Schedule.record_commits` for the
+    rows of a larger batch, both fed the kernel's finish and area.  The
     profile is not written back at all: it stays in the context's arrays,
     and the lists are dropped until somebody reads them.
     """
@@ -368,40 +429,63 @@ def _apply_batch_results(
     perf.chains_pruned_dominated += counts[10]
     perf.commits += counts[11]
 
-    # One pass over the decided jobs, both NumPy columns read as lists:
-    # ``int(out_chain[jb])`` costs ~0.17 us a read, a list item ~0.01.
     n_jobs = len(jobs)
-    cols = ctx.cols
-    chosen = cols["out_chain"][:n_jobs].tolist()
-    rows = cols["out_rows"][: counts[12]].tolist()  # admitted jobs only
     n_admitted = counts[11]
     admission = arbitrator.admission
     by_chain = admission.decisions_by_chain
     rigid = Placement.rigid
     refused = "no schedulable configuration"
-    decisions: list[AdmissionDecision] = []
-    append = decisions.append
-    committed: list[ChainPlacement] = []
-    finishes: list[float] = []
-    areas: list[float] = []
-    at = 0  # the next admitted job's row: finish, area, one start per task
-    for job, c in zip(jobs, chosen):
+    if n_jobs == 1:
+        # The serial path: item reads of the two columns, and the one row
+        # booked with the kernel's finish and area as it is read.
+        job = jobs[0]
+        c = ctx.chosen[0]
         if c < 0:
-            append(AdmissionDecision(job.job_id, False, None, refused))
-            continue
-        chain = job.chains[c]
-        tasks = chain.tasks
-        starts = at + 2
-        finishes.append(rows[at])
-        areas.append(rows[at + 1])
-        at = starts + len(tasks)
-        cp = ChainPlacement(  # positional: keywords cost 0.4 us a call
-            job.job_id, c, chain, tuple(map(rigid, tasks, rows[starts:at])),
-            job.release,
-        )
-        committed.append(cp)
-        by_chain[c] = by_chain.get(c, 0) + 1
-        append(AdmissionDecision(job.job_id, True, cp))
+            decisions = [AdmissionDecision(job.job_id, False, None, refused)]
+            committed: Sequence[ChainPlacement] = ()
+        else:
+            rows = ctx.rows
+            chain = job.chains[c]
+            tasks = chain.tasks
+            cp = ChainPlacement(  # positional: keywords cost 0.4 us a call
+                job.job_id, c, chain,
+                tuple(map(rigid, tasks, rows[2 : 2 + len(tasks)].tolist())),
+                job.release,
+            )
+            committed = (cp,)
+            by_chain[c] = by_chain.get(c, 0) + 1
+            decisions = [AdmissionDecision(job.job_id, True, cp)]
+            schedule.record_commit(cp, rows[0], rows[1])
+    else:
+        # One pass over the decided jobs, both columns read as lists:
+        # an item read costs ~0.05 us, a list item ~0.01.
+        chosen = ctx.chosen[:n_jobs].tolist()
+        rows = ctx.rows[: counts[12]].tolist()  # admitted jobs only
+        decisions = []
+        append = decisions.append
+        committed = []
+        finishes: list[float] = []
+        areas: list[float] = []
+        at = 0  # the next admitted job's row: finish, area, one start per task
+        for job, c in zip(jobs, chosen):
+            if c < 0:
+                append(AdmissionDecision(job.job_id, False, None, refused))
+                continue
+            chain = job.chains[c]
+            tasks = chain.tasks
+            starts = at + 2
+            finishes.append(rows[at])
+            areas.append(rows[at + 1])
+            at = starts + len(tasks)
+            cp = ChainPlacement(
+                job.job_id, c, chain, tuple(map(rigid, tasks, rows[starts:at])),
+                job.release,
+            )
+            committed.append(cp)
+            by_chain[c] = by_chain.get(c, 0) + 1
+            append(AdmissionDecision(job.job_id, True, cp))
+        if n_admitted:
+            schedule.record_commits(committed, finishes, areas)
     admission.admitted += n_admitted
     admission.rejected += n_jobs - n_admitted
     state = ctx.c  # not ``struct``: that is the module the packer uses
@@ -414,6 +498,4 @@ def _apply_batch_results(
             arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
         for cp in committed:
             arbitrator._quality_sum += chain_quality(cp.chain, comp)  # noqa: SLF001
-    if n_admitted:
-        schedule.record_commits(committed, finishes, areas)
     return decisions

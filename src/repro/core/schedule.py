@@ -170,29 +170,36 @@ class Schedule:
             for pl in reversed(applied):
                 self.profile.release(pl.start, pl.end, pl.processors)
             raise
-        self.record_commit(cp)
+        self.record_commit(cp, cp.finish, cp.total_area)
         self.perf.commits += 1
 
-    def record_commit(self, cp: ChainPlacement) -> None:
-        """Book-keep a committed chain placement (no profile mutation).
+    def record_commit(self, cp: ChainPlacement, finish: float, area: float) -> None:
+        """Book-keep one committed chain placement (no profile mutation).
 
-        Split out of :meth:`commit` so the batched admission kernel —
-        which applies the profile reservations wholesale inside C — can
-        replay the per-chain accounting without re-reserving.
+        ``finish`` is ``cp.finish`` and ``area`` the processor-time ``cp``
+        adds here, as for one row of :meth:`record_commits`: its
+        ``total_area``, or less for a carried placement.  Split out of
+        :meth:`commit` so the batched admission kernel — which applies the
+        profile reservations inside C and returns both numbers — can book
+        its one-job calls without re-reserving or re-deriving them.
         """
         # The one-row case of record_commits, unrolled: this is the serial
-        # hot path, and delegating costs 1.2 us per commit (3% of a fig4
-        # decision).  tests/core/test_admit_batch.py pins the two equal.
+        # hot path.  ``get`` rather than ``+= 1``: a release or finish seen
+        # for the first time (nearly every one) would call
+        # ``Counter.__missing__``, a Python method.
+        # tests/core/test_admit_batch.py pins the two forms equal.
         if self._keep:
             self._placements.append(cp)
-        self._committed_area += cp.total_area
+        self._committed_area += area
         self._committed_jobs += 1
-        self._releases[cp.release] += 1
-        self._finishes[cp.finish] += 1
-        if cp.release < self._first_release:
-            self._first_release = cp.release
-        if cp.finish > self._last_finish:
-            self._last_finish = cp.finish
+        release = cp.release
+        releases, finishes = self._releases, self._finishes
+        releases[release] = releases.get(release, 0) + 1
+        finishes[finish] = finishes.get(finish, 0) + 1
+        if release < self._first_release:
+            self._first_release = release
+        if finish > self._last_finish:
+            self._last_finish = finish
 
     def record_commits(
         self,
@@ -203,11 +210,10 @@ class Schedule:
         """Book-keep a non-empty run of committed placements, in order.
 
         ``finishes[i]`` is ``cps[i].finish`` and ``areas[i]`` the
-        processor-time ``cps[i]`` adds here — its ``total_area``, or less
-        for a carried placement.  The batched kernel passes both as columns
-        it already has; the area is summed left to right, so every
-        accumulator ends exactly where one :meth:`record_commit` per
-        placement would leave it.
+        processor-time ``cps[i]`` adds here (see :meth:`record_commit`).
+        The batched kernel passes both as columns it already has; the area
+        is summed left to right, so every accumulator ends exactly where one
+        :meth:`record_commit` per placement would leave it.
         """
         if self._keep:
             self._placements.extend(cps)
@@ -349,8 +355,7 @@ class Schedule:
         pre-change portion burned on the predecessor machine and is that
         schedule's history.
         """
-        area = self._reserve_clipped(cp, cut)
-        self.record_commits((cp,), (cp.finish,), (area,))
+        self.record_commit(cp, cp.finish, self._reserve_clipped(cp, cut))
         self.perf.carries += 1
 
     def _reserve_clipped(self, cp: ChainPlacement, cut: float) -> float:

@@ -504,25 +504,44 @@ def test_keep_placements_false_retains_nothing(kmode):
 
 
 def test_record_commits_is_record_commit_repeated():
-    """The bulk form the batched write-back uses and the unrolled one-row
-    form on the serial path are two copies of one accounting."""
+    """The bulk form a batch's write-back uses and the one-row form a
+    one-job call (and ``commit``) books with are two copies of one
+    accounting, fed the finish and area the kernel returned — and, for a
+    carried placement, an area below ``total_area``."""
     capacity, jobs = _flood(2)
-    placed = [
-        d.placement for d in map(QoSArbitrator(capacity).submit, jobs) if d.admitted
-    ]
-    one, bulk = Schedule(capacity), Schedule(capacity)
-    for cp in placed:
-        one.record_commit(cp)
-    mid = len(placed) // 2
-    for part in (placed[:mid], placed[mid:]):
-        bulk.record_commits(
-            part, [cp.finish for cp in part], [cp.total_area for cp in part]
-        )
-    for name in (
+    auto = QoSArbitrator(capacity)
+    placed, finishes, areas = [], [], []
+    for job in jobs:
+        decision = auto.submit(job)
+        if not decision.admitted:
+            continue
+        cp = decision.placement
+        ctx = auto.schedule.profile._ctx  # noqa: SLF001 - None without a C compiler
+        finish, area = (ctx.rows[0], ctx.rows[1]) if ctx else (cp.finish, cp.total_area)
+        for kernels_own, derived in ((finish, cp.finish), (area, cp.total_area)):
+            assert float(kernels_own).hex() == float(derived).hex()
+        placed.append(cp)
+        finishes.append(finish)
+        areas.append(area)
+    names = (
         "placements", "committed_area", "committed_jobs", "first_release",
         "last_finish", "_releases", "_finishes",
-    ):
-        assert getattr(bulk, name) == getattr(one, name), name
+    )
+    mid = len(placed) // 2
+    for fed in ([a / 3 for a in areas], areas):  # as if carried; as booked
+        one, bulk = Schedule(capacity), Schedule(capacity)
+        for cp, finish, area in zip(placed, finishes, fed):
+            one.record_commit(cp, finish, area)
+        for lo, hi in ((0, mid), (mid, len(placed))):
+            bulk.record_commits(placed[lo:hi], finishes[lo:hi], fed[lo:hi])
+        for name in names:
+            assert getattr(bulk, name) == getattr(one, name), name
+        total = 0.0
+        for area in fed:
+            total += area
+        assert one.committed_area == total
+    for name in names:  # what the one-job write-back booked, row by row
+        assert getattr(auto.schedule, name) == getattr(one, name), name
 
 
 def _long_chain_jobs(rng: random.Random, n_tasks: int, n_jobs: int) -> list[Job]:

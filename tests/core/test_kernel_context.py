@@ -20,13 +20,18 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.arbitrator import QoSArbitrator
+from repro.core.kernels import batch as kernel_batch
 from repro.core.profile import AvailabilityProfile
+from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.quality import QualityComposition
+from repro.model.task import TaskSpec
 from repro.verify.fuzz import random_flood
 from tests.core.test_admit_batch import KERNEL_MODES, _one_task, _state, needs_compiled
+
+_flatten = kernel_batch.flatten_jobs  # not whatever a test spies with
 
 _STEPS = st.one_of(
     st.just(("submit",)),
@@ -65,13 +70,42 @@ def _requalitied(rng: random.Random, job: Job) -> Job:
     return Job(chains=chains, release=job.release, job_id=job.job_id)
 
 
+def _twin(chains: tuple[TaskChain, ...]) -> tuple[TaskChain, ...]:
+    """An equal but distinct copy of ``chains``: every zero quality takes
+    the other sign (``0.0 == -0.0``, but their record cells differ)."""
+    return tuple(
+        TaskChain(
+            tuple(t.with_quality(-t.quality) if t.quality == 0 else t for t in chain.tasks),
+            label=chain.label,
+        )
+        for chain in chains
+    )
+
+
+def _sharing(rng: random.Random, jobs: list[Job]) -> list[Job]:
+    """The flood with its qualities redrawn and its chains shared: a job
+    usually offers the very tuple the job before it offered (as every
+    ``SyntheticParams`` stream does, so a one-job call reuses the staged
+    record), now and then that tuple's twin, else a tuple of its own."""
+    out: list[Job] = []
+    chains = None
+    for job in jobs:
+        draw = rng.random()
+        if chains is None or draw < 0.3:
+            chains = _requalitied(rng, job).chains
+        elif draw < 0.4:
+            chains = _twin(chains)
+        out.append(Job(chains=chains, release=job.release, job_id=job.job_id))
+    return out
+
+
 class _Pair:
     """An ``auto`` arbitrator and the reference, driven in lockstep."""
 
     def __init__(self, seed: int) -> None:
         rng = random.Random(seed)
         case = random_flood(rng, min_jobs=150, max_jobs=300)
-        self.jobs = [_requalitied(rng, job) for job in case.jobs]
+        self.jobs = _sharing(rng, list(case.jobs))
         self.at = 0
         comp = rng.choice(tuple(QualityComposition))
         self.auto = QoSArbitrator(case.capacity, quality_composition=comp)
@@ -97,8 +131,10 @@ class _Pair:
             want = [ref.submit(job) for job in jobs]
             if kind == "submit":
                 got = [auto.submit(job) for job in jobs]
+                _assert_staged(auto, jobs)
             elif kind == "batch":
                 got = auto.admit_batch(jobs)
+                _assert_staged(auto, jobs)
             else:
                 with kernels.use("python"):
                     got = [auto.submit(job) for job in jobs]
@@ -114,6 +150,7 @@ class _Pair:
                 job, self.refused = self.refused, None
                 want = ref.resubmit(job)
                 assert auto.resubmit(job) == want
+                _assert_staged(auto, [job])
                 if not want.admitted:
                     self.refused = job
         elif kind == "rollback":
@@ -165,6 +202,16 @@ class _Pair:
                 assert mine == theirs
             else:
                 assert (len(mine), mine.origin) == (len(theirs), theirs.origin)
+
+
+def _assert_staged(arbitrator: QoSArbitrator, jobs: list[Job]) -> None:
+    """After a call the C loop decided, the staged record is the one
+    ``flatten_jobs`` packs for it, byte for byte — whether it was packed
+    or its release cell rewritten."""
+    ctx = arbitrator.schedule.profile._ctx  # noqa: SLF001
+    if jobs and kernels.active().supports_batch:
+        record = _flatten(jobs)[0]
+        assert bytes(ctx.inbuf[: len(record)]) == record
 
 
 @pytest.mark.parametrize("kmode", KERNEL_MODES)
@@ -502,3 +549,178 @@ def test_rebuilt_lists_are_plain_lists():
     times, avail = profile._times, profile._avail  # noqa: SLF001
     assert type(times) is list and {type(t) for t in times} == {float}
     assert type(avail) is list and {type(a) for a in avail} == {int}
+
+
+# ---------------------------------------------------------------------------
+# The staged one-job record (batch.py, "Context lifetime")
+# ---------------------------------------------------------------------------
+
+
+def _bits(arbitrator: QoSArbitrator) -> tuple:
+    """``_state`` and the float accumulators by their bits."""
+    schedule = arbitrator.schedule
+    floats = (
+        arbitrator._quality_sum, arbitrator._quality_possible,  # noqa: SLF001
+        schedule.committed_area, schedule.first_release, schedule.last_finish,
+    )
+    return _state(arbitrator), tuple(float(x).hex() for x in floats)
+
+
+def _chains(zero: float) -> tuple[TaskChain, ...]:
+    """Two 2-task chains, one with a task of quality ``zero`` (0.0 or -0.0)."""
+    def task(width, duration, deadline, quality):
+        request = ProcessorTimeRequest(width, duration)
+        return TaskSpec("t", request, deadline=deadline, quality=quality)
+
+    return (
+        TaskChain((task(4, 2.0, 9.0, 0.7), task(2, 1.5, 14.0, 0.3))),
+        TaskChain((task(2, 3.0, 12.0, zero), task(1, 2.5, 20.0, 0.9))),
+    )
+
+
+def _spy_flatten(monkeypatch) -> list[int]:
+    """The job id heading every record ``flatten_jobs`` packs from here on."""
+    packed: list[int] = []
+    monkeypatch.setattr(
+        kernel_batch, "flatten_jobs",
+        lambda jobs: packed.append(jobs[0].job_id) or _flatten(jobs),
+    )
+    return packed
+
+
+@needs_compiled
+@pytest.mark.parametrize("comp", tuple(QualityComposition))
+def test_a_twin_right_after_the_shared_tuple_is_packed_again(monkeypatch, comp):
+    """A one-job call offering the staged tuple rewrites the release cell
+    only; one offering an equal but distinct tuple (``0.0 == -0.0``) is
+    packed, and from then on that tuple is the staged one."""
+    shared, twin = _chains(0.0), _chains(-0.0)
+    assert shared == twin and shared is not twin
+    order = (shared, shared, twin, twin, shared, twin, shared, shared, shared)
+    jobs = [Job(chains=c, release=0.5 * k, job_id=k) for k, c in enumerate(order)]
+    packed = _spy_flatten(monkeypatch)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(4, quality_composition=comp)
+        ref = QoSArbitrator(4, quality_composition=comp, backend="scalar")
+        for job in jobs:
+            assert auto.submit(job) == ref.submit(job)
+            _assert_staged(auto, [job])
+            assert auto.schedule.profile._ctx.chains is job.chains  # noqa: SLF001
+        assert packed == [0, 2, 4, 5, 6]
+        assert 0 < auto.admitted < len(jobs)
+        assert _bits(auto) == _bits(ref)
+
+
+@needs_compiled
+@pytest.mark.parametrize("event", ("batch", "python", "growth", "error"))
+def test_the_next_one_job_call_restages_after(monkeypatch, event):
+    """Whatever replaced the staged record, or left the context's view of
+    the profile untrusted, the next one-job call offering the formerly
+    staged tuple packs it again: after a batch of two jobs whose record
+    starts with another tuple, a ``kernels.use("python")`` round trip that
+    mutated the profile, a record that outgrew the buffer, and the
+    fallback from an error status (whose kernel scribbled on the record
+    too)."""
+    shared = _chains(0.0)
+    other = shared[::-1]
+    jobs = [Job(chains=shared, release=0.6 * k, job_id=k) for k in range(40)]
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(6)
+        ref = QoSArbitrator(6, backend="scalar")
+        for job in jobs[:10]:
+            assert auto.submit(job) == ref.submit(job)
+        profile = auto.schedule.profile
+        ctx = profile._ctx  # noqa: SLF001
+        assert ctx.chains is shared
+        if event in ("batch", "growth"):
+            chains = other if event == "batch" else shared * 3
+            mid = [Job(chains=chains, release=j.release, job_id=j.job_id) for j in jobs[10:12]]
+            record = ctx.cols["record"]
+            if event == "batch":
+                assert auto.admit_batch(mid) == [ref.submit(job) for job in mid]
+            else:
+                assert [auto.submit(job) for job in mid] == [ref.submit(j) for j in mid]
+                assert ctx.cols["record"] is not record  # re-bound at twice the size
+        elif event == "python":
+            with kernels.use("python"):
+                for job in jobs[10:12]:
+                    assert auto.submit(job) == ref.submit(job)
+            assert profile._dirty  # noqa: SLF001
+        else:
+            impl = kernels.active()
+            real = impl.admit_batch
+
+            def scribbling(ctx_ref, n_jobs):
+                for name in ("record", "out_chain", "out_rows"):
+                    ctx.cols[name][:] = -7
+                return -1
+
+            monkeypatch.setattr(impl, "admit_batch", scribbling)
+            for job in jobs[10:12]:
+                assert auto.submit(job) == ref.submit(job)
+            monkeypatch.setattr(impl, "admit_batch", real)
+        assert ctx.chains is not shared or profile._dirty  # noqa: SLF001
+        packed = _spy_flatten(monkeypatch)
+        for job in jobs[12:]:
+            assert auto.submit(job) == ref.submit(job)
+            _assert_staged(auto, [job])
+        assert packed == [12]
+        assert _bits(auto) == _bits(ref)
+
+
+@needs_compiled
+def test_the_staged_record_is_reused_across_profile_growth(monkeypatch):
+    """One tuple throughout, compaction off, two breakpoints left behind
+    per admission: the profile buffers are re-bound several times while
+    the record is packed once, and every decision is the reference's."""
+    task = TaskSpec("t", ProcessorTimeRequest(3, 1.25), deadline=1.5)
+    chains = (TaskChain((task,)),)
+    jobs = [Job(chains=chains, release=2.0 * k, job_id=k) for k in range(700)]
+    packed = _spy_flatten(monkeypatch)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(4, compact=False)
+        ref = QoSArbitrator(4, compact=False, backend="scalar")
+        caps = set()
+        for job in jobs:
+            assert auto.submit(job) == ref.submit(job)
+            caps.add(auto.schedule.profile._ctx.c.cap_buf)  # noqa: SLF001
+        assert packed == [0]
+        assert len(caps) >= 4 and len(auto.schedule.profile) > 1_000
+        assert _bits(auto) == _bits(ref)
+
+
+@needs_compiled
+@pytest.mark.parametrize("differ", ("prune", "compact"))
+def test_one_profile_adopted_by_two_arbitrators_gets_each_ones_flags(differ):
+    """The context stores the scheduler and config flags only when they
+    change, so a profile that two arbitrators take turns on (each adopted
+    the same schedule) must see the flags of whichever one is calling."""
+    case = random_flood(random.Random(12), min_jobs=150, max_jobs=150)
+    jobs = _sharing(random.Random(12), list(case.jobs))
+    capacity = case.capacity
+    with kernels.use("compiled"):
+        pairs = []
+        for backend in ("auto", "scalar"):
+            schedule = Schedule(capacity, backend=backend)
+            pair = (
+                QoSArbitrator(capacity, backend=backend),
+                QoSArbitrator(capacity, backend=backend, **{differ: False}),
+            )
+            for arbitrator in pair:
+                arbitrator.adopt_schedule(schedule)
+            pairs.append(pair)
+        (first, second), (ref_first, ref_second) = pairs
+        for k, job in enumerate(jobs):
+            mine, theirs = (first, ref_first) if k % 5 < 3 else (second, ref_second)
+            assert mine.submit(job) == theirs.submit(job)
+            c = mine.schedule.profile._ctx.c  # noqa: SLF001
+            assert (c.use_dup, c.do_compact) == (
+                mine.scheduler.prune, mine.admission.compact
+            )
+        assert [_bits(a) for a in (first, second)] == [
+            _bits(a) for a in (ref_first, ref_second)
+        ]
+        snap, want = first.perf_snapshot(), ref_first.perf_snapshot()
+        for name in ("commits", "chains_probed", "chains_pruned_dominated",
+                     "profile_compactions"):
+            assert snap[name] == want[name], name

@@ -262,6 +262,50 @@ def test_rows_are_admitted_jobs_only_and_chain_indexes_are_job_local():
         assert _state(auto) == _state(ref)
 
 
+@needs_compiled
+@pytest.mark.parametrize("batched", (False, True))
+def test_the_write_back_books_the_kernels_finish_and_area(monkeypatch, batched):
+    """The schedule is booked with the finish and area the kernel answered,
+    not with what the placement would re-derive: nudge both cells of every
+    admitted row after a real call, and the accounting holds the nudged
+    numbers while each placement keeps its own (one-job calls book a row
+    through ``record_commit``, larger batches through ``record_commits``)."""
+    case = random_flood(random.Random(4), min_jobs=120, max_jobs=120)
+    jobs = list(case.jobs)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        impl = kernels.active()
+        real = impl.admit_batch
+        offered = iter(jobs)  # the calls take the jobs in order
+
+        def nudging(ctx_ref, n_jobs):
+            status = real(ctx_ref, n_jobs)
+            ctx = auto.schedule.profile._ctx  # noqa: SLF001
+            rows, at = ctx.cols["out_rows"], 0
+            for c in ctx.cols["out_chain"][:n_jobs].tolist():
+                job = next(offered)
+                if c >= 0:
+                    rows[at : at + 2] = np.nextafter(rows[at : at + 2], np.inf)
+                    at += 2 + len(job.chains[c].tasks)
+            return status
+
+        monkeypatch.setattr(impl, "admit_batch", nudging)
+        if batched:
+            decisions = auto.admit_batch(jobs[:50]) + auto.admit_batch(jobs[50:])
+        else:
+            decisions = [auto.submit(job) for job in jobs]
+    placed = [d.placement for d in decisions if d.admitted]
+    assert 0 < len(placed) < len(jobs)
+    area = 0.0
+    for cp in placed:
+        area += math.nextafter(float(cp.total_area), math.inf)
+    finishes = [math.nextafter(cp.finish, math.inf) for cp in placed]
+    schedule = auto.schedule
+    assert schedule.committed_area == area
+    assert schedule.last_finish == max(finishes)
+    assert sorted(schedule._finishes.elements()) == sorted(finishes)  # noqa: SLF001
+
+
 # ---------------------------------------------------------------------------
 # Growth of the record buffer
 # ---------------------------------------------------------------------------
