@@ -44,6 +44,13 @@
  * to the context: the driver writes them into the struct before every
  * call and reads them back only on BATCH_OK.  The other exports are the
  * loader's ABI and layout handshake.
+ *
+ * The loop mutates the live window in place.  Before a shift overwrites
+ * a cell of the entry window it saves the entry cells from there up
+ * (Save, below), so an error status puts back exactly what the call
+ * overwrote: no call copies the whole window.  The file has no mutable
+ * state of its own — ctypes releases the GIL for the call, and two
+ * profiles may be decided on two threads.
  */
 
 #include <math.h>
@@ -56,12 +63,12 @@
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 #define UTIL_EPS 1e-12  /* policies.select_candidate utilization slack */
 
-#define ABI_VERSION 5
+#define ABI_VERSION 6
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
- * window is as it was at entry (the loop mutated the other buffer set)
- * and the Python driver falls back to the serial loop. */
+ * window is as it was at entry (restored from the call's savepoint) and
+ * the Python driver falls back to the serial loop. */
 #define BATCH_OK 0
 #define BATCH_ERR_OVERFLOW (-1)  /* profile outgrew the preallocated buffer */
 #define BATCH_ERR_SHIFT (-2)     /* _shift precondition violated (scheduler bug) */
@@ -150,11 +157,12 @@ typedef struct {
  * 8 bytes wide, and repro_ctx_size() lets the loader compare sizes).
  *
  * Live segments occupy [lo, lo + n) of times/avail; compaction advances
- * lo instead of memmoving, shifts splice in place within the window.
- * times_alt/avail_alt are the second buffer set: a call copies the live
- * window there, mutates the copy and flips the two (cur says which set
- * the driver finds live), so an error status costs nothing to undo.
- * prefix[0..n) is the free-area prefix cache over the live window:
+ * lo instead of memmoving, shifts splice in place within the window, and
+ * lo carries over from one call to the next (the driver re-bases the
+ * window to index 0 when the room above it runs out).  times_alt/avail_alt
+ * hold a call's savepoint: the entry cells it overwrote, at the same
+ * indexes (see Save).  prefix[0..n) is the free-area prefix cache over the
+ * live window:
  * entries below prefix_from survive a shift, the rest are re-summed in
  * the same order when prefix_valid drops (the floats
  * AvailabilityProfile._ensure_prefix produces from a full rebuild). */
@@ -167,7 +175,6 @@ typedef struct {
     double *scr_t;  /* shift replacement-window scratch */
     int64_t *scr_a;
     int64_t cap_buf;  /* allocated length of each times/avail buffer */
-    int64_t cur;
     int64_t lo;
     int64_t n;
     int64_t capacity; /* machine capacity (processors) */
@@ -199,8 +206,49 @@ typedef struct {
     Fact facts[NFACTS];
 } Prof;
 
-/* port of AvailabilityProfile._shift (validation included) */
-static int prof_shift(Prof *p, double t0, double t1, int64_t delta)
+/* A call's savepoint: what it has overwritten of the entry window
+ * [lo0, end) of times/avail.  The entry cells of [lo, end) are saved in
+ * times_alt/avail_alt at the same indexes (lo == end: nothing saved).  A
+ * shift writes only at or above its own index, so it extends the range
+ * down to that index first; cells below the range hold their entry
+ * values, but for one: the origin cell the last compaction clamped,
+ * journaled as (clamp_at, clamp_old).  A local of repro_admit_batch. */
+typedef struct {
+    int64_t lo, end;
+    int64_t clamp_at; /* -1: no clamped cell */
+    double clamp_old;
+} Save;
+
+/* Save the entry cells [at, sv->lo) before a write at absolute index at
+ * (cells at or above sv->end were outside the entry window). */
+static void save_from(Prof *p, Save *sv, int64_t at)
+{
+    if (at >= sv->lo)
+        return;
+    size_t k = (size_t)(sv->lo - at);
+    memcpy(p->times_alt + at, p->times + at, k * sizeof(double));
+    memcpy(p->avail_alt + at, p->avail + at, k * sizeof(int64_t));
+    if (sv->clamp_at >= at && sv->clamp_at < sv->lo)
+        p->times_alt[sv->clamp_at] = sv->clamp_old; /* its entry value */
+    sv->lo = at;
+}
+
+/* Put back the entry window: the clamped cell first, then the saved
+ * range (which wins where the two overlap), then the window's bounds. */
+static void save_restore(Prof *p, const Save *sv, int64_t lo0, int64_t n0)
+{
+    if (sv->clamp_at >= 0)
+        p->times[sv->clamp_at] = sv->clamp_old;
+    size_t k = (size_t)(sv->end - sv->lo);
+    memcpy(p->times + sv->lo, p->times_alt + sv->lo, k * sizeof(double));
+    memcpy(p->avail + sv->lo, p->avail_alt + sv->lo, k * sizeof(int64_t));
+    p->lo = lo0;
+    p->n = n0;
+}
+
+/* port of AvailabilityProfile._shift (validation included); saves into
+ * sv what it is about to overwrite */
+static int prof_shift(Prof *p, Save *sv, double t0, double t1, int64_t delta)
 {
     if (isnan(t0) || isnan(t1))
         return BATCH_ERR_SHIFT;
@@ -292,6 +340,7 @@ static int prof_shift(Prof *p, double t0, double t1, int64_t delta)
     int64_t new_n = n - (hi - i) + w;
     if (p->lo + new_n > p->cap_buf)
         return BATCH_ERR_OVERFLOW;
+    save_from(p, sv, p->lo + i); /* nothing below i is written */
     if (w != hi - i) {
         memmove(times + i + w, times + hi, (size_t)(n - hi) * sizeof(double));
         memmove(avail + i + w, avail + hi, (size_t)(n - hi) * sizeof(int64_t));
@@ -311,8 +360,10 @@ static int prof_shift(Prof *p, double t0, double t1, int64_t delta)
     return BATCH_OK;
 }
 
-/* port of AvailabilityProfile.compact */
-static void prof_compact(Prof *p, double before)
+/* port of AvailabilityProfile.compact; journals the origin cell it
+ * clamps in sv, and gives the last clamped cell, now below the window,
+ * its old value back */
+static void prof_compact(Prof *p, Save *sv, double before)
 {
     double *times = p->times + p->lo;
     if (before <= times[0])
@@ -322,11 +373,17 @@ static void prof_compact(Prof *p, double before)
         i = 0;
     if (i == 0)
         return;
+    if (sv->clamp_at >= 0)
+        p->times[sv->clamp_at] = sv->clamp_old;
+    sv->clamp_at = -1;
     p->lo += i;
     p->n -= i;
     times = p->times + p->lo;
-    if (times[0] < before)
+    if (times[0] < before) {
+        sv->clamp_at = p->lo;
+        sv->clamp_old = times[0];
         times[0] = before;
+    }
     p->prefix_valid = 0;
     p->prefix_from = 0; /* the origin moved: every entry changes */
     p->c[K_COMPACTIONS] += 1;
@@ -457,48 +514,53 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
  * incumbent finish cap included — reuses it unchanged. */
 
 /* Latest time up to which the facts rule out a start for (w, d) at or
- * after `from`; *since becomes the earliest r of the facts used, so the
- * caller's own fact can cover their union.  Iterated to a fixed point:
- * raising the bound can bring a later-starting fact into reach. */
+ * after `from` — the end of the covered region that contains it; *since
+ * becomes the earliest r of the facts used, so the caller's own fact can
+ * cover their union.  One pass over the table, which is sorted by r: from
+ * only grows, so a fact passed over stays inapplicable, and the first fact
+ * with r > from ends the pass. */
 static double facts_frontier(const Prof *p, int64_t w, double d, double from,
                              double *since)
 {
-    for (int again = 1; again;) {
-        again = 0;
-        for (int64_t k = 0; k < p->nfacts; k++) {
-            const Fact *f = &p->facts[k];
-            if (f->s > from && f->r <= from && f->w <= w && f->d <= d) {
-                from = f->s;
-                if (f->r < *since)
-                    *since = f->r;
-                again = 1;
-            }
+    for (int64_t k = 0; k < p->nfacts; k++) {
+        const Fact *f = &p->facts[k];
+        if (f->r > from)
+            break;
+        if (f->s > from && f->w <= w && f->d <= d) {
+            from = f->s;
+            if (f->r < *since)
+                *since = f->r;
         }
     }
     return from;
 }
 
-/* Record (w, d, r, s), dropping every fact it makes redundant (one that
- * applies to no request and no release this one does not, and ends no
- * later).  No stored fact can make the new one redundant: it would have
- * applied in facts_frontier and carried the walk past s. */
+/* Record (w, d, r, s) at its slot in r order, dropping every fact it
+ * makes redundant (one that applies to no request and no release this one
+ * does not, and ends no later) without reordering the rest.  No stored
+ * fact can make the new one redundant: it would have applied in
+ * facts_frontier and carried the walk past s.  A full table gives up the
+ * fact in slot fact_evict, round-robin. */
 static void facts_insert(Prof *p, int64_t w, double d, double r, double s)
 {
-    int64_t k = 0;
-    while (k < p->nfacts) {
-        const Fact *f = &p->facts[k];
-        if (w <= f->w && d <= f->d && r <= f->r && s >= f->s)
-            p->facts[k] = p->facts[--p->nfacts];
-        else
-            k += 1;
+    Fact *facts = p->facts;
+    int64_t n = 0;
+    for (int64_t k = 0; k < p->nfacts; k++) {
+        const Fact *f = &facts[k];
+        if (!(w <= f->w && d <= f->d && r <= f->r && s >= f->s))
+            facts[n++] = *f;
     }
-    if (p->nfacts < NFACTS) {
-        k = p->nfacts++;
-    } else {
-        k = p->fact_evict;
-        p->fact_evict = (k + 1) % NFACTS;
+    if (n == NFACTS) {
+        int64_t v = p->fact_evict;
+        p->fact_evict = (v + 1) % NFACTS;
+        n -= 1;
+        memmove(facts + v, facts + v + 1, (size_t)(n - v) * sizeof(Fact));
     }
-    p->facts[k] = (Fact){w, d, r, s};
+    int64_t k = n;
+    for (; k > 0 && facts[k - 1].r > r; k--)
+        facts[k] = facts[k - 1];
+    facts[k] = (Fact){w, d, r, s};
+    p->nfacts = n + 1;
 }
 
 /* Full earliest_fit port (pre-checks + clamp + bisect + walk) behind the
@@ -694,7 +756,7 @@ int64_t repro_ctx_size(void)
  * list: two swapped 8-byte fields, which sizeof cannot see, fail the load. */
 #define PROF_FIELDS(X)                                                        \
     X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
-    X(cap_buf) X(cur) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)  \
+    X(cap_buf) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)         \
     X(policy) X(use_dup) X(use_dom) X(use_cap) X(do_compact) X(record)       \
     X(max_chains) X(max_tasks) X(dscratch) X(iscratch) X(out_chain)          \
     X(out_rows) X(qmode) X(q_possible) X(q_sum) X(c) X(nfacts) X(fact_evict) \
@@ -713,18 +775,6 @@ const int64_t *repro_ctx_offsets(void)
     static const int64_t offsets[] = {PROF_FIELDS(X)};
 #undef X
     return offsets;
-}
-
-/* make the other buffer set the live one */
-static void prof_flip(Prof *p)
-{
-    double *t = p->times;
-    int64_t *a = p->avail;
-    p->times = p->times_alt;
-    p->avail = p->avail_alt;
-    p->times_alt = t;
-    p->avail_alt = a;
-    p->cur ^= 1;
 }
 
 /* The whole serial admission loop for the n_jobs staged in the context,
@@ -755,10 +805,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
         return BATCH_ERR_POLICY;
     memset(counters, 0, sizeof p->c);
     const int64_t lo0 = p->lo, n0 = p->n;
-    memcpy(p->times_alt, p->times + lo0, (size_t)n0 * sizeof(double));
-    memcpy(p->avail_alt, p->avail + lo0, (size_t)n0 * sizeof(int64_t));
-    prof_flip(p);
-    p->lo = 0;
+    Save sv = {lo0 + n0, lo0 + n0, -1, 0.0};
 
     double *cand_starts = dscratch;                      /* [MC][MT] */
     double *cand_finish = cand_starts + max_chains * max_tasks;
@@ -787,7 +834,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
             cell += 1 + 4 * chain_n[c];
         }
         if (p->do_compact)
-            prof_compact(p, release);
+            prof_compact(p, &sv, release);
         int64_t ncand = 0, nkeyed = 0, nfailed = 0;
         double cap = INFINITY;
         double best_q = 0.0; /* job.best_quality: Python's max, first on ties */
@@ -923,12 +970,10 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
         double *row = p->out_rows + counters[K_ROW_CELLS];
         for (int64_t t = 0; t < cn; t++) {
             double s = starts[t];
-            int st = prof_shift(p, s, s + ctasks[t].dur,
+            int st = prof_shift(p, &sv, s, s + ctasks[t].dur,
                                 -(int64_t)ctasks[t].procs);
             if (st != BATCH_OK) {
-                prof_flip(p);
-                p->lo = lo0;
-                p->n = n0;
+                save_restore(p, &sv, lo0, n0);
                 p->nfacts = 0;
                 p->prefix_valid = 0;
                 p->prefix_from = 0;

@@ -13,12 +13,13 @@ C call, then builds the decision objects from the two columns it answers
 with (``out_chain``: each job's chosen chain, by its index in the job;
 ``out_rows``: per admitted job ``[finish, area, start of each task]``)
 and folds the counters into the live ones; the profile itself stays in
-the context's arrays until Python reads it.  The C loop mutates a copy of
-the live window, so any error status leaves the live state as it was and
-the caller falls back to the reference: the plain serial loop over
-``_offer``.  ``submit(job)`` is this same path with a batch of one; when
-the job offers the very chains tuple the staged record was packed from,
-only the record's release cell is rewritten (see "Context lifetime").
+the context's arrays until Python reads it.  The C loop mutates the live
+window in place and saves the entry cells it overwrites, so any error
+status puts the live state back as it was and the caller falls back to
+the reference: the plain serial loop over ``_offer``.  ``submit(job)``
+is this same path with a batch of one; when the job offers the very
+chains tuple the staged record was packed from, only the record's
+release cell is rewritten (see "Context lifetime").
 
 What the C loop does not take
 -----------------------------
@@ -58,10 +59,21 @@ context's view of the profile is thrown away:
 * ``REPRO_KERNEL_LIB`` pointing at another ``.so``: a context remembers
   the kernel object that built it and is rebuilt when another one is
   active.
-* Growth: :meth:`_Context.sync` guarantees room for two new segments per
-  task of the batch *before* the call and re-binds doubled buffers when
-  the headroom is used up, carrying the live window (and the no-fit
-  facts) across — the loop never returns ``BATCH_ERR_OVERFLOW`` and
+* Growth and re-base: the live window is ``[lo, lo + n)`` of the
+  context's buffers, and ``lo`` only grows — compaction advances it, in
+  one call and from one call to the next.  :meth:`_Context.sync`
+  guarantees room *above the window* for two new segments per task of
+  the batch before the call (``need`` cells from ``lo``).  When that room
+  runs out, or the window has drifted further than its own length (and
+  ``_MIN_CELLS``) from index 0, it re-bases: the window moves to index 0,
+  in place if the buffers are more than 4/3 ``need`` long, else into
+  re-bound buffers of twice ``need`` (never fewer than ``_MIN_CELLS``).
+  A re-base copies ``n`` cells and the next is more than ``need / 3`` and
+  ``n`` cells of compaction away; the drift bound keeps a short window
+  in the buffers' first pages, so what the process touches does not grow
+  with a large batch's room.  The no-fit facts survive both, and the
+  prefix an in-place re-base (it is indexed from ``lo``); the loop never
+  returns ``BATCH_ERR_OVERFLOW`` and
   ``kernels.stats.fallbacks`` stays 0.  :meth:`_Context.stage` does the
   same for the job side: a record longer than any before it (or more
   jobs, or a larger fan-out) re-binds the record buffer, the two output
@@ -218,16 +230,20 @@ def flatten_jobs(jobs: Sequence[Job]) -> tuple[bytes, int, int] | None:
 
 _F8, _I8 = np.float64, np.int64
 
+#: The shortest profile buffer, and the least drift of the window before
+#: a re-base, in cells: a few-segment profile that compacts on every call
+#: re-bases about once in a hundred calls, not once in ten.
+_MIN_CELLS = 128
+
 
 class _Context:
     """One profile's side of the kernel crossing (see "Context lifetime").
 
     Owns the ``Context`` struct ``repro_admit_batch`` takes and, in
     ``cols`` under the struct's field names, every buffer it points at:
-    two profile buffer sets (the C loop copies the live window into the
-    other set, mutates that and swaps the two pointer pairs, so
-    ``c.cur`` says whether the arrays bound as ``times``/``avail`` or as
-    ``times_alt``/``avail_alt`` are live), prefix and shift scratch, the
+    the profile's (``times``/``avail``, whose ``[lo, lo + n)`` is the live
+    window; ``times_alt``/``avail_alt``, where the C loop saves the entry
+    cells it overwrites), prefix and shift scratch, the
     staged record (``inbuf`` is its byte view), the two output columns
     (``chosen`` / ``rows``: their memoryviews, read item by item by a
     one-job write-back) and the per-job scratch.  ``chains`` is the tuple
@@ -260,36 +276,47 @@ class _Context:
         """Views of the live window (valid until the next kernel call)."""
         c, cols = self.c, self.cols
         lo, hi = c.lo, c.lo + c.n
-        if c.cur:
-            return cols["times_alt"][lo:hi], cols["avail_alt"][lo:hi]
         return cols["times"][lo:hi], cols["avail"][lo:hi]
 
     def sync(self, profile, n_tasks: int) -> None:
-        """Make the live window the profile, with room for this batch.
+        """Make the live window the profile, with room above it for this
+        batch.
 
-        Each committed task splits at most two segments.  The lists are
-        uploaded only when a Python-side mutation made the arrays stale,
-        and with them goes everything learnt about the old arrays.
+        Each committed task splits at most two segments; compaction moves
+        the window up, so its room runs out even when the profile does
+        not grow.  Then, or once the window has drifted more than its own
+        length (and ``_MIN_CELLS``) up the buffers, or when a Python-side
+        mutation made the arrays stale (which uploads the lists and
+        forgets everything learnt about the old arrays), the window is
+        written at index 0 of buffers more than 4/3 ``need`` long —
+        re-bound at twice ``need`` if the present ones are not — so the
+        next re-base is more than ``need / 3`` and ``n`` cells of
+        compaction away, and ``need`` has to grow by half before the next
+        re-bind.
         """
         c = self.c
         stale = profile._dirty  # noqa: SLF001 - same package
         n = len(profile)
         need = n + 2 * n_tasks + 8
-        if not stale and need <= c.cap_buf:
+        lo = c.lo
+        if not stale and lo + need <= c.cap_buf and (lo <= n or lo <= _MIN_CELLS):
             return
         source = (profile._times, profile._avail) if stale else self.window()  # noqa: SLF001
-        if need > c.cap_buf:
-            c.cap_buf = cap = 2 * need
+        if 4 * need > 3 * c.cap_buf:
+            c.cap_buf = cap = max(2 * need, _MIN_CELLS)
             for name in ("times", "times_alt", "prefix"):
                 self._bind(name, cap)
             for name in ("avail", "avail_alt"):
                 self._bind(name, cap, _I8)
             self._bind("scr_t", cap + 4)
             self._bind("scr_a", cap + 4, _I8)
-            c.cur = c.prefix_valid = c.prefix_from = 0
+            c.prefix_valid = c.prefix_from = 0
+        # The prefix is indexed from lo, so an in-place re-base keeps it;
+        # the slice assignment copies through a temporary when the two
+        # ranges overlap.
+        cols = self.cols
+        cols["times"][:n], cols["avail"][:n] = source
         c.lo, c.n = 0, n
-        times, avail = self.window()
-        times[:], avail[:] = source
         if stale:
             c.nfacts = c.prefix_valid = c.prefix_from = 0
             profile._dirty = False  # noqa: SLF001

@@ -28,7 +28,8 @@ class _Fact(ctypes.Structure):
 
 class Context(ctypes.Structure):
     """``Prof`` of ``_kernels.c``, field for field (the loader compares
-    the size and every field's offset): the profile's buffers and state,
+    the size and every field's offset): the profile's buffers (the live
+    window, and the savepoint an error status restores from) and state,
     the scheduler flags, ONE input pointer (``record``, the packed job
     vector), the per-job scratch, two output pointers (``out_chain``,
     ``out_rows``), the quality accumulators, the counters and the no-fit
@@ -40,7 +41,7 @@ class Context(ctypes.Structure):
             "times", "avail", "times_alt", "avail_alt", "prefix", "scr_t",
             "scr_a")),
         *((name, _i64) for name in (
-            "cap_buf", "cur", "lo", "n", "capacity", "prefix_valid",
+            "cap_buf", "lo", "n", "capacity", "prefix_valid",
             "prefix_from", "policy", "use_dup", "use_dom", "use_cap",
             "do_compact")),
         ("record", _ptr),

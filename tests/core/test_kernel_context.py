@@ -214,6 +214,21 @@ def _assert_staged(arbitrator: QoSArbitrator, jobs: list[Job]) -> None:
         assert bytes(ctx.inbuf[: len(record)]) == record
 
 
+def _assert_facts_ordered(profile: AvailabilityProfile) -> None:
+    """The context's no-fit facts are sorted by ``r`` (the one-pass
+    frontier stops at the first one past its bound) and none is redundant
+    beside another: no fact has ``w``, ``d`` and ``r`` no smaller and ``s``
+    no larger than a different one."""
+    ctx = profile._ctx  # noqa: SLF001
+    if ctx is None:
+        return
+    facts = [(f.w, f.d, f.r, f.s) for f in ctx.c.facts[: ctx.c.nfacts]]
+    assert [f[2] for f in facts] == sorted(f[2] for f in facts)
+    for i, (w, d, r, s) in enumerate(facts):
+        for j, g in enumerate(facts):
+            assert i == j or not (g[0] <= w and g[1] <= d and g[2] <= r and g[3] >= s)
+
+
 @pytest.mark.parametrize("kmode", KERNEL_MODES)
 @given(seed=st.integers(0, 2**31 - 1), steps=st.lists(_STEPS, min_size=5, max_size=40))
 @settings(max_examples=25, deadline=None)
@@ -227,6 +242,7 @@ def test_every_interleaving_matches_the_reference(kmode, seed, steps):
             pair.step(op)
             assert len(pair.auto.schedule.profile) == len(pair.ref.schedule.profile)
             assert _state(pair.auto) == _state(pair.ref)
+            _assert_facts_ordered(pair.auto.schedule.profile)
 
 
 @pytest.mark.parametrize("kmode", KERNEL_MODES)
@@ -303,15 +319,55 @@ def test_growth_rebinds_and_never_overflows():
 
 
 @needs_compiled
+def test_compaction_walks_the_window_up_and_sync_rebases_it_in_place(monkeypatch):
+    """Compaction moves the live window up the buffers from one call to
+    the next; once it has drifted further than its own length (or the room
+    above it runs out), ``sync`` moves it back to index 0 in the same
+    buffers, keeping the no-fit facts and the prefix (indexed from
+    ``lo``), and every decision is the reference's."""
+    rng = random.Random(3)
+    jobs = [
+        Job(chains=_one_task(rng.randint(1, 4), rng.uniform(0.5, 3.0), 6.0),
+            release=0.5 * k, job_id=k)
+        for k in range(2_000)
+    ]
+    rebases = []
+    sync = kernel_batch._Context.sync  # noqa: SLF001
+
+    def spied(self, profile, n_tasks):
+        c = self.c
+        before = (c.lo, c.cap_buf, c.nfacts, c.prefix_valid, c.prefix_from)
+        sync(self, profile, n_tasks)
+        if c.lo < before[0]:
+            after = (c.lo, c.cap_buf, c.nfacts, c.prefix_valid, c.prefix_from)
+            rebases.append((before, after))
+
+    monkeypatch.setattr(kernel_batch._Context, "sync", spied)  # noqa: SLF001
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(4)
+        ref = QoSArbitrator(4, backend="scalar")
+        for job in jobs:
+            assert auto.submit(job) == ref.submit(job)
+        assert auto.perf_snapshot()["batch_fallbacks"] == 0
+    assert len(rebases) >= 3
+    for before, after in rebases:
+        assert after == (0, *before[1:])
+    assert any(before[2] for before, _ in rebases)  # facts were there to keep
+    assert _state(auto) == _state(ref)
+
+
+@needs_compiled
 @pytest.mark.parametrize("status", (-1, -2, -3))
 @pytest.mark.parametrize("arrays_current", (False, True))
 @pytest.mark.parametrize("batched", (False, True))
 def test_error_status_leaves_the_live_state_untouched(
     monkeypatch, status, arrays_current, batched
 ):
-    """A kernel that scribbles on everything it may write and returns an
-    error: the job is decided by the fallback, as the reference decides
-    it, whether the lists or the arrays were current at entry."""
+    """A kernel that scribbles on everything it may write but the live
+    window (the savepoint buffers, the prefix, the scratch, the outputs,
+    the counters and the accumulators) and returns an error: the job is
+    decided by the fallback, as the reference decides it, whether the
+    lists or the arrays were current at entry."""
     case = random_flood(random.Random(11), min_jobs=60, max_jobs=60)
     jobs = list(case.jobs)
     with kernels.use("compiled"):
@@ -332,9 +388,8 @@ def test_error_status_leaves_the_live_state_untouched(
         def scribbling(ctx_ref, n_jobs):
             ctx = profile._ctx  # noqa: SLF001
             c, cols = ctx.c, ctx.cols
-            spare = ("times", "avail") if c.cur else ("times_alt", "avail_alt")
-            for name in (*spare, "prefix", "scr_t", "scr_a", "out_chain",
-                         "out_rows", "dscratch", "iscratch"):
+            for name in ("times_alt", "avail_alt", "prefix", "scr_t", "scr_a",
+                         "out_chain", "out_rows", "dscratch", "iscratch"):
                 cols[name][:] = -7
             ctx.counters[:] = 99
             c.q_possible, c.q_sum = -7.0, 1e9
@@ -367,6 +422,132 @@ def test_error_status_leaves_the_live_state_untouched(
         for job in jobs[41:]:
             assert auto.submit(job) == ref.submit(job)
         assert _state(auto) == _state(ref)
+
+
+def _job(job_id: int, release: float, *shapes: tuple[int, float]) -> Job:
+    """One chain of one task per ``(width, duration)``, deadlines lax."""
+    tasks = tuple(
+        TaskSpec(f"t{k}", ProcessorTimeRequest(w, d), deadline=100.0)
+        for k, (w, d) in enumerate(shapes)
+    )
+    return Job(chains=(TaskChain(tasks),), release=release, job_id=job_id)
+
+
+#: Calls the real C loop fails on with ``BATCH_ERR_OVERFLOW`` once ``room``
+#: cells are left above the entry window.  The history leaves breakpoints
+#: 0, 1, 4, 10 (free 2, 1, 2, 8 of 8); a release of 2.5 compacts the first
+#: segment away and clamps the origin cell from 1 to 2.5.
+_OVERFLOWS = {
+    # one job, two tasks: [10, 11) fits, [11, 12) would split one segment
+    # too many; the clamped cell is never shifted over.
+    "one-job": ([_job(2, 2.5, (4, 1.0), (1, 1.0))], 1),
+    # [10, 11), then [2.5, 3.5) below it, over the clamped cell; the third
+    # job's [4, 5) overflows.
+    "lower": ([_job(2, 2.5, (4, 1.0)), _job(3, 2.5, (1, 1.0)),
+               _job(4, 2.5, (2, 1.0))], 2),
+    # [10, 11); at 4.5 a second compaction passes the first clamped cell
+    # (dead now, and below everything saved) and clamps 4 to 4.5; then
+    # [4.5, 5.5) below the first shift and [4.5, 5) overflows.
+    "recompact": ([_job(2, 2.5, (4, 1.0)), _job(3, 4.5, (1, 1.0)),
+                   _job(4, 4.5, (1, 0.5))], 2),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", tuple(_OVERFLOWS))
+def test_a_real_overflow_after_commits_restores_the_entry_window(monkeypatch, case):
+    """The real C loop, not a stand-in, runs out of room after it has
+    compacted and committed: the status is ``BATCH_ERR_OVERFLOW``, the
+    window's bounds and every byte of it are those at entry (the savepoint
+    and the clamp journal put back what the call overwrote), and the
+    fallback decides the batch as the reference does."""
+    jobs, room = _OVERFLOWS[case]
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(8)
+        ref = QoSArbitrator(8, backend="scalar")
+        for job in (_job(0, 0.0, (6, 10.0)), _job(1, 1.0, (1, 3.0))):
+            assert auto.submit(job) == ref.submit(job)
+        profile = auto.schedule.profile
+        assert profile.breakpoints == (0.0, 1.0, 4.0, 10.0)
+        impl = kernels.active()
+        real = impl.admit_batch
+        calls = []
+
+        def tight(ctx_ref, n_jobs):
+            ctx = profile._ctx  # noqa: SLF001
+            c = ctx.c
+            entry = (c.lo, c.n, *(a.tobytes() for a in ctx.window()))
+            cap, c.cap_buf = c.cap_buf, c.lo + c.n + room
+            status = real(ctx_ref, n_jobs)
+            c.cap_buf = cap
+            calls.append((
+                status, entry, (c.lo, c.n, *(a.tobytes() for a in ctx.window())),
+                ctx.counters.tolist(),
+            ))
+            return status
+
+        monkeypatch.setattr(impl, "admit_batch", tight)
+        fallbacks = kernels.stats.fallbacks
+        want = [ref.submit(job) for job in jobs]
+        if len(jobs) == 1:
+            got = [auto.submit(jobs[0])]
+        else:
+            got = auto.admit_batch(jobs)
+        monkeypatch.setattr(impl, "admit_batch", real)
+        ((status, entry, after, counts),) = calls
+        assert status == -1  # BATCH_ERR_OVERFLOW
+        assert after == entry
+        shifts = {"one-job": 1, "lower": 2, "recompact": 2}[case]
+        assert counts[0] == shifts  # K_SHIFT_OPS: the shifts that went in
+        assert counts[6] == (2 if case == "recompact" else 1)  # K_COMPACTIONS
+        assert got == want
+        assert kernels.stats.fallbacks == fallbacks + 1
+        assert _state(auto) == _state(ref)
+        for k in range(5, 40):  # and the kernel takes over again
+            job = _job(k, 4.5 + k / 4, (1 + k % 5, 0.5 + k % 3))
+            assert auto.submit(job) == ref.submit(job)
+        assert _state(auto) == _state(ref)
+        assert kernels.stats.fallbacks == fallbacks + 1
+
+
+def _campaign(rng: random.Random, n: int) -> list[Job]:
+    """A backlog-shaped flood (the end-to-end benchmark's ``backlog``, at
+    test size): Poisson arrivals at 8 per time unit on 64 processors, each
+    job ``w x d`` or ``2w x d/2`` with ``d`` lognormal and a lax deadline,
+    so the profile grows deep and the fact table fills and evicts."""
+    jobs, release = [], 0.0
+    for k in range(n):
+        release += rng.expovariate(8.0)
+        w = rng.choice((1, 1, 2, 2, 3, 4, 6, 8))
+        d = min(60.0, rng.lognormvariate(1.0, 1.0)) + 0.25
+        chains = tuple(
+            TaskChain((TaskSpec("t", ProcessorTimeRequest(pw, pd), deadline=1000.0 * d),))
+            for pw, pd in ((w, d), (2 * w, d / 2))
+        )
+        jobs.append(Job(chains=chains, release=release, job_id=k))
+    return jobs
+
+
+@needs_compiled
+def test_the_fact_table_stays_sorted_and_irredundant_under_a_backlog():
+    """Chunks of a backlog-shaped flood: after each, the table is sorted
+    by ``r`` and irredundant, it has filled (so slots were evicted round
+    robin and inserts shifted the rest), and every decision is the
+    reference's."""
+    jobs = _campaign(random.Random(2024), 3_000)
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(64)
+        full = False
+        decided = []
+        for at in range(0, len(jobs), 256):
+            decided += auto.admit_batch(jobs[at : at + 256])
+            _assert_facts_ordered(auto.schedule.profile)
+            full = full or auto.schedule.profile._ctx.c.nfacts == 64  # noqa: SLF001
+        assert full
+        assert auto.perf_snapshot()["batch_fallbacks"] == 0
+    ref = QoSArbitrator(64, backend="scalar")
+    assert decided == [ref.submit(job) for job in jobs]
+    assert _state(auto) == _state(ref)
 
 
 @needs_compiled
