@@ -79,24 +79,13 @@ from repro.perf import ProfileStats
 __all__ = [
     "AvailabilityProfile",
     "PROFILE_BACKENDS",
-    "check_backend",
 ]
 
 #: Valid values for the ``backend`` constructor argument.  A tuple (and
 #: in this order) because ``benchmarks/e2e/layers.py`` reports
-#: ``PROFILE_BACKENDS.index(profile.scan_backend())``; ROADMAP 9(ii)
+#: ``PROFILE_BACKENDS.index(profile.scan_backend())``; ROADMAP item 14
 #: removes that reader.
 PROFILE_BACKENDS = ("auto", "scalar")
-
-
-def check_backend(backend: object) -> None:
-    """Raise :class:`~repro.errors.ConfigurationError` unless ``backend``
-    is one of :data:`PROFILE_BACKENDS` (the one check every config object
-    and constructor that accepts a back-end name shares)."""
-    if backend not in PROFILE_BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {PROFILE_BACKENDS}, got {backend!r}"
-        )
 
 
 class AvailabilityProfile:
@@ -136,7 +125,10 @@ class AvailabilityProfile:
             raise ConfigurationError(f"capacity must be a positive int, got {capacity!r}")
         if math.isnan(origin) or math.isinf(origin):
             raise ConfigurationError(f"origin must be finite, got {origin!r}")
-        check_backend(backend)
+        if backend not in PROFILE_BACKENDS:
+            raise ConfigurationError(
+                f"backend must be one of {PROFILE_BACKENDS}, got {backend!r}"
+            )
         self._capacity = capacity
         #: Kernel context of the C admission loop (None until its first
         #: call; owned by :mod:`repro.core.kernels.batch`) and whether its
@@ -313,7 +305,7 @@ class AvailabilityProfile:
     def scan_backend(self) -> str:
         """Always ``"scalar"``: queries on the profile walk its lists.
         Kept only for ``benchmarks/e2e/layers.py``, which reports it as
-        ``autotune.backend_final``; ROADMAP 9(ii) removes that reader."""
+        ``autotune.backend_final``; ROADMAP item 14 removes that reader."""
         return "scalar"
 
     def min_available(self, t0: float, t1: float) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "WorkloadError",
     "VerificationError",
     "ServiceError",
-    "TransientWorkerError",
     "ServiceUnavailableError",
     "WalCorruptionError",
 ]
@@ -165,16 +164,6 @@ class VerificationError(ReproError):
 
 class ServiceError(ReproError):
     """Base class for admission-service errors (:mod:`repro.service`)."""
-
-
-class TransientWorkerError(ServiceError):
-    """A decision worker failed *before* taking effect; safe to retry.
-
-    The service's retry loop assumes the failed attempt committed nothing
-    to the arbitrator — workers must fail-before-side-effect (a worker
-    that dies mid-commit takes the whole service down instead, and crash
-    recovery replays the WAL).
-    """
 
 
 class ServiceUnavailableError(ServiceError):

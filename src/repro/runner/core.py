@@ -73,6 +73,14 @@ class RunnerConfig:
     :class:`~repro.errors.VerificationError`.  Roughly doubles batch
     cost — meant for CI gates and result-publication runs, not sweeps'
     inner loops.
+
+    Who sets each field off its default (a knob with no such user goes):
+
+    * ``jobs``: ``--jobs`` (CI regenerates the committed tables pooled).
+    * ``cache_dir``: ``--cache-dir`` (the CLI caches by default; CI diffs
+      a warm-cache run).
+    * ``audit``: no committed run yet, only the runner's own tests
+      (ROADMAP item 17 keeps it open).
     """
 
     jobs: int = 1

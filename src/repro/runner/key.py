@@ -5,9 +5,9 @@ A *work unit* is the atom of experiment execution: one
 system.  Its **unit key** is the SHA-256 digest of a canonical JSON
 encoding of every field that influences the simulation outcome (the
 synthetic-job parameters, machine size, arrival interval, job count,
-seed, task model, strategy/policy enums and the verify switch), plus the
-system name and a format version.  Two units collide exactly when they
-are guaranteed to produce identical :class:`~repro.sim.metrics.RunMetrics`,
+seed, task model, strategy/policy enums, fault model and resize
+settings), plus the system name and a format version.  Two units collide
+exactly when they are guaranteed to produce identical :class:`~repro.sim.metrics.RunMetrics`,
 which is what makes the key safe to use as a content address for the
 result cache and as a dedup handle inside one batch.
 
@@ -52,7 +52,11 @@ __all__ = [
 #: telemetry, so configs differing only in backend must not share a
 #: cache slot.  v5: a sweep unit seeds its RANDOM tie-break, so a warm
 #: cache must not serve an unseeded draw under a deterministic key.
-KEY_VERSION = 5
+#: v6: ``verify``, ``reconfig_cost_per_proc``, ``backend`` and ``prune``
+#: left SweepConfig (every unit verifies, with no per-processor resize
+#: cost, on the arbitrator's defaults); a payload that still carries them
+#: decodes with them ignored.
+KEY_VERSION = 6
 
 
 def canonical_json(obj: object) -> str:
@@ -119,18 +123,18 @@ def sweep_config_to_dict(config: SweepConfig) -> dict[str, object]:
         "malleable": config.malleable,
         "strategy": config.strategy.value,
         "policy": config.policy.value,
-        "verify": config.verify,
         "faults": _faults_to_dict(config.faults),
         "resize_policy": config.resize_policy.value,
         "reconfig_cost": config.reconfig_cost,
-        "reconfig_cost_per_proc": config.reconfig_cost_per_proc,
-        "backend": config.backend,
-        "prune": config.prune,
     }
 
 
 def sweep_config_from_dict(data: Mapping[str, object]) -> SweepConfig:
-    """Reconstruct a config serialized by :func:`sweep_config_to_dict`."""
+    """Reconstruct a config serialized by :func:`sweep_config_to_dict`.
+
+    Keys of fields SweepConfig no longer has (``verify`` and
+    ``reconfig_cost_per_proc`` in the committed corpus) are ignored.
+    """
     try:
         return SweepConfig(
             params=_params_from_dict(data["params"]),  # type: ignore[arg-type]
@@ -141,17 +145,10 @@ def sweep_config_from_dict(data: Mapping[str, object]) -> SweepConfig:
             malleable=bool(data["malleable"]),
             strategy=MalleableStrategy(data["strategy"]),
             policy=TieBreakPolicy(data["policy"]),
-            verify=bool(data["verify"]),
             faults=_faults_from_dict(data.get("faults")),  # type: ignore[arg-type]
             # Absent in pre-v3 payloads: resizing off, zero cost.
             resize_policy=ResizePolicy(data.get("resize_policy", "off")),
             reconfig_cost=float(data.get("reconfig_cost", 0.0)),  # type: ignore[arg-type]
-            reconfig_cost_per_proc=float(
-                data.get("reconfig_cost_per_proc", 0.0)  # type: ignore[arg-type]
-            ),
-            # Absent in pre-v4 payloads: auto backend, pruning on.
-            backend=str(data.get("backend", "auto")),
-            prune=bool(data.get("prune", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed sweep-config payload: {exc}") from exc

@@ -5,7 +5,7 @@ into a durable admission pipeline:
 
 * :mod:`repro.service.service` — the asyncio front-end: bounded ingress
   with backpressure, decision batching over ``admit_batch``, per-request
-  deadlines, retry + backoff + jitter, QoS-class shedding and
+  deadlines, fail-stop on a decision-path error, QoS-class shedding and
   degraded-quality admission, append-before-ack durability;
 * :mod:`repro.service.wal` — the CRC-framed, fsync'd write-ahead
   decision log with append-only delta checkpoints and torn-tail repair;

@@ -72,8 +72,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print(
             f"[service] capacity={capacity} jobs={len(jobs)} crash={crash} "
-            f"acked={int(stats['acked'])} batches={int(stats['batches'])} "
-            f"retries={int(stats['retries'])}"
+            f"acked={int(stats['acked'])} batches={int(stats['batches'])}"
         )
         state = recover(wal_dir, calm)
         print(

@@ -4,8 +4,8 @@ Every scenario runs the full fault → crash → recover → verify loop:
 
 1. **Drive** a seeded random workload through a live
    :class:`~repro.service.service.AdmissionService` while injecting
-   faults — transient/permanent decision-worker failures, decision-path
-   delays, duplicate and dropped (fire-and-forget) requests, tight
+   faults — a permanent decision-path outage, decision-path delays,
+   duplicate and dropped (fire-and-forget) requests, tight
    deadlines, kill-mid-WAL-append and kill-mid-checkpoint-append partial
    writes, and outright process kills.
 2. **Recover** from the WAL directory the crash left behind.
@@ -50,11 +50,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.arbitrator import QoSArbitrator
-from repro.errors import (
-    ReproError,
-    ServiceUnavailableError,
-    TransientWorkerError,
-)
+from repro.errors import ReproError, ServiceUnavailableError
 from repro.model.job import Job
 from repro.service.recovery import RecoveredState, recover
 from repro.service.service import AdmissionService, ServiceConfig
@@ -89,10 +85,8 @@ class ChaosScenario:
     ``partial_write_fraction`` prefix of the segment on disk, no
     watermark, WAL not yet truncated.  ``crash_after_acks`` kills the whole
     service once that many decisions were acked.  ``permanent_fail_after``
-    turns the decision path permanently faulty after N successful batches,
-    exercising retry-exhaustion fail-stop; with ``kill_in_backoff`` the
-    service is killed while the first failed batch sleeps before its retry
-    (``backoff_base`` makes that sleep long enough to hit).
+    makes the decision path raise after N successful batches; the first
+    injected failure fail-stops the service.
     ``stop_under_backpressure`` sends every request at once, so all but
     ``queue_limit`` callers wait in backpressure, then stops gracefully.
     """
@@ -104,7 +98,6 @@ class ChaosScenario:
     qos_classes: int = 3
     dup_prob: float = 0.0
     drop_prob: float = 0.0
-    worker_fail_prob: float = 0.0
     worker_delay_prob: float = 0.0
     tight_deadline_share: float = 0.0
     tight_timeout: float = 0.002
@@ -113,8 +106,6 @@ class ChaosScenario:
     checkpoint_tear_after: int | None = None
     crash_after_acks: int | None = None
     permanent_fail_after: int | None = None
-    kill_in_backoff: bool = False
-    backoff_base: float = 0.0002
     stop_under_backpressure: bool = False
     queue_limit: int = 64
     max_batch: int = 4
@@ -133,10 +124,6 @@ class ChaosScenario:
             shed_thresholds=self.shed_thresholds,
             degrade_occupancy=self.degrade_occupancy,
             checkpoint_every=self.checkpoint_every,
-            # Keep injected-retry storms fast but still exercise real sleeps.
-            backoff_base=self.backoff_base,
-            backoff_cap=10 * self.backoff_base,
-            seed=self.seed,
         )
 
 
@@ -150,7 +137,6 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
     _s("baseline-large-batches", 102, n_jobs=40, max_batch=16),
     _s("dup-storm", 103, dup_prob=0.5),
     _s("dropped-clients", 104, drop_prob=0.4),
-    _s("transient-workers", 105, worker_fail_prob=0.3),
     _s("slow-workers", 106, n_jobs=16, worker_delay_prob=0.5),
     _s("tight-deadlines", 107, tight_deadline_share=0.4, tight_timeout=0.001),
     _s(
@@ -198,7 +184,6 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
         n_jobs=48,
         dup_prob=0.3,
         drop_prob=0.2,
-        worker_fail_prob=0.2,
         tight_deadline_share=0.2,
         checkpoint_every=10,
         crash_after_acks=18,
@@ -210,12 +195,9 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
         n_jobs=40,
         dup_prob=0.25,
         drop_prob=0.15,
-        worker_fail_prob=0.15,
         checkpoint_every=8,
         partial_write_after=7,
     ),
-    _s("kill-in-backoff", 126, permanent_fail_after=2, kill_in_backoff=True,
-       backoff_base=0.05, graceful=False),
     _s("stop-under-backpressure", 127, n_jobs=32, queue_limit=4,
        stop_under_backpressure=True),
 )
@@ -250,7 +232,6 @@ class ChaoticDecider:
         self.scenario = scenario
         self.rng = rng
         self.batches = 0
-        self.injected_failures = 0
 
     def __call__(
         self, arbitrator: QoSArbitrator, jobs: Sequence[Job]
@@ -260,11 +241,7 @@ class ChaoticDecider:
             s.permanent_fail_after is not None
             and self.batches >= s.permanent_fail_after
         ):
-            self.injected_failures += 1
-            raise TransientWorkerError("injected permanent worker outage")
-        if s.worker_fail_prob and self.rng.random() < s.worker_fail_prob:
-            self.injected_failures += 1
-            raise TransientWorkerError("injected transient worker crash")
+            raise RuntimeError("injected permanent worker outage")
         if s.worker_delay_prob and self.rng.random() < s.worker_delay_prob:
             time.sleep(self.rng.uniform(0.0, 0.002))
         decisions = arbitrator.admit_batch(list(jobs))
@@ -328,8 +305,7 @@ class ChaosResult:
             f"torn={self.truncated_bytes}B "
             f"acked={int(self.stats.get('acked', 0))} "
             f"shed={int(self.stats.get('shed', 0))} "
-            f"degraded={int(self.stats.get('degraded', 0))} "
-            f"retries={int(self.stats.get('retries', 0))}"
+            f"degraded={int(self.stats.get('degraded', 0))}"
         )
         return "\n".join([line] + [f"     !! {f}" for f in self.failures])
 
@@ -411,7 +387,7 @@ async def _drive(
         if (
             scenario.crash_after_acks is not None
             and service.counters["acked"] >= scenario.crash_after_acks
-        ) or (scenario.kill_in_backoff and service.counters["retries"]):
+        ):
             service.kill()
             crash = "killed"
             break
@@ -419,7 +395,7 @@ async def _drive(
         if service.running:
             await service.stop()
         # The decision path may have fail-stopped after the last enqueue
-        # (e.g. retry exhaustion racing the graceful drain).
+        # (e.g. an outage hitting the graceful drain).
         if service.stats()["failed"]:
             crash = "failstop"
     acked: dict[str, object] = {}

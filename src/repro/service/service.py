@@ -18,14 +18,14 @@ properties a "predictable" resource manager owes its clients:
 * **Graceful degradation** — under overload the service degrades in
   order of honesty: QoS-class-aware **load shedding** (lower classes
   are turned away first, counted per class, never silently dropped) and
-  **degraded-quality admission** (tunable jobs keep only their
-  ``degrade_keep`` cheapest OR-paths — less work per job, so more jobs
-  clear admission) before any outright failure.
-* **Deadlines, retries, backoff** — every request carries a deadline;
-  transient decision-worker failures are retried with exponential
-  backoff plus seeded jitter; a permanently failing decision path
-  *fail-stops* the service (unacked work is recovered from the WAL)
-  instead of guessing.
+  **degraded-quality admission** (tunable jobs keep only their cheapest
+  OR-path — less work per job, so more jobs clear admission) before any
+  outright failure.
+* **Deadlines and fail-stop** — every request may carry a deadline; the
+  decision path is one in-process call, so an exception from it is a
+  bug, not a transient fault: the service *fail-stops* on the first one
+  (unacked work is recovered from the WAL) instead of retrying or
+  guessing.
 * **Durability** — the write-ahead log (:mod:`repro.service.wal`)
   makes every ack crash-safe: effective jobs and decisions are fsync'd
   before clients see them, checkpoints bound replay time, and
@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import operator
-import random
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -52,14 +51,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.core.admission import AdmissionDecision
-from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
-from repro.core.policies import TieBreakPolicy
-from repro.core.profile import check_backend
-from repro.errors import (
-    ConfigurationError,
-    ServiceUnavailableError,
-    TransientWorkerError,
-)
+from repro.core.arbitrator import QoSArbitrator
+from repro.errors import ConfigurationError, ServiceUnavailableError
 from repro.model.job import Job
 from repro.service.wal import LedgerEntry, WriteAheadLog, decision_to_tuple, write_checkpoint
 
@@ -120,8 +113,8 @@ class ServiceConfig:
     above which QoS class ``c`` (0 = highest) is shed; a value above 1.0
     means the class is never shed (it backpressures instead).  Classes
     beyond the tuple use its last entry.  ``degrade_occupancy`` is the
-    occupancy at which tunable jobs are narrowed to their
-    ``degrade_keep`` cheapest OR-paths before admission.
+    occupancy at which tunable jobs are narrowed to their cheapest
+    OR-path before admission.
 
     A batch is whatever is waiting when the drain loop wakes, so the bound
     on a batch is ``queue_limit``.  ``max_batch`` caps one decision batch
@@ -130,48 +123,36 @@ class ServiceConfig:
     ``queue_limit`` — it does not bind.  A lower cap buys no earlier ack
     (capped batches run back to back without yielding), only more fsyncs.
 
-    The tie-break policy must be deterministic (``RANDOM`` is rejected):
-    crash recovery replays the WAL through a *fresh* arbitrator and the
+    The arbitrator is always the default one (:func:`make_arbitrator`):
+    crash recovery replays the WAL through a *fresh* arbitrator, and the
     replayed schedule must be bit-identical to the pre-crash one.
+
+    Who sets each field off its default (a knob with no such user goes):
+
+    * ``capacity``: required, no default.
+    * ``malleable``: chaos ``malleable-baseline``, ``malleable-kill``,
+      ``malleable-torn-decision``, ``malleable-torn-ckpt``.
+    * ``queue_limit``: chaos ``overload-shed``, ``degrade-under-load``,
+      ``stop-under-backpressure``.
+    * ``max_batch``: chaos ``overload-shed``, ``baseline-large-batches``.
+    * ``shed_thresholds``: chaos ``overload-shed``.
+    * ``degrade_occupancy``: e2e ``svc_flood``, ``svc_paced``,
+      ``svc_restart``; chaos ``degrade-under-load``.
+    * ``checkpoint_every``: e2e ``svc_restart``; chaos
+      ``checkpoint-then-kill``, ``torn-checkpoint-append``.
     """
 
     capacity: int
     malleable: bool = False
-    objective: ArbitrationObjective = ArbitrationObjective.EARLIEST_FINISH
-    policy: TieBreakPolicy = TieBreakPolicy.PAPER
-    # "auto" (the C admission loop decides) or "scalar" (the Python
-    # reference does); see QoSArbitrator.  Decisions are bit-identical.
-    backend: str = "auto"
-    prune: bool = True
     queue_limit: int = 1024
     max_batch: int = 1024
     shed_thresholds: tuple[float, ...] = (1.01, 0.85, 0.6)
     degrade_occupancy: float = 0.5
-    degrade_keep: int = 1
-    max_attempts: int = 4
-    backoff_base: float = 0.002
-    backoff_cap: float = 0.25
-    backoff_jitter: float = 0.5
-    default_timeout: float | None = None
     checkpoint_every: int = 0
-    fsync: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        # Here, not at make_arbitrator(): by then AdmissionService has
-        # opened the WAL and recover() may have repaired its tail.
-        check_backend(self.backend)
-        if self.policy is TieBreakPolicy.RANDOM:
-            raise ConfigurationError(
-                "the admission service requires a deterministic tie-break "
-                "policy (WAL replay must be bit-identical); RANDOM is not"
-            )
         if self.queue_limit < 1 or self.max_batch < 1:
             raise ConfigurationError("queue_limit and max_batch must be >= 1")
-        if self.degrade_keep < 1:
-            raise ConfigurationError("degrade_keep must be >= 1")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
 
 
 def make_arbitrator(config: ServiceConfig) -> QoSArbitrator:
@@ -179,10 +160,6 @@ def make_arbitrator(config: ServiceConfig) -> QoSArbitrator:
     return QoSArbitrator(
         config.capacity,
         malleable=config.malleable,
-        objective=config.objective,
-        policy=config.policy,
-        backend=config.backend,
-        prune=config.prune,
         # Shed or timed-out requests may be retried after later-release
         # jobs were decided, so the service cannot promise the
         # non-decreasing release order that profile compaction requires.
@@ -191,28 +168,23 @@ def make_arbitrator(config: ServiceConfig) -> QoSArbitrator:
     )
 
 
-def _chain_cost(chain) -> float:
-    return sum(t.processors * t.duration for t in chain.tasks)
+def _chain_rank(chain) -> tuple[float, int]:
+    """Total processor-time work, then task count: cheaper ranks lower."""
+    return sum(t.processors * t.duration for t in chain.tasks), len(chain.tasks)
 
 
-def degrade_job(job: Job, keep: int) -> tuple[Job, bool]:
-    """Narrow a tunable job to its ``keep`` cheapest OR-paths.
+def degrade_job(job: Job) -> tuple[Job, bool]:
+    """Narrow a tunable job to its cheapest OR-path.
 
-    Chains are ranked by total processor-time work (ties: fewer tasks,
-    then original position) and the survivors keep their original
-    relative order.  The returned job *is* what gets logged and offered —
-    replay needs no knowledge that degradation happened, only the
-    effective job.  Returns ``(job, False)`` unchanged when nothing can
-    be dropped.
+    The cheapest chain has the least total processor-time work (ties:
+    fewer tasks, then the earlier position).  The returned job *is* what
+    gets logged and offered — replay needs no knowledge that degradation
+    happened, only the effective job.  Returns ``(job, False)`` unchanged
+    when the job has one chain.
     """
-    if len(job.chains) <= keep:
+    if len(job.chains) <= 1:
         return job, False
-    order = sorted(
-        range(len(job.chains)),
-        key=lambda i: (_chain_cost(job.chains[i]), len(job.chains[i].tasks), i),
-    )
-    kept = sorted(order[:keep])
-    return replace(job, chains=tuple(job.chains[i] for i in kept)), True
+    return replace(job, chains=(min(job.chains, key=_chain_rank),)), True
 
 
 #: What the ingress queue holds: the request's ledger row (built once, in
@@ -221,9 +193,10 @@ def degrade_job(job: Job, keep: int) -> tuple[Job, bool]:
 _Queued = tuple[LedgerEntry, asyncio.Future, "float | None"]
 
 
-#: Decision executor signature: must be atomic — either return the full
-#: batch's decisions with the arbitrator updated, or raise
-#: :class:`~repro.errors.TransientWorkerError` having changed nothing.
+#: Decision executor signature: returns the batch's decisions with the
+#: arbitrator updated.  Any exception fail-stops the service; recovery
+#: replays the WAL into a fresh arbitrator, so a half-applied batch is
+#: never reused.
 DecideFn = Callable[[QoSArbitrator, Sequence[Job]], "Sequence[AdmissionDecision]"]
 
 
@@ -254,8 +227,7 @@ class AdmissionService:
         self.config = config
         self.clock = clock
         self._decide_fn = decide
-        self._rng = random.Random(config.seed)
-        self.wal = WriteAheadLog(wal_dir, fsync=config.fsync)
+        self.wal = WriteAheadLog(wal_dir)
         self.entries: list[LedgerEntry] = []
         self._seen: dict[str, asyncio.Future | ServiceDecision] = {}
         self._seq = 0
@@ -295,8 +267,9 @@ class AdmissionService:
             "late_decisions": 0,
             "batches": 0,
             "batch_jobs": 0,
+            # Always 0: a decision is never retried.  Kept because
+            # benchmarks/e2e/layers.py:246 reports it as service.retries.
             "retries": 0,
-            "retry_backoff_total": 0.0,
             "checkpoints": 0,
         }
         for cls in range(len(config.shed_thresholds)):
@@ -331,12 +304,11 @@ class AdmissionService:
     def kill(self) -> None:
         """Simulated crash: stop abruptly, decide nothing more, abandon the WAL.
 
-        In-flight and queued requests are left unacked (their futures get
-        :class:`~repro.errors.ServiceUnavailableError` — the in-flight
-        batch's when the drain loop's cancellation lands, one loop turn
-        later) — exactly the client experience of a dying process; clients
-        re-submit after recovery and idempotency answers what was already
-        decided.
+        Queued requests are left unacked (their futures get
+        :class:`~repro.errors.ServiceUnavailableError`; a batch is decided
+        without yielding, so none is in flight) — exactly the client
+        experience of a dying process; clients re-submit after recovery and
+        idempotency answers what was already decided.
         """
         self._failed = "killed"
         if self._task is not None:
@@ -447,7 +419,6 @@ class AdmissionService:
                 return done
             return prior
 
-        timeout = timeout if timeout is not None else self.config.default_timeout
         deadline = None if timeout is None else self.clock() + timeout
 
         # QoS-class-aware shedding: cheap, pre-queue, never logged.
@@ -542,21 +513,17 @@ class AdmissionService:
                 batch = [queue.popleft() for _ in range(cap)]
             self._wake_waiters(len(batch))
             try:
-                await self._process(batch)
-            except asyncio.CancelledError:
-                self._abandon(batch, "service crashed")  # kill() mid-backoff
-                raise
+                self._process(batch)
             except Exception as exc:
-                # Fail-stop: a decision path or WAL failure the retry
-                # loop could not absorb.  Unacked work is in the WAL (or
-                # never was, in which case clients retry); recovery owns
-                # the rest.
+                # Fail-stop: a decision-path or WAL failure.  Unacked work
+                # is in the WAL (or never was, in which case clients
+                # retry); recovery owns the rest.
                 self._fail(f"service failed: {exc}")
                 self._abandon(batch, str(exc))
                 return
             del batch  # an idle drain loop pins no futures
 
-    async def _process(self, batch: list[_Queued]) -> None:
+    def _process(self, batch: list[_Queued]) -> None:
         now = self.clock()
         config, counters, seen = self.config, self.counters, self._seen
         rows: list[LedgerEntry] = []
@@ -586,7 +553,7 @@ class AdmissionService:
         occupancy = (len(rows) + len(self._queue)) / config.queue_limit
         if occupancy >= config.degrade_occupancy:
             for row in rows:
-                row.job, row.degraded = degrade_job(row.job, config.degrade_keep)
+                row.job, row.degraded = degrade_job(row.job)
                 counters["degraded"] += row.degraded
 
         # Append-before-ack, step 1: the effective jobs.  Durability is
@@ -595,7 +562,7 @@ class AdmissionService:
         self.wal.append_jobs(rows, sync=False)
         self._undecided_since_checkpoint += len(rows)
 
-        decisions = await self._decide_with_retry([row.job for row in rows])
+        decisions = self._decide_fn(self.arbitrator, [row.job for row in rows])
 
         # Append-before-ack, step 2: the decisions; the one fsync hardens
         # both records of the batch.  The pass that encodes them also
@@ -633,26 +600,6 @@ class AdmissionService:
         every = config.checkpoint_every
         if every and self._undecided_since_checkpoint >= every:
             self.checkpoint()
-
-    async def _decide_with_retry(
-        self, jobs: Sequence[Job]
-    ) -> Sequence[AdmissionDecision]:
-        attempt, config = 0, self.config
-        while True:
-            try:
-                return self._decide_fn(self.arbitrator, jobs)
-            except TransientWorkerError as exc:
-                attempt += 1
-                self.counters["retries"] += 1
-                if attempt >= config.max_attempts:
-                    raise ServiceUnavailableError(
-                        f"decision path failed {attempt} consecutive "
-                        f"attempts; failing stop (last: {exc})"
-                    ) from exc
-                delay = min(config.backoff_cap, config.backoff_base * 2 ** (attempt - 1))
-                delay *= 1.0 + config.backoff_jitter * self._rng.random()
-                self.counters["retry_backoff_total"] += delay
-                await asyncio.sleep(delay)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -15,7 +15,6 @@ from typing import Callable, Mapping, Sequence
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.malleable import MalleableStrategy
 from repro.core.policies import TieBreakPolicy
-from repro.core.profile import check_backend
 from repro.errors import WorkloadError
 from repro.model.job import Job
 from repro.resilience.events import FaultModel, generate_trace
@@ -45,21 +44,36 @@ class SweepConfig:
     """Everything needed to reproduce one experiment point or sweep.
 
     ``axis`` names the swept parameter: one of ``"interval"``, ``"laxity"``,
-    ``"processors"``, ``"alpha"``, ``"fault_rate"``.
+    ``"processors"``, ``"alpha"``, ``"fault_rate"``, ``"reconfig_cost"``.
 
     ``faults`` perturbs the run with a trace drawn from the given
     :class:`~repro.resilience.events.FaultModel` (:mod:`repro.resilience`);
-    ``None`` (or an all-zero-rate model) is the fault-free run,
-    bit-identically to configs predating the field.
+    ``None`` (or an all-zero-rate model) is the fault-free run.
 
     ``resize_policy``/``reconfig_cost`` enable mid-execution grow/shrink of
     running malleable jobs (:mod:`repro.resilience.reconfig`); any enabled
     direction attaches a resize engine to the point's simulator, whose
     event loop fires the resize events.  ``reconfig_cost`` is the fixed
-    checkpoint term of the :class:`~repro.resilience.reconfig.ReconfigCostModel`;
-    ``reconfig_cost_per_proc`` its per-processor redistribute term.
-    ``ResizePolicy.OFF`` (the default) is bit-identical to configs
-    predating the fields.
+    checkpoint term of the :class:`~repro.resilience.reconfig.ReconfigCostModel`.
+
+    Every unit runs the arbitrator's default search and backend and checks
+    its schedule's invariants as it goes.
+
+    Who sets each field off its default (a knob with no such user goes):
+
+    * ``params``: tables ``fig5b``, ``fig5d``, ``fig6a``, ``fig6b``
+      (the laxity and alpha axes).
+    * ``processors``: tables ``fig5c``, ``reconfig``.
+    * ``interval``: tables ``fig5a``, ``fig6a``, ``fig6b``, ``reconfig``.
+    * ``n_jobs``: tables ``ablation-fit``, ``reconfig``; every table at
+      ``--full-scale``.
+    * ``seed``: the nightly ``tools/resize_campaign.py``.
+    * ``malleable``: tables ``fig6b``, ``ablation-malleable``, ``reconfig``.
+    * ``strategy``: table ``ablation-malleable``.
+    * ``policy``: table ``ablation-policy``.
+    * ``faults``: tables ``faults``, ``reconfig``.
+    * ``resize_policy``: table ``reconfig``.
+    * ``reconfig_cost``: table ``reconfig``.
     """
 
     params: SyntheticParams = field(default_factory=presets.default_params)
@@ -70,24 +84,9 @@ class SweepConfig:
     malleable: bool = False
     strategy: MalleableStrategy = MalleableStrategy.WIDEST_FIRST_FEASIBLE
     policy: TieBreakPolicy = TieBreakPolicy.PAPER
-    verify: bool = True
     faults: FaultModel | None = None
     resize_policy: ResizePolicy = ResizePolicy.OFF
     reconfig_cost: float = 0.0
-    reconfig_cost_per_proc: float = 0.0
-    #: Who decides: ``"auto"`` (the C admission loop whenever it takes the
-    #: configuration) or ``"scalar"`` (always the Python reference);
-    #: decisions are bit-identical (see :class:`~repro.core.arbitrator.QoSArbitrator`).
-    backend: str = "auto"
-    #: Candidate-search pruning; decisions are identical either way (see
-    #: :mod:`repro.core.greedy`).
-    prune: bool = True
-
-    def __post_init__(self) -> None:
-        # Here, not in the arbitrator a runner worker builds: a bad name
-        # there fails the worker's chunk, and only the in-process re-run
-        # would report it.
-        check_backend(self.backend)
 
     @property
     def resizing(self) -> bool:
@@ -98,10 +97,7 @@ class SweepConfig:
         """Fresh resize engine for one run, or ``None`` when inert."""
         if not self.resizing:
             return None
-        return ReconfigEngine(
-            self.resize_policy,
-            ReconfigCostModel(self.reconfig_cost, self.reconfig_cost_per_proc),
-        )
+        return ReconfigEngine(self.resize_policy, ReconfigCostModel(self.reconfig_cost))
 
     def with_axis(self, axis: str, value: float) -> "SweepConfig":
         """Copy of this config with ``axis`` set to ``value``."""
@@ -169,14 +165,10 @@ def build_point(
         malleable=config.malleable,
         strategy=config.strategy,
         policy=config.policy,
-        backend=config.backend,
-        prune=config.prune,
         keep_placements=keep_placements or trace is not None or engine is not None,
         seed=streams.python("tie-break").getrandbits(64),
     )
-    simulator = ArrivalSimulator(
-        arbitrator, factory, verify=config.verify, trace=trace, reconfig=engine
-    )
+    simulator = ArrivalSimulator(arbitrator, factory, trace=trace, reconfig=engine)
     return simulator, arrivals
 
 

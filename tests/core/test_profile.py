@@ -8,8 +8,6 @@ from repro.core.arbitrator import QoSArbitrator
 from repro.core.profile import PROFILE_BACKENDS, AvailabilityProfile
 from repro.core.schedule import Schedule
 from repro.errors import CapacityExceededError, ConfigurationError, SchedulingError
-from repro.service import ServiceConfig
-from repro.workloads.sweep import SweepConfig
 
 
 class TestConstruction:
@@ -77,10 +75,8 @@ class TestConstruction:
         lambda name: AvailabilityProfile(8, backend=name),
         lambda name: Schedule(8, backend=name),
         lambda name: QoSArbitrator(8, backend=name),
-        lambda name: ServiceConfig(capacity=8, backend=name),
-        lambda name: SweepConfig(backend=name),
     ),
-    ids=("profile", "schedule", "arbitrator", "service", "sweep"),
+    ids=("profile", "schedule", "arbitrator"),
 )
 def test_deleted_backend_names_are_rejected_at_construction(build, name):
     """A stale name in a deployed config fails where the config is built,

@@ -6,7 +6,7 @@ and that it reaches the *same decision* as the exhaustive search it
 replaced (the ``prune=False`` oracle).
 """
 
-from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -15,6 +15,7 @@ from repro.core.resources import ProcessorTimeRequest
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
+from repro.workloads import sweep
 from repro.workloads.sweep import SweepConfig, run_point
 
 #: The counters under test are ``GreedyScheduler._prober``'s, so every
@@ -160,12 +161,22 @@ class TestMaxQualityShortCircuit:
         assert arb.perf_snapshot()["chains_pruned_quality"] == 0
 
 
+def _exhaustive_point(config, system, monkeypatch):
+    """``run_point`` with the sweep's arbitrator built ``prune=False``."""
+    monkeypatch.setattr(sweep, "QoSArbitrator", partial(QoSArbitrator, prune=False))
+    off = run_point(config, system)
+    assert off.perf["chains_pruned_dominated"] == 0  # the oracle really ran
+    return off
+
+
 @pytest.mark.parametrize(
     "axis,value",
     [("interval", 20.0), ("interval", 35.0), ("alpha", 1.0), ("laxity", 0.5)],
 )
 @pytest.mark.parametrize("system", ["tunable", "shape2"])
-def test_sweep_decisions_identical_with_and_without_pruning(axis, value, system):
+def test_sweep_decisions_identical_with_and_without_pruning(
+    axis, value, system, monkeypatch
+):
     """Fig. 5/6 points: pruning changes the work done, never the answer.
 
     ``RunMetrics.perf`` is excluded from equality, so ``==`` compares the
@@ -175,15 +186,15 @@ def test_sweep_decisions_identical_with_and_without_pruning(axis, value, system)
     """
     base = SweepConfig(n_jobs=150).with_axis(axis, value)
     on = run_point(base, system)
-    off = run_point(replace(base, prune=False), system)
+    off = _exhaustive_point(base, system, monkeypatch)
     assert on == off
     if system == "tunable" and axis == "alpha":
         assert on.perf["chains_pruned_dominated"] > 0
     assert on.perf["chains_probed"] <= off.perf["chains_probed"]
 
 
-def test_malleable_sweep_identical_with_and_without_pruning():
+def test_malleable_sweep_identical_with_and_without_pruning(monkeypatch):
     base = SweepConfig(n_jobs=120, malleable=True)
     on = run_point(base, "tunable")
-    off = run_point(replace(base, prune=False), "tunable")
+    off = _exhaustive_point(base, "tunable", monkeypatch)
     assert on == off

@@ -27,7 +27,6 @@ class TestConfigRoundTrip:
             malleable=True,
             strategy=MalleableStrategy.EARLIEST_FINISH,
             policy=TieBreakPolicy.PREFIX,
-            verify=False,
         )
         back = sweep_config_from_dict(sweep_config_to_dict(cfg))
         assert back == cfg
@@ -68,27 +67,30 @@ class TestConfigRoundTrip:
             malleable=True,
             resize_policy=ResizePolicy.GROW_SHRINK,
             reconfig_cost=2.5,
-            reconfig_cost_per_proc=0.25,
         )
         back = sweep_config_from_dict(sweep_config_to_dict(cfg))
         assert back == cfg
         assert back.resize_policy is ResizePolicy.GROW_SHRINK
         assert back.reconfig_cost == 2.5
-        assert back.reconfig_cost_per_proc == 0.25
 
     def test_pre_v3_payload_defaults_resize_off(self):
         """Configs serialized before the resize fields still deserialize."""
         payload = sweep_config_to_dict(SweepConfig())
-        for legacy_absent in (
-            "resize_policy",
-            "reconfig_cost",
-            "reconfig_cost_per_proc",
-        ):
+        for legacy_absent in ("resize_policy", "reconfig_cost"):
             del payload[legacy_absent]
         back = sweep_config_from_dict(payload)
         assert back == SweepConfig()
         assert back.resize_policy is ResizePolicy.OFF
         assert not back.resizing
+
+    def test_keys_of_dropped_fields_are_ignored(self):
+        """A v5 payload (the committed corpus) still names fields that left
+        SweepConfig; it decodes to the config without them."""
+        payload = sweep_config_to_dict(SweepConfig())
+        payload.update(
+            verify=True, reconfig_cost_per_proc=0.0, backend="auto", prune=True
+        )
+        assert sweep_config_from_dict(payload) == SweepConfig()
 
 
 class TestUnitKey:
@@ -115,12 +117,10 @@ class TestUnitKey:
             {"malleable": True},
             {"strategy": MalleableStrategy.EARLIEST_FINISH},
             {"policy": TieBreakPolicy.FIRST},
-            {"verify": False},
             {"faults": FaultModel(fault_rate=1e-4)},
             {"faults": FaultModel(overrun_prob=0.2)},
             {"resize_policy": ResizePolicy.GROW_SHRINK},
             {"reconfig_cost": 2.0},
-            {"reconfig_cost_per_proc": 0.5},
         ],
     )
     def test_every_config_field_changes_key(self, change):

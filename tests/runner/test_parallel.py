@@ -96,7 +96,6 @@ class TestCacheBehavior:
             {"seed": 9},
             {"processors": 17},
             {"malleable": True},
-            {"verify": False},
         ],
     )
     def test_any_config_change_invalidates(self, tmp_path, change):

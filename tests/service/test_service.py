@@ -1,5 +1,5 @@
 """The asyncio front-end: batching, dedup, shedding, degrade, deadlines,
-retry/backoff, and fail-stop semantics."""
+and fail-stop semantics."""
 
 from __future__ import annotations
 
@@ -10,15 +10,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.policies import TieBreakPolicy
-from repro.core.profile import PROFILE_BACKENDS
+from repro.core.arbitrator import QoSArbitrator
 from repro.core.resources import ProcessorTimeRequest
-from repro.errors import (
-    ConfigurationError,
-    InvalidTaskError,
-    ServiceUnavailableError,
-    TransientWorkerError,
-)
+from repro.errors import ConfigurationError, InvalidTaskError, ServiceUnavailableError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
@@ -39,12 +33,6 @@ def _workload(seed=11, n=12, malleable=False):
     return chaos_workload(random.Random(seed), n, malleable)
 
 
-def _config(capacity, **kw):
-    kw.setdefault("backoff_base", 0.0002)
-    kw.setdefault("backoff_cap", 0.002)
-    return ServiceConfig(capacity=capacity, **kw)
-
-
 def _slow_decide(arbitrator, batch):
     time.sleep(0.01)
     return arbitrator.admit_batch(list(batch))
@@ -58,33 +46,14 @@ async def _submit_all(service, jobs, **kw):
     return out
 
 
-def test_random_tie_break_policy_is_rejected():
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(capacity=4, policy=TieBreakPolicy.RANDOM)
+def test_a_zero_queue_limit_is_rejected():
     with pytest.raises(ConfigurationError):
         ServiceConfig(capacity=4, queue_limit=0)
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(capacity=4, degrade_keep=0)
-
-
-def test_unknown_backend_is_rejected_before_the_wal_is_touched(tmp_path):
-    """The name is checked when the config is built: a config that
-    survived to ``AdmissionService``/``recover`` would have created
-    ``wal.log`` (or repaired a torn tail) before ``make_arbitrator``
-    raised."""
-    with pytest.raises(ConfigurationError) as err:
-        ServiceConfig(capacity=8, backend="bogus")
-    for name in PROFILE_BACKENDS:
-        assert repr(name) in str(err.value)
-    good = _config(8)
-    with pytest.raises(ConfigurationError):
-        replace(good, backend="bogus")
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_service_decisions_match_direct_serial_arbitrator(tmp_path):
     capacity, jobs = _workload()
-    config = _config(capacity)
+    config = ServiceConfig(capacity)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -107,7 +76,7 @@ def test_service_decisions_match_direct_serial_arbitrator(tmp_path):
 
 def test_pipelined_submissions_batch_and_still_match_serial(tmp_path):
     capacity, jobs = _workload(seed=12, n=20)
-    config = _config(capacity, max_batch=8)
+    config = ServiceConfig(capacity, max_batch=8)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -131,7 +100,7 @@ def test_pipelined_submissions_batch_and_still_match_serial(tmp_path):
 
 def test_duplicate_request_ids_are_idempotent(tmp_path):
     capacity, jobs = _workload(n=4)
-    config = _config(capacity)
+    config = ServiceConfig(capacity)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -155,7 +124,7 @@ def test_duplicate_request_ids_are_idempotent(tmp_path):
 def test_qos_class_aware_shedding(tmp_path):
     capacity, jobs = _workload(n=6)
     # Class 0 never sheds; class 1 sheds as soon as anything is queued.
-    config = _config(
+    config = ServiceConfig(
         capacity, queue_limit=8, shed_thresholds=(1.01, 0.01)
     )
 
@@ -183,7 +152,7 @@ def test_qos_class_aware_shedding(tmp_path):
 def test_degraded_admission_narrows_or_paths_and_logs_effective_job(tmp_path):
     capacity, jobs = _workload(seed=13, n=10)
     jobs = [j for j in jobs if len(j.chains) > 1] or jobs
-    config = _config(capacity, degrade_occupancy=0.0, degrade_keep=1)
+    config = ServiceConfig(capacity, degrade_occupancy=0.0)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -196,7 +165,7 @@ def test_degraded_admission_narrows_or_paths_and_logs_effective_job(tmp_path):
     for entry, job, answer in zip(service.entries, jobs, answers):
         assert entry.degraded and answer.degraded
         assert len(entry.job.chains) == 1
-        expected, changed = degrade_job(job, 1)
+        expected, changed = degrade_job(job)
         assert changed
         assert entry.job.chains == expected.chains
 
@@ -205,7 +174,7 @@ def test_degrade_job_keeps_cheapest_chain():
     _, jobs = _workload(seed=14, n=8)
     multi = [j for j in jobs if len(j.chains) > 1]
     for job in multi:
-        narrowed, changed = degrade_job(job, 1)
+        narrowed, changed = degrade_job(job)
         assert changed and len(narrowed.chains) == 1
 
         def cost(chain):
@@ -214,12 +183,12 @@ def test_degrade_job_keeps_cheapest_chain():
         assert cost(narrowed.chains[0]) == min(cost(c) for c in job.chains)
     single = [j for j in jobs if len(j.chains) == 1]
     for job in single:
-        assert degrade_job(job, 1) == (job, False)
+        assert degrade_job(job) == (job, False)
 
 
 def test_queue_deadline_expires_before_decision(tmp_path):
     capacity, jobs = _workload(n=3)
-    config = _config(capacity)
+    config = ServiceConfig(capacity)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -240,7 +209,7 @@ def test_queue_deadline_expires_before_decision(tmp_path):
 
 def test_late_decision_is_durable_and_flagged(tmp_path):
     capacity, jobs = _workload(n=2)
-    config = _config(capacity)
+    config = ServiceConfig(capacity)
 
     async def run():
         service = AdmissionService(config, tmp_path, decide=_slow_decide)
@@ -259,50 +228,20 @@ def test_late_decision_is_durable_and_flagged(tmp_path):
     assert stored.outcome in (ServiceOutcome.ADMITTED, ServiceOutcome.REJECTED)
 
 
-def test_retry_backoff_is_deterministic_under_seed(tmp_path):
-    capacity, jobs = _workload(n=6)
-
-    def runs(seed):
-        fails = {"left": 4}
-
-        def flaky(arbitrator, batch):
-            if fails["left"] > 0:
-                fails["left"] -= 1
-                raise TransientWorkerError("injected")
-            return arbitrator.admit_batch(list(batch))
-
-        config = _config(capacity, seed=seed, max_attempts=8)
-
-        async def run():
-            service = AdmissionService(
-                config, tmp_path / f"s{seed}-{fails['left']}", decide=flaky
-            )
-            await _submit_all(service, jobs)
-            await service.stop()
-            return service.counters
-
-        return asyncio.run(run())
-
-    a = runs(5)
-    b = runs(5)
-    c = runs(6)
-    assert a["retries"] == b["retries"] == 4
-    assert a["retry_backoff_total"] == b["retry_backoff_total"] > 0
-    assert c["retry_backoff_total"] != a["retry_backoff_total"]  # jitter reseeded
-
-
 def test_permanent_worker_failure_fail_stops(tmp_path):
     capacity, jobs = _workload(n=4)
-    config = _config(capacity, max_attempts=2)
+    config = ServiceConfig(capacity)
+    calls = []
 
     def broken(arbitrator, batch):
-        raise TransientWorkerError("permanently down")
+        calls.append(len(batch))
+        raise RuntimeError("permanently down")
 
     async def run():
         service = AdmissionService(config, tmp_path, decide=broken)
         service.start()
         with pytest.raises(ServiceUnavailableError):
-            await service.submit(jobs[0], request_id="r0")
+            await asyncio.wait_for(service.submit(jobs[0], request_id="r0"), 5)
         assert not service.running
         with pytest.raises(ServiceUnavailableError):
             await service.enqueue(jobs[1], request_id="r1")
@@ -310,7 +249,8 @@ def test_permanent_worker_failure_fail_stops(tmp_path):
 
     service = asyncio.run(run())
     assert service.stats()["failed"] == 1
-    assert service.counters["retries"] == 2  # both attempts failed
+    assert calls == [1]  # the first exception fail-stops: no second attempt
+    assert service.counters["retries"] == 0
     # The job record hit the WAL before the failure; recovery owns it.
     assert service.counters["acked"] == 0
 
@@ -325,7 +265,7 @@ def test_an_oversize_width_is_a_rejection_not_a_poison_request(tmp_path):
         return Job(chains=(TaskChain((task,)),), release=release, job_id=job_id)
 
     jobs = [job(2, 0.0, 0), job(2**70, 1.0, 1), job(2, 2.0, 2), job(3, 3.0, 3)]
-    config = _config(8)
+    config = ServiceConfig(8)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -344,7 +284,7 @@ def test_an_oversize_width_is_a_rejection_not_a_poison_request(tmp_path):
         ServiceOutcome.ADMITTED, ServiceOutcome.REJECTED,
         ServiceOutcome.ADMITTED, ServiceOutcome.ADMITTED,
     ]
-    direct = make_arbitrator(replace(config, backend="scalar"))
+    direct = QoSArbitrator(8, backend="scalar", compact=False, keep_placements=True)
     for j, answer in zip(jobs, answers):
         assert decision_to_tuple(answer.decision) == decision_to_tuple(direct.submit(j))
     assert stats["acked"] == len(jobs) and stats["failed"] == 0
@@ -364,12 +304,27 @@ def test_a_sub_time_eps_duration_cannot_become_a_poison_request(tmp_path):
     with pytest.raises(InvalidTaskError):
         job(1e-12, 1.0, 1)
     jobs = [job(2.0, 0.0, 0), job(2.0, 2.0, 2)]
-    config = _config(16)
+    config = ServiceConfig(16)
     service, answers = _run_queued(config, tmp_path, jobs)
     assert [a.outcome for a in answers] == [ServiceOutcome.ADMITTED] * 2
     stats = service.stats()
     assert stats["batches"] == 1 and stats["acked"] == 2 and stats["failed"] == 0
     assert [d.admitted for d in recover(tmp_path, config).decisions] == [True, True]
+
+
+def test_a_request_released_before_a_decided_one_sees_the_whole_future(tmp_path):
+    """A shed or timed-out client may retry after later-release jobs were
+    decided, so the service's arbitrator never compacts its profile: the
+    early job offered last starts in the gap at 10 that the first job
+    leaves, not after the newest release (20)."""
+    def job(release, width, duration, job_id):
+        task = TaskSpec("t", ProcessorTimeRequest(width, duration), deadline=50.0)
+        return Job(chains=(TaskChain((task,)),), release=release, job_id=job_id)
+
+    jobs = [job(0.0, 4, 10.0, 0), job(20.0, 1, 1.0, 1), job(0.0, 4, 5.0, 2)]
+    _, answers = _run_queued(ServiceConfig(4), tmp_path, jobs)
+    starts = [a.decision.placement.placements[0].start for a in answers]
+    assert starts == [0.0, 20.0, 10.0]
 
 
 @pytest.mark.parametrize(
@@ -396,7 +351,7 @@ def test_a_malformed_request_is_refused_to_its_caller_alone(tmp_path, error, kw)
     or class outside signed 64 bits does not fit the WAL's packed columns
     and would fail-stop it the same way."""
     capacity, jobs = _workload(n=3)
-    config = _config(capacity)
+    config = ServiceConfig(capacity)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -447,13 +402,13 @@ def _run_queued(config, wal_dir, jobs, **service_kw):
 
 def test_everything_waiting_is_one_batch_one_fsync(tmp_path):
     capacity, jobs = _workload(seed=15, n=50)
-    service, _ = _run_queued(_config(capacity), tmp_path / "default", jobs)
+    service, _ = _run_queued(ServiceConfig(capacity), tmp_path / "default", jobs)
     assert service.counters["batches"] == 1
     assert service.counters["batch_jobs"] == len(jobs)
     assert service.wal.syncs == 1 and service.wal.appends == 2
 
     # The cap still binds when a caller sets it.
-    capped, _ = _run_queued(_config(capacity, max_batch=4), tmp_path / "capped", jobs)
+    capped, _ = _run_queued(ServiceConfig(capacity, max_batch=4), tmp_path / "capped", jobs)
     assert capped.counters["batches"] == -(-len(jobs) // 4)
     assert capped.wal.syncs == capped.counters["batches"]
 
@@ -470,7 +425,7 @@ def test_batch_boundaries_never_change_decisions(tmp_path):
     ledgers, acks, recovered = [], [], []
     for cap in (1, 7, 128, None):
         kw = {} if cap is None else {"max_batch": cap}
-        config = _config(capacity, **kw)
+        config = ServiceConfig(capacity, **kw)
         wal_dir = tmp_path / f"cap-{cap}"
         service, answers = _run_queued(config, wal_dir, jobs)
         ledgers.append([(e.seq, e.request_id, e.decision) for e in service.entries])
@@ -502,7 +457,7 @@ def test_service_decision_is_an_immutable_seven_field_record(tmp_path):
     capacity, jobs = _workload(n=2)
 
     async def run():
-        service = AdmissionService(_config(capacity), tmp_path, decide=_slow_decide)
+        service = AdmissionService(ServiceConfig(capacity), tmp_path, decide=_slow_decide)
         service.start()
         answer = await service.submit(jobs[0], timeout=0.002, request_id="r0")
         await service.stop()
@@ -521,7 +476,7 @@ def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
     capacity, jobs = _workload(seed=17, n=9)
 
     async def run():
-        service = AdmissionService(_config(capacity), tmp_path)
+        service = AdmissionService(ServiceConfig(capacity), tmp_path)
         logged = []
         append_jobs = service.wal.append_jobs
 
@@ -556,7 +511,7 @@ def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
 
 def test_fail_stop_after_a_partial_ack_resolves_nothing_twice(tmp_path):
     capacity, jobs = _workload(seed=18, n=6)
-    config = _config(capacity, checkpoint_every=1)
+    config = ServiceConfig(capacity, checkpoint_every=1)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -588,32 +543,9 @@ def test_fail_stop_after_a_partial_ack_resolves_nothing_twice(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_kill_during_retry_backoff_resolves_the_in_flight_batch(tmp_path):
-    capacity, jobs = _workload(n=2)
-    config = _config(capacity, backoff_base=0.05, backoff_cap=0.25)
-
-    def flaky(arbitrator, batch):
-        raise TransientWorkerError("injected")
-
-    async def run():
-        service = AdmissionService(config, tmp_path, decide=flaky)
-        service.start()
-        future = await service.enqueue(jobs[0], request_id="a")
-        await asyncio.sleep(0.02)  # the batch now sleeps in its backoff
-        assert service.counters["retries"] == 1 and not future.done()
-        service.kill()
-        with pytest.raises(ServiceUnavailableError):
-            await asyncio.wait_for(future, 5)
-        return service, future
-
-    service, future = asyncio.run(run())
-    assert future.done()
-    assert "a" not in service._seen
-
-
 def test_stop_under_backpressure_decides_every_accepted_request(tmp_path):
     capacity, jobs = _workload(seed=19, n=12)
-    config = _config(capacity, queue_limit=4, degrade_occupancy=9.0)
+    config = ServiceConfig(capacity, queue_limit=4, degrade_occupancy=9.0)
 
     async def run():
         service = AdmissionService(config, tmp_path)
@@ -645,7 +577,7 @@ def test_stop_under_backpressure_decides_every_accepted_request(tmp_path):
 
 def test_caller_blocked_in_backpressure_survives_a_kill(tmp_path):
     capacity, jobs = _workload(seed=19, n=6)
-    config = _config(capacity, queue_limit=2)
+    config = ServiceConfig(capacity, queue_limit=2)
 
     async def run():
         service = AdmissionService(config, tmp_path)  # never started: queue fills
@@ -672,7 +604,7 @@ def test_auto_request_ids_do_not_collide_across_lives(tmp_path, monkeypatch):
     import repro.service.service as service_module
 
     capacity, jobs = _workload(seed=20, n=6)
-    config = _config(capacity)
+    config = ServiceConfig(capacity)
 
     async def life(recovered, batch):
         service = AdmissionService(config, tmp_path, recovered=recovered)
@@ -697,7 +629,7 @@ def test_auto_request_ids_do_not_collide_across_lives(tmp_path, monkeypatch):
 
 def test_caller_cancelled_in_backpressure_leaves_no_orphan_future(tmp_path):
     capacity, jobs = _workload(seed=19, n=3)
-    config = _config(capacity, queue_limit=1, degrade_occupancy=9.0)
+    config = ServiceConfig(capacity, queue_limit=1, degrade_occupancy=9.0)
 
     async def run():
         service = AdmissionService(config, tmp_path)  # not started: the queue stays full
@@ -723,7 +655,7 @@ def test_backpressure_waiters_land_in_order_and_pass_on_a_wake_up(tmp_path):
     one cancelled after its wake-up hands that wake-up to the next caller,
     which would otherwise wait on an idle service."""
     capacity, jobs = _workload(seed=19, n=5)
-    config = _config(capacity, queue_limit=1, degrade_occupancy=9.0)
+    config = ServiceConfig(capacity, queue_limit=1, degrade_occupancy=9.0)
     callers: dict[str, asyncio.Future] = {}
 
     def decide(arbitrator, batch):

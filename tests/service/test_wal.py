@@ -192,7 +192,7 @@ def _ledgers(draw):
                 release=prev.release,
             )
         elif how == "degraded":
-            job = degrade_job(prev, draw(st.integers(1, 2)))[0]
+            job = degrade_job(prev)[0]
         elif how == "twice":  # one chain object offered twice by one job
             job = Job(chains=(prev.chains[0],) + prev.chains, release=prev.release)
         else:

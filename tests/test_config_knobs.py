@@ -1,0 +1,87 @@
+"""Knob regrowth guard: every config field names who sets it.
+
+Each of :class:`ServiceConfig`, :class:`SweepConfig` and
+:class:`RunnerConfig` ends its docstring with one bullet per field,
+``* ``field``: <users>``, naming the committed data point that sets the
+field off its default: a chaos scenario, an e2e workload of
+``BENCHMARK.json``, a committed table (an experiment id), an option of
+``python -m repro.experiments`` or a script under ``tools/``.  A field
+without such a user is a knob to delete, not to document.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.__main__ import _build_parser
+from repro.experiments.registry import EXPERIMENTS
+from repro.runner import RunnerConfig
+from repro.service.chaos import SCENARIOS
+from repro.service.service import ServiceConfig
+from repro.workloads.sweep import SweepConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Fields kept without a committed user, each with the ROADMAP item that
+#: decides its fate.  Adding to this is adding a knob.
+UNCLAIMED = {(RunnerConfig, "audit"): "ROADMAP item 17"}
+
+_BULLET = re.compile(r"^\s*\* ``(\w+)``:(.*?)(?=^\s*\* ``|\Z)", re.M | re.S)
+
+
+def _known_users() -> set[str]:
+    workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    flags = {
+        flag for action in _build_parser()._actions for flag in action.option_strings
+    }
+    tools = {f"tools/{p.name}" for p in (ROOT / "tools").glob("*.py")}
+    return (
+        {s.name for s in SCENARIOS}
+        | {w["name"] for w in workloads}
+        | set(EXPERIMENTS)
+        | flags
+        | tools
+    )
+
+
+def _bullets(cls) -> dict[str, list[str]]:
+    return {
+        name: re.findall(r"``([^`]+)``", body)
+        for name, body in _BULLET.findall(cls.__doc__ or "")
+    }
+
+
+@pytest.mark.parametrize(
+    "cls", [ServiceConfig, SweepConfig, RunnerConfig], ids=lambda c: c.__name__
+)
+def test_every_config_field_names_its_non_default_user(cls):
+    bullets = _bullets(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    assert list(bullets) == list(fields), "one bullet per field, in field order"
+    known = _known_users()
+    for name, users in bullets.items():
+        field = fields[name]
+        required = (
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING
+        )
+        if required or (cls, name) in UNCLAIMED:
+            continue
+        assert users, f"{cls.__name__}.{name} names no user"
+        unknown = [u for u in users if u not in known]
+        assert not unknown, f"{cls.__name__}.{name} names unknown users {unknown}"
+
+
+def test_a_chaos_scenario_named_for_a_service_field_sets_it():
+    by_name = {s.name: s for s in SCENARIOS}
+    defaults = ServiceConfig(capacity=8)
+    for name, users in _bullets(ServiceConfig).items():
+        for user in users:
+            if user in by_name:
+                config = by_name[user].config(8)
+                assert getattr(config, name) != getattr(defaults, name), (name, user)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import ScheduleConsistencyError, WorkloadError
 from repro.workloads import presets
 from repro.workloads.sweep import SYSTEMS, SweepConfig, run_point, run_sweep
 
@@ -89,3 +89,16 @@ class TestRunSweep:
             system: sweep.rows[30.0][system].offered for system in SYSTEMS
         }
         assert len(set(horizons.values())) == 1
+
+
+def test_every_unit_validates_its_admissions(tiny_config, monkeypatch):
+    """Verification is not a knob: a sweep unit checks every admitted
+    placement as it runs, so a planted inconsistency stops the run."""
+    from repro.core.placement import ChainPlacement
+
+    def planted(self):
+        raise ScheduleConsistencyError("planted")
+
+    monkeypatch.setattr(ChainPlacement, "validate", planted)
+    with pytest.raises(ScheduleConsistencyError, match="planted"):
+        run_point(tiny_config, "tunable")
