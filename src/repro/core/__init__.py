@@ -3,7 +3,7 @@
 This subpackage implements the QoS arbitrator's scheduling engine from
 Section 5 of the paper:
 
-* :mod:`repro.core.resources` — processor-time requests and time arithmetic.
+* :mod:`repro.core.resources` — processor-time requests and the time range.
 * :mod:`repro.core.profile` — the free-processor step function over time.
 * :mod:`repro.core.holes` — maximal holes ``(t_b, t_e, m)`` (Section 5.2).
 * :mod:`repro.core.first_fit` — earliest-feasible-start search for one task.
@@ -14,7 +14,7 @@ Section 5 of the paper:
 * :mod:`repro.core.baselines` — EDF and conservative-reservation baselines.
 """
 
-from repro.core.resources import TIME_EPS, ProcessorTimeRequest, time_eq, time_leq
+from repro.core.resources import TIME_LIMIT, TIME_STEP, ProcessorTimeRequest
 from repro.core.profile import AvailabilityProfile
 from repro.core.holes import MaximalHole, maximal_holes
 from repro.core.placement import Placement, ChainPlacement
@@ -28,10 +28,9 @@ from repro.core.policies import TieBreakPolicy
 from repro.core.assignment import AssignedSlice, assign_processors
 
 __all__ = [
-    "TIME_EPS",
+    "TIME_LIMIT",
+    "TIME_STEP",
     "ProcessorTimeRequest",
-    "time_eq",
-    "time_leq",
     "AvailabilityProfile",
     "MaximalHole",
     "maximal_holes",

@@ -379,9 +379,7 @@ class QoSArbitrator:
             return AdmissionDecision(
                 job.job_id, False, None, reason="no schedulable configuration"
             )
-        chosen: ChainPlacement = select_candidate(
-            self.schedule, top, scheduler.policy, scheduler.rng
-        )
+        chosen: ChainPlacement = select_candidate(top, scheduler.policy, scheduler.rng)
         self.schedule.commit(chosen)
         admission.admitted += 1
         admission.decisions_by_chain[chosen.chain_index] = (

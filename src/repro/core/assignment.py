@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.core.resources import TIME_EPS
 from repro.core.schedule import Schedule
 from repro.errors import ScheduleConsistencyError
 
@@ -65,7 +64,7 @@ def assign_processors(schedule: Schedule) -> list[AssignedSlice]:
     slices: list[AssignedSlice] = []
 
     for start, end, procs, job_id, task_name in occurrences:
-        while running and running[0][0] <= start + TIME_EPS:
+        while running and running[0][0] <= start:
             _end, indices = heapq.heappop(running)
             for idx in indices:
                 heapq.heappush(free, idx)

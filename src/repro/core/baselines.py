@@ -22,7 +22,6 @@ from repro.core.first_fit import earliest_fit
 from repro.core.greedy import GreedyScheduler
 from repro.core.holes import maximal_holes
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.resources import TIME_EPS
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 
@@ -69,13 +68,13 @@ class BestFitScheduler(GreedyScheduler):
                     continue
                 start = max(hole.t_b, earliest)
                 finish = start + task.duration
-                if finish > hole.t_e + TIME_EPS or finish > deadline + TIME_EPS:
+                if finish > hole.t_e or finish > deadline:
                     continue
                 surplus = hole.m - task.processors
                 if (
                     best_surplus is None
                     or surplus < best_surplus
-                    or (surplus == best_surplus and start < best_start - TIME_EPS)
+                    or (surplus == best_surplus and start < best_start)
                 ):
                     best_surplus = surplus
                     best_start = start

@@ -9,7 +9,9 @@ processors are free throughout ``[s, s + duration)`` and
 The search starts at the segment containing the release time — found by
 bisection, never by scanning from the profile origin — then looks for the
 first *run* of segments with sufficient availability that covers
-``duration``; the run's (release-clamped) start is the answer.  The walk
+``duration``; the run's (release-clamped) start is the answer.  A run
+covers the task when ``start + duration``, the very float the reservation
+will end at, is at most the run's end: every test here is exact.  The walk
 goes segment by segment over the profile's lists — O(segments scanned
 past the release).  It is the reference the verify layer's oracle runs
 and the walk ``scan_walk`` in ``_kernels.c`` ports line for line for the
@@ -31,7 +33,6 @@ import math
 from bisect import bisect_right
 
 from repro.core.profile import AvailabilityProfile
-from repro.core.resources import TIME_EPS
 
 __all__ = ["earliest_fit"]
 
@@ -66,7 +67,7 @@ def earliest_fit(
     stats.probes += 1
     if processors > profile.capacity:
         return None
-    if release + duration > deadline + TIME_EPS:
+    if release + duration > deadline:
         return None
     release = max(release, profile.origin)
 
@@ -75,18 +76,19 @@ def earliest_fit(
     n = len(times)
 
     # Segment containing the release instant (bisected, never scanned).
-    i = first = max(bisect_right(times, release) - 1, 0)
+    i = first = bisect_right(times, release) - 1
 
     run_start: float | None = release if avail[i] >= processors else None
     while True:
         if run_start is not None:
             # Extend the run from segment i forward until it covers duration.
+            finish = run_start + duration
             j = i
             while True:
                 seg_end = times[j + 1] if j + 1 < n else math.inf
-                if seg_end - run_start >= duration - TIME_EPS:
+                if finish <= seg_end:
                     stats.probe_segments += j - first + 1
-                    if run_start + duration > deadline + TIME_EPS:
+                    if finish > deadline:
                         return None
                     return run_start
                 j += 1
@@ -104,6 +106,6 @@ def earliest_fit(
                 return None  # trailing segment deficient: never fits
             i = j
             run_start = max(times[i], release)
-            if run_start + duration > deadline + TIME_EPS:
+            if run_start + duration > deadline:
                 stats.probe_segments += i - first + 1
                 return None

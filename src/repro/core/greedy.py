@@ -36,12 +36,12 @@ regression tests compare against):
   harder one's, and the easier chain's failure certifies the harder one's;
 * **incumbent finish capping** — once a candidate with finish ``f`` is
   known, later chains are probed with every task deadline capped at
-  ``f + TIME_EPS``.  First fit returns the same placement whenever the
-  chain's finish is within the cap (the found start does not depend on
-  the deadline; the deadline only accepts/rejects it), and a capped-out
-  chain has finish strictly beyond any tie-break window, so the selected
-  candidate is unchanged while doomed walks stop at the first run past
-  the cap.
+  ``f``.  First fit returns the same placement whenever the chain's
+  finish is within the cap (the found start does not depend on the
+  deadline; the deadline only accepts/rejects it), and a capped-out
+  chain finishes strictly later than ``f``, so it could never win or tie:
+  the selected candidate is unchanged while doomed walks stop at the
+  first run past the cap.
 
 Failure propagation and finish capping rely on properties of the rigid
 first-fit search (monotonicity, deadline-independent starts); schedulers
@@ -60,7 +60,6 @@ from typing import Sequence
 from repro.core.first_fit import earliest_fit
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy, select_candidate
-from repro.core.resources import TIME_EPS
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
@@ -131,8 +130,12 @@ class GreedyScheduler:
         cover the chain's total area for *any* placement — rigid or
         malleable (reshaping conserves area).  Runs off the profile's
         cached prefix sums, so it prunes doomed first-fit walks for the
-        cost of two bisections.  The small absolute slack keeps a perfectly
-        tight feasible chain from being rejected by float accumulation.
+        cost of two bisections.  The window's free area is a sum of
+        differences, which can round just below a chain's area on a fit
+        that is exactly tight (release 0.7, one task of duration and
+        deadline 0.1: ``0.7 + 0.1 - 0.7`` is ``0.09999999999999998``), so
+        the test keeps a small absolute slack: a filter may let a doomed
+        chain through to first fit, never reject a feasible one.
         """
         profile = self.schedule.profile
         t0 = max(release, profile.origin)
@@ -286,10 +289,8 @@ class GreedyScheduler:
                 if use_dom:
                     failed.append(chain)
                 return None
-            if use_cap:
-                new_cap = cp.finish + TIME_EPS
-                if new_cap < cap:
-                    state["cap"] = new_cap
+            if use_cap and cp.finish < cap:
+                state["cap"] = cp.finish
             return cp
 
         return probe
@@ -330,7 +331,7 @@ class GreedyScheduler:
         cands = self._enumerate(job, range(len(job.chains)), self.prune, True)
         if not cands:
             return None
-        return select_candidate(self.schedule, cands, self.policy, self.rng)
+        return select_candidate(cands, self.policy, self.rng)
 
     def schedule_job(self, job: Job) -> ChainPlacement | None:
         """Choose and *commit* the best configuration; ``None`` if rejected."""
@@ -352,4 +353,4 @@ class GreedyScheduler:
         cands = self._enumerate(job, chain_indices, self.prune, True)
         if not cands:
             return None
-        return select_candidate(self.schedule, cands, self.policy, self.rng)
+        return select_candidate(cands, self.policy, self.rng)

@@ -14,21 +14,11 @@ the full maximal-hole set from an :class:`~repro.core.profile.AvailabilityProfil
 provides containment/fitting predicates used by the expository API and by
 the test oracle for the first-fit search.
 
-Epsilon convention
-------------------
-Instants within :data:`~repro.core.resources.TIME_EPS` of a boundary are
-treated as *at* that boundary, consistently with the profile's reservation
-snapping and :func:`~repro.core.first_fit.earliest_fit`:
-
-* a task may overrun a hole's end (or its deadline) by at most ``TIME_EPS``
-  — :meth:`MaximalHole.fits` and :func:`first_fit_via_holes` test
-  ``finish <= t_e + TIME_EPS``, the hole-level mirror of ``earliest_fit``'s
-  ``seg_end - start >= duration - TIME_EPS`` run-coverage test;
-* :func:`holes_containing` treats a query instant within ``TIME_EPS`` of
-  ``t_e`` as sitting on the (exclusive) right edge, and one within
-  ``TIME_EPS`` below ``t_b`` as sitting on the (inclusive) left edge.
-
-``tests/core/test_holes.py::TestEpsilonBoundaries`` pins this behaviour.
+Boundaries are exact, as everywhere in the scheduler: a hole is the
+half-open ``[t_b, t_e)``, a task fits when ``start + duration <= t_e`` (the
+hole-level mirror of ``earliest_fit``'s run-coverage test) and finishes by
+its deadline when ``start + duration <= deadline``.
+``tests/core/test_holes.py::TestEpsilonBoundaries`` pins the edges.
 """
 
 from __future__ import annotations
@@ -38,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.profile import AvailabilityProfile
-from repro.core.resources import TIME_EPS
 
 __all__ = ["MaximalHole", "maximal_holes", "holes_containing", "first_fit_via_holes"]
 
@@ -67,11 +56,7 @@ class MaximalHole:
 
     def contains(self, other: "MaximalHole") -> bool:
         """True if ``other`` lies entirely within this hole."""
-        return (
-            self.t_b <= other.t_b + TIME_EPS
-            and other.t_e <= self.t_e + TIME_EPS
-            and other.m <= self.m
-        )
+        return self.t_b <= other.t_b and other.t_e <= self.t_e and other.m <= self.m
 
     def fits(self, processors: int, duration: float, release: float = -math.inf,
              deadline: float = math.inf) -> bool:
@@ -81,7 +66,7 @@ class MaximalHole:
             return False
         start = max(self.t_b, release)
         finish = start + duration
-        return finish <= min(self.t_e, deadline) + TIME_EPS
+        return finish <= min(self.t_e, deadline)
 
 
 def maximal_holes(
@@ -132,7 +117,7 @@ def holes_containing(
     holes: Iterable[MaximalHole], t: float, processors: int = 1
 ) -> list[MaximalHole]:
     """Return the holes covering instant ``t`` with height >= ``processors``."""
-    return [h for h in holes if h.t_b <= t + TIME_EPS < h.t_e and h.m >= processors]
+    return [h for h in holes if h.t_b <= t < h.t_e and h.m >= processors]
 
 
 def first_fit_via_holes(
@@ -155,7 +140,7 @@ def first_fit_via_holes(
             continue
         start = max(hole.t_b, release)
         finish = start + duration
-        if finish > hole.t_e + TIME_EPS or finish > deadline + TIME_EPS:
+        if finish > hole.t_e or finish > deadline:
             continue
         if best is None or start < best:
             best = start

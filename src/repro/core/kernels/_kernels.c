@@ -15,6 +15,9 @@
  * run in the same sequence — and the build flags forbid contraction, so
  * results are bit-identical.  That is the contract the differential
  * fuzzer (``repro.verify.fuzz``) enforces against the Python reference.
+ * Like the references, every comparison that decides a placement is
+ * exact; only the two pruning filters keep the references' slack
+ * (AREA_EPS, QUICK_EPS below).  repro.core.resources has the time range.
  *
  * The one deliberate deviation: inside ``repro_admit_batch`` the loop
  * does not redo work an earlier step of the same call already settled.
@@ -58,10 +61,8 @@
 #include <stdint.h>
 #include <string.h>
 
-#define TIME_EPS 1e-9   /* repro.core.resources.TIME_EPS */
 #define AREA_EPS 1e-6   /* greedy._area_reject slack */
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
-#define UTIL_EPS 1e-12  /* policies.select_candidate utilization slack */
 
 #define ABI_VERSION 6
 
@@ -189,7 +190,7 @@ typedef struct {
      * chains, no chain more than max_tasks tasks. */
     const double *record;
     int64_t max_chains, max_tasks;
-    double *dscratch;  /* max_chains*max_tasks + 3*max_chains + max_tasks */
+    double *dscratch;  /* max_chains*max_tasks + 2*max_chains + max_tasks */
     int64_t *iscratch; /* 6*max_chains */
     int64_t *out_chain;  /* per job: chosen chain's index in the job, -1 = rejected */
     /* one row per ADMITTED job, in arrival order (c[K_COMMITS] rows,
@@ -252,44 +253,21 @@ static int prof_shift(Prof *p, Save *sv, double t0, double t1, int64_t delta)
 {
     if (isnan(t0) || isnan(t1))
         return BATCH_ERR_SHIFT;
-    if (t1 <= t0 + TIME_EPS)
+    if (t1 <= t0)
         return BATCH_ERR_SHIFT;
     if (isinf(t1))
         return BATCH_ERR_SHIFT;
     double *times = p->times + p->lo;
     int64_t *avail = p->avail + p->lo;
     int64_t n = p->n;
-    /* _index_at(t0), then snap the left edge to a breakpoint. */
-    if (t0 < times[0] - TIME_EPS)
+    /* _index_at(t0): the segment holding the left edge; `last` is the
+     * final shifted segment, `trailing` marks t1 strictly inside it. */
+    if (t0 < times[0])
         return BATCH_ERR_SHIFT;
     int64_t i = bisect_right_d(times, n, t0) - 1;
-    if (i < 0)
-        i = 0;
-    if (fabs(times[i] - t0) <= TIME_EPS) {
-        t0 = times[i];
-    } else if (i + 1 < n && fabs(times[i + 1] - t0) <= TIME_EPS) {
-        i += 1;
-        t0 = times[i];
-    }
-    /* Right edge: `last` is the final shifted segment, `trailing` marks
-     * t1 strictly inside it. */
     int64_t j = bisect_right_d(times, n, t1) - 1;
-    int trailing = 0;
-    int64_t last;
-    if (fabs(times[j] - t1) <= TIME_EPS) {
-        t1 = times[j];
-        last = j - 1;
-    } else if (j + 1 < n && fabs(times[j + 1] - t1) <= TIME_EPS) {
-        t1 = times[j + 1];
-        last = j;
-    } else {
-        last = j;
-        trailing = 1;
-    }
-    if (t1 <= t0)
-        return BATCH_OK; /* both edges snapped to the same breakpoint */
-    if (last < i)
-        return BATCH_ERR_SHIFT;
+    int trailing = times[j] != t1;
+    int64_t last = trailing ? j : j - 1;
     /* Validate the whole window before touching anything. */
     if (delta < 0) {
         int64_t tightest = avail[i];
@@ -420,8 +398,6 @@ static double prof_cumulative_free(const Prof *p, double t)
 {
     const double *times = p->times + p->lo;
     int64_t i = bisect_right_d(times, p->n, t) - 1;
-    if (i < 0)
-        return 0.0;
     return p->prefix[i] + (double)(p->avail + p->lo)[i] * (t - times[i]);
 }
 
@@ -457,13 +433,14 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
     for (;;) {
         if (have) {
             /* Extend the run from segment i forward. */
+            double finish = run_start + duration;
             int64_t j = i;
             for (;;) {
                 double seg_end = (j + 1 < n) ? times[j + 1] : INFINITY;
-                if (seg_end - run_start >= duration - TIME_EPS) {
+                if (finish <= seg_end) {
                     *out_scanned = j - first + 1;
                     *out_run_start = run_start;
-                    if (run_start + duration > deadline + TIME_EPS)
+                    if (finish > deadline)
                         return 0;
                     *out_start = run_start;
                     return 1;
@@ -488,7 +465,7 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
             }
             i = j;
             run_start = PYMAX(times[i], release);
-            if (run_start + duration > deadline + TIME_EPS) {
+            if (run_start + duration > deadline) {
                 *out_scanned = i - first + 1;
                 *out_run_start = run_start;
                 return 0;
@@ -571,7 +548,7 @@ static int ef_probe(Prof *p, int64_t processors, double duration,
     p->c[K_PROBES] += 1;
     if (processors > p->capacity)
         return 0;
-    if (release + duration > deadline + TIME_EPS)
+    if (release + duration > deadline)
         return 0;
     const double *times = p->times + p->lo;
     const int64_t *avail = p->avail + p->lo;
@@ -580,8 +557,6 @@ static int ef_probe(Prof *p, int64_t processors, double duration,
     double since = release;
     double from = facts_frontier(p, processors, duration, release, &since);
     int64_t i = bisect_right_d(times, n, from) - 1;
-    if (i < 0)
-        i = 0;
     int64_t scanned = 0;
     double run_start;
     int found = scan_walk(times, avail, n, i, processors, duration, from,
@@ -699,22 +674,6 @@ static int area_reject(Prof *p, double release, double final_deadline,
     return prof_free_area(p, t0, t1) < total_area - AREA_EPS;
 }
 
-/* policies.window_utilization (cp.total_area == chain.total_area for
- * rigid placements: both are the same left-to-right float sum) */
-static double window_util(Prof *p, double release, double finish,
-                          double total_area)
-{
-    double origin = (p->times + p->lo)[0];
-    double start = PYMAX(release, origin);
-    double span = finish - start;
-    if (span <= 0)
-        return 1.0;
-    double busy = (double)p->capacity * (finish - start) -
-                  prof_free_area(p, start, finish);
-    busy = busy + total_area;
-    return busy / ((double)p->capacity * span);
-}
-
 /* policies._prefix_key three-way comparison: Python tuple lexicographic
  * order over chain.prefix_areas() (shorter prefix of an equal run sorts
  * first). */
@@ -809,8 +768,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
 
     double *cand_starts = dscratch;                      /* [MC][MT] */
     double *cand_finish = cand_starts + max_chains * max_tasks;
-    double *cand_util = cand_finish + max_chains;
-    double *cand_area = cand_util + max_chains;
+    double *cand_area = cand_finish + max_chains;
     double *eff = cand_area + max_chains;                /* [MT] */
     int64_t *cand_chain = iscratch;
     int64_t *keyed = cand_chain + max_chains;
@@ -914,11 +872,8 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
             cand_finish[ncand] = earliest; /* last start + duration */
             cand_area[ncand] = ca;
             ncand += 1;
-            if (use_cap) {
-                double new_cap = earliest + TIME_EPS;
-                if (new_cap < cap)
-                    cap = new_cap;
-            }
+            if (use_cap && earliest < cap)
+                cap = earliest;
         }
         q_possible += best_q;
         if (ncand == 0) {
@@ -932,7 +887,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
                 best_finish = cand_finish[k];
         int64_t ntied = 0;
         for (int64_t k = 0; k < ncand; k++)
-            if (cand_finish[k] <= best_finish + TIME_EPS)
+            if (cand_finish[k] == best_finish)
                 tied[ntied++] = k;
         int64_t chosen;
         if (ntied == 1 || policy == POLICY_FIRST) {
@@ -943,19 +898,16 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
                 if (PREFIX_LT(cand_chain[tied[k]], cand_chain[chosen]))
                     chosen = tied[k];
         } else {
-            /* PAPER: max window utilization, then min prefix key */
-            double best_util = -INFINITY;
-            for (int64_t k = 0; k < ntied; k++) {
-                int64_t ci = tied[k];
-                double u = window_util(p, release, cand_finish[ci],
-                                       cand_area[ci]);
-                cand_util[k] = u;
-                if (u > best_util)
-                    best_util = u;
-            }
+            /* PAPER: max window utilization -- over the one window the
+             * tied candidates share, the largest own area -- then min
+             * prefix key */
+            double best_area = cand_area[tied[0]];
+            for (int64_t k = 1; k < ntied; k++)
+                if (cand_area[tied[k]] > best_area)
+                    best_area = cand_area[tied[k]];
             chosen = -1;
             for (int64_t k = 0; k < ntied; k++) {
-                if (cand_util[k] >= best_util - UTIL_EPS) {
+                if (cand_area[tied[k]] == best_area) {
                     if (chosen < 0 ||
                         PREFIX_LT(cand_chain[tied[k]], cand_chain[chosen]))
                         chosen = tied[k];

@@ -350,7 +350,7 @@ class _Context:
             self._bind("out_rows", 2 * jobs + nbytes // 32)
             self.chosen = memoryview(self.cols["out_chain"])
             self.rows = memoryview(self.cols["out_rows"])
-            self._bind("dscratch", mc * mt + 3 * mc + mt)
+            self._bind("dscratch", mc * mt + 2 * mc + mt)
             self._bind("iscratch", 6 * mc, _I8)
             self.c.max_chains, self.c.max_tasks = mc, mt
         self.inbuf[:size] = record

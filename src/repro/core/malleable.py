@@ -29,7 +29,6 @@ from repro.core.first_fit import earliest_fit
 from repro.core.greedy import GreedyScheduler
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy
-from repro.core.resources import TIME_EPS
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
@@ -94,7 +93,8 @@ class MalleableScheduler(GreedyScheduler):
         the machine can shrink, and a task can beat its rigid duration by
         widening.  This uses each task's minimum achievable duration and the
         plain per-task deadlines (no successor tightening, which would also
-        assume rigid durations).
+        assume rigid durations).  Like the rigid check it sums relative
+        times and keeps the same small slack.
         """
         cap = self.schedule.capacity
         elapsed = 0.0
@@ -103,7 +103,7 @@ class MalleableScheduler(GreedyScheduler):
             if width_cap < self.min_processors:
                 return True
             elapsed += task.area / width_cap
-            if elapsed > task.deadline + TIME_EPS:
+            if elapsed > task.deadline + 1e-9:
                 return True
         return False
 
@@ -133,13 +133,9 @@ class MalleableScheduler(GreedyScheduler):
         mid-execution resize path uses them to force a strictly wider
         (grow) or strictly narrower (shrink) restart of an in-flight task.
 
-        Under ``EARLIEST_FINISH``, "ties favour the wider configuration" is
-        honoured against the *true minimum* finish: every feasible width is
-        collected first, then the widest placement finishing within
-        ``TIME_EPS`` of the earliest finish wins.  (Comparing each candidate
-        only against the running best lets near-ties drift: with ends
-        ``E``, ``E-0.6eps``, ``E-1.2eps`` from wide to narrow, the middle
-        width is discarded against ``E`` yet ties the narrow winner.)
+        Under ``EARLIEST_FINISH``, "ties favour the wider configuration":
+        every feasible width is collected, widest first, and the first one
+        ending at the earliest end wins.
         """
         profile = self.schedule.profile
         width_cap = min(task.max_concurrency, profile.capacity)
@@ -165,13 +161,8 @@ class MalleableScheduler(GreedyScheduler):
             feasible.append(placement)
         if not feasible:
             return None
-        min_end = min(pl.end for pl in feasible)
-        # Scan order is widest-first, so the first within-eps hit is the
-        # widest member of the tie set.
-        for placement in feasible:
-            if placement.end <= min_end + TIME_EPS:
-                return placement
-        return None  # pragma: no cover - min_end is attained above
+        # min keeps the first of equal ends: the widest, as scanned.
+        return min(feasible, key=lambda pl: pl.end)
 
     def resize_placement(
         self,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
-from repro.core.resources import TIME_EPS, time_leq
 from repro.errors import ScheduleConsistencyError
 from repro.model.chain import TaskChain
 from repro.model.task import TaskSpec
@@ -160,13 +159,13 @@ class ChainPlacement:
                 raise ScheduleConsistencyError(
                     f"job {self.job_id}: placement/task mismatch at {task.name!r}"
                 )
-            if pl.start < prev_end - TIME_EPS:
+            if pl.start < prev_end:
                 raise ScheduleConsistencyError(
                     f"job {self.job_id}: task {task.name!r} starts at "
                     f"{pl.start} before its predecessor finishes at {prev_end}"
                 )
             absolute_deadline = self.release + task.deadline
-            if not time_leq(pl.end, absolute_deadline):
+            if pl.end > absolute_deadline:
                 raise ScheduleConsistencyError(
                     f"job {self.job_id}: task {task.name!r} finishes at "
                     f"{pl.end} past its deadline {absolute_deadline}"

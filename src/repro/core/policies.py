@@ -17,15 +17,12 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence, TYPE_CHECKING
 
-from repro.core.resources import TIME_EPS
-
 if TYPE_CHECKING:  # pragma: no cover
     import random
 
     from repro.core.placement import ChainPlacement
-    from repro.core.schedule import Schedule
 
-__all__ = ["TieBreakPolicy", "window_utilization", "select_candidate"]
+__all__ = ["TieBreakPolicy", "select_candidate"]
 
 
 class TieBreakPolicy(Enum):
@@ -42,26 +39,11 @@ class TieBreakPolicy(Enum):
     RANDOM = "random"
 
 
-def window_utilization(schedule: "Schedule", cp: "ChainPlacement") -> float:
-    """System utilization over ``[release, finish]`` if ``cp`` were committed.
-
-    Counts processor-time already committed in the window plus the
-    candidate's own placements, over machine capacity times window length.
-    """
-    start = max(cp.release, schedule.profile.origin)
-    span = cp.finish - start
-    if span <= 0:
-        return 1.0
-    busy = schedule.profile.busy_area(start, cp.finish) + cp.total_area
-    return busy / (schedule.capacity * span)
-
-
 def _prefix_key(cp: "ChainPlacement") -> tuple[float, ...]:
     return cp.chain.prefix_areas()
 
 
 def select_candidate(
-    schedule: "Schedule",
     candidates: Sequence["ChainPlacement"],
     policy: TieBreakPolicy = TieBreakPolicy.PAPER,
     rng: random.Random | None = None,
@@ -69,25 +51,30 @@ def select_candidate(
     """Pick the winning configuration among schedulable candidates.
 
     ``candidates`` must be non-empty.  The earliest finish time wins
-    outright; candidates finishing within :data:`~repro.core.resources.TIME_EPS`
-    of the minimum are tied and resolved by ``policy``; ``RANDOM`` draws
-    from ``rng``, which it requires.
+    outright; candidates finishing at exactly that time are tied and
+    resolved by ``policy``; ``RANDOM`` draws from ``rng``, which it
+    requires.
+
+    ``PAPER`` maximizes system utilization over ``[release, finish]``.
+    Tied candidates belong to one job and finish at the same instant, so
+    they share that window and the work already committed in it: the
+    utilization of committing ``c`` is ``(busy + area(c)) / (capacity *
+    span)`` with everything but ``area(c)`` common to all of them.
+    Comparing utilizations exactly is therefore comparing the candidates'
+    own areas, which is what this does; no quotient is ever rounded.
     """
     if not candidates:
         raise ValueError("select_candidate requires at least one candidate")
     best_finish = min(c.finish for c in candidates)
-    tied = [c for c in candidates if c.finish <= best_finish + TIME_EPS]
+    tied = [c for c in candidates if c.finish == best_finish]
     if len(tied) == 1 or policy is TieBreakPolicy.FIRST:
         return tied[0]
     if policy is TieBreakPolicy.RANDOM:
         if rng is None:
             raise ValueError("TieBreakPolicy.RANDOM requires an rng")
         return rng.choice(tied)
-    if policy is TieBreakPolicy.PREFIX:
-        return min(tied, key=_prefix_key)
-    # PAPER: maximize window utilization, then minimize prefix consumption.
-    best_util = max(window_utilization(schedule, c) for c in tied)
-    tied = [
-        c for c in tied if window_utilization(schedule, c) >= best_util - 1e-12
-    ]
+    if policy is TieBreakPolicy.PAPER:
+        # Maximize window utilization: the largest area, then the prefix rule.
+        best_area = max(c.total_area for c in tied)
+        tied = [c for c in tied if c.total_area == best_area]
     return min(tied, key=_prefix_key)

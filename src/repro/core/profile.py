@@ -73,7 +73,6 @@ from bisect import bisect_right
 from typing import Iterator, Sequence
 
 from repro.errors import CapacityExceededError, ConfigurationError, SchedulingError
-from repro.core.resources import TIME_EPS
 from repro.perf import ProfileStats
 
 __all__ = [
@@ -290,13 +289,12 @@ class AvailabilityProfile:
 
     def _index_at(self, t: float) -> int:
         """Index of the segment containing time ``t`` (``t >= origin``)."""
-        if t < self._times[0] - TIME_EPS:
+        if t < self._times[0]:
             raise SchedulingError(
                 f"time {t} precedes profile origin {self._times[0]}"
             )
         # bisect_right-1 gives the segment whose start <= t.
-        i = bisect_right(self._times, t) - 1
-        return max(i, 0)
+        return bisect_right(self._times, t) - 1
 
     def available_at(self, t: float) -> int:
         """Free processors at instant ``t`` (right-open convention)."""
@@ -320,7 +318,7 @@ class AvailabilityProfile:
         lo = self._avail[i]
         n = len(self._times)
         i += 1
-        while i < n and self._times[i] < t1 - TIME_EPS:
+        while i < n and self._times[i] < t1:
             if self._avail[i] < lo:
                 lo = self._avail[i]
             i += 1
@@ -352,8 +350,6 @@ class AvailabilityProfile:
         """Free area integrated over ``[origin, t)`` (``t >= origin``)."""
         times = self._times
         i = bisect_right(times, t) - 1
-        if i < 0:  # t within TIME_EPS below the origin
-            return 0.0
         return prefix[i] + self._avail[i] * (t - times[i])
 
     def free_area(self, t0: float, t1: float) -> float:
@@ -366,7 +362,7 @@ class AvailabilityProfile:
             return 0.0
         if math.isinf(t1):
             raise SchedulingError("free_area requires a finite upper bound")
-        if t0 < self._times[0] - TIME_EPS:
+        if t0 < self._times[0]:
             raise SchedulingError(
                 f"time {t0} precedes profile origin {self._times[0]}"
             )
@@ -390,17 +386,18 @@ class AvailabilityProfile:
         leaves the profile bit-identical (no stray breakpoints).
 
         Implementation: a single *windowed rewrite*.  The affected segment
-        window is located by bisection, its bounds snapped to existing
-        breakpoints within :data:`TIME_EPS` (never creating sliver
-        segments), validated in one scan, rebuilt canonically (equal
-        neighbours merged as it is built, including against both
-        untouched border segments), and spliced in with one slice
-        assignment per array.  Per-op Python work is proportional to the
-        *window* size, not the total segment count.
+        window is located by bisection, validated in one scan, rebuilt
+        canonically (equal neighbours merged as it is built, including
+        against both untouched border segments), and spliced in with one
+        slice assignment per array.  Per-op Python work is proportional to
+        the *window* size, not the total segment count.  The edges are
+        compared exactly and no breakpoint is ever computed, only copied
+        or inserted, so shifting by ``delta`` and then by ``-delta`` over
+        the same interval gives back the same lists.
         """
         if math.isnan(t0) or math.isnan(t1):
             raise SchedulingError("reservation times must not be NaN")
-        if t1 <= t0 + TIME_EPS:
+        if t1 <= t0:
             raise SchedulingError(
                 f"reservation interval [{t0}, {t1}) is empty or inverted"
             )
@@ -409,28 +406,12 @@ class AvailabilityProfile:
         times = self._times
         avail = self._avail
         n = len(times)
-        # Locate the left edge and snap it to a breakpoint within TIME_EPS.
+        # The segment holding the left edge; `last` is the final shifted
+        # segment and `trailing` marks whether t1 falls strictly inside it.
         i = self._index_at(t0)
-        if abs(times[i] - t0) <= TIME_EPS:
-            t0 = times[i]
-        elif i + 1 < n and abs(times[i + 1] - t0) <= TIME_EPS:
-            i += 1
-            t0 = times[i]
-        # Locate the right edge; `last` is the final shifted segment and
-        # `trailing` marks whether t1 falls strictly inside it.
         j = bisect_right(times, t1) - 1
-        trailing = False
-        if abs(times[j] - t1) <= TIME_EPS:
-            t1 = times[j]
-            last = j - 1
-        elif j + 1 < n and abs(times[j + 1] - t1) <= TIME_EPS:
-            t1 = times[j + 1]
-            last = j
-        else:
-            last = j
-            trailing = True
-        if t1 <= t0:
-            return  # both edges snapped to the same breakpoint: no-op
+        trailing = times[j] != t1
+        last = j if trailing else j - 1
         # Validate the whole window before touching anything.
         window = avail[i : last + 1]
         if delta < 0:
@@ -509,9 +490,9 @@ class AvailabilityProfile:
     def restore(self, saved: tuple[list[float], list[int]]) -> None:
         """Put back the segments of a :meth:`savepoint`, bit for bit.
 
-        Undoing a reservation by releasing it is exact only up to the
-        ``TIME_EPS`` snapping of :meth:`_shift`: a breakpoint merged away
-        in between comes back at the released edge, not where it was.
+        Releasing what was reserved gives back the same lists as well
+        (see :meth:`_shift`); a savepoint undoes any run of operations in
+        one step without replaying them.
         """
         self._times, self._avail = saved
         self._prefix = None

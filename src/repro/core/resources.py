@@ -1,15 +1,35 @@
-"""Resource requests and virtual-time arithmetic.
+"""Resource requests and the one time base.
 
 The paper's task model (Section 5.1, footnote 1) treats *processors* as the
 managed resource: a task requests non-preemptive allocation of a specific
 number of processors for a fixed amount of time.  This module defines that
-request type and the epsilon-tolerant time comparisons used throughout the
-scheduler.
+request type and the range every virtual time of the model lives in.
 
-Times are floats in *virtual* (simulated) time units.  All comparisons that
-decide feasibility use a small tolerance :data:`TIME_EPS` so that chains of
-float additions (e.g. repeated task finish times) do not spuriously miss
-deadlines by 1 ulp.
+Times are binary64 floats in *virtual* (simulated) time units, compared
+exactly: no comparison that decides a placement carries a tolerance.  A
+reservation ``[start, start + duration)`` ends at the float ``start +
+duration`` as computed once, and every later test against it (a run
+covering a task, a deadline, a tie between two finishes) compares that
+same float, so equal means equal.  The profile does no arithmetic on
+breakpoints at all, which makes ``reserve`` and ``release`` exact inverses.
+Only the pruning filters (``GreedyScheduler._area_reject`` and the
+zero-gap quick checks) keep a small slack: they compare sums accumulated
+in another order than the first-fit walk they stand in for, so on an
+exactly tight fit they can round past it.
+
+What the constructors guarantee is the range of each time they are given.
+:func:`checked_time` is the one gate: ``ProcessorTimeRequest``,
+``TaskSpec``, ``Job`` and ``CapacityEvent`` pass each time through it
+once, where it enters the model, and it refuses NaN, an infinity where a
+finite time is required, and any magnitude at or beyond
+:data:`TIME_LIMIT`.  Below that limit a binary64 value has a unit in the
+last place of at most :data:`TIME_STEP`, and the shortest accepted
+duration is one step, so an interval that starts below the limit is never
+empty.  The gate bounds each time alone, not sums of them: a release near
+the limit plus a relative deadline, or a chain with no deadline, can end
+beyond it.  Such schedules are valid; only a task of a few steps starting
+past the limit can round to an empty interval, which the profile refuses
+with ``SchedulingError``.
 """
 
 from __future__ import annotations
@@ -20,40 +40,45 @@ from dataclasses import dataclass
 from repro.errors import InvalidTaskError
 
 __all__ = [
-    "TIME_EPS",
-    "time_eq",
-    "time_leq",
-    "time_lt",
-    "time_geq",
+    "TIME_STEP",
+    "TIME_LIMIT",
+    "checked_time",
     "ProcessorTimeRequest",
 ]
 
-#: Tolerance for virtual-time comparisons.  Workload generators use values
-#: that are exactly representable, so the tolerance only matters for deeply
-#: chained arithmetic.
-TIME_EPS: float = 1e-9
+#: The shortest accepted duration, and the largest gap between adjacent
+#: binary64 values below :data:`TIME_LIMIT`.
+TIME_STEP: float = 2.0**-30
+#: Every time a constructor accepts has a magnitude below this:
+#: ``2**(53 - 30)``, where binary64 values are ``TIME_STEP`` apart.  It
+#: leaves 8x headroom over the largest finite time that reaches a
+#: comparison in the committed data, release plus final deadline: 855,693
+#: on the full-scale report, 800,226 on the e2e workloads at full size
+#: (``fig4``) and 60,070 in the corpus.  Areas are not bounded by it, and
+#: nothing claims they are exact: the largest free-area prefix is 652,231
+#: on the full-scale report and 2,746 in the corpus, and at most 64 x
+#: 60,250 (capacity times the longest deadline window) on the e2e
+#: workloads; both deciders compute the same floats.
+TIME_LIMIT: float = 2.0**23
 
 
-def time_eq(a: float, b: float) -> bool:
-    """Return True if two virtual times are equal within :data:`TIME_EPS`."""
-    if a == b:  # handles inf == inf
-        return True
-    return abs(a - b) <= TIME_EPS
+def checked_time(
+    value: float, what: str, error: type[Exception], *, allow_inf: bool = False
+) -> float:
+    """``value`` as a Python ``float`` inside the model's time range.
 
-
-def time_leq(a: float, b: float) -> bool:
-    """Return True if ``a <= b`` within tolerance (``a`` at most ``b``)."""
-    return a <= b + TIME_EPS
-
-
-def time_lt(a: float, b: float) -> bool:
-    """Return True if ``a < b`` strictly, beyond tolerance."""
-    return a < b - TIME_EPS
-
-
-def time_geq(a: float, b: float) -> bool:
-    """Return True if ``a >= b`` within tolerance."""
-    return a >= b - TIME_EPS
+    Raises ``error`` for NaN, for an infinity (unless ``allow_inf`` and
+    the value is ``+inf``) and for a finite magnitude at or beyond
+    :data:`TIME_LIMIT`.  Converting once here is what makes a NumPy
+    ``float32`` time account in binary64 like every other time.
+    """
+    t = float(value)
+    if -TIME_LIMIT < t < TIME_LIMIT or (allow_inf and t == math.inf):
+        return t
+    raise error(
+        f"{what} must be {'below' if allow_inf else 'finite and below'} "
+        f"2**23 in magnitude, got {value!r}"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,9 +94,10 @@ class ProcessorTimeRequest:
     processors:
         Positive integer number of processors required simultaneously.
     duration:
-        Length of virtual time the processors are held: finite and above
-        :data:`TIME_EPS`, the profile's empty-interval tolerance, so every
-        accepted request can be reserved.
+        Length of virtual time the processors are held: at least
+        :data:`TIME_STEP` and inside the range of :func:`checked_time`, so
+        a request that starts below :data:`TIME_LIMIT` reserves a
+        non-empty interval.
     """
 
     processors: int
@@ -86,11 +112,13 @@ class ProcessorTimeRequest:
             raise InvalidTaskError(
                 f"processor count must be positive, got {self.processors}"
             )
-        if not (self.duration > TIME_EPS) or math.isinf(self.duration):
+        duration = checked_time(self.duration, "duration", InvalidTaskError)
+        if duration < TIME_STEP:
             raise InvalidTaskError(
-                f"duration must be finite and exceed TIME_EPS ({TIME_EPS}), "
-                f"got {self.duration!r}"
+                f"duration must be at least 2**-30, got {self.duration!r}"
             )
+        if type(self.duration) is not float:
+            object.__setattr__(self, "duration", duration)
 
     @property
     def area(self) -> float:

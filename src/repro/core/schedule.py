@@ -15,7 +15,6 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.resources import time_leq
 from repro.core.profile import AvailabilityProfile
 from repro.errors import ScheduleConsistencyError
 from repro.perf import PerfRecorder
@@ -28,14 +27,13 @@ def _clipped(cp: ChainPlacement, cut: float) -> list[tuple[float, float, int]]:
 
     The one slicing rule of the tail primitives (:meth:`Schedule.rollback_tail`,
     :meth:`Schedule.restore_tail`, :meth:`Schedule.adopt_carried`).  An
-    interval ending within ``TIME_EPS`` of ``cut`` is history, not a
-    reservable remainder: reserving it would trip the profile's
-    degenerate-interval guard.
+    interval ending at or before ``cut`` is history; one ending after it
+    keeps its remainder, however short.
     """
     return [
         (max(pl.start, cut), pl.end, pl.processors)
         for pl in cp.placements
-        if not time_leq(pl.end, cut)
+        if pl.end > cut
     ]
 
 
@@ -271,10 +269,9 @@ class Schedule:
         prefix (before ``cut``) stays accounted — those processors really
         were busy.  Concretely:
 
-        * every reserved interval ``[start, end)`` ending more than
-          ``TIME_EPS`` after ``cut`` is released over ``[max(start, cut),
-          end)`` — the same clip :meth:`restore_tail` and
-          :meth:`adopt_carried` reserve;
+        * every reserved interval ``[start, end)`` ending after ``cut`` is
+          released over ``[max(start, cut), end)`` — the same clip
+          :meth:`restore_tail` and :meth:`adopt_carried` reserve;
         * committed area shrinks by exactly the released processor-time;
         * the job's committed finish moves from ``cp.finish`` to ``cut``
           (the consumed stub still bounds the utilization window);
@@ -315,10 +312,9 @@ class Schedule:
         back from ``cut`` to ``cp.finish``.  The mid-execution resize engine
         uses this to abandon a *tentative* resize: it tail-rolls a running
         placement back, probes a reshaped remainder, and — when the reshape
-        is rejected — restores the original reservation: the accounting bit
-        for bit, the profile up to its ``TIME_EPS`` snapping (a breakpoint
-        within ``TIME_EPS`` of ``cut`` that the rollback merged away comes
-        back at ``cut``).
+        is rejected — restores the original reservation: the profile bit
+        for bit (re-reserving what was released gives back the same
+        breakpoint lists), and the accounting.
 
         Must be called with the same ``cut`` that was passed to
         :meth:`rollback_tail`, while the freed region is still free (the

@@ -117,7 +117,9 @@ class TaskChain:
 
         Checks width against the machine and the zero-gap execution against
         each (effective) deadline — a cheap necessary condition used for
-        fast-path rejection.
+        fast-path rejection.  The running sum is relative to the release,
+        while first fit adds each duration to an absolute start, and the
+        two round differently, so the test keeps a small slack.
         """
         if self.max_width > capacity:
             return True

@@ -10,10 +10,10 @@ job is simply a job with a single chain.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
+from repro.core.resources import checked_time
 from repro.errors import InvalidJobError
 from repro.model.chain import TaskChain
 from repro.model.quality import QualityComposition, chain_quality
@@ -37,8 +37,9 @@ class Job:
         The enumerated alternative execution paths.  One chain = rigid
         (non-tunable) job; several = tunable job.
     release:
-        Absolute arrival time; tasks may not start before it and all
-        (relative) task deadlines are measured from it.
+        Absolute arrival time, inside the range of
+        :func:`~repro.core.resources.checked_time`; tasks may not start
+        before it and all (relative) task deadlines are measured from it.
     job_id:
         Unique integer identity, auto-assigned if not given.
     name:
@@ -58,8 +59,9 @@ class Job:
         for c in chains:
             if not isinstance(c, TaskChain):
                 raise InvalidJobError(f"job chain {c!r} is not a TaskChain")
-        if math.isnan(self.release) or math.isinf(self.release):
-            raise InvalidJobError(f"release must be finite, got {self.release!r}")
+        release = checked_time(self.release, "release", InvalidJobError)
+        if type(self.release) is not float:
+            object.__setattr__(self, "release", release)
 
     # ------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import ProcessorTimeRequest, checked_time
 from repro.errors import InvalidTaskError
 
 __all__ = ["TaskSpec"]
@@ -31,7 +31,8 @@ class TaskSpec:
     deadline:
         Relative deadline: the task and all predecessors must finish within
         this many time units of the job's release.  ``math.inf`` means
-        unconstrained.
+        unconstrained; a finite one is positive and inside the range of
+        :func:`~repro.core.resources.checked_time`.
     quality:
         Output-quality value of this task under this configuration
         (Section 4.2's ``quality`` field).  Composed over the chain by
@@ -52,10 +53,15 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise InvalidTaskError("task name must be non-empty")
-        if math.isnan(self.deadline) or self.deadline <= 0:
+        deadline = checked_time(
+            self.deadline, "task deadline", InvalidTaskError, allow_inf=True
+        )
+        if deadline <= 0:
             raise InvalidTaskError(
                 f"task {self.name!r}: deadline must be positive, got {self.deadline!r}"
             )
+        if type(self.deadline) is not float:
+            object.__setattr__(self, "deadline", deadline)
         if math.isnan(self.quality) or self.quality < 0:
             raise InvalidTaskError(
                 f"task {self.name!r}: quality must be >= 0, got {self.quality!r}"

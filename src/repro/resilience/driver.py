@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.placement import ChainPlacement
-from repro.core.resources import ProcessorTimeRequest, time_leq
+from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
 from repro.errors import CapacityExceededError, SimulationError
 from repro.model.chain import TaskChain
@@ -254,7 +254,7 @@ class RenegotiationDriver:
         for job_id in [
             jid
             for jid, rec in self._live.items()
-            if time_leq(rec.placement.finish, now)
+            if rec.placement.finish <= now
         ]:
             rec = self._live.pop(job_id)
             rec.spent += rec.placement.total_area
@@ -435,7 +435,7 @@ class RenegotiationDriver:
         if k >= len(cp.placements):
             return None
         lead = cp.placements[k]
-        if time_leq(now, lead.start) or time_leq(lead.end, now):
+        if not lead.start < now < lead.end:
             return None
         return lead.processors, cp.chain.tasks[k]
 
@@ -473,7 +473,7 @@ class RenegotiationDriver:
         if k >= len(cp.placements):
             return None
         lead = cp.placements[k]
-        if time_leq(now, lead.start) or time_leq(lead.end, now):
+        if not lead.start < now < lead.end:
             return None  # between tasks or not started: nothing in flight
         rebased = self._rebase(
             cp.chain, tuple(cp.chain.tasks[k:]), cp.release, now
@@ -527,14 +527,14 @@ class RenegotiationDriver:
 
         An armed latent overrun caps the count at the afflicted task: the
         overrun means that task is still running when its reservation
-        expires, so an event landing within ``TIME_EPS`` of (or after) the
-        reserved finish — before detection has fired — must not count it
-        as done.  Without the cap, ``completed_before`` advances past the
-        armed position, the overrun silently vanishes, and the job
-        spuriously survives with its slow task marked complete.
+        expires, so an event landing at (or after) the reserved finish —
+        before detection has fired — must not count it as done.  Without
+        the cap, ``completed_before`` advances past the armed position, the
+        overrun silently vanishes, and the job spuriously survives with its
+        slow task marked complete.
         """
         cp = rec.placement
-        k = sum(1 for pl in cp.placements if time_leq(pl.end, now))
+        k = sum(1 for pl in cp.placements if pl.end <= now)
         if rec.latent is not None:
             armed = rec.latent[0] - rec.completed_before
             if 0 <= armed < k:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from repro.core.resources import checked_time
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
 
@@ -56,7 +57,9 @@ class CapacityEvent:
     new_capacity: int
 
     def __post_init__(self) -> None:
-        _check_finite(self.time, "capacity event time")
+        time = checked_time(self.time, "capacity event time", ConfigurationError)
+        if type(self.time) is not float:
+            object.__setattr__(self, "time", time)
         if self.new_capacity <= 0:
             raise ConfigurationError(
                 f"new_capacity must be positive, got {self.new_capacity}"
@@ -100,8 +103,10 @@ class BurstEvent:
     count: int
 
     def __post_init__(self) -> None:
-        _check_finite(self.time, "burst time")
-        if self.time < 0:
+        time = checked_time(self.time, "burst time", ConfigurationError)
+        if type(self.time) is not float:
+            object.__setattr__(self, "time", time)
+        if time < 0:
             raise ConfigurationError(f"burst time must be >= 0, got {self.time}")
         if self.count <= 0:
             raise ConfigurationError(f"burst count must be positive, got {self.count}")

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from repro.core.resources import TIME_EPS
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -253,7 +252,7 @@ class ReconfigEngine:
             )
             if txn is None:
                 return None
-            if txn.new_finish < txn.old_finish - TIME_EPS:
+            if txn.new_finish < txn.old_finish:
                 return txn
             txn.undo()
             return None
@@ -269,7 +268,7 @@ class ReconfigEngine:
             )
             if txn is None:
                 continue
-            if txn.new_finish < txn.old_finish - TIME_EPS:
+            if txn.new_finish < txn.old_finish:
                 return txn
             txn.undo()
         return None

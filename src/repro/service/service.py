@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.core.admission import AdmissionDecision
 from repro.core.arbitrator import QoSArbitrator
+from repro.core.resources import TIME_LIMIT
 from repro.errors import ConfigurationError, ServiceUnavailableError
 from repro.model.job import Job
 from repro.service.wal import LedgerEntry, WriteAheadLog, decision_to_tuple, write_checkpoint
@@ -387,8 +388,11 @@ class AdmissionService:
 
         Input contract, checked before anything is counted, queued or
         logged: ``job`` is a :class:`~repro.model.job.Job` whose ``job_id``
-        fits the WAL's signed 64-bit column, ``request_id`` a ``str`` or
-        ``None`` and ``qos`` an ``int`` (not a ``bool``) in ``[0, 2**63)``.
+        fits the WAL's signed 64-bit column and whose release is inside the
+        model's time range (as ``Job`` itself checks, asked again of a job
+        whose fields were set around its constructor; its tasks' times were
+        checked by theirs), ``request_id`` a ``str`` or ``None`` and
+        ``qos`` an ``int`` (not a ``bool``) in ``[0, 2**63)``.
         A violation raises ``TypeError`` or ``ValueError`` to this caller
         alone (past this gate it would fail-stop the service).
         """
@@ -404,6 +408,8 @@ class AdmissionService:
             raise ValueError(f"qos must be in [0, 2**63), got {qos}")
         if not -(2**63) <= operator.index(job.job_id) < 2**63:
             raise ValueError(f"job.job_id must fit in 64 signed bits, got {job.job_id}")
+        if not -TIME_LIMIT < job.release < TIME_LIMIT:
+            raise ValueError(f"job.release outside the model's time range: {job.release!r}")
         if self._failed is not None or self._stopping:
             raise ServiceUnavailableError(self._failed or "service is shutting down")
         loop = asyncio.get_running_loop()

@@ -176,7 +176,7 @@ class EDFExecutor:
         while self._ready:
             abs_deadline, seq, state = self._ready[0]
             task = state.chain[state.next_task]
-            if now + task.duration > abs_deadline + 1e-9:
+            if now + task.duration > abs_deadline:
                 heapq.heappop(self._ready)
                 self._drop(state)  # cannot finish on time any more
                 continue

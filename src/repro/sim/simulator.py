@@ -52,7 +52,6 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.core.arbitrator import QoSArbitrator
-from repro.core.resources import time_leq
 from repro.errors import ScheduleConsistencyError, SimulationError, VerificationError
 from repro.model.job import Job
 from repro.sim.arrivals import ArrivalProcess
@@ -73,10 +72,6 @@ JobFactory = Callable[[int, float], Job]
 # the no-resize system would have shown them (bit-identity when resizing
 # is off is regression-tested).
 _OVERRUN, _CAPACITY, _ARRIVAL, _RESIZE = 0, 1, 2, 3
-
-#: Tolerance when matching a queued overrun detection against the current
-#: due time — entries that drifted (the placement was re-planned) are stale.
-_DUE_EPS = 1e-9
 
 
 class ArrivalSimulator:
@@ -252,7 +247,7 @@ class ArrivalSimulator:
             deadline = job.release + cp.chain.final_deadline
             if self.verify:
                 cp.validate()
-                if not time_leq(cp.finish, deadline):
+                if cp.finish > deadline:
                     raise ScheduleConsistencyError(
                         f"admitted job {job.job_id} finishes at {cp.finish} "
                         f"past its deadline {deadline}"
@@ -292,13 +287,13 @@ class ArrivalSimulator:
             self._settle(context)
         elif kind == _OVERRUN:
             due = driver.overrun_due(ref)
-            if due is None or abs(due - t) > _DUE_EPS:
-                return  # consumed, job retired, or a stale entry
+            if due != t:
+                return  # consumed, job retired, or a stale (moved) entry
             driver.handle_overrun(ref)
             self._settle(f"overrun of job {ref} at t={t:g}", overruns=False)
         else:  # _RESIZE: a reserved completion freed capacity
             due = dict(driver.live_finishes()).get(ref)
-            if due is None or abs(due - t) > _DUE_EPS:
+            if due != t:
                 return  # already retired, or a stale (moved) entry
             assert self.reconfig is not None
             driver.sweep_finished(t)

@@ -45,9 +45,10 @@ Invariant catalogue (violation ``code`` values)
                     a "shrink" that widens, or a no-op width)
 ================== =========================================================
 
-Tolerances: the auditor uses its own epsilon (:data:`AUDIT_EPS`, equal in
-value to the scheduler's ``TIME_EPS`` but defined here so a change in one
-cannot silently mask bugs in the other).  Capacity violations are reported
+Tolerances: the auditor uses its own epsilon (:data:`AUDIT_EPS`), while
+the scheduler compares every time exactly; the audit may only ever get
+stricter than it is, so a looser audit cannot mask a scheduler bug.
+Capacity violations are reported
 only for slices wider than the epsilon, so exact-boundary handoffs
 (``end == next start``) never false-positive while any real overlap —
 including the classic off-by-one-epsilon reservation — is flagged.
@@ -72,10 +73,9 @@ __all__ = [
     "audit_run",
 ]
 
-#: The auditor's own time tolerance.  Numerically equal to the scheduler's
-#: ``TIME_EPS`` on purpose (both describe the same virtual-time arithmetic),
-#: but defined independently: importing the scheduler's constant would let a
-#: loosened scheduler tolerance loosen the audit with it.
+#: The auditor's own time tolerance.  The scheduler's decisive comparisons
+#: have none (it compares times exactly); this one is defined independently of anything the
+#: scheduler imports, and may be tightened, never loosened.
 AUDIT_EPS: float = 1e-9
 
 #: Relative tolerance for area/utilization ledger arithmetic (sums of many

@@ -12,7 +12,7 @@ from repro.core.holes import (
     maximal_holes,
 )
 from repro.core.profile import AvailabilityProfile
-from repro.core.resources import TIME_EPS
+from repro.core.resources import TIME_STEP
 
 
 class TestMaximalHole:
@@ -117,14 +117,12 @@ class TestQueries:
 
 
 class TestEpsilonBoundaries:
-    """Pin the shared TIME_EPS conventions (see the holes module docstring).
+    """Pin the exact edges (see the holes module docstring).
 
-    Anything within TIME_EPS of a boundary is *at* the boundary: a task may
-    overrun a hole's end (or its deadline) by at most TIME_EPS, and a query
-    instant that close to a hole's right edge is already outside it.  The
-    "within" cases below use TIME_EPS/2 and the "beyond" cases 3*TIME_EPS —
-    exactly one epsilon sits on the knife edge of float rounding, which is
-    precisely why the comparisons carry explicit slack.
+    These are the boundaries a time tolerance used to blur.  Now one
+    :data:`~repro.core.resources.TIME_STEP` past an edge is past it: a
+    task may not overrun a hole's end or its deadline at all, and a query
+    instant is inside ``[t_b, t_e)`` exactly when the comparison says so.
     """
 
     @staticmethod
@@ -138,20 +136,20 @@ class TestEpsilonBoundaries:
     def test_fits_at_hole_end(self):
         h = MaximalHole(0.0, 10.0, 4)
         assert h.fits(3, 10.0)  # finish lands exactly on t_e
-        assert h.fits(3, 10.0 + TIME_EPS / 2)  # within eps beyond the edge
-        assert not h.fits(3, 10.0 + 3 * TIME_EPS)  # clearly beyond
+        assert h.fits(3, 10.0 - TIME_STEP)
+        assert not h.fits(3, 10.0 + TIME_STEP)  # one step beyond
 
     def test_earliest_fit_at_hole_end(self):
         p = self.hole_profile()
         assert earliest_fit(p, 3, 10.0, 0.0) == 0.0
-        assert earliest_fit(p, 3, 10.0 + TIME_EPS / 2, 0.0) == 0.0
-        # Clearly past the edge: the placement slides to the next hole.
-        assert earliest_fit(p, 3, 10.0 + 3 * TIME_EPS, 0.0) == 20.0
+        assert earliest_fit(p, 3, 10.0 - TIME_STEP, 0.0) == 0.0
+        # One step past the edge: the placement slides to the next hole.
+        assert earliest_fit(p, 3, 10.0 + TIME_STEP, 0.0) == 20.0
 
     def test_oracle_and_search_agree_at_the_edge(self):
         p = self.hole_profile()
         holes = maximal_holes(p)
-        for duration in (10.0, 10.0 + TIME_EPS / 2, 10.0 + 3 * TIME_EPS):
+        for duration in (10.0, 10.0 - TIME_STEP, 10.0 + TIME_STEP):
             assert first_fit_via_holes(holes, 3, duration, 0.0) == earliest_fit(
                 p, 3, duration, 0.0
             )
@@ -159,19 +157,17 @@ class TestEpsilonBoundaries:
     def test_deadline_at_hole_end(self):
         p = self.hole_profile()
         assert earliest_fit(p, 3, 10.0, 0.0, deadline=10.0) == 0.0
-        # Deadline within eps *before* the finish is still on time...
-        assert earliest_fit(p, 3, 10.0, 0.0, deadline=10.0 - TIME_EPS / 2) == 0.0
-        # ...but clearly before it is late, and no later start can help.
-        assert earliest_fit(p, 3, 10.0, 0.0, deadline=10.0 - 3 * TIME_EPS) is None
+        assert earliest_fit(p, 3, 10.0, 0.0, deadline=10.0 + TIME_STEP) == 0.0
+        # A deadline one step before the finish is late, and no later
+        # start can help.
+        assert earliest_fit(p, 3, 10.0, 0.0, deadline=10.0 - TIME_STEP) is None
 
     def test_holes_containing_right_edge(self):
         holes = [MaximalHole(0.0, 10.0, 4)]
         assert holes_containing(holes, 10.0) == []  # t_e itself (right-open)
-        assert holes_containing(holes, 10.0 - TIME_EPS / 2) == []  # eps-close
-        assert holes_containing(holes, 10.0 - 3 * TIME_EPS) == holes
+        assert holes_containing(holes, 10.0 - TIME_STEP) == holes
 
     def test_holes_containing_left_edge(self):
         holes = [MaximalHole(0.0, 10.0, 4)]
         assert holes_containing(holes, 0.0) == holes  # t_b itself (inclusive)
-        assert holes_containing(holes, -TIME_EPS / 2) == holes  # eps-below
-        assert holes_containing(holes, -3 * TIME_EPS) == []
+        assert holes_containing(holes, -TIME_STEP) == []

@@ -29,7 +29,7 @@ from repro.core.first_fit import earliest_fit
 from repro.core.kernels import build
 from repro.core.policies import TieBreakPolicy
 from repro.core.profile import AvailabilityProfile
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import TIME_STEP, ProcessorTimeRequest
 from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
@@ -191,15 +191,13 @@ def test_probe_infinite_tail_and_exact_deadline():
     cases = [
         # the last segment extends to +inf: any fit starting there succeeds
         (gap, 2, 100.0, 0.0, math.inf, 1.0),
-        # start 1 + duration 3 meets the deadline exactly, and within the
-        # TIME_EPS slack either side of it; one clear step past, it misses
+        # start 1 + duration 3 meets the deadline exactly; a deadline one
+        # step earlier misses
         (gap, 2, 3.0, 0.0, 4.0, 1.0),
-        (gap, 2, 3.0, 0.0, 4.0 - 5e-10, 1.0),
-        (gap, 2, 3.0, 0.0, 4.0 - 1e-6, None),
-        # a run exactly as long as the task, and one short by under TIME_EPS
+        (gap, 2, 3.0, 0.0, 4.0 - TIME_STEP, None),
+        # a run exactly as long as the task, and one a step short of it
         (hole, 2, 3.0, 0.0, 100.0, 0.0),
-        (hole, 2, 3.0 + 5e-10, 0.0, 100.0, 0.0),
-        (hole, 2, 3.0 + 1e-6, 0.0, 100.0, 5.0),
+        (hole, 2, 3.0 + TIME_STEP, 0.0, 100.0, 5.0),
         # the winning run is the trailing one and the deadline falls before it
         (hole, 2, 4.0, 0.0, 8.0, None),
     ]
@@ -282,3 +280,125 @@ def test_reference_configurations_on_a_deep_profile(config):
     assert len(auto.schedule.profile) >= 600
     chosen = {d.chain_index for d in decisions}
     assert len(chosen) >= 3  # not one answer throughout
+
+
+def _chain(*tasks: tuple[int, float], label: str) -> TaskChain:
+    return TaskChain(
+        tuple(
+            TaskSpec(f"{label}{i}", ProcessorTimeRequest(p, d), deadline=100.0)
+            for i, (p, d) in enumerate(tasks)
+        ),
+        label=label,
+    )
+
+
+#: Two-chain jobs whose chains finish at the same instant, listed with the
+#: label of the chain each policy must pick.  The first pair also ties on
+#: area (utilization), so PAPER falls through to the prefix key; its
+#: second chain defers resources (prefix areas 5, 20 against 15, 20).
+#: In the second pair a blocker holds one processor over [0, 3): the
+#: 8-wide task waits for it and ties the 4-then-1 chain at t=5, with a
+#: prefix key (16,) that is a strict prefix of (16, 17) -- PREFIX takes
+#: the shorter key, PAPER the larger area.
+_PREFIX_TIES = (
+    (
+        None,
+        (_chain((3, 5.0), (1, 5.0), label="heavy"), _chain((1, 5.0), (3, 5.0), label="light")),
+        {TieBreakPolicy.PAPER: "light", TieBreakPolicy.PREFIX: "light"},
+    ),
+    (
+        _chain((1, 3.0), label="blocker"),
+        (_chain((4, 4.0), (1, 1.0), label="long"), _chain((8, 2.0), label="short")),
+        {TieBreakPolicy.PAPER: "long", TieBreakPolicy.PREFIX: "short"},
+    ),
+)
+
+
+@needs_compiled
+@pytest.mark.parametrize("policy", (TieBreakPolicy.PAPER, TieBreakPolicy.PREFIX))
+@pytest.mark.parametrize("case", range(len(_PREFIX_TIES)))
+@pytest.mark.parametrize("order", ("as-listed", "reversed"))
+def test_prefix_key_decides_exact_ties_in_c_and_reference(policy, case, order):
+    """The paper's third criterion, smaller resources over a task prefix,
+    picks the chain when finish and utilization tie exactly -- in the C
+    loop as in the reference, whichever chain comes first."""
+    blocker, chains, want = _PREFIX_TIES[case]
+    if order == "reversed":
+        chains = chains[::-1]
+    jobs = [Job(chains=(blocker,), release=0.0)] if blocker is not None else []
+    jobs.append(Job(chains=chains, release=0.0))
+    picked = {}
+    with kernels.use("compiled"):
+        for backend in ("auto", "scalar"):
+            arbitrator = QoSArbitrator(8, policy=policy, backend=backend)
+            decision = [arbitrator.submit(job) for job in jobs][-1]
+            snap = arbitrator.perf_snapshot()
+            assert snap["kernel_backend"] == "compiled"
+            assert snap["batch_fallbacks"] == 0
+            picked[backend] = (decision, _state(arbitrator))
+    assert picked["auto"] == picked["scalar"]
+    decision = picked["auto"][0]
+    assert decision.placement.chain.label == want[policy]
+    assert decision.placement.finish == (10.0 if blocker is None else 5.0)
+
+
+#: Fits that end exactly on the deadline while a pruning filter's sum
+#: rounds past the chain: the area filter's window (``0.7 + 0.1 - 0.7`` is
+#: below 0.1) and the quick check's relative sum (``1.1 + 0.35`` is above
+#: 1.45, yet ``1.0 + 1.1 + 0.35 == 1.0 + 1.45``).
+_TIGHT_FITS = {
+    "area": (0.7, ((0.1, 0.1),)),
+    "relative-sum": (1.0, ((1.1, math.inf), (0.35, 1.45))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIGHT_FITS))
+def test_exactly_tight_fit_is_admitted_by_both_deciders(case):
+    release, tasks = _TIGHT_FITS[case]
+    chain = TaskChain(
+        tuple(
+            TaskSpec(f"t{i}", ProcessorTimeRequest(1, duration), deadline=deadline)
+            for i, (duration, deadline) in enumerate(tasks)
+        )
+    )
+    job = Job(chains=(chain,), release=release)
+    for mode in ("python", "compiled") if _have_compiled() else ("python",):
+        with kernels.use(mode):
+            for backend in ("auto", "scalar"):
+                arbitrator = QoSArbitrator(1, backend=backend)
+                decision = arbitrator.submit(job)
+                assert decision.admitted, (mode, backend)
+                assert decision.placement.finish == release + tasks[-1][1]
+                assert arbitrator.perf_snapshot()["batch_fallbacks"] == 0
+
+
+@needs_compiled
+def test_float32_times_account_identically_in_c_and_reference():
+    """NumPy ``float32`` times enter the model as binary64: the C loop and
+    the reference book the same finish and the same committed area."""
+    np = pytest.importorskip("numpy")
+    f32 = np.float32
+    chain = TaskChain(
+        (
+            TaskSpec("a", ProcessorTimeRequest(3, f32(0.1)), deadline=f32(7.3)),
+            TaskSpec("b", ProcessorTimeRequest(5, f32(1.7)), deadline=f32(9.9)),
+        )
+    )
+    jobs = [Job(chains=(chain,), release=f32(k * 0.3), job_id=k) for k in range(6)]
+    assert type(chain.tasks[0].duration) is float
+    assert type(jobs[1].release) is float
+    runs = {}
+    with kernels.use("compiled"):
+        for backend in ("auto", "scalar"):
+            arbitrator = QoSArbitrator(8, backend=backend)
+            decisions = [arbitrator.submit(job) for job in jobs]
+            assert arbitrator.perf_snapshot()["batch_fallbacks"] == 0
+            runs[backend] = (
+                [d.placement.finish for d in decisions if d.admitted],
+                arbitrator.schedule.committed_area,
+                _state(arbitrator),
+            )
+    assert runs["auto"][0] == runs["scalar"][0]
+    assert runs["auto"][1] == runs["scalar"][1]
+    assert runs["auto"] == runs["scalar"]
+    assert type(runs["auto"][1]) is float

@@ -104,26 +104,23 @@ class TestEarliestFinishStrategy:
         assert cp.placements[0].processors == 8
 
     def test_near_tie_set_favours_widest_within_eps(self):
-        """Exact regression for the running-best drift bug.
+        """The tie is judged against the true minimum finish, exactly.
 
-        Finish times wide-to-narrow: 10, 10-0.6eps, 10-1.2eps.  The true
-        minimum is the narrow 10-1.2eps; the width-2 candidate ties it
-        within TIME_EPS while width 3 (1.2eps away) does not.  Comparing
-        each candidate only against the running best instead discards
-        width 2 against width 3's end and hands the tie to width 1.
+        Finish times wide-to-narrow: 10, 9, 9.  Width 3 is not tied (one
+        unit later); widths 2 and 1 tie exactly at the minimum, and the
+        wider of the two wins.  (A time tolerance once made near-ties
+        here; finishes are now compared with ``==`` and ``<``.)
         """
         s = Schedule(3)
-        # Free width over time: 0 until the 1-wide window opens, then 1,
-        # then 2, then 3 — staggered so each width's earliest finish lands
-        # sub-eps apart.
-        s.profile.reserve(0.0, 4.0 - 1.2e-9, 1)
-        s.profile.reserve(0.0, 7.0 - 0.6e-9, 1)
+        # Free width over time: 0, then 1 from t=3, 2 from t=6, 3 from t=8.
+        s.profile.reserve(0.0, 3.0, 1)
+        s.profile.reserve(0.0, 6.0, 1)
         s.profile.reserve(0.0, 8.0, 1)
         m = MalleableScheduler(s, strategy=MalleableStrategy.EARLIEST_FINISH)
         cp = m.place_chain(chain(task("a", 3, 2.0, 100.0)), release=0.0)
         pl = cp.placements[0]
         assert pl.processors == 2
-        assert pl.end == pytest.approx(10.0, abs=1e-8)
+        assert (pl.start, pl.end) == (6.0, 9.0)
 
     def test_degenerate_band_min_processors_equals_width_cap(self):
         """A single-width band must still place (and pick that width)."""
@@ -156,6 +153,14 @@ class TestQuickReject:
         s = Schedule(4)
         m = MalleableScheduler(s)
         assert not m._quick_reject(chain(task("a", 8, 4.0, 100.0)))
+
+    def test_exactly_tight_fit_admitted_despite_relative_rounding(self):
+        # 1.1 + 0.35 rounds above 1.45, but placed from release 1.0 the
+        # chain ends at 2.45 == 1.0 + 1.45: the filter must not reject it.
+        m = MalleableScheduler(Schedule(1))
+        c = chain(task("a", 1, 1.1, float("inf")), task("b", 1, 0.35, 1.45))
+        cp = m.schedule_job(Job.rigid(c, release=1.0))
+        assert cp is not None and cp.finish == 1.0 + 1.45
 
 
 class TestMalleableJobs:

@@ -114,7 +114,7 @@ class TestChainPlacement:
 class TestNonFiniteExtent:
     """``test_nonpositive_extent_rejected``'s family: ``nan <= 0`` is false,
     so a NaN (or infinite) duration used to get through and give an ``end``
-    that every later ``time_leq`` answers wrongly."""
+    that every later time comparison answers wrongly."""
 
     @pytest.mark.parametrize("duration", (math.nan, math.inf))
     def test_nonfinite_duration_rejected(self, duration):

@@ -6,47 +6,15 @@ import pytest
 
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.resources import (
-    TIME_EPS,
+    TIME_LIMIT,
+    TIME_STEP,
     ProcessorTimeRequest,
-    time_eq,
-    time_geq,
-    time_leq,
-    time_lt,
+    checked_time,
 )
-from repro.errors import InvalidTaskError
+from repro.errors import InvalidJobError, InvalidTaskError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
-
-
-class TestTimeComparisons:
-    def test_equal_values(self):
-        assert time_eq(1.0, 1.0)
-
-    def test_within_epsilon(self):
-        assert time_eq(1.0, 1.0 + TIME_EPS / 2)
-
-    def test_beyond_epsilon(self):
-        assert not time_eq(1.0, 1.0 + 10 * TIME_EPS)
-
-    def test_infinities_equal(self):
-        assert time_eq(math.inf, math.inf)
-
-    def test_leq_strict(self):
-        assert time_leq(1.0, 2.0)
-        assert not time_leq(2.0, 1.0)
-
-    def test_leq_tolerant(self):
-        assert time_leq(1.0 + TIME_EPS / 2, 1.0)
-
-    def test_lt_requires_gap(self):
-        assert time_lt(1.0, 2.0)
-        assert not time_lt(1.0, 1.0 + TIME_EPS / 2)
-
-    def test_geq(self):
-        assert time_geq(2.0, 1.0)
-        assert time_geq(1.0, 1.0 + TIME_EPS / 2)
-        assert not time_geq(1.0, 2.0)
 
 
 class TestProcessorTimeRequest:
@@ -78,12 +46,24 @@ class TestProcessorTimeRequest:
         with pytest.raises(InvalidTaskError):
             ProcessorTimeRequest(1, 0.0)
 
-    @pytest.mark.parametrize("duration", [1e-12, TIME_EPS])
+    @pytest.mark.parametrize("duration", [1e-12, TIME_STEP / 2])
     def test_duration_at_or_below_time_eps_rejected(self, duration):
-        # The profile treats [t, t + TIME_EPS] as empty: such a request
-        # could be accepted here and never reserved.
+        # Below one TIME_STEP, [t, t + duration) can round to an empty
+        # interval near the range limit: such a request could be accepted
+        # here and never reserved.
         with pytest.raises(InvalidTaskError):
             ProcessorTimeRequest(4, duration)
+
+    def test_one_step_duration_reserves_a_non_empty_interval_at_the_limit(self):
+        t = math.nextafter(TIME_LIMIT, 0.0)
+        req = ProcessorTimeRequest(1, TIME_STEP)
+        assert -t + req.duration > -t
+        assert t - req.duration < t
+
+    @pytest.mark.parametrize("duration", [TIME_LIMIT, 2 * TIME_LIMIT])
+    def test_duration_beyond_the_range_rejected(self, duration):
+        with pytest.raises(InvalidTaskError):
+            ProcessorTimeRequest(1, duration)
 
     def test_duration_just_above_time_eps_is_decided_by_both_paths(self):
         def job(duration):
@@ -127,3 +107,30 @@ class TestProcessorTimeRequest:
         assert ProcessorTimeRequest(2, 3.0) == ProcessorTimeRequest(2, 3.0)
         assert hash(ProcessorTimeRequest(2, 3.0)) == hash(ProcessorTimeRequest(2, 3.0))
         assert ProcessorTimeRequest(2, 3.0) != ProcessorTimeRequest(3, 2.0)
+
+
+class TestCheckedTime:
+    """The one gate every model time passes where it enters the model."""
+
+    def test_in_range_values_come_back_as_the_same_float(self):
+        for t in (0.0, -0.0, 0.1, -3.5, math.nextafter(TIME_LIMIT, 0.0)):
+            got = checked_time(t, "t", InvalidJobError)
+            assert type(got) is float and got == t
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, TIME_LIMIT, -TIME_LIMIT]
+    )
+    def test_hostile_values_raise_the_named_error(self, value):
+        with pytest.raises(InvalidJobError):
+            checked_time(value, "t", InvalidJobError)
+
+    def test_inf_only_where_allowed(self):
+        assert checked_time(math.inf, "t", InvalidTaskError, allow_inf=True) == math.inf
+        for value in (-math.inf, math.nan):
+            with pytest.raises(InvalidTaskError):
+                checked_time(value, "t", InvalidTaskError, allow_inf=True)
+
+    def test_numpy_float32_becomes_binary64(self):
+        np = pytest.importorskip("numpy")
+        got = checked_time(np.float32(0.1), "t", InvalidJobError)
+        assert type(got) is float and got == float(np.float32(0.1))

@@ -1,12 +1,16 @@
 """Unit tests for the committed schedule."""
 
+import math
+
 import pytest
 
+from repro.core.greedy import GreedyScheduler
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import TIME_LIMIT, ProcessorTimeRequest
 from repro.core.schedule import Schedule
 from repro.errors import CapacityExceededError, ScheduleConsistencyError
 from repro.model.chain import TaskChain
+from repro.model.job import Job
 from repro.model.task import TaskSpec
 
 
@@ -211,6 +215,18 @@ class TestConsistency:
         s = Schedule(4)
         s.commit(chain_placement(job_id=1, start=0.0))
         s.commit(chain_placement(job_id=2, start=0.0, release=0.0))
+        s.check_consistency()
+
+    @pytest.mark.parametrize("release", [8e6, math.nextafter(TIME_LIMIT, 0.0)])
+    def test_a_job_released_near_the_range_bound_audits_clean(self, release):
+        # The constructors bound each time alone: release plus deadline
+        # ends beyond TIME_LIMIT, and that schedule is valid.
+        s = Schedule(4)
+        chain = TaskChain(
+            (TaskSpec("t", ProcessorTimeRequest(2, 1e6), deadline=1e6),)
+        )
+        cp = GreedyScheduler(s).schedule_job(Job.rigid(chain, release=release))
+        assert cp is not None and cp.finish == release + 1e6 > TIME_LIMIT
         s.check_consistency()
 
     def test_gantt_rows(self):

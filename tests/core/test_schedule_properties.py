@@ -8,8 +8,9 @@ violated: a rollback of the earliest-released or latest-finishing job left
 ``first_release``/``last_finish`` pointing at the departed placement.
 
 The tail primitives (``rollback_tail``, ``restore_tail``, ``adopt_carried``)
-share one clip; their properties below pin that clip's sub-``TIME_EPS``
-skip and the all-or-nothing reservation behind it.
+share one clip; their properties below pin that clip's exact edge (a
+remainder one ``TIME_STEP`` long is still a remainder) and the
+all-or-nothing reservation behind it, comparing everything with ``==``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.first_fit import earliest_fit
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.profile import AvailabilityProfile
-from repro.core.resources import TIME_EPS, ProcessorTimeRequest
+from repro.core.resources import TIME_LIMIT, TIME_STEP, ProcessorTimeRequest
 from repro.core.schedule import Schedule
 from repro.errors import CapacityExceededError
 from repro.model.chain import TaskChain
@@ -137,9 +138,9 @@ def test_interleaving_keeps_perf_counter_balance(ops):
 # The tail primitives: rollback_tail / restore_tail / adopt_carried
 # ----------------------------------------------------------------------
 
-#: Below TIME_EPS (1e-9) and exact on the half-unit grid, so every clipped
-#: area below is exact and accounting can be compared with ``==``.
-_NUDGE = 2.0 ** -31
+#: One step of the time range, exact on the half-unit grid, so every
+#: clipped area below is exact and accounting can be compared with ``==``.
+_NUDGE = TIME_STEP
 
 _tasks = st.lists(
     st.tuples(
@@ -186,8 +187,8 @@ def _carry(start_tick: int, tasks, cut_tick: int, nudge: float):
 def carries(draw):
     """A multi-task placement and a cut strictly after its start.
 
-    The cut is a grid tick, or one nudged by less than TIME_EPS either way,
-    so task ends within TIME_EPS of the cut come up often.
+    The cut is a grid tick, or one nudged by one step either way, so task
+    ends a single step from the cut come up often.
     """
     start_tick = draw(st.integers(0, 8))
     tasks = draw(_tasks)
@@ -221,14 +222,7 @@ def test_restore_tail_undoes_rollback_tail(carry, others):
     schedule.rollback_tail(cp, cut)
     schedule.restore_tail(cp, cut)
     after = _state(schedule)
-    assert after[1:] == before[1:]
-    # Segments match up to the profile's TIME_EPS snapping: a breakpoint
-    # within TIME_EPS of the cut that the rollback merged away comes back
-    # at the cut itself, which the profile treats as the same instant.
-    assert len(after[0]) == len(before[0])
-    for (start, _end, avail), (start0, _end0, avail0) in zip(after[0], before[0]):
-        assert avail == avail0
-        assert abs(start - start0) <= TIME_EPS
+    assert after == before
     schedule.check_consistency()
 
 
@@ -237,12 +231,12 @@ def test_adopt_carried_reserves_exactly_the_clipped_remainder(carry):
     cp, cut_tick, cut = carry
     schedule = Schedule(CAPACITY, origin=cut)
     schedule.adopt_carried(cp, cut)
-    # A task ending on or before the cut's tick leaves at most a
-    # sub-TIME_EPS remainder: history, not a reservation.
+    # A task ending at or before the cut is history; one ending after it,
+    # even by a single step, keeps that remainder reserved.
     expected = AvailabilityProfile(CAPACITY, origin=cut)
     area = 0.0
     for pl in cp.placements:
-        if pl.end * 2 > cut_tick:
+        if pl.end > cut:
             start = max(pl.start, cut)
             expected.reserve(start, pl.end, pl.processors)
             area += (pl.end - start) * pl.processors
@@ -259,9 +253,10 @@ def test_adopt_carried_reserves_exactly_the_clipped_remainder(carry):
     carry=_carry(0, ((2, 4, 0), (CAPACITY, 4, 0)), cut_tick=1, nudge=0.0),
     others=[(1, 2, 6)],
 )
-# The first clipped task's end snaps to a breakpoint at 5 - 2**-31 and
-# merges it away; releasing that task after the second fails would bring
-# the breakpoint back at 5.0, not where it was.
+# A clipped task ends at 5.0, one step after the breakpoint at
+# 5 - TIME_STEP where a job placed at the cut ends; when a later task does
+# not fit, releasing what was reserved must leave both breakpoints where
+# they were.
 @example(
     carry=_carry(
         0, ((1, 1, 0), (1, 1, 0), (1, 6, 2), (1, 1, 0)),
@@ -284,3 +279,36 @@ def test_failed_adopt_carried_changes_nothing(carry, others):
     else:
         assert schedule.placements[-1] is cp
     schedule.check_consistency()
+
+
+#: Interval edges in steps of the time range: near zero, and near the range
+#: limit, where a step is the gap between adjacent binary64 values.
+_EDGE_STEPS = st.one_of(
+    st.integers(0, 64),
+    st.integers(int(TIME_LIMIT / TIME_STEP) - 64, int(TIME_LIMIT / TIME_STEP) - 1),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(_EDGE_STEPS, st.integers(1, 16), st.integers(1, CAPACITY)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_reserve_then_release_leaves_the_profile_unchanged(intervals):
+    """Releasing reserved intervals, last first, gives back each profile
+    the reservations passed through, breakpoint for breakpoint."""
+    profile = AvailabilityProfile(CAPACITY)
+    reserved = []
+    for start_step, length, procs in intervals:
+        t0 = start_step * TIME_STEP
+        t1 = (start_step + length) * TIME_STEP
+        if profile.min_available(t0, t1) >= procs:
+            before = profile.copy()
+            profile.reserve(t0, t1, procs)
+            reserved.append((t0, t1, procs, before))
+    for t0, t1, procs, before in reversed(reserved):
+        profile.release(t0, t1, procs)
+        assert profile == before
+    assert profile == AvailabilityProfile(CAPACITY)

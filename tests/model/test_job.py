@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import TIME_LIMIT, ProcessorTimeRequest
 from repro.errors import InvalidJobError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
@@ -46,6 +46,11 @@ class TestConstruction:
     def test_nonfinite_release(self):
         with pytest.raises(InvalidJobError):
             Job.rigid(chain(), release=math.inf)
+
+    @pytest.mark.parametrize("release", [math.nan, -math.inf, TIME_LIMIT, -TIME_LIMIT])
+    def test_release_outside_the_time_range(self, release):
+        with pytest.raises(InvalidJobError):
+            Job.rigid(chain(), release=release)
 
     def test_unique_ids(self):
         a = Job.rigid(chain())

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import TIME_LIMIT, ProcessorTimeRequest
 from repro.errors import InvalidTaskError
 from repro.model.task import TaskSpec
 
@@ -41,6 +41,11 @@ class TestValidation:
 
     def test_infinite_deadline_allowed(self):
         assert spec(deadline=math.inf).deadline == math.inf
+
+    @pytest.mark.parametrize("deadline", [-math.inf, TIME_LIMIT, 2.0**60])
+    def test_deadline_outside_the_time_range(self, deadline):
+        with pytest.raises(InvalidTaskError):
+            spec(deadline=deadline)
 
     def test_negative_quality(self):
         with pytest.raises(InvalidTaskError):

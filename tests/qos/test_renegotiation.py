@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.placement import ChainPlacement
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import TIME_STEP, ProcessorTimeRequest
 from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
@@ -232,13 +232,15 @@ def _chain_job(*tasks):
 
 
 class TestSubEpsRemainder:
-    """A change within ``TIME_EPS`` before a task's end leaves no remainder.
+    """A change exactly at a task's end leaves no remainder; one a single
+    :data:`~repro.core.resources.TIME_STEP` earlier leaves that step.
 
-    The sliver ``[10 - 5e-10, 10)`` is an empty interval to the profile:
-    a job ending there is finished, and a later task is carried without it.
+    Times are compared exactly: a job ending at the change is finished,
+    and a later task is carried without its finished predecessor.  A
+    change just before the end keeps the short remainder reserved.
     """
 
-    TAU = 10.0 - 5e-10
+    TAU = 10.0
 
     def test_lone_task_ending_at_the_change_is_finished(self):
         arb, driver, _cp = admit_one(_chain_job(("a", 4, 10.0)), 8)
@@ -260,6 +262,17 @@ class TestSubEpsRemainder:
         assert arb.schedule.committed_area == 2 * 5.0  # task b only
         assert profile.available_at(12.0) == 6
         assert profile.available_at(15.0) == 8
+
+    def test_a_change_one_step_early_carries_the_step(self):
+        job = _chain_job(("a", 4, 10.0), ("b", 2, 5.0))
+        arb, driver, cp = admit_one(job, 8)
+        tau = self.TAU - TIME_STEP
+        driver.on_capacity_change(CapacityEvent(tau, 8))
+        assert driver.live_placements() == (cp,)
+        profile = arb.schedule.profile
+        assert profile.available_at(tau) == 4
+        assert profile.available_at(self.TAU) == 6
+        assert arb.schedule.committed_area == 4 * TIME_STEP + 2 * 5.0
 
 
 class TestCarriedBooking:

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
-from repro.core.resources import TIME_EPS, ProcessorTimeRequest
+from repro.core.resources import ProcessorTimeRequest
 from repro.errors import SimulationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
@@ -248,17 +248,16 @@ class TestAccounting:
 class TestOverrunAtTaskFinishBoundary:
     """Regression for the remainder-slicing completed-count clamp.
 
-    A capacity event landing within TIME_EPS of an overrun-armed task's
-    reserved finish must NOT count that task as completed: the overrun has
+    A capacity event landing at, or half a nanosecond either side of, an
+    overrun-armed task's reserved finish must NOT count that task as
+    completed: the overrun has
     not been detected yet, so the task's true duration is still unknown and
     the re-plan must re-offer it.  Before the clamp, the ``start < tau``
     slice counted it done, the re-plan dropped it, and the armed overrun
     silently disarmed — the job then "finished" at its optimistic length.
     """
 
-    @pytest.mark.parametrize(
-        "offset", [-TIME_EPS / 2, 0.0, TIME_EPS / 2]
-    )
+    @pytest.mark.parametrize("offset", [-5e-10, 0.0, 5e-10])
     def test_event_at_armed_finish_keeps_task_and_overrun(self, offset):
         arb = QoSArbitrator(8, keep_placements=True)
         driver = RenegotiationDriver(arb)
@@ -283,7 +282,7 @@ class TestOverrunAtTaskFinishBoundary:
         )
         assert driver.overrun_due(victim.job_id) == pytest.approx(15.0)
 
-        # Capacity drops to 7 exactly at (within eps of) t0's finish: the
+        # Capacity drops to 7 at (or just around) t0's finish: the
         # blocker carries (6 <= 7) but the victim can't (only 1 free), so
         # it re-plans — and must re-offer BOTH tasks, t0 included.
         driver.on_capacity_change(CapacityEvent(15.0 + offset, 7))

@@ -1,7 +1,10 @@
 """Perturbation events and trace generation: validation, determinism, CRN."""
 
+import math
+
 import pytest
 
+from repro.core.resources import TIME_LIMIT
 from repro.errors import ConfigurationError
 from repro.resilience.events import (
     BurstEvent,
@@ -28,6 +31,9 @@ class TestEventValidation:
     def test_capacity_event(self):
         with pytest.raises(ConfigurationError):
             CapacityEvent(time=float("nan"), new_capacity=4)
+        for time in (math.inf, TIME_LIMIT):
+            with pytest.raises(ConfigurationError):
+                CapacityEvent(time=time, new_capacity=4)
         with pytest.raises(ConfigurationError):
             CapacityEvent(time=1.0, new_capacity=0)
 

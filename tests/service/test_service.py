@@ -4,6 +4,7 @@ and fail-stop semantics."""
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import time
 from dataclasses import replace
@@ -11,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import TIME_LIMIT, ProcessorTimeRequest
 from repro.errors import ConfigurationError, InvalidTaskError, ServiceUnavailableError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
@@ -339,9 +340,13 @@ def test_a_request_released_before_a_decided_one_sees_the_whole_future(tmp_path)
         (TypeError, {"job": "not a job"}),
         (ValueError, {"job_id": 2**63}),
         (ValueError, {"job_id": -(2**63) - 1}),
+        (ValueError, {"release": math.nan}),
+        (ValueError, {"release": math.inf}),
+        (ValueError, {"release": TIME_LIMIT}),
     ],
     ids=["int-id", "bytes-id", "bool-qos", "float-qos", "negative-qos", "huge-qos",
-         "not-a-job", "huge-job-id", "huge-negative-job-id"],
+         "not-a-job", "huge-job-id", "huge-negative-job-id", "nan-release",
+         "inf-release", "out-of-range-release"],
 )
 def test_a_malformed_request_is_refused_to_its_caller_alone(tmp_path, error, kw):
     """``enqueue`` checks its arguments before anything is queued, counted
@@ -360,6 +365,8 @@ def test_a_malformed_request_is_refused_to_its_caller_alone(tmp_path, error, kw)
         job = args.pop("job")
         if "job_id" in args:
             job = replace(job, job_id=args.pop("job_id"))
+        if "release" in args:  # only settable around Job's own check
+            object.__setattr__(job, "release", args.pop("release"))
         with pytest.raises(error):
             await service.enqueue(job, **args)
         with pytest.raises(error):  # submit() is the same gate

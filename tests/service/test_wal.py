@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.resources import ProcessorTimeRequest
+from repro.core.resources import TIME_LIMIT, ProcessorTimeRequest
 from repro.errors import WalCorruptionError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
@@ -148,6 +148,9 @@ def test_equal_but_distinct_chains_stay_distinct():
 # Any ledger round-trips through both logs
 # ----------------------------------------------------------------------
 
+#: Far out in the model's time range, with room for the ``+ 1.0`` releases
+#: of the shared jobs below.
+_FAR_TIME = TIME_LIMIT / 2
 _AWKWARD = st.sampled_from(['quo"te', "back\\slash", "uni-é✓", "ctrl-\n\t\x00\x1f", " "])
 _TEXT = _AWKWARD | st.text(max_size=6)
 
@@ -160,7 +163,7 @@ def _awkward_chain(draw):
             ProcessorTimeRequest(
                 draw(st.integers(1, 8)), draw(st.sampled_from([1e-3, 0.5, 1.0, 2.75]))
             ),
-            deadline=draw(st.sampled_from([math.inf, 40.0, 1e12])),
+            deadline=draw(st.sampled_from([math.inf, 40.0, _FAR_TIME])),
             quality=draw(st.sampled_from([0.0, -0.0, 0.25, 1.0])),
         )
         for _ in range(draw(st.integers(1, 3)))
@@ -198,7 +201,7 @@ def _ledgers(draw):
         else:
             job = Job(
                 chains=tuple(draw(st.lists(_awkward_chain(), min_size=1, max_size=3))),
-                release=draw(st.sampled_from([0.0, -0.0, 0.1, 1e9])),
+                release=draw(st.sampled_from([0.0, -0.0, 0.1, _FAR_TIME])),
                 name=draw(_TEXT),
             )
         if draw(st.booleans()):
