@@ -75,12 +75,6 @@ class QoSArbitrator:
         otherwise; ``"scalar"`` — always the reference, the differential
         oracle.  Decisions are bit-identical (``docs/perf.md``, "Who
         decides, who scans").
-    prune:
-        Enable the decision-identical candidate prunes (duplicate collapse,
-        failure propagation, incumbent finish capping, quality-ordered
-        short-circuit under MAX_QUALITY — see :mod:`repro.core.greedy`).
-        ``False`` probes every configuration in full; decisions are
-        identical either way.
     seed:
         Seed for the RANDOM tie-break policy only, which requires one.
     """
@@ -98,7 +92,6 @@ class QoSArbitrator:
         keep_placements: bool = True,
         compact: bool = True,
         backend: str = "auto",
-        prune: bool = True,
         origin: float = 0.0,
         seed: int | None = None,
     ) -> None:
@@ -113,12 +106,9 @@ class QoSArbitrator:
                 strategy=strategy,
                 min_processors=min_processors,
                 rng=rng,
-                prune=prune,
             )
         else:
-            self.scheduler = GreedyScheduler(
-                self.schedule, policy=policy, rng=rng, prune=prune
-            )
+            self.scheduler = GreedyScheduler(self.schedule, policy=policy, rng=rng)
         self.objective = objective
         self.quality_composition = quality_composition
         self.admission = AdmissionController(self.scheduler, compact=compact)
@@ -173,8 +163,8 @@ class QoSArbitrator:
         """Hot-path instrumentation summary (see :mod:`repro.perf`).
 
         Includes per-submit wall-clock decision latency (``decision_*``),
-        scheduler counters (probes, quick/area rejects, prune counters,
-        commits, rollbacks) and profile operation stats (``profile_*``).
+        scheduler counters (probes, quick/area rejects, commits,
+        rollbacks) and profile operation stats (``profile_*``).
         The candidate-search counters are always present (0 when the event
         never fired) so dashboards and tests can read them unconditionally.
         Kernel-layer selection telemetry rides along: ``kernel_backend``
@@ -188,8 +178,6 @@ class QoSArbitrator:
             "chains_probed",
             "chains_quick_rejected",
             "chains_area_rejected",
-            "chains_pruned_dominated",
-            "chains_pruned_quality",
             "batch_jobs",
             "batch_fallbacks",
         ):
@@ -280,7 +268,7 @@ class QoSArbitrator:
         With the compiled kernel loaded and a supported configuration
         (everything not listed under "What the C loop does not take" in
         :mod:`repro.core.kernels.batch`), the entire admission loop for
-        the batch — compaction, pruning, probing, tie-breaking,
+        the batch — compaction, filtering, probing, tie-breaking,
         committing — runs in **one C call** over flat arrays
         (:func:`repro.core.kernels.batch.try_admit_batch_compiled`);
         otherwise the batch *is* the serial loop.
@@ -326,59 +314,21 @@ class QoSArbitrator:
         return decision
 
     def _offer_max_quality(self, job: Job) -> AdmissionDecision:
-        """Admission with quality-first path choice.
-
-        With pruning enabled, configurations are probed in descending
-        quality order: the first success pins the achievable quality, and
-        every strictly lower-quality configuration after it is skipped
-        unprobed (counted as ``chains_pruned_quality``) — it cannot be in
-        the quality-tie set the tie-break chooses from.  Equal-quality
-        duplicates sort by submission index, so collapses resolve to the
-        same configuration the exhaustive path picks, and the surviving
-        tie set is re-sorted into submission order before tie-breaking.
-        Decisions are bit-identical to ``prune=False``.
-        """
+        """Admission with quality-first path choice: among the schedulable
+        configurations, those of the highest quality go to the tie-break."""
         admission = self.admission
         if admission.compact:
             self.schedule.compact(job.release)
         scheduler = self.scheduler
-        if scheduler.prune:
-            qualities = [
-                chain_quality(c, self.quality_composition) for c in job.chains
-            ]
-            order = sorted(range(len(job.chains)), key=lambda i: (-qualities[i], i))
-            probe = scheduler._prober(job, True, True)
-            top: list[ChainPlacement] = []
-            best_q: float | None = None
-            for pos, idx in enumerate(order):
-                if best_q is not None and qualities[idx] < best_q - 1e-12:
-                    self.schedule.perf.chains_pruned_quality += len(order) - pos
-                    break
-                cp = probe(idx)
-                if cp is not None:
-                    if best_q is None:
-                        best_q = qualities[idx]
-                    top.append(cp)
-            top.sort(key=lambda c: c.chain_index)
-        else:
-            cands = scheduler.candidates(job)
-            if cands:
-                best_q = max(
-                    chain_quality(c.chain, self.quality_composition) for c in cands
-                )
-                top = [
-                    c
-                    for c in cands
-                    if chain_quality(c.chain, self.quality_composition)
-                    >= best_q - 1e-12
-                ]
-            else:
-                top = []
-        if not top:
+        cands = scheduler.candidates(job)
+        if not cands:
             admission.rejected += 1
             return AdmissionDecision(
                 job.job_id, False, None, reason="no schedulable configuration"
             )
+        comp = self.quality_composition
+        best_q = max(chain_quality(c.chain, comp) for c in cands)
+        top = [c for c in cands if chain_quality(c.chain, comp) >= best_q - 1e-12]
         chosen: ChainPlacement = select_candidate(top, scheduler.policy, scheduler.rng)
         self.schedule.commit(chosen)
         admission.admitted += 1

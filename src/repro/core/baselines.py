@@ -42,13 +42,6 @@ class BestFitScheduler(GreedyScheduler):
     feasibility.
     """
 
-    # Best fit picks the *tightest* hole, so a harder task failing says
-    # nothing monotone about an easier one, and the chosen hole depends on
-    # the deadline — the greedy prunes that rely on first-fit properties
-    # are not exact here and stay off.
-    SUPPORTS_DOMINANCE = False
-    SUPPORTS_FINISH_CAP = False
-
     def place_chain(
         self,
         chain: TaskChain,

@@ -8,7 +8,7 @@
  *
  * Every function but two is a line-for-line port of a pure-Python
  * reference in ``repro.core`` (profile._shift / compact / free_area,
- * first_fit.earliest_fit, greedy._prober / place_chain,
+ * first_fit.earliest_fit, greedy.candidates / place_chain,
  * policies.select_candidate, chain.is_trivially_infeasible).  The float
  * operations replicate the exact IEEE-754 op order of those references —
  * max/min keep Python's first-argument-on-ties convention, accumulations
@@ -16,7 +16,7 @@
  * results are bit-identical.  That is the contract the differential
  * fuzzer (``repro.verify.fuzz``) enforces against the Python reference.
  * Like the references, every comparison that decides a placement is
- * exact; only the two pruning filters keep the references' slack
+ * exact; only the two filters keep the references' slack
  * (AREA_EPS, QUICK_EPS below).  repro.core.resources has the time range.
  *
  * The one deliberate deviation: inside ``repro_admit_batch`` the loop
@@ -37,8 +37,8 @@
  * invariant: ``prof_shift`` clears the table if it ever sees one.
  *
  * One entry point does work, ``repro_admit_batch``: the whole serial
- * admission loop for a vector of jobs in ONE call — compaction, pruning,
- * probing, tie-breaks and profile commits all run in C over one packed
+ * admission loop for a vector of jobs in ONE call — compaction, the two
+ * filters, probing, tie-breaks and profile commits all run in C over one packed
  * record of the jobs (Prof.record) and the profile's flat arrays.  This
  * is the 100k+ decisions/sec path.  It also finishes the float accounting
  * it holds the operands for: each admitted job's finish and area (the
@@ -64,7 +64,7 @@
 #define AREA_EPS 1e-6   /* greedy._area_reject slack */
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 
-#define ABI_VERSION 6
+#define ABI_VERSION 7
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -99,11 +99,10 @@
 #define K_CHAINS_PROBED 7
 #define K_QUICK_REJECTED 8
 #define K_AREA_REJECTED 9
-#define K_PRUNED_DOMINATED 10
-#define K_COMMITS 11
-#define K_ROW_CELLS 12 /* cells of out_rows written: not a statistic, the
+#define K_COMMITS 10
+#define K_ROW_CELLS 11 /* cells of out_rows written: not a statistic, the
                         * write-back's read length */
-#define N_COUNTERS 13
+#define N_COUNTERS 12
 
 /* Python max(a, b) returns the FIRST argument on ties (max(-0.0, 0.0)
  * is -0.0); same for min.  These macros keep that convention so even
@@ -182,7 +181,7 @@ typedef struct {
     int64_t prefix_valid;
     int64_t prefix_from; /* lowest index whose prefix entry is stale */
     /* scheduler configuration */
-    int64_t policy, use_dup, use_dom, use_cap, do_compact;
+    int64_t policy, do_compact;
     /* the staged jobs, one run of cells in arrival order: per job
      * [release][n_chains], per chain [n_tasks], per task a Task.  Every
      * cell is a double, the counts and widths too (exact: the packer
@@ -191,7 +190,7 @@ typedef struct {
     const double *record;
     int64_t max_chains, max_tasks;
     double *dscratch;  /* max_chains*max_tasks + 2*max_chains + max_tasks */
-    int64_t *iscratch; /* 6*max_chains */
+    int64_t *iscratch; /* 4*max_chains */
     int64_t *out_chain;  /* per job: chosen chain's index in the job, -1 = rejected */
     /* one row per ADMITTED job, in arrival order (c[K_COMMITS] rows,
      * c[K_ROW_CELLS] cells): [finish][area][start of each task of the
@@ -487,8 +486,8 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
  * largest s reachable from
  * its own release through applicable facts.  The deadline never enters
  * a fact (a walk that gave up on its deadline at s still ruled out
- * [r, s) on availability alone), so a tighter or laxer deadline — the
- * incumbent finish cap included — reuses it unchanged. */
+ * [r, s) on availability alone), so a tighter or laxer deadline reuses
+ * it unchanged. */
 
 /* Latest time up to which the facts rule out a start for (w, d) at or
  * after `from` — the end of the covered region that contains it; *since
@@ -578,40 +577,6 @@ typedef struct {
     double deadline;
     double quality;
 } Task;
-
-/* greedy._shape_key equality for chains a and b */
-static int shape_equal(const Task *a, int64_t na, const Task *b, int64_t nb)
-{
-    if (na != nb)
-        return 0;
-    for (int64_t k = 0; k < na; k++) {
-        if (a[k].procs != b[k].procs)
-            return 0;
-        if (a[k].dur != b[k].dur)
-            return 0;
-        if (a[k].deadline != b[k].deadline)
-            return 0;
-        if (a[k].quality != b[k].quality)
-            return 0;
-    }
-    return 1;
-}
-
-/* greedy._harder_than_failed for one (chain, failed-chain) pair */
-static int harder_than(const Task *c, int64_t nc, const Task *o, int64_t no)
-{
-    if (nc != no)
-        return 0;
-    for (int64_t k = 0; k < nc; k++) {
-        if (!(c[k].procs >= o[k].procs))
-            return 0;
-        if (!(c[k].dur >= o[k].dur))
-            return 0;
-        if (!(c[k].deadline <= o[k].deadline))
-            return 0;
-    }
-    return 1;
-}
 
 /* chain.is_trivially_infeasible (eff is caller scratch of >= n tasks) */
 static int quick_reject(const Task *t, int64_t n, int64_t capacity, double *eff)
@@ -716,10 +681,9 @@ int64_t repro_ctx_size(void)
 #define PROF_FIELDS(X)                                                        \
     X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
     X(cap_buf) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)         \
-    X(policy) X(use_dup) X(use_dom) X(use_cap) X(do_compact) X(record)       \
-    X(max_chains) X(max_tasks) X(dscratch) X(iscratch) X(out_chain)          \
-    X(out_rows) X(qmode) X(q_possible) X(q_sum) X(c) X(nfacts) X(fact_evict) \
-    X(facts)
+    X(policy) X(do_compact) X(record) X(max_chains) X(max_tasks)             \
+    X(dscratch) X(iscratch) X(out_chain) X(out_rows) X(qmode) X(q_possible)  \
+    X(q_sum) X(c) X(nfacts) X(fact_evict) X(facts)
 
 const char *repro_ctx_fields(void)
 {
@@ -745,13 +709,12 @@ const int64_t *repro_ctx_offsets(void)
  * job's best and every chosen chain's quality, job by job in arrival order
  * (the serial loop's own additions).  Any error status leaves the live
  * window and both accumulators as at entry and drops what the call learnt.
- * Replays greedy._prober exactly: duplicate collapse, failure
- * propagation, incumbent finish capping, then select_candidate's
- * earliest-finish + policy tie-break. */
+ * Replays greedy.candidates exactly -- every chain probed, behind
+ * quick_reject and area_reject -- then select_candidate's earliest-finish
+ * + policy tie-break. */
 int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
 {
-    const int64_t policy = p->policy, use_dup = p->use_dup;
-    const int64_t use_dom = p->use_dom, use_cap = p->use_cap;
+    const int64_t policy = p->policy;
     const int64_t capacity = p->capacity;
     const int64_t max_chains = p->max_chains, max_tasks = p->max_tasks;
     double *dscratch = p->dscratch;
@@ -771,9 +734,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
     double *cand_area = cand_finish + max_chains;
     double *eff = cand_area + max_chains;                /* [MT] */
     int64_t *cand_chain = iscratch;
-    int64_t *keyed = cand_chain + max_chains;
-    int64_t *failed = keyed + max_chains;
-    int64_t *tied = failed + max_chains;
+    int64_t *tied = cand_chain + max_chains;
     int64_t *chain_at = tied + max_chains; /* the job's chains: first task's cell */
     int64_t *chain_n = chain_at + max_chains; /* ... and task count */
     const double *record = p->record;
@@ -793,8 +754,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
         }
         if (p->do_compact)
             prof_compact(p, &sv, release);
-        int64_t ncand = 0, nkeyed = 0, nfailed = 0;
-        double cap = INFINITY;
+        int64_t ncand = 0;
         double best_q = 0.0; /* job.best_quality: Python's max, first on ties */
         for (int64_t c = 0; c < n_chains; c++) {
             const Task *tasks = TASKS(c);
@@ -804,35 +764,6 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
                 if (c == 0 || q > best_q)
                     best_q = q;
             }
-            if (use_dup) {
-                int dup = 0;
-                for (int64_t k = 0; k < nkeyed; k++) {
-                    if (shape_equal(TASKS(keyed[k]), chain_n[keyed[k]], tasks,
-                                    ntasks)) {
-                        dup = 1;
-                        break;
-                    }
-                }
-                if (dup) {
-                    counters[K_PRUNED_DOMINATED] += 1;
-                    continue;
-                }
-                keyed[nkeyed++] = c;
-            }
-            if (use_dom && nfailed) {
-                int harder = 0;
-                for (int64_t k = 0; k < nfailed; k++) {
-                    if (harder_than(tasks, ntasks, TASKS(failed[k]),
-                                    chain_n[failed[k]])) {
-                        harder = 1;
-                        break;
-                    }
-                }
-                if (harder) {
-                    counters[K_PRUNED_DOMINATED] += 1;
-                    continue;
-                }
-            }
             counters[K_CHAINS_PROBED] += 1;
             if (quick_reject(tasks, ntasks, capacity, eff)) {
                 counters[K_QUICK_REJECTED] += 1;
@@ -841,39 +772,29 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
             double ca = chain_area(tasks, ntasks);
             if (area_reject(p, release, tasks[ntasks - 1].deadline, ca)) {
                 counters[K_AREA_REJECTED] += 1;
-                if (use_dom)
-                    failed[nfailed++] = c;
                 continue;
             }
-            /* place_chain: first fit per task under the capped deadline */
+            /* place_chain: first fit per task */
             double earliest = PYMAX(release, (p->times + p->lo)[0]);
             double *starts = cand_starts + ncand * max_tasks;
             int ok = 1;
             for (int64_t t = 0; t < ntasks; t++) {
-                double dl = release + tasks[t].deadline;
-                if (cap < dl)
-                    dl = cap;
                 double s;
                 /* past quick_reject the width is at most the capacity */
                 if (!ef_probe(p, (int64_t)tasks[t].procs, tasks[t].dur,
-                              earliest, dl, &s)) {
+                              earliest, release + tasks[t].deadline, &s)) {
                     ok = 0;
                     break;
                 }
                 starts[t] = s;
                 earliest = s + tasks[t].dur;
             }
-            if (!ok) {
-                if (use_dom)
-                    failed[nfailed++] = c;
+            if (!ok)
                 continue;
-            }
             cand_chain[ncand] = c;
             cand_finish[ncand] = earliest; /* last start + duration */
             cand_area[ncand] = ca;
             ncand += 1;
-            if (use_cap && earliest < cap)
-                cap = earliest;
         }
         q_possible += best_q;
         if (ncand == 0) {

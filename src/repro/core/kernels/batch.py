@@ -7,7 +7,7 @@ serial submit loop in arrival order*.
 :func:`try_admit_batch_compiled` packs the whole batch into one record
 (:func:`flatten_jobs`), copies it into the profile's kernel context with
 one slice assignment and runs ``repro_admit_batch`` (the entire
-serial admission loop — compaction, prunes, probes, tie-breaks, commits,
+serial admission loop — compaction, filters, probes, tie-breaks, commits,
 and the float accounting: finish, area, the quality accumulators) in ONE
 C call, then builds the decision objects from the two columns it answers
 with (``out_chain``: each job's chosen chain, by its index in the job;
@@ -96,10 +96,10 @@ context's view of the profile is thrown away:
   drops it (a batch of several jobs); it goes with the context
   (``adopt_schedule``, ``copy()``, another kernel object).  The C loop
   only reads the record.
-* The scheduler and config flags (``policy``, ``use_dup``, ``use_dom``,
-  ``use_cap``, ``do_compact``, ``qmode``) are stored only when they
-  differ from the ones the context last stored (``ctx.flags``): two
-  arbitrators may take turns on one profile through ``adopt_schedule``.
+* The scheduler and config flags (``policy``, ``do_compact``, ``qmode``)
+  are stored only when they differ from the ones the context last stored
+  (``ctx.flags``): two arbitrators may take turns on one profile through
+  ``adopt_schedule``.
 * The quality accumulators do NOT live in the context: a context belongs
   to a profile, ``_quality_possible``/``_quality_sum`` to an arbitrator.
   :func:`try_admit_batch_compiled` writes both into the struct before
@@ -178,9 +178,9 @@ def flatten_jobs(jobs: Sequence[Job]) -> tuple[bytes, int, int] | None:
 
     ``None`` means the C loop does not take the batch — a job with more
     than ``_MAX_CHAINS`` chains, a chain with more than ``_MAX_TASKS``
-    tasks, or a width past ``_MAX_WIDTH`` (refused, not clamped: two
-    distinct oversize widths must not collapse into duplicates) — and the
-    sweep stops at that job.
+    tasks, or a width past ``_MAX_WIDTH`` (refused, not clamped: C never
+    decides on a width the job does not have) — and the sweep stops at
+    that job.
 
     Written for throughput: one attribute sweep into one list, direct
     ``request`` field access instead of the (property-indirected)
@@ -351,7 +351,7 @@ class _Context:
             self.chosen = memoryview(self.cols["out_chain"])
             self.rows = memoryview(self.cols["out_rows"])
             self._bind("dscratch", mc * mt + 2 * mc + mt)
-            self._bind("iscratch", 6 * mc, _I8)
+            self._bind("iscratch", 4 * mc, _I8)
             self.c.max_chains, self.c.max_tasks = mc, mt
         self.inbuf[:size] = record
         self.chains = chains
@@ -394,18 +394,12 @@ def try_admit_batch_compiled(
         one = jobs[0].chains if len(jobs) == 1 else None
         ctx.stage(record, len(jobs), max_chains, max_tasks, one)
     c = ctx.c
-    prune = scheduler.prune
     flags = (
-        policy_code, prune, scheduler.SUPPORTS_DOMINANCE,
-        scheduler.SUPPORTS_FINISH_CAP, arbitrator.admission.compact,
-        arbitrator.quality_composition,
+        policy_code, arbitrator.admission.compact, arbitrator.quality_composition
     )
     if flags != ctx.flags:  # a profile may change arbitrators (adopt_schedule)
         ctx.flags = flags
         c.policy = policy_code
-        c.use_dup = prune  # policy is deterministic here
-        c.use_dom = prune and scheduler.SUPPORTS_DOMINANCE
-        c.use_cap = prune and scheduler.SUPPORTS_FINISH_CAP
         c.do_compact = arbitrator.admission.compact
         c.qmode = _QMODE_CODES.get(arbitrator.quality_composition, 0)
     c.q_possible = arbitrator._quality_possible  # noqa: SLF001
@@ -453,11 +447,10 @@ def _apply_batch_results(
     perf.chains_probed += counts[7]
     perf.chains_quick_rejected += counts[8]
     perf.chains_area_rejected += counts[9]
-    perf.chains_pruned_dominated += counts[10]
-    perf.commits += counts[11]
+    perf.commits += counts[10]
 
     n_jobs = len(jobs)
-    n_admitted = counts[11]
+    n_admitted = counts[10]
     admission = arbitrator.admission
     by_chain = admission.decisions_by_chain
     rigid = Placement.rigid
@@ -487,7 +480,7 @@ def _apply_batch_results(
         # One pass over the decided jobs, both columns read as lists:
         # an item read costs ~0.05 us, a list item ~0.01.
         chosen = ctx.chosen[:n_jobs].tolist()
-        rows = ctx.rows[: counts[12]].tolist()  # admitted jobs only
+        rows = ctx.rows[: counts[11]].tolist()  # admitted jobs only
         decisions = []
         append = decisions.append
         committed = []

@@ -42,15 +42,14 @@ class Context(ctypes.Structure):
             "scr_a")),
         *((name, _i64) for name in (
             "cap_buf", "lo", "n", "capacity", "prefix_valid",
-            "prefix_from", "policy", "use_dup", "use_dom", "use_cap",
-            "do_compact")),
+            "prefix_from", "policy", "do_compact")),
         ("record", _ptr),
         ("max_chains", _i64), ("max_tasks", _i64),
         *((name, _ptr) for name in (
             "dscratch", "iscratch", "out_chain", "out_rows")),
         ("qmode", _i64),
         ("q_possible", ctypes.c_double), ("q_sum", ctypes.c_double),
-        ("c", _i64 * 13),  # N_COUNTERS
+        ("c", _i64 * 12),  # N_COUNTERS
         ("nfacts", _i64), ("fact_evict", _i64),
         ("facts", _Fact * 64),  # NFACTS
     ]

@@ -59,14 +59,6 @@ class MalleableScheduler(GreedyScheduler):
         minimum width.
     """
 
-    # Widest-first reshaping is not monotone in task hardness (a nominally
-    # harder task may reshape into a *different* width that happens to fit),
-    # and the chosen width depends on the deadline passed in — so neither
-    # failure propagation nor incumbent finish capping is exact here.  Only
-    # duplicate collapse (keyed on the malleable shape below) applies.
-    SUPPORTS_DOMINANCE = False
-    SUPPORTS_FINISH_CAP = False
-
     def __init__(
         self,
         schedule: Schedule,
@@ -74,9 +66,8 @@ class MalleableScheduler(GreedyScheduler):
         strategy: MalleableStrategy = MalleableStrategy.WIDEST_FIRST_FEASIBLE,
         min_processors: int = 1,
         rng: random.Random | None = None,
-        prune: bool = True,
     ) -> None:
-        super().__init__(schedule, policy, rng, prune=prune)
+        super().__init__(schedule, policy, rng)
         if min_processors < 1:
             raise ConfigurationError(
                 f"min_processors must be >= 1, got {min_processors}"
@@ -106,17 +97,6 @@ class MalleableScheduler(GreedyScheduler):
             if elapsed > task.deadline + 1e-9:
                 return True
         return False
-
-    def _shape_key(self, chain: TaskChain) -> tuple:
-        """Malleable placement identity: area + width bound, not rigid shape.
-
-        Reshaping makes two tasks interchangeable exactly when they have the
-        same work area, the same concurrency ceiling and the same deadline
-        (quality rides along for the same reason as in the rigid key).
-        """
-        return tuple(
-            (t.area, t.max_concurrency, t.deadline, t.quality) for t in chain.tasks
-        )
 
     def _place_task(
         self,

@@ -110,8 +110,6 @@ HOT_COUNTERS = (
     "chains_probed",
     "chains_quick_rejected",
     "chains_area_rejected",
-    "chains_pruned_dominated",
-    "chains_pruned_quality",
     "batch_jobs",
     "batch_fallbacks",
 )

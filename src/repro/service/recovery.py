@@ -109,7 +109,7 @@ def recover(
     for i in undecided:
         entries[i].decision = decision_to_tuple(decisions[i])
     if undecided:
-        wal = WriteAheadLog(directory, fsync=True)
+        wal = WriteAheadLog(directory)
         try:
             wal.append_decisions(
                 [entries[i].seq for i in undecided],

@@ -320,14 +320,13 @@ class WriteAheadLog:
     kill-mid-append fault recovery must tolerate.
     """
 
-    def __init__(self, directory: str | Path, *, fsync: bool = True) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "wal.log"
         self._fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
-        self.fsync = fsync
         self.appends = 0
         self.syncs = 0
         #: Highest sequence number logged through this handle; what
@@ -355,9 +354,8 @@ class WriteAheadLog:
         os.write(self._fd, data)
 
     def sync(self) -> None:
-        if self.fsync:
-            os.fsync(self._fd)
-            self.syncs += 1
+        os.fsync(self._fd)
+        self.syncs += 1
 
     def append_jobs(
         self, entries: Sequence[LedgerEntry], *, sync: bool = True

@@ -3,12 +3,11 @@
 One fuzz *case* is a random workload (capacity + release-ordered jobs,
 rigid or malleable).  For each case the harness:
 
-1. **Differential identity** — runs the full decision matrix
-   (the two scans × prune modes, per tie-break policy) and asserts every
-   combination produces the *bit-identical* decision sequence: admissions,
-   chain choices, every task's (start, width, duration).  This is the
-   repo's standing claim (PR 4's prune-exactness proofs, the back-end
-   equivalence contract) tested on random instances instead of fixed axes.
+1. **Differential identity** — runs the decision matrix (the two
+   back-ends, per tie-break policy) and asserts both produce the
+   *bit-identical* decision sequence: admissions, chain choices, every
+   task's (start, width, duration).  This is the back-end equivalence
+   contract tested on random instances instead of fixed axes.
 2. **Auditor cleanliness** — every run's committed schedule passes the
    independent :class:`~repro.verify.auditor.ScheduleAuditor`.
 3. **Metamorphic checks** —
@@ -203,8 +202,8 @@ def random_case(
     release = 0.0
     for j in range(n_jobs):
         if jobs and rng.random() < 0.25:
-            # Identical twin at the same instant: exercises duplicate
-            # collapse and the order-permutation metamorphic relation.
+            # Identical twin at the same instant: exercises the
+            # order-permutation metamorphic relation.
             prev = jobs[-1]
             jobs.append(Job(chains=prev.chains, release=prev.release))
             continue
@@ -215,8 +214,8 @@ def random_case(
             for c in range(n_chains)
         ]
         if n_chains > 1 and rng.random() < 0.2:
-            # Duplicate configuration inside one job: the duplicate-collapse
-            # prune must stay decision-invisible.
+            # Duplicate configuration inside one job: the two tie exactly,
+            # and every tie-break must resolve them as the reference does.
             chains[-1] = TaskChain(
                 chains[0].tasks, label=chains[0].label + "-dup"
             )
@@ -285,7 +284,6 @@ def run_case(
     case: FuzzCase,
     *,
     backend: str = "auto",
-    prune: bool = True,
     policy: TieBreakPolicy = TieBreakPolicy.PAPER,
     audit: bool = True,
     batch: bool = False,
@@ -305,7 +303,6 @@ def run_case(
         case.capacity,
         malleable=case.malleable,
         backend=backend,
-        prune=prune,
         policy=policy,
         seed=_RANDOM_POLICY_SEED,
         keep_placements=True,
@@ -338,8 +335,7 @@ def run_case(
         )
         if not report.ok:
             failures.append(
-                f"audit[{'batch,' if batch else ''}{backend},prune={prune},"
-                f"{policy.value}]: "
+                f"audit[{'batch,' if batch else ''}{backend},{policy.value}]: "
                 + "; ".join(str(v) for v in report.violations[:4])
             )
     return digest, failures
@@ -351,26 +347,23 @@ def run_case(
 
 
 def differential_failures(case: FuzzCase) -> list[str]:
-    """Back-end × prune decision identity (per policy) + audit cleanliness."""
+    """Back-end decision identity (per policy) + audit cleanliness."""
     failures: list[str] = []
     policies = _POLICIES if not case.malleable else (TieBreakPolicy.PAPER,)
     for policy in policies:
         reference = None
         reference_combo = ""
         for backend in _BACKENDS:
-            for prune in (True, False):
-                digest, audit_fails = run_case(
-                    case, backend=backend, prune=prune, policy=policy
+            digest, audit_fails = run_case(case, backend=backend, policy=policy)
+            failures.extend(audit_fails)
+            combo = f"{backend},{policy.value}"
+            if reference is None:
+                reference, reference_combo = digest, combo
+            elif digest != reference:
+                failures.append(
+                    f"decision divergence under {policy.value}: "
+                    f"{combo} != {reference_combo}"
                 )
-                failures.extend(audit_fails)
-                combo = f"{backend},prune={prune},{policy.value}"
-                if reference is None:
-                    reference, reference_combo = digest, combo
-                elif digest != reference:
-                    failures.append(
-                        f"decision divergence under {policy.value}: "
-                        f"{combo} != {reference_combo}"
-                    )
     return failures
 
 

@@ -2,8 +2,8 @@
 
 The equivalence contract (see :mod:`repro.core.kernels.batch`): a batch
 produces *exactly* the decisions, profile, and accounting the serial
-``submit`` loop produces in arrival order — for every back-end, prune
-mode, tie-break policy, kernel implementation, scheduler flavour, and
+``submit`` loop produces in arrival order — for every back-end,
+tie-break policy, kernel implementation, scheduler flavour, and
 arbitration objective, including batches interrupted by a
 capacity-fault schedule swap from :mod:`repro.resilience`.  Identity is
 asserted on full observable state, not just the decision digests.
@@ -75,18 +75,17 @@ def _state(arbitrator: QoSArbitrator) -> tuple:
 
 @pytest.mark.parametrize("kmode", KERNEL_MODES)
 @pytest.mark.parametrize("backend", ("auto",))
-@pytest.mark.parametrize("prune", (True, False))
+@pytest.mark.parametrize("malleable", (True, False))
 @pytest.mark.parametrize("policy", tuple(TieBreakPolicy))
-def test_batch_identical_to_serial_across_matrix(kmode, backend, prune, policy):
+def test_batch_identical_to_serial_across_matrix(kmode, backend, malleable, policy):
     with kernels.use(kmode):
         for seed in range(8):
-            case = random_case(random.Random(seed), malleable=(seed % 4 == 3))
+            case = random_case(random.Random(seed), malleable=malleable)
             serial = run_case(  # scalar: the Python-decided side
-                case, backend="scalar", prune=prune, policy=policy, audit=False
+                case, backend="scalar", policy=policy, audit=False
             )
             batch = run_case(
-                case, backend=backend, prune=prune, policy=policy, audit=False,
-                batch=True,
+                case, backend=backend, policy=policy, audit=False, batch=True
             )
             assert batch == serial
 
@@ -95,22 +94,20 @@ def test_batch_identical_to_serial_across_matrix(kmode, backend, prune, policy):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     malleable=st.booleans(),
     backend=st.sampled_from(("auto", "scalar")),
-    prune=st.booleans(),
     policy=st.sampled_from(tuple(TieBreakPolicy)),
     kmode=st.sampled_from(KERNEL_MODES),
 )
 @settings(max_examples=40, deadline=None)
-def test_batch_identity_property(seed, malleable, backend, prune, policy, kmode):
+def test_batch_identity_property(seed, malleable, backend, policy, kmode):
     """Hypothesis sweep over the whole configuration space: any workload,
-    any back-end × prune × tie-break × kernel, batch == serial."""
+    any back-end × tie-break × kernel, batch == serial."""
     with kernels.use(kmode):
         case = random_case(random.Random(seed), malleable=malleable)
         serial = run_case(  # scalar: the Python-decided side
-            case, backend="scalar", prune=prune, policy=policy, audit=False
+            case, backend="scalar", policy=policy, audit=False
         )
         batch = run_case(
-            case, backend=backend, prune=prune, policy=policy, audit=False,
-            batch=True,
+            case, backend=backend, policy=policy, audit=False, batch=True
         )
         assert batch == serial
 
@@ -273,12 +270,11 @@ _DETERMINISTIC = (TieBreakPolicy.PAPER, TieBreakPolicy.FIRST, TieBreakPolicy.PRE
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     compact=st.booleans(),
-    prune=st.booleans(),
     policy=st.sampled_from(_DETERMINISTIC),
     kmode=st.sampled_from(KERNEL_MODES),
 )
 @settings(max_examples=30, deadline=None)
-def test_flood_batch_identical_to_serial(seed, compact, prune, policy, kmode):
+def test_flood_batch_identical_to_serial(seed, compact, policy, kmode):
     """200-600 jobs from at most six shapes, one ``admit_batch`` call.
 
     Without compaction the releases are also made non-monotone (a fact
@@ -293,9 +289,7 @@ def test_flood_batch_identical_to_serial(seed, compact, prune, policy, kmode):
             for j in jobs
         ]
     serial, batch = (
-        QoSArbitrator(
-            case.capacity, compact=compact, prune=prune, policy=policy, backend=backend
-        )
+        QoSArbitrator(case.capacity, compact=compact, policy=policy, backend=backend)
         for backend in ("scalar", "auto")  # scalar: submit decided in Python
     )
     for job in jobs:

@@ -121,19 +121,6 @@ class TestChooseAndScheduleJob:
         cp = GreedyScheduler(s).choose(job)
         assert cp.chain is job.chains[1]
 
-    def test_choose_among_restricts(self):
-        s = Schedule(4)
-        g = GreedyScheduler(s)
-        job = self.make_job()
-        cp = g.choose_among(job, [1])
-        assert cp.chain.label == "slow"
-
-    def test_choose_among_empty(self):
-        s = Schedule(4)
-        s.profile.reserve(0.0, 500.0, 4)
-        job = self.make_job()
-        assert GreedyScheduler(s).choose_among(job, [0, 1]) is None
-
     def test_candidates_reports_all_feasible(self):
         s = Schedule(4)
         cands = GreedyScheduler(s).candidates(self.make_job())

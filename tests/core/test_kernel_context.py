@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.kernels import batch as kernel_batch
+from repro.core.policies import TieBreakPolicy
 from repro.core.profile import AvailabilityProfile
 from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
@@ -591,8 +592,8 @@ def test_submit_keeps_its_own_accounting(kmode):
     assert snap["batch_jobs"] == snap["batch_fallbacks"] == 0
     assert set(snap) == set(want)
     for name in ("commits", "chains_probed", "chains_quick_rejected",
-                 "chains_area_rejected", "chains_pruned_dominated",
-                 "profile_shift_ops", "profile_compactions"):
+                 "chains_area_rejected", "profile_shift_ops",
+                 "profile_compactions"):
         assert snap[name] == want[name], name
 
 
@@ -870,8 +871,12 @@ def test_the_staged_record_is_reused_across_profile_growth(monkeypatch):
         assert _bits(auto) == _bits(ref)
 
 
+#: One non-default value per flag the context stores on change.
+_OTHER_FLAG = {"policy": TieBreakPolicy.FIRST, "compact": False}
+
+
 @needs_compiled
-@pytest.mark.parametrize("differ", ("prune", "compact"))
+@pytest.mark.parametrize("differ", tuple(_OTHER_FLAG))
 def test_one_profile_adopted_by_two_arbitrators_gets_each_ones_flags(differ):
     """The context stores the scheduler and config flags only when they
     change, so a profile that two arbitrators take turns on (each adopted
@@ -885,7 +890,9 @@ def test_one_profile_adopted_by_two_arbitrators_gets_each_ones_flags(differ):
             schedule = Schedule(capacity, backend=backend)
             pair = (
                 QoSArbitrator(capacity, backend=backend),
-                QoSArbitrator(capacity, backend=backend, **{differ: False}),
+                QoSArbitrator(
+                    capacity, backend=backend, **{differ: _OTHER_FLAG[differ]}
+                ),
             )
             for arbitrator in pair:
                 arbitrator.adopt_schedule(schedule)
@@ -895,13 +902,14 @@ def test_one_profile_adopted_by_two_arbitrators_gets_each_ones_flags(differ):
             mine, theirs = (first, ref_first) if k % 5 < 3 else (second, ref_second)
             assert mine.submit(job) == theirs.submit(job)
             c = mine.schedule.profile._ctx.c  # noqa: SLF001
-            assert (c.use_dup, c.do_compact) == (
-                mine.scheduler.prune, mine.admission.compact
+            assert (c.policy, c.do_compact) == (
+                kernel_batch._POLICY_CODES[mine.scheduler.policy],  # noqa: SLF001
+                mine.admission.compact,
             )
         assert [_bits(a) for a in (first, second)] == [
             _bits(a) for a in (ref_first, ref_second)
         ]
         snap, want = first.perf_snapshot(), ref_first.perf_snapshot()
-        for name in ("commits", "chains_probed", "chains_pruned_dominated",
-                     "profile_compactions"):
+        for name in ("commits", "chains_probed", "chains_quick_rejected",
+                     "chains_area_rejected", "profile_compactions"):
             assert snap[name] == want[name], name

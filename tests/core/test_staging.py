@@ -32,7 +32,7 @@ from tests.core.test_admit_batch import KERNEL_MODES, _state, needs_compiled
 
 _COUNTERS = (
     "commits", "chains_probed", "chains_quick_rejected", "chains_area_rejected",
-    "chains_pruned_dominated", "profile_shift_ops", "profile_compactions",
+    "profile_shift_ops", "profile_compactions",
     "batch_jobs", "batch_fallbacks",
 )
 
@@ -200,9 +200,8 @@ def test_the_widest_exact_width_is_packed_and_the_next_is_refused():
 @pytest.mark.parametrize("batched", (False, True))
 def test_an_oversize_width_is_rejected_as_the_reference_rejects_it(kmode, batched):
     """``ProcessorTimeRequest(2**70, 1.0)`` is a valid model object and an
-    unschedulable one.  Two distinct oversize widths stay two chains: a
-    clamp would collapse them into duplicates and move
-    ``chains_pruned_dominated``."""
+    unschedulable one.  Two distinct oversize widths stay two chains, and
+    each is quick-rejected as the reference rejects it."""
     two_wide = Job(
         chains=_wide(2**70, 0.0, 0).chains + _wide(2**70 + 1, 0.0, 0).chains,
         release=1.0, job_id=1,
@@ -220,7 +219,7 @@ def test_an_oversize_width_is_rejected_as_the_reference_rejects_it(kmode, batche
         ref_snap["batch_jobs"] = len(jobs) * batched
         ref_snap["batch_fallbacks"] = int(batched)  # as for a fan-out past the limits
         assert [snap[name] for name in _COUNTERS] == [ref_snap[name] for name in _COUNTERS]
-        assert snap["chains_quick_rejected"] == 3 and snap["chains_pruned_dominated"] == 0
+        assert snap["chains_quick_rejected"] == 3
         assert _state(auto) == _state(ref)
 
 
@@ -253,7 +252,7 @@ def test_rows_are_admitted_jobs_only_and_chain_indexes_are_job_local():
         assert auto.admit_batch(jobs) == [ref.submit(job) for job in jobs]
         ctx = auto.schedule.profile._ctx  # noqa: SLF001
         assert ctx.cols["out_chain"][:3].tolist() == [1, -1, 0]
-        n_cells = int(ctx.counters[12])
+        n_cells = int(ctx.counters[11])
         assert n_cells == (2 + 1) + (2 + 2)
         assert ctx.cols["out_rows"][:n_cells].tolist() == [
             3.0, 6.0, 0.0,  # job 0: finish, area, start

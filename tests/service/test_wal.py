@@ -111,7 +111,7 @@ def test_jobs_from_one_frame_share_chain_objects(tmp_path):
     entries = [LedgerEntry(i + 1, f"r{i}", 0, False, j) for i, j in enumerate(jobs)]
     assert len(jobs_record(entries)["chains"]) == len(jobs[0].chains)
 
-    wal = WriteAheadLog(tmp_path, fsync=False)
+    wal = WriteAheadLog(tmp_path)
     wal.append_jobs(entries[:2])
     wal.append_jobs(entries[2:])
     wal.close()
@@ -222,7 +222,7 @@ def test_ledgers_round_trip_through_the_wal_and_the_checkpoint(entries, cuts):
     frames = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        wal = WriteAheadLog(directory, fsync=False)
+        wal = WriteAheadLog(directory)
         for frame in frames:
             wal.append_jobs(frame, sync=False)
             wal.append_decisions([e.seq for e in frame], [e.decision for e in frame])
@@ -252,7 +252,7 @@ def _three_frames(path):
     """A log of a ``jobs``, a ``dec`` and a final ``jobs`` frame; returns
     its bytes and the offset the final frame starts at."""
     entries = _entries(4, seed=3)
-    wal = WriteAheadLog(path, fsync=False)
+    wal = WriteAheadLog(path)
     wal.append_jobs(entries[:2])
     wal.append_decisions([1, 2], [DEC, REJ])
     wal.append_jobs(entries[2:])

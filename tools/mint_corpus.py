@@ -202,8 +202,9 @@ def main() -> None:
             max_concurrency=mc if mc is not None else procs,
         )
 
-    # Twin jobs with an internally duplicated chain: the duplicate-collapse
-    # prune and the identical-swap metamorphic relation both bite here.
+    # Twin jobs with an internally duplicated chain: the exact tie between
+    # the two copies and the identical-swap metamorphic relation both bite
+    # here.
     twin_chain_a = TaskChain(
         (task("w0", 2, 4.0, 30.0), task("w1", 1, 2.0, 30.0)), label="a"
     )
@@ -216,8 +217,9 @@ def main() -> None:
     )
     mint_workload(
         "workload-dup-collapse-twins.json",
-        "identical twin jobs + duplicated chain config: duplicate-collapse "
-        "prune and equal-arrival swap must both be decision-invisible",
+        "identical twin jobs + duplicated chain config: the exact tie "
+        "between the copies and equal-arrival swap must both be "
+        "decision-invisible",
         FuzzCase(capacity=4, jobs=(twin, twin2, third)),
     )
 
