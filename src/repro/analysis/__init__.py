@@ -4,12 +4,7 @@ from repro.analysis.tables import format_table, format_sweep
 from repro.analysis.plots import ascii_chart, sweep_chart
 from repro.analysis.stats import mean_ci, bootstrap_ci, relative_benefit
 from repro.analysis.svg import render_svg_gantt
-from repro.analysis.report import (
-    benefit_summary,
-    sweep_from_json_summary,
-    sweep_to_json,
-    sweep_to_markdown,
-)
+from repro.analysis.report import sweep_from_json_summary, sweep_to_json
 
 __all__ = [
     "format_table",
@@ -20,8 +15,6 @@ __all__ = [
     "bootstrap_ci",
     "relative_benefit",
     "render_svg_gantt",
-    "sweep_to_markdown",
     "sweep_to_json",
     "sweep_from_json_summary",
-    "benefit_summary",
 ]

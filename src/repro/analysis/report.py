@@ -1,44 +1,19 @@
-"""Markdown report generation from experiment results.
+"""JSON archive of a sweep's raw numbers.
 
-Renders sweep results and comparison rows into the markdown shapes used by
-EXPERIMENTS.md, so regenerated runs can be diffed against the committed
-record.  Also provides a JSON round-trip for archiving raw numbers.
+:func:`sweep_to_json` writes every metric of every (value, system) cell;
+:func:`sweep_from_json_summary` reads one back with structural checks.
+Tables render through :func:`repro.analysis.tables.format_sweep`, and
+benefit series come from :meth:`~repro.workloads.sweep.SweepResult.benefit`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.workloads.sweep import SweepResult
 
-__all__ = [
-    "sweep_to_markdown",
-    "sweep_to_json",
-    "sweep_from_json_summary",
-    "benefit_summary",
-]
-
-
-def sweep_to_markdown(
-    sweep: SweepResult, metric: str = "throughput", precision: int = 3
-) -> str:
-    """One metric of a sweep as a GitHub-flavoured markdown table."""
-    header = [sweep.axis, *sweep.systems]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join("---" for _ in header) + "|",
-    ]
-    for value in sweep.values:
-        cells = [format(value, "g")]
-        for system in sweep.systems:
-            raw = sweep.rows[value][system].as_dict()[metric]
-            cells.append(
-                format(raw, f".{precision}f") if isinstance(raw, float) else str(raw)
-            )
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+__all__ = ["sweep_to_json", "sweep_from_json_summary"]
 
 
 def sweep_to_json(sweep: SweepResult) -> str:
@@ -91,22 +66,3 @@ def sweep_from_json_summary(text: str) -> dict[str, object]:
                     f"archived sweep missing system {system!r} at {value!r}"
                 )
     return payload
-
-
-def benefit_summary(
-    sweep: SweepResult, metric: str = "throughput"
-) -> list[dict[str, float]]:
-    """Per-value benefit rows (tunable − each rigid shape) for a sweep."""
-    if "tunable" not in sweep.systems:
-        raise ConfigurationError("benefit_summary needs the tunable system")
-    rows = []
-    for value in sweep.values:
-        tun = float(sweep.rows[value]["tunable"].as_dict()[metric])
-        row: dict[str, float] = {sweep.axis: value, "tunable": tun}
-        for system in sweep.systems:
-            if system == "tunable":
-                continue
-            base = float(sweep.rows[value][system].as_dict()[metric])
-            row[f"benefit_over_{system}"] = tun - base
-        rows.append(row)
-    return rows

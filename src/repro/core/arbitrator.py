@@ -328,7 +328,7 @@ class QoSArbitrator:
             )
         comp = self.quality_composition
         best_q = max(chain_quality(c.chain, comp) for c in cands)
-        top = [c for c in cands if chain_quality(c.chain, comp) >= best_q - 1e-12]
+        top = [c for c in cands if chain_quality(c.chain, comp) == best_q]
         chosen: ChainPlacement = select_candidate(top, scheduler.policy, scheduler.rng)
         self.schedule.commit(chosen)
         admission.admitted += 1

@@ -483,20 +483,6 @@ class AvailabilityProfile:
             raise SchedulingError(f"processors must be positive, got {processors}")
         self._shift(t0, t1, processors)
 
-    def savepoint(self) -> tuple[list[float], list[int]]:
-        """Copies of the breakpoint lists, for :meth:`restore`."""
-        return list(self._times), list(self._avail)
-
-    def restore(self, saved: tuple[list[float], list[int]]) -> None:
-        """Put back the segments of a :meth:`savepoint`, bit for bit.
-
-        Releasing what was reserved gives back the same lists as well
-        (see :meth:`_shift`); a savepoint undoes any run of operations in
-        one step without replaying them.
-        """
-        self._times, self._avail = saved
-        self._prefix = None
-
     def compact(self, before: float) -> None:
         """Forget structure earlier than ``before``.
 

@@ -125,20 +125,5 @@ class ProcessorTimeRequest:
         """Total processor-time product (the request's resource 'area')."""
         return self.processors * self.duration
 
-    def scaled_to(self, processors: int) -> "ProcessorTimeRequest":
-        """Return a work-conserving reshaping of this request.
-
-        Used by the malleable model (Section 5.4): running the same total
-        work on ``processors`` CPUs takes ``area / processors`` time.  The
-        paper's malleable tasks exhibit perfect (linear) speedup up to their
-        degree of concurrency; sublinear models are layered on top in
-        :mod:`repro.core.malleable`.
-        """
-        if processors <= 0:
-            raise InvalidTaskError(
-                f"cannot scale request to {processors} processors"
-            )
-        return ProcessorTimeRequest(processors, self.area / processors)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.processors}p x {self.duration:g}t"

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-from repro.core.placement import ChainPlacement, Placement
+from repro.core.placement import ChainPlacement
 from repro.core.profile import AvailabilityProfile
 from repro.errors import ScheduleConsistencyError
 from repro.perf import PerfRecorder
@@ -154,19 +154,16 @@ class Schedule:
 
         Validates the chain placement first; if any reservation fails
         mid-way (which indicates a scheduler bug — placements are computed
-        against this very profile), already-applied reservations are rolled
-        back before the error propagates.
+        against this very profile), the profile is left as it was (see
+        :meth:`_reserve_all`) before the error propagates.
         """
         cp.validate()
-        applied: list[Placement] = []
         try:
-            for pl in cp.placements:
-                self.profile.reserve(pl.start, pl.end, pl.processors)
-                applied.append(pl)
+            self._reserve_all(
+                (pl.start, pl.end, pl.processors) for pl in cp.placements
+            )
         except Exception:
             self.perf.commit_failures += 1
-            for pl in reversed(applied):
-                self.profile.release(pl.start, pl.end, pl.processors)
             raise
         self.record_commit(cp, cp.finish, cp.total_area)
         self.perf.commits += 1
@@ -324,7 +321,7 @@ class Schedule:
         if cut <= cp.start:
             self.commit(cp)
             return
-        restored = self._reserve_clipped(cp, cut)
+        restored = self._reserve_all(_clipped(cp, cut))
         if self._keep:
             self._placements.append(cp)
         self._committed_area += restored
@@ -351,23 +348,26 @@ class Schedule:
         pre-change portion burned on the predecessor machine and is that
         schedule's history.
         """
-        self.record_commit(cp, cp.finish, self._reserve_clipped(cp, cut))
+        self.record_commit(cp, cp.finish, self._reserve_all(_clipped(cp, cut)))
         self.perf.carries += 1
 
-    def _reserve_clipped(self, cp: ChainPlacement, cut: float) -> float:
-        """Reserve ``cp``'s post-``cut`` intervals, all or none; their area.
+    def _reserve_all(self, intervals: Iterable[tuple[float, float, int]]) -> float:
+        """Reserve every ``(start, end, processors)``, all or none; their area.
 
-        On any failure the profile is restored from a savepoint taken
-        before the first reservation, so it is left bit for bit as it was.
+        On a failure the intervals already reserved are released, last
+        first, before the error propagates.  Reserve and release are exact
+        inverses, so the profile is left bit for bit as it was.
         """
-        saved = self.profile.savepoint()
+        applied: list[tuple[float, float, int]] = []
         area = 0.0
         try:
-            for start, end, procs in _clipped(cp, cut):
+            for start, end, procs in intervals:
                 self.profile.reserve(start, end, procs)
+                applied.append((start, end, procs))
                 area += (end - start) * procs
         except Exception:
-            self.profile.restore(saved)
+            for start, end, procs in reversed(applied):
+                self.profile.release(start, end, procs)
             raise
         return area
 
@@ -422,12 +422,3 @@ class Schedule:
                 if pl.start < self.profile.origin:
                     continue  # compacted history; cannot replay
                 replay.reserve(pl.start, pl.end, pl.processors)
-
-    def gantt_rows(self) -> Iterable[tuple[int, str, float, float, int]]:
-        """Yield ``(job_id, task_name, start, end, processors)`` rows.
-
-        A convenience for trace/Gantt rendering in :mod:`repro.sim.trace`.
-        """
-        for cp in self._placements:
-            for pl in cp.placements:
-                yield (cp.job_id, pl.task.name, pl.start, pl.end, pl.processors)

@@ -153,7 +153,7 @@ class WorkloadError(ReproError):
 
 
 class VerificationError(ReproError):
-    """An independent verification check (audit, differential, post-check)
+    """An independent verification check (audit, differential, replay)
     found the system lying about its own results."""
 
 

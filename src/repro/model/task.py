@@ -99,23 +99,6 @@ class TaskSpec:
         """Return a copy with a different quality value."""
         return replace(self, quality=quality)
 
-    def reshaped(self, processors: int) -> "TaskSpec":
-        """Work-conserving reshape to ``processors`` CPUs (malleable model).
-
-        Raises :class:`~repro.errors.InvalidTaskError` if ``processors``
-        exceeds :attr:`max_concurrency`.
-        """
-        if processors > self.max_concurrency:
-            raise InvalidTaskError(
-                f"task {self.name!r}: {processors} processors exceeds degree "
-                f"of concurrency {self.max_concurrency}"
-            )
-        return replace(
-            self,
-            request=self.request.scaled_to(processors),
-            max_concurrency=self.max_concurrency,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         dl = "inf" if math.isinf(self.deadline) else format(self.deadline, "g")
         return f"{self.name}({self.request}, d<={dl})"

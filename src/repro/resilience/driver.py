@@ -265,7 +265,7 @@ class RenegotiationDriver:
             self._quality_adjust += delta
             if rec.affected:
                 self._survived += 1
-                if rec.current_quality < rec.granted_quality - 1e-12:
+                if rec.current_quality < rec.granted_quality:
                     self._degraded += 1
             if rec.placement.finish > self._horizon:
                 self._horizon = rec.placement.finish

@@ -25,6 +25,11 @@ come back as ``(key, RunMetrics, seconds)``; pickle round-trips both
 exactly.  Genuine simulation errors are *not* swallowed by the fallback:
 the in-process re-run re-raises them synchronously.
 
+The runner does not re-check results.  A wrong cached or pooled result
+shows as a difference between CI's three runs of the committed tables
+(pooled cold, warm cache, inline); an audited re-run of one unit is
+:func:`repro.verify.checks.audited_point`.
+
 Interruption: every unit's result is written to the cache the moment it
 is retrieved — not batched at the end — so a ``KeyboardInterrupt``
 mid-batch (Ctrl-C, or a dying CI job) loses only in-flight work.  The
@@ -64,28 +69,15 @@ class RunnerConfig:
     ``jobs <= 1`` means pure in-process execution (no pool is ever
     created); ``cache_dir=None`` disables memoization.
 
-    ``audit=True`` adds an independent post-check: after a batch merges,
-    every unique unit is re-run in-process with placements retained, its
-    final schedule is audited by :class:`repro.verify.ScheduleAuditor`,
-    and the re-run's metrics are compared against what the batch reported
-    (catching a lying cache entry, a diverging worker, or a scheduler bug
-    the fast path missed).  Any discrepancy raises
-    :class:`~repro.errors.VerificationError`.  Roughly doubles batch
-    cost — meant for CI gates and result-publication runs, not sweeps'
-    inner loops.
-
     Who sets each field off its default (a knob with no such user goes):
 
     * ``jobs``: ``--jobs`` (CI regenerates the committed tables pooled).
     * ``cache_dir``: ``--cache-dir`` (the CLI caches by default; CI diffs
       a warm-cache run).
-    * ``audit``: no committed run yet, only the runner's own tests
-      (ROADMAP item 17 keeps it open).
     """
 
     jobs: int = 1
     cache_dir: str | Path | None = None
-    audit: bool = False
 
 
 class ExperimentRunner:
@@ -164,20 +156,7 @@ class ExperimentRunner:
             self.perf.count("interrupted_batches")
             raise
 
-        if self.config.audit:
-            # Lazy: repro.verify is opt-in tooling, not a runner dependency.
-            from repro.verify.checks import verify_unit
-
-            for key in unique:
-                config, system = units[first_of[key]]
-                verify_unit(config, system, results[key])
-                self.perf.count("units_audited")
-
         return [results[key] for key in keys]
-
-    def run_unit(self, config: SweepConfig, system: str) -> RunMetrics:
-        """Single-unit convenience wrapper around :meth:`run_units`."""
-        return self.run_units([(config, system)])[0]
 
     def perf_snapshot(self) -> dict[str, float | int]:
         """Runner counters + per-unit latency percentiles + cache stats."""

@@ -1,14 +1,14 @@
-"""JSON persistence for jobs, arrival traces and run metrics.
+"""JSON persistence for jobs and run metrics.
 
-Replication plumbing: a workload (job templates + exact arrival times) can
-be archived and re-run bit-for-bit elsewhere, and run metrics can be
-archived alongside for diffing.  The format is plain JSON with a version
-tag; unknown versions are rejected loudly.
+Replication plumbing: a job serializes exactly (the verification corpus
+archives whole workloads of them through
+:class:`repro.verify.fuzz.FuzzCase`), and run metrics are archived for
+diffing and by the runner's result cache.  Metrics carry a version tag;
+unknown versions are rejected loudly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Mapping
 
@@ -24,8 +24,6 @@ __all__ = [
     "chain_from_dict",
     "job_to_dict",
     "job_from_dict",
-    "dump_workload",
-    "load_workload",
     "metrics_to_dict",
     "metrics_from_dict",
 ]
@@ -91,34 +89,6 @@ def job_from_dict(data: Mapping[str, object]) -> Job:
         job_id=int(data["job_id"]),  # type: ignore[arg-type]
         name=str(data.get("name", "")),
     )
-
-
-def dump_workload(jobs: list[Job], note: str = "") -> str:
-    """Archive a complete arrival sequence as JSON text."""
-    payload = {
-        "version": FORMAT_VERSION,
-        "note": note,
-        "jobs": [job_to_dict(j) for j in jobs],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def load_workload(text: str) -> list[Job]:
-    """Load an archived workload; jobs come back in release order."""
-    payload = json.loads(text)
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported workload format version {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    jobs = [job_from_dict(j) for j in payload["jobs"]]
-    for a, b in zip(jobs, jobs[1:]):
-        if b.release < a.release:
-            raise ConfigurationError(
-                "archived workload is not in release order"
-            )
-    return jobs
 
 
 def metrics_to_dict(metrics: RunMetrics) -> dict[str, object]:

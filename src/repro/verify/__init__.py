@@ -52,7 +52,6 @@ __all__ = [
     "persist_failure",
     "load_case",
     "audited_point",
-    "verify_unit",
     "GapReport",
     "greedy_vs_oracle",
     "corpus_entry_failures",
@@ -79,7 +78,6 @@ _LAZY = {
     "persist_failure": ("repro.verify.fuzz", "persist_failure"),
     "load_case": ("repro.verify.fuzz", "load_case"),
     "audited_point": ("repro.verify.checks", "audited_point"),
-    "verify_unit": ("repro.verify.checks", "verify_unit"),
     "GapReport": ("repro.verify.checks", "GapReport"),
     "greedy_vs_oracle": ("repro.verify.checks", "greedy_vs_oracle"),
 }

@@ -9,10 +9,6 @@ Examples::
     python -m repro.verify --fuzz 5000 --seed 1 --max-jobs 8 \\
         --corpus tests/corpus
 
-    # independently re-validate archived results (runner cache entries or
-    # corpus files)
-    python -m repro.verify --audit .cache/ab/ab12....json
-
     # greedy-vs-oracle optimality gap on 200 random small instances
     python -m repro.verify --oracle 200 --seed 11
 
@@ -28,45 +24,8 @@ Exit status 0 when every requested check passes, 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-
-def _audit_file(path: Path) -> list[str]:
-    """Re-verify one archived artifact; returns failure descriptions.
-
-    Understands two shapes: runner result-cache entries (re-run the unit,
-    audit it, compare metrics) and corpus ``workload``/``sweep`` entries
-    (run the full check battery / the frozen-expectation replay).
-    """
-    from repro.verify import corpus_entry_failures
-
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: unreadable ({exc})"]
-    if "metrics" in payload and "meta" in payload:
-        from repro.errors import VerificationError
-        from repro.runner.key import sweep_config_from_dict
-        from repro.sim.persistence import metrics_from_dict
-        from repro.verify.checks import verify_unit
-
-        meta = payload["meta"]
-        if "config" not in meta or "system" not in meta:
-            return [f"{path}: cache entry lacks config/system provenance"]
-        try:
-            verify_unit(
-                sweep_config_from_dict(meta["config"]),
-                str(meta["system"]),
-                metrics_from_dict(payload["metrics"]),
-            )
-        except VerificationError as exc:
-            return [f"{path}: {exc}"]
-        return []
-    if payload.get("kind") in ("workload", "sweep"):
-        return [f"{path}: {why}" for why in corpus_entry_failures(payload)]
-    return [f"{path}: unrecognized artifact (not a cache entry or corpus file)"]
 
 
 def _run_selftest() -> list[str]:
@@ -109,7 +68,7 @@ def _replay_corpus(corpus_dir: Path) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
-        description="Independent verification: fuzz, audit, oracle, selftest.",
+        description="Independent verification: fuzz, oracle, selftest, corpus.",
     )
     parser.add_argument(
         "--fuzz", type=int, metavar="N", help="run N random differential cases"
@@ -140,14 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         help="keep failing fuzz cases unshrunk (faster triage runs)",
     )
     parser.add_argument(
-        "--audit",
-        metavar="FILE",
-        action="append",
-        default=[],
-        help="re-verify an archived artifact (cache entry or corpus file); "
-        "repeatable",
-    )
-    parser.add_argument(
         "--oracle",
         type=int,
         metavar="N",
@@ -167,9 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if not any(
-        (args.fuzz, args.audit, args.oracle, args.selftest, args.replay_corpus)
-    ):
+    if not any((args.fuzz, args.oracle, args.selftest, args.replay_corpus)):
         parser.print_help()
         return 2
 
@@ -202,13 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         print(gap.summary())
         if not gap.ok:
             failures.append("oracle: optimality-bound violations, see above")
-
-    for name in args.audit:
-        whys = _audit_file(Path(name))
-        if whys:
-            failures += whys
-        else:
-            print(f"audit clean: {name}")
 
     if args.replay_corpus:
         failures += _replay_corpus(Path(args.replay_corpus))

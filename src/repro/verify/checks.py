@@ -1,15 +1,14 @@
 """End-to-end verification checks over real experiment configurations.
 
-Three consumers share this module:
+Consumers of this module:
 
-* the CLI (``python -m repro.verify``) audits committed experiment points
-  and measures greedy's optimality gap against the exhaustive oracle;
-* :class:`repro.runner.ExperimentRunner`'s opt-in post-check
-  (``RunnerConfig(audit=True)``) re-runs each unit through
-  :func:`audited_point` and raises
-  :class:`~repro.errors.VerificationError` when the audited re-run
-  disagrees with the reported metrics or the audit is dirty;
-* the test suite replays both paths on the committed figure configs.
+* the CLI (``python -m repro.verify``): ``--oracle`` measures greedy's
+  optimality gap against the exhaustive oracle;
+* :mod:`repro.service.recovery`, which replays a WAL through
+  :func:`verify_replay`;
+* the corpus (``tools/mint_corpus.py`` mints sweep expectations with
+  :func:`audited_point`, ``--replay-corpus`` re-runs them);
+* the test suite.
 
 :func:`audited_point` runs the unit :func:`repro.workloads.sweep.build_point`
 assembles — the same one :func:`~repro.workloads.sweep.run_point` runs —
@@ -28,7 +27,6 @@ from repro.core.placement import ChainPlacement, Placement
 from repro.errors import VerificationError
 from repro.model.job import Job
 from repro.sim.metrics import RunMetrics
-from repro.sim.persistence import metrics_to_dict
 from repro.verify.auditor import AuditReport, ScheduleAuditor, audit_run
 from repro.verify.oracle import (
     OracleLimitError,
@@ -40,7 +38,6 @@ from repro.workloads.sweep import SweepConfig, _job_factory, build_point
 
 __all__ = [
     "audited_point",
-    "verify_unit",
     "verify_replay",
     "GapReport",
     "greedy_vs_oracle",
@@ -79,40 +76,6 @@ def audited_point(
         resizes=engine.records if engine is not None else (),
     )
     return metrics, report
-
-
-def _comparable(metrics: RunMetrics) -> dict[str, object]:
-    """NaN-safe persisted form: the exact fields two runs must agree on."""
-    return metrics_to_dict(metrics)
-
-
-def verify_unit(
-    config: SweepConfig, system: str, reported: RunMetrics
-) -> AuditReport:
-    """Audit one unit and cross-check ``reported`` against a fresh run.
-
-    Raises :class:`~repro.errors.VerificationError` when the audited
-    re-run's metrics differ from what was reported (a lying cache, a
-    diverging worker, a placement-retention side channel) or when the
-    audit itself finds violations.  Returns the (clean) audit report.
-    """
-    recomputed, report = audited_point(config, system)
-    if not report.ok:
-        raise VerificationError(
-            f"unit ({system}) failed its audit:\n{report.summary()}"
-        )
-    got, want = _comparable(recomputed), _comparable(reported)
-    if got != want:
-        diffs = [
-            f"  {key}: reported {want.get(key)!r}, audited re-run {got.get(key)!r}"
-            for key in sorted(set(got) | set(want))
-            if got.get(key) != want.get(key)
-        ]
-        raise VerificationError(
-            f"unit ({system}) metrics mismatch vs audited re-run:\n"
-            + "\n".join(diffs)
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

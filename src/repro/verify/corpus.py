@@ -19,7 +19,7 @@ scenarios which must stay green forever.  Two kinds exist:
     floats).  These pin the PR 4 figure-5/6 oracle axes and the
     P = 24–36 ``shape1`` deviation documented in EXPERIMENTS.md.
 
-Both the CLI (``--replay-corpus``, ``--audit``) and the parametrized
+Both the CLI (``--replay-corpus``) and the parametrized
 regression suite (``tests/verify/test_corpus.py``) replay through
 :func:`corpus_entry_failures`, so the two can never drift apart.
 """

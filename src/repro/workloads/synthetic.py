@@ -27,7 +27,6 @@ from repro.core.resources import ProcessorTimeRequest
 from repro.errors import WorkloadError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
-from repro.model.orgraph import Alternative, ORGraph, Stage
 from repro.model.task import TaskSpec
 
 __all__ = ["SyntheticParams"]
@@ -201,29 +200,6 @@ class SyntheticParams:
             raise WorkloadError(f"shape must be 1 or 2, got {shape}")
         chain = self._chains()[shape - 1]
         return Job.rigid(chain, release=release, name=f"fig4-shape{shape}")
-
-    def or_graph(self) -> ORGraph:
-        """The job as an explicit one-stage OR graph (for the DSL tests)."""
-        return ORGraph(
-            (
-                Stage(
-                    (
-                        Alternative(
-                            tasks=self.shape1_chain().tasks,
-                            binds={"shape": 1},
-                            label="shape1",
-                        ),
-                        Alternative(
-                            tasks=self.shape2_chain().tasks,
-                            binds={"shape": 2},
-                            label="shape2",
-                        ),
-                    ),
-                    name="transpose",
-                ),
-            ),
-            name="fig4",
-        )
 
     def with_laxity(self, laxity: float) -> "SyntheticParams":
         """Copy with a different laxity."""

@@ -1,15 +1,10 @@
-"""Unit tests for markdown/JSON report generation."""
+"""Unit tests for the JSON archive of a sweep."""
 
 import json
 
 import pytest
 
-from repro.analysis.report import (
-    benefit_summary,
-    sweep_from_json_summary,
-    sweep_to_json,
-    sweep_to_markdown,
-)
+from repro.analysis.report import sweep_from_json_summary, sweep_to_json
 from repro.errors import ConfigurationError
 from repro.workloads.sweep import SweepConfig, run_sweep
 
@@ -17,27 +12,6 @@ from repro.workloads.sweep import SweepConfig, run_sweep
 @pytest.fixture(scope="module")
 def sweep():
     return run_sweep("interval", [20.0, 50.0], SweepConfig(n_jobs=50, seed=5))
-
-
-class TestMarkdown:
-    def test_table_shape(self, sweep):
-        md = sweep_to_markdown(sweep, "throughput")
-        lines = md.strip().split("\n")
-        assert lines[0].startswith("| interval |")
-        assert lines[1].startswith("|---")
-        assert len(lines) == 2 + len(sweep.values)
-
-    def test_axis_values_rendered(self, sweep):
-        md = sweep_to_markdown(sweep)
-        assert "| 20 |" in md
-        assert "| 50 |" in md
-
-    def test_float_precision(self, sweep):
-        md = sweep_to_markdown(sweep, "utilization", precision=2)
-        # Utilizations are floats formatted with 2 decimals.
-        body = md.strip().split("\n")[2]
-        cells = [c.strip() for c in body.split("|") if c.strip()]
-        assert all("." in c for c in cells[1:])
 
 
 class TestJsonRoundTrip:
@@ -64,22 +38,3 @@ class TestJsonRoundTrip:
         del payload["metrics"]["20"]["shape1"]
         with pytest.raises(ConfigurationError):
             sweep_from_json_summary(json.dumps(payload))
-
-
-class TestBenefitSummary:
-    def test_rows(self, sweep):
-        rows = benefit_summary(sweep, "throughput")
-        assert len(rows) == 2
-        for row in rows:
-            t = row["tunable"]
-            assert row["benefit_over_shape1"] == pytest.approx(
-                t - (t - row["benefit_over_shape1"])
-            )
-            assert "benefit_over_shape2" in row
-
-    def test_requires_tunable(self, sweep):
-        limited = run_sweep(
-            "interval", [30.0], SweepConfig(n_jobs=20, seed=5), systems=("shape1",)
-        )
-        with pytest.raises(ConfigurationError):
-            benefit_summary(limited)

@@ -43,6 +43,11 @@ class TestFormatTable:
         assert len(lines[2]) == len(lines[3])
 
 
+@pytest.fixture(scope="module")
+def sweep():
+    return run_sweep("interval", [20.0, 50.0], SweepConfig(n_jobs=50, seed=5))
+
+
 class TestFormatSweep:
     def test_renders_systems_as_columns(self):
         sweep = run_sweep(
@@ -53,3 +58,20 @@ class TestFormatSweep:
         assert "tunable" in header
         assert "shape1" in header
         assert "interval" in header
+
+    def test_one_row_per_value(self, sweep):
+        lines = format_sweep(sweep, "throughput").strip().split("\n")
+        assert lines[0] == "throughput vs interval"
+        assert lines[1].split() == ["interval", *sweep.systems]
+        assert set(lines[2]) == {"-"}
+        assert len(lines) == 3 + len(sweep.values)
+
+    def test_axis_values_render_with_g(self, sweep):
+        rows = format_sweep(sweep).strip().split("\n")[3:]
+        assert [row.split()[0] for row in rows] == ["20", "50"]
+
+    def test_float_metric_precision(self, sweep):
+        row = format_sweep(sweep, "utilization", precision=2).split("\n")[3]
+        cells = row.split()[1:]
+        assert len(cells) == len(sweep.systems)
+        assert all(len(c.split(".")[1]) == 2 for c in cells)

@@ -63,6 +63,42 @@ class TestWidestFirst:
         assert cp.placements[0].processors == 4
         assert cp.placements[0].duration == pytest.approx(4.0)
 
+    def test_reshape_conserves_area_up_to_max_concurrency(self):
+        """A task of area 24 and degree of concurrency 8 runs as wide as the
+        machine allows, never wider than 8, for area / width time."""
+        spec = task("a", 3, 8.0, 100.0, max_concurrency=8)
+        for capacity, width in ((1, 1), (2, 2), (8, 8), (16, 8)):
+            m = MalleableScheduler(Schedule(capacity))
+            pl = m.place_chain(chain(spec), release=0.0).placements[0]
+            assert (pl.processors, pl.duration) == (width, 24.0 / width)
+            assert pl.area == spec.area
+
+    def test_reshape_to_the_free_width_conserves_area(self):
+        """Reserved processors leave p free past the deadline: the task runs
+        p wide for area / p time and keeps its own spec."""
+        spec = task("a", 8, 3.0, 100.0)
+        for free in (1, 2, 4):
+            s = Schedule(8)
+            s.profile.reserve(0.0, 1000.0, 8 - free)
+            pl = MalleableScheduler(s).place_chain(chain(spec), release=0.0).placements[0]
+            assert (pl.processors, pl.duration) == (free, 24.0 / free)
+            assert pl.task is spec and pl.task.max_concurrency == 8
+
+    def test_rigid_width_is_never_widened(self):
+        """A task whose degree of concurrency is its own width runs at that
+        width on a machine twice as wide."""
+        spec = task("a", 4, 2.0, 100.0)
+        pl = MalleableScheduler(Schedule(8)).place_chain(chain(spec), release=0.0).placements[0]
+        assert (pl.processors, pl.duration) == (4, 2.0)
+
+    def test_reshape_down_to_the_width_floor(self):
+        """With exactly min_processors free the task runs that narrow."""
+        s = Schedule(8)
+        s.profile.reserve(0.0, 1000.0, 6)
+        m = MalleableScheduler(s, min_processors=2)
+        pl = m.place_chain(chain(task("a", 4, 2.0, 50.0)), release=0.0).placements[0]
+        assert (pl.processors, pl.duration) == (2, 4.0)
+
     def test_min_processors_enforced(self):
         s = Schedule(8)
         s.profile.reserve(0.0, 1000.0, 7)

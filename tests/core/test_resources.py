@@ -87,17 +87,6 @@ class TestProcessorTimeRequest:
         with pytest.raises(InvalidTaskError):
             ProcessorTimeRequest(1, math.nan)
 
-    def test_scaled_to_preserves_area(self):
-        req = ProcessorTimeRequest(8, 3.0)
-        for p in (1, 2, 4, 8, 16):
-            scaled = req.scaled_to(p)
-            assert scaled.processors == p
-            assert scaled.area == pytest.approx(req.area)
-
-    def test_scaled_to_invalid(self):
-        with pytest.raises(InvalidTaskError):
-            ProcessorTimeRequest(4, 1.0).scaled_to(0)
-
     def test_frozen(self):
         req = ProcessorTimeRequest(1, 1.0)
         with pytest.raises(AttributeError):

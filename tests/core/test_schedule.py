@@ -72,6 +72,33 @@ class TestCommit:
         assert s.profile.available_at(6.5) == 2
         assert s.committed_jobs == 1
 
+    def test_failed_adopt_releases_every_interval_it_reserved(self):
+        """Two clipped tasks are reserved before the third does not fit;
+        both come back, and the profile is the one before the call."""
+        chain = TaskChain(
+            tuple(
+                TaskSpec(name, ProcessorTimeRequest(procs, 2.0), deadline=1000.0)
+                for name, procs in (("a", 1), ("b", 2), ("c", 4))
+            )
+        )
+        cp = ChainPlacement(
+            job_id=1,
+            chain_index=0,
+            chain=chain,
+            placements=tuple(
+                Placement.rigid(task, start)
+                for task, start in zip(chain, (0.0, 2.0, 4.0))
+            ),
+            release=0.0,
+        )
+        s = Schedule(4, origin=1.0)
+        s.profile.reserve(5.0, 6.0, 1)
+        before = s.profile.copy()
+        with pytest.raises(CapacityExceededError):
+            s.adopt_carried(cp, 1.0)
+        assert s.profile == before
+        assert s.committed_jobs == 0
+
     def test_rollback(self):
         s = Schedule(4)
         cp = chain_placement()
@@ -228,12 +255,6 @@ class TestConsistency:
         cp = GreedyScheduler(s).schedule_job(Job.rigid(chain, release=release))
         assert cp is not None and cp.finish == release + 1e6 > TIME_LIMIT
         s.check_consistency()
-
-    def test_gantt_rows(self):
-        s = Schedule(4)
-        s.commit(chain_placement(job_id=7, start=1.0))
-        rows = list(s.gantt_rows())
-        assert rows == [(7, "t", 1.0, 6.0, 2)]
 
     def test_compact_keeps_accounting(self):
         s = Schedule(4)

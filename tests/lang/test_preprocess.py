@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.resources import ProcessorTimeRequest
-from repro.errors import InvalidJobError, ProgramStructureError
+from repro.errors import (
+    ControlParameterError,
+    InvalidJobError,
+    ProgramStructureError,
+)
 from repro.lang.constructs import (
     LoopConstruct,
     SelectBranch,
@@ -58,6 +62,20 @@ class TestTaskEnumeration:
         chains = enumerate_paths(prog)
         assert len(chains) == 1
         assert chains[0].params["g"] == 2
+
+    def test_sequence_is_one_path_in_order(self):
+        prog = TunableProgram(
+            "p", ParameterSet(), (simple_task("a"), simple_task("b"))
+        )
+        [chain] = enumerate_paths(prog)
+        assert [t.name for t in chain] == ["a", "b"]
+
+    def test_no_config_unifies_raises(self):
+        # The default g=2 leaves task a with no configuration to choose.
+        t = TaskConstruct("a", 10.0, ("g",), (cfg((1,)),))
+        prog = TunableProgram("p", ParameterSet(g=2), (t,))
+        with pytest.raises(InvalidJobError, match="no viable execution path"):
+            enumerate_paths(prog)
 
     def test_expr_deadline(self):
         t = TaskConstruct("a", P("g") * 2.0, ("g",), (cfg((5,)),))
@@ -117,6 +135,114 @@ class TestSelectEnumeration:
         with pytest.raises(InvalidJobError):
             enumerate_paths(prog)
 
+    def test_empty_branch_alone_contributes_no_tasks(self):
+        sel = SelectConstruct((SelectBranch(when=True, body=()),))
+        prog = TunableProgram("p", ParameterSet(), (sel,))
+        with pytest.raises(InvalidJobError, match="contributed no tasks"):
+            enumerate_paths(prog)
+
+    def test_when_reading_an_unassigned_parameter_raises(self):
+        # g is declared without a default and no task binds it before the
+        # select reads it.
+        sel = SelectConstruct(
+            (SelectBranch(when=P("g") == 1, body=(simple_task("x"),)),)
+        )
+        prog = TunableProgram("p", ParameterSet(g=None), (sel,))
+        with pytest.raises(ControlParameterError, match="unbound"):
+            enumerate_paths(prog)
+
+    def test_two_selects_multiply(self):
+        def select(prefix):
+            return SelectConstruct(
+                tuple(
+                    SelectBranch(when=True, body=(simple_task(f"{prefix}{i}"),))
+                    for i in (1, 2)
+                )
+            )
+
+        prog = TunableProgram("p", ParameterSet(), (select("a"), select("b")))
+        chains = enumerate_paths(prog)
+        assert sorted(tuple(t.name for t in c) for c in chains) == [
+            ("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"),
+        ]
+
+    def test_branch_assignment_prunes_later_branches(self):
+        first = SelectConstruct(
+            (
+                SelectBranch(when=True, body=(simple_task("fine"),),
+                             finally_binds={"mode": 1}),
+                SelectBranch(when=True, body=(simple_task("coarse"),),
+                             finally_binds={"mode": 2}),
+            )
+        )
+        second = SelectConstruct(
+            (
+                SelectBranch(when=P("mode") == 1, body=(simple_task("f2"),)),
+                SelectBranch(when=P("mode") == 2, body=(simple_task("c2"),)),
+            )
+        )
+        prog = TunableProgram("p", ParameterSet(mode=None), (first, second))
+        chains = enumerate_paths(prog)
+        # The mismatched pairs die at the second select: 2 paths, not 4.
+        assert sorted(tuple(t.name for t in c) for c in chains) == [
+            ("coarse", "c2"), ("fine", "f2"),
+        ]
+
+    def test_bound_parameter_picks_the_guarded_branch(self):
+        bind = TaskConstruct("a", 10.0, ("x",), (cfg((1,)),))
+        sel = SelectConstruct(
+            (
+                SelectBranch(when=P("x") == 1, body=(simple_task("yes"),)),
+                SelectBranch(when=P("x") == 2, body=(simple_task("no"),)),
+            )
+        )
+        prog = TunableProgram("p", ParameterSet(x=None), (bind, sel))
+        [chain] = enumerate_paths(prog)
+        assert [t.name for t in chain] == ["a", "yes"]
+
+    def test_bound_parameter_failing_every_guard_raises(self):
+        bind = TaskConstruct("a", 10.0, ("x",), (cfg((1,)),))
+        sel = SelectConstruct(
+            (SelectBranch(when=P("x") == 2, body=(simple_task("b"),)),)
+        )
+        prog = TunableProgram("p", ParameterSet(x=None), (bind, sel))
+        with pytest.raises(InvalidJobError):
+            enumerate_paths(prog)
+
+    def test_default_decides_the_guard(self):
+        def prog(x):
+            sel = SelectConstruct(
+                (SelectBranch(when=P("x") == 1, body=(simple_task("a"),)),)
+            )
+            return TunableProgram("p", ParameterSet(x=x), (sel,))
+
+        assert len(enumerate_paths(prog(1))) == 1
+        with pytest.raises(InvalidJobError):
+            enumerate_paths(prog(2))
+
+    def test_finally_assignment_recorded_in_params(self):
+        sel = SelectConstruct(
+            (SelectBranch(when=True, body=(simple_task("a"),),
+                          finally_binds={"x": 7}),)
+        )
+        prog = TunableProgram("p", ParameterSet(x=None), (sel,))
+        [chain] = enumerate_paths(prog)
+        assert chain.params == {"x": 7}
+
+    def test_max_paths_guard_on_select_product(self):
+        def select(j):
+            return SelectConstruct(
+                tuple(
+                    SelectBranch(when=True, body=(simple_task(f"t{j}_{i}"),))
+                    for i in range(4)
+                )
+            )
+
+        # 4 ** 3 = 64 paths against a limit of 10.
+        prog = TunableProgram("p", ParameterSet(), tuple(select(j) for j in range(3)))
+        with pytest.raises(ProgramStructureError, match="max_paths"):
+            enumerate_paths(prog, max_paths=10)
+
     def test_boolean_when(self):
         sel = SelectConstruct(
             (SelectBranch(when=True, body=(simple_task("x"),)),
@@ -161,6 +287,12 @@ class TestLoopEnumeration:
         prog = TunableProgram("p", ParameterSet(n=0), (loop, simple_task("z")))
         [chain] = enumerate_paths(prog)
         assert [t.name for t in chain] == ["z"]
+
+    def test_zero_count_loop_alone_contributes_no_tasks(self):
+        loop = LoopConstruct(count=P("n"), body=(simple_task("s"),))
+        prog = TunableProgram("p", ParameterSet(n=0), (loop,))
+        with pytest.raises(InvalidJobError, match="contributed no tasks"):
+            enumerate_paths(prog)
 
     def test_loop_with_tunable_body_fans_out(self):
         inner = TaskConstruct("s", 10.0, ("m",), (cfg((1,)), cfg((2,))))

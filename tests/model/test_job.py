@@ -35,6 +35,12 @@ class TestConstruction:
         assert job.tunable
         assert [c.label for c in job] == ["a", "b"]
 
+    def test_chains_given_directly(self):
+        a, b = chain("A"), chain("B")
+        job = Job(chains=(a, b))
+        assert job.tunable
+        assert job.chains == (a, b)
+
     def test_no_chains(self):
         with pytest.raises(InvalidJobError):
             Job(chains=())

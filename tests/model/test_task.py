@@ -68,18 +68,6 @@ class TestTransforms:
     def test_with_quality(self):
         assert spec().with_quality(0.5).quality == 0.5
 
-    def test_reshaped_conserves_area(self):
-        t = spec(max_concurrency=8)
-        for p in (1, 2, 8):
-            r = t.reshaped(p)
-            assert r.processors == p
-            assert r.area == pytest.approx(t.area)
-            assert r.max_concurrency == 8
-
-    def test_reshaped_beyond_concurrency(self):
-        with pytest.raises(InvalidTaskError):
-            spec().reshaped(8)
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             spec().name = "other"  # type: ignore[misc]

@@ -1,4 +1,4 @@
-"""Unit tests for JSON workload/metrics persistence."""
+"""Unit tests for JSON job/metrics persistence and archived workloads."""
 
 import json
 import math
@@ -9,15 +9,14 @@ from repro.core.arbitrator import QoSArbitrator
 from repro.errors import ConfigurationError
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.persistence import (
-    dump_workload,
     job_from_dict,
     job_to_dict,
-    load_workload,
     metrics_from_dict,
     metrics_to_dict,
 )
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
+from repro.verify.fuzz import FuzzCase, load_case
 from repro.workloads.synthetic import SyntheticParams
 
 
@@ -55,18 +54,25 @@ class TestJobRoundTrip:
 
 
 class TestWorkloadRoundTrip:
+    """A whole arrival sequence archives as a corpus workload entry."""
+
+    @staticmethod
+    def archived(jobs):
+        case = FuzzCase(capacity=4, jobs=tuple(jobs), note="test")
+        return FuzzCase.from_dict(json.loads(json.dumps(case.to_dict())))
+
     def test_full_sequence(self, params):
         arrivals = PoissonArrivals(10.0, RandomStreams(4)).times(20)
         jobs = [params.tunable_job(t) for t in arrivals]
-        text = dump_workload(jobs, note="test")
-        loaded = load_workload(text)
+        loaded = self.archived(jobs).jobs
         assert len(loaded) == 20
         assert [j.release for j in loaded] == [j.release for j in jobs]
+        assert [j.chains for j in loaded] == [j.chains for j in jobs]
 
     def test_replay_reproduces_metrics(self, params):
         arrivals = list(PoissonArrivals(6.0, RandomStreams(4)).times(40))
         jobs = [params.tunable_job(t) for t in arrivals]
-        loaded = load_workload(dump_workload(jobs))
+        loaded = self.archived(jobs).jobs
 
         def run(job_list):
             arb = QoSArbitrator(4, keep_placements=False)
@@ -75,16 +81,11 @@ class TestWorkloadRoundTrip:
 
         assert run(jobs) == run(loaded)
 
-    def test_version_check(self):
-        bad = json.dumps({"version": 99, "jobs": []})
-        with pytest.raises(ConfigurationError):
-            load_workload(bad)
-
-    def test_disorder_rejected(self, params):
-        jobs = [params.tunable_job(10.0), params.tunable_job(5.0)]
-        text = dump_workload(jobs)
-        with pytest.raises(ConfigurationError):
-            load_workload(text)
+    def test_version_check(self, tmp_path):
+        bad = tmp_path / "entry.json"
+        bad.write_text(json.dumps({"version": 99, "kind": "workload", "jobs": []}))
+        with pytest.raises(ValueError, match="unsupported corpus version 99"):
+            load_case(bad)
 
 
 class TestMetricsRoundTrip:

@@ -38,9 +38,30 @@ def committed_schedule():
 class TestRecords:
     def test_flatten_sorted(self):
         records = schedule_records(committed_schedule())
-        assert [(r.task, r.start) for r in records] == [("a", 0.0), ("b", 5.0)]
+        assert [
+            (r.job_id, r.chain_index, r.task, r.start, r.end, r.processors)
+            for r in records
+        ] == [(3, 0, "a", 0.0, 5.0, 2), (3, 0, "b", 5.0, 8.0, 1)]
         assert records[0].duration == 5.0
-        assert records[0].job_id == 3
+
+    def test_one_record_per_committed_placement(self):
+        s = Schedule(4)
+        chain = TaskChain(
+            (TaskSpec("t", ProcessorTimeRequest(2, 5.0), deadline=1000.0),)
+        )
+        s.commit(
+            ChainPlacement(
+                job_id=7,
+                chain_index=0,
+                chain=chain,
+                placements=(Placement.rigid(chain[0], 1.0),),
+                release=0.0,
+            )
+        )
+        assert [
+            (r.job_id, r.task, r.start, r.end, r.processors)
+            for r in schedule_records(s)
+        ] == [(7, "t", 1.0, 6.0, 2)]
 
     def test_csv(self):
         csv = records_to_csv(schedule_records(committed_schedule()))

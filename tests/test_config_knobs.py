@@ -27,10 +27,6 @@ from repro.workloads.sweep import SweepConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Fields kept without a committed user, each with the ROADMAP item that
-#: decides its fate.  Adding to this is adding a knob.
-UNCLAIMED = {(RunnerConfig, "audit"): "ROADMAP item 17"}
-
 _BULLET = re.compile(r"^\s*\* ``(\w+)``:(.*?)(?=^\s*\* ``|\Z)", re.M | re.S)
 
 
@@ -70,7 +66,7 @@ def test_every_config_field_names_its_non_default_user(cls):
             field.default is dataclasses.MISSING
             and field.default_factory is dataclasses.MISSING
         )
-        if required or (cls, name) in UNCLAIMED:
+        if required:
             continue
         assert users, f"{cls.__name__}.{name} names no user"
         unknown = [u for u in users if u not in known]

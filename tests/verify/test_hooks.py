@@ -1,19 +1,16 @@
-"""The opt-in audit hooks: the simulator, audited units and the runner post-check."""
+"""The opt-in audit hooks: the simulator and audited units."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
 from repro.errors import VerificationError
 from repro.resilience.events import FaultModel, generate_trace
-from repro.runner.core import ExperimentRunner, RunnerConfig
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
-from repro.verify.checks import audited_point, verify_unit
+from repro.verify.checks import audited_point
 from repro.workloads.sweep import SweepConfig, _job_factory
 
 # Default params need a 16-wide machine (x=16): on fewer processors every
@@ -90,7 +87,7 @@ def test_resilient_simulator_audit_passes_on_perturbed_run():
 
 
 # ---------------------------------------------------------------------------
-# audited_point / verify_unit / runner post-check
+# audited_point
 # ---------------------------------------------------------------------------
 
 
@@ -105,46 +102,16 @@ def test_audited_point_metrics_match_unaudited_run():
     )
 
 
+def test_audited_point_metrics_match_unaudited_rigid_run():
+    from repro.sim.persistence import metrics_to_dict
+    from repro.workloads.sweep import run_point
+
+    metrics, report = audited_point(SMALL, "shape1")
+    assert report.ok, report.summary()
+    assert metrics_to_dict(metrics) == metrics_to_dict(run_point(SMALL, "shape1"))
+
+
 def test_audited_point_handles_perturbed_configs():
     metrics, report = audited_point(PERTURBED, "tunable")
     assert report.ok, report.summary()
     assert metrics.offered >= PERTURBED.n_jobs
-
-
-def test_verify_unit_accepts_honest_metrics():
-    metrics, _ = audited_point(SMALL, "shape1")
-    report = verify_unit(SMALL, "shape1", metrics)
-    assert report.ok
-
-
-def test_verify_unit_rejects_lying_metrics():
-    metrics, _ = audited_point(SMALL, "shape1")
-    lie = dataclasses.replace(metrics, admitted=metrics.admitted + 1)
-    with pytest.raises(VerificationError, match="admitted"):
-        verify_unit(SMALL, "shape1", lie)
-
-
-def test_runner_post_check_audits_unique_units(tmp_path):
-    runner = ExperimentRunner(RunnerConfig(audit=True, cache_dir=tmp_path))
-    units = [(SMALL, "tunable"), (SMALL, "shape1"), (SMALL, "tunable")]
-    results = runner.run_units(units)
-    assert len(results) == 3
-    assert runner.perf_snapshot()["units_audited"] == 2  # dedup'd
-
-
-def test_runner_post_check_catches_poisoned_cache(tmp_path):
-    honest = ExperimentRunner(RunnerConfig(cache_dir=tmp_path))
-    honest.run_unit(SMALL, "tunable")
-    # Poison the single cache entry's admitted count on disk.
-    entries = list(tmp_path.rglob("*.json"))
-    assert entries
-    for path in entries:
-        text = path.read_text()
-        import json
-
-        payload = json.loads(text)
-        payload["metrics"]["admitted"] += 1
-        path.write_text(json.dumps(payload))
-    auditing = ExperimentRunner(RunnerConfig(audit=True, cache_dir=tmp_path))
-    with pytest.raises(VerificationError, match="admitted"):
-        auditing.run_unit(SMALL, "tunable")

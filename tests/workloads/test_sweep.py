@@ -75,6 +75,16 @@ class TestRunSweep:
         s1 = sweep.series("shape1", "throughput")
         assert [t - s for t, s in zip(tun, s1)] == b1
 
+    def test_benefit_over_each_rigid_shape(self, tiny_config):
+        sweep = run_sweep("interval", [20.0, 40.0], tiny_config)
+        tun = sweep.series("tunable", "throughput")
+        for rigid in ("shape1", "shape2"):
+            base = sweep.series(rigid, "throughput")
+            assert sweep.benefit("throughput", rigid) == [
+                t - b for t, b in zip(tun, base)
+            ]
+        assert len(tun) == len(sweep.values)
+
     def test_to_rows(self, tiny_config):
         sweep = run_sweep("laxity", [0.2, 0.8], tiny_config, systems=("tunable",))
         rows = sweep.to_rows()

@@ -111,10 +111,12 @@ class TestJobs:
             p.rigid_job(3)
 
     def test_or_graph_matches_chains(self):
+        """The tunable job's chains are the two paths of its one-stage OR
+        graph, each carrying the ``shape`` it binds."""
         p = SyntheticParams(x=4, t=10.0, alpha=0.5)
-        chains = p.or_graph().enumerate_chains()
-        assert len(chains) == 2
-        assert {c.params["shape"] for c in chains} == {1, 2}
+        chains = p.tunable_job().chains
+        assert chains == (p.shape1_chain(), p.shape2_chain())
+        assert [c.params["shape"] for c in chains] == [1, 2]
 
     def test_concurrency_factor_widens(self):
         p = SyntheticParams(x=4, t=10.0, alpha=0.5, concurrency_factor=2.0)
