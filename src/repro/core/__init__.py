@@ -9,8 +9,9 @@ Section 5 of the paper:
 * :mod:`repro.core.first_fit` — earliest-feasible-start search for one task.
 * :mod:`repro.core.greedy` — the greedy heuristic for chains and tunable jobs.
 * :mod:`repro.core.malleable` — the malleable-task variant (Section 5.4).
-* :mod:`repro.core.admission` / :mod:`repro.core.arbitrator` — admission
-  control and the system-level QoS arbitrator (Section 3).
+* :mod:`repro.core.arbitrator` — the system-level QoS arbitrator and its
+  admission control (Section 3); :mod:`repro.core.admission` — the
+  decision it answers with.
 * :mod:`repro.core.baselines` — EDF and conservative-reservation baselines.
 """
 
@@ -22,7 +23,7 @@ from repro.core.schedule import Schedule
 from repro.core.first_fit import earliest_fit
 from repro.core.greedy import GreedyScheduler
 from repro.core.malleable import MalleableScheduler, MalleableStrategy
-from repro.core.admission import AdmissionController, AdmissionDecision
+from repro.core.admission import AdmissionDecision
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.policies import TieBreakPolicy
 from repro.core.assignment import AssignedSlice, assign_processors
@@ -41,7 +42,6 @@ __all__ = [
     "GreedyScheduler",
     "MalleableScheduler",
     "MalleableStrategy",
-    "AdmissionController",
     "AdmissionDecision",
     "QoSArbitrator",
     "TieBreakPolicy",

@@ -1,26 +1,20 @@
-"""Admission control (Section 3.1).
+"""The outcome of admission control (Section 3.1).
 
 "Upon job arrival, the QoS arbitrator first performs admission control to
 check whether or not application resource requirements can be satisfied.
 Application tunability increases the likelihood that an application can be
-admitted into the system."
-
-Admission here is all-or-nothing at arrival under the static negotiation
-model: a job whose configurations all fail first fit is rejected and never
-retried.  An admitted job's chosen placement is committed immediately and is
-never revoked (the paper assumes a fault-free, fixed-resource system for the
-Section 5 experiments).
+admitted into the system."  :class:`~repro.core.arbitrator.QoSArbitrator`
+decides and accounts; :class:`AdmissionDecision` is what it answers with,
+what the service logs and what the simulators observe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.greedy import GreedyScheduler
 from repro.core.placement import ChainPlacement, slot_setters
-from repro.model.job import Job
 
-__all__ = ["AdmissionDecision", "AdmissionController"]
+__all__ = ["AdmissionDecision"]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -55,48 +49,3 @@ class AdmissionDecision:
 _set_job_id, _set_admitted, _set_placement, _set_reason = slot_setters(
     AdmissionDecision
 )
-
-
-class AdmissionController:
-    """Offers jobs to a scheduler and keeps acceptance accounting.
-
-    Parameters
-    ----------
-    scheduler:
-        Any :class:`~repro.core.greedy.GreedyScheduler` (rigid or malleable).
-    compact:
-        When True (default), the schedule's profile is compacted to each
-        job's release time before scheduling — sound because no task may
-        start before the newest arrival, and essential for long simulations
-        (keeps the profile size proportional to *live* allocations).
-        Requires non-decreasing release times across :meth:`offer` calls;
-        violating that raises from the profile layer.
-    """
-
-    def __init__(self, scheduler: GreedyScheduler, compact: bool = True) -> None:
-        self.scheduler = scheduler
-        self.compact = compact
-        self.admitted = 0
-        self.rejected = 0
-        self.decisions_by_chain: dict[int, int] = {}
-
-    @property
-    def offered(self) -> int:
-        """Total number of jobs offered so far."""
-        return self.admitted + self.rejected
-
-    def offer(self, job: Job) -> AdmissionDecision:
-        """Run admission control and (on success) commit the chosen chain."""
-        if self.compact:
-            self.scheduler.schedule.compact(job.release)
-        placement = self.scheduler.schedule_job(job)
-        if placement is None:
-            self.rejected += 1
-            return AdmissionDecision(
-                job.job_id, False, None, reason="no schedulable configuration"
-            )
-        self.admitted += 1
-        self.decisions_by_chain[placement.chain_index] = (
-            self.decisions_by_chain.get(placement.chain_index, 0) + 1
-        )
-        return AdmissionDecision(job.job_id, True, placement)

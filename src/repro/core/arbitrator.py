@@ -9,9 +9,13 @@ what time."
 
 :class:`QoSArbitrator` is the façade a deployment talks to: it owns the
 :class:`~repro.core.schedule.Schedule`, a greedy (rigid or malleable)
-scheduler, and admission control, and exposes job submission plus running
-metrics.  QoS *agents* (:mod:`repro.qos.agent`) negotiate with it on behalf
-of applications.
+scheduler and the admission accounting (Section 3.1: "upon job arrival,
+the QoS arbitrator first performs admission control"), and exposes job
+submission plus running metrics.  Admission is all-or-nothing at arrival
+under the static negotiation model: a job none of whose configurations
+passes the rule's filter is rejected and never retried, and an admitted
+job's placement is committed at once and never revoked.  QoS *agents*
+(:mod:`repro.qos.agent`) negotiate with it on behalf of applications.
 """
 
 from __future__ import annotations
@@ -22,16 +26,15 @@ from enum import Enum
 from typing import Sequence
 
 from repro.core import kernels
-from repro.core.admission import AdmissionController, AdmissionDecision
+from repro.core.admission import AdmissionDecision
 from repro.core.kernels import batch as kernel_batch
 from repro.core.greedy import GreedyScheduler
 from repro.core.malleable import MalleableScheduler, MalleableStrategy
 from repro.core.placement import ChainPlacement
 from repro.core.policies import TieBreakPolicy, select_candidate
 from repro.core.schedule import Schedule
-from repro.errors import ConfigurationError
 from repro.model.job import Job
-from repro.model.quality import QualityComposition, chain_quality
+from repro.model.quality import chain_quality
 
 __all__ = ["ArbitrationObjective", "QoSArbitrator"]
 
@@ -61,14 +64,16 @@ class QoSArbitrator:
         Path-choice objective (see :class:`ArbitrationObjective`).
     policy:
         Tie-break policy inside the earliest-finish criterion.
-    strategy / min_processors:
-        Malleable-model knobs, ignored when ``malleable=False``.
-    quality_composition:
-        How per-task qualities compose into a path quality.
+    strategy:
+        Malleable-model width rule, ignored when ``malleable=False``.
     keep_placements:
         Retain every committed placement (memory grows with admitted jobs).
     compact:
-        Compact the availability profile to each arrival time.
+        Compact the availability profile to each job's release before
+        deciding it — sound because no task may start before the newest
+        arrival, and what keeps the profile proportional to *live*
+        allocations.  Requires non-decreasing releases; a decreasing one
+        raises from the profile layer.
     backend:
         Who decides a ``submit``: ``"auto"`` (default) — the C admission
         loop whenever it takes the configuration, the Python reference
@@ -87,31 +92,28 @@ class QoSArbitrator:
         objective: ArbitrationObjective = ArbitrationObjective.EARLIEST_FINISH,
         policy: TieBreakPolicy = TieBreakPolicy.PAPER,
         strategy: MalleableStrategy = MalleableStrategy.WIDEST_FIRST_FEASIBLE,
-        min_processors: int = 1,
-        quality_composition: QualityComposition = QualityComposition.PRODUCT,
         keep_placements: bool = True,
         compact: bool = True,
         backend: str = "auto",
-        origin: float = 0.0,
         seed: int | None = None,
     ) -> None:
         self.schedule = Schedule(
-            capacity, origin=origin, keep_placements=keep_placements, backend=backend
+            capacity, keep_placements=keep_placements, backend=backend
         )
         rng = random.Random(seed) if seed is not None else None
         if malleable:
             self.scheduler: GreedyScheduler = MalleableScheduler(
-                self.schedule,
-                policy=policy,
-                strategy=strategy,
-                min_processors=min_processors,
-                rng=rng,
+                self.schedule, policy=policy, strategy=strategy, rng=rng
             )
         else:
             self.scheduler = GreedyScheduler(self.schedule, policy=policy, rng=rng)
         self.objective = objective
-        self.quality_composition = quality_composition
-        self.admission = AdmissionController(self.scheduler, compact=compact)
+        self.compact = compact
+        #: Jobs admitted and rejected so far, and admissions per
+        #: configuration index.
+        self.admitted = 0
+        self.rejected = 0
+        self.decisions_by_chain: dict[int, int] = {}
         self._quality_sum = 0.0
         self._quality_possible = 0.0
 
@@ -126,16 +128,6 @@ class QoSArbitrator:
     def malleable(self) -> bool:
         """Whether the malleable placement model is active."""
         return isinstance(self.scheduler, MalleableScheduler)
-
-    @property
-    def admitted(self) -> int:
-        """Jobs admitted so far."""
-        return self.admission.admitted
-
-    @property
-    def rejected(self) -> int:
-        """Jobs rejected so far."""
-        return self.admission.rejected
 
     @property
     def achieved_quality(self) -> float:
@@ -155,7 +147,7 @@ class QoSArbitrator:
 
     def chain_usage(self) -> dict[int, int]:
         """How many admitted jobs used each configuration index."""
-        return dict(self.admission.decisions_by_chain)
+        return dict(self.decisions_by_chain)
 
     # ------------------------------------------------------------------
 
@@ -213,27 +205,48 @@ class QoSArbitrator:
             and self.scheduler.policy is not TieBreakPolicy.RANDOM
         )
 
+    #: Why a job the rule's filter leaves no configuration for is refused.
+    _refusal = "no schedulable configuration"
+
+    def _admissible(
+        self, job: Job, cands: list[ChainPlacement]
+    ) -> list[ChainPlacement]:
+        """The rule's filter: which of ``job``'s schedulable configurations
+        go to the tie-break.  EARLIEST_FINISH keeps all of them;
+        MAX_QUALITY keeps those of the highest path quality."""
+        if self.objective is ArbitrationObjective.MAX_QUALITY and cands:
+            best_q = max(chain_quality(c.chain) for c in cands)
+            return [c for c in cands if chain_quality(c.chain) == best_q]
+        return cands
+
     def _offer(self, job: Job) -> AdmissionDecision:
-        """Decide ``job`` in Python, then account for it — in that order,
-        so a decision that raises leaves every accumulator where it was."""
-        if self.objective is ArbitrationObjective.EARLIEST_FINISH:
-            decision = self.admission.offer(job)
-        elif self.objective is ArbitrationObjective.MAX_QUALITY:
-            decision = self._offer_max_quality(job)
-        else:  # pragma: no cover - closed enum
-            raise ConfigurationError(f"unknown objective {self.objective!r}")
-        self._quality_possible += job.best_quality(self.quality_composition)
-        if decision.admitted and decision.placement is not None:
-            self._quality_sum += chain_quality(
-                decision.placement.chain, self.quality_composition
-            )
-        return decision
+        """Decide ``job`` in Python, then account for it: compact →
+        ``candidates`` → the rule's filter → ``select_candidate`` →
+        ``commit`` → count.  Every accumulator moves after the commit, so
+        a decision that raises leaves them where they were."""
+        if self.compact:
+            self.schedule.compact(job.release)
+        scheduler = self.scheduler
+        top = self._admissible(job, scheduler.candidates(job))
+        chosen: ChainPlacement | None = None
+        if top:
+            chosen = select_candidate(top, scheduler.policy, scheduler.rng)
+            self.schedule.commit(chosen)
+        self._quality_possible += job.best_quality()
+        if chosen is None:
+            self.rejected += 1
+            return AdmissionDecision(job.job_id, False, None, reason=self._refusal)
+        self.admitted += 1
+        by_chain = self.decisions_by_chain
+        by_chain[chosen.chain_index] = by_chain.get(chosen.chain_index, 0) + 1
+        self._quality_sum += chain_quality(chosen.chain)
+        return AdmissionDecision(job.job_id, True, chosen)
 
     def _decide_one(self, job: Job) -> AdmissionDecision:
         """One decision, one ``decision`` timer sample: a batch of one
         through the C loop whenever :meth:`admit_batch` would take it,
-        except on ``backend="scalar"`` — the reference path, which stays
-        :class:`GreedyScheduler`'s."""
+        except on ``backend="scalar"`` — the reference path,
+        :meth:`_offer`."""
         t0 = time.perf_counter()
         try:
             if self._c_loop_eligible() and self.schedule.profile.backend != "scalar":
@@ -310,29 +323,5 @@ class QoSArbitrator:
         self._quality_possible = possible  # counted by the original submit
         # The provisional rejection on success, the second count of it on
         # failure: one too many either way.
-        self.admission.rejected -= 1
+        self.rejected -= 1
         return decision
-
-    def _offer_max_quality(self, job: Job) -> AdmissionDecision:
-        """Admission with quality-first path choice: among the schedulable
-        configurations, those of the highest quality go to the tie-break."""
-        admission = self.admission
-        if admission.compact:
-            self.schedule.compact(job.release)
-        scheduler = self.scheduler
-        cands = scheduler.candidates(job)
-        if not cands:
-            admission.rejected += 1
-            return AdmissionDecision(
-                job.job_id, False, None, reason="no schedulable configuration"
-            )
-        comp = self.quality_composition
-        best_q = max(chain_quality(c.chain, comp) for c in cands)
-        top = [c for c in cands if chain_quality(c.chain, comp) == best_q]
-        chosen: ChainPlacement = select_candidate(top, scheduler.policy, scheduler.rng)
-        self.schedule.commit(chosen)
-        admission.admitted += 1
-        admission.decisions_by_chain[chosen.chain_index] = (
-            admission.decisions_by_chain.get(chosen.chain_index, 0) + 1
-        )
-        return AdmissionDecision(job.job_id, True, chosen)

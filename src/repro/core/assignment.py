@@ -36,10 +36,6 @@ class AssignedSlice:
     start: float
     end: float
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 def assign_processors(schedule: Schedule) -> list[AssignedSlice]:
     """Assign concrete processor indices to every committed placement.

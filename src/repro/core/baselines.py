@@ -16,7 +16,6 @@ heuristic, as called for by the related-work discussion (Section 6):
 
 from __future__ import annotations
 
-from repro.core.admission import AdmissionDecision
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.first_fit import earliest_fit
 from repro.core.greedy import GreedyScheduler
@@ -89,27 +88,18 @@ class ConservativeArbitrator(QoSArbitrator):
 
     Once admitted, the job still gets the paper's best configuration — the
     penalty is purely on admission, isolating the value of the negotiation
-    step that lets the arbitrator pin the application to one path.
+    step that lets the arbitrator pin the application to one path.  The
+    filter is the arbitrator's one decide-and-account path with a stricter
+    rule; the C admission loop has no such rule, so every decision here is
+    the Python reference's.
     """
 
-    def submit(self, job: Job) -> AdmissionDecision:
-        self._quality_possible += job.best_quality(self.quality_composition)
-        if self.admission.compact:
-            self.schedule.compact(job.release)
-        cands = self.scheduler.candidates(job)
-        if len(cands) < len(job.chains):
-            self.admission.rejected += 1
-            return AdmissionDecision(
-                job.job_id,
-                False,
-                None,
-                reason="conservative: not every configuration schedulable",
-            )
-        decision = self.admission.offer(job)
-        if decision.admitted and decision.placement is not None:
-            from repro.model.quality import chain_quality
+    _refusal = "conservative: not every configuration schedulable"
 
-            self._quality_sum += chain_quality(
-                decision.placement.chain, self.quality_composition
-            )
-        return decision
+    def _admissible(
+        self, job: Job, cands: list[ChainPlacement]
+    ) -> list[ChainPlacement]:
+        return cands if len(cands) == len(job.chains) else []
+
+    def _c_loop_eligible(self) -> bool:
+        return False

@@ -43,9 +43,9 @@
  * is the 100k+ decisions/sec path.  It also finishes the float accounting
  * it holds the operands for: each admitted job's finish and area (the
  * head of its row of Prof.out_rows), and the two quality accumulators
- * (PRODUCT and MIN; MEAN is ``math.fsum`` and stays Python's).  Those belong to the ARBITRATOR, not
- * to the context: the driver writes them into the struct before every
- * call and reads them back only on BATCH_OK.  The other exports are the
+ * (path quality is the product of the task qualities).  Those belong to
+ * the ARBITRATOR, not to the context: the driver writes them into the
+ * struct before every call and reads them back only on BATCH_OK.  The other exports are the
  * loader's ABI and layout handshake.
  *
  * The loop mutates the live window in place.  Before a shift overwrites
@@ -64,7 +64,7 @@
 #define AREA_EPS 1e-6   /* greedy._area_reject slack */
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 
-#define ABI_VERSION 7
+#define ABI_VERSION 8
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -81,11 +81,6 @@
 #define POLICY_PAPER 0
 #define POLICY_FIRST 1
 #define POLICY_PREFIX 2
-
-/* Quality composition codes (Prof.qmode); 0 = MEAN, which is math.fsum
- * and stays the driver's. */
-#define QMODE_PRODUCT 1
-#define QMODE_MIN 2
 
 /* Counter slots, zeroed at entry and accumulated into ProfileStats /
  * PerfRecorder by the Python driver after a successful batch. */
@@ -197,7 +192,6 @@ typedef struct {
      * chosen chain] -- what cp.finish and cp.total_area compute */
     double *out_rows;
     /* the arbitrator's accumulators: in before every call, out on BATCH_OK */
-    int64_t qmode;
     double q_possible; /* += best chain quality of each job offered */
     double q_sum;      /* += the chosen chain's quality */
     int64_t c[N_COUNTERS];
@@ -611,17 +605,13 @@ static double chain_area(const Task *t, int64_t n)
     return acc;
 }
 
-/* quality.chain_quality: compose_product (1.0 times each quality, left
- * to right) or compose_min (Python's min: the first smallest) */
-static double chain_quality(const Task *t, int64_t n, int64_t qmode)
+/* quality.chain_quality: compose_product, 1.0 times each quality, left
+ * to right */
+static double chain_quality(const Task *t, int64_t n)
 {
-    double acc = (qmode == QMODE_PRODUCT) ? 1.0 : t[0].quality;
-    for (int64_t k = 0; k < n; k++) {
-        if (qmode == QMODE_PRODUCT)
-            acc *= t[k].quality;
-        else if (t[k].quality < acc)
-            acc = t[k].quality;
-    }
+    double acc = 1.0;
+    for (int64_t k = 0; k < n; k++)
+        acc *= t[k].quality;
     return acc;
 }
 
@@ -682,8 +672,8 @@ int64_t repro_ctx_size(void)
     X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
     X(cap_buf) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)         \
     X(policy) X(do_compact) X(record) X(max_chains) X(max_tasks)             \
-    X(dscratch) X(iscratch) X(out_chain) X(out_rows) X(qmode) X(q_possible)  \
-    X(q_sum) X(c) X(nfacts) X(fact_evict) X(facts)
+    X(dscratch) X(iscratch) X(out_chain) X(out_rows) X(q_possible) X(q_sum)  \
+    X(c) X(nfacts) X(fact_evict) X(facts)
 
 const char *repro_ctx_fields(void)
 {
@@ -720,7 +710,6 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
     double *dscratch = p->dscratch;
     int64_t *iscratch = p->iscratch;
     int64_t *counters = p->c;
-    const int64_t qmode = p->qmode;
     double q_possible = p->q_possible, q_sum = p->q_sum;
     if (policy != POLICY_PAPER && policy != POLICY_FIRST &&
         policy != POLICY_PREFIX)
@@ -759,11 +748,9 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
         for (int64_t c = 0; c < n_chains; c++) {
             const Task *tasks = TASKS(c);
             int64_t ntasks = chain_n[c];
-            if (qmode) {
-                double q = chain_quality(tasks, ntasks, qmode);
-                if (c == 0 || q > best_q)
-                    best_q = q;
-            }
+            double q = chain_quality(tasks, ntasks);
+            if (c == 0 || q > best_q)
+                best_q = q;
             counters[K_CHAINS_PROBED] += 1;
             if (quick_reject(tasks, ntasks, capacity, eff)) {
                 counters[K_QUICK_REJECTED] += 1;
@@ -859,8 +846,7 @@ int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
         counters[K_ROW_CELLS] += 2 + cn;
         p->out_chain[jb] = cc;
         counters[K_COMMITS] += 1;
-        if (qmode)
-            q_sum += chain_quality(ctasks, cn, qmode);
+        q_sum += chain_quality(ctasks, cn);
     }
 #undef PREFIX_LT
 #undef TASKS

@@ -29,6 +29,7 @@ reference loop and counted in ``batch_fallbacks``:
 * ``TieBreakPolicy.RANDOM`` — consumes a Python RNG stream;
 * ``MalleableScheduler`` — reshaping is not implemented in C;
 * ``ArbitrationObjective.MAX_QUALITY`` — neither is quality-first choice;
+* ``ConservativeArbitrator`` — nor its every-configuration filter;
 * a job with more than ``_MAX_CHAINS`` chains or a chain with more than
   ``_MAX_TASKS`` tasks — the per-job C scratch is sized by their product;
 * a task wider than ``_MAX_WIDTH`` processors — every cell of the record
@@ -96,8 +97,8 @@ context's view of the profile is thrown away:
   drops it (a batch of several jobs); it goes with the context
   (``adopt_schedule``, ``copy()``, another kernel object).  The C loop
   only reads the record.
-* The scheduler and config flags (``policy``, ``do_compact``, ``qmode``)
-  are stored only when they differ from the ones the context last stored
+* The scheduler and config flags (``policy``, ``do_compact``) are
+  stored only when they differ from the ones the context last stored
   (``ctx.flags``): two arbitrators may take turns on one profile through
   ``adopt_schedule``.
 * The quality accumulators do NOT live in the context: a context belongs
@@ -124,7 +125,6 @@ from repro.core.kernels.compiled import Context
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy
 from repro.model.job import Job
-from repro.model.quality import QualityComposition, chain_quality
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.arbitrator import QoSArbitrator
@@ -137,10 +137,6 @@ _POLICY_CODES = {
     TieBreakPolicy.FIRST: 1,
     TieBreakPolicy.PREFIX: 2,
 }
-
-#: Quality composition codes of ``_kernels.c``; MEAN (``math.fsum``) is
-#: absent and stays Python's.
-_QMODE_CODES = {QualityComposition.PRODUCT: 1, QualityComposition.MIN: 2}
 
 #: Per-job scratch in the C kernel is sized max_chains × max_tasks; bail
 #: out to the serial loop for pathological fan-outs instead of letting
@@ -394,14 +390,10 @@ def try_admit_batch_compiled(
         one = jobs[0].chains if len(jobs) == 1 else None
         ctx.stage(record, len(jobs), max_chains, max_tasks, one)
     c = ctx.c
-    flags = (
-        policy_code, arbitrator.admission.compact, arbitrator.quality_composition
-    )
+    flags = (policy_code, arbitrator.compact)
     if flags != ctx.flags:  # a profile may change arbitrators (adopt_schedule)
         ctx.flags = flags
-        c.policy = policy_code
-        c.do_compact = arbitrator.admission.compact
-        c.qmode = _QMODE_CODES.get(arbitrator.quality_composition, 0)
+        c.policy, c.do_compact = flags
     c.q_possible = arbitrator._quality_possible  # noqa: SLF001
     c.q_sum = arbitrator._quality_sum  # noqa: SLF001
     ctx.sync(profile, ctx.tasks)
@@ -421,11 +413,11 @@ def _apply_batch_results(
     The C loop has already done the float accounting, job by job with the
     serial loop's own operations: each admitted job's finish and area head
     its row of ``out_rows`` (its chain's task starts are the rest of it),
-    and the quality accumulators (PRODUCT / MIN) come back in the struct
-    it was handed them in.  What is left here is counters, objects
-    and one booking per batch: :meth:`Schedule.record_commit` for the
-    one row of a one-job call, :meth:`Schedule.record_commits` for the
-    rows of a larger batch, both fed the kernel's finish and area.  The
+    and the quality accumulators come back in the struct it was handed
+    them in.  What is left here is counters, objects and one booking per
+    batch: :meth:`Schedule.record_commit` for the one row of a one-job
+    call, :meth:`Schedule.record_commits` for the rows of a larger batch,
+    both fed the kernel's finish and area.  The
     profile is not written back at all: it stays in the context's arrays,
     and the lists are dropped until somebody reads them.
     """
@@ -451,10 +443,9 @@ def _apply_batch_results(
 
     n_jobs = len(jobs)
     n_admitted = counts[10]
-    admission = arbitrator.admission
-    by_chain = admission.decisions_by_chain
+    by_chain = arbitrator.decisions_by_chain
     rigid = Placement.rigid
-    refused = "no schedulable configuration"
+    refused = arbitrator._refusal  # noqa: SLF001
     if n_jobs == 1:
         # The serial path: item reads of the two columns, and the one row
         # booked with the kernel's finish and area as it is read.
@@ -462,7 +453,6 @@ def _apply_batch_results(
         c = ctx.chosen[0]
         if c < 0:
             decisions = [AdmissionDecision(job.job_id, False, None, refused)]
-            committed: Sequence[ChainPlacement] = ()
         else:
             rows = ctx.rows
             chain = job.chains[c]
@@ -472,7 +462,6 @@ def _apply_batch_results(
                 tuple(map(rigid, tasks, rows[2 : 2 + len(tasks)].tolist())),
                 job.release,
             )
-            committed = (cp,)
             by_chain[c] = by_chain.get(c, 0) + 1
             decisions = [AdmissionDecision(job.job_id, True, cp)]
             schedule.record_commit(cp, rows[0], rows[1])
@@ -483,7 +472,7 @@ def _apply_batch_results(
         rows = ctx.rows[: counts[11]].tolist()  # admitted jobs only
         decisions = []
         append = decisions.append
-        committed = []
+        committed: list[ChainPlacement] = []
         finishes: list[float] = []
         areas: list[float] = []
         at = 0  # the next admitted job's row: finish, area, one start per task
@@ -506,16 +495,9 @@ def _apply_batch_results(
             append(AdmissionDecision(job.job_id, True, cp))
         if n_admitted:
             schedule.record_commits(committed, finishes, areas)
-    admission.admitted += n_admitted
-    admission.rejected += n_jobs - n_admitted
+    arbitrator.admitted += n_admitted
+    arbitrator.rejected += n_jobs - n_admitted
     state = ctx.c  # not ``struct``: that is the module the packer uses
-    if state.qmode:
-        arbitrator._quality_possible = state.q_possible  # noqa: SLF001
-        arbitrator._quality_sum = state.q_sum  # noqa: SLF001
-    else:  # MEAN composes with math.fsum, which stays Python's
-        comp = arbitrator.quality_composition
-        for job in jobs:
-            arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
-        for cp in committed:
-            arbitrator._quality_sum += chain_quality(cp.chain, comp)  # noqa: SLF001
+    arbitrator._quality_possible = state.q_possible  # noqa: SLF001
+    arbitrator._quality_sum = state.q_sum  # noqa: SLF001
     return decisions

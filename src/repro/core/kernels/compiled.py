@@ -47,7 +47,6 @@ class Context(ctypes.Structure):
         ("max_chains", _i64), ("max_tasks", _i64),
         *((name, _ptr) for name in (
             "dscratch", "iscratch", "out_chain", "out_rows")),
-        ("qmode", _i64),
         ("q_possible", ctypes.c_double), ("q_sum", ctypes.c_double),
         ("c", _i64 * 12),  # N_COUNTERS
         ("nfacts", _i64), ("fact_evict", _i64),

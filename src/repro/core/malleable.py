@@ -30,7 +30,6 @@ from repro.core.greedy import GreedyScheduler
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy
 from repro.core.schedule import Schedule
-from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.task import TaskSpec
 
@@ -49,14 +48,9 @@ class MalleableScheduler(GreedyScheduler):
 
     Inherits the tunable-configuration choice machinery from
     :class:`~repro.core.greedy.GreedyScheduler`; only per-task placement
-    changes.
-
-    Parameters
-    ----------
-    min_processors:
-        Lower bound on the processor counts tried (default 1).  Raising it
-        models applications whose per-processor efficiency collapses below a
-        minimum width.
+    changes.  Every width from the task's cap down to one processor may
+    be tried (§5.4: "any number of processors up to its degree of
+    concurrency").
     """
 
     def __init__(
@@ -64,16 +58,10 @@ class MalleableScheduler(GreedyScheduler):
         schedule: Schedule,
         policy: TieBreakPolicy = TieBreakPolicy.PAPER,
         strategy: MalleableStrategy = MalleableStrategy.WIDEST_FIRST_FEASIBLE,
-        min_processors: int = 1,
         rng: random.Random | None = None,
     ) -> None:
         super().__init__(schedule, policy, rng)
-        if min_processors < 1:
-            raise ConfigurationError(
-                f"min_processors must be >= 1, got {min_processors}"
-            )
         self.strategy = strategy
-        self.min_processors = min_processors
 
     # ------------------------------------------------------------------
 
@@ -91,8 +79,6 @@ class MalleableScheduler(GreedyScheduler):
         elapsed = 0.0
         for task in chain.tasks:
             width_cap = min(task.max_concurrency, cap)
-            if width_cap < self.min_processors:
-                return True
             elapsed += task.area / width_cap
             if elapsed > task.deadline + 1e-9:
                 return True
@@ -109,9 +95,9 @@ class MalleableScheduler(GreedyScheduler):
         """Place one malleable task per the configured strategy.
 
         ``min_width``/``max_width`` optionally narrow the probed band within
-        ``[min_processors, min(max_concurrency, capacity)]`` — the
-        mid-execution resize path uses them to force a strictly wider
-        (grow) or strictly narrower (shrink) restart of an in-flight task.
+        ``[1, min(max_concurrency, capacity)]`` — the mid-execution resize
+        path uses them to force a strictly wider (grow) or strictly
+        narrower (shrink) restart of an in-flight task.
 
         Under ``EARLIEST_FINISH``, "ties favour the wider configuration":
         every feasible width is collected, widest first, and the first one
@@ -121,9 +107,7 @@ class MalleableScheduler(GreedyScheduler):
         width_cap = min(task.max_concurrency, profile.capacity)
         if max_width is not None:
             width_cap = min(width_cap, max_width)
-        width_floor = self.min_processors
-        if min_width is not None:
-            width_floor = max(width_floor, min_width)
+        width_floor = 1 if min_width is None else max(1, min_width)
         if width_cap < width_floor:
             return None
         area = task.area

@@ -85,7 +85,6 @@ def ablation_fit_rule() -> str:
         arb = QoSArbitrator(cfg.processors, keep_placements=False)
         if use_best_fit:
             arb.scheduler = BestFitScheduler(arb.schedule, policy=cfg.policy)
-            arb.admission.scheduler = arb.scheduler
         streams = RandomStreams(cfg.seed)
         metrics = simulate_arrivals(
             arb,

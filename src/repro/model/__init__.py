@@ -13,21 +13,12 @@ a tunable program's OR graph.
 from repro.model.task import TaskSpec
 from repro.model.chain import TaskChain
 from repro.model.job import Job
-from repro.model.quality import (
-    QualityComposition,
-    compose_min,
-    compose_product,
-    compose_sum,
-    chain_quality,
-)
+from repro.model.quality import compose_product, chain_quality
 
 __all__ = [
     "TaskSpec",
     "TaskChain",
     "Job",
-    "QualityComposition",
-    "compose_min",
     "compose_product",
-    "compose_sum",
     "chain_quality",
 ]

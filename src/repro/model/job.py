@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from repro.core.resources import checked_time
 from repro.errors import InvalidJobError
 from repro.model.chain import TaskChain
-from repro.model.quality import QualityComposition, chain_quality
+from repro.model.quality import chain_quality
 
 __all__ = ["Job"]
 
@@ -80,11 +80,9 @@ class Job:
         """Absolute completion deadline of ``chain`` for this job."""
         return self.release + chain.final_deadline
 
-    def best_quality(
-        self, composition: QualityComposition = QualityComposition.PRODUCT
-    ) -> float:
+    def best_quality(self) -> float:
         """Highest path quality offered by any chain."""
-        return max(chain_quality(c, composition) for c in self.chains)
+        return max(chain_quality(c) for c in self.chains)
 
     def released_at(self, release: float) -> "Job":
         """Copy of this job released at a different absolute time.

@@ -5,15 +5,14 @@ quality value of the execution path is obtained by composing the output
 qualities of each of the tasks."  The paper does not fix a composition
 operator; for the Section 5 experiments all paths have equal quality so the
 choice is moot, but the junction-detection application (and the
-``max-quality`` arbitration policy) need a concrete one.  We default to the
-*product* — qualities are in ``[0, 1]`` and act like independent retention
-factors — and also provide min and (normalized) sum compositions.
+``max-quality`` arbitration policy) need a concrete one.  The composition
+is the *product*: qualities are in ``[0, 1]`` and act like independent
+retention factors.  The C admission loop accounts quality with the same
+left-to-right multiplication, so both deciders add bit-identical floats.
 """
 
 from __future__ import annotations
 
-import math
-from enum import Enum
 from typing import Iterable, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -21,21 +20,7 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.chain import TaskChain
 
-__all__ = [
-    "QualityComposition",
-    "compose_product",
-    "compose_min",
-    "compose_sum",
-    "chain_quality",
-]
-
-
-class QualityComposition(Enum):
-    """Selector for how per-task qualities combine into a path quality."""
-
-    PRODUCT = "product"
-    MIN = "min"
-    MEAN = "mean"
+__all__ = ["compose_product", "chain_quality"]
 
 
 def compose_product(qualities: Iterable[float]) -> float:
@@ -50,35 +35,6 @@ def compose_product(qualities: Iterable[float]) -> float:
     return out
 
 
-def compose_min(qualities: Iterable[float]) -> float:
-    """Weakest-link composition: the path is as good as its worst step."""
-    vals = list(qualities)
-    if not vals:
-        raise ConfigurationError("cannot compose an empty quality sequence")
-    return min(vals)
-
-
-def compose_sum(qualities: Iterable[float]) -> float:
-    """Arithmetic-mean composition (normalized sum)."""
-    vals = list(qualities)
-    if not vals:
-        raise ConfigurationError("cannot compose an empty quality sequence")
-    return math.fsum(vals) / len(vals)
-
-
-_DISPATCH = {
-    QualityComposition.PRODUCT: compose_product,
-    QualityComposition.MIN: compose_min,
-    QualityComposition.MEAN: compose_sum,
-}
-
-
-def chain_quality(
-    chain: "TaskChain",
-    composition: QualityComposition = QualityComposition.PRODUCT,
-) -> float:
-    """Quality value of an execution path under the given composition."""
-    fn = _DISPATCH.get(composition)
-    if fn is None:  # pragma: no cover - enum is closed
-        raise ConfigurationError(f"unknown composition {composition!r}")
-    return fn(t.quality for t in chain.tasks)
+def chain_quality(chain: "TaskChain") -> float:
+    """Quality value of an execution path: the product of its tasks'."""
+    return compose_product(t.quality for t in chain.tasks)

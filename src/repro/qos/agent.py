@@ -22,7 +22,7 @@ from repro.core.arbitrator import QoSArbitrator
 from repro.errors import NegotiationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
-from repro.model.quality import QualityComposition, chain_quality
+from repro.model.quality import chain_quality
 from repro.qos.contract import ResourceContract
 from repro.qos.negotiation import (
     ReservationGrant,
@@ -48,21 +48,13 @@ class QoSAgent:
     chains:
         The enumerated execution paths, each optionally carrying the
         control-parameter assignment (``chain.params``) that selects it.
-    quality_composition:
-        How per-task qualities compose when reporting path quality.
     """
 
-    def __init__(
-        self,
-        name: str,
-        chains: Sequence[TaskChain],
-        quality_composition: QualityComposition = QualityComposition.PRODUCT,
-    ) -> None:
+    def __init__(self, name: str, chains: Sequence[TaskChain]) -> None:
         if not chains:
             raise NegotiationError(f"agent {name!r} has no execution paths")
         self.name = name
         self.chains = tuple(chains)
-        self.quality_composition = quality_composition
         self.contract: ResourceContract | None = None
         self._configure_callbacks: list[ConfigureCallback] = []
 
@@ -75,7 +67,7 @@ class QoSAgent:
 
     def path_qualities(self) -> list[float]:
         """Quality of each enumerated path, in chain order."""
-        return [chain_quality(c, self.quality_composition) for c in self.chains]
+        return [chain_quality(c) for c in self.chains]
 
     def on_configure(self, callback: ConfigureCallback) -> None:
         """Register a callback run with the granted parameter assignment."""

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from repro.core.placement import ChainPlacement
-from repro.model.quality import QualityComposition, chain_quality
+from repro.model.quality import chain_quality
 
 __all__ = ["ResourceContract"]
 
@@ -60,11 +60,9 @@ class ResourceContract:
         """When the last task completes."""
         return self.placement.finish
 
-    def quality(
-        self, composition: QualityComposition = QualityComposition.PRODUCT
-    ) -> float:
+    def quality(self) -> float:
         """Output quality of the granted path."""
-        return chain_quality(self.placement.chain, composition)
+        return chain_quality(self.placement.chain)
 
     def task_schedule(self) -> list[tuple[str, float, float, int]]:
         """Per-task ``(name, start, end, processors)`` rows, in order."""

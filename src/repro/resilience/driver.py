@@ -217,9 +217,7 @@ class RenegotiationDriver:
         overrun: OverrunEvent | None = None,
     ) -> None:
         """Start tracking an admitted job (optionally with a latent overrun)."""
-        quality = chain_quality(
-            placement.chain, self.arbitrator.quality_composition
-        )
+        quality = chain_quality(placement.chain)
         rec = _LiveJob(
             job_id=job.job_id,
             job=job,
@@ -661,10 +659,7 @@ class RenegotiationDriver:
             # placements at the old path's position.
             rec.latent = None
             self._path_switches += 1
-            rec.current_quality = chain_quality(
-                rec.job.chains[orig_index],
-                self.arbitrator.quality_composition,
-            )
+            rec.current_quality = chain_quality(rec.job.chains[orig_index])
         rec.current_original_index = orig_index
         rec.placement = new_cp
         rec.replans += 1

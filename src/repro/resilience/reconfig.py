@@ -115,8 +115,9 @@ class ResizeRecord:
 
     Everything the independent resize invariants need is captured at the
     moment the resize is finalized: the cut instant and charged delay, the
-    width transition and its declared bounds, the restarted task's full
-    work area, and the extent of the new leading placement.
+    width transition and its upper bound (the lower one is always one
+    processor), the restarted task's full work area, and the extent of the
+    new leading placement.
     """
 
     kind: str  # "grow" | "shrink"
@@ -126,16 +127,10 @@ class ResizeRecord:
     delay: float  # charged reconfiguration dead time
     old_width: int
     new_width: int
-    min_width: int  # lower width bound in force (scheduler floor)
     max_width: int  # upper width bound in force (concurrency/capacity cap)
     task_area: float  # full declared work of the restarted task
     new_start: float
     new_duration: float
-
-    @property
-    def new_area(self) -> float:
-        """Processor-time of the restarted leading placement."""
-        return self.new_width * self.new_duration
 
 
 class ReconfigEngine:
@@ -182,11 +177,6 @@ class ReconfigEngine:
     def active(self) -> bool:
         """Whether any resize direction is enabled."""
         return self.policy is not ResizePolicy.OFF
-
-    @property
-    def resizes(self) -> int:
-        """Total accepted resizes (grows + shrinks)."""
-        return self._grows + self._shrinks
 
     def ledger(self) -> dict[str, float | int]:
         """Grow/shrink detail merged into the run's resilience block."""
@@ -350,8 +340,6 @@ class ReconfigEngine:
         """
         driver = self.driver
         assert driver is not None
-        scheduler = driver.arbitrator.scheduler
-        floor = getattr(scheduler, "min_processors", 1)
         pool = sorted(driver._live) if among is None else sorted(set(among))
         candidates: list[tuple[int, int, object]] = []
         for job_id in pool:
@@ -361,23 +349,23 @@ class ReconfigEngine:
             if state is None:
                 continue
             width, task = state
-            if width <= floor:
+            if width <= 1:
                 continue
             candidates.append((width, job_id, task))
         candidates.sort(key=lambda c: (-c[0], c[1]))
         for width, job_id, task in candidates[:MAX_SHRINK_CANDIDATES]:
             self._shrink_attempts += 1
-            txn = self._probe_shrink(job_id, now, width, floor)
+            txn = self._probe_shrink(job_id, now, width)
             if txn is not None:
                 yield job_id, txn, task
 
     def _probe_shrink(
-        self, job_id: int, now: float, width: int, floor: int
+        self, job_id: int, now: float, width: int
     ) -> "ResizeTxn | None":
         """Narrowest feasible restart (frees the most capacity)."""
         driver = self.driver
         assert driver is not None
-        for target in range(floor, width):
+        for target in range(1, width):
             txn = driver.resize_remainder(
                 job_id,
                 now,
@@ -395,7 +383,6 @@ class ReconfigEngine:
         driver = self.driver
         assert driver is not None
         capacity = driver.arbitrator.capacity
-        scheduler = driver.arbitrator.scheduler
         lead = txn.new_cp.placements[0]
         self.records.append(
             ResizeRecord(
@@ -406,7 +393,6 @@ class ReconfigEngine:
                 delay=txn.delay,
                 old_width=txn.old_width,
                 new_width=lead.processors,
-                min_width=getattr(scheduler, "min_processors", 1),
                 max_width=min(task.max_concurrency, capacity),
                 task_area=task.area,
                 new_start=lead.start,

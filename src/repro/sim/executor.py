@@ -61,11 +61,6 @@ class BestEffortMetrics:
     capacity: int
 
     @property
-    def on_time_rate(self) -> float:
-        """Fraction of offered jobs finishing entirely on time."""
-        return self.on_time / self.offered if self.offered else 0.0
-
-    @property
     def utilization(self) -> float:
         """Busy processor-time over capacity x horizon."""
         if self.horizon <= 0:

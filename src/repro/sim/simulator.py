@@ -77,6 +77,12 @@ _OVERRUN, _CAPACITY, _ARRIVAL, _RESIZE = 0, 1, 2, 3
 class ArrivalSimulator:
     """Drives one arbitrator through arrivals and, optionally, perturbations.
 
+    Every run re-validates each admitted placement and checks that it
+    finishes by its deadline, and a perturbed run checks the schedule plus
+    every live placement after each event: the scheduler's own validation,
+    which catches scheduler bugs during experiments rather than silently
+    mis-reporting throughput.
+
     Parameters
     ----------
     arbitrator:
@@ -88,17 +94,12 @@ class ArrivalSimulator:
         return a job released at ``release``.  Base arrivals keep their
         sequence numbers ``0..n-1`` (identical to a burst-free run, for
         CRN pairing), burst arrivals are numbered after them.
-    verify:
-        When True (default), re-validate every admitted placement and check
-        on-time completion — catching scheduler bugs during experiments
-        rather than silently mis-reporting throughput — and, in a perturbed
-        run, check the schedule plus every live placement after each event.
     audit:
-        Opt-in *independent* verification (stronger and costlier than
-        ``verify``, which reuses the scheduler's own validation): every
-        offered job is recorded and the committed schedule is re-validated
-        from first principles by :func:`repro.verify.auditor.audit_run`
-        after every perturbation event and at end of run.  Violations raise
+        Opt-in *independent* verification, stronger and costlier than the
+        checks every run makes (see above): every offered job is recorded
+        and the committed schedule is re-validated from first principles by
+        :func:`repro.verify.auditor.audit_run` after every perturbation
+        event and at end of run.  Violations raise
         :class:`~repro.errors.VerificationError` at the offending event.
     trace:
         The perturbation schedule; ``None`` or an empty trace is the
@@ -113,7 +114,6 @@ class ArrivalSimulator:
         self,
         arbitrator: QoSArbitrator,
         job_factory: JobFactory,
-        verify: bool = True,
         audit: bool = False,
         *,
         trace: PerturbationTrace | None = None,
@@ -121,7 +121,6 @@ class ArrivalSimulator:
     ) -> None:
         self.arbitrator = arbitrator
         self.job_factory = job_factory
-        self.verify = verify
         self.audit = audit
         self.trace = trace
         self.reconfig = reconfig
@@ -245,13 +244,12 @@ class ArrivalSimulator:
         if decision.admitted and decision.placement is not None:
             cp = decision.placement
             deadline = job.release + cp.chain.final_deadline
-            if self.verify:
-                cp.validate()
-                if cp.finish > deadline:
-                    raise ScheduleConsistencyError(
-                        f"admitted job {job.job_id} finishes at {cp.finish} "
-                        f"past its deadline {deadline}"
-                    )
+            cp.validate()
+            if cp.finish > deadline:
+                raise ScheduleConsistencyError(
+                    f"admitted job {job.job_id} finishes at {cp.finish} "
+                    f"past its deadline {deadline}"
+                )
             driver = self.driver
             if driver is not None:
                 overrun = self._overruns.get(seq)
@@ -316,8 +314,7 @@ class ArrivalSimulator:
         if self._resizing:
             for job_id, finish in driver.live_finishes():
                 heapq.heappush(heap, (finish, _RESIZE, job_id))
-        if self.verify:
-            driver.check_consistency()
+        driver.check_consistency()
         if self.audit:
             self._run_audit(context)
 
@@ -343,9 +340,8 @@ def simulate_arrivals(
     job_factory: JobFactory,
     process: ArrivalProcess,
     n_jobs: int,
-    verify: bool = True,
     audit: bool = False,
 ) -> RunMetrics:
     """Convenience wrapper: run ``n_jobs`` arrivals from ``process``."""
-    sim = ArrivalSimulator(arbitrator, job_factory, verify=verify, audit=audit)
+    sim = ArrivalSimulator(arbitrator, job_factory, audit=audit)
     return sim.run(process.times(n_jobs))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.verify.auditor import (
     AUDIT_EPS,
-    AuditFailure,
     AuditReport,
     ScheduleAuditor,
     Violation,
@@ -31,7 +30,6 @@ from repro.verify.oracle import (
 
 __all__ = [
     "AUDIT_EPS",
-    "AuditFailure",
     "AuditReport",
     "ScheduleAuditor",
     "Violation",

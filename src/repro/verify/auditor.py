@@ -83,10 +83,6 @@ AUDIT_EPS: float = 1e-9
 _AREA_RTOL: float = 1e-9
 
 
-class AuditFailure(AssertionError):
-    """Raised by :meth:`AuditReport.raise_if_violations` on a dirty audit."""
-
-
 @dataclass(frozen=True, slots=True)
 class Violation:
     """One broken invariant, locatable and machine-checkable.
@@ -147,11 +143,6 @@ class AuditReport:
         lines = [f"audit found {len(self.violations)} violation(s):"]
         lines += [f"  {v}" for v in self.violations]
         return "\n".join(lines)
-
-    def raise_if_violations(self) -> None:
-        """Raise :class:`AuditFailure` when the audit is dirty."""
-        if not self.ok:
-            raise AuditFailure(self.summary())
 
 
 @dataclass
@@ -283,8 +274,8 @@ class ScheduleAuditor:
           the restart may begin no earlier than the resize instant plus
           the charged delay (and the delay itself must be non-negative);
         * **width discipline** (``resize.width``): the new width stays in
-          the declared ``[min_width, max_width]`` band and moves in the
-          direction the record claims (a grow widens, a shrink narrows).
+          the ``[1, max_width]`` band and moves in the direction the
+          record claims (a grow widens, a shrink narrows).
         """
         self._violations = []
         checked = 0
@@ -321,11 +312,10 @@ class ScheduleAuditor:
                     task,
                     rec.new_start,
                 )
-            if not rec.min_width <= rec.new_width <= rec.max_width:
+            if not 1 <= rec.new_width <= rec.max_width:
                 self._flag(
                     "resize.width",
-                    f"new width {rec.new_width}p outside "
-                    f"[{rec.min_width}, {rec.max_width}]",
+                    f"new width {rec.new_width}p outside [1, {rec.max_width}]",
                     job_id,
                     task,
                     rec.time,

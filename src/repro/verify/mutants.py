@@ -138,7 +138,6 @@ def _resize(**overrides) -> ResizeRecord:
         delay=1.0,
         old_width=2,
         new_width=3,
-        min_width=1,
         max_width=4,
         task_area=12.0,
         new_start=11.0,

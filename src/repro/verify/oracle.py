@@ -42,7 +42,7 @@ from typing import Sequence
 
 from repro.errors import ReproError
 from repro.model.job import Job
-from repro.model.quality import QualityComposition, chain_quality
+from repro.model.quality import chain_quality
 
 __all__ = [
     "OracleLimits",
@@ -219,7 +219,6 @@ class _Search:
     grid: list[float]
     timeline: _Timeline
     limits: OracleLimits
-    composition: QualityComposition
     nodes: int = 0
     best_count: int = -1
     best_quality: float = -math.inf
@@ -269,7 +268,7 @@ class _Search:
             return
         job = self.jobs[index]
         for chain_index, chain in enumerate(job.chains):
-            q = chain_quality(chain, self.composition)
+            q = chain_quality(chain)
             self._admitted[job.job_id] = chain_index
             self._quality += q
             self._branch_task(index, chain_index, 0, job.release)
@@ -324,7 +323,6 @@ def exhaustive_best(
     jobs: Sequence[Job],
     capacity: int,
     limits: OracleLimits | None = None,
-    composition: QualityComposition = QualityComposition.PRODUCT,
 ) -> OracleSolution:
     """Optimal admitted set for ``jobs`` on a ``capacity``-processor machine.
 
@@ -345,6 +343,5 @@ def exhaustive_best(
         grid=grid,
         timeline=_Timeline(capacity),
         limits=limits,
-        composition=composition,
     )
     return search.run()

@@ -29,7 +29,6 @@ from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
-from repro.model.quality import QualityComposition
 from repro.model.task import TaskSpec
 from repro.resilience.events import CapacityEvent
 from repro.verify.fuzz import (
@@ -61,7 +60,7 @@ def _state(arbitrator: QoSArbitrator) -> tuple:
         tuple(profile._avail),  # noqa: SLF001
         arbitrator.admitted,
         arbitrator.rejected,
-        dict(arbitrator.admission.decisions_by_chain),
+        dict(arbitrator.decisions_by_chain),
         arbitrator._quality_sum,  # noqa: SLF001
         arbitrator._quality_possible,  # noqa: SLF001
         arbitrator.utilization(),
@@ -202,21 +201,18 @@ def test_malleable_batch_falls_back_yet_matches(kmode):
 
 
 @pytest.mark.parametrize("kmode", KERNEL_MODES)
-@pytest.mark.parametrize("comp", tuple(QualityComposition))
-def test_max_quality_objective_batch_matches(kmode, comp):
+def test_max_quality_objective_batch_matches(kmode):
     with kernels.use(kmode):
         for seed in range(5):
             case = random_case(random.Random(seed))
             a = QoSArbitrator(
                 case.capacity,
                 objective=ArbitrationObjective.MAX_QUALITY,
-                quality_composition=comp,
                 seed=_RANDOM_POLICY_SEED,
             )
             b = QoSArbitrator(
                 case.capacity,
                 objective=ArbitrationObjective.MAX_QUALITY,
-                quality_composition=comp,
                 seed=_RANDOM_POLICY_SEED,
             )
             for job in case.jobs:
@@ -564,14 +560,13 @@ def _long_chain_jobs(rng: random.Random, n_tasks: int, n_jobs: int) -> list[Job]
 
 
 @pytest.mark.parametrize("kmode", KERNEL_MODES)
-@pytest.mark.parametrize("comp", tuple(QualityComposition))
 @pytest.mark.parametrize("n_tasks", (1, 3, 9))
-def test_float_accumulators_bit_equal_to_serial(kmode, comp, n_tasks):
+def test_float_accumulators_bit_equal_to_serial(kmode, n_tasks):
     """Sums of three or more terms are where an out-of-order reduction
     (``np.add.reduceat``) parts from the serial left-to-right additions."""
     jobs = _long_chain_jobs(random.Random(n_tasks), n_tasks, 120)
     serial, batch = (  # scalar: the serial loop's own Python additions
-        QoSArbitrator(8, quality_composition=comp, backend=backend)
+        QoSArbitrator(8, backend=backend)
         for backend in ("scalar", "auto")
     )
     for job in jobs:
@@ -588,7 +583,7 @@ def test_float_accumulators_bit_equal_to_serial(kmode, comp, n_tasks):
     # admitted at one task a chain, partly at three and nine) and a partly
     # admitted large one all book ``committed_area`` / ``last_finish`` from
     # the kernel's finish and area columns, which hold admitted rows only.
-    split = QoSArbitrator(8, quality_composition=comp)
+    split = QoSArbitrator(8)
     with kernels.use(kmode):
         sizes = [len(split.admit_batch(part)) for part in (jobs[:1], jobs[1:8], jobs[8:])]
     assert sizes == [1, 7, len(jobs) - 8]

@@ -27,7 +27,6 @@ from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
 from repro.model.chain import TaskChain
 from repro.model.job import Job
-from repro.model.quality import QualityComposition
 from repro.model.task import TaskSpec
 from repro.verify.fuzz import random_flood
 from tests.core.test_admit_batch import KERNEL_MODES, _one_task, _state, needs_compiled
@@ -108,11 +107,8 @@ class _Pair:
         case = random_flood(rng, min_jobs=150, max_jobs=300)
         self.jobs = _sharing(rng, list(case.jobs))
         self.at = 0
-        comp = rng.choice(tuple(QualityComposition))
-        self.auto = QoSArbitrator(case.capacity, quality_composition=comp)
-        self.ref = QoSArbitrator(
-            case.capacity, quality_composition=comp, backend="scalar"
-        )
+        self.auto = QoSArbitrator(case.capacity)
+        self.ref = QoSArbitrator(case.capacity, backend="scalar")
         self.reserved: list[tuple[float, float, int]] = []
         self.refused: Job | None = None  # counted rejected once, by a submit
 
@@ -399,7 +395,7 @@ def test_error_status_leaves_the_live_state_untouched(
         def accounting():
             return (
                 auto._quality_sum, auto._quality_possible,  # noqa: SLF001
-                dict(auto.admission.decisions_by_chain),
+                dict(auto.decisions_by_chain),
                 auto.schedule.committed_area, auto.schedule.last_finish,
             )
 
@@ -771,8 +767,7 @@ def _spy_flatten(monkeypatch) -> list[int]:
 
 
 @needs_compiled
-@pytest.mark.parametrize("comp", tuple(QualityComposition))
-def test_a_twin_right_after_the_shared_tuple_is_packed_again(monkeypatch, comp):
+def test_a_twin_right_after_the_shared_tuple_is_packed_again(monkeypatch):
     """A one-job call offering the staged tuple rewrites the release cell
     only; one offering an equal but distinct tuple (``0.0 == -0.0``) is
     packed, and from then on that tuple is the staged one."""
@@ -782,8 +777,8 @@ def test_a_twin_right_after_the_shared_tuple_is_packed_again(monkeypatch, comp):
     jobs = [Job(chains=c, release=0.5 * k, job_id=k) for k, c in enumerate(order)]
     packed = _spy_flatten(monkeypatch)
     with kernels.use("compiled"):
-        auto = QoSArbitrator(4, quality_composition=comp)
-        ref = QoSArbitrator(4, quality_composition=comp, backend="scalar")
+        auto = QoSArbitrator(4)
+        ref = QoSArbitrator(4, backend="scalar")
         for job in jobs:
             assert auto.submit(job) == ref.submit(job)
             _assert_staged(auto, [job])
@@ -904,7 +899,7 @@ def test_one_profile_adopted_by_two_arbitrators_gets_each_ones_flags(differ):
             c = mine.schedule.profile._ctx.c  # noqa: SLF001
             assert (c.policy, c.do_compact) == (
                 kernel_batch._POLICY_CODES[mine.scheduler.policy],  # noqa: SLF001
-                mine.admission.compact,
+                mine.compact,
             )
         assert [_bits(a) for a in (first, second)] == [
             _bits(a) for a in (ref_first, ref_second)

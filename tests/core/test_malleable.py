@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.malleable import MalleableScheduler, MalleableStrategy
 from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
-from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
@@ -92,22 +91,13 @@ class TestWidestFirst:
         assert (pl.processors, pl.duration) == (4, 2.0)
 
     def test_reshape_down_to_the_width_floor(self):
-        """With exactly min_processors free the task runs that narrow."""
-        s = Schedule(8)
-        s.profile.reserve(0.0, 1000.0, 6)
-        m = MalleableScheduler(s, min_processors=2)
-        pl = m.place_chain(chain(task("a", 4, 2.0, 50.0)), release=0.0).placements[0]
-        assert (pl.processors, pl.duration) == (2, 4.0)
-
-    def test_min_processors_enforced(self):
+        """With one processor free the task runs on that one (§5.4: any
+        width up to its degree of concurrency)."""
         s = Schedule(8)
         s.profile.reserve(0.0, 1000.0, 7)
-        m = MalleableScheduler(s, min_processors=2)
-        assert m.place_chain(chain(task("a", 4, 2.0, 50.0)), release=0.0) is None
-
-    def test_min_processors_validation(self):
-        with pytest.raises(ConfigurationError):
-            MalleableScheduler(Schedule(4), min_processors=0)
+        m = MalleableScheduler(s)
+        pl = m.place_chain(chain(task("a", 4, 2.0, 50.0)), release=0.0).placements[0]
+        assert (pl.processors, pl.duration) == (1, 8.0)
 
     def test_widest_first_prefers_width_over_finish(self):
         """The literal reading: first *feasible* from the top, even if a
@@ -158,14 +148,16 @@ class TestEarliestFinishStrategy:
         assert pl.processors == 2
         assert (pl.start, pl.end) == (6.0, 9.0)
 
-    def test_degenerate_band_min_processors_equals_width_cap(self):
-        """A single-width band must still place (and pick that width)."""
+    def test_degenerate_band_min_width_equals_width_cap(self):
+        """A single-width band (a resize's ``first_min_width`` at the
+        task's cap) must still place, and pick that width."""
         s = Schedule(3)
         s.profile.reserve(0.0, 8.0, 1)  # widest-only fit starts at 8
-        m = MalleableScheduler(
-            s, strategy=MalleableStrategy.EARLIEST_FINISH, min_processors=3
+        m = MalleableScheduler(s, strategy=MalleableStrategy.EARLIEST_FINISH)
+        cp = m.resize_placement(
+            chain(task("a", 3, 2.0, 100.0)), release=0.0, earliest=0.0,
+            first_min_width=3,
         )
-        cp = m.place_chain(chain(task("a", 3, 2.0, 100.0)), release=0.0)
         pl = cp.placements[0]
         assert pl.processors == 3
         assert pl.start == pytest.approx(8.0)

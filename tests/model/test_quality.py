@@ -1,4 +1,4 @@
-"""Unit tests for quality composition."""
+"""Unit tests for quality composition: the product of the task qualities."""
 
 import pytest
 from hypothesis import given
@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from repro.core.resources import ProcessorTimeRequest
 from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
-from repro.model.quality import (
-    QualityComposition,
-    chain_quality,
-    compose_min,
-    compose_product,
-    compose_sum,
-)
+from repro.model.quality import chain_quality, compose_product
 from repro.model.task import TaskSpec
 
 
@@ -30,28 +24,16 @@ class TestCompositions:
     def test_product(self):
         assert compose_product([0.5, 0.8]) == pytest.approx(0.4)
 
-    def test_min(self):
-        assert compose_min([0.5, 0.8, 0.9]) == 0.5
-
-    def test_mean(self):
-        assert compose_sum([0.5, 0.7]) == pytest.approx(0.6)
-
     def test_empty_rejected(self):
-        for fn in (compose_product, compose_min, compose_sum):
-            with pytest.raises(ConfigurationError):
-                fn([])
+        with pytest.raises(ConfigurationError):
+            compose_product([])
 
-    def test_chain_quality_dispatch(self):
-        c = chain_with_qualities(0.5, 0.8)
-        assert chain_quality(c) == pytest.approx(0.4)
-        assert chain_quality(c, QualityComposition.MIN) == 0.5
-        assert chain_quality(c, QualityComposition.MEAN) == pytest.approx(0.65)
-
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-    def test_product_bounded_by_min(self, qs):
-        assert compose_product(qs) <= compose_min(qs) + 1e-12
+    def test_chain_quality_is_the_left_to_right_product(self):
+        """A path's quality is ``1.0`` times each task's, left to right:
+        the operation order the C loop repeats, so both add equal bits."""
+        c = chain_with_qualities(0.3, 0.7, 0.9)
+        assert chain_quality(c) == ((1.0 * 0.3) * 0.7) * 0.9
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-    def test_all_compositions_in_unit_interval(self, qs):
-        for fn in (compose_product, compose_min, compose_sum):
-            assert 0.0 <= fn(qs) <= 1.0 + 1e-12
+    def test_product_in_unit_interval(self, qs):
+        assert 0.0 <= compose_product(qs) <= 1.0

@@ -5,7 +5,6 @@ import pytest
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.resources import ProcessorTimeRequest
 from repro.model.chain import TaskChain
-from repro.model.quality import QualityComposition
 from repro.model.task import TaskSpec
 from repro.qos.contract import ResourceContract
 
@@ -44,7 +43,6 @@ class TestContract:
 
     def test_quality(self, contract):
         assert contract.quality() == pytest.approx(0.4)
-        assert contract.quality(QualityComposition.MIN) == pytest.approx(0.5)
 
     def test_task_schedule(self, contract):
         rows = contract.task_schedule()

@@ -372,7 +372,6 @@ class TestSimulatorEventOrder:
         metrics = ArrivalSimulator(
             QoSArbitrator(16, malleable=True, keep_placements=True),
             lambda i, release: params.tunable_job(release),
-            verify=True,
             trace=jittered,
             reconfig=ReconfigEngine(ResizePolicy.GROW_SHRINK),
         ).run(arrivals)

@@ -45,7 +45,7 @@ def _factory(system="tunable"):
     return lambda i, release: PARAMS.rigid_job(int(system[-1]), release)
 
 
-def _perturbed_run(system="tunable", seed=SEED, n=N, model=MODEL, verify=True):
+def _perturbed_run(system="tunable", seed=SEED, n=N, model=MODEL):
     arrivals = _arrivals(seed, n)
     trace = generate_trace(
         model,
@@ -56,7 +56,7 @@ def _perturbed_run(system="tunable", seed=SEED, n=N, model=MODEL, verify=True):
     )
     arbitrator = QoSArbitrator(P, keep_placements=True)
     metrics = ArrivalSimulator(
-        arbitrator, _factory(system), verify=verify, trace=trace
+        arbitrator, _factory(system), trace=trace
     ).run(arrivals)
     return metrics, trace
 
@@ -101,10 +101,10 @@ class TestEmptyTraceIdentity:
 class TestReplayDeterminism:
     def test_same_trace_twice_identical_metrics(self):
         """Property: replaying the identical trace yields identical
-        metrics, with every placement verified after every event
-        (verify=True audits the schedule and all live placements)."""
-        first, trace_a = _perturbed_run(verify=True)
-        second, trace_b = _perturbed_run(verify=True)
+        metrics, with every placement verified after every event (every
+        perturbed run checks the schedule and all live placements)."""
+        first, trace_a = _perturbed_run()
+        second, trace_b = _perturbed_run()
         assert trace_a == trace_b
         assert trace_a.capacity_events  # the trace actually perturbs
         assert trace_a.overruns

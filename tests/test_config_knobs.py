@@ -1,4 +1,4 @@
-"""Knob regrowth guard: every config field names who sets it.
+"""Knob regrowth guards: every config field and constructor option has a user.
 
 Each of :class:`ServiceConfig`, :class:`SweepConfig` and
 :class:`RunnerConfig` ends its docstring with one bullet per field,
@@ -7,18 +7,29 @@ field off its default: a chaos scenario, an e2e workload of
 ``BENCHMARK.json``, a committed table (an experiment id), an option of
 ``python -m repro.experiments`` or a script under ``tools/``.  A field
 without such a user is a knob to delete, not to document.
+
+The constructors on the decision path (:class:`QoSArbitrator`,
+:class:`MalleableScheduler`, :class:`QoSAgent`) get the same rule from
+the call sites: every optional parameter is passed by keyword somewhere
+in ``src/``, ``tools/``, ``examples/`` or ``benchmarks/``.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import repro.core.baselines  # noqa: F401 - defines arbitrator subclasses
+from repro.core.arbitrator import QoSArbitrator
+from repro.core.malleable import MalleableScheduler
 from repro.experiments.__main__ import _build_parser
+from repro.qos.agent import QoSAgent
 from repro.experiments.registry import EXPERIMENTS
 from repro.runner import RunnerConfig
 from repro.service.chaos import SCENARIOS
@@ -81,3 +92,36 @@ def test_a_chaos_scenario_named_for_a_service_field_sets_it():
             if user in by_name:
                 config = by_name[user].config(8)
                 assert getattr(config, name) != getattr(defaults, name), (name, user)
+
+
+def _with_subclasses(cls) -> set[str]:
+    names = {cls.__name__}
+    for sub in cls.__subclasses__():
+        names |= _with_subclasses(sub)
+    return names
+
+
+def _keywords_passed(class_names: set[str]) -> set[str]:
+    """Every keyword passed by name to a call of one of ``class_names``."""
+    passed: set[str] = set()
+    for top in ("src", "tools", "examples", "benchmarks"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in class_names:
+                    passed.update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
+@pytest.mark.parametrize(
+    "cls", [QoSArbitrator, MalleableScheduler, QoSAgent], ids=lambda c: c.__name__
+)
+def test_every_constructor_option_is_passed_by_some_caller(cls):
+    params = inspect.signature(cls.__init__).parameters.values()
+    optional = [p.name for p in params if p.default is not inspect.Parameter.empty]
+    passed = _keywords_passed(_with_subclasses(cls))
+    unused = [name for name in optional if name not in passed]
+    assert not unused, f"{cls.__name__} options no caller passes: {unused}"

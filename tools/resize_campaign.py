@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Nightly malleable-resize campaign: verified grow/shrink under rotation.
 
-Runs the committed reconfig fault regime across many seeds with full
-per-event verification (the simulator audits every resize against the
-strict invariants as it happens) and cross-checks the resize ledger's
+Runs the committed reconfig fault regime across many seeds with
+per-event checking (after every resize the simulator re-checks the
+schedule's profile invariants and capacity and every live placement's
+release, precedence and deadlines) and cross-checks the resize ledger's
 internal consistency plus the disabled-engine identity on each seed.
 A PR gate affords one seed (see bench-smoke's resize-sweep step); the
 nightly sweep rotates the base seed so the fuzzed surface keeps moving.
@@ -47,7 +48,10 @@ def campaign_config(seed: int) -> SweepConfig:
 def check_seed(seed: int) -> list[str]:
     failures: list[str] = []
     config = campaign_config(seed)
-    on = run_point(config, "tunable")  # verify=True: audits every resize
+    # After each resize the simulator runs driver.check_consistency():
+    # profile invariants and capacity, and every live placement's
+    # release, precedence and deadlines.  Raises on the first violation.
+    on = run_point(config, "tunable")
     r = on.resilience
     if r["resizes"] != r["grows"] + r["shrinks"]:
         failures.append(f"seed {seed}: resize count mismatch: {r}")
