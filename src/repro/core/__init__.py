@@ -12,7 +12,7 @@ Section 5 of the paper:
 * :mod:`repro.core.arbitrator` — the system-level QoS arbitrator and its
   admission control (Section 3); :mod:`repro.core.admission` — the
   decision it answers with.
-* :mod:`repro.core.baselines` — EDF and conservative-reservation baselines.
+* :mod:`repro.core.baselines` — the best-fit baseline scheduler.
 """
 
 from repro.core.resources import TIME_LIMIT, TIME_STEP, ProcessorTimeRequest

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 from repro.core.placement import ChainPlacement, slot_setters
 
-__all__ = ["AdmissionDecision"]
+__all__ = ["AdmissionDecision", "NO_FIT"]
+
+#: The refusal reason of a job none of whose configurations is schedulable.
+NO_FIT = "no schedulable configuration"
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -13,7 +13,7 @@ scheduler and the admission accounting (Section 3.1: "upon job arrival,
 the QoS arbitrator first performs admission control"), and exposes job
 submission plus running metrics.  Admission is all-or-nothing at arrival
 under the static negotiation model: a job none of whose configurations
-passes the rule's filter is rejected and never retried, and an admitted
+passes the objective's filter is rejected and never retried, and an admitted
 job's placement is committed at once and never revoked.  QoS *agents*
 (:mod:`repro.qos.agent`) negotiate with it on behalf of applications.
 """
@@ -22,32 +22,21 @@ from __future__ import annotations
 
 import random
 import time
-from enum import Enum
 from typing import Sequence
 
 from repro.core import kernels
-from repro.core.admission import AdmissionDecision
+from repro.core.admission import NO_FIT, AdmissionDecision
 from repro.core.kernels import batch as kernel_batch
 from repro.core.greedy import GreedyScheduler
 from repro.core.malleable import MalleableScheduler, MalleableStrategy
-from repro.core.placement import ChainPlacement
-from repro.core.policies import TieBreakPolicy, select_candidate
+from repro.core.policies import ArbitrationObjective, TieBreakPolicy
+from repro.core.profile import PROFILE_BACKENDS
 from repro.core.schedule import Schedule
+from repro.errors import ConfigurationError
 from repro.model.job import Job
 from repro.model.quality import chain_quality
 
 __all__ = ["ArbitrationObjective", "QoSArbitrator"]
-
-
-class ArbitrationObjective(Enum):
-    """What the arbitrator optimizes when choosing among a job's paths."""
-
-    #: Earliest finish time with the paper's tie-breaks (Section 5.2).
-    EARLIEST_FINISH = "earliest-finish"
-    #: First maximize achieved path quality, then earliest finish — the
-    #: "in practice" objective of Section 5.1 ("the issue then is of
-    #: maximizing the achieved job quality").
-    MAX_QUALITY = "max-quality"
 
 
 class QoSArbitrator:
@@ -61,7 +50,9 @@ class QoSArbitrator:
         Select the Section 5.4 malleable placement model instead of the
         rigid Section 5.3 model.
     objective:
-        Path-choice objective (see :class:`ArbitrationObjective`).
+        Path-choice objective (see
+        :class:`~repro.core.policies.ArbitrationObjective`), handed to the
+        scheduler, which applies it to admissions and re-plans alike.
     policy:
         Tie-break policy inside the earliest-finish criterion.
     strategy:
@@ -75,11 +66,12 @@ class QoSArbitrator:
         allocations.  Requires non-decreasing releases; a decreasing one
         raises from the profile layer.
     backend:
-        Who decides a ``submit``: ``"auto"`` (default) — the C admission
-        loop whenever it takes the configuration, the Python reference
-        otherwise; ``"scalar"`` — always the reference, the differential
-        oracle.  Decisions are bit-identical (``docs/perf.md``, "Who
-        decides, who scans").
+        Who decides a ``submit``, one of
+        :data:`~repro.core.profile.PROFILE_BACKENDS`: ``"auto"`` (default)
+        — the C admission loop whenever it takes the configuration, the
+        Python reference otherwise; ``"scalar"`` — always the reference,
+        the differential oracle.  Decisions are bit-identical
+        (``docs/perf.md``, "Who decides, who scans").
     seed:
         Seed for the RANDOM tie-break policy only, which requires one.
     """
@@ -97,17 +89,25 @@ class QoSArbitrator:
         backend: str = "auto",
         seed: int | None = None,
     ) -> None:
-        self.schedule = Schedule(
-            capacity, keep_placements=keep_placements, backend=backend
-        )
+        if backend not in PROFILE_BACKENDS:
+            raise ConfigurationError(
+                f"backend must be one of {PROFILE_BACKENDS}, got {backend!r}"
+            )
+        self.schedule = Schedule(capacity, keep_placements=keep_placements)
         rng = random.Random(seed) if seed is not None else None
         if malleable:
             self.scheduler: GreedyScheduler = MalleableScheduler(
-                self.schedule, policy=policy, strategy=strategy, rng=rng
+                self.schedule,
+                policy=policy,
+                strategy=strategy,
+                rng=rng,
+                objective=objective,
             )
         else:
-            self.scheduler = GreedyScheduler(self.schedule, policy=policy, rng=rng)
-        self.objective = objective
+            self.scheduler = GreedyScheduler(
+                self.schedule, policy=policy, rng=rng, objective=objective
+            )
+        self.backend = backend
         self.compact = compact
         #: Jobs admitted and rejected so far, and admissions per
         #: configuration index.
@@ -123,6 +123,11 @@ class QoSArbitrator:
     def capacity(self) -> int:
         """Number of processors managed."""
         return self.schedule.capacity
+
+    @property
+    def objective(self) -> ArbitrationObjective:
+        """The path-choice objective; the scheduler's, which applies it."""
+        return self.scheduler.objective
 
     @property
     def malleable(self) -> bool:
@@ -199,43 +204,27 @@ class QoSArbitrator:
         """Whether the C admission loop implements this configuration
         (the arbitrator's half of "What the C loop does not take" in
         :mod:`repro.core.kernels.batch`)."""
+        scheduler = self.scheduler
         return (
-            self.objective is ArbitrationObjective.EARLIEST_FINISH
-            and type(self.scheduler) is GreedyScheduler
-            and self.scheduler.policy is not TieBreakPolicy.RANDOM
+            scheduler.objective is ArbitrationObjective.EARLIEST_FINISH
+            and type(scheduler) is GreedyScheduler
+            and scheduler.policy is not TieBreakPolicy.RANDOM
         )
-
-    #: Why a job the rule's filter leaves no configuration for is refused.
-    _refusal = "no schedulable configuration"
-
-    def _admissible(
-        self, job: Job, cands: list[ChainPlacement]
-    ) -> list[ChainPlacement]:
-        """The rule's filter: which of ``job``'s schedulable configurations
-        go to the tie-break.  EARLIEST_FINISH keeps all of them;
-        MAX_QUALITY keeps those of the highest path quality."""
-        if self.objective is ArbitrationObjective.MAX_QUALITY and cands:
-            best_q = max(chain_quality(c.chain) for c in cands)
-            return [c for c in cands if chain_quality(c.chain) == best_q]
-        return cands
 
     def _offer(self, job: Job) -> AdmissionDecision:
         """Decide ``job`` in Python, then account for it: compact →
-        ``candidates`` → the rule's filter → ``select_candidate`` →
-        ``commit`` → count.  Every accumulator moves after the commit, so
-        a decision that raises leaves them where they were."""
+        ``scheduler.schedule_job`` → count.  Every accumulator moves after
+        the commit, so a decision that raises leaves them where they were."""
         if self.compact:
             self.schedule.compact(job.release)
-        scheduler = self.scheduler
-        top = self._admissible(job, scheduler.candidates(job))
-        chosen: ChainPlacement | None = None
-        if top:
-            chosen = select_candidate(top, scheduler.policy, scheduler.rng)
-            self.schedule.commit(chosen)
+        chosen = self.scheduler.schedule_job(job)
         self._quality_possible += job.best_quality()
         if chosen is None:
             self.rejected += 1
-            return AdmissionDecision(job.job_id, False, None, reason=self._refusal)
+            reason = NO_FIT
+            if self.objective is ArbitrationObjective.CONSERVATIVE:
+                reason = "conservative: not every configuration schedulable"
+            return AdmissionDecision(job.job_id, False, None, reason=reason)
         self.admitted += 1
         by_chain = self.decisions_by_chain
         by_chain[chosen.chain_index] = by_chain.get(chosen.chain_index, 0) + 1
@@ -249,7 +238,7 @@ class QoSArbitrator:
         :meth:`_offer`."""
         t0 = time.perf_counter()
         try:
-            if self._c_loop_eligible() and self.schedule.profile.backend != "scalar":
+            if self._c_loop_eligible() and self.backend != "scalar":
                 decisions = kernel_batch.try_admit_batch_compiled(self, (job,))
                 if decisions is not None:
                     return decisions[0]  # accounted by the write-back

@@ -1,30 +1,23 @@
-"""Baseline and ablation schedulers.
+"""Baseline schedulers.
 
-These are *not* in the paper's evaluation but contextualize the greedy
-heuristic, as called for by the related-work discussion (Section 6):
-
-* :class:`BestFitScheduler` — replaces the first-fit (earliest start) rule
-  with best-fit over maximal holes (tightest height surplus, then earliest
-  start).  The ablation bench measures what first-fit costs/buys.
-* :class:`ConservativeArbitrator` — a real-time-style admission control
-  that does not trust the negotiation step: it admits a tunable job only if
-  *every* configuration is schedulable (so any path the application might
-  take is safe).  This models the "overly conservative" behaviour the
-  introduction attributes to classical real-time resource management and
-  quantifies what negotiated tunability saves.
+:class:`BestFitScheduler` is *not* in the paper's evaluation but
+contextualizes the greedy heuristic, as called for by the related-work
+discussion (Section 6): it replaces the first-fit (earliest start) rule
+with best-fit over maximal holes (tightest height surplus, then earliest
+start).  The ``ablation-fit`` experiment measures what first fit
+costs/buys.  The conservative admission baseline is an objective,
+:attr:`~repro.core.policies.ArbitrationObjective.CONSERVATIVE`.
 """
 
 from __future__ import annotations
 
-from repro.core.arbitrator import QoSArbitrator
 from repro.core.first_fit import earliest_fit
 from repro.core.greedy import GreedyScheduler
 from repro.core.holes import maximal_holes
 from repro.core.placement import ChainPlacement, Placement
 from repro.model.chain import TaskChain
-from repro.model.job import Job
 
-__all__ = ["BestFitScheduler", "ConservativeArbitrator"]
+__all__ = ["BestFitScheduler"]
 
 
 class BestFitScheduler(GreedyScheduler):
@@ -81,25 +74,3 @@ class BestFitScheduler(GreedyScheduler):
             placements=tuple(placements),
             release=release,
         )
-
-
-class ConservativeArbitrator(QoSArbitrator):
-    """Admission requires *all* configurations schedulable (see module docs).
-
-    Once admitted, the job still gets the paper's best configuration — the
-    penalty is purely on admission, isolating the value of the negotiation
-    step that lets the arbitrator pin the application to one path.  The
-    filter is the arbitrator's one decide-and-account path with a stricter
-    rule; the C admission loop has no such rule, so every decision here is
-    the Python reference's.
-    """
-
-    _refusal = "conservative: not every configuration schedulable"
-
-    def _admissible(
-        self, job: Job, cands: list[ChainPlacement]
-    ) -> list[ChainPlacement]:
-        return cands if len(cands) == len(job.chains) else []
-
-    def _c_loop_eligible(self) -> bool:
-        return False

@@ -15,11 +15,15 @@ under the committed profile — which is why "under the assumptions of our
 task model, the heuristic finds the job configuration which achieves the
 earliest finish time."
 
-Candidate search
-----------------
-:meth:`GreedyScheduler.choose` is the paper's one loop: every
-configuration is probed, and :func:`~repro.core.policies.select_candidate`
-picks among the schedulable ones.  Two necessary-condition filters stand
+Decision
+--------
+:meth:`GreedyScheduler.schedule_job` is the one Python decision, for an
+admission and for a re-plan alike: every configuration is probed
+(:meth:`~GreedyScheduler.candidates`), the
+:class:`~repro.core.policies.ArbitrationObjective` keeps the eligible
+ones (:meth:`~GreedyScheduler._admissible`),
+:func:`~repro.core.policies.select_candidate` tie-breaks among them and
+the winner is committed.  Two necessary-condition filters stand
 in front of the first-fit walk and only ever turn a doomed walk into a
 cheap rejection: :meth:`GreedyScheduler._quick_reject` (a task wider than
 the machine, or a chain that misses a deadline even on an idle one) and
@@ -34,11 +38,12 @@ import random
 
 from repro.core.first_fit import earliest_fit
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.policies import TieBreakPolicy, select_candidate
+from repro.core.policies import ArbitrationObjective, TieBreakPolicy, select_candidate
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
+from repro.model.quality import chain_quality
 
 __all__ = ["GreedyScheduler"]
 
@@ -55,6 +60,9 @@ class GreedyScheduler:
         Tie-break rule among equally-early-finishing configurations.
     rng:
         Only used by :attr:`TieBreakPolicy.RANDOM`, which requires it.
+    objective:
+        Which schedulable configurations are eligible (see
+        :class:`~repro.core.policies.ArbitrationObjective`).
     """
 
     def __init__(
@@ -62,12 +70,14 @@ class GreedyScheduler:
         schedule: Schedule,
         policy: TieBreakPolicy = TieBreakPolicy.PAPER,
         rng: random.Random | None = None,
+        objective: ArbitrationObjective = ArbitrationObjective.EARLIEST_FINISH,
     ) -> None:
         if policy is TieBreakPolicy.RANDOM and rng is None:
             raise ConfigurationError("TieBreakPolicy.RANDOM needs a seed or rng")
         self.schedule = schedule
         self.policy = policy
         self.rng = rng
+        self.objective = objective
 
     # ------------------------------------------------------------------
 
@@ -161,16 +171,28 @@ class GreedyScheduler:
                 out.append(cp)
         return out
 
-    def choose(self, job: Job) -> ChainPlacement | None:
-        """Best schedulable configuration of ``job`` (not committed)."""
-        cands = self.candidates(job)
-        if not cands:
-            return None
-        return select_candidate(cands, self.policy, self.rng)
+    def _admissible(
+        self, job: Job, cands: list[ChainPlacement]
+    ) -> list[ChainPlacement]:
+        """The objective's filter: which of ``job``'s schedulable
+        configurations go to the tie-break.  EARLIEST_FINISH keeps all of
+        them, MAX_QUALITY those of the highest path quality, CONSERVATIVE
+        all of them only when every configuration is schedulable."""
+        objective = self.objective
+        if objective is ArbitrationObjective.MAX_QUALITY and cands:
+            best_q = max(chain_quality(c.chain) for c in cands)
+            return [c for c in cands if chain_quality(c.chain) == best_q]
+        if objective is ArbitrationObjective.CONSERVATIVE:
+            return cands if len(cands) == len(job.chains) else []
+        return cands
 
     def schedule_job(self, job: Job) -> ChainPlacement | None:
-        """Choose and *commit* the best configuration; ``None`` if rejected."""
-        chosen = self.choose(job)
-        if chosen is not None:
-            self.schedule.commit(chosen)
+        """Decide ``job`` and *commit* the winner; ``None`` if rejected:
+        ``candidates`` → the objective's filter → ``select_candidate`` →
+        ``commit``."""
+        top = self._admissible(job, self.candidates(job))
+        if not top:
+            return None
+        chosen = select_candidate(top, self.policy, self.rng)
+        self.schedule.commit(chosen)
         return chosen

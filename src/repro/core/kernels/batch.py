@@ -28,8 +28,9 @@ reference loop and counted in ``batch_fallbacks``:
 
 * ``TieBreakPolicy.RANDOM`` — consumes a Python RNG stream;
 * ``MalleableScheduler`` — reshaping is not implemented in C;
-* ``ArbitrationObjective.MAX_QUALITY`` — neither is quality-first choice;
-* ``ConservativeArbitrator`` — nor its every-configuration filter;
+* an objective other than ``ArbitrationObjective.EARLIEST_FINISH`` —
+  neither quality-first choice (``MAX_QUALITY``) nor the
+  every-configuration filter (``CONSERVATIVE``) is implemented in C;
 * a job with more than ``_MAX_CHAINS`` chains or a chain with more than
   ``_MAX_TASKS`` tasks — the per-job C scratch is sized by their product;
 * a task wider than ``_MAX_WIDTH`` processors — every cell of the record
@@ -37,9 +38,10 @@ reference loop and counted in ``batch_fallbacks``:
 * no compiled kernel (``REPRO_KERNEL=python``, or no C compiler);
 * a nonzero C status (a buffer overflow; cannot occur with the room
   :meth:`_Context.sync` guarantees);
-* ``submit`` (not ``admit_batch``) on ``backend="scalar"`` — the seed
-  semantics and the verify layer's oracle stay Python-decided, so every
-  differential test compares the C loop with something that is not it.
+* ``submit`` (not ``admit_batch``) on a ``QoSArbitrator(backend="scalar")``
+  — the seed semantics and the verify layer's oracle stay Python-decided,
+  so every differential test compares the C loop with something that is
+  not it.
 
 Context lifetime
 ----------------
@@ -120,7 +122,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core import kernels
-from repro.core.admission import AdmissionDecision
+from repro.core.admission import NO_FIT, AdmissionDecision
 from repro.core.kernels.compiled import Context
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy
@@ -445,7 +447,7 @@ def _apply_batch_results(
     n_admitted = counts[10]
     by_chain = arbitrator.decisions_by_chain
     rigid = Placement.rigid
-    refused = arbitrator._refusal  # noqa: SLF001
+    refused = NO_FIT  # the C loop decides only EARLIEST_FINISH
     if n_jobs == 1:
         # The serial path: item reads of the two columns, and the one row
         # booked with the kernel's finish and area as it is read.

@@ -28,7 +28,7 @@ from enum import Enum
 from repro.core.first_fit import earliest_fit
 from repro.core.greedy import GreedyScheduler
 from repro.core.placement import ChainPlacement, Placement
-from repro.core.policies import TieBreakPolicy
+from repro.core.policies import ArbitrationObjective, TieBreakPolicy
 from repro.core.schedule import Schedule
 from repro.model.chain import TaskChain
 from repro.model.task import TaskSpec
@@ -59,8 +59,9 @@ class MalleableScheduler(GreedyScheduler):
         policy: TieBreakPolicy = TieBreakPolicy.PAPER,
         strategy: MalleableStrategy = MalleableStrategy.WIDEST_FIRST_FEASIBLE,
         rng: random.Random | None = None,
+        objective: ArbitrationObjective = ArbitrationObjective.EARLIEST_FINISH,
     ) -> None:
-        super().__init__(schedule, policy, rng)
+        super().__init__(schedule, policy, rng, objective)
         self.strategy = strategy
 
     # ------------------------------------------------------------------
@@ -148,9 +149,9 @@ class MalleableScheduler(GreedyScheduler):
         ``first_max_width`` bound the leading task's new width (strictly
         wider than before for a grow, strictly narrower for a shrink).
         Downstream tasks reshape freely per the configured strategy.
-        Deadlines are checked against ``release`` exactly as in
-        :meth:`place_chain`; returns ``None`` when no feasible reshape
-        meets them.
+        Deadlines are relative to ``release``, not to ``earliest``;
+        returns ``None`` when no feasible reshape meets them.
+        :meth:`place_chain` is this with ``earliest=release`` and no band.
         """
         profile = self.schedule.profile
         cursor = max(earliest, release, profile.origin)
@@ -183,19 +184,6 @@ class MalleableScheduler(GreedyScheduler):
         chain_index: int = 0,
     ) -> ChainPlacement | None:
         """Tentatively place ``chain``, reshaping each task as allowed."""
-        profile = self.schedule.profile
-        earliest = max(release, profile.origin)
-        placements: list[Placement] = []
-        for task in chain.tasks:
-            pl = self._place_task(task, earliest, release + task.deadline)
-            if pl is None:
-                return None
-            placements.append(pl)
-            earliest = pl.end
-        return ChainPlacement(
-            job_id=job_id,
-            chain_index=chain_index,
-            chain=chain,
-            placements=tuple(placements),
-            release=release,
+        return self.resize_placement(
+            chain, release, release, job_id=job_id, chain_index=chain_index
         )

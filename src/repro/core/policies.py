@@ -1,6 +1,7 @@
-"""Configuration-choice policies (the tie-break rules of Section 5.2).
+"""Configuration-choice policies: the objective and the tie-break of Section 5.2.
 
-Among the schedulable configurations of a tunable job, the paper's greedy
+:class:`ArbitrationObjective` says which of a job's schedulable
+configurations are eligible at all.  Among those, the paper's greedy
 heuristic picks the one with the **earliest finish time**; "ties between
 schedulable configurations are broken in favor of chains which maximize
 system utilization (over a time window defined by the job's release time and
@@ -22,7 +23,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.core.placement import ChainPlacement
 
-__all__ = ["TieBreakPolicy", "select_candidate"]
+__all__ = ["ArbitrationObjective", "TieBreakPolicy", "select_candidate"]
+
+
+class ArbitrationObjective(Enum):
+    """What the arbitrator optimizes when choosing among a job's paths."""
+
+    #: Earliest finish time with the paper's tie-breaks (Section 5.2).
+    EARLIEST_FINISH = "earliest-finish"
+    #: First maximize achieved path quality, then earliest finish — the
+    #: "in practice" objective of Section 5.1 ("the issue then is of
+    #: maximizing the achieved job quality").
+    MAX_QUALITY = "max-quality"
+    #: A real-time-style baseline that does not trust the negotiation
+    #: step (not in the paper's evaluation): a job is admitted only if
+    #: *every* configuration is schedulable, so any path the application
+    #: might take is safe, and then gets the earliest finish.  It models
+    #: the "overly conservative" behaviour the introduction attributes to
+    #: classical real-time resource management; the penalty is purely on
+    #: admission, which isolates what negotiated tunability saves.
+    CONSERVATIVE = "conservative"
 
 
 class TieBreakPolicy(Enum):

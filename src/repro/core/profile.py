@@ -54,16 +54,15 @@ Who decides
 Whole decisions go through the C loop whenever it takes them (see "What
 the C loop does not take" in :mod:`repro.core.kernels.batch`), and that
 loop has its own walk over the context's arrays.  Everything else — the
-reference path (``backend="scalar"``, RANDOM tie-breaks, malleable
-chains, MAX_QUALITY, ``REPRO_KERNEL=python``) and point queries from
-outside the decision loop (``min_available``, ``free_area``, ``holes``)
-— reads the two lists with the per-segment Python walks in this module
-and :func:`~repro.core.first_fit.earliest_fit`.  The ``backend``
-constructor argument says who decides, never how a query is scanned:
-``"auto"`` (default) lets the C loop decide whatever it takes,
-``"scalar"`` keeps every ``submit`` on the reference.  Both make
-bit-identical decisions; ``docs/perf.md`` ("Who decides, who scans") has
-what the reference path costs on a deep profile.
+reference path (``QoSArbitrator(backend="scalar")``, RANDOM tie-breaks,
+malleable chains, MAX_QUALITY and CONSERVATIVE, ``REPRO_KERNEL=python``)
+and point queries from outside the decision loop (``min_available``,
+``free_area``, ``holes``) — reads the two lists with the per-segment
+Python walks in this module and
+:func:`~repro.core.first_fit.earliest_fit`.  Who decides is the
+arbitrator's choice, never the profile's; both deciders make
+bit-identical decisions, and ``docs/perf.md`` ("Who decides, who scans")
+has what the reference path costs on a deep profile.
 """
 
 from __future__ import annotations
@@ -80,8 +79,9 @@ __all__ = [
     "PROFILE_BACKENDS",
 ]
 
-#: Valid values for the ``backend`` constructor argument.  A tuple (and
-#: in this order) because ``benchmarks/e2e/layers.py`` reports
+#: Valid values for :class:`~repro.core.arbitrator.QoSArbitrator`'s
+#: ``backend`` argument.  A tuple (and in this order) because
+#: ``benchmarks/e2e/layers.py`` reports
 #: ``PROFILE_BACKENDS.index(profile.scan_backend())``; ROADMAP item 14
 #: removes that reader.
 PROFILE_BACKENDS = ("auto", "scalar")
@@ -97,13 +97,6 @@ class AvailabilityProfile:
     origin:
         The earliest instant described by the profile; all processors are
         free from ``origin`` onward in a fresh profile.
-    backend:
-        Who decides a ``submit`` on the schedule that owns this profile —
-        one of :data:`PROFILE_BACKENDS`.  ``"auto"`` (default): the C
-        admission loop whenever it takes the configuration, the Python
-        reference otherwise; ``"scalar"``: always the reference (the
-        differential oracle).  Decisions are bit-identical; queries on
-        the profile itself read the lists either way.
     """
 
     __slots__ = (
@@ -113,21 +106,14 @@ class AvailabilityProfile:
         "_ctx",
         "_dirty",
         "_prefix",
-        "_backend",
         "stats",
     )
 
-    def __init__(
-        self, capacity: int, origin: float = 0.0, backend: str = "auto"
-    ) -> None:
+    def __init__(self, capacity: int, origin: float = 0.0) -> None:
         if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity <= 0:
             raise ConfigurationError(f"capacity must be a positive int, got {capacity!r}")
         if math.isnan(origin) or math.isinf(origin):
             raise ConfigurationError(f"origin must be finite, got {origin!r}")
-        if backend not in PROFILE_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {PROFILE_BACKENDS}, got {backend!r}"
-            )
         self._capacity = capacity
         #: Kernel context of the C admission loop (None until its first
         #: call; owned by :mod:`repro.core.kernels.batch`) and whether its
@@ -138,8 +124,6 @@ class AvailabilityProfile:
         #: Cached free-area prefix sums; None whenever the profile mutated
         #: since the last area query (rebuilt lazily by :meth:`_ensure_prefix`).
         self._prefix: list[float] | None = None
-        #: Configured back-end (see class docs).
-        self._backend = backend
         #: Always-on operation counters (see :class:`repro.perf.ProfileStats`).
         self.stats = ProfileStats()
 
@@ -195,11 +179,6 @@ class AvailabilityProfile:
         return lst[0] if lst is not None else float(self._ctx.window()[0][0])
 
     @property
-    def backend(self) -> str:
-        """Configured back-end (who decides a ``submit``; see class docs)."""
-        return self._backend
-
-    @property
     def breakpoints(self) -> tuple[float, ...]:
         """The step-change instants, including the origin."""
         return tuple(self._times)
@@ -242,7 +221,6 @@ class AvailabilityProfile:
         new._times = list(self._times)
         new._avail = list(self._avail)
         new._prefix = None
-        new._backend = self._backend
         new.stats = ProfileStats()
         return new
 
@@ -251,7 +229,6 @@ class AvailabilityProfile:
         cls,
         capacity: int,
         segments: Sequence[tuple[float, int]],
-        backend: str = "auto",
     ) -> "AvailabilityProfile":
         """Build a profile from ``(start_time, available)`` pairs.
 
@@ -260,7 +237,7 @@ class AvailabilityProfile:
         """
         if not segments:
             raise ConfigurationError("from_segments requires at least one segment")
-        prof = cls(capacity, origin=segments[0][0], backend=backend)
+        prof = cls(capacity, origin=segments[0][0])
         times: list[float] = []
         avail: list[int] = []
         prev_t = -math.inf

@@ -52,12 +52,6 @@ class Schedule:
         simulations that only need aggregate metrics may disable this to
         keep memory flat; consistency auditing then only covers the profile
         invariants.
-    backend:
-        Passed to the owned availability profile (see
-        :class:`~repro.core.profile.AvailabilityProfile`): ``"auto"`` lets
-        the C admission loop decide what it takes, ``"scalar"`` keeps
-        every ``submit`` on the Python reference; decisions are
-        bit-identical.
     """
 
     def __init__(
@@ -65,9 +59,8 @@ class Schedule:
         capacity: int,
         origin: float = 0.0,
         keep_placements: bool = True,
-        backend: str = "auto",
     ) -> None:
-        self.profile = AvailabilityProfile(capacity, origin=origin, backend=backend)
+        self.profile = AvailabilityProfile(capacity, origin=origin)
         self.perf = PerfRecorder()
         self._keep = keep_placements
         self._placements: list[ChainPlacement] = []

@@ -15,9 +15,9 @@ from dataclasses import replace
 
 from repro.analysis.tables import format_table
 from repro.core.arbitrator import QoSArbitrator
-from repro.core.baselines import BestFitScheduler, ConservativeArbitrator
+from repro.core.baselines import BestFitScheduler
 from repro.core.malleable import MalleableStrategy
-from repro.core.policies import TieBreakPolicy
+from repro.core.policies import ArbitrationObjective, TieBreakPolicy
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
@@ -106,11 +106,13 @@ def ablation_conservative() -> str:
     """Negotiated admission vs all-paths-schedulable conservatism."""
     cfg = _base()
     rows = []
-    for label, cls in (
-        ("negotiated", QoSArbitrator),
-        ("conservative", ConservativeArbitrator),
+    for label, objective in (
+        ("negotiated", ArbitrationObjective.EARLIEST_FINISH),
+        ("conservative", ArbitrationObjective.CONSERVATIVE),
     ):
-        arb = cls(cfg.processors, keep_placements=False)
+        arb = QoSArbitrator(
+            cfg.processors, objective=objective, keep_placements=False
+        )
         streams = RandomStreams(cfg.seed)
         metrics = simulate_arrivals(
             arb,

@@ -169,9 +169,13 @@ class RenegotiationDriver:
     Parameters
     ----------
     arbitrator:
-        The live system; the driver re-plans through the arbitrator's own
-        scheduler (so the malleable model and tie-break policy carry over)
-        and swaps its schedule on capacity changes.
+        The live system.  A re-plan is a decision of the arbitrator's own
+        scheduler, :meth:`~repro.core.greedy.GreedyScheduler.schedule_job`,
+        the same method that decides a Python admission, so the
+        arbitrator's objective, malleable model and tie-break policy all
+        carry over (``docs/resilience.md``, "Who re-plans").  A resize
+        (:meth:`resize_remainder`) is a placement, not a decision.  The
+        driver swaps the arbitrator's schedule on capacity changes.
     """
 
     def __init__(self, arbitrator: QoSArbitrator) -> None:
@@ -285,7 +289,6 @@ class RenegotiationDriver:
             event.new_capacity,
             origin=tau,
             keep_placements=self.arbitrator.schedule.keeps_placements,
-            backend=self.arbitrator.schedule.profile.backend,
         )
         self.arbitrator.adopt_schedule(new_schedule)
         running = [
@@ -459,6 +462,11 @@ class RenegotiationDriver:
         caller to finalize or undo; on failure the original reservation is
         restored and ``None`` returned (the schedule is untouched either
         way until ``finalize()``).
+
+        A resize is a placement, not a decision: the path stays the one
+        the job holds, and only the leading width moves inside the band
+        the caller's resize policy chose, so there is no configuration to
+        filter or tie-break.
         """
         from repro.core.malleable import MalleableScheduler
 
@@ -582,9 +590,11 @@ class RenegotiationDriver:
           chain of the original job (rebased likewise) — the OR-graph
           flexibility the paper argues for.
 
-        The arbitrator's own scheduler picks among candidates (earliest
-        finish under its tie-break policy), so carried-over semantics match
-        admission.  On success the record's placement, quality and
+        The arbitrator's own scheduler decides among candidates with
+        :meth:`~repro.core.greedy.GreedyScheduler.schedule_job` — the
+        objective's filter, then earliest finish under the tie-break
+        policy — so a re-plan follows the rule that admitted the job.  It
+        is not an admission: nothing is compacted or counted.  On success the record's placement, quality and
         completed-prefix bookkeeping are updated; the interrupted portion
         of the old placement is charged to ``spent`` (and the discarded
         share to ``wasted``).

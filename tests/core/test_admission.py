@@ -1,7 +1,7 @@
 """Unit tests for admission control: the arbitrator's decide-and-account path."""
 
 from repro.core.arbitrator import QoSArbitrator
-from repro.core.baselines import ConservativeArbitrator
+from repro.core.policies import ArbitrationObjective
 from repro.core.resources import ProcessorTimeRequest
 from repro.model.chain import TaskChain
 from repro.model.job import Job
@@ -73,14 +73,14 @@ class TestOffer:
 def test_conservative_submit_probes_each_configuration_once():
     """One submit of an admitted n-chain job probes n chains and records
     one ``decision`` sample: the all-configurations filter reads the one
-    candidate search it shares with the arbitrator."""
+    candidate search of ``GreedyScheduler.schedule_job``."""
     chains = tuple(
         TaskChain(
             (TaskSpec(f"c{k}", ProcessorTimeRequest(k + 1, 2.0), deadline=50.0),)
         )
         for k in range(3)
     )
-    arb = ConservativeArbitrator(4)
+    arb = QoSArbitrator(4, objective=ArbitrationObjective.CONSERVATIVE)
     before = arb.perf_snapshot()
     decision = arb.submit(Job(chains=chains, release=0.0))
     after = arb.perf_snapshot()

@@ -173,7 +173,7 @@ def test_batch_spanning_capacity_fault_event(kmode):
 
                 feed(case.jobs[:cut])
                 arbitrator.adopt_schedule(
-                    Schedule(event.new_capacity, origin=event.time, backend=backend)
+                    Schedule(event.new_capacity, origin=event.time)
                 )
                 feed(case.jobs[cut:])
                 arbs.append(arbitrator)

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given
 
-from repro.core.baselines import BestFitScheduler, ConservativeArbitrator
+from repro.core.arbitrator import QoSArbitrator
+from repro.core.baselines import BestFitScheduler
 from repro.core.greedy import GreedyScheduler
+from repro.core.policies import ArbitrationObjective
 from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
 from repro.model.chain import TaskChain
@@ -75,6 +77,10 @@ class TestBestFit:
             assert first is not None
 
 
+def conservative(capacity):
+    return QoSArbitrator(capacity, objective=ArbitrationObjective.CONSERVATIVE)
+
+
 class TestConservative:
     def make_job(self, release=0.0):
         wide = TaskChain((task("w", 4, 2.0, 50.0),), label="wide")
@@ -82,25 +88,23 @@ class TestConservative:
         return Job.tunable_of([wide, narrow], release=release)
 
     def test_admits_when_all_paths_fit(self):
-        arb = ConservativeArbitrator(8)
+        arb = conservative(8)
         decision = arb.submit(self.make_job())
         assert decision.admitted
 
     def test_rejects_when_one_path_blocked(self):
-        arb = ConservativeArbitrator(4)
+        arb = conservative(4)
         arb.schedule.profile.reserve(0.0, 49.0, 1)  # narrow path can't finish
         decision = arb.submit(self.make_job())
         assert not decision.admitted
         assert "conservative" in decision.reason
 
     def test_plain_arbitrator_admits_same_case(self):
-        from repro.core.arbitrator import QoSArbitrator
-
         arb = QoSArbitrator(4)
         arb.schedule.profile.reserve(0.0, 49.0, 1)
         assert arb.submit(self.make_job()).admitted
 
     def test_quality_accounting_on_admit(self):
-        arb = ConservativeArbitrator(8)
+        arb = conservative(8)
         arb.submit(self.make_job())
         assert arb.achieved_quality == pytest.approx(1.0)

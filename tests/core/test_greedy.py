@@ -89,14 +89,14 @@ class TestChooseAndScheduleJob:
     def test_choose_picks_earliest_finish(self):
         s = Schedule(4)
         g = GreedyScheduler(s)
-        chosen = g.choose(self.make_job())
+        chosen = g.schedule_job(self.make_job())
         assert chosen.chain.label == "fast"
 
     def test_choose_falls_back_when_preferred_blocked(self):
         s = Schedule(4)
         s.profile.reserve(0.0, 95.0, 1)  # wide chain can't fit by deadline
         g = GreedyScheduler(s)
-        chosen = g.choose(self.make_job())
+        chosen = g.schedule_job(self.make_job())
         assert chosen.chain.label == "slow"
 
     def test_schedule_job_commits(self):
@@ -118,7 +118,7 @@ class TestChooseAndScheduleJob:
         wide = chain(task("w", 4, 1.0, 100.0))
         narrow = chain(task("n", 1, 1.0, 100.0))
         job = Job.tunable_of([wide, narrow])
-        cp = GreedyScheduler(s).choose(job)
+        cp = GreedyScheduler(s).schedule_job(job)
         assert cp.chain is job.chains[1]
 
     def test_candidates_reports_all_feasible(self):

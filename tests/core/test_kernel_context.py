@@ -182,7 +182,7 @@ class _Pair:
             capacity = auto.capacity if op[1] else max(2, auto.capacity // 2)
             origin = ref.schedule.profile.origin
             auto.adopt_schedule(Schedule(capacity, origin=origin))
-            ref.adopt_schedule(Schedule(capacity, origin=origin, backend="scalar"))
+            ref.adopt_schedule(Schedule(capacity, origin=origin))
             self.reserved.clear()
         else:
             mine, theirs = self.profiles()
@@ -882,7 +882,7 @@ def test_one_profile_adopted_by_two_arbitrators_gets_each_ones_flags(differ):
     with kernels.use("compiled"):
         pairs = []
         for backend in ("auto", "scalar"):
-            schedule = Schedule(capacity, backend=backend)
+            schedule = Schedule(capacity)
             pair = (
                 QoSArbitrator(capacity, backend=backend),
                 QoSArbitrator(

@@ -221,7 +221,7 @@ def test_deadline_is_checked_on_a_run_the_walk_starts_inside():
         for backend in ("auto", "scalar"):
             arbitrator = QoSArbitrator(8, compact=False, backend=backend)
             arbitrator.schedule.profile = AvailabilityProfile.from_segments(
-                8, [(0.0, 0), (1.0, 8)], backend=backend
+                8, [(0.0, 0), (1.0, 8)]
             )
             decisions[backend] = [arbitrator.submit(job) for job in jobs]
     assert decisions["auto"] == decisions["scalar"]

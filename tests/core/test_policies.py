@@ -47,13 +47,14 @@ class TestWindowUtilization:
         assert select_candidate([cand], TieBreakPolicy.PAPER) is cand
 
     def test_counts_existing_commitments(self):
-        s = Schedule(8)
-        s.commit(cp_of([(2, 5.0)], job_id=0))
         # The committed 2 x 5 adds the same busy area to both windows
         # [0, 5): the larger own area still wins, whichever comes first.
         narrow, wide = (cp_of([(w, 5.0)]).chain for w in (2, 4))
         for chains in ((narrow, wide), (wide, narrow)):
-            chosen = GreedyScheduler(s).choose(Job(chains=chains, release=0.0))
+            s = Schedule(8)  # the decision commits: one schedule per order
+            s.commit(cp_of([(2, 5.0)], job_id=0))
+            job = Job(chains=chains, release=0.0)
+            chosen = GreedyScheduler(s).schedule_job(job)
             assert chosen.chain is wide and chosen.finish == 5.0
 
     def test_degenerate_window(self):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.profile import PROFILE_BACKENDS, AvailabilityProfile
-from repro.core.schedule import Schedule
 from repro.errors import CapacityExceededError, ConfigurationError, SchedulingError
 
 
@@ -71,12 +70,8 @@ class TestConstruction:
 @pytest.mark.parametrize("name", ("vector", "tree", "adaptive", "kernel"))
 @pytest.mark.parametrize(
     "build",
-    (
-        lambda name: AvailabilityProfile(8, backend=name),
-        lambda name: Schedule(8, backend=name),
-        lambda name: QoSArbitrator(8, backend=name),
-    ),
-    ids=("profile", "schedule", "arbitrator"),
+    (lambda name: QoSArbitrator(8, backend=name),),
+    ids=("arbitrator",),
 )
 def test_deleted_backend_names_are_rejected_at_construction(build, name):
     """A stale name in a deployed config fails where the config is built,

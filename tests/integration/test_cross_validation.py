@@ -85,7 +85,7 @@ class TestChainOptimality:
         schedule.profile._avail = list(profile._avail)  # noqa: SLF001
         greedy = GreedyScheduler(schedule)
         job = Job.tunable_of(chains, release=0.5)
-        chosen = greedy.choose(job)
+        chosen = greedy.schedule_job(job)
         per_chain = [
             brute_force_chain_finish(profile, c, release=0.5) for c in chains
         ]

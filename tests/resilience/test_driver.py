@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
+from repro.core.policies import ArbitrationObjective
 from repro.core.resources import ProcessorTimeRequest
 from repro.errors import SimulationError
 from repro.model.chain import TaskChain
@@ -72,6 +73,24 @@ def chain2_job(d0=100.0, d1=100.0, w0=4, w1=4, release=0.0):
         label="only",
     )
     return Job(chains=(chain,), release=release, name="chain2")
+
+
+def three_quality_job(release=0.0):
+    """16 wide at quality 1.0, 8 wide at 0.9, and 4 wide and shorter at 0.5:
+    on 12 processors earliest finish takes the 0.5 path, quality the 0.9."""
+    paths = ((16, 10.0, 1.0), (8, 20.0, 0.9), (4, 5.0, 0.5))
+    chains = tuple(
+        TaskChain(
+            (
+                TaskSpec(
+                    f"q{q}", ProcessorTimeRequest(w, d), deadline=100.0, quality=q
+                ),
+            ),
+            label=f"q{q}",
+        )
+        for w, d, q in paths
+    )
+    return Job(chains=chains, release=release, name="threequality")
 
 
 def admit(arbitrator, job):
@@ -162,6 +181,31 @@ class TestCapacityEvents:
         assert driver.live_jobs == 1
         assert driver.overrun_due(victim.job_id) == pytest.approx(12.0)
         assert driver.pending_overruns() == ((victim.job_id, 12.0),)
+
+
+def test_max_quality_replan_follows_the_objective():
+    """A re-plan is decided by the rule that admitted the job: after a drop
+    to 12 processors a MAX_QUALITY arbitrator re-plans onto the 0.9 path,
+    the one a fresh MAX_QUALITY admission on 12 processors picks, not the
+    earliest-finishing 0.5 path."""
+    objective = ArbitrationObjective.MAX_QUALITY
+    fresh = QoSArbitrator(12, objective=objective).submit(three_quality_job())
+    assert fresh.chain_index == 1
+    arb = QoSArbitrator(16, objective=objective)
+    driver = RenegotiationDriver(arb)
+    job = three_quality_job()
+    placement = admit(arb, job)
+    assert placement.chain_index == 0
+    driver.register(job, placement)
+    ev = CapacityEvent(2.0, 12)
+    driver.on_capacity_change(ev)
+    driver.check_consistency()
+    (live,) = driver.live_placements()
+    assert live.chain.label == "q0.9"
+    driver.sweep_finished(math.inf)
+    r = driver.finalize(PerturbationTrace(capacity_events=(ev,))).resilience
+    assert r["path_switches"] == 1
+    assert r["quality_delta"] == pytest.approx(-0.1)
 
 
 class TestOneDrop:

@@ -9,9 +9,10 @@ field off its default: a chaos scenario, an e2e workload of
 without such a user is a knob to delete, not to document.
 
 The constructors on the decision path (:class:`QoSArbitrator`,
-:class:`MalleableScheduler`, :class:`QoSAgent`) get the same rule from
-the call sites: every optional parameter is passed by keyword somewhere
-in ``src/``, ``tools/``, ``examples/`` or ``benchmarks/``.
+:class:`GreedyScheduler`, :class:`MalleableScheduler`, :class:`QoSAgent`)
+get the same rule from the call sites: every optional parameter is passed
+by keyword somewhere in ``src/``, ``tools/``, ``examples/`` or
+``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.baselines  # noqa: F401 - defines arbitrator subclasses
+import repro.core.baselines  # noqa: F401 - defines scheduler subclasses
 from repro.core.arbitrator import QoSArbitrator
+from repro.core.greedy import GreedyScheduler
 from repro.core.malleable import MalleableScheduler
 from repro.experiments.__main__ import _build_parser
 from repro.qos.agent import QoSAgent
@@ -117,7 +119,9 @@ def _keywords_passed(class_names: set[str]) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "cls", [QoSArbitrator, MalleableScheduler, QoSAgent], ids=lambda c: c.__name__
+    "cls",
+    [QoSArbitrator, GreedyScheduler, MalleableScheduler, QoSAgent],
+    ids=lambda c: c.__name__,
 )
 def test_every_constructor_option_is_passed_by_some_caller(cls):
     params = inspect.signature(cls.__init__).parameters.values()
