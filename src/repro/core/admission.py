@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.placement import ChainPlacement, slot_setters
+from repro.core.placement import ChainPlacement
+from repro.core.resources import slot_setters
 
 __all__ = ["AdmissionDecision", "NO_FIT"]
 
@@ -32,7 +33,7 @@ class AdmissionDecision:
     def __init__(
         self, job_id: int, admitted: bool, placement: ChainPlacement | None,
         reason: str = "",
-    ) -> None:  # stores through the slots: see placement.slot_setters
+    ) -> None:  # stores through the slots: see resources.slot_setters
         _set_job_id(self, job_id)
         _set_admitted(self, admitted)
         _set_placement(self, placement)

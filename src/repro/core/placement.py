@@ -11,28 +11,17 @@ chain's precedence and deadline constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.core.resources import slot_setters
 from repro.errors import ScheduleConsistencyError
 from repro.model.chain import TaskChain
 from repro.model.task import TaskSpec
 
-__all__ = ["Placement", "ChainPlacement", "slot_setters"]
+__all__ = ["Placement", "ChainPlacement"]
 
 _INF = math.inf
-
-
-def slot_setters(cls: type) -> tuple:
-    """Each field's slot-descriptor ``__set__``, in field order.
-
-    The generated ``__init__`` of a frozen dataclass stores every field by
-    name through ``object.__setattr__`` — half of what such an object
-    costs on the admission write-back — so the decision path's classes
-    write their own (``init=False``) and store through these.  Assignment
-    and ``del`` still raise ``FrozenInstanceError``.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -22,20 +22,22 @@ What the constructors guarantee is the range of each time they are given.
 ``TaskSpec``, ``Job`` and ``CapacityEvent`` pass each time through it
 once, where it enters the model, and it refuses NaN, an infinity where a
 finite time is required, and any magnitude at or beyond
-:data:`TIME_LIMIT`.  Below that limit a binary64 value has a unit in the
-last place of at most :data:`TIME_STEP`, and the shortest accepted
-duration is one step, so an interval that starts below the limit is never
-empty.  The gate bounds each time alone, not sums of them: a release near
-the limit plus a relative deadline, or a chain with no deadline, can end
-beyond it.  Such schedules are valid; only a task of a few steps starting
-past the limit can round to an empty interval, which the profile refuses
-with ``SchedulingError``.
+:data:`TIME_LIMIT`.  (The model's constructors take a ``float`` already
+inside their range without the call; anything else goes through it.)
+Below that limit a binary64 value has a unit in the last place of at most
+:data:`TIME_STEP`, and the shortest accepted duration is one step, so an
+interval that starts below the limit is never empty.  The gate bounds
+each time alone, not sums of them: a release near the limit plus a
+relative deadline, or a chain with no deadline, can end beyond it.  Such
+schedules are valid; only a task of a few steps starting past the limit
+can round to an empty interval, which the profile refuses with
+``SchedulingError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.errors import InvalidTaskError
 
@@ -43,6 +45,7 @@ __all__ = [
     "TIME_STEP",
     "TIME_LIMIT",
     "checked_time",
+    "slot_setters",
     "ProcessorTimeRequest",
 ]
 
@@ -81,7 +84,22 @@ def checked_time(
     )
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls: type) -> tuple:
+    """Each field's slot-descriptor ``__set__``, in field order.
+
+    The generated ``__init__`` of a frozen dataclass stores every field by
+    name through ``object.__setattr__``, which costs about as much as the
+    checks themselves.  So the records built once per job or per decision
+    (``ProcessorTimeRequest``, the model's ``TaskSpec``, ``TaskChain`` and
+    ``Job``, and the decision path's ``Placement``, ``ChainPlacement`` and
+    ``AdmissionDecision``) write their own ``__init__`` (``init=False``)
+    and store through these.  Assignment and ``del`` still raise
+    ``FrozenInstanceError``.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ProcessorTimeRequest:
     """A non-preemptive request for ``processors`` CPUs for ``duration`` time.
 
@@ -103,22 +121,24 @@ class ProcessorTimeRequest:
     processors: int
     duration: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.processors, int) or isinstance(self.processors, bool):
+    def __init__(self, processors: int, duration: float) -> None:
+        if not isinstance(processors, int) or isinstance(processors, bool):
             raise InvalidTaskError(
-                f"processor count must be an int, got {self.processors!r}"
+                f"processor count must be an int, got {processors!r}"
             )
-        if self.processors <= 0:
+        if processors <= 0:
             raise InvalidTaskError(
-                f"processor count must be positive, got {self.processors}"
+                f"processor count must be positive, got {processors}"
             )
-        duration = checked_time(self.duration, "duration", InvalidTaskError)
-        if duration < TIME_STEP:
-            raise InvalidTaskError(
-                f"duration must be at least 2**-30, got {self.duration!r}"
-            )
-        if type(self.duration) is not float:
-            object.__setattr__(self, "duration", duration)
+        if not (type(duration) is float and TIME_STEP <= duration < TIME_LIMIT):
+            checked = checked_time(duration, "duration", InvalidTaskError)
+            if checked < TIME_STEP:
+                raise InvalidTaskError(
+                    f"duration must be at least 2**-30, got {duration!r}"
+                )
+            duration = checked
+        _set_processors(self, processors)
+        _set_duration(self, duration)
 
     @property
     def area(self) -> float:
@@ -127,3 +147,6 @@ class ProcessorTimeRequest:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.processors}p x {self.duration:g}t"
+
+
+_set_processors, _set_duration = slot_setters(ProcessorTimeRequest)

@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+from repro.core.resources import slot_setters
 from repro.errors import InvalidChainError
 from repro.model.task import TaskSpec
 
 __all__ = ["TaskChain"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TaskChain:
     """An ordered, non-empty sequence of :class:`~repro.model.task.TaskSpec`.
 
@@ -41,16 +42,19 @@ class TaskChain:
     label: str = ""
     params: Mapping[str, object] | None = None
 
-    def __post_init__(self) -> None:
-        tasks = tuple(self.tasks)
-        object.__setattr__(self, "tasks", tasks)
+    def __init__(
+        self, tasks: Sequence[TaskSpec], label: str = "",
+        params: Mapping[str, object] | None = None,
+    ) -> None:  # stores through the slots: see resources.slot_setters
+        tasks = tuple(tasks)
         if not tasks:
             raise InvalidChainError("a task chain must contain at least one task")
         for t in tasks:
             if not isinstance(t, TaskSpec):
                 raise InvalidChainError(f"chain element {t!r} is not a TaskSpec")
-        if self.params is not None:
-            object.__setattr__(self, "params", dict(self.params))
+        _set_tasks(self, tasks)
+        _set_label(self, label)
+        _set_params(self, None if params is None else dict(params))
 
     # ------------------------------------------------------------------
 
@@ -139,3 +143,6 @@ class TaskChain:
     def of(tasks: Sequence[TaskSpec], label: str = "") -> "TaskChain":
         """Convenience constructor from any task sequence."""
         return TaskChain(tuple(tasks), label=label)
+
+
+_set_tasks, _set_label, _set_params = slot_setters(TaskChain)

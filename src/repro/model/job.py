@@ -10,10 +10,10 @@ job is simply a job with a single chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, Sequence
 
-from repro.core.resources import checked_time
+from repro.core.resources import TIME_LIMIT, checked_time, slot_setters
 from repro.errors import InvalidJobError
 from repro.model.chain import TaskChain
 from repro.model.quality import chain_quality
@@ -21,13 +21,11 @@ from repro.model.quality import chain_quality
 __all__ = ["Job"]
 
 _job_counter = itertools.count()
+#: ``job_id`` not given: draw the next auto id (an explicit ``None`` stays).
+_AUTO_ID: Any = object()
 
 
-def _next_job_id() -> int:
-    return next(_job_counter)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Job:
     """A unit of work released into the system at :attr:`release`.
 
@@ -41,27 +39,36 @@ class Job:
         :func:`~repro.core.resources.checked_time`; tasks may not start
         before it and all (relative) task deadlines are measured from it.
     job_id:
-        Unique integer identity, auto-assigned if not given.
+        Unique integer identity, auto-assigned if not given.  The id is
+        drawn before the arguments are checked, so a refused job still
+        consumes one.
     name:
         Optional human-readable tag (e.g. ``"junction-detect"``).
     """
 
     chains: tuple[TaskChain, ...]
     release: float = 0.0
-    job_id: int = field(default_factory=_next_job_id)
+    job_id: int = _AUTO_ID
     name: str = ""
 
-    def __post_init__(self) -> None:
-        chains = tuple(self.chains)
-        object.__setattr__(self, "chains", chains)
+    def __init__(
+        self, chains: Sequence[TaskChain], release: float = 0.0,
+        job_id: int = _AUTO_ID, name: str = "",
+    ) -> None:  # stores through the slots: see resources.slot_setters
+        if job_id is _AUTO_ID:
+            job_id = next(_job_counter)
+        chains = tuple(chains)
         if not chains:
             raise InvalidJobError("a job must offer at least one chain")
         for c in chains:
             if not isinstance(c, TaskChain):
                 raise InvalidJobError(f"job chain {c!r} is not a TaskChain")
-        release = checked_time(self.release, "release", InvalidJobError)
-        if type(self.release) is not float:
-            object.__setattr__(self, "release", release)
+        if not (type(release) is float and -TIME_LIMIT < release < TIME_LIMIT):
+            release = checked_time(release, "release", InvalidJobError)
+        _set_chains(self, chains)
+        _set_release(self, release)
+        _set_job_id(self, job_id)
+        _set_name(self, name)
 
     # ------------------------------------------------------------------
 
@@ -101,7 +108,7 @@ class Job:
         return replace(
             self,
             release=release,
-            job_id=_next_job_id() if job_id is None else job_id,
+            job_id=next(_job_counter) if job_id is None else job_id,
         )
 
     @staticmethod
@@ -121,3 +128,6 @@ class Job:
         head = f"job#{self.job_id} {self.name or ''} release={self.release:g}".rstrip()
         lines = [head] + ["  " + c.describe() for c in self.chains]
         return "\n".join(lines)
+
+
+_set_chains, _set_release, _set_job_id, _set_name = slot_setters(Job)

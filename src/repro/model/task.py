@@ -10,15 +10,17 @@ to absolute times when the job is released (see :class:`repro.model.job.Job`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.core.resources import ProcessorTimeRequest, checked_time
+from repro.core.resources import (
+    TIME_LIMIT, ProcessorTimeRequest, checked_time, slot_setters,
+)
 from repro.errors import InvalidTaskError
 
 __all__ = ["TaskSpec"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TaskSpec:
     """One non-preemptible parallel task in a chain.
 
@@ -40,7 +42,8 @@ class TaskSpec:
     max_concurrency:
         Degree of concurrency for the malleable model (Section 5.4) — the
         task may run on any integer processor count in ``[1, max_concurrency]``
-        with work-conserving duration scaling.  Defaults to the rigid
+        with work-conserving duration scaling.  An ``int`` (not a ``bool``),
+        like the request's width; ``0``, the default, means the rigid
         request's processor count.
     """
 
@@ -48,31 +51,46 @@ class TaskSpec:
     request: ProcessorTimeRequest
     deadline: float = math.inf
     quality: float = 1.0
-    max_concurrency: int = field(default=0)
+    max_concurrency: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self, name: str, request: ProcessorTimeRequest,
+        deadline: float = math.inf, quality: float = 1.0,
+        max_concurrency: int = 0,
+    ) -> None:  # stores through the slots: see resources.slot_setters
+        if not name:
             raise InvalidTaskError("task name must be non-empty")
-        deadline = checked_time(
-            self.deadline, "task deadline", InvalidTaskError, allow_inf=True
-        )
-        if deadline <= 0:
-            raise InvalidTaskError(
-                f"task {self.name!r}: deadline must be positive, got {self.deadline!r}"
+        if not (type(deadline) is float and 0.0 < deadline < TIME_LIMIT):
+            checked = checked_time(
+                deadline, "task deadline", InvalidTaskError, allow_inf=True
             )
-        if type(self.deadline) is not float:
-            object.__setattr__(self, "deadline", deadline)
-        if math.isnan(self.quality) or self.quality < 0:
+            if checked <= 0:
+                raise InvalidTaskError(
+                    f"task {name!r}: deadline must be positive, got {deadline!r}"
+                )
+            deadline = checked
+        if math.isnan(quality) or quality < 0:
             raise InvalidTaskError(
-                f"task {self.name!r}: quality must be >= 0, got {self.quality!r}"
+                f"task {name!r}: quality must be >= 0, got {quality!r}"
             )
-        if self.max_concurrency == 0:
-            object.__setattr__(self, "max_concurrency", self.request.processors)
-        if self.max_concurrency < self.request.processors:
+        if not isinstance(max_concurrency, int) or isinstance(max_concurrency, bool):
             raise InvalidTaskError(
-                f"task {self.name!r}: max_concurrency {self.max_concurrency} "
-                f"below rigid width {self.request.processors}"
+                f"task {name!r}: max_concurrency must be an int, "
+                f"got {max_concurrency!r}"
             )
+        width = request.processors
+        if max_concurrency == 0:
+            max_concurrency = width
+        elif max_concurrency < width:
+            raise InvalidTaskError(
+                f"task {name!r}: max_concurrency {max_concurrency} "
+                f"below rigid width {width}"
+            )
+        _set_name(self, name)
+        _set_request(self, request)
+        _set_deadline(self, deadline)
+        _set_quality(self, quality)
+        _set_max_concurrency(self, max_concurrency)
 
     # Convenience accessors -------------------------------------------------
 
@@ -102,3 +120,7 @@ class TaskSpec:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         dl = "inf" if math.isinf(self.deadline) else format(self.deadline, "g")
         return f"{self.name}({self.request}, d<={dl})"
+
+
+(_set_name, _set_request, _set_deadline, _set_quality,
+ _set_max_concurrency) = slot_setters(TaskSpec)

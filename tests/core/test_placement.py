@@ -135,7 +135,7 @@ class TestNonFiniteExtent:
 
 
 # ---------------------------------------------------------------------------
-# The decision objects write their own __init__ (placement.slot_setters);
+# The decision objects write their own __init__ (resources.slot_setters);
 # everything else about them is still the frozen, slotted dataclass.
 # ---------------------------------------------------------------------------
 

@@ -313,6 +313,34 @@ def test_a_sub_time_eps_duration_cannot_become_a_poison_request(tmp_path):
     assert [d.admitted for d in recover(tmp_path, config).decisions] == [True, True]
 
 
+@pytest.mark.parametrize(
+    ("width", "max_concurrency"), [(2, 3.5), (1, True)], ids=["float", "bool"]
+)
+def test_a_non_int_concurrency_cannot_become_a_poison_request(
+    tmp_path, width, max_concurrency
+):
+    """A degree of concurrency that is not an ``int`` is refused where the
+    task is built.  It used to pass ``enqueue``'s contract; then the
+    malleable search's ``range()`` raised ``TypeError`` and fail-stopped
+    the service for every client, and the WAL decoder's ``int()`` would
+    have turned 3.5 into 3 and re-decided another job on ``recover``."""
+    def job(release, job_id, mc=0):
+        task = TaskSpec(
+            "t", ProcessorTimeRequest(width, 2.0), deadline=50.0, max_concurrency=mc
+        )
+        return Job(chains=(TaskChain((task,)),), release=release, job_id=job_id)
+
+    with pytest.raises(InvalidTaskError, match="max_concurrency must be an int"):
+        job(1.0, 1, max_concurrency)
+    jobs = [job(0.0, 0, 4), job(2.0, 2, 4)]
+    config = ServiceConfig(capacity=8, malleable=True)
+    service, answers = _run_queued(config, tmp_path, jobs)
+    assert [a.outcome for a in answers] == [ServiceOutcome.ADMITTED] * 2
+    stats = service.stats()
+    assert stats["batches"] == 1 and stats["acked"] == 2 and stats["failed"] == 0
+    assert [d.admitted for d in recover(tmp_path, config).decisions] == [True, True]
+
+
 def test_a_request_released_before_a_decided_one_sees_the_whole_future(tmp_path):
     """A shed or timed-out client may retry after later-release jobs were
     decided, so the service's arbitrator never compacts its profile: the
