@@ -45,8 +45,9 @@
  * head of its row of Prof.out_rows), and the two quality accumulators
  * (path quality is the product of the task qualities).  Those belong to
  * the ARBITRATOR, not to the context: the driver writes them into the
- * struct before every call and reads them back only on BATCH_OK.  The other exports are the
- * loader's ABI and layout handshake.
+ * struct whenever they are not the values last there, and reads them back
+ * only on BATCH_OK.  The other exports are the loader's ABI and layout
+ * handshake.
  *
  * The loop mutates the live window in place.  Before a shift overwrites
  * a cell of the entry window it saves the entry cells from there up
@@ -64,7 +65,7 @@
 #define AREA_EPS 1e-6   /* greedy._area_reject slack */
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 
-#define ABI_VERSION 8
+#define ABI_VERSION 9
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -183,6 +184,7 @@ typedef struct {
      * refuses a width above 2**53); no job has more than max_chains
      * chains, no chain more than max_tasks tasks. */
     const double *record;
+    int64_t n_jobs; /* jobs in the record, set by the driver every call */
     int64_t max_chains, max_tasks;
     double *dscratch;  /* max_chains*max_tasks + 2*max_chains + max_tasks */
     int64_t *iscratch; /* 4*max_chains */
@@ -191,7 +193,8 @@ typedef struct {
      * c[K_ROW_CELLS] cells): [finish][area][start of each task of the
      * chosen chain] -- what cp.finish and cp.total_area compute */
     double *out_rows;
-    /* the arbitrator's accumulators: in before every call, out on BATCH_OK */
+    /* the arbitrator's accumulators: in when the driver's differ, out on
+     * BATCH_OK */
     double q_possible; /* += best chain quality of each job offered */
     double q_sum;      /* += the chosen chain's quality */
     int64_t c[N_COUNTERS];
@@ -671,7 +674,7 @@ int64_t repro_ctx_size(void)
 #define PROF_FIELDS(X)                                                        \
     X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
     X(cap_buf) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)         \
-    X(policy) X(do_compact) X(record) X(max_chains) X(max_tasks)             \
+    X(policy) X(do_compact) X(record) X(n_jobs) X(max_chains) X(max_tasks)   \
     X(dscratch) X(iscratch) X(out_chain) X(out_rows) X(q_possible) X(q_sum)  \
     X(c) X(nfacts) X(fact_evict) X(facts)
 
@@ -690,8 +693,8 @@ const int64_t *repro_ctx_offsets(void)
     return offsets;
 }
 
-/* The whole serial admission loop for the n_jobs staged in the context,
- * in one call.
+/* The whole serial admission loop for the p->n_jobs jobs staged in the
+ * context, in one call.
  *
  * On BATCH_OK the context's live window is the profile after the batch,
  * out_chain[j] holds the chosen chain's index in job j (-1 = rejected),
@@ -702,8 +705,9 @@ const int64_t *repro_ctx_offsets(void)
  * Replays greedy.candidates exactly -- every chain probed, behind
  * quick_reject and area_reject -- then select_candidate's earliest-finish
  * + policy tie-break. */
-int64_t repro_admit_batch(Prof *p, int64_t n_jobs)
+int64_t repro_admit_batch(Prof *p)
 {
+    const int64_t n_jobs = p->n_jobs;
     const int64_t policy = p->policy;
     const int64_t capacity = p->capacity;
     const int64_t max_chains = p->max_chains, max_tasks = p->max_tasks;

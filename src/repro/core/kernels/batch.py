@@ -17,7 +17,9 @@ the context's arrays until Python reads it.  The C loop mutates the live
 window in place and saves the entry cells it overwrites, so any error
 status puts the live state back as it was and the caller falls back to
 the reference: the plain serial loop over ``_offer``.  ``submit(job)``
-is this same path with a batch of one; when the job offers the very
+is this same path with a batch of one, entered through
+:func:`try_admit_one_compiled`, which takes the job and returns its
+decision; only the write-back differs.  When the job offers the very
 chains tuple the staged record was packed from, only the record's
 release cell is rewritten (see "Context lifetime").
 
@@ -99,22 +101,30 @@ context's view of the profile is thrown away:
   drops it (a batch of several jobs); it goes with the context
   (``adopt_schedule``, ``copy()``, another kernel object).  The C loop
   only reads the record.
-* The scheduler and config flags (``policy``, ``do_compact``) are
-  stored only when they differ from the ones the context last stored
-  (``ctx.flags``): two arbitrators may take turns on one profile through
+* The scheduler and config flags: ``ctx.flags`` is the
+  ``(policy, compact)`` pair whose codes the struct holds.  A call whose
+  pair differs (compared by identity first, so no enum hash runs) looks
+  the policy's code up — and refuses a policy C does not implement —
+  and stores both; two arbitrators may take turns on one profile through
   ``adopt_schedule``.
-* The quality accumulators do NOT live in the context: a context belongs
-  to a profile, ``_quality_possible``/``_quality_sum`` to an arbitrator.
-  :func:`try_admit_batch_compiled` writes both into the struct before
-  every call and reads them back only on ``BATCH_OK``, so
-  ``adopt_schedule`` (new profile, new context), ``resubmit``'s restore
-  of ``_quality_possible`` and the error fallback depend on nothing
-  C-side between calls.
+* The quality accumulators belong to the arbitrator
+  (``_quality_possible``/``_quality_sum``), but the struct keeps the
+  values it was last handed or answered with, and ``ctx.q_possible``/
+  ``ctx.q_sum`` hold those very float objects.  A call writes the
+  arbitrator's two only when either is not the object the context
+  holds: a float is immutable and the context's reference keeps its id
+  from being reused, so identity means the struct holds that value.
+  Another arbitrator's turn on the profile, ``resubmit``'s restore of
+  ``_quality_possible`` and a Python decision's ``+=`` all leave another
+  object, and the next call rewrites.  On ``BATCH_OK`` the write-back
+  reads both back (``q_sum`` only after an admission: the loop adds to
+  it on a commit alone) into the arbitrator and the context.  An error
+  status, a stale profile (``profile._dirty``) and a new context forget
+  them, so the error fallback depends on nothing C-side between calls.
 """
 
 from __future__ import annotations
 
-import ctypes
 import struct
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -131,7 +141,7 @@ from repro.model.job import Job
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.arbitrator import QoSArbitrator
 
-__all__ = ["flatten_jobs", "try_admit_batch_compiled"]
+__all__ = ["flatten_jobs", "try_admit_batch_compiled", "try_admit_one_compiled"]
 
 #: Tie-break policy codes of ``_kernels.c`` (RANDOM intentionally absent).
 _POLICY_CODES = {
@@ -246,24 +256,25 @@ class _Context:
     (``chosen`` / ``rows``: their memoryviews, read item by item by a
     one-job write-back) and the per-job scratch.  ``chains`` is the tuple
     the staged record was packed from when it is one job's, and ``tasks``
-    the task count :meth:`sync` makes room for; ``flags`` the scheduler
-    and config flags last stored in the struct.
+    the task count :meth:`sync` makes room for; ``flags`` the
+    ``(policy, compact)`` pair whose codes the struct holds;
+    ``q_possible``/``q_sum`` the float objects whose values the struct's
+    quality accumulators hold (``None``: unknown).
     """
 
     __slots__ = (
-        "impl", "c", "ref", "cols", "room", "counters", "inbuf", "chosen",
-        "rows", "chains", "tasks", "flags",
+        "impl", "c", "cols", "room", "counters", "inbuf", "chosen",
+        "rows", "chains", "tasks", "flags", "q_possible", "q_sum",
     )
 
     def __init__(self, impl, capacity: int) -> None:
         self.impl = impl
         self.c = c = Context()
-        self.ref = ctypes.byref(c)
         c.capacity = capacity
         self.counters = np.frombuffer(c, _I8, len(c.c), Context.c.offset)
         self.cols: dict[str, np.ndarray] = {}
         self.room = (0, 0, 0, 0)  # jobs, record bytes, max_chains, max_tasks
-        self.chains = self.flags = None
+        self.chains = self.flags = self.q_possible = self.q_sum = None
         self.tasks = 0
 
     def _bind(self, name: str, size: int, dtype=_F8) -> None:
@@ -277,28 +288,26 @@ class _Context:
         return cols["times"][lo:hi], cols["avail"][lo:hi]
 
     def sync(self, profile, n_tasks: int) -> None:
-        """Make the live window the profile, with room above it for this
-        batch.
+        """Make the live window the profile, with room above it for
+        ``n_tasks`` more tasks.
 
-        Each committed task splits at most two segments; compaction moves
-        the window up, so its room runs out even when the profile does
-        not grow.  Then, or once the window has drifted more than its own
-        length (and ``_MIN_CELLS``) up the buffers, or when a Python-side
-        mutation made the arrays stale (which uploads the lists and
-        forgets everything learnt about the old arrays), the window is
-        written at index 0 of buffers more than 4/3 ``need`` long —
-        re-bound at twice ``need`` if the present ones are not — so the
-        next re-base is more than ``need / 3`` and ``n`` cells of
-        compaction away, and ``need`` has to grow by half before the next
-        re-bind.
+        :func:`_run` calls this only when its test fails: a Python-side
+        mutation made the arrays stale (then the lists are uploaded and
+        everything learnt about the old arrays is forgotten), fewer than
+        ``need`` cells are left from ``lo`` (each committed task splits
+        at most two segments, and compaction moves the window up, so the
+        room runs out even when the profile does not grow), or the window
+        has drifted more than its own length (and ``_MIN_CELLS``) up the
+        buffers.  The window is then written at index 0 of buffers more
+        than 4/3 ``need`` long — re-bound at twice ``need`` if the present
+        ones are not — so the next re-base is more than ``need / 3`` and
+        ``n`` cells of compaction away, and ``need`` has to grow by half
+        before the next re-bind.
         """
         c = self.c
         stale = profile._dirty  # noqa: SLF001 - same package
         n = len(profile)
         need = n + 2 * n_tasks + 8
-        lo = c.lo
-        if not stale and lo + need <= c.cap_buf and (lo <= n or lo <= _MIN_CELLS):
-            return
         source = (profile._times, profile._avail) if stale else self.window()  # noqa: SLF001
         if 4 * need > 3 * c.cap_buf:
             c.cap_buf = cap = max(2 * need, _MIN_CELLS)
@@ -317,6 +326,7 @@ class _Context:
         c.lo, c.n = 0, n
         if stale:
             c.nfacts = c.prefix_valid = c.prefix_from = 0
+            self.q_possible = self.q_sum = None
             profile._dirty = False  # noqa: SLF001
 
     def stage(
@@ -358,27 +368,26 @@ class _Context:
         self.tasks = (size - 24 * n_jobs) // 32
 
 
-def try_admit_batch_compiled(
-    arbitrator: "QoSArbitrator", jobs: Sequence[Job]
-) -> list[AdmissionDecision] | None:
-    """Run the whole batch through the C admission loop, or return None.
+def _run(
+    arbitrator: "QoSArbitrator", jobs: Sequence[Job], one
+) -> _Context | None:
+    """Stage ``jobs``, run the C loop over them and fold its counters in;
+    the context on ``BATCH_OK``, ``None`` when the C loop does not take
+    the batch (the live state is then untouched).
 
-    ``None`` means "not handled" (kernel unavailable, unsupported shape,
-    or a C error status) — the caller falls back to the serial path with
-    the live state untouched.
+    ``one`` is the one job's ``chains`` tuple when ``jobs`` is one job,
+    ``None`` otherwise.  ``flatten_jobs`` and ``impl.admit_batch`` are
+    looked up here at every call, so a wrapper of either (the e2e
+    benchmark's tracer, a test) sees every crossing.
     """
     impl = kernels.active()
     if not impl.supports_batch:
         return None
-    scheduler = arbitrator.scheduler
-    policy_code = _POLICY_CODES.get(scheduler.policy)
-    if policy_code is None:
-        return None
     profile = arbitrator.schedule.profile
     ctx = profile._ctx  # noqa: SLF001 - same package
     if (
-        ctx is not None and ctx.impl is impl and len(jobs) == 1
-        and jobs[0].chains is ctx.chains and not profile._dirty  # noqa: SLF001
+        one is not None and ctx is not None and one is ctx.chains
+        and ctx.impl is impl and not profile._dirty  # noqa: SLF001
     ):  # the staged record is this job's but for its release
         _pack_release(ctx.inbuf, 0, jobs[0].release)
     else:
@@ -389,44 +398,36 @@ def try_admit_batch_compiled(
             profile._detach()  # noqa: SLF001 - the old context's last service
             ctx = profile._ctx = _Context(impl, profile.capacity)  # noqa: SLF001
         record, max_chains, max_tasks = flat
-        one = jobs[0].chains if len(jobs) == 1 else None
         ctx.stage(record, len(jobs), max_chains, max_tasks, one)
     c = ctx.c
-    flags = (policy_code, arbitrator.compact)
+    flags = (arbitrator.scheduler.policy, arbitrator.compact)
     if flags != ctx.flags:  # a profile may change arbitrators (adopt_schedule)
+        code = _POLICY_CODES.get(flags[0])
+        if code is None:
+            return None
         ctx.flags = flags
-        c.policy, c.do_compact = flags
-    c.q_possible = arbitrator._quality_possible  # noqa: SLF001
-    c.q_sum = arbitrator._quality_sum  # noqa: SLF001
-    ctx.sync(profile, ctx.tasks)
-    status = impl.admit_batch(ctx.ref, len(jobs))
+        c.policy, c.do_compact = code, flags[1]
+    lo, n, tasks = c.lo, c.n, ctx.tasks
+    if (
+        profile._dirty  # noqa: SLF001
+        or lo + n + 2 * tasks + 8 > c.cap_buf
+        or (lo > n and lo > _MIN_CELLS)
+    ):
+        ctx.sync(profile, tasks)
+    possible = arbitrator._quality_possible  # noqa: SLF001
+    total = arbitrator._quality_sum  # noqa: SLF001
+    if possible is not ctx.q_possible or total is not ctx.q_sum:
+        ctx.q_possible = c.q_possible = possible
+        ctx.q_sum = c.q_sum = total
+    status = impl.admit_batch(c, len(jobs))
     if status != 0:
         kernels.note_fallback(f"admit_batch kernel status {status}")
         profile._detach()  # noqa: SLF001 - trust the live window, nothing else
+        ctx.q_possible = ctx.q_sum = None
         return None
-    return _apply_batch_results(arbitrator, jobs, ctx)
-
-
-def _apply_batch_results(
-    arbitrator: "QoSArbitrator", jobs: Sequence[Job], ctx: _Context
-) -> list[AdmissionDecision]:
-    """Write the C results back into schedule and accounting.
-
-    The C loop has already done the float accounting, job by job with the
-    serial loop's own operations: each admitted job's finish and area head
-    its row of ``out_rows`` (its chain's task starts are the rest of it),
-    and the quality accumulators come back in the struct it was handed
-    them in.  What is left here is counters, objects and one booking per
-    batch: :meth:`Schedule.record_commit` for the one row of a one-job
-    call, :meth:`Schedule.record_commits` for the rows of a larger batch,
-    both fed the kernel's finish and area.  The
-    profile is not written back at all: it stays in the context's arrays,
-    and the lists are dropped until somebody reads them.
-    """
-    schedule = arbitrator.schedule
-    profile = schedule.profile
+    # The profile is not written back at all: it stays in the context's
+    # arrays, and the lists are dropped until somebody reads them.
     profile._list_times = profile._list_avail = profile._prefix = None  # noqa: SLF001
-
     counts = ctx.counters.tolist()
     stats = profile.stats
     stats.shift_ops += counts[0]
@@ -437,69 +438,113 @@ def _apply_batch_results(
     stats.probe_segments += counts[4]
     stats.prefix_rebuilds += counts[5]
     stats.compactions += counts[6]
-    perf = schedule.perf
+    perf = arbitrator.schedule.perf
     perf.chains_probed += counts[7]
     perf.chains_quick_rejected += counts[8]
     perf.chains_area_rejected += counts[9]
     perf.commits += counts[10]
+    return ctx
 
-    n_jobs = len(jobs)
-    n_admitted = counts[10]
+
+def try_admit_one_compiled(
+    arbitrator: "QoSArbitrator", job: Job
+) -> AdmissionDecision | None:
+    """:func:`try_admit_batch_compiled` for the one job of a ``submit``:
+    the job in, its decision out, or ``None`` as there.
+
+    The write-back reads the two columns item by item and books the one
+    row with the kernel's finish and area through
+    :meth:`Schedule.record_commit`.  ``q_sum`` moves only on an
+    admission, so a rejection reads back ``q_possible`` alone.
+    """
+    ctx = _run(arbitrator, (job,), job.chains)
+    if ctx is None:
+        return None
+    c = ctx.chosen[0]
+    if c < 0:
+        arbitrator._quality_possible = ctx.q_possible = ctx.c.q_possible  # noqa: SLF001
+        arbitrator.rejected += 1
+        return AdmissionDecision(job.job_id, False, None, NO_FIT)
+    rows = ctx.rows
+    chain = job.chains[c]
+    tasks = chain.tasks
+    placements = []
+    for task, start in zip(tasks, rows[2 : 2 + len(tasks)].tolist()):
+        request = task.request
+        placements.append(
+            Placement(task, start, request.processors, request.duration)
+        )
+    cp = ChainPlacement(  # positional: keywords cost 0.4 us a call
+        job.job_id, c, chain, placements, job.release
+    )
+    arbitrator.admitted += 1
     by_chain = arbitrator.decisions_by_chain
-    rigid = Placement.rigid
+    by_chain[c] = by_chain.get(c, 0) + 1
+    state = ctx.c
+    arbitrator._quality_possible = ctx.q_possible = state.q_possible  # noqa: SLF001
+    arbitrator._quality_sum = ctx.q_sum = state.q_sum  # noqa: SLF001
+    arbitrator.schedule.record_commit(cp, rows[0], rows[1])
+    return AdmissionDecision(job.job_id, True, cp)
+
+
+def try_admit_batch_compiled(
+    arbitrator: "QoSArbitrator", jobs: Sequence[Job]
+) -> list[AdmissionDecision] | None:
+    """Run the whole batch through the C admission loop, or return None.
+
+    ``None`` means "not handled" (kernel unavailable, unsupported shape,
+    or a C error status) — the caller falls back to the serial path with
+    the live state untouched.
+
+    The write-back: the C loop has already done the float accounting, job
+    by job with the serial loop's own operations — each admitted job's
+    finish and area head its row of ``out_rows`` (its chain's task starts
+    are the rest of it), and the quality accumulators come back in the
+    struct.  What is left here is counters, objects and one booking,
+    :meth:`Schedule.record_commits`, fed the kernel's finishes and areas.
+    One pass over the decided jobs, both columns read as lists: an item
+    read costs ~0.05 us, a list item ~0.01.
+    """
+    ctx = _run(arbitrator, jobs, jobs[0].chains if len(jobs) == 1 else None)
+    if ctx is None:
+        return None
+    state = ctx.c  # not ``struct``: that is the module the packer uses
+    n_jobs = len(jobs)
+    n_admitted, n_cells = ctx.counters[10:12].tolist()  # K_COMMITS, K_ROW_CELLS
+    chosen = ctx.chosen[:n_jobs].tolist()
+    rows = ctx.rows[:n_cells].tolist()  # admitted jobs only
+    by_chain = arbitrator.decisions_by_chain
     refused = NO_FIT  # the C loop decides only EARLIEST_FINISH
-    if n_jobs == 1:
-        # The serial path: item reads of the two columns, and the one row
-        # booked with the kernel's finish and area as it is read.
-        job = jobs[0]
-        c = ctx.chosen[0]
+    decisions = []
+    append = decisions.append
+    committed: list[ChainPlacement] = []
+    finishes: list[float] = []
+    areas: list[float] = []
+    at = 0  # the next admitted job's row: finish, area, one start per task
+    for job, c in zip(jobs, chosen):
         if c < 0:
-            decisions = [AdmissionDecision(job.job_id, False, None, refused)]
-        else:
-            rows = ctx.rows
-            chain = job.chains[c]
-            tasks = chain.tasks
-            cp = ChainPlacement(  # positional: keywords cost 0.4 us a call
-                job.job_id, c, chain,
-                tuple(map(rigid, tasks, rows[2 : 2 + len(tasks)].tolist())),
-                job.release,
+            append(AdmissionDecision(job.job_id, False, None, refused))
+            continue
+        chain = job.chains[c]
+        tasks = chain.tasks
+        starts = at + 2
+        finishes.append(rows[at])
+        areas.append(rows[at + 1])
+        at = starts + len(tasks)
+        placements = []
+        for task, start in zip(tasks, rows[starts:at]):
+            request = task.request
+            placements.append(
+                Placement(task, start, request.processors, request.duration)
             )
-            by_chain[c] = by_chain.get(c, 0) + 1
-            decisions = [AdmissionDecision(job.job_id, True, cp)]
-            schedule.record_commit(cp, rows[0], rows[1])
-    else:
-        # One pass over the decided jobs, both columns read as lists:
-        # an item read costs ~0.05 us, a list item ~0.01.
-        chosen = ctx.chosen[:n_jobs].tolist()
-        rows = ctx.rows[: counts[11]].tolist()  # admitted jobs only
-        decisions = []
-        append = decisions.append
-        committed: list[ChainPlacement] = []
-        finishes: list[float] = []
-        areas: list[float] = []
-        at = 0  # the next admitted job's row: finish, area, one start per task
-        for job, c in zip(jobs, chosen):
-            if c < 0:
-                append(AdmissionDecision(job.job_id, False, None, refused))
-                continue
-            chain = job.chains[c]
-            tasks = chain.tasks
-            starts = at + 2
-            finishes.append(rows[at])
-            areas.append(rows[at + 1])
-            at = starts + len(tasks)
-            cp = ChainPlacement(
-                job.job_id, c, chain, tuple(map(rigid, tasks, rows[starts:at])),
-                job.release,
-            )
-            committed.append(cp)
-            by_chain[c] = by_chain.get(c, 0) + 1
-            append(AdmissionDecision(job.job_id, True, cp))
-        if n_admitted:
-            schedule.record_commits(committed, finishes, areas)
+        cp = ChainPlacement(job.job_id, c, chain, placements, job.release)
+        committed.append(cp)
+        by_chain[c] = by_chain.get(c, 0) + 1
+        append(AdmissionDecision(job.job_id, True, cp))
+    arbitrator._quality_possible = ctx.q_possible = state.q_possible  # noqa: SLF001
+    if n_admitted:
+        arbitrator.schedule.record_commits(committed, finishes, areas)
+        arbitrator._quality_sum = ctx.q_sum = state.q_sum  # noqa: SLF001
     arbitrator.admitted += n_admitted
     arbitrator.rejected += n_jobs - n_admitted
-    state = ctx.c  # not ``struct``: that is the module the packer uses
-    arbitrator._quality_possible = state.q_possible  # noqa: SLF001
-    arbitrator._quality_sum = state.q_sum  # noqa: SLF001
     return decisions

@@ -1,11 +1,16 @@
 """ctypes binding for the compiled decision kernel (``_kernels.c``).
 
-Loads the shared object built by :mod:`repro.core.kernels.build` and
-exposes :meth:`CompiledKernels.admit_batch` — the one-call batched
+Loads the shared object built by :mod:`repro.core.kernels.build` (ABI 9)
+and exposes :meth:`CompiledKernels.admit_batch` — the one-call batched
 admission loop over a :class:`Context` the caller builds once per
-profile.  Every array the context points at is a contiguous NumPy array
-passed by raw pointer; the C side never allocates, so ownership stays
-entirely with the caller.
+profile.  ``repro_admit_batch`` takes that struct and nothing else: ctypes
+passes the ``Context`` instance itself to the ``POINTER(Context)``
+argument, and the job count travels in its ``n_jobs`` field, because a
+``byref`` object and a ``c_int64`` argument each cost more to convert
+than the C loop spends on a shallow profile (``docs/perf.md``).  Every
+array the context points at is a contiguous NumPy array passed by raw
+pointer; the C side never allocates, so ownership stays entirely with
+the caller.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ class Context(ctypes.Structure):
     the size and every field's offset): the profile's buffers (the live
     window, and the savepoint an error status restores from) and state,
     the scheduler flags, ONE input pointer (``record``, the packed job
-    vector), the per-job scratch, two output pointers (``out_chain``,
+    vector) with its job count (``n_jobs``), the per-job scratch, two
+    output pointers (``out_chain``,
     ``out_rows``), the quality accumulators, the counters and the no-fit
     facts.  Pointer fields take ``ndarray.ctypes.data``; whoever sets one
     keeps the array alive (:mod:`repro.core.kernels.batch` does)."""
@@ -44,7 +50,7 @@ class Context(ctypes.Structure):
             "cap_buf", "lo", "n", "capacity", "prefix_valid",
             "prefix_from", "policy", "do_compact")),
         ("record", _ptr),
-        ("max_chains", _i64), ("max_tasks", _i64),
+        ("n_jobs", _i64), ("max_chains", _i64), ("max_tasks", _i64),
         *((name, _ptr) for name in (
             "dscratch", "iscratch", "out_chain", "out_rows")),
         ("q_possible", ctypes.c_double), ("q_sum", ctypes.c_double),
@@ -66,8 +72,9 @@ class CompiledKernels:
         lib.repro_abi_version.restype = ctypes.c_int64
         lib.repro_abi_version.argtypes = ()
         lib.repro_admit_batch.restype = ctypes.c_int64
-        lib.repro_admit_batch.argtypes = (ctypes.POINTER(Context), ctypes.c_int64)
+        lib.repro_admit_batch.argtypes = (ctypes.POINTER(Context),)
         self._lib = lib
+        self._admit = lib.repro_admit_batch
         got = int(lib.repro_abi_version())
         if got != ABI_VERSION:
             raise ConfigurationError(
@@ -97,12 +104,15 @@ class CompiledKernels:
                     f"({path}): layouts drifted"
                 )
 
-    def admit_batch(self, ctx, n_jobs: int) -> int:
-        """Decide the ``n_jobs`` staged in ``ctx`` (a ``byref`` of a
-        :class:`Context`); returns the C status code (0 = OK).  The driver
-        in :mod:`repro.core.kernels.batch` owns the context, staging and
+    def admit_batch(self, ctx: Context, n_jobs: int) -> int:
+        """Decide the ``n_jobs`` staged in ``ctx`` (a :class:`Context`,
+        passed as is: the argtype takes the struct by reference); returns
+        the C status code (0 = OK).  The count is stored in ``ctx.n_jobs``,
+        the one argument C reads it from.  The driver in
+        :mod:`repro.core.kernels.batch` owns the context, staging and
         result write-back."""
-        return self._lib.repro_admit_batch(ctx, n_jobs)
+        ctx.n_jobs = n_jobs
+        return self._admit(ctx)
 
 
 _loaded: CompiledKernels | None = None

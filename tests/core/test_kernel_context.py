@@ -908,3 +908,84 @@ def test_one_profile_adopted_by_two_arbitrators_gets_each_ones_flags(differ):
         for name in ("commits", "chains_probed", "chains_quick_rejected",
                      "chains_area_rejected", "profile_compactions"):
             assert snap[name] == want[name], name
+
+
+# The struct keeps the quality accumulators it was last handed or answered
+# with, and a call writes the arbitrator's only when they are not those
+# very float objects ("Context lifetime").  Each test below assigns them
+# outside the C loop between two calls on one profile; a loop that kept
+# running on its own copy would drift from the reference at once.
+
+
+def _accounts(arbitrator: QoSArbitrator) -> tuple[str, str]:
+    return (
+        float(arbitrator._quality_possible).hex(),  # noqa: SLF001
+        float(arbitrator._quality_sum).hex(),  # noqa: SLF001
+    )
+
+
+@needs_compiled
+def test_two_arbitrators_taking_turns_on_one_profile_keep_their_own_accumulators():
+    """Same flags, one profile, alternating runs of calls: each arbitrator
+    reads back its own accumulators plus its own jobs, never the other's."""
+    case = random_flood(random.Random(21), min_jobs=150, max_jobs=150)
+    jobs = _sharing(random.Random(21), list(case.jobs))
+    capacity = case.capacity
+    with kernels.use("compiled"):
+        pairs = []
+        for backend in ("auto", "scalar"):
+            schedule = Schedule(capacity)
+            pair = tuple(QoSArbitrator(capacity, backend=backend) for _ in range(2))
+            for arbitrator in pair:
+                arbitrator.adopt_schedule(schedule)
+            pairs.append(pair)
+        (first, second), (ref_first, ref_second) = pairs
+        for k, job in enumerate(jobs):
+            mine, theirs = (first, ref_first) if k % 7 < 4 else (second, ref_second)
+            assert mine.submit(job) == theirs.submit(job)
+            assert _accounts(mine) == _accounts(theirs)
+        assert first.perf_snapshot()["batch_fallbacks"] == 0
+        assert [_bits(a) for a in (first, second)] == [
+            _bits(a) for a in (ref_first, ref_second)
+        ]
+
+
+@needs_compiled
+def test_resubmit_restores_quality_possible_as_the_reference_does():
+    """``resubmit`` puts back the ``_quality_possible`` its compiled
+    decision read back; the next compiled call must start from that
+    value, as the ``backend="scalar"`` twin does."""
+    case = random_flood(random.Random(22), min_jobs=200, max_jobs=200)
+    jobs = _sharing(random.Random(22), list(case.jobs))
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        ref = QoSArbitrator(case.capacity, backend="scalar")
+        resubmitted = 0
+        for job in jobs:
+            got, want = auto.submit(job), ref.submit(job)
+            assert got == want
+            if not got.admitted:
+                assert auto.resubmit(job) == ref.resubmit(job)
+                resubmitted += 1
+            assert _accounts(auto) == _accounts(ref)
+        assert resubmitted > 10
+        assert _bits(auto) == _bits(ref)
+
+
+@needs_compiled
+def test_a_python_decision_between_two_compiled_calls_is_honoured():
+    """A ``kernels.use("python")`` decision adds to the accumulators in
+    Python; the compiled call after it must carry that addition."""
+    case = random_flood(random.Random(23), min_jobs=150, max_jobs=150)
+    jobs = _sharing(random.Random(23), list(case.jobs))
+    with kernels.use("compiled"):
+        auto = QoSArbitrator(case.capacity)
+        ref = QoSArbitrator(case.capacity, backend="scalar")
+        for k, job in enumerate(jobs):
+            if k % 3 == 1:
+                with kernels.use("python"):
+                    assert auto.submit(job) == ref.submit(job)
+            else:
+                assert auto.submit(job) == ref.submit(job)
+            assert _accounts(auto) == _accounts(ref)
+        assert _bits(auto) == _bits(ref)
