@@ -39,7 +39,7 @@ from repro.model import Job, TaskChain, TaskSpec
 from repro.qos import QoSAgent, ResourceContract
 from repro.sim import PoissonArrivals, RandomStreams, simulate_arrivals
 from repro.workloads import SweepConfig, SyntheticParams, run_point, run_sweep
-from repro.runner import ExperimentRunner, RunnerConfig, unit_key
+from repro.runner import ExperimentRunner
 
 __version__ = "1.1.0"
 
@@ -70,6 +70,4 @@ __all__ = [
     "run_point",
     "run_sweep",
     "ExperimentRunner",
-    "RunnerConfig",
-    "unit_key",
 ]

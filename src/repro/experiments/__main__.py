@@ -5,17 +5,17 @@ variable) selects the paper's 10,000-arrival runs; the default is 2,000
 arrivals per point (identical qualitative shapes, minutes faster).
 
 Execution: ``--jobs N`` fans the independent (sweep point × system ×
-seed) work units of every experiment out over N worker processes, and
-each unit's metrics are memoized in a content-addressed on-disk cache
-(``--cache-dir``, default ``.repro-cache`` or ``$REPRO_CACHE_DIR``) so
-re-runs and overlapping experiments are cache hits.  ``--no-cache``
-disables memoization.  Results are bit-identical whichever way the units
-were executed; see :mod:`repro.runner`.
+seed) work units of every experiment out over N worker processes.  One
+runner serves the whole invocation and remembers each unit's metrics, so
+a unit that two experiments share is simulated once; nothing is written
+to disk, and the next invocation runs every unit again.  Results are
+bit-identical whichever way the units were executed; see
+:mod:`repro.runner`.
 
 Committed output: stdout over all ids at the default scale is
 ``results/quick_report.txt``, which CI diffs against a fresh run.  A change
 that legitimately moves a table re-mints it with ``python -m
-repro.experiments --jobs 2 --no-cache > results/quick_report.txt``.
+repro.experiments --jobs 2 > results/quick_report.txt``.
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from repro.experiments.registry import (
     EXPERIMENTS,
     run_experiment,
     unknown_experiments,
 )
-from repro.runner import ExperimentRunner, RunnerConfig, using_runner
-
-DEFAULT_CACHE_DIR = ".repro-cache"
+from repro.runner import ExperimentRunner, using_runner
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,21 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "-j",
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", "1")),
+        default=1,
         help="worker processes for sweep/replication units "
-        "(default: $REPRO_JOBS or 1 = in-process)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=Path(os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR),
-        help="content-addressed result cache location "
-        f"(default: $REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache",
+        "(default: 1 = in-process)",
     )
     return parser
 
@@ -96,12 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"known ids: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return 2
 
-    runner = ExperimentRunner(
-        RunnerConfig(
-            jobs=max(1, args.jobs),
-            cache_dir=None if args.no_cache else args.cache_dir,
-        )
-    )
+    runner = ExperimentRunner(jobs=max(1, args.jobs))
     saved_scale = os.environ.get("REPRO_FULL_SCALE")
     try:
         if args.full_scale:
@@ -121,9 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     if snap.get("units_total"):
         print(
             f"[runner] units={snap.get('units_total', 0)} "
-            f"dedup={snap.get('dedup_hits', 0)} "
-            f"cache_hits={snap.get('cache_hits', 0)} "
-            f"cache_misses={snap.get('cache_misses', 0)} "
+            f"reused={snap.get('units_reused', 0)} "
             f"pool={snap.get('units_executed_pool', 0)} "
             f"inline={snap.get('units_executed_inline', 0)} "
             f"unit_p50={snap.get('unit_p50_us', 0) / 1e3:.1f}ms "

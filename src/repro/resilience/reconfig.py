@@ -98,7 +98,7 @@ class ReconfigCostModel:
     redistribute: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.checkpoint < 0 or self.redistribute < 0:
+        if not (self.checkpoint >= 0 and self.redistribute >= 0):
             raise ConfigurationError(
                 f"reconfiguration costs must be >= 0, got "
                 f"checkpoint={self.checkpoint}, redistribute={self.redistribute}"

@@ -1,11 +1,12 @@
-"""Parallel experiment execution with a content-addressed result cache.
+"""Parallel experiment execution, remembered for one runner's life.
 
 See :mod:`repro.runner.core` for the execution model.  This package also
 holds the *default runner* used by :func:`repro.workloads.sweep.run_sweep`
 and :func:`repro.workloads.replicate.replicate_point` when no runner is
-passed explicitly — the CLI installs one built from its ``--jobs`` /
-``--cache-dir`` flags, so every registered experiment transparently runs
-through the same pool and cache.
+passed explicitly — the CLI installs one built from its ``--jobs`` flag
+for one invocation, so every registered experiment runs through the same
+pool and a unit two experiments share is simulated once.  Nothing is
+written to disk.
 """
 
 from __future__ import annotations
@@ -13,27 +14,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.runner.cache import CACHE_VERSION, ResultCache
-from repro.runner.core import ExperimentRunner, RunnerConfig
-from repro.runner.key import (
-    KEY_VERSION,
-    canonical_json,
-    sweep_config_from_dict,
-    sweep_config_to_dict,
-    unit_key,
-)
+from repro.runner.core import ExperimentRunner
 
 __all__ = [
-    "CACHE_VERSION",
-    "KEY_VERSION",
     "ExperimentRunner",
-    "ResultCache",
-    "RunnerConfig",
-    "canonical_json",
     "get_default_runner",
-    "sweep_config_from_dict",
-    "sweep_config_to_dict",
-    "unit_key",
     "using_runner",
 ]
 
@@ -41,11 +26,13 @@ _default_runner: ExperimentRunner | None = None
 
 
 def get_default_runner() -> ExperimentRunner:
-    """The runner used when callers don't pass one (serial, no cache)."""
-    global _default_runner
-    if _default_runner is None:
-        _default_runner = ExperimentRunner(RunnerConfig())
-    return _default_runner
+    """The installed runner, else a fresh serial one.
+
+    A fresh runner per call keeps a library call's memory to its own
+    batch: a process-wide one would serve, say, a compiled-kernel result
+    to a later call made under ``kernels.use("python")``.
+    """
+    return _default_runner if _default_runner is not None else ExperimentRunner()
 
 
 @contextmanager

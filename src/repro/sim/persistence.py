@@ -2,9 +2,9 @@
 
 Replication plumbing: a job serializes exactly (the verification corpus
 archives whole workloads of them through
-:class:`repro.verify.fuzz.FuzzCase`), and run metrics are archived for
-diffing and by the runner's result cache.  Metrics carry a version tag;
-unknown versions are rejected loudly.
+:class:`repro.verify.fuzz.FuzzCase`), and run metrics are encoded for
+diffing (a corpus sweep entry compares its expected numbers against
+:func:`metrics_to_dict` of a fresh run).  Metrics carry a version tag.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from typing import Mapping
 
 from repro.core.resources import ProcessorTimeRequest
-from repro.errors import ConfigurationError
 from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
@@ -25,7 +24,6 @@ __all__ = [
     "job_to_dict",
     "job_from_dict",
     "metrics_to_dict",
-    "metrics_from_dict",
 ]
 
 FORMAT_VERSION = 1
@@ -104,33 +102,3 @@ def metrics_to_dict(metrics: RunMetrics) -> dict[str, object]:
     out["chain_usage"] = {str(k): v for k, v in metrics.chain_usage.items()}
     out["resilience"] = dict(metrics.resilience)
     return out
-
-
-def metrics_from_dict(data: Mapping[str, object]) -> RunMetrics:
-    """Reconstruct run metrics serialized by :func:`metrics_to_dict`."""
-    if data.get("version") != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported metrics format version {data.get('version')!r}"
-        )
-
-    def fget(key: str) -> float:
-        value = data[key]
-        return math.nan if value is None else float(value)  # type: ignore[arg-type]
-
-    return RunMetrics(
-        offered=int(data["offered"]),  # type: ignore[arg-type]
-        admitted=int(data["admitted"]),  # type: ignore[arg-type]
-        rejected=int(data["rejected"]),  # type: ignore[arg-type]
-        utilization=fget("utilization"),
-        mean_response=fget("mean_response"),
-        p95_response=fget("p95_response"),
-        mean_slack=fget("mean_slack"),
-        chain_usage={
-            int(k): int(v)
-            for k, v in data["chain_usage"].items()  # type: ignore[union-attr]
-        },
-        achieved_quality=fget("achieved_quality"),
-        horizon=fget("horizon"),
-        # Absent in archives written before the resilience subsystem.
-        resilience=dict(data.get("resilience") or {}),  # type: ignore[arg-type]
-    )

@@ -73,7 +73,7 @@ def _replay_workload(payload: Mapping[str, object]) -> list[str]:
 
 def _replay_sweep(payload: Mapping[str, object]) -> list[str]:
     from repro.errors import ConfigurationError
-    from repro.runner.key import sweep_config_from_dict
+    from repro.workloads.sweep import sweep_config_from_dict
     from repro.sim.persistence import metrics_to_dict
     from repro.verify.checks import audited_point
 

@@ -71,7 +71,7 @@ def replicate_point(
     All systems share each seed's arrival sequence (common random numbers),
     so :meth:`ReplicatedPoint.benefit_ci` is a paired comparison — the
     pairing is carried by the seed inside each work unit's config, so
-    running units in parallel or from cache (``runner``; see
+    running units in parallel or from the runner's memo (``runner``; see
     :func:`repro.workloads.sweep.run_sweep`) preserves it exactly.
     """
     from repro.runner import get_default_runner  # local: avoids an import cycle

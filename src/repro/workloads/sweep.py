@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 from repro.core.arbitrator import QoSArbitrator
 from repro.core.malleable import MalleableStrategy
 from repro.core.policies import TieBreakPolicy
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.model.job import Job
 from repro.resilience.events import FaultModel, generate_trace
 from repro.resilience.reconfig import ReconfigCostModel, ReconfigEngine, ResizePolicy
@@ -33,6 +33,8 @@ __all__ = [
     "build_point",
     "run_point",
     "run_sweep",
+    "sweep_config_from_dict",
+    "sweep_config_to_dict",
 ]
 
 #: The three task systems compared throughout Section 5.
@@ -115,6 +117,97 @@ class SweepConfig:
         if axis == "reconfig_cost":
             return replace(self, reconfig_cost=float(value))
         raise WorkloadError(f"unknown sweep axis {axis!r}")
+
+
+def _params_to_dict(params: SyntheticParams) -> dict[str, object]:
+    return {
+        "x": params.x,
+        "t": params.t,
+        "alpha": params.alpha,
+        "laxity": params.laxity,
+        "concurrency_factor": params.concurrency_factor,
+    }
+
+
+def _params_from_dict(data: Mapping[str, object]) -> SyntheticParams:
+    return SyntheticParams(
+        x=int(data["x"]),  # type: ignore[arg-type]
+        t=float(data["t"]),  # type: ignore[arg-type]
+        alpha=float(data["alpha"]),  # type: ignore[arg-type]
+        laxity=float(data["laxity"]),  # type: ignore[arg-type]
+        concurrency_factor=float(data["concurrency_factor"]),  # type: ignore[arg-type]
+    )
+
+
+def _faults_to_dict(model: FaultModel | None) -> dict[str, object] | None:
+    if model is None:
+        return None
+    return {
+        "fault_rate": model.fault_rate,
+        "fault_severity": model.fault_severity,
+        "mean_repair": model.mean_repair,
+        "overrun_prob": model.overrun_prob,
+        "overrun_excess": model.overrun_excess,
+        "burst_rate": model.burst_rate,
+        "burst_size": model.burst_size,
+    }
+
+
+def _faults_from_dict(data: Mapping[str, object] | None) -> FaultModel | None:
+    if data is None:
+        return None
+    return FaultModel(
+        fault_rate=float(data["fault_rate"]),  # type: ignore[arg-type]
+        fault_severity=float(data["fault_severity"]),  # type: ignore[arg-type]
+        mean_repair=float(data["mean_repair"]),  # type: ignore[arg-type]
+        overrun_prob=float(data["overrun_prob"]),  # type: ignore[arg-type]
+        overrun_excess=float(data["overrun_excess"]),  # type: ignore[arg-type]
+        burst_rate=float(data["burst_rate"]),  # type: ignore[arg-type]
+        burst_size=int(data["burst_size"]),  # type: ignore[arg-type]
+    )
+
+
+def sweep_config_to_dict(config: SweepConfig) -> dict[str, object]:
+    """JSON-able encoding of every field (the corpus archives units so)."""
+    return {
+        "params": _params_to_dict(config.params),
+        "processors": config.processors,
+        "interval": config.interval,
+        "n_jobs": config.n_jobs,
+        "seed": config.seed,
+        "malleable": config.malleable,
+        "strategy": config.strategy.value,
+        "policy": config.policy.value,
+        "faults": _faults_to_dict(config.faults),
+        "resize_policy": config.resize_policy.value,
+        "reconfig_cost": config.reconfig_cost,
+    }
+
+
+def sweep_config_from_dict(data: Mapping[str, object]) -> SweepConfig:
+    """Reconstruct a config serialized by :func:`sweep_config_to_dict`.
+
+    Keys of fields SweepConfig no longer has (``verify`` and
+    ``reconfig_cost_per_proc`` in the committed corpus) are ignored.
+    """
+    try:
+        return SweepConfig(
+            params=_params_from_dict(data["params"]),  # type: ignore[arg-type]
+            processors=int(data["processors"]),  # type: ignore[arg-type]
+            interval=float(data["interval"]),  # type: ignore[arg-type]
+            n_jobs=int(data["n_jobs"]),  # type: ignore[arg-type]
+            seed=int(data["seed"]),  # type: ignore[arg-type]
+            malleable=bool(data["malleable"]),
+            strategy=MalleableStrategy(data["strategy"]),
+            policy=TieBreakPolicy(data["policy"]),
+            faults=_faults_from_dict(data.get("faults")),  # type: ignore[arg-type]
+            # Absent in payloads older than the resize fields: resizing
+            # off, zero cost.
+            resize_policy=ResizePolicy(data.get("resize_policy", "off")),
+            reconfig_cost=float(data.get("reconfig_cost", 0.0)),  # type: ignore[arg-type]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed sweep-config payload: {exc}") from exc
 
 
 def _job_factory(config: SweepConfig, system: str) -> Callable[[int, float], Job]:
@@ -225,11 +318,11 @@ def run_sweep(
     interval axis is the only source of arrival variation along a sweep.
 
     ``runner`` is an :class:`repro.runner.ExperimentRunner`; the default
-    is the process-wide runner (serial and uncached unless the CLI or a
-    caller installed another).  Every (value, system) pair is one
-    independent work unit, so parallel execution and caching cannot
-    perturb common-random-numbers pairing: each unit's arrivals depend
-    only on its own config.  Units are merged back in grid order, making
+    is the installed one (the CLI's, for one invocation), else a fresh
+    serial runner for this call alone.  Every (value, system) pair is one
+    independent work unit, so parallel execution and the runner's memo
+    cannot perturb common-random-numbers pairing: each unit's arrivals
+    depend only on its own config.  Units are merged back in grid order, making
     the result identical however they were scheduled.
     """
     from repro.runner import get_default_runner  # local: avoids an import cycle

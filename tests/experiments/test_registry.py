@@ -72,7 +72,9 @@ class TestCLI:
         # The flag is scoped to the invocation, not leaked into the env.
         assert not presets.full_scale()
 
-    def test_jobs_and_cache_flags(self, tmp_path, capsys, monkeypatch):
+    def test_jobs_flag_and_every_invocation_runs_every_unit(
+        self, capsys, monkeypatch
+    ):
         from repro.experiments import registry
         from repro.runner import get_default_runner
         from repro.workloads.sweep import SweepConfig, run_sweep
@@ -82,32 +84,30 @@ class TestCLI:
             return f"units={len(sweep.values) * len(sweep.systems)}"
 
         monkeypatch.setitem(registry.EXPERIMENTS, "tiny", tiny_sweep)
-        cache_dir = tmp_path / "cache"
-        assert main(["tiny", "--jobs", "2", "--cache-dir", str(cache_dir)]) == 0
-        assert cache_dir.exists()
+        assert main(["tiny", "--jobs", "2"]) == 0
         err = capsys.readouterr().err
-        assert "[runner]" in err and "cache_misses=3" in err
+        assert "[runner] units=3 reused=0" in err
         # All three units ran in the pool: a dying pool would fall back.
         assert "pool=3" in err and "inline=0" in err
-        # Second invocation: warm cache.
-        assert main(["tiny", "--cache-dir", str(cache_dir)]) == 0
-        assert "cache_hits=3" in capsys.readouterr().err
-        # The scoped default runner was restored afterwards.
-        assert get_default_runner().cache is None
+        # Second invocation: nothing is remembered across invocations.
+        assert main(["tiny"]) == 0
+        assert "units=3 reused=0 pool=0 inline=3" in capsys.readouterr().err
+        # The scoped runner was uninstalled afterwards.
+        assert get_default_runner() is not get_default_runner()
 
-    def test_no_cache_flag(self, tmp_path, capsys, monkeypatch):
+    def test_a_run_writes_no_file(self, tmp_path, capsys, monkeypatch):
         from repro.experiments import registry
         from repro.workloads.sweep import SweepConfig, run_sweep
 
-        monkeypatch.setitem(
-            registry.EXPERIMENTS,
-            "tiny",
-            lambda: str(
-                run_sweep("interval", [25.0], SweepConfig(n_jobs=40)).values
-            ),
-        )
+        def tiny_sweep():
+            # One experiment asking twice: the invocation's runner answers
+            # the repeat from memory.
+            for _ in range(2):
+                sweep = run_sweep("interval", [25.0], SweepConfig(n_jobs=40))
+            return str(sweep.values)
+
+        monkeypatch.setitem(registry.EXPERIMENTS, "tiny", tiny_sweep)
         monkeypatch.chdir(tmp_path)
-        assert main(["tiny", "--no-cache"]) == 0
-        err = capsys.readouterr().err
-        assert "cache_hits=0" in err and "cache_misses=0" in err
-        assert not (tmp_path / ".repro-cache").exists()
+        assert main(["tiny"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "units=6 reused=3" in capsys.readouterr().err

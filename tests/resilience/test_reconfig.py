@@ -7,6 +7,7 @@ transactional mechanics are pinned bit-exactly: an undone resize must
 leave no trace in the availability profile or the driver's ledgers.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,13 @@ class TestCostModelAndPolicy:
             ReconfigCostModel(checkpoint=-1.0)
         with pytest.raises(ConfigurationError):
             ReconfigCostModel(redistribute=-0.1)
+
+    @pytest.mark.parametrize("term", ["checkpoint", "redistribute"])
+    def test_nan_terms_rejected(self, term):
+        # ``nan < 0`` is false: a NaN cost once slipped through and a
+        # resize-on run died later in the event loop with an IndexError.
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            ReconfigCostModel(**{term: math.nan})
 
     def test_delay_scales_with_absolute_width_change(self):
         cost = ReconfigCostModel(checkpoint=2.0, redistribute=0.5)

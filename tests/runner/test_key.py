@@ -1,16 +1,28 @@
-"""Unit-key hashing: determinism, round-trips, field sensitivity."""
+"""A unit's identity: the config codec's round-trips, and the runner's
+memo keying every outcome-relevant field.
+
+The memo is keyed by the ``(SweepConfig, system)`` pair itself, so a
+field that left equality (``compare=False``) would let a runner serve one
+config's metrics for another; the ``TestUnitKey`` cases run each pair
+through one runner and count the simulations.
+"""
 
 from dataclasses import replace
 
 import pytest
 
+import repro.runner.core as runner_core
 from repro.core.malleable import MalleableStrategy
 from repro.core.policies import TieBreakPolicy
 from repro.errors import ConfigurationError
 from repro.resilience.events import FaultModel
 from repro.resilience.reconfig import ResizePolicy
-from repro.runner import sweep_config_from_dict, sweep_config_to_dict, unit_key
-from repro.workloads.sweep import SweepConfig
+from repro.runner import ExperimentRunner
+from repro.workloads.sweep import (
+    SweepConfig,
+    sweep_config_from_dict,
+    sweep_config_to_dict,
+)
 
 
 class TestConfigRoundTrip:
@@ -93,19 +105,27 @@ class TestConfigRoundTrip:
         assert sweep_config_from_dict(payload) == SweepConfig()
 
 
+def _simulated(monkeypatch, *units) -> int:
+    """How many of ``units`` one runner simulates (run_point is stubbed)."""
+    calls: list[object] = []
+
+    def fake_run_point(config, system):
+        calls.append((config, system))
+        return object()
+
+    monkeypatch.setattr(runner_core, "run_point", fake_run_point)
+    ExperimentRunner().run_units(list(units))
+    return len(calls)
+
+
 class TestUnitKey:
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         cfg = SweepConfig()
-        assert unit_key(cfg, "tunable") == unit_key(SweepConfig(), "tunable")
+        assert _simulated(monkeypatch, (cfg, "tunable"), (SweepConfig(), "tunable")) == 1
 
-    def test_hex_sha256(self):
-        key = unit_key(SweepConfig(), "shape1")
-        assert len(key) == 64
-        int(key, 16)  # hex
-
-    def test_system_changes_key(self):
+    def test_system_changes_key(self, monkeypatch):
         cfg = SweepConfig()
-        assert unit_key(cfg, "tunable") != unit_key(cfg, "shape1")
+        assert _simulated(monkeypatch, (cfg, "tunable"), (cfg, "shape1")) == 2
 
     @pytest.mark.parametrize(
         "change",
@@ -123,22 +143,20 @@ class TestUnitKey:
             {"reconfig_cost": 2.0},
         ],
     )
-    def test_every_config_field_changes_key(self, change):
+    def test_every_config_field_changes_key(self, monkeypatch, change):
         base = SweepConfig()
-        assert unit_key(base, "tunable") != unit_key(
-            replace(base, **change), "tunable"
-        )
+        varied = replace(base, **change)
+        assert _simulated(monkeypatch, (base, "tunable"), (varied, "tunable")) == 2
 
     @pytest.mark.parametrize(
         "axis,value", [("laxity", 0.3), ("alpha", 0.25), ("fault_rate", 1e-4)]
     )
-    def test_params_fields_change_key(self, axis, value):
+    def test_params_fields_change_key(self, monkeypatch, axis, value):
         base = SweepConfig()
-        assert unit_key(base, "tunable") != unit_key(
-            base.with_axis(axis, value), "tunable"
-        )
+        varied = base.with_axis(axis, value)
+        assert _simulated(monkeypatch, (base, "tunable"), (varied, "tunable")) == 2
 
-    def test_fault_model_fields_change_key(self):
+    def test_fault_model_fields_change_key(self, monkeypatch):
         base = replace(SweepConfig(), faults=FaultModel(fault_rate=1e-4))
         for change in (
             {"fault_severity": 0.5},
@@ -149,4 +167,6 @@ class TestUnitKey:
             {"burst_size": 8},
         ):
             varied = replace(base, faults=replace(base.faults, **change))
-            assert unit_key(base, "tunable") != unit_key(varied, "tunable"), change
+            assert (
+                _simulated(monkeypatch, (base, "tunable"), (varied, "tunable")) == 2
+            ), change

@@ -1,19 +1,19 @@
 """Unit tests for JSON job/metrics persistence and archived workloads."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
-from repro.errors import ConfigurationError
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.persistence import (
     job_from_dict,
     job_to_dict,
-    metrics_from_dict,
     metrics_to_dict,
 )
+from repro.sim.metrics import RunMetrics
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import ArrivalSimulator, simulate_arrivals
 from repro.verify.fuzz import FuzzCase, load_case
@@ -88,6 +88,28 @@ class TestWorkloadRoundTrip:
             load_case(bad)
 
 
+def _assert_carries_every_field(metrics: RunMetrics) -> dict:
+    """``metrics_to_dict`` holds every result field exactly, after a JSON
+    hop (a corpus sweep entry compares a fresh run through it)."""
+    payload = json.loads(json.dumps(metrics_to_dict(metrics)))
+    derived = {"version", "throughput", "admit_rate"}
+    fields = {f.name for f in dataclasses.fields(RunMetrics)} - {"perf"}
+    assert set(payload) == fields | derived
+    for name in fields:
+        value, got = getattr(metrics, name), payload[name]
+        if name == "chain_usage":
+            assert {int(k): v for k, v in got.items()} == dict(value)
+        elif name == "resilience":
+            assert got == dict(value)
+        elif isinstance(value, float) and math.isnan(value):
+            assert got is None
+        else:
+            assert got == value, name
+    assert payload["throughput"] == metrics.throughput
+    assert payload["admit_rate"] == metrics.admit_rate
+    return payload
+
+
 class TestMetricsRoundTrip:
     def test_roundtrip(self, params):
         arb = QoSArbitrator(4, keep_placements=False)
@@ -97,24 +119,20 @@ class TestMetricsRoundTrip:
             PoissonArrivals(8.0, RandomStreams(1)),
             30,
         )
-        back = metrics_from_dict(metrics_to_dict(metrics))
-        assert back == metrics
+        _assert_carries_every_field(metrics)
 
     def test_nan_roundtrip(self):
         from repro.sim.metrics import MetricsCollector
 
         empty = MetricsCollector().finalize(0.0, {}, 0.0, 0.0)
-        back = metrics_from_dict(metrics_to_dict(empty))
-        assert math.isnan(back.mean_response)
-        assert back.offered == 0
-
-    def test_version_check(self):
-        with pytest.raises(ConfigurationError):
-            metrics_from_dict({"version": 0})
+        assert math.isnan(empty.mean_response)
+        payload = _assert_carries_every_field(empty)
+        assert payload["mean_response"] is None
+        assert payload["offered"] == 0
 
     def test_resilience_block_roundtrip(self, params):
         """A perturbed run's nested resilience block survives the JSON hop
-        exactly (it is how the result cache persists fault experiments)."""
+        exactly (the corpus pins fault experiments through it)."""
         from repro.resilience.events import FaultModel, generate_trace
 
         arrivals = list(PoissonArrivals(8.0, RandomStreams(1)).times(60))
@@ -131,8 +149,5 @@ class TestMetricsRoundTrip:
             arb, lambda i, r: params.tunable_job(r), trace=trace
         ).run(arrivals)
         assert metrics.resilience  # the block is populated
-        payload = metrics_to_dict(metrics)
-        assert "resilience" in payload
-        back = metrics_from_dict(payload)
-        assert back == metrics
-        assert back.resilience == metrics.resilience
+        payload = _assert_carries_every_field(metrics)
+        assert payload["resilience"] == dict(metrics.resilience)

@@ -1,18 +1,18 @@
 """Knob regrowth guards: every config field and constructor option has a user.
 
-Each of :class:`ServiceConfig`, :class:`SweepConfig` and
-:class:`RunnerConfig` ends its docstring with one bullet per field,
-``* ``field``: <users>``, naming the committed data point that sets the
-field off its default: a chaos scenario, an e2e workload of
-``BENCHMARK.json``, a committed table (an experiment id), an option of
-``python -m repro.experiments`` or a script under ``tools/``.  A field
-without such a user is a knob to delete, not to document.
+Each of :class:`ServiceConfig` and :class:`SweepConfig` ends its
+docstring with one bullet per field, ``* ``field``: <users>``, naming the
+committed data point that sets the field off its default: a chaos
+scenario, an e2e workload of ``BENCHMARK.json``, a committed table (an
+experiment id), an option of ``python -m repro.experiments`` or a script
+under ``tools/``.  A field without such a user is a knob to delete, not
+to document.
 
 The constructors on the decision path (:class:`QoSArbitrator`,
 :class:`GreedyScheduler`, :class:`MalleableScheduler`, :class:`QoSAgent`)
-get the same rule from the call sites: every optional parameter is passed
-by keyword somewhere in ``src/``, ``tools/``, ``examples/`` or
-``benchmarks/``.
+and :class:`ExperimentRunner` get the same rule from the call sites:
+every optional parameter is passed by keyword somewhere in ``src/``,
+``tools/``, ``examples/`` or ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.core.malleable import MalleableScheduler
 from repro.experiments.__main__ import _build_parser
 from repro.qos.agent import QoSAgent
 from repro.experiments.registry import EXPERIMENTS
-from repro.runner import RunnerConfig
+from repro.runner import ExperimentRunner
 from repro.service.chaos import SCENARIOS
 from repro.service.service import ServiceConfig
 from repro.workloads.sweep import SweepConfig
@@ -66,7 +66,7 @@ def _bullets(cls) -> dict[str, list[str]]:
 
 
 @pytest.mark.parametrize(
-    "cls", [ServiceConfig, SweepConfig, RunnerConfig], ids=lambda c: c.__name__
+    "cls", [ServiceConfig, SweepConfig], ids=lambda c: c.__name__
 )
 def test_every_config_field_names_its_non_default_user(cls):
     bullets = _bullets(cls)
@@ -120,7 +120,7 @@ def _keywords_passed(class_names: set[str]) -> set[str]:
 
 @pytest.mark.parametrize(
     "cls",
-    [QoSArbitrator, GreedyScheduler, MalleableScheduler, QoSAgent],
+    [QoSArbitrator, GreedyScheduler, MalleableScheduler, QoSAgent, ExperimentRunner],
     ids=lambda c: c.__name__,
 )
 def test_every_constructor_option_is_passed_by_some_caller(cls):

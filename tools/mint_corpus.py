@@ -27,11 +27,10 @@ from repro.model.job import Job  # noqa: E402
 from repro.model.task import TaskSpec  # noqa: E402
 from repro.resilience.events import FaultModel  # noqa: E402
 from repro.resilience.reconfig import ResizePolicy  # noqa: E402
-from repro.runner.key import sweep_config_to_dict  # noqa: E402
 from repro.sim.persistence import metrics_to_dict  # noqa: E402
 from repro.verify.checks import audited_point  # noqa: E402
 from repro.verify.fuzz import FuzzCase, check_case  # noqa: E402
-from repro.workloads.sweep import SweepConfig  # noqa: E402
+from repro.workloads.sweep import SweepConfig, sweep_config_to_dict  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent.parent / "tests" / "corpus"
 
