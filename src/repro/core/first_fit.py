@@ -19,7 +19,7 @@ C admission loop (``tests/core/test_kernels.py`` pins the two together);
 the maximal-holes formulation in :mod:`repro.core.holes` provides an
 independent oracle.
 
-Each call bumps the profile's :class:`~repro.perf.ProfileStats` probe
+Each call bumps the profile's :class:`~repro.perf.PerfRecorder` probe
 counters (``probes``, ``probe_segments``) so decision cost stays observable
 at simulation scale.  (The compiled batch loop adds the segments it walked
 *after* skipping the starts an earlier probe of the same call ruled out —
@@ -63,7 +63,7 @@ def earliest_fit(
     completes by ``deadline`` (including the case ``processors`` exceeds the
     machine capacity, which can never fit).
     """
-    stats = profile.stats
+    stats = profile._perf  # noqa: SLF001 - hot path, same package
     stats.probes += 1
     if processors > profile.capacity:
         return None

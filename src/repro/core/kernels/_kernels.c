@@ -65,7 +65,7 @@
 #define AREA_EPS 1e-6   /* greedy._area_reject slack */
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 
-#define ABI_VERSION 9
+#define ABI_VERSION 10
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -83,8 +83,10 @@
 #define POLICY_FIRST 1
 #define POLICY_PREFIX 2
 
-/* Counter slots, zeroed at entry and accumulated into ProfileStats /
- * PerfRecorder by the Python driver after a successful batch. */
+/* Counter slots of a call's tallies (Prof.c, zeroed at entry).  On
+ * BATCH_OK the first N_TALLIES are added to the running cells
+ * (Prof.totals), which the Python side folds into the profile's
+ * PerfRecorder when that is read; an error status adds nothing. */
 #define K_SHIFT_OPS 0
 #define K_SEGMENTS_TOUCHED 1
 #define K_LAST_TOUCHED 2
@@ -99,6 +101,7 @@
 #define K_ROW_CELLS 11 /* cells of out_rows written: not a statistic, the
                         * write-back's read length */
 #define N_COUNTERS 12
+#define N_TALLIES 11 /* K_SHIFT_OPS .. K_COMMITS */
 
 /* Python max(a, b) returns the FIRST argument on ties (max(-0.0, 0.0)
  * is -0.0); same for min.  These macros keep that convention so even
@@ -197,7 +200,10 @@ typedef struct {
      * BATCH_OK */
     double q_possible; /* += best chain quality of each job offered */
     double q_sum;      /* += the chosen chain's quality */
-    int64_t c[N_COUNTERS];
+    int64_t c[N_COUNTERS]; /* this call's tallies and row cells */
+    /* every BATCH_OK call's tallies, summed (K_LAST_TOUCHED: the latest
+     * shift's); only the Python fold reads and zeroes them */
+    int64_t totals[N_TALLIES];
     int64_t nfacts;
     int64_t fact_evict; /* round-robin victim once the table is full */
     Fact facts[NFACTS];
@@ -676,7 +682,7 @@ int64_t repro_ctx_size(void)
     X(cap_buf) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)         \
     X(policy) X(do_compact) X(record) X(n_jobs) X(max_chains) X(max_tasks)   \
     X(dscratch) X(iscratch) X(out_chain) X(out_rows) X(q_possible) X(q_sum)  \
-    X(c) X(nfacts) X(fact_evict) X(facts)
+    X(c) X(totals) X(nfacts) X(fact_evict) X(facts)
 
 const char *repro_ctx_fields(void)
 {
@@ -700,8 +706,9 @@ const int64_t *repro_ctx_offsets(void)
  * out_chain[j] holds the chosen chain's index in job j (-1 = rejected),
  * out_rows one row per admitted job, and q_possible/q_sum have taken every
  * job's best and every chosen chain's quality, job by job in arrival order
- * (the serial loop's own additions).  Any error status leaves the live
- * window and both accumulators as at entry and drops what the call learnt.
+ * (the serial loop's own additions), and totals its tallies.  Any error
+ * status leaves the live window, both accumulators and the totals as at
+ * entry and drops what the call learnt.
  * Replays greedy.candidates exactly -- every chain probed, behind
  * quick_reject and area_reject -- then select_candidate's earliest-finish
  * + policy tie-break. */
@@ -856,5 +863,10 @@ int64_t repro_admit_batch(Prof *p)
 #undef TASKS
     p->q_possible = q_possible;
     p->q_sum = q_sum;
+    for (int k = 0; k < N_TALLIES; k++)
+        if (k != K_LAST_TOUCHED)
+            p->totals[k] += counters[k];
+    if (counters[K_SHIFT_OPS])
+        p->totals[K_LAST_TOUCHED] = counters[K_LAST_TOUCHED];
     return BATCH_OK;
 }

@@ -11,12 +11,12 @@ serial admission loop — compaction, filters, probes, tie-breaks, commits,
 and the float accounting: finish, area, the quality accumulators) in ONE
 C call, then builds the decision objects from the two columns it answers
 with (``out_chain``: each job's chosen chain, by its index in the job;
-``out_rows``: per admitted job ``[finish, area, start of each task]``)
-and folds the counters into the live ones; the profile itself stays in
-the context's arrays until Python reads it.  The C loop mutates the live
-window in place and saves the entry cells it overwrites, so any error
-status puts the live state back as it was and the caller falls back to
-the reference: the plain serial loop over ``_offer``.  ``submit(job)``
+``out_rows``: per admitted job ``[finish, area, start of each task]``);
+the profile and the call's counts stay in the context until Python reads
+them.  The C loop mutates the live window in place and saves the entry
+cells it overwrites, so any error status puts the live state back as it
+was and the caller falls back to the reference: the plain serial loop
+over ``_offer``.  ``submit(job)``
 is this same path with a batch of one, entered through
 :func:`try_admit_one_compiled`, which takes the job and returns its
 decision; only the write-back differs.  When the job offers the very
@@ -101,6 +101,13 @@ context's view of the profile is thrown away:
   drops it (a batch of several jobs); it goes with the context
   (``adopt_schedule``, ``copy()``, another kernel object).  The C loop
   only reads the record.
+* The counters: ``ctx.counters`` is one call's (``c``: its tallies, the
+  admitted count and row cells the write-back reads); ``ctx.totals`` the
+  running tallies C adds each ``BATCH_OK`` call's to (an error, nothing).
+  They are the profile recorder's ``cells`` from the context's birth and
+  folded when it is read or Python takes the profile back
+  (``profile._pull``, which ``_detach`` goes through), so a context is
+  replaced only after its counts went in.
 * The scheduler and config flags: ``ctx.flags`` is the
   ``(policy, compact)`` pair whose codes the struct holds.  A call whose
   pair differs (compared by identity first, so no enum hash runs) looks
@@ -254,17 +261,18 @@ class _Context:
     cells it overwrites), prefix and shift scratch, the
     staged record (``inbuf`` is its byte view), the two output columns
     (``chosen`` / ``rows``: their memoryviews, read item by item by a
-    one-job write-back) and the per-job scratch.  ``chains`` is the tuple
-    the staged record was packed from when it is one job's, and ``tasks``
-    the task count :meth:`sync` makes room for; ``flags`` the
-    ``(policy, compact)`` pair whose codes the struct holds;
-    ``q_possible``/``q_sum`` the float objects whose values the struct's
-    quality accumulators hold (``None``: unknown).
+    one-job write-back) and the per-job scratch; ``counters``/``totals``
+    view the counter cells.  ``chains`` is the tuple the staged record
+    was packed from when it is one job's, ``tasks`` the task count
+    :meth:`sync` makes room for, ``flags`` the ``(policy, compact)`` pair
+    whose codes the struct holds, and ``q_possible``/``q_sum`` the float
+    objects whose values the struct's quality accumulators hold
+    (``None``: unknown).
     """
 
     __slots__ = (
-        "impl", "c", "cols", "room", "counters", "inbuf", "chosen",
-        "rows", "chains", "tasks", "flags", "q_possible", "q_sum",
+        "impl", "c", "cols", "room", "counters", "totals", "inbuf",
+        "chosen", "rows", "chains", "tasks", "flags", "q_possible", "q_sum",
     )
 
     def __init__(self, impl, capacity: int) -> None:
@@ -272,6 +280,9 @@ class _Context:
         self.c = c = Context()
         c.capacity = capacity
         self.counters = np.frombuffer(c, _I8, len(c.c), Context.c.offset)
+        self.totals = np.frombuffer(
+            c, _I8, len(c.totals), Context.totals.offset
+        )
         self.cols: dict[str, np.ndarray] = {}
         self.room = (0, 0, 0, 0)  # jobs, record bytes, max_chains, max_tasks
         self.chains = self.flags = self.q_possible = self.q_sum = None
@@ -371,9 +382,9 @@ class _Context:
 def _run(
     arbitrator: "QoSArbitrator", jobs: Sequence[Job], one
 ) -> _Context | None:
-    """Stage ``jobs``, run the C loop over them and fold its counters in;
-    the context on ``BATCH_OK``, ``None`` when the C loop does not take
-    the batch (the live state is then untouched).
+    """Stage ``jobs`` and run the C loop over them; the context on
+    ``BATCH_OK``, ``None`` when the C loop does not take the batch (the
+    live state is then untouched).
 
     ``one`` is the one job's ``chains`` tuple when ``jobs`` is one job,
     ``None`` otherwise.  ``flatten_jobs`` and ``impl.admit_batch`` are
@@ -397,6 +408,7 @@ def _run(
         if ctx is None or ctx.impl is not impl:
             profile._detach()  # noqa: SLF001 - the old context's last service
             ctx = profile._ctx = _Context(impl, profile.capacity)  # noqa: SLF001
+            profile._perf.cells = ctx.totals  # noqa: SLF001
         record, max_chains, max_tasks = flat
         ctx.stage(record, len(jobs), max_chains, max_tasks, one)
     c = ctx.c
@@ -425,24 +437,9 @@ def _run(
         profile._detach()  # noqa: SLF001 - trust the live window, nothing else
         ctx.q_possible = ctx.q_sum = None
         return None
-    # The profile is not written back at all: it stays in the context's
-    # arrays, and the lists are dropped until somebody reads them.
+    # Neither the profile nor the counts are written back: they stay in
+    # the context, and the lists are dropped until somebody reads them.
     profile._list_times = profile._list_avail = profile._prefix = None  # noqa: SLF001
-    counts = ctx.counters.tolist()
-    stats = profile.stats
-    stats.shift_ops += counts[0]
-    stats.segments_touched += counts[1]
-    if counts[0]:
-        stats.last_touched = counts[2]
-    stats.probes += counts[3]
-    stats.probe_segments += counts[4]
-    stats.prefix_rebuilds += counts[5]
-    stats.compactions += counts[6]
-    perf = arbitrator.schedule.perf
-    perf.chains_probed += counts[7]
-    perf.chains_quick_rejected += counts[8]
-    perf.chains_area_rejected += counts[9]
-    perf.commits += counts[10]
     return ctx
 
 

@@ -39,7 +39,7 @@ __all__ = [
 #: Must match ``ABI_VERSION`` in ``_kernels.c``; bump both together when
 #: the exported signatures change so a stale cached ``.so`` is rebuilt
 #: instead of being called with the wrong argument layout.
-ABI_VERSION = 9
+ABI_VERSION = 10
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 

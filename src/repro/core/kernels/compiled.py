@@ -1,6 +1,6 @@
 """ctypes binding for the compiled decision kernel (``_kernels.c``).
 
-Loads the shared object built by :mod:`repro.core.kernels.build` (ABI 9)
+Loads the shared object built by :mod:`repro.core.kernels.build` (ABI 10)
 and exposes :meth:`CompiledKernels.admit_batch` — the one-call batched
 admission loop over a :class:`Context` the caller builds once per
 profile.  ``repro_admit_batch`` takes that struct and nothing else: ctypes
@@ -37,10 +37,11 @@ class Context(ctypes.Structure):
     window, and the savepoint an error status restores from) and state,
     the scheduler flags, ONE input pointer (``record``, the packed job
     vector) with its job count (``n_jobs``), the per-job scratch, two
-    output pointers (``out_chain``,
-    ``out_rows``), the quality accumulators, the counters and the no-fit
-    facts.  Pointer fields take ``ndarray.ctypes.data``; whoever sets one
-    keeps the array alive (:mod:`repro.core.kernels.batch` does)."""
+    output pointers (``out_chain``, ``out_rows``), the quality
+    accumulators, a call's counters, the running tallies (``totals``) and
+    the no-fit facts.  Pointer fields take ``ndarray.ctypes.data``;
+    whoever sets one keeps the array alive
+    (:mod:`repro.core.kernels.batch` does)."""
 
     _fields_ = [
         *((name, _ptr) for name in (
@@ -55,6 +56,7 @@ class Context(ctypes.Structure):
             "dscratch", "iscratch", "out_chain", "out_rows")),
         ("q_possible", ctypes.c_double), ("q_sum", ctypes.c_double),
         ("c", _i64 * 12),  # N_COUNTERS
+        ("totals", _i64 * 11),  # N_TALLIES
         ("nfacts", _i64), ("fact_evict", _i64),
         ("facts", _Fact * 64),  # NFACTS
     ]

@@ -33,9 +33,9 @@ memmove, where W is the number of segments overlapping the interval.
 
 Area queries (:meth:`free_area`, :meth:`busy_area`) run off a cached
 prefix-sum over the segment areas, rebuilt lazily after a mutation, making
-each query O(log S).  :class:`~repro.perf.ProfileStats` counters
-(``stats``) record ops, per-op segments touched, probe scans and prefix
-rebuilds; they are always on and cost a few integer adds per operation.
+each query O(log S).  A :class:`~repro.perf.PerfRecorder` (``stats``,
+its schedule's ``perf``) counts ops, per-op segments touched, probe scans
+and prefix rebuilds, always on, a few integer adds per operation.
 
 Which side is current
 ---------------------
@@ -47,7 +47,8 @@ walk, ``holes``, the auditor, ``copy`` and ``==`` see the lists they
 always saw, while ``len()`` and ``origin`` answer from whichever side is
 current without converting.  A Python-side mutation (``_shift``,
 ``compact``, an assignment to ``_times`` / ``_avail``) sets ``_dirty``:
-the arrays are stale and the next kernel call re-uploads the lists.
+the arrays are stale and the next kernel call re-uploads the lists.  The
+rebuild folds the C loop's counts first: Python's never land before them.
 
 Who decides
 -----------
@@ -72,7 +73,7 @@ from bisect import bisect_right
 from typing import Iterator, Sequence
 
 from repro.errors import CapacityExceededError, ConfigurationError, SchedulingError
-from repro.perf import ProfileStats
+from repro.perf import PerfRecorder
 
 __all__ = [
     "AvailabilityProfile",
@@ -106,7 +107,7 @@ class AvailabilityProfile:
         "_ctx",
         "_dirty",
         "_prefix",
-        "stats",
+        "_perf",
     )
 
     def __init__(self, capacity: int, origin: float = 0.0) -> None:
@@ -124,8 +125,8 @@ class AvailabilityProfile:
         #: Cached free-area prefix sums; None whenever the profile mutated
         #: since the last area query (rebuilt lazily by :meth:`_ensure_prefix`).
         self._prefix: list[float] | None = None
-        #: Always-on operation counters (see :class:`repro.perf.ProfileStats`).
-        self.stats = ProfileStats()
+        #: The counter store (see :attr:`stats`); hot sites bump it bare.
+        self._perf = PerfRecorder()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -135,6 +136,12 @@ class AvailabilityProfile:
     def capacity(self) -> int:
         """Total number of processors in the system."""
         return self._capacity
+
+    @property
+    def stats(self) -> PerfRecorder:
+        """The counter store, with the C loop's counts folded in."""
+        self._perf.fold()
+        return self._perf
 
     @property
     def _times(self) -> list[float]:
@@ -157,7 +164,9 @@ class AvailabilityProfile:
         self._dirty = True
 
     def _pull(self) -> tuple[list[float], list[int]]:
-        """Rebuild the dropped lists from the kernel context's live window."""
+        """Fold the kernel context's counts, then rebuild the dropped lists
+        from its live window."""
+        self._perf.fold()
         times, avail = self._ctx.window()
         if self._list_times is None:
             self._list_times = times.tolist()
@@ -214,14 +223,14 @@ class AvailabilityProfile:
         return f"AvailabilityProfile(capacity={self._capacity}, {parts})"
 
     def copy(self) -> "AvailabilityProfile":
-        """Return an independent deep copy (with fresh stats counters)."""
+        """Return an independent deep copy (with a fresh counter store)."""
         new = AvailabilityProfile.__new__(AvailabilityProfile)
         new._capacity = self._capacity
         new._ctx = None  # a context serves one profile
         new._times = list(self._times)
         new._avail = list(self._avail)
         new._prefix = None
-        new.stats = ProfileStats()
+        new._perf = PerfRecorder()
         return new
 
     @classmethod
@@ -320,7 +329,7 @@ class AvailabilityProfile:
                 acc += avail[k - 1] * (times[k] - times[k - 1])
                 prefix[k] = acc
             self._prefix = prefix
-            self.stats.prefix_rebuilds += 1
+            self._perf.prefix_rebuilds += 1
         return prefix
 
     def _cumulative_free(self, t: float, prefix: list[float]) -> float:
@@ -437,7 +446,7 @@ class AvailabilityProfile:
         avail[i:hi] = new_avail
         self._dirty = True
         self._prefix = None
-        stats = self.stats
+        stats = self._perf
         stats.shift_ops += 1
         touched = last - i + 1
         stats.segments_touched += touched
@@ -483,7 +492,7 @@ class AvailabilityProfile:
         if self._times[0] < before:
             self._times[0] = before
         self._prefix = None
-        self.stats.compactions += 1
+        self._perf.compactions += 1
 
     # ------------------------------------------------------------------
     # Validation

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from repro.core.placement import ChainPlacement
 from repro.core.profile import AvailabilityProfile
 from repro.errors import ScheduleConsistencyError
-from repro.perf import PerfRecorder
+from repro.perf import PROFILE_COUNTERS
 
 __all__ = ["Schedule"]
 
@@ -61,7 +61,7 @@ class Schedule:
         keep_placements: bool = True,
     ) -> None:
         self.profile = AvailabilityProfile(capacity, origin=origin)
-        self.perf = PerfRecorder()
+        self.perf = self.profile.stats  # one recorder for both
         self._keep = keep_placements
         self._placements: list[ChainPlacement] = []
         self._committed_area = 0.0
@@ -377,15 +377,16 @@ class Schedule:
     # ------------------------------------------------------------------
 
     def perf_snapshot(self) -> dict[str, float | int]:
-        """Flat performance summary: recorder counters/timers + profile stats.
+        """Flat performance summary of the one recorder, folded.
 
         Profile counters come through prefixed with ``profile_``; the
         current segment count rides along as ``profile_segments`` (a proxy
         for live-allocation fragmentation).  See :mod:`repro.perf`.
         """
-        out = self.perf.snapshot()
-        for name, value in self.profile.stats.as_dict().items():
-            out[f"profile_{name}"] = value
+        perf = self.perf
+        out = perf.snapshot()
+        for name in PROFILE_COUNTERS:
+            out[f"profile_{name}"] = getattr(perf, name)
         out["profile_segments"] = len(self.profile)
         return out
 

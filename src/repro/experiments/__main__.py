@@ -24,6 +24,7 @@ import argparse
 import os
 import sys
 
+from repro.core import kernels
 from repro.experiments.registry import (
     EXPERIMENTS,
     run_experiment,
@@ -99,13 +100,22 @@ def main(argv: list[str] | None = None) -> int:
 
     snap = runner.perf_snapshot()
     if snap.get("units_total"):
+        # A pool that died is rescued in-process: say so, and which
+        # decider made the tables.
+        failed = snap.get("pool_chunk_failures", 0)
+        rescued = snap.get("pool_fallback_units", 0)
         print(
             f"[runner] units={snap.get('units_total', 0)} "
             f"reused={snap.get('units_reused', 0)} "
             f"pool={snap.get('units_executed_pool', 0)} "
             f"inline={snap.get('units_executed_inline', 0)} "
             f"unit_p50={snap.get('unit_p50_us', 0) / 1e3:.1f}ms "
-            f"unit_p95={snap.get('unit_p95_us', 0) / 1e3:.1f}ms",
+            f"unit_p95={snap.get('unit_p95_us', 0) / 1e3:.1f}ms "
+            + (
+                f"pool_chunk_failures={failed} pool_fallback_units={rescued} "
+                if failed or rescued else ""
+            )
+            + f"kernel={kernels.kernel_backend()}",
             file=sys.stderr,
         )
     return 0

@@ -32,6 +32,19 @@ grow/shrink - benefit off, mean and 95% CI, 300 arrivals):
   8: 26 wins, 30 losses) — the costliest model does not trail no-resize
   across seeds.
 
+At the paper's 10,000 arrivals every cell gains.  Paired over seeds
+1000-1029 (``run_reconfig(n_jobs=10000, seed=s)``, about 27 s a seed on a
+2-core x86_64 host), every 95% CI is above 0, so the resize engine stays:
+
+* rate 3e-4, costs 0/2/8: +21.3 [+10.9, +31.7], +19.2 [+9.9, +28.6],
+  +20.7 [+13.8, +27.6];
+* rate 1e-3: +44.1 [+34.1, +54.1], +35.9 [+26.9, +44.8],
+  +34.4 [+24.0, +44.9];
+* rate 2e-3: +35.2 [+23.8, +46.6], +25.3 [+13.4, +37.1],
+  +12.8 [+4.4, +21.3].
+
+Those are +0.3% to +1.0% of the no-resize arm's benefit (4,270-4,554).
+
 Benefit metric: ``survival_rate * achieved_quality`` — quality earned at
 admission, discounted by the fraction of perturbation-affected jobs that
 still met their deadline.

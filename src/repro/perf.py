@@ -1,35 +1,26 @@
-"""Lightweight hot-path instrumentation: counters and wall-time timers.
+"""Hot-path instrumentation: one counter store per profile.
 
 The arbitrator's decision loop is the system's throughput ceiling (Section
 5.2's heuristic probes and mutates the availability profile once or more per
-arrival at 10,000-arrival scale), so reconfiguration-decision cost is a
-first-class metric here — as it is for the related malleable-scheduling
-systems (DMR, ReSHAPE).  This module provides the two primitives that make
-that cost observable without slowing the hot path down:
+arrival at 10,000-arrival scale), so its cost is a first-class metric here,
+as it is for DMR and ReSHAPE.
 
-* :class:`ProfileStats` — always-on plain-integer counters owned by each
-  :class:`~repro.core.profile.AvailabilityProfile`.  Increments are bare
-  ``int`` attribute additions; the profile never branches on whether anyone
-  is listening.
-* :class:`PerfRecorder` — counters plus wall-clock timers/latency samples,
-  owned by each :class:`~repro.core.schedule.Schedule` and fed by the greedy
-  and malleable schedulers, the arbitrator (per-submit decision latency) and
-  the simulator.  Snapshots surface in
-  :attr:`repro.sim.metrics.RunMetrics.perf` and in the per-layer metrics
-  of ``benchmarks/e2e``.
-
-Everything here measures *wall* time (``time.perf_counter``); virtual
-(simulated) time is never involved.
+:class:`PerfRecorder` is the one store: slotted counters, wall-clock
+timers and latency samples.  Each profile owns one (``profile.stats``),
+its schedule uses the same object as ``schedule.perf``, and every hot
+site bumps a slot with a bare ``+=``.  The C loop's tallies wait in its
+kernel context until the recorder is read, then :meth:`PerfRecorder.fold`
+adds them (``docs/perf.md``, "counters", has the read contract).
+Snapshots surface in :attr:`repro.sim.metrics.RunMetrics.perf` and in
+the per-layer metrics of ``benchmarks/e2e``.  Everything here measures
+*wall* time (``time.perf_counter``), never virtual time.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
-__all__ = ["ProfileStats", "PerfRecorder", "percentile"]
+__all__ = ["PerfRecorder", "percentile"]
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -49,48 +40,6 @@ def percentile(samples: list[float], q: float) -> float:
     if q >= 100:
         return ordered[-1]
     return ordered[max(0, math.ceil(q * len(ordered) / 100) - 1)]
-
-
-class ProfileStats:
-    """Always-on operation counters for one availability profile.
-
-    Every field is a plain ``int`` bumped with ``+=`` on the hot path —
-    cheap enough to leave permanently enabled.  ``last_touched`` records the
-    segment-window size of the most recent mutation, which is what the
-    complexity regression tests assert on (touched segments must track the
-    *local* window, not the total segment count).
-    """
-
-    __slots__ = (
-        "shift_ops",
-        "segments_touched",
-        "last_touched",
-        "probes",
-        "probe_segments",
-        "prefix_rebuilds",
-        "compactions",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.shift_ops = 0
-        self.segments_touched = 0
-        self.last_touched = 0
-        self.probes = 0
-        self.probe_segments = 0
-        self.prefix_rebuilds = 0
-        self.compactions = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat mapping of all counters (for snapshots and JSON reports)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"ProfileStats({body})"
 
 
 #: Counter names bumped on the admission hot path.  Each is a dedicated
@@ -116,35 +65,59 @@ HOT_COUNTERS = (
 
 _HOT_SET = frozenset(HOT_COUNTERS)
 
+#: The profile's operation counters, which ``Schedule.perf_snapshot``
+#: reports as ``profile_<name>`` (:attr:`PerfRecorder.counters` leaves
+#: them out).  ``last_touched`` is a level, not a sum: the segment window
+#: of the latest mutation, which must track the *local* window, not the
+#: total segment count (the complexity tests assert on it).
+PROFILE_COUNTERS = (
+    "shift_ops",
+    "segments_touched",
+    "last_touched",
+    "probes",
+    "probe_segments",
+    "prefix_rebuilds",
+    "compactions",
+)
+
+#: The slot each running cell of the C loop folds into, in cell order
+#: (``Prof.totals``; ``K_SHIFT_OPS`` .. ``K_COMMITS`` of ``_kernels.c``).
+KERNEL_TALLIES = PROFILE_COUNTERS + (
+    "chains_probed",
+    "chains_quick_rejected",
+    "chains_area_rejected",
+    "commits",
+)
+
 
 class PerfRecorder:
     """Slotted hot-path counters, wall-time totals, latency sample streams.
 
-    One recorder lives on each :class:`~repro.core.schedule.Schedule`; the
-    schedulers and the arbitrator share it.  The per-decision cost is a
-    handful of slotted attribute adds plus one list append for the
-    ``decision`` latency sample (see :meth:`note_decision`); everything
-    dict-shaped — merging, percentiles, the flat report — happens lazily
-    in :meth:`snapshot`, off the hot path (``docs/perf.md``, "Benchmarking",
-    measures that per-decision cost).  Latency streams store one float per
-    observation (one per job submission in the simulator), negligible at
-    the paper's 10,000-arrival scale.
+    The per-decision cost is a handful of slotted attribute adds plus one
+    list append for the ``decision`` latency sample (see
+    :meth:`note_decision`); everything else — the fold, merging,
+    percentiles, the flat report — happens when the recorder is read
+    (``docs/perf.md``, "Benchmarking", measures that per-decision cost).
+    ``cells`` views the running tallies of the kernel context serving the
+    profile (``None`` before its first C call).
     """
 
-    __slots__ = HOT_COUNTERS + (
+    __slots__ = HOT_COUNTERS + PROFILE_COUNTERS + (
         "decision_total_s",
         "_decision_samples",
         "_extra",
         "timings",
         "latencies",
+        "cells",
     )
 
     def __init__(self) -> None:
+        self.cells = None
         self.reset()
 
     def reset(self) -> None:
         """Drop all recorded data."""
-        for name in HOT_COUNTERS:
+        for name in HOT_COUNTERS + PROFILE_COUNTERS:
             setattr(self, name, 0)
         #: Accumulated ``decision`` latency (seconds) and its samples.
         self.decision_total_s = 0.0
@@ -154,11 +127,32 @@ class PerfRecorder:
         self.timings: dict[str, float] = {}
         self.latencies: dict[str, list[float]] = {}
 
+    def fold(self) -> None:
+        """Add the C loop's running tallies (``cells``) to the slots of
+        :data:`KERNEL_TALLIES` and zero them.  ``last_touched`` is nonzero
+        exactly when the cells hold a shift (each touches a segment at
+        least), and then replaces the slot's."""
+        cells = self.cells
+        if cells is None:
+            return
+        counts = cells.tolist()
+        if not any(counts):
+            return
+        cells[:] = 0
+        for name, n in zip(KERNEL_TALLIES, counts):
+            if n:
+                setattr(
+                    self, name,
+                    n if name == "last_touched" else getattr(self, name) + n,
+                )
+
     # ------------------------------------------------------------------
 
     @property
     def counters(self) -> dict[str, int | float]:
-        """Merged view of all counters (lazy; zero hot counters omitted)."""
+        """Merged view of the hot and cold counters, folded first (lazy;
+        zero hot counters omitted)."""
+        self.fold()
         out: dict[str, int | float] = {}
         for name in HOT_COUNTERS:
             value = getattr(self, name)
@@ -187,30 +181,22 @@ class PerfRecorder:
     def observe(self, name: str, seconds: float) -> None:
         """Record one wall-time latency sample under ``name``."""
         if name == "decision":
-            self.decision_total_s += seconds
-            self._decision_samples.append(seconds)
+            self.note_decision(seconds)
             return
         self.timings[name] = self.timings.get(name, 0.0) + seconds
         self.latencies.setdefault(name, []).append(seconds)
-
-    @contextmanager
-    def timed(self, name: str) -> Iterator[None]:
-        """Context manager recording the block's wall time under ``name``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - t0)
 
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict[str, float | int]:
         """Flat summary: counters, total seconds, and latency percentiles.
 
-        Assembled lazily from the slotted state (hot counters appear only
-        once nonzero).  Latency streams contribute ``<name>_s`` (total),
-        ``<name>_count``, ``<name>_p50_us`` and ``<name>_p95_us``
-        (microseconds — decision latencies are far below a millisecond).
+        Assembled lazily from the slotted state, folded first (hot
+        counters appear only once nonzero; the profile's are left to
+        ``Schedule.perf_snapshot``).  Latency streams contribute
+        ``<name>_s`` (total), ``<name>_count``, ``<name>_p50_us`` and
+        ``<name>_p95_us`` (microseconds — decision latencies are far below
+        a millisecond).
         """
         out: dict[str, float | int] = self.counters
         for name, total in self.timings.items():

@@ -20,9 +20,8 @@ malleability pays off.  This module supplies that policy layer:
   job already re-established on the new schedule is narrowed and the
   victim re-planned once more before it is honestly dropped.
 
-Every resize charges the :class:`ReconfigCostModel` — a checkpoint term
-plus a redistribute term per processor of width change, à la DMR/ReSHAPE —
-as *dead time* before the restarted task may begin, and restarts the
+Every resize charges the :class:`ReconfigCostModel` — a fixed checkpoint
+term, the first-order term of the DMR/ReSHAPE measurements — as *dead time* before the restarted task may begin, and restarts the
 interrupted task from scratch with its full declared work, justified by
 the Calypso-style idempotent two-phase execution model (:mod:`repro.calypso`)
 already used for fault restarts.  The consumed partial run is charged to
@@ -85,28 +84,19 @@ class ResizePolicy(Enum):
 class ReconfigCostModel:
     """Reconfiguration delay charged before a resized task restarts.
 
-    ``delay = checkpoint + redistribute * |new_width - old_width|``:
-    a fixed checkpoint/drain term plus a data-redistribution term that
-    scales with the width change, the standard first-order model of the
-    DMR/ReSHAPE measurements.  Both terms are virtual time; either may be
-    zero (free resizing) and ``checkpoint`` may be ``inf`` to disable
-    resizing behaviourally while keeping the engine wired (no finite-
-    deadline remainder can ever be re-placed).
+    ``checkpoint`` is a fixed checkpoint/drain term in virtual time, the
+    same for every width change; zero is free resizing.
+    (``SweepConfig.reconfig_cost`` sets it.)
     """
 
     checkpoint: float = 0.0
-    redistribute: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.checkpoint >= 0 and self.redistribute >= 0):
+        if not self.checkpoint >= 0:
             raise ConfigurationError(
                 f"reconfiguration costs must be >= 0, got "
-                f"checkpoint={self.checkpoint}, redistribute={self.redistribute}"
+                f"checkpoint={self.checkpoint}"
             )
-
-    def delay(self, old_width: int, new_width: int) -> float:
-        """Dead time charged for restarting ``old_width`` → ``new_width``."""
-        return self.checkpoint + self.redistribute * abs(new_width - old_width)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,40 +217,23 @@ class ReconfigEngine:
     def _probe_grow(
         self, job_id: int, now: float, width: int, cap: int
     ) -> "ResizeTxn | None":
-        """Widest profitable restart of ``job_id``'s in-flight task."""
+        """Widest profitable restart of ``job_id``'s in-flight task: one
+        width-banded probe (the delay is the same for every target, and
+        the scheduler's widest-first scan picks inside the band)."""
         driver = self.driver
         assert driver is not None
-        if self.cost.redistribute == 0.0:
-            # Uniform delay across targets: one width-banded probe (the
-            # scheduler's widest-first scan picks inside the band).
-            txn = driver.resize_remainder(
-                job_id,
-                now,
-                delay=self.cost.delay(width, width + 1),
-                first_min_width=width + 1,
-                first_max_width=cap,
-            )
-            if txn is None:
-                return None
-            if txn.new_finish < txn.old_finish:
-                return txn
-            txn.undo()
+        txn = driver.resize_remainder(
+            job_id,
+            now,
+            delay=self.cost.checkpoint,
+            first_min_width=width + 1,
+            first_max_width=cap,
+        )
+        if txn is None:
             return None
-        # Width-dependent delay: probe explicit targets, widest first, and
-        # keep the first strict improvement.
-        for target in range(cap, width, -1):
-            txn = driver.resize_remainder(
-                job_id,
-                now,
-                delay=self.cost.delay(width, target),
-                first_min_width=target,
-                first_max_width=target,
-            )
-            if txn is None:
-                continue
-            if txn.new_finish < txn.old_finish:
-                return txn
-            txn.undo()
+        if txn.new_finish < txn.old_finish:
+            return txn
+        txn.undo()
         return None
 
     # ------------------------------------------------------------------
@@ -369,7 +342,7 @@ class ReconfigEngine:
             txn = driver.resize_remainder(
                 job_id,
                 now,
-                delay=self.cost.delay(width, target),
+                delay=self.cost.checkpoint,
                 first_min_width=target,
                 first_max_width=target,
             )

@@ -15,48 +15,7 @@ into a durable admission pipeline:
 * :mod:`repro.service.chaos` — the seeded fault-injection harness that
   keeps all of the above honest.
 
-Submodules are loaded lazily so ``python -m repro.service.chaos`` does
-not double-import the module it is executing.
+The package re-exports nothing: import the submodule you use
+(``from repro.service import service``), so ``python -m
+repro.service.chaos`` does not double-import the module it is executing.
 """
-
-from importlib import import_module
-from typing import Any
-
-_EXPORTS = {
-    "AdmissionService": "repro.service.service",
-    "ServiceConfig": "repro.service.service",
-    "ServiceDecision": "repro.service.service",
-    "ServiceOutcome": "repro.service.service",
-    "degrade_job": "repro.service.service",
-    "make_arbitrator": "repro.service.service",
-    "LedgerEntry": "repro.service.wal",
-    "WriteAheadLog": "repro.service.wal",
-    "decision_to_tuple": "repro.service.wal",
-    "read_wal": "repro.service.wal",
-    "read_checkpoint": "repro.service.wal",
-    "write_checkpoint": "repro.service.wal",
-    "RecoveredState": "repro.service.recovery",
-    "recover": "repro.service.recovery",
-    "ChaosScenario": "repro.service.chaos",
-    "ChaosResult": "repro.service.chaos",
-    "SCENARIOS": "repro.service.chaos",
-    "run_scenario": "repro.service.chaos",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))

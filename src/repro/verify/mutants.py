@@ -436,7 +436,7 @@ def resize_overlaps_prefix() -> MutantScenario:
     """A resize whose restart begins inside the charged reconfiguration window.
 
     The restart at t=10.5 precedes ``time + delay = 11``: the new placement
-    overlaps the checkpoint/redistribute interval — and, transitively, the
+    overlaps the checkpoint interval — and, transitively, the
     consumed prefix the cut at ``time`` was protecting.
     """
     return MutantScenario(

@@ -384,15 +384,15 @@ def test_repeated_rejections_do_not_rescan_the_profile():
     for batched in (False, True):
         arbitrator = QoSArbitrator(4, compact=False, backend="scalar")
         assert all(arbitrator.submit(job).admitted for job in comb)
-        stats = arbitrator.schedule.profile.stats
-        before = stats.probe_segments
+        profile = arbitrator.schedule.profile
+        before = profile.stats.probe_segments
         if batched:
             with kernels.use("compiled"):
                 decisions = arbitrator.admit_batch(flood)
         else:
             decisions = [arbitrator.submit(job) for job in flood]
         assert not any(d.admitted for d in decisions)
-        segments.append(stats.probe_segments - before)
+        segments.append(profile.stats.probe_segments - before)  # folded
     serial_segments, batch_segments = segments
     assert serial_segments >= 200 * 400
     assert 3 * batch_segments <= serial_segments

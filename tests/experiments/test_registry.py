@@ -95,6 +95,34 @@ class TestCLI:
         # The scoped runner was uninstalled afterwards.
         assert get_default_runner() is not get_default_runner()
 
+    def test_runner_line_names_pool_failures_and_the_decider(
+        self, capsys, monkeypatch
+    ):
+        import repro.runner.core as runner_core
+        from repro.core import kernels
+        from repro.experiments import registry
+        from repro.runner.worker import _crashing_chunk
+        from repro.workloads.sweep import SweepConfig, run_sweep
+
+        def tiny_sweep():
+            sweep = run_sweep("interval", [25.0], SweepConfig(n_jobs=40))
+            return str(sweep.values)
+
+        monkeypatch.setitem(registry.EXPERIMENTS, "tiny", tiny_sweep)
+        monkeypatch.setattr(runner_core, "run_unit_chunk", _crashing_chunk)
+        assert main(["tiny", "--jobs", "2"]) == 0
+        err = capsys.readouterr().err
+        line = next(ln for ln in err.splitlines() if ln.startswith("[runner]"))
+        assert "pool=0 inline=3" in line
+        assert "pool_chunk_failures=" in line and "pool_fallback_units=3" in line
+        assert "pool_chunk_failures=0" not in line
+        assert line.endswith(f"kernel={kernels.kernel_backend()}")
+        # A run whose pool held names no failure.
+        monkeypatch.undo()
+        monkeypatch.setitem(registry.EXPERIMENTS, "tiny", tiny_sweep)
+        assert main(["tiny"]) == 0
+        assert "pool_chunk_failures" not in capsys.readouterr().err
+
     def test_a_run_writes_no_file(self, tmp_path, capsys, monkeypatch):
         from repro.experiments import registry
         from repro.workloads.sweep import SweepConfig, run_sweep

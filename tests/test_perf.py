@@ -14,7 +14,7 @@ import pytest
 from repro.core.first_fit import earliest_fit
 from repro.core.profile import AvailabilityProfile
 from repro.core.schedule import Schedule
-from repro.perf import PerfRecorder, ProfileStats, percentile
+from repro.perf import PROFILE_COUNTERS, PerfRecorder, percentile
 
 
 class TestPercentile:
@@ -46,13 +46,16 @@ class TestPercentile:
 
 class TestProfileStats:
     def test_reset_and_as_dict(self):
-        stats = ProfileStats()
+        s = Schedule(4)
+        stats = s.profile.stats
         stats.shift_ops += 3
         stats.probes += 1
-        d = stats.as_dict()
-        assert d["shift_ops"] == 3 and d["probes"] == 1
+        d = s.perf_snapshot()
+        assert d["profile_shift_ops"] == 3 and d["profile_probes"] == 1
+        assert "shift_ops" not in d  # the profile's counters only prefixed
         stats.reset()
-        assert all(v == 0 for v in stats.as_dict().values())
+        d = s.perf_snapshot()
+        assert all(d[f"profile_{name}"] == 0 for name in PROFILE_COUNTERS)
 
     def test_profile_bumps_counters(self):
         p = AvailabilityProfile(4)
@@ -131,13 +134,6 @@ class TestPerfRecorder:
         assert snap["decision_p50_us"] == pytest.approx(2000.0)
         assert snap["decision_p95_us"] == pytest.approx(3000.0)
 
-    def test_timed_context_manager(self):
-        rec = PerfRecorder()
-        with rec.timed("block"):
-            pass
-        assert rec.snapshot()["block_count"] == 1
-        assert rec.snapshot()["block_s"] >= 0.0
-
     def test_reset(self):
         rec = PerfRecorder()
         rec.count("x")
@@ -149,10 +145,10 @@ class TestPerfRecorder:
 class TestScheduleSnapshot:
     def test_snapshot_merges_profile_stats(self):
         s = Schedule(4)
+        assert s.perf is s.profile.stats  # one recorder for both
         s.profile.reserve(0.0, 5.0, 2)
         snap = s.perf_snapshot()
         assert snap["profile_shift_ops"] == 1
         assert snap["profile_segments"] == len(s.profile)
-        with s.perf.timed("decision"):
-            pass
+        s.perf.observe("decision", 0.0)
         assert s.perf_snapshot()["decision_count"] == 1

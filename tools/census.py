@@ -48,6 +48,7 @@ TESTS = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "tests")
 #: What a user runs, each one ``python <argv>`` from the repo root.
 ENTRY_POINTS: tuple[tuple[str, ...], ...] = (
     ("-m", "repro.experiments", "--jobs", "1"),
+    ("-m", "repro.experiments", "--jobs", "2"),  # the pool path
     *((f"examples/{path.name}",) for path in sorted((ROOT / "examples").glob("*.py"))),
     ("-m", "repro.service", "--kill-after", "10"),
     ("-m", "repro.verify", "--selftest"),
