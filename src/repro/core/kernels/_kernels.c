@@ -21,8 +21,9 @@
  *
  * The one deliberate deviation: inside ``repro_admit_batch`` the loop
  * does not redo work an earlier step of the same call already settled.
- * ``ef_probe`` starts its walk past every start time an earlier probe
- * ruled out (the no-fit frontier above it), and ``prof_ensure_prefix``
+ * ``ef_probe`` starts its walk past the start times that the no-fit facts
+ * it kept rule out (the frontier above it; which facts a full table
+ * keeps is at NFACTS), and ``prof_ensure_prefix``
  * re-sums the prefix only from the first entry a shift made stale.  Both
  * return the floats the references return — the walk visits fewer
  * segments, so ``probe_segments`` is lower than the serial scan's — and
@@ -139,17 +140,51 @@ typedef struct {
     double s;
 } Fact;
 
-/* Size of the fact table, replaced round-robin once full.  What picked
- * it: the 266,667-job batch_backlog stream (seed 2024, chunks of 1,024,
- * ~6,800 live segments, continuous durations so few shapes repeat), C
- * call seconds / segments walked per decision on this sandbox — no table
- * 4.90 / 8,159; 8: 3.12 / 3,488; 16: 1.95 / 2,156; 32: 1.62 / 1,190;
- * 64: 1.24 / 626; 128: 1.53 / 352; 256: 2.09 / 235.  Past 64 the lookup
- * costs more than the walk it saves.  On the 56-segment svc_flood
- * profile the table holds a handful of facts and kernels.c_call_s stays
- * inside its run-to-run spread (four traced pairs: 0.092-0.108 s
- * before, 0.091-0.127 s after). */
+/* Size of the fact table, and the walk that earns a slot in a full one.
+ * While the table has room every fact a walk learns goes in.  A full
+ * table takes a fact that makes a stored one redundant (into the room
+ * that one leaves) and a fact from a long walk, one across at least
+ * n >> LONG_WALK_SHIFT of the n live segments (into slot fact_evict,
+ * round-robin); the other facts of short walks it leaves out.  So it
+ * keeps the facts that are costly to re-learn and spends no insert on
+ * the rest.  A fact left out only lengthens some later walk, never
+ * changes where it ends.
+ *
+ * Picked with tools/fact_sweep.py: seed 2024, --seconds 10 (batch_backlog
+ * 266,667 decisions over ~6,800 live segments), 2-core host, decisions
+ * and profiles identical in every row.  Segments walked per decision on
+ * batch_backlog / serial_commit / serial_probe / four fuzz pressure
+ * cases, then batch_backlog C seconds (median of 3 rounds, which spread
+ * by up to 30%):
+ *
+ *   every fact, round-robin                 676 / 569 /  33 / 11.7  1.42
+ *   every fact, oldest fact evicted         576 / 478 /  33 / 11.8  1.89
+ *   long = n >> 4, as shipped               305 / 267 /  26 / 12.8  1.09
+ *   long = n >> 2                           763 / 622 /  56 / 15.9  1.57
+ *   long = n >> 3                           382 / 354 /  28 / 14.0  1.20
+ *   long = n >> 5                           335 / 291 /  22 / 12.1  1.29
+ *   long = n >> 6                           403 / 338 /  21 / 11.9  1.32
+ *   long = 64 segments                      447 / 356 /  25 / 14.7  1.53
+ *   long = 256 segments                     326 / 282 /  52 / 17.8  1.25
+ *   long = 1024 segments                    443 / 456 / 441 / 22.8  1.11
+ *   n >> 4, oldest fact evicted             295 / 267 /  26 / 12.9  1.08
+ *   n >> 4, no redundant fact replaced      332 / 316 /  32 / 13.6  1.03
+ *   n >> 4, compaction drops passed facts   306 / 291 /  21 / 12.8  1.27
+ *   n >> 4, NFACTS 32                       590 / 482 /  33 / 14.8  1.32
+ *   n >> 4, NFACTS 128                      199 / 183 /  20 / 11.6  1.41
+ *
+ * A sixteenth walks least of the shifts on the two deep workloads.  No
+ * fixed count suits both them and serial_probe's shallower profile:
+ * 256 doubles its walk, 1,024 walks 17x more.  Oldest-first eviction
+ * saves 3% on batch_backlog only, and needs an age in every fact.  With
+ * no redundant fact replaced the table keeps facts whose frontier has
+ * moved on.  Dropping facts at compaction helps serial_probe and hurts
+ * serial_commit.  128 facts cut the walk by a third, but each probe's
+ * pass over them costs what that saves.  The pressure cases (300-500
+ * segments) walk 9% more than with every fact kept.  On the fig4
+ * profiles (svc_*, serial_fig4) the table holds at most two facts. */
 #define NFACTS 64
+#define LONG_WALK_SHIFT 4 /* a long walk crosses 1/16 of the live segments */
 
 /* The per-profile context, built once by the Python driver
  * (compiled.Context mirrors this layout field for field; every member is
@@ -205,7 +240,7 @@ typedef struct {
      * shift's); only the Python fold reads and zeroes them */
     int64_t totals[N_TALLIES];
     int64_t nfacts;
-    int64_t fact_evict; /* round-robin victim once the table is full */
+    int64_t fact_evict; /* slot of the next fact a full table gives up */
     Fact facts[NFACTS];
 } Prof;
 
@@ -518,9 +553,12 @@ static double facts_frontier(const Prof *p, int64_t w, double d, double from,
  * makes redundant (one that applies to no request and no release this one
  * does not, and ends no later) without reordering the rest.  No stored
  * fact can make the new one redundant: it would have applied in
- * facts_frontier and carried the walk past s.  A full table gives up the
- * fact in slot fact_evict, round-robin. */
-static void facts_insert(Prof *p, int64_t w, double d, double r, double s)
+ * facts_frontier and carried the walk past s.  If none was dropped from
+ * a full table, the new fact goes in only when `evict` is set: the fact
+ * in slot fact_evict makes room, and the next slot is the next victim.
+ * Otherwise the table is left as it was. */
+static void facts_insert(Prof *p, int64_t w, double d, double r, double s,
+                         int evict)
 {
     Fact *facts = p->facts;
     int64_t n = 0;
@@ -530,6 +568,8 @@ static void facts_insert(Prof *p, int64_t w, double d, double r, double s)
             facts[n++] = *f;
     }
     if (n == NFACTS) {
+        if (!evict)
+            return;
         int64_t v = p->fact_evict;
         p->fact_evict = (v + 1) % NFACTS;
         n -= 1;
@@ -565,7 +605,8 @@ static int ef_probe(Prof *p, int64_t processors, double duration,
                           deadline, out_start, &scanned, &run_start);
     p->c[K_PROBE_SEGMENTS] += scanned;
     if (run_start > from) /* the walk learnt something the table lacked */
-        facts_insert(p, processors, duration, since, run_start);
+        facts_insert(p, processors, duration, since, run_start,
+                     scanned >= n >> LONG_WALK_SHIFT);
     return found;
 }
 

@@ -35,7 +35,15 @@ rigid or malleable).  For each case the harness:
    A share of the campaign's cases are *floods* (:func:`random_flood`:
    tens to hundreds of jobs from a few shapes) that get this check
    alone: the C loop skips what an earlier probe of the same call ruled
-   out, and a case of six jobs never probes one shape twice.
+   out, and a case of six jobs never probes one shape twice.  A smaller
+   share are *pressure* cases (:func:`random_pressure`: a comb of
+   hundreds of segments probed in more shapes than the C loop's no-fit
+   table holds) that get the differential matrix and this check: both
+   sides of the batch check run the same C facts, so only the reference
+   can see a wrong one.
+
+The oracle bound is skipped, and counted in :attr:`FuzzReport.skipped`,
+for a case whose search exceeds :data:`_ORACLE_LIMITS`.
 
 On failure the case is **shrunk** — jobs removed, chains dropped, chain
 tails truncated, greedily to a local minimum that still fails — and the
@@ -57,6 +65,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -76,6 +85,7 @@ __all__ = [
     "FuzzReport",
     "random_case",
     "random_flood",
+    "random_pressure",
     "run_case",
     "check_case",
     "shrink",
@@ -107,8 +117,15 @@ _POLICIES: tuple[TieBreakPolicy, ...] = (
 #: Oracle is consulted only below this many jobs (rigid cases only).
 _ORACLE_MAX_JOBS = 6
 
+#: The oracle's search budget per case; a case beyond it is skipped.
+_ORACLE_LIMITS = OracleLimits(max_nodes=400_000)
+
 #: Every this-many-th case of a campaign is a flood (:func:`random_flood`).
 _FLOOD_EVERY = 20
+
+#: Every this-many-th case of a campaign is a pressure case
+#: (:func:`random_pressure`), in place of the flood it would have been.
+_PRESSURE_EVERY = 100
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +289,55 @@ def random_flood(
     for _ in range(rng.randint(min_jobs, max_jobs)):
         release += _nice(rng, 0, 2)
         jobs.append(Job(chains=rng.choice(templates), release=release))
+    return FuzzCase(capacity=capacity, jobs=tuple(jobs))
+
+
+def _chain_job(tasks: Sequence[tuple[int, float]], deadline: float) -> Job:
+    """A job released at 0 with one chain of ``(width, duration)`` tasks."""
+    chain = TaskChain(
+        tuple(
+            TaskSpec(f"t{k}", ProcessorTimeRequest(w, d), deadline=deadline)
+            for k, (w, d) in enumerate(tasks)
+        ),
+        label="c",
+    )
+    return Job(chains=(chain,), release=0.0)
+
+
+def random_pressure(rng: random.Random) -> FuzzCase:
+    """Draw one table-pressure case: a deep comb, then many shapes.
+
+    Every job is released at 0.  First 150-250 teeth, each a job that
+    leaves 1 of the 5-8 processors free for 0.5-2 and then one that
+    leaves 2 free for a gap that grows along the comb: first fit stacks
+    them into 300-500 segments.  Then, in random order, 100-160 2-wide
+    jobs of random durations (half of them split into two tasks, whose
+    second probe starts after the job's release), which fit the first
+    gap long enough and fill the C loop's 64-fact table, and 20-60
+    wider ones, which fit no gap: each walks the whole comb unless a
+    fact for a shape no wider and no longer ends it early.  Three in
+    ten have a deadline inside the comb.  So the table fills, and then
+    meets both short walks and long ones (across a sixteenth of the
+    profile or more), which alone may evict a fact.
+    """
+    capacity = rng.randint(5, 8)
+    teeth = rng.randint(150, 250)
+    jobs: list[Job] = []
+    for k in range(teeth):
+        jobs.append(_chain_job([(capacity - 1, rng.randint(1, 4) / 2)], 1e6))
+        gap = 0.5 + k / 4 + rng.randint(0, 8) / 4
+        jobs.append(_chain_job([(capacity - 2, gap)], 1e6))
+    flood = []
+    for _ in range(rng.randint(100, 160)):
+        d = rng.randint(2, 4 * teeth) / 4
+        flood.append([(2, d / 2)] * 2 if rng.random() < 0.5 else [(2, d)])
+    for _ in range(rng.randint(20, 60)):
+        flood.append([(rng.randint(3, capacity), rng.randint(1, 40) / 4)])
+    rng.shuffle(flood)
+    for tasks in flood:
+        length = sum(d for _, d in tasks)
+        lax = rng.random() < 0.7
+        jobs.append(_chain_job(tasks, 1e6 if lax else length + rng.randint(0, 400) * 2.0))
     return FuzzCase(capacity=capacity, jobs=tuple(jobs))
 
 
@@ -472,16 +538,20 @@ def metamorphic_failures(case: FuzzCase) -> list[str]:
     return failures
 
 
-def oracle_failures(case: FuzzCase) -> list[str]:
-    """Greedy must never beat the exhaustive optimum (rigid, small cases)."""
+def oracle_failures(case: FuzzCase, skips: list[str] | None = None) -> list[str]:
+    """Greedy must never beat the exhaustive optimum (rigid, small cases).
+
+    A case whose search exceeds :data:`_ORACLE_LIMITS` is not checked;
+    the reason is appended to ``skips`` when one is given.
+    """
     if case.malleable or len(case.jobs) > _ORACLE_MAX_JOBS:
         return []
     try:
-        solution = exhaustive_best(
-            list(case.jobs), case.capacity, OracleLimits(max_nodes=400_000)
-        )
-    except OracleLimitError:
-        return []  # out of oracle scope; other checks still ran
+        solution = exhaustive_best(list(case.jobs), case.capacity, _ORACLE_LIMITS)
+    except OracleLimitError as exc:
+        if skips is not None:
+            skips.append(f"oracle: {exc}")
+        return []
     (decisions, _), _failures = run_case(case, audit=False)
     greedy_admitted = sum(1 for d in decisions if d[0])
     if greedy_admitted > solution.admitted_count:
@@ -515,13 +585,20 @@ def batch_failures(case: FuzzCase) -> list[str]:
     return failures
 
 
-def check_case(case: FuzzCase) -> list[str]:
-    """All checks for one case; empty list means the case is clean."""
+def check_case(case: FuzzCase, *, skips: list[str] | None = None) -> list[str]:
+    """All checks for one case; empty list means the case is clean (a
+    check that could not run says why in ``skips``)."""
     failures = differential_failures(case)
     failures += metamorphic_failures(case)
-    failures += oracle_failures(case)
+    failures += oracle_failures(case, skips)
     failures += batch_failures(case)
     return failures
+
+
+def pressure_failures(case: FuzzCase) -> list[str]:
+    """The checks a :func:`random_pressure` case gets: the differential
+    matrix (C against the reference) and batch identity."""
+    return differential_failures(case) + batch_failures(case)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +719,8 @@ class FuzzReport:
     seed: int
     failures: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (case_id, whys)
     corpus_written: tuple[str, ...] = ()
+    #: Cases whose oracle check did not run (beyond :data:`_ORACLE_LIMITS`).
+    skipped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -649,11 +728,12 @@ class FuzzReport:
         return not self.failures
 
     def summary(self) -> str:
+        skipped = f"; oracle skipped on {self.skipped} beyond its limits"
         if self.ok:
-            return f"fuzz clean: {self.cases} cases (seed {self.seed})"
+            return f"fuzz clean: {self.cases} cases (seed {self.seed}){skipped}"
         lines = [
             f"fuzz: {len(self.failures)} failing case(s) out of "
-            f"{self.cases} (seed {self.seed})"
+            f"{self.cases} (seed {self.seed}){skipped}"
         ]
         for case_id, whys in self.failures:
             lines.append(f"  case {case_id}:")
@@ -677,21 +757,28 @@ def fuzz(
     One case in :data:`_FLOOD_EVERY` is a :func:`random_flood` checked by
     :func:`batch_failures` alone (the full battery on hundreds of jobs
     would be most of the campaign's time, and the oracle is out of scope
-    above :data:`_ORACLE_MAX_JOBS` anyway).  Fully deterministic in
+    above :data:`_ORACLE_MAX_JOBS` anyway), and one in
+    :data:`_PRESSURE_EVERY` a :func:`random_pressure` checked by
+    :func:`pressure_failures`.  Fully deterministic in
     ``(n, seed)``.  ``corpus_dir=None`` skips persistence (the report
     still carries the failures).
     """
     rng = random.Random(seed)
     failures: list[tuple[str, tuple[str, ...]]] = []
     written: list[str] = []
+    skipped = 0
     for k in range(n):
-        if k % _FLOOD_EVERY == _FLOOD_EVERY - 1:
+        skips: list[str] = []
+        if k % _PRESSURE_EVERY == _PRESSURE_EVERY - 1:
+            case, check = random_pressure(rng), pressure_failures
+        elif k % _FLOOD_EVERY == _FLOOD_EVERY - 1:
             case, check = random_flood(rng), batch_failures
         else:
             malleable = rng.random() < malleable_share
             case = random_case(rng, max_jobs=max_jobs, malleable=malleable)
-            check = check_case
+            check = partial(check_case, skips=skips)
         whys = check(case)
+        skipped += bool(skips)
         if not whys:
             continue
         if shrink_failures:
@@ -708,4 +795,5 @@ def fuzz(
         seed=seed,
         failures=tuple(failures),
         corpus_written=tuple(written),
+        skipped=skipped,
     )

@@ -16,6 +16,7 @@ but ``"scalar"``, so the serial side of each comparison pins
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
+from repro.core.kernels import build
 from repro.core.policies import TieBreakPolicy
 from repro.core.resources import ProcessorTimeRequest
 from repro.core.schedule import Schedule
@@ -35,6 +37,7 @@ from repro.verify.fuzz import (
     _RANDOM_POLICY_SEED,
     random_case,
     random_flood,
+    random_pressure,
     run_case,
 )
 
@@ -48,6 +51,9 @@ def _kernel_modes() -> tuple[str, ...]:
 
 
 KERNEL_MODES = _kernel_modes()
+needs_compiled = pytest.mark.skipif(
+    KERNEL_MODES == ("python",), reason="compiled kernel unavailable"
+)
 
 
 def _state(arbitrator: QoSArbitrator) -> tuple:
@@ -399,12 +405,212 @@ def test_repeated_rejections_do_not_rescan_the_profile():
 
 
 # ---------------------------------------------------------------------------
+# A full fact table takes a fact only from a long walk
+# ---------------------------------------------------------------------------
+#
+# Once ``NFACTS`` facts are held, ``ef_probe`` records a new one only if
+# its walk was long, across at least ``n >> LONG_WALK_SHIFT`` of the ``n``
+# live segments, or if it makes a stored fact redundant and so needs no
+# slot (``_kernels.c``, at NFACTS).
+
+
+def _kernel_define(name: str) -> int:
+    """A compile-time constant of ``_kernels.c``."""
+    match = re.search(rf"^#define {name} (\d+)", build.SOURCE.read_text(), re.M)
+    assert match, name
+    return int(match.group(1))
+
+
+NFACTS = _kernel_define("NFACTS")
+LONG_WALK_SHIFT = _kernel_define("LONG_WALK_SHIFT")
+#: Teeth of :func:`_comb`: two gaps per fact of the table.
+TEETH = 2 * NFACTS + 4
+
+
+def _long_walk(profile) -> int:
+    """The segments a walk over ``profile`` must cross to be long."""
+    return len(profile) >> LONG_WALK_SHIFT
+
+
+def _comb() -> tuple[list[Job], list[float], list[float], float]:
+    """The jobs of a comb for an idle 8-processor, ``compact=False``
+    profile: per tooth k, all 8 processors busy for 1, then 6 busy (2
+    free) for ``1 + k/2``; the gaps' starts and lengths; the comb's end.
+    Each job fits at its release, so no walk moves and no fact is
+    learnt."""
+    jobs, starts, lengths, t = [], [], [], 0.0
+    for k in range(TEETH):
+        gap = 1.0 + k / 2
+        jobs.append(Job(chains=_one_task(8, 1.0, 1.0), release=t))
+        jobs.append(Job(chains=_one_task(6, gap, gap), release=t + 1.0))
+        starts.append(t + 1.0)
+        lengths.append(gap)
+        t += 1.0 + gap
+    return jobs, starts, lengths, t
+
+
+def _gives_up_at(width: int, duration: float, start: float) -> Job:
+    """A job released at 0 whose one probe gives up on its deadline at the
+    first run that starts at ``start``: its fact ends there."""
+    return Job(chains=_one_task(width, duration, start + duration - 0.25), release=0.0)
+
+
+def _comb_flood(starts, lengths, end) -> tuple[list[Job], list[Job], list[Job]]:
+    """Three runs of refused jobs over :func:`_comb`.
+
+    *fill*: 2-wide, as long as every even gap from the second on, in
+    order: each walks past one gap too short to the next even one and
+    learns a fact no other makes redundant, ``NFACTS`` in all.
+    *long*: 3-6 wide and shorter than any filled fact, so none applies and
+    each walks the whole comb (no gap is wider than 2).
+    *short*: 2-wide, as long as odd gaps: each starts at the even gap
+    before it and walks three segments.
+    """
+    fill = [_gives_up_at(2, lengths[k], starts[k]) for k in range(2, 2 * NFACTS + 2, 2)]
+    long_ = [_gives_up_at(w, 1.75 - w / 4, end) for w in (6, 5, 4, 3)]
+    short = [_gives_up_at(2, lengths[k], starts[k]) for k in range(3, 2 * NFACTS, 2)]
+    return fill, long_, short
+
+
+def _facts(arbitrator: QoSArbitrator) -> list[tuple]:
+    c = arbitrator.schedule.profile._ctx.c  # noqa: SLF001 - white-box
+    return [(f.w, f.d, f.r, f.s) for f in c.facts[: c.nfacts]]
+
+
+@pytest.mark.parametrize("kmode", KERNEL_MODES)
+def test_a_deep_comb_fills_the_table_and_decides_as_serial(kmode):
+    """The table fills, long walks replace facts in it, short ones leave
+    it alone, and lax jobs then commit across the comb: one
+    ``admit_batch`` call decides all of it as the serial reference does,
+    and the long walks' facts outlive every short walk after them."""
+    serial, batch = (  # scalar: submit decided in Python
+        QoSArbitrator(8, compact=False, backend=backend) for backend in ("scalar", "auto")
+    )
+    comb, starts, lengths, end = _comb()
+    for arbitrator in (serial, batch):
+        assert all(arbitrator.submit(job).admitted for job in comb)
+    fill, long_, short = _comb_flood(starts, lengths, end)
+    rng = random.Random(0)
+    lax = [
+        Job(chains=_one_task(rng.choice((2, 4)), rng.choice(lengths), 1e6), release=0.0)
+        for _ in range(40)
+    ]
+    flood = fill + long_ + short + lax
+    for job in flood:
+        serial.submit(job)
+    with kernels.use(kmode):
+        decisions = batch.admit_batch(flood)
+    assert not any(d.admitted for d in decisions[: -len(lax)])
+    assert _state(batch) == _state(serial)
+    if kmode == "compiled":
+        kept = {(w, d) for w, d, _, _ in _facts(batch)}
+        assert {(w, 1.75 - w / 4) for w in (6, 5, 4, 3)} <= kept
+
+
+@needs_compiled
+def test_a_full_table_takes_a_fact_only_from_a_long_walk():
+    """White-box, through the profile's kernel context: with ``NFACTS``
+    facts held, a short walk that learnt something leaves the table as it
+    was, a long walk replaces one fact, and a short walk whose fact makes
+    a stored one redundant takes that one's slot."""
+    arbitrator = QoSArbitrator(8, compact=False)
+    profile = arbitrator.schedule.profile
+    with kernels.use("compiled"):
+        comb, starts, lengths, end = _comb()
+        assert all(arbitrator.submit(job).admitted for job in comb)
+        assert profile._ctx.c.nfacts == 0  # noqa: SLF001
+        fill, long_, short = _comb_flood(starts, lengths, end)
+        for job in fill:
+            assert not arbitrator.submit(job).admitted
+        full = _facts(arbitrator)
+        assert len(full) == NFACTS
+
+        walked = profile.stats.probe_segments
+        assert not arbitrator.submit(short[NFACTS // 2]).admitted
+        walked = profile.stats.probe_segments - walked
+        assert 0 < walked < _long_walk(profile)
+        assert _facts(arbitrator) == full
+
+        walked = profile.stats.probe_segments
+        assert not arbitrator.submit(long_[0]).admitted
+        walked = profile.stats.probe_segments - walked
+        assert walked >= _long_walk(profile)
+        after = _facts(arbitrator)
+        assert len(after) == NFACTS
+        assert (6, 0.25, 0.0, end) in after
+        assert len(set(full) - set(after)) == 1
+
+        # A short walk whose fact makes a stored one redundant takes its
+        # slot: fill gap k exactly, then a probe of its shape walks on to
+        # the next gap.
+        k = 2 * (NFACTS // 2)
+        old = (2, lengths[k], 0.0, starts[k])
+        assert old in after
+        lax = Job(chains=_one_task(2, lengths[k], 1e6), release=0.0)
+        assert arbitrator.submit(lax).admitted
+        assert not arbitrator.submit(_gives_up_at(2, lengths[k], starts[k + 1])).admitted
+        merged = _facts(arbitrator)
+        assert len(merged) == NFACTS
+        assert set(after) - set(merged) == {old}
+        assert set(merged) - set(after) == {(2, lengths[k], 0.0, starts[k + 1])}
+
+
+@needs_compiled
+def test_a_pressure_case_fills_the_table_and_walks_both_ways():
+    """``random_pressure`` (the fuzz campaign's table-pressure arm) does
+    what it is for: decided one job at a time (one probe each, but for
+    the split jobs), the table fills, and with it full some walks are
+    long and some are not."""
+    case = random_pressure(random.Random(0))
+    arbitrator = QoSArbitrator(case.capacity)
+    profile = arbitrator.schedule.profile
+    walks = {False: 0, True: 0}
+    with kernels.use("compiled"):
+        for job in case.jobs:
+            full = profile._ctx is not None and profile._ctx.c.nfacts == NFACTS  # noqa: SLF001
+            long_walk, walked = _long_walk(profile), profile.stats.probe_segments
+            arbitrator.submit(job)
+            if full:
+                walks[profile.stats.probe_segments - walked >= long_walk] += 1
+    assert walks[False] and walks[True]
+
+
+def _campaign(rng: random.Random, n: int) -> list[Job]:
+    """A backlog-shaped flood (the end-to-end benchmark's ``backlog``, at
+    test size): Poisson arrivals at 8 per time unit on 64 processors, each
+    job ``w x d`` or ``2w x d/2`` with ``d`` lognormal and a lax deadline,
+    so the profile grows deep and the fact table fills and evicts."""
+    jobs, release = [], 0.0
+    for k in range(n):
+        release += rng.expovariate(8.0)
+        w = rng.choice((1, 1, 2, 2, 3, 4, 6, 8))
+        d = min(60.0, rng.lognormvariate(1.0, 1.0)) + 0.25
+        chains = tuple(
+            TaskChain((TaskSpec("t", ProcessorTimeRequest(pw, pd), deadline=1000.0 * d),))
+            for pw, pd in ((w, d), (2 * w, d / 2))
+        )
+        jobs.append(Job(chains=chains, release=release, job_id=k))
+    return jobs
+
+
+@needs_compiled
+def test_a_deep_backlog_walks_under_its_ceiling():
+    """Counter regression: 20,000 backlog-shaped jobs in chunks of 1,024,
+    the profile ~4,900 segments deep at the end.  A full table that took
+    every fact, evicting, walked about 3.85M segments here; one that takes
+    a fact only from a long walk or into a redundant fact's slot, about
+    2.52M (2.98M if it never takes the latter)."""
+    jobs = _campaign(random.Random(2024), 20_000)
+    arbitrator = QoSArbitrator(64)
+    with kernels.use("compiled"):
+        for at in range(0, len(jobs), 1024):
+            arbitrator.admit_batch(jobs[at : at + 1024])
+    assert arbitrator.schedule.profile.stats.probe_segments <= 2_700_000
+
+
+# ---------------------------------------------------------------------------
 # Bulk write-back: one pass over the kernel's columns, one booking per batch
 # ---------------------------------------------------------------------------
-
-needs_compiled = pytest.mark.skipif(
-    KERNEL_MODES == ("python",), reason="compiled kernel unavailable"
-)
 
 
 def _flood(seed: int):

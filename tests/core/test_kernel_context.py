@@ -29,7 +29,13 @@ from repro.model.chain import TaskChain
 from repro.model.job import Job
 from repro.model.task import TaskSpec
 from repro.verify.fuzz import random_flood
-from tests.core.test_admit_batch import KERNEL_MODES, _one_task, _state, needs_compiled
+from tests.core.test_admit_batch import (
+    KERNEL_MODES,
+    _campaign,
+    _one_task,
+    _state,
+    needs_compiled,
+)
 
 _flatten = kernel_batch.flatten_jobs  # not whatever a test spies with
 
@@ -505,24 +511,6 @@ def test_a_real_overflow_after_commits_restores_the_entry_window(monkeypatch, ca
             assert auto.submit(job) == ref.submit(job)
         assert _state(auto) == _state(ref)
         assert kernels.stats.fallbacks == fallbacks + 1
-
-
-def _campaign(rng: random.Random, n: int) -> list[Job]:
-    """A backlog-shaped flood (the end-to-end benchmark's ``backlog``, at
-    test size): Poisson arrivals at 8 per time unit on 64 processors, each
-    job ``w x d`` or ``2w x d/2`` with ``d`` lognormal and a lax deadline,
-    so the profile grows deep and the fact table fills and evicts."""
-    jobs, release = [], 0.0
-    for k in range(n):
-        release += rng.expovariate(8.0)
-        w = rng.choice((1, 1, 2, 2, 3, 4, 6, 8))
-        d = min(60.0, rng.lognormvariate(1.0, 1.0)) + 0.25
-        chains = tuple(
-            TaskChain((TaskSpec("t", ProcessorTimeRequest(pw, pd), deadline=1000.0 * d),))
-            for pw, pd in ((w, d), (2 * w, d / 2))
-        )
-        jobs.append(Job(chains=chains, release=release, job_id=k))
-    return jobs
 
 
 @needs_compiled

@@ -14,14 +14,7 @@ from repro.verify.fuzz import (
     run_case,
     shrink,
 )
-
-
-def test_package_exports_campaign_driver_as_run_fuzz():
-    """``repro.verify.fuzz`` is the submodule; the callable is run_fuzz."""
-    import repro.verify
-
-    assert callable(repro.verify.run_fuzz)
-    assert repro.verify.run_fuzz is fuzz
+from repro.verify.oracle import OracleLimits
 
 
 def test_fuzz_campaign_is_deterministic():
@@ -33,6 +26,39 @@ def test_fuzz_campaign_is_deterministic():
 def test_fuzz_smoke_is_clean():
     report = fuzz(40, seed=7, malleable_share=0.25)
     assert report.ok, report.summary()
+
+
+def test_fuzz_counts_cases_beyond_the_oracle_limits(monkeypatch):
+    """A case the oracle cannot bound is counted and reported, not passed
+    over as clean."""
+    import repro.verify.fuzz as fuzz_module
+
+    monkeypatch.setattr(fuzz_module, "_ORACLE_LIMITS", OracleLimits(max_nodes=1))
+    report = fuzz_module.fuzz(6, seed=3)
+    assert report.ok
+    assert 0 < report.skipped <= report.cases
+    assert f"oracle skipped on {report.skipped} beyond its limits" in report.summary()
+
+
+def test_every_hundredth_case_is_a_pressure_case(monkeypatch):
+    """CI's 200-case campaigns draw two table-pressure cases, and each
+    gets the differential matrix as well as batch identity."""
+    import repro.verify.fuzz as fuzz_module
+
+    drawn, checked = [], []
+    tiny = FuzzCase(capacity=1, jobs=())
+    monkeypatch.setattr(fuzz_module, "random_case", lambda rng, **kw: tiny)
+    monkeypatch.setattr(fuzz_module, "random_flood", lambda rng: tiny)
+    monkeypatch.setattr(fuzz_module, "check_case", lambda case, **kw: [])
+    monkeypatch.setattr(fuzz_module, "batch_failures", lambda case: [])
+    monkeypatch.setattr(
+        fuzz_module, "random_pressure", lambda rng: drawn.append(1) or tiny
+    )
+    monkeypatch.setattr(
+        fuzz_module, "differential_failures", lambda case: checked.append(1) or []
+    )
+    assert fuzz_module.fuzz(200, seed=7).ok
+    assert len(drawn) == len(checked) == 2
 
 
 def test_random_case_round_trips_through_json():
@@ -117,8 +143,8 @@ def test_fuzz_writes_shrunk_reproducer_to_corpus(tmp_path, monkeypatch):
 
     real_check = fuzz_module.check_case
 
-    def buggy_check(case):
-        failures = real_check(case)
+    def buggy_check(case, **kwargs):
+        failures = real_check(case, **kwargs)
         if any(len(c.tasks) >= 2 for j in case.jobs for c in j.chains):
             failures = failures + ["planted: multi-task chain"]
         return failures
