@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from repro.core import kernels
-from repro.core.kernels.build import ensure_built, find_compiler, lib_path
+from repro.core.kernels.build import ensure_built, explicit, find_compiler, lib_path
 from repro.errors import ConfigurationError
 
 
@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigurationError as exc:
             print(f"build failed: {exc}", file=sys.stderr)
             return 1
-        print(f"built {path}")
+        print(f"using {path} as it is" if explicit() else f"built {path}")
         return 0
 
     print(f"REPRO_KERNEL={kernels.requested_mode()}")

@@ -6,10 +6,11 @@
  * compiler but no extension-build stack, and the ABI below needs nothing
  * beyond raw pointers).
  *
- * Every function but two is a line-for-line port of a pure-Python
- * reference in ``repro.core`` (profile._shift / compact / free_area,
- * first_fit.earliest_fit, greedy.candidates / place_chain,
- * policies.select_candidate, chain.is_trivially_infeasible).  The float
+ * Apart from the savepoint and the deviation below, every function is a
+ * line-for-line port of a pure-Python reference in ``repro.core``
+ * (profile._shift / compact / free_area, first_fit.earliest_fit,
+ * greedy.candidates / place_chain, policies.select_candidate,
+ * chain.is_trivially_infeasible).  The float
  * operations replicate the exact IEEE-754 op order of those references —
  * max/min keep Python's first-argument-on-ties convention, accumulations
  * run in the same sequence — and the build flags forbid contraction, so
@@ -19,23 +20,23 @@
  * exact; only the two filters keep the references' slack
  * (AREA_EPS, QUICK_EPS below).  repro.core.resources has the time range.
  *
- * The one deliberate deviation: inside ``repro_admit_batch`` the loop
- * does not redo work an earlier step of the same call already settled.
- * ``ef_probe`` starts its walk past the start times that the no-fit facts
- * it kept rule out (the frontier above it; which facts a full table
- * keeps is at NFACTS), and ``prof_ensure_prefix``
- * re-sums the prefix only from the first entry a shift made stale.  Both
- * return the floats the references return — the walk visits fewer
- * segments, so ``probe_segments`` is lower than the serial scan's — and
- * both rest on ONE invariant: while the kernel alone mutates the profile,
- * availability never increases (the loop only commits; compaction only
- * trims the past).  The facts and the prefix resume point live in the
- * per-profile context, so they serve the next call too — which is then
- * indistinguishable from one longer batch — and the Python driver clears
- * them whenever it re-uploads the profile, i.e. after any Python-side
- * mutation (a release, rollback or capacity fault may have raised
- * availability).  A positive-delta shift inside the loop would break the
- * invariant: ``prof_shift`` clears the table if it ever sees one.
+ * The one deliberate deviation: the loop skips work whose answer it
+ * already holds.  ``ef_probe`` starts its walk past the start times that
+ * the no-fit facts it kept rule out (the frontier above it; which facts a
+ * full table keeps is at NFACTS).  ``area_reject`` passes a chain on a
+ * stale prefix when a short backward sum proves the reference would (the
+ * proof is above it); only otherwise does ``prof_ensure_prefix`` re-sum
+ * the prefix, from the first entry a shift made stale.  The verdicts and
+ * floats are the references' -- only ``probe_segments`` and
+ * ``prefix_rebuilds`` are lower.  The facts rest on ONE invariant: while
+ * the kernel alone mutates the profile, availability never increases
+ * (the loop only commits; compaction only trims the past).  The facts,
+ * the prefix and the filter's budget live in the per-profile context, so
+ * they serve the next call too -- which is then indistinguishable from
+ * one longer batch -- and the Python driver clears them whenever it
+ * re-uploads the profile, i.e. after any Python-side mutation (a
+ * release, rollback or capacity fault may have raised availability).
+ * ``prof_shift`` clears the table if it ever sees a positive delta.
  *
  * One entry point does work, ``repro_admit_batch``: the whole serial
  * admission loop for a vector of jobs in ONE call — compaction, the two
@@ -66,7 +67,7 @@
 #define AREA_EPS 1e-6   /* greedy._area_reject slack */
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 
-#define ABI_VERSION 10
+#define ABI_VERSION 11
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -196,10 +197,10 @@ typedef struct {
  * window to index 0 when the room above it runs out).  times_alt/avail_alt
  * hold a call's savepoint: the entry cells it overwrote, at the same
  * indexes (see Save).  prefix[0..n) is the free-area prefix cache over the
- * live window:
- * entries below prefix_from survive a shift, the rest are re-summed in
- * the same order when prefix_valid drops (the floats
- * AvailabilityProfile._ensure_prefix produces from a full rebuild). */
+ * live window: entries below prefix_from survive a shift, the rest are
+ * re-summed in the same order when the area filter cannot do without
+ * them (the floats AvailabilityProfile._ensure_prefix produces from a
+ * full rebuild). */
 typedef struct {
     double *times;
     int64_t *avail;
@@ -214,6 +215,8 @@ typedef struct {
     int64_t capacity; /* machine capacity (processors) */
     int64_t prefix_valid;
     int64_t prefix_from; /* lowest index whose prefix entry is stale */
+    int64_t area_spent;  /* steps of certified area sums since the prefix
+                          * was last re-summed (area_reject's budget) */
     /* scheduler configuration */
     int64_t policy, do_compact;
     /* the staged jobs, one run of cells in arrival order: per job
@@ -427,6 +430,7 @@ static void prof_ensure_prefix(Prof *p)
     }
     p->prefix_valid = 1;
     p->prefix_from = p->n;
+    p->area_spent = 0;
     p->c[K_PREFIX_REBUILDS] += 1;
 }
 
@@ -512,8 +516,7 @@ static int scan_walk(const double *times, const int64_t *avail, int64_t n,
     }
 }
 
-/* The no-fit frontier — with the prefix resume above, the only code in
- * this file that is not a port.
+/* The no-fit frontier.
  *
  * While only repro_admit_batch mutates the profile availability never
  * increases (the loop only commits; compaction only trims the past), so a
@@ -665,19 +668,79 @@ static double chain_quality(const Task *t, int64_t n)
     return acc;
 }
 
-/* greedy._area_reject */
+/* greedy._area_reject, verdict for verdict: reject iff F < T - AREA_EPS,
+ * where T is the chain's area and F what prof_free_area returns.  With a
+ * valid prefix F costs two bisections.  With a stale one it costs a
+ * re-sum of n - prefix_from entries, so the window's free area is first
+ * summed backwards from t1, and the filter passes without F as soon as
+ * that partial sum proves F >= T (so F >= fl(T - AREA_EPS): the
+ * reference passes too).
+ *
+ * The proof.  u = 2^-53, gamma_k = k u / (1 - k u), K the capacity, A the
+ * exact free area of [t0, t1); every term is >= 0, nothing cancels.
+ *
+ * - The backward sum S of m terms avail * (hi - lo) (two roundings each)
+ *   added in turn from 0.0 (m - 1 roundings) is sum x_i (1 + theta_i),
+ *   |theta_i| <= gamma_{m+1}.  So A, at least the exact partial sum, is
+ *   at least S / (1 + gamma_{m+1}) = S (1 - (m + 1) u) >= S (1 - gamma_{m+1}).
+ * - F = fl(C(t1) - C(t0)), C(t) = prefix[i] + avail[i] * (t - times[i]):
+ *   at most n terms from the origin with at most n + 1 roundings each,
+ *   so C(t) is within gamma_{n+1} K (t - origin) of its exact value and
+ *   |F - A| <= 2 gamma_{n+1} (1 + u) K (t1 - origin) + u A
+ *           <= 2 gamma_{n+2} K (t1 - origin).
+ *   E is that bound computed with gamma_{n+4}: the two extra u pay for
+ *   the four roundings of computing it.
+ * - The test fl(S * (1 - (m + 4) u)) >= fl(T + E), whose factor is exact
+ *   in a double, gives S (1 - (m + 1) u) >= T + E after its own two
+ *   roundings.  Hence F >= A - E >= T.
+ *
+ * A pass is certified only where the reference passes, so every verdict
+ * and every counter but K_PREFIX_REBUILDS are the reference's.  What is
+ * not certified -- the window exhausted, or the budget spent -- re-sums
+ * and compares as the reference does.  The budget is the ski-rental
+ * rule: the certified steps since the last re-sum (area_spent) may not
+ * exceed the re-sum they stand in for, n - prefix_from, so a stale
+ * stretch costs at most twice the re-sum it replaces.  Backwards,
+ * because a window's far end lies past the backlog, where the profile is
+ * free: certified after 11 steps per stale filter call on batch_backlog
+ * and 8 on serial_commit, against 179 and 135 summing forwards from t0. */
+#define U 0x1p-53
+
 static int area_reject(Prof *p, double release, double final_deadline,
                        double total_area)
 {
-    double origin = (p->times + p->lo)[0];
+    const double *times = p->times + p->lo;
+    const int64_t *avail = p->avail + p->lo;
+    double origin = times[0];
     double t0 = PYMAX(release, origin);
     double t1 = release + final_deadline;
     if (isinf(t1))
         return 0;
     if (t1 <= t0)
         return 1;
+    if (!p->prefix_valid) {
+        int64_t n = p->n;
+        int64_t budget = n - p->prefix_from - p->area_spent;
+        double g = (double)(n + 4) * U;
+        double e = 2.0 * (g / (1.0 - g)) * (double)p->capacity * (t1 - origin);
+        double need = total_area + e;
+        double s = 0.0, hi = t1;
+        int64_t m = 0;
+        for (int64_t k = bisect_right_d(times, n, t1) - 1; m < budget; k--) {
+            s += (double)avail[k] * (hi - PYMAX(times[k], t0));
+            m += 1;
+            if (s * (1.0 - (double)(m + 4) * U) >= need) {
+                p->area_spent += m;
+                return 0;
+            }
+            if (times[k] <= t0)
+                break; /* the window is exhausted */
+            hi = times[k];
+        }
+    }
     return prof_free_area(p, t0, t1) < total_area - AREA_EPS;
 }
+#undef U
 
 /* policies._prefix_key three-way comparison: Python tuple lexicographic
  * order over chain.prefix_areas() (shorter prefix of an equal run sorts
@@ -721,9 +784,9 @@ int64_t repro_ctx_size(void)
 #define PROF_FIELDS(X)                                                        \
     X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
     X(cap_buf) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)         \
-    X(policy) X(do_compact) X(record) X(n_jobs) X(max_chains) X(max_tasks)   \
-    X(dscratch) X(iscratch) X(out_chain) X(out_rows) X(q_possible) X(q_sum)  \
-    X(c) X(totals) X(nfacts) X(fact_evict) X(facts)
+    X(area_spent) X(policy) X(do_compact) X(record) X(n_jobs) X(max_chains)  \
+    X(max_tasks) X(dscratch) X(iscratch) X(out_chain) X(out_rows)             \
+    X(q_possible) X(q_sum) X(c) X(totals) X(nfacts) X(fact_evict) X(facts)
 
 const char *repro_ctx_fields(void)
 {
@@ -889,6 +952,7 @@ int64_t repro_admit_batch(Prof *p)
                 p->nfacts = 0;
                 p->prefix_valid = 0;
                 p->prefix_from = 0;
+                p->area_spent = 0;
                 return st;
             }
             row[2 + t] = s;

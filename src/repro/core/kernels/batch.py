@@ -77,16 +77,17 @@ context's view of the profile is thrown away:
   ``n`` cells of compaction away; the drift bound keeps a short window
   in the buffers' first pages, so what the process touches does not grow
   with a large batch's room.  The no-fit facts survive both, and the
-  prefix an in-place re-base (it is indexed from ``lo``); the loop never
-  returns ``BATCH_ERR_OVERFLOW`` and
+  prefix and its budget an in-place re-base (it is indexed from
+  ``lo``); the loop never returns ``BATCH_ERR_OVERFLOW`` and
   ``kernels.stats.fallbacks`` stays 0.  :meth:`_Context.stage` does the
   same for the job side: a record longer than any before it (or more
   jobs, or a larger fan-out) re-binds the record buffer, the two output
   columns and the scratch at twice the size, and touches nothing of the
   profile half.
-* The no-fit facts and the prefix resume point live in the context and
-  survive from one call to the next only while no Python-side mutation
-  intervened (``profile._dirty``); then two calls are one longer batch.
+* The no-fit facts, the prefix and the area filter's budget
+  (``area_spent``) live in the context and survive from one call to the
+  next only while no Python-side mutation intervened (``profile._dirty``);
+  then two calls are one longer batch.
 * The staged record: ``ctx.chains`` is the ``job.chains`` tuple a one-job
   record was packed from — the one strong reference to model objects a
   context holds, kept so that the identity check stays sound (a tuple
@@ -328,7 +329,7 @@ class _Context:
                 self._bind(name, cap, _I8)
             self._bind("scr_t", cap + 4)
             self._bind("scr_a", cap + 4, _I8)
-            c.prefix_valid = c.prefix_from = 0
+            c.prefix_valid = c.prefix_from = c.area_spent = 0
         # The prefix is indexed from lo, so an in-place re-base keeps it;
         # the slice assignment copies through a temporary when the two
         # ranges overlap.
@@ -336,7 +337,7 @@ class _Context:
         cols["times"][:n], cols["avail"][:n] = source
         c.lo, c.n = 0, n
         if stale:
-            c.nfacts = c.prefix_valid = c.prefix_from = 0
+            c.nfacts = c.prefix_valid = c.prefix_from = c.area_spent = 0
             self.q_possible = self.q_sum = None
             profile._dirty = False  # noqa: SLF001
 

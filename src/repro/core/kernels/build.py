@@ -11,6 +11,8 @@ contract with the pure-Python reference).
 The build is lazy, cached by mtime, and *optional*: when no C compiler
 is present :func:`ensure_built` raises :class:`ConfigurationError` and
 the Python reference decides instead (see :mod:`repro.core.kernels`).
+A library named by ``$REPRO_KERNEL_LIB`` is never built, rebuilt or
+written: it is loaded as it is, or refused.
 ``python -m repro.core.kernels --build`` runs the same build explicitly
 (the CI hook).
 """
@@ -31,6 +33,7 @@ __all__ = [
     "ABI_VERSION",
     "artifact_intact",
     "ensure_built",
+    "explicit",
     "find_compiler",
     "lib_path",
     "notice",
@@ -39,7 +42,7 @@ __all__ = [
 #: Must match ``ABI_VERSION`` in ``_kernels.c``; bump both together when
 #: the exported signatures change so a stale cached ``.so`` is rebuilt
 #: instead of being called with the wrong argument layout.
-ABI_VERSION = 10
+ABI_VERSION = 11
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -72,15 +75,15 @@ def find_compiler() -> str | None:
 def lib_path() -> Path:
     """Where the built shared object lives (or should live).
 
-    ``$REPRO_KERNEL_LIB`` overrides everything; otherwise the object sits
-    next to the source, tagged by platform so heterogeneous checkouts on
-    shared filesystems do not collide.  Falls back to a per-user cache
-    directory when the package directory is not writable (installed
-    site-packages).
+    ``$REPRO_KERNEL_LIB`` overrides everything (see :func:`explicit`);
+    otherwise the object sits next to the source, tagged by platform so
+    heterogeneous checkouts on shared filesystems do not collide.  Falls
+    back to a per-user cache directory when the package directory is not
+    writable (installed site-packages).
     """
-    explicit = os.environ.get("REPRO_KERNEL_LIB")
-    if explicit:
-        return Path(explicit)
+    path = explicit()
+    if path is not None:
+        return path
     tag = f"{platform.system()}-{platform.machine()}".lower()
     candidate = SOURCE.parent / f"_kernels-{tag}.so"
     if os.access(SOURCE.parent, os.W_OK) or candidate.exists():
@@ -89,6 +92,14 @@ def lib_path() -> Path:
         os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")
     ) / "repro-kernels"
     return cache / candidate.name
+
+
+def explicit() -> Path | None:
+    """The library ``$REPRO_KERNEL_LIB`` names, or None when it is unset:
+    a kept build (another checkout's, a sanitized one) that is loaded as
+    it is, however old, and never written."""
+    value = os.environ.get("REPRO_KERNEL_LIB")
+    return Path(value) if value else None
 
 
 def artifact_intact(path: Path) -> bool:
@@ -123,8 +134,11 @@ def artifact_intact(path: Path) -> bool:
 def ensure_built(force: bool = False) -> Path:
     """Return the path of an up-to-date shared object, building if stale.
 
-    A cached artifact is reused only when it is both fresh (mtime ≥
-    source) and structurally intact (:func:`artifact_intact`); a
+    An explicit library (:func:`explicit`) is returned as it is, with
+    ``force`` too, when it is intact; otherwise this raises
+    :class:`~repro.errors.ConfigurationError` naming it.  A cached
+    artifact is reused only when it is both fresh (mtime ≥ source) and
+    structurally intact (:func:`artifact_intact`); a
     truncated object left by an interrupted build triggers a clean,
     ``::notice``-announced rebuild instead of a hard crash at ``dlopen``
     time.  Raises :class:`~repro.errors.ConfigurationError` when no
@@ -132,6 +146,14 @@ def ensure_built(force: bool = False) -> Path:
     written object behind (the build lands in a temp name and is renamed
     into place atomically).
     """
+    path = explicit()
+    if path is not None:
+        if not artifact_intact(path):
+            raise ConfigurationError(
+                f"REPRO_KERNEL_LIB={path} is missing, truncated or not a "
+                "shared object (it is loaded as it is, never built)"
+            )
+        return path
     path = lib_path()
     if (
         not force

@@ -1,6 +1,6 @@
 """ctypes binding for the compiled decision kernel (``_kernels.c``).
 
-Loads the shared object built by :mod:`repro.core.kernels.build` (ABI 10)
+Loads the shared object built by :mod:`repro.core.kernels.build` (ABI 11)
 and exposes :meth:`CompiledKernels.admit_batch` — the one-call batched
 admission loop over a :class:`Context` the caller builds once per
 profile.  ``repro_admit_batch`` takes that struct and nothing else: ctypes
@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 from pathlib import Path
 
-from repro.core.kernels.build import ABI_VERSION, ensure_built, notice
+from repro.core.kernels.build import ABI_VERSION, ensure_built, explicit, notice
 from repro.errors import ConfigurationError
 
 __all__ = ["CompiledKernels", "Context", "load"]
@@ -49,7 +49,7 @@ class Context(ctypes.Structure):
             "scr_a")),
         *((name, _i64) for name in (
             "cap_buf", "lo", "n", "capacity", "prefix_valid",
-            "prefix_from", "policy", "do_compact")),
+            "prefix_from", "area_spent", "policy", "do_compact")),
         ("record", _ptr),
         ("n_jobs", _i64), ("max_chains", _i64), ("max_tasks", _i64),
         *((name, _ptr) for name in (
@@ -130,7 +130,9 @@ def load() -> CompiledKernels:
     one clean forced rebuild, announced with a ``::notice`` annotation —
     never a hard crash.  If even the rebuilt object cannot be loaded the
     failure is normalized to :class:`~repro.errors.ConfigurationError`
-    so ``REPRO_KERNEL=auto`` falls back to the Python reference.
+    so ``REPRO_KERNEL=auto`` falls back to the Python reference.  A
+    library ``$REPRO_KERNEL_LIB`` names is not rebuilt: one that does not
+    load is refused at once, the same way.
     """
     global _loaded
     if _loaded is None:
@@ -138,6 +140,10 @@ def load() -> CompiledKernels:
         try:
             _loaded = CompiledKernels(path)
         except (OSError, ConfigurationError) as exc:
+            if explicit() is not None:
+                raise ConfigurationError(
+                    f"REPRO_KERNEL_LIB={path} does not load: {exc}"
+                ) from exc
             notice(
                 f"kernel artifact {path} is stale or corrupt ({exc}); "
                 "rebuilding"

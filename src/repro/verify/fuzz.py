@@ -34,8 +34,11 @@ rigid or malleable).  For each case the harness:
    ``REPRO_KERNEL=python`` runs are Python on every arm.
    A share of the campaign's cases are *floods* (:func:`random_flood`:
    tens to hundreds of jobs from a few shapes) that get this check
-   alone: the C loop skips what an earlier probe of the same call ruled
-   out, and a case of six jobs never probes one shape twice.  A smaller
+   alone, and for each deterministic policy the serial run held to the
+   reference (:func:`flood_failures`): the C loop skips what an earlier
+   probe of the same call ruled out and passes the area filter without
+   re-summing a stale prefix, and a case of six jobs never probes one
+   shape twice nor grows a deep profile.  A smaller
    share are *pressure* cases (:func:`random_pressure`: a comb of
    hundreds of segments probed in more shapes than the C loop's no-fit
    table holds) that get the differential matrix and this check: both
@@ -595,6 +598,25 @@ def check_case(case: FuzzCase, *, skips: list[str] | None = None) -> list[str]:
     return failures
 
 
+def flood_failures(case: FuzzCase) -> list[str]:
+    """The checks a :func:`random_flood` case gets: batch identity, and the
+    serial run of each deterministic policy (the C loop's, when it is
+    compiled) against the ``"scalar"`` reference.  RANDOM is Python on
+    both arms, so it is left to batch identity."""
+    failures = batch_failures(case)
+    for policy in _POLICIES:
+        if policy is TieBreakPolicy.RANDOM:
+            continue
+        scalar, _ = run_case(case, backend="scalar", policy=policy, audit=False)
+        auto, _ = run_case(case, policy=policy, audit=False)
+        if auto != scalar:
+            failures.append(
+                f"decision divergence under {policy.value}: "
+                f"auto,{policy.value} != scalar,{policy.value}"
+            )
+    return failures
+
+
 def pressure_failures(case: FuzzCase) -> list[str]:
     """The checks a :func:`random_pressure` case gets: the differential
     matrix (C against the reference) and batch identity."""
@@ -755,7 +777,7 @@ def fuzz(
     """Run ``n`` random cases; shrink and persist any failure.
 
     One case in :data:`_FLOOD_EVERY` is a :func:`random_flood` checked by
-    :func:`batch_failures` alone (the full battery on hundreds of jobs
+    :func:`flood_failures` alone (the full battery on hundreds of jobs
     would be most of the campaign's time, and the oracle is out of scope
     above :data:`_ORACLE_MAX_JOBS` anyway), and one in
     :data:`_PRESSURE_EVERY` a :func:`random_pressure` checked by
@@ -772,7 +794,7 @@ def fuzz(
         if k % _PRESSURE_EVERY == _PRESSURE_EVERY - 1:
             case, check = random_pressure(rng), pressure_failures
         elif k % _FLOOD_EVERY == _FLOOD_EVERY - 1:
-            case, check = random_flood(rng), batch_failures
+            case, check = random_flood(rng), flood_failures
         else:
             malleable = rng.random() < malleable_share
             case = random_case(rng, max_jobs=max_jobs, malleable=malleable)

@@ -6,9 +6,14 @@ rebuild — never a hard crash — and when even the rebuild cannot produce
 a loadable object, ``REPRO_KERNEL=auto`` must fall back to the Python
 kernels with honest ``kernel_fallbacks`` telemetry while
 ``REPRO_KERNEL=compiled`` (and the ``--check`` CLI) must fail loudly.
+A library ``REPRO_KERNEL_LIB`` names is loaded as it is or refused,
+never rebuilt over.
 """
 
 from __future__ import annotations
+
+import os
+import shutil
 
 import pytest
 
@@ -29,9 +34,11 @@ needs_compiler = pytest.mark.skipif(
 
 @pytest.fixture()
 def scratch_lib(tmp_path, monkeypatch):
-    """Point the kernel artifact at a scratch path and isolate the caches."""
+    """Point the cached kernel artifact at a scratch path and isolate the
+    caches."""
     lib = tmp_path / "kernels.so"
-    monkeypatch.setenv("REPRO_KERNEL_LIB", str(lib))
+    monkeypatch.delenv("REPRO_KERNEL_LIB", raising=False)
+    monkeypatch.setattr(build, "lib_path", lambda: lib)
     monkeypatch.setattr(compiled, "_loaded", None)
     monkeypatch.setattr(kernels, "_active", None)
     monkeypatch.setattr(kernels, "_mode", None)
@@ -132,3 +139,56 @@ def test_forced_load_failure_increments_fallback_telemetry(
     assert kernels.stats.last_reason == "forced failure"
     with pytest.raises(ConfigurationError, match="REPRO_KERNEL=compiled"):
         kernels.set_kernel("compiled")
+
+
+@pytest.fixture()
+def explicit_lib(tmp_path, monkeypatch):
+    """A kept build behind ``REPRO_KERNEL_LIB``, older than ``_kernels.c``
+    and carrying trailing bytes no build of the source writes."""
+    with kernels.use("compiled"):
+        built = kernels.active().path
+    lib = tmp_path / "kept.so"
+    lib.write_bytes(built.read_bytes() + b"kept build")
+    source_mtime = build.SOURCE.stat().st_mtime
+    os.utime(lib, (source_mtime - 3600, source_mtime - 3600))
+    monkeypatch.setenv("REPRO_KERNEL_LIB", str(lib))
+    monkeypatch.setattr(compiled, "_loaded", None)
+    monkeypatch.setattr(kernels, "_active", None)
+    monkeypatch.setattr(kernels, "_mode", None)
+    return lib
+
+
+@needs_compiler
+def test_an_older_explicit_library_is_loaded_as_it_is(explicit_lib):
+    before = explicit_lib.read_bytes(), explicit_lib.stat().st_mtime_ns
+    assert build.ensure_built() == explicit_lib
+    assert build.ensure_built(force=True) == explicit_lib
+    loaded = compiled.load()
+    assert loaded.compiled and loaded.path == explicit_lib
+    assert (explicit_lib.read_bytes(), explicit_lib.stat().st_mtime_ns) == before
+    assert not explicit_lib.with_name(explicit_lib.name + ".tmp").exists()
+
+
+@needs_compiler
+@pytest.mark.parametrize("damage", ("missing", "truncated", "wrong ABI"))
+def test_an_explicit_library_that_cannot_load_is_refused_by_name(
+    explicit_lib, monkeypatch, capsys, damage
+):
+    if damage == "missing":
+        explicit_lib.unlink()
+    elif damage == "truncated":
+        blob = explicit_lib.read_bytes()
+        explicit_lib.write_bytes(blob[: len(blob) // 3])
+    else:
+        monkeypatch.setattr(compiled, "ABI_VERSION", 999)
+    before = explicit_lib.read_bytes() if explicit_lib.exists() else None
+    with pytest.raises(ConfigurationError, match=str(explicit_lib)):
+        compiled.load()
+    after = explicit_lib.read_bytes() if explicit_lib.exists() else None
+    assert after == before  # never written, never built
+    assert "::notice" not in capsys.readouterr().err  # no rebuild attempted
+    fallbacks = kernels.stats.fallbacks
+    assert kernels.set_kernel("auto") is not None
+    assert kernels.kernel_backend() == "python"
+    assert kernels.stats.fallbacks == fallbacks + 1
+    assert str(explicit_lib) in kernels.stats.last_reason

@@ -13,6 +13,7 @@ loop when compiled) beside the reference — ``backend="scalar"``, serial
 from __future__ import annotations
 
 import random
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -339,10 +340,12 @@ def test_compaction_walks_the_window_up_and_sync_rebases_it_in_place(monkeypatch
 
     def spied(self, profile, n_tasks):
         c = self.c
-        before = (c.lo, c.cap_buf, c.nfacts, c.prefix_valid, c.prefix_from)
+        before = (c.lo, c.cap_buf, c.nfacts, c.prefix_valid, c.prefix_from,
+                  c.area_spent)
         sync(self, profile, n_tasks)
         if c.lo < before[0]:
-            after = (c.lo, c.cap_buf, c.nfacts, c.prefix_valid, c.prefix_from)
+            after = (c.lo, c.cap_buf, c.nfacts, c.prefix_valid, c.prefix_from,
+                     c.area_spent)
             rebases.append((before, after))
 
     monkeypatch.setattr(kernel_batch._Context, "sync", spied)  # noqa: SLF001
@@ -656,7 +659,9 @@ def test_another_kernel_object_rebuilds_the_context(monkeypatch, tmp_path):
         for job in case.jobs[:30]:
             assert auto.submit(job) == ref.submit(job)
         first = auto.schedule.profile._ctx  # noqa: SLF001
-        monkeypatch.setenv("REPRO_KERNEL_LIB", str(tmp_path / "other.so"))
+        other = tmp_path / "other.so"
+        shutil.copy(first.impl.path, other)
+        monkeypatch.setenv("REPRO_KERNEL_LIB", str(other))
         monkeypatch.setattr(compiled, "_loaded", None)
         kernels.set_kernel("compiled")
         assert kernels.active() is not first.impl

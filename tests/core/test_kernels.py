@@ -117,6 +117,7 @@ def test_build_is_cached_and_abi_stamped():
 
 
 def test_missing_compiler_raises_configuration_error(monkeypatch):
+    monkeypatch.delenv("REPRO_KERNEL_LIB", raising=False)  # that one is never built
     monkeypatch.setattr(build, "find_compiler", lambda: None)
     monkeypatch.setattr(
         build.Path, "exists", lambda self: False, raising=False
