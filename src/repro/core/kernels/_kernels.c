@@ -48,7 +48,11 @@
  * (path quality is the product of the task qualities).  Those belong to
  * the ARBITRATOR, not to the context: the driver writes them into the
  * struct whenever they are not the values last there, and reads them back
- * only on BATCH_OK.  The other exports are the loader's ABI and layout
+ * only on BATCH_OK.  After each job the loop publishes how many jobs it
+ * has finished (Prof.progress, a release store once the job's out_chain
+ * cell and row are written; repro_progress is the acquire load), so the
+ * driver builds their decisions on its own thread while C decides the
+ * next ones.  The other exports are the loader's ABI and layout
  * handshake.
  *
  * The loop mutates the live window in place.  Before a shift overwrites
@@ -67,7 +71,7 @@
 #define AREA_EPS 1e-6   /* greedy._area_reject slack */
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 
-#define ABI_VERSION 11
+#define ABI_VERSION 12
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the context's live
@@ -226,6 +230,7 @@ typedef struct {
      * chains, no chain more than max_tasks tasks. */
     const double *record;
     int64_t n_jobs; /* jobs in the record, set by the driver every call */
+    int64_t progress; /* jobs finished and published (see the header) */
     int64_t max_chains, max_tasks;
     double *dscratch;  /* max_chains*max_tasks + 2*max_chains + max_tasks */
     int64_t *iscratch; /* 4*max_chains */
@@ -726,7 +731,13 @@ static int area_reject(Prof *p, double release, double final_deadline,
         double need = total_area + e;
         double s = 0.0, hi = t1;
         int64_t m = 0;
-        for (int64_t k = bisect_right_d(times, n, t1) - 1; m < budget; k--) {
+        /* the segment holding t1's left side: on a breakpoint, the one
+         * starting there would add a zero-width term (t1 > t0 >= times[0],
+         * so k > 0 then) */
+        int64_t k = bisect_right_d(times, n, t1) - 1;
+        if (times[k] == t1)
+            k -= 1;
+        for (; m < budget; k--) {
             s += (double)avail[k] * (hi - PYMAX(times[k], t0));
             m += 1;
             if (s * (1.0 - (double)(m + 4) * U) >= need) {
@@ -784,9 +795,10 @@ int64_t repro_ctx_size(void)
 #define PROF_FIELDS(X)                                                        \
     X(times) X(avail) X(times_alt) X(avail_alt) X(prefix) X(scr_t) X(scr_a)  \
     X(cap_buf) X(lo) X(n) X(capacity) X(prefix_valid) X(prefix_from)         \
-    X(area_spent) X(policy) X(do_compact) X(record) X(n_jobs) X(max_chains)  \
-    X(max_tasks) X(dscratch) X(iscratch) X(out_chain) X(out_rows)             \
-    X(q_possible) X(q_sum) X(c) X(totals) X(nfacts) X(fact_evict) X(facts)
+    X(area_spent) X(policy) X(do_compact) X(record) X(n_jobs) X(progress)    \
+    X(max_chains) X(max_tasks) X(dscratch) X(iscratch) X(out_chain)          \
+    X(out_rows) X(q_possible) X(q_sum) X(c) X(totals) X(nfacts)              \
+    X(fact_evict) X(facts)
 
 const char *repro_ctx_fields(void)
 {
@@ -801,6 +813,13 @@ const int64_t *repro_ctx_offsets(void)
     static const int64_t offsets[] = {PROF_FIELDS(X)};
 #undef X
     return offsets;
+}
+
+/* How many jobs the running (or finished) call has published: their
+ * out_chain cells, and the rows of the admitted ones, may be read. */
+int64_t repro_progress(const Prof *p)
+{
+    return __atomic_load_n(&p->progress, __ATOMIC_ACQUIRE);
 }
 
 /* The whole serial admission loop for the p->n_jobs jobs staged in the
@@ -830,6 +849,7 @@ int64_t repro_admit_batch(Prof *p)
         policy != POLICY_PREFIX)
         return BATCH_ERR_POLICY;
     memset(counters, 0, sizeof p->c);
+    __atomic_store_n(&p->progress, 0, __ATOMIC_RELEASE);
     const int64_t lo0 = p->lo, n0 = p->n;
     Save sv = {lo0 + n0, lo0 + n0, -1, 0.0};
 
@@ -901,6 +921,7 @@ int64_t repro_admit_batch(Prof *p)
         q_possible += best_q;
         if (ncand == 0) {
             p->out_chain[jb] = -1;
+            __atomic_store_n(&p->progress, jb + 1, __ATOMIC_RELEASE);
             continue;
         }
         /* select_candidate: earliest finish, then the policy tie-break */
@@ -961,6 +982,7 @@ int64_t repro_admit_batch(Prof *p)
         row[1] = cand_area[chosen];
         counters[K_ROW_CELLS] += 2 + cn;
         p->out_chain[jb] = cc;
+        __atomic_store_n(&p->progress, jb + 1, __ATOMIC_RELEASE);
         counters[K_COMMITS] += 1;
         q_sum += chain_quality(ctasks, cn);
     }

@@ -1,6 +1,6 @@
 """ctypes binding for the compiled decision kernel (``_kernels.c``).
 
-Loads the shared object built by :mod:`repro.core.kernels.build` (ABI 11)
+Loads the shared object built by :mod:`repro.core.kernels.build` (ABI 12)
 and exposes :meth:`CompiledKernels.admit_batch` — the one-call batched
 admission loop over a :class:`Context` the caller builds once per
 profile.  ``repro_admit_batch`` takes that struct and nothing else: ctypes
@@ -51,7 +51,8 @@ class Context(ctypes.Structure):
             "cap_buf", "lo", "n", "capacity", "prefix_valid",
             "prefix_from", "area_spent", "policy", "do_compact")),
         ("record", _ptr),
-        ("n_jobs", _i64), ("max_chains", _i64), ("max_tasks", _i64),
+        ("n_jobs", _i64), ("progress", _i64), ("max_chains", _i64),
+        ("max_tasks", _i64),
         *((name, _ptr) for name in (
             "dscratch", "iscratch", "out_chain", "out_rows")),
         ("q_possible", ctypes.c_double), ("q_sum", ctypes.c_double),
@@ -83,6 +84,11 @@ class CompiledKernels:
                 f"compiled kernel ABI {got} != expected {ABI_VERSION} "
                 f"({path}); rebuild with python -m repro.core.kernels --build --force"
             )
+        lib.repro_progress.restype = ctypes.c_int64
+        lib.repro_progress.argtypes = (ctypes.POINTER(Context),)
+        #: ``progress(ctx)``: the jobs a running or finished call has
+        #: published (their ``out_chain`` cells and rows may be read).
+        self.progress = lib.repro_progress
         lib.repro_ctx_size.restype = ctypes.c_int64
         lib.repro_ctx_size.argtypes = ()
         size = int(lib.repro_ctx_size())

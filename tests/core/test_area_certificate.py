@@ -193,6 +193,27 @@ def test_certified_queries_end_in_a_resum_once_the_budget_is_spent():
         assert (c.prefix_valid, c.area_spent) == (0, step)
 
 
+def test_a_window_ending_on_a_breakpoint_sums_no_zero_width_term():
+    """On the comb of the test above, a window ending on the breakpoint 60
+    starts its backward sum at the segment that ends there, as one ending
+    at 59.5 starts at the segment holding it: two steps each.  Starting at
+    the segment that begins at 60 adds a zero-width term, counts a third
+    step and loosens the ``(1 - (m + 4) u)`` factor."""
+    steps = {}
+    with kernels.use("compiled"):
+        for deadline in (59.5, 60.0):
+            arbitrator = QoSArbitrator(4, compact=False)
+            profile = arbitrator.schedule.profile
+            for k in range(150):
+                profile.reserve(2.0 * k, 2.0 * k + 1.0, 1)
+            query = Job(chains=_one_task(4, 1.2, deadline), release=0.0)
+            assert not arbitrator.submit(query).admitted
+            c = profile._ctx.c  # noqa: SLF001
+            assert c.prefix_valid == 0
+            steps[deadline] = c.area_spent
+    assert steps == {59.5: 2, 60.0: 2}
+
+
 def test_a_deep_burst_resums_far_less_than_once_per_commit():
     """A backlog-shaped burst (a profile some 900 segments deep, nearly
     every job committed): summed backwards the filter re-sums about once
