@@ -36,7 +36,10 @@ reads the count again, so only an error status ends the loop short.  A
 shorter batch, or one whose caller finds the worker busy (another
 thread's arbitrator), runs the call inline and the same loop finds every
 job published.  A fork child starts its own worker, and the caller never
-returns or raises (a ``KeyboardInterrupt`` included) while C runs.
+returns or raises (a ``KeyboardInterrupt`` included) while C runs; an
+interrupt that finds the call returned ``BATCH_OK`` first books the whole
+batch (its decisions rebuilt from the columns), so no later call decides
+on commits the schedule never saw.
 
 What the C loop does not take
 -----------------------------
@@ -560,10 +563,11 @@ class _Worker:
             raise error
         return self._status
 
-    def free(self) -> None:
+    def free(self) -> int | None:
         """Wait for the call to return, through any interrupt, and free
         the worker: until then C may read the context's buffers, which the
-        next call would re-stage.  An interrupt is re-raised afterwards."""
+        next call would re-stage.  Returns the call's status (``None`` if
+        it raised); an interrupt is re-raised instead."""
         interrupted = None
         while not self.done.is_set():
             try:
@@ -573,6 +577,7 @@ class _Worker:
         self.busy.release()
         if interrupted is not None:
             raise interrupted
+        return self._status
 
 
 _worker: _Worker | None = None
@@ -634,14 +639,40 @@ def try_admit_batch_compiled(
     n_jobs = len(jobs)
     impl = ctx.impl
     call, progress = impl.admit_batch, impl.progress
-    refused = NO_FIT  # the C loop decides only EARLIEST_FINISH
     chosen = ctx.chosen
-    decisions = []
-    append = decisions.append
+    decisions: list[AdmissionDecision] = []
     committed: list[ChainPlacement] = []
     heads: list[int] = []  # where each admitted job's row starts
     counts: dict[int, int] = {}
+
+    def build(lo: int, hi: int, rows, at: int) -> int:
+        """The decisions of ``jobs[lo:hi]``, from their published cells;
+        returns where the next admitted job's row starts."""
+        refused = NO_FIT  # the C loop decides only EARLIEST_FINISH
+        append, admit = decisions.append, committed.append
+        for job, c in zip(jobs[lo:hi], chosen[lo:hi].tolist()):
+            if c < 0:
+                append(AdmissionDecision(job.job_id, False, None, refused))
+                continue
+            chain = job.chains[c]
+            tasks = chain.tasks
+            heads.append(at)
+            starts = at + 2
+            at = starts + len(tasks)
+            placements = []
+            for task, start in zip(tasks, rows[starts:at]):
+                request = task.request
+                placements.append(
+                    Placement(task, start, request.processors, request.duration)
+                )
+            cp = ChainPlacement(job.job_id, c, chain, placements, job.release)
+            admit(cp)
+            counts[c] = counts.get(c, 0) + 1
+            append(AdmissionDecision(job.job_id, True, cp))
+        return at
+
     built = at = 0
+    status = interrupt = None
     worker = _claim_worker(n_jobs, state.n)
     try:
         if worker is None:
@@ -653,49 +684,45 @@ def try_admit_batch_compiled(
             rows = ctx.rows
             state.progress = 0  # C's own reset may come after the first read
             worker.start(lambda: call(state, n_jobs))
-            status = None  # running
         while built < n_jobs and not status:
             published = progress(state)
             if published <= built:  # caught up, or the read was stale
                 if status is None:
                     status = worker.wait(_POLL_S)
                 continue
-            for job, c in zip(
-                jobs[built:published], chosen[built:published].tolist()
-            ):
-                if c < 0:
-                    append(AdmissionDecision(job.job_id, False, None, refused))
-                    continue
-                chain = job.chains[c]
-                tasks = chain.tasks
-                heads.append(at)
-                starts = at + 2
-                at = starts + len(tasks)
-                placements = []
-                for task, start in zip(tasks, rows[starts:at]):
-                    request = task.request
-                    placements.append(
-                        Placement(task, start, request.processors, request.duration)
-                    )
-                cp = ChainPlacement(job.job_id, c, chain, placements, job.release)
-                committed.append(cp)
-                counts[c] = counts.get(c, 0) + 1
-                append(AdmissionDecision(job.job_id, True, cp))
+            at = build(built, published, rows, at)
             built = published
         if status is None:
             status = worker.wait()
+    except BaseException as exc:  # noqa: BLE001 - re-raised below, booked
+        interrupt = exc
     finally:
         if worker is not None:
-            worker.free()
+            status = worker.free()
+    if status is None:  # the call raised: C committed nothing
+        raise interrupt  # type: ignore[misc]
     profile = arbitrator.schedule.profile
     if status != 0:
-        return _fall_back(profile, ctx, status)
+        _fall_back(profile, ctx, status)
+        if interrupt is not None:
+            raise interrupt
+        return None
+    if interrupt is not None:
+        # C committed the whole batch: book all of it before the interrupt
+        # goes on, so no later call decides on commits the schedule never saw.
+        decisions.clear()
+        committed.clear()
+        heads.clear()
+        counts.clear()
+        rows = ctx.rows[: ctx.counters[11]].tolist()
+        at = build(0, n_jobs, rows, 0)
+    elif worker is not None:
+        rows = rows[:at].tolist()
     profile._list_times = profile._list_avail = profile._prefix = None  # noqa: SLF001
     arbitrator._quality_possible = ctx.q_possible = state.q_possible  # noqa: SLF001
     if committed:
-        cells = rows if worker is None else rows[:at].tolist()
         arbitrator.schedule.record_commits(
-            committed, [cells[h] for h in heads], [cells[h + 1] for h in heads]
+            committed, [rows[h] for h in heads], [rows[h + 1] for h in heads]
         )
         arbitrator._quality_sum = ctx.q_sum = state.q_sum  # noqa: SLF001
         by_chain = arbitrator.decisions_by_chain
@@ -703,4 +730,6 @@ def try_admit_batch_compiled(
             by_chain[c] = by_chain.get(c, 0) + k
     arbitrator.admitted += len(committed)
     arbitrator.rejected += n_jobs - len(committed)
+    if interrupt is not None:
+        raise interrupt
     return decisions

@@ -54,7 +54,7 @@ from repro.errors import ReproError, ServiceUnavailableError
 from repro.model.job import Job
 from repro.service.recovery import RecoveredState, recover
 from repro.service.service import AdmissionService, ServiceConfig
-from repro.service.wal import decision_to_tuple, write_checkpoint
+from repro.service.wal import decision_to_tuple
 from repro.verify.fuzz import _random_chain
 
 __all__ = [
@@ -259,9 +259,10 @@ def _arm_checkpoint_tear(
 ) -> None:
     """Make the service's ``nth`` checkpoint die inside its append.
 
-    The real append runs, then ``checkpoint.log`` is cut back to a prefix
-    of the new segment — byte for byte what a kill mid-``write`` leaves —
-    and the ``OSError`` fail-stops the service before the WAL truncation.
+    The service's own checkpoint runs; where it would truncate the WAL,
+    ``checkpoint.log`` is instead cut back to a prefix of the segment it
+    just copied — byte for byte what a kill mid-``write`` leaves — and the
+    ``OSError`` fail-stops the service with the WAL untruncated.
     """
     checkpoint = service.checkpoint
     path = service.wal.directory / "checkpoint.log"
@@ -272,13 +273,18 @@ def _arm_checkpoint_tear(
         if nth:
             return checkpoint()
         before = path.stat().st_size if path.exists() else 0
-        data = write_checkpoint(service.wal.directory, service.entries).read_bytes()
-        segment = data.rindex(b"\n", 0, -1) + 1 - before  # up to the watermark
-        keep = max(1, int(segment * fraction))
-        os.truncate(path, before + keep)
-        raise OSError(
-            f"injected crash: checkpoint append torn after {keep}/{segment} bytes"
-        )
+
+        def tear() -> None:
+            data = path.read_bytes()
+            segment = data.rindex(b"\n", 0, -1) + 1 - before  # up to the watermark
+            keep = max(1, int(segment * fraction))
+            os.truncate(path, before + keep)
+            raise OSError(
+                f"injected crash: checkpoint append torn after {keep}/{segment} bytes"
+            )
+
+        service.wal.truncate = tear  # type: ignore[method-assign]
+        return checkpoint()
 
     service.checkpoint = torn  # type: ignore[method-assign]
 

@@ -4,16 +4,17 @@ Recovery is a pure function of the WAL directory and the service
 configuration:
 
 1. fold ``checkpoint.log`` — every frame CRC, every watermark's version,
-   digest and count verified, sequence numbers strictly increasing —
-   into the decided ledger through the last watermark's ``through_seq``,
-   ignoring an uncommitted tail after it (a checkpoint append the crash
-   interrupted: the WAL still holds those entries) and refusing a
-   version-1 snapshot;
+   digest and count verified, sequence numbers strictly increasing, every
+   entry decided — into the ledger through the last watermark's
+   ``through_seq``, ignoring an uncommitted tail after it (a checkpoint
+   append the crash interrupted: the WAL still holds those entries) and
+   refusing a version-1 snapshot;
 2. parse ``wal.log``, repairing (physically truncating) a torn tail the
    crash legitimately left, and fold its records into ledger entries,
    skipping anything the checkpoint already covers and refusing a log
    that was truncated against a later watermark than the checkpoint
-   reaches;
+   reaches (steps 1 and 2 are :func:`read_ledger`, which the service's
+   ``entries`` view reads through too, without the repair);
 3. replay every effective job, in ledger order, through a **fresh**
    arbitrator built with :func:`~repro.service.service.make_arbitrator`
    and demand — via :func:`repro.verify.checks.verify_replay` — that
@@ -36,7 +37,6 @@ from pathlib import Path
 
 from repro.core.admission import AdmissionDecision
 from repro.core.arbitrator import QoSArbitrator
-from repro.errors import WalCorruptionError
 from repro.service.service import ServiceConfig, make_arbitrator
 from repro.service.wal import (
     LedgerEntry,
@@ -49,7 +49,7 @@ from repro.service.wal import (
 from repro.verify.auditor import AuditReport
 from repro.verify.checks import verify_replay
 
-__all__ = ["RecoveredState", "recover"]
+__all__ = ["RecoveredState", "read_ledger", "recover"]
 
 
 @dataclass(slots=True)
@@ -72,6 +72,23 @@ class RecoveredState:
     report: AuditReport
 
 
+def read_ledger(
+    directory: str | Path, *, repair: bool = False
+) -> tuple[list[LedgerEntry], int, int]:
+    """The durable ledger: ``checkpoint.log`` folded through its last
+    watermark, then ``wal.log`` past it.
+
+    Returns ``(entries, through_seq, truncated_bytes)``.  ``repair`` cuts
+    a torn WAL tail off the file (recovery's step 2); without it the tail
+    is only skipped and nothing is written.
+    """
+    directory = Path(directory)
+    checkpointed, through_seq = read_checkpoint(directory)
+    records, truncated = read_wal(directory / "wal.log", repair=repair)
+    entries = checkpointed + records_to_entries(records, min_seq=through_seq)
+    return entries, through_seq, truncated
+
+
 def recover(
     wal_dir: str | Path, config: ServiceConfig, *, strict: bool = True
 ) -> RecoveredState:
@@ -84,14 +101,7 @@ def recover(
     idempotent and leaves the log strictly cleaner than it found it.
     """
     directory = Path(wal_dir)
-    checkpointed, through_seq = read_checkpoint(directory)
-    for entry in checkpointed:
-        if entry.decision is None:
-            raise WalCorruptionError(
-                f"checkpoint hides undecided entry seq {entry.seq}"
-            )
-    records, truncated = read_wal(directory / "wal.log", repair=True)
-    entries = checkpointed + records_to_entries(records, min_seq=through_seq)
+    entries, through_seq, truncated = read_ledger(directory, repair=True)
 
     arbitrator = make_arbitrator(config)
     expected = [entry.decision for entry in entries]

@@ -28,14 +28,18 @@ properties a "predictable" resource manager owes its clients:
   guessing.
 * **Durability** — the write-ahead log (:mod:`repro.service.wal`)
   makes every ack crash-safe: effective jobs and decisions are fsync'd
-  before clients see them, checkpoints bound replay time, and
+  before clients see them, checkpoints copy the log's frames to
+  ``checkpoint.log`` and truncate it, and
   :func:`repro.service.recovery.recover` rebuilds the exact pre-crash
-  schedule (bit-identical, auditor-verified) from the log.
+  schedule (bit-identical, auditor-verified) from the log.  The two
+  files are the only ledger: the service keeps no copy in memory, and
+  :attr:`AdmissionService.entries` reads them back on demand.
 
 Idempotency: requests carry client ``request_id``\\ s; a duplicate of a
 pending request awaits the same future, and a duplicate of a decided one
-is answered from the ledger without touching the arbitrator — which is
-also how clients safely retry after a crash.
+is answered from the decision the service keeps for its id, without
+touching the arbitrator — which is also how clients safely retry after a
+crash.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from repro.core.admission import AdmissionDecision
 from repro.core.arbitrator import QoSArbitrator
@@ -189,8 +193,8 @@ def degrade_job(job: Job) -> tuple[Job, bool]:
 
 
 #: What the ingress queue holds: the request's ledger row (built once, in
-#: ``enqueue``), its future and its absolute deadline on the service clock.
-#: The tuple dies with its batch; the row *is* the ledger entry.
+#: ``enqueue``; what the WAL's ``jobs`` frame encodes), its future and its
+#: absolute deadline on the service clock.  Tuple and row die with the batch.
 _Queued = tuple[LedgerEntry, asyncio.Future, "float | None"]
 
 
@@ -207,6 +211,27 @@ def _default_decide(
     return arbitrator.admit_batch(list(jobs))
 
 
+class _Ledger(Sequence[LedgerEntry]):
+    """The durable ledger, read-only: ``checkpoint.log`` and ``wal.log``
+    folded by :func:`~repro.service.recovery.read_ledger` (no repair) at
+    each read.  Its length costs nothing: sequence numbers are contiguous
+    from 1, so it is the last one the WAL logged."""
+
+    def __init__(self, wal: WriteAheadLog) -> None:
+        self._wal = wal
+
+    def __len__(self) -> int:
+        return self._wal.last_seq
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return list(self)[index]
+
+    def __iter__(self) -> Iterator[LedgerEntry]:
+        from repro.service.recovery import read_ledger  # imports this module
+
+        return iter(read_ledger(self._wal.directory)[0])
+
+
 class AdmissionService:
     """Asyncio admission front-end over a durable decision ledger.
 
@@ -214,6 +239,9 @@ class AdmissionService:
     :class:`~repro.service.recovery.RecoveredState`), :meth:`start`,
     serve :meth:`submit` calls, then :meth:`stop` (graceful drain) or
     :meth:`kill` (simulated crash — the chaos harness's weapon).
+
+    ``entries`` is the durable ledger as a read-only sequence, read from
+    disk when iterated or indexed; nothing on the request path reads it.
     """
 
     def __init__(
@@ -229,13 +257,11 @@ class AdmissionService:
         self.clock = clock
         self._decide_fn = decide
         self.wal = WriteAheadLog(wal_dir)
-        self.entries: list[LedgerEntry] = []
+        self.entries: Sequence[LedgerEntry] = _Ledger(self.wal)
         self._seen: dict[str, asyncio.Future | ServiceDecision] = {}
-        self._seq = 0
         if recovered is not None:
             self.arbitrator = recovered.arbitrator
-            self.entries = list(recovered.entries)
-            self._seq = self.wal.last_seq = recovered.last_seq
+            self.wal.last_seq = self.wal.last_decided = recovered.last_seq
             for e, decision in zip(recovered.entries, recovered.decisions):
                 self._seen[e.request_id] = ServiceDecision(
                     e.request_id, _DECIDED[decision.admitted], e.qos, e.degraded,
@@ -246,7 +272,7 @@ class AdmissionService:
         # Ids for requests submitted without one: unique within this life by
         # the counter and across lives by the sequence number it started at
         # (a life that logged nothing left nothing to collide with).
-        self._auto_ids = map(f"auto-{self._seq}-{{}}".format, itertools.count())
+        self._auto_ids = map(f"auto-{self.wal.last_seq}-{{}}".format, itertools.count())
         self._queue: deque[_Queued] = deque()
         self._idle: asyncio.Future | None = None  # parks an idle drain loop
         self._waiters: deque[asyncio.Future] = deque()  # blocked callers, FIFO
@@ -254,6 +280,7 @@ class AdmissionService:
         self._stopping = False
         self._blocked = 0  # enqueue() calls waiting in backpressure
         self._failed: str | None = None
+        self._cause: BaseException | None = None  # chained to every refusal
         self._undecided_since_checkpoint = 0
         self.counters: dict[str, float] = {
             "submitted": 0,
@@ -322,8 +349,8 @@ class AdmissionService:
     def running(self) -> bool:
         return self._task is not None and self._failed is None
 
-    def _fail(self, reason: str) -> None:
-        self._failed = reason
+    def _fail(self, reason: str, cause: BaseException) -> None:
+        self._failed, self._cause = reason, cause
         self._reject_all_pending(reason)
         self.wal.abandon()
 
@@ -354,7 +381,9 @@ class AdmissionService:
         for row, future, _ in batch:
             if not future.done():
                 self._seen.pop(row.request_id, None)
-                future.set_exception(ServiceUnavailableError(reason))
+                error = ServiceUnavailableError(reason)
+                error.__cause__ = self._cause
+                future.set_exception(error)
 
     # ------------------------------------------------------------------
     # Client API
@@ -411,7 +440,8 @@ class AdmissionService:
         if not -TIME_LIMIT < job.release < TIME_LIMIT:
             raise ValueError(f"job.release outside the model's time range: {job.release!r}")
         if self._failed is not None or self._stopping:
-            raise ServiceUnavailableError(self._failed or "service is shutting down")
+            reason = self._failed or "service is shutting down"
+            raise ServiceUnavailableError(reason) from self._cause
         loop = asyncio.get_running_loop()
         rid = request_id if request_id is not None else next(self._auto_ids)
         counters = self.counters
@@ -491,7 +521,7 @@ class AdmissionService:
         out["wal_appends"] = self.wal.appends
         out["wal_syncs"] = self.wal.syncs
         out["queue_depth"] = len(self._queue)
-        out["ledger_entries"] = len(self.entries)
+        out["ledger_entries"] = self.wal.last_seq
         out["failed"] = int(self._failed is not None)
         return out
 
@@ -524,7 +554,7 @@ class AdmissionService:
                 # Fail-stop: a decision-path or WAL failure.  Unacked work
                 # is in the WAL (or never was, in which case clients
                 # retry); recovery owns the rest.
-                self._fail(f"service failed: {exc}")
+                self._fail(f"service failed: {exc}", exc)
                 self._abandon(batch, str(exc))
                 return
             del batch  # an idle drain loop pins no futures
@@ -533,7 +563,7 @@ class AdmissionService:
         now = self.clock()
         config, counters, seen = self.config, self.counters, self._seen
         rows: list[LedgerEntry] = []
-        seq = self._seq
+        seq = self.wal.last_seq
         for row, future, deadline in batch:
             if deadline is not None and now > deadline:
                 counters["timed_out_queue"] += 1
@@ -550,7 +580,6 @@ class AdmissionService:
                 rows.append(row)
         if not rows:
             return
-        self._seq = seq
         # Expired rows were never numbered.
         live = batch if len(rows) == len(batch) else [q for q in batch if q[0].seq]
 
@@ -571,9 +600,8 @@ class AdmissionService:
         decisions = self._decide_fn(self.arbitrator, [row.job for row in rows])
 
         # Append-before-ack, step 2: the decisions; the one fsync hardens
-        # both records of the batch.  The pass that encodes them also
-        # builds the ledger's tuples.
-        tuples = self.wal.append_decisions(
+        # both records of the batch.
+        self.wal.append_decisions(
             range(rows[0].seq, seq + 1), map(decision_to_tuple, decisions)
         )
 
@@ -582,8 +610,7 @@ class AdmissionService:
         # makes.
         now = self.clock()
         admitted = late = 0
-        for (row, future, deadline), decision, tup in zip(live, decisions, tuples):
-            row.decision = tup
+        for (row, future, deadline), decision in zip(live, decisions):
             admitted += decision.admitted
             answer = seen[row.request_id] = ServiceDecision(
                 row.request_id, _DECIDED[decision.admitted], row.qos, row.degraded,
@@ -595,7 +622,6 @@ class AdmissionService:
                 answer = answer._replace(outcome=ServiceOutcome.TIMED_OUT, late=True)
             if not future.done():
                 future.set_result(answer)
-        self.entries.extend(rows)
         counters["batches"] += 1
         counters["batch_jobs"] += len(rows)
         counters["acked"] += len(rows)
@@ -612,9 +638,10 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> Path:
-        """Append the newly decided delta to ``checkpoint.log`` (an undecided
-        entry in it raises), then truncate the WAL."""
-        path = write_checkpoint(self.wal.directory, self.entries)
+        """Copy the WAL's frames to ``checkpoint.log`` under a new watermark
+        (a logged job without a logged decision raises), then truncate the
+        WAL."""
+        path = write_checkpoint(self.wal)
         self.wal.truncate()
         self.counters["checkpoints"] += 1
         self._undecided_since_checkpoint = 0

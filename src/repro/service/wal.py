@@ -6,78 +6,44 @@ an admission decision after (1) the *effective job* it was decided on and
 ``wal.log`` and fsync'd *before* the service resolves the client future —
 so any acked decision survives a crash, and recovery can rebuild the
 arbitrator's exact in-memory schedule by replaying the log
-(:mod:`repro.service.recovery`).
+(:mod:`repro.service.recovery`).  ``wal.log`` and ``checkpoint.log`` are
+the only ledger: the service keeps no copy in memory.
 
-File format
------------
-
-``wal.log`` is a line-oriented log.  Each record is one line::
-
-    <crc32 as 8 hex chars> <compact JSON body>\n
-
-The CRC covers the JSON body bytes, so a torn append (crash mid-write)
-is detected as either a line without a trailing newline or a checksum
-mismatch **on the final line** — both are legitimate crash artifacts and
-recovery truncates them.  A bad record *followed by valid records* can
-only mean real corruption and raises
-:class:`~repro.errors.WalCorruptionError` instead of being papered over,
-and so does a checksum-valid record of the wrong shape.
-
-Record kinds:
+Each record is one frame, ``<crc32 as 8 hex chars> <compact JSON body>\n``.
+A torn append shows as a damaged *final* frame, which recovery truncates;
+damage followed by valid frames, or a checksum-valid record of the wrong
+shape, raises :class:`~repro.errors.WalCorruptionError`.  The kinds
+(``docs/service.md``, "The write-ahead log", has every field):
 
 ``jobs``
-    ``{"k":"jobs","v":4,"rid":[...],"name":[...],"chains":[...],"ref":[[i,...],...],
-    "seq":C,"cls":C,"deg":C,"id":C,"rel":C,"nix":C,"pix":C}`` — one ingress
-    batch of *effective* jobs (post-degrade: exactly what the arbitrator
-    will be offered), appended before it is decided.  Each ``C`` is one
-    *packed* column — one little-endian array, base64'd into a JSON string
-    (int64; ``rel`` float64; ``deg`` one byte) — of, per job: sequence
-    number, QoS class, degraded flag, job id, release, and its index into
-    the ``name`` and ``ref`` tables.  JSON stays for the request ids, the
-    distinct names, the chain table (each distinct chain object of the
-    batch once, in the archival :func:`repro.sim.persistence.chain_to_dict`
-    form) and the path table (each distinct ``job.chains`` as indexes into
-    ``chains``).  Tables are interned by identity and belong to their
-    frame, so every frame decodes on its own and its jobs share chains.
+    One ingress batch of *effective* jobs (post-degrade), appended before
+    it is decided: packed numeric columns (sequence number, class,
+    degraded flag, job id, release, name and path index) plus the batch's
+    request ids, names, chain table and path table, interned by identity
+    within the frame, so every frame decodes on its own.
 ``dec``
-    ``{"k":"dec","seq":C,"chain":C,"tasks":C,"start":C,"width":C,"dur":C}``
-    — the decision batch for logged jobs, packed the same way: per
-    decision its sequence number and chosen chain (−1 = rejected), per
-    admitted one its task count, per placed task its ``(start, width,
-    duration)`` cell, read back as the canonical tuple (doubles
-    round-trip bit-exactly).  Appended and fsync'd before any future in
-    the batch is resolved; that fsync also hardens the batch's ``jobs``
-    record, which only needs to be durable before the first ack.
+    The batch's decisions, packed the same way, appended and fsync'd
+    before any future of the batch resolves (the fsync also hardens the
+    ``jobs`` frame).
 ``base``
-    ``{"k":"base","through_seq":N}`` — first record of a log emptied by
+    ``{"k":"base","through_seq":N}``, first record of a log emptied by
     :meth:`WriteAheadLog.truncate`: the checkpoint watermark it was
     truncated against.  Recovery refuses a checkpoint that stops short of
     it (the decisions in between exist nowhere else).
 
-Checkpoints
------------
-
-``checkpoint.log`` is append-only, in the same framing.  Each checkpoint
-appends one *segment* — a ``jobs`` and a ``dec`` record holding only the
-entries decided since the previous checkpoint — then one watermark,
+A checkpoint (:func:`write_checkpoint`) appends ``wal.log``'s frames byte
+for byte to ``checkpoint.log`` as one *segment*, then a watermark
 ``{"k":"mark","v":WAL_VERSION,"through_seq":N,"count":n,"sha256":...}``
-(entries in, and SHA-256 over the bytes of, its segment), then one fsync,
-after which ``wal.log`` is truncated.  The writer finds the previous
-watermark in the file's last frame, so a checkpoint costs what changed,
-not what the ledger holds.
-
-The reader folds the segments in order, checking every frame CRC, every
-watermark's version, digest and count, and that sequence numbers strictly
-increase.  Frames after the last valid watermark are an *uncommitted
-tail* (a checkpoint append the crash interrupted), ignored on read and
-cut off by the next checkpoint: the WAL is truncated only once the
-watermark is durable, so it still holds those entries, and recovery
-skips WAL records with ``seq <= through_seq``, so a crash *between*
-watermark and truncation replays idempotently.  Damage before the last
-watermark raises :class:`~repro.errors.WalCorruptionError`; so do a
-version-1 ``checkpoint.json`` and, naming their version, ``jobs`` records
-of version 2 (no ``"v"``) or 3 (JSON number lists) in either log (no dual
-reader).
+(``N`` the last decided sequence number, ``n`` = ``N`` minus the previous
+watermark, as sequence numbers are contiguous from 1), then one fsync;
+the WAL is truncated after.  The reader folds each segment with
+:func:`records_to_entries` at the previous watermark, which drops what
+that covers (the ``base`` frame, frames a crash between watermark and
+truncation left), and checks every CRC, version, digest, count and
+decision.  Frames after the last watermark are an *uncommitted tail*,
+ignored (the WAL still holds them) and cut by the next checkpoint.  A
+version-1 ``checkpoint.json`` and ``jobs`` records of version 2 or 3 are
+refused by version (no dual reader).
 """
 
 from __future__ import annotations
@@ -144,7 +110,9 @@ class LedgerEntry:
     no knowledge of the load situation that caused it.  ``decision`` is
     ``None`` for a job logged but not yet decided (the crash-mid-decision
     window); recovery re-decides those.  The service builds one per request
-    in ``enqueue`` (``seq`` 0 until its batch numbers it): one row, queue to ledger.
+    in ``enqueue`` (``seq`` 0 until its batch numbers it) and hands it to
+    :meth:`WriteAheadLog.append_jobs`; the row dies with its batch, and the
+    ledger is the log (read back as rows by the readers below).
     """
 
     seq: int
@@ -264,28 +232,24 @@ def _jobs_from_frame(record: Mapping[str, object]) -> list[LedgerEntry]:
 
 def _decisions_frame(
     seqs: Sequence[int], decisions: Iterable[DecisionTuple]
-) -> tuple[bytes, list[DecisionTuple]]:
-    """One framed ``dec`` record, and ``decisions`` as a list: one pass
-    builds both, so a lazy ``map(decision_to_tuple, ...)`` is walked once."""
-    tuples: list[DecisionTuple] = []
+) -> bytes:
+    """One framed ``dec`` record (``decisions`` is walked once)."""
     chosen: list[int] = []
     counts: list[int] = []
     cells: list[tuple[float, int, float]] = []
-    for tup in decisions:
-        tuples.append(tup)
-        chain = tup[1]
+    for _, chain, placed in decisions:
         if chain is None:
             chosen.append(-1)
         else:
             chosen.append(chain)
-            counts.append(len(tup[2]))
-            cells += tup[2]
+            counts.append(len(placed))
+            cells += placed
     starts, widths, durations = zip(*cells) if cells else ((), (), ())
     return _packed_frame(b'{"k":"dec"', (
         (b"seq", _pack("q", seqs)), (b"chain", _pack("q", chosen)),
         (b"tasks", _pack("q", counts)), (b"start", _pack("d", starts)),
         (b"width", _pack("q", widths)), (b"dur", _pack("d", durations)),
-    )), tuples
+    ))
 
 
 def _decisions_from_frame(
@@ -332,6 +296,9 @@ class WriteAheadLog:
         #: Highest sequence number logged through this handle; what
         #: :meth:`truncate` records as the watermark it relied on.
         self.last_seq = 0
+        #: Highest sequence number a decision was logged for; a checkpoint
+        #: refuses to run while it lags ``last_seq``.
+        self.last_decided = 0
         #: Chaos fail-point: when set to ``n``, the ``n``-th append from
         #: now writes ``partial_write_fraction`` of its bytes, then raises.
         self.partial_write_after: int | None = None
@@ -376,13 +343,12 @@ class WriteAheadLog:
 
     def append_decisions(
         self, seqs: Sequence[int], decisions: Iterable[DecisionTuple]
-    ) -> list[DecisionTuple]:
-        """Durably log one decision batch for previously logged jobs;
-        returns ``decisions`` as the list the encoding pass collected."""
-        frame, tuples = _decisions_frame(seqs, decisions)
-        self._append(frame)
+    ) -> None:
+        """Durably log one decision batch for previously logged jobs."""
+        self._append(_decisions_frame(seqs, decisions))
+        if seqs:
+            self.last_decided = seqs[-1]
         self.sync()
-        return tuples
 
     def truncate(self) -> None:
         """Empty the log (post-checkpoint); durable immediately.
@@ -557,6 +523,11 @@ def _fold_checkpoint(path: Path) -> tuple[list[LedgerEntry], int, int]:
         # ``min_seq`` drops any entry at or below the previous
         # watermark, so the count check also enforces sequence order.
         segment = records_to_entries(pending, min_seq=through_seq)
+        for entry in segment:
+            if entry.decision is None:
+                raise WalCorruptionError(
+                    f"{path}: checkpoint hides undecided entry seq {entry.seq}"
+                )
         if segment:
             through_seq = segment[-1].seq
         claimed = tuple(record.get(k) for k in ("v", "through_seq", "count", "sha256"))
@@ -613,39 +584,30 @@ def _last_watermark(fd: int, path: Path) -> int:
     return through_seq
 
 
-def write_checkpoint(
-    directory: str | Path, entries: Sequence[LedgerEntry]
-) -> Path:
-    """Append the entries decided since the last watermark; returns the path.
+def write_checkpoint(wal: WriteAheadLog) -> Path:
+    """Append ``wal``'s frames to ``checkpoint.log`` as one segment, then
+    its watermark, then one fsync; returns the path.  The caller truncates
+    the WAL next.
 
-    ``entries`` is the whole ledger in sequence order; only its suffix
-    above the previous watermark is encoded and written, then the new
-    watermark, then one fsync — the cost follows the delta.  An undecided
-    entry in that suffix raises :class:`~repro.errors.WalCorruptionError`
-    before anything is written: the caller truncates the WAL next, and an
-    entry hidden below the watermark undecided could never be re-decided.
+    The frames are copied as they are on disk, so the cost is the bytes
+    logged since the last truncation.  A logged job without a logged
+    decision (``wal.last_decided`` short of ``wal.last_seq``) raises
+    :class:`~repro.errors.WalCorruptionError` before anything is written:
+    hidden below the watermark it could never be re-decided.
     """
-    path = Path(directory) / "checkpoint.log"
+    if wal.last_decided != wal.last_seq:
+        raise WalCorruptionError(
+            f"refusing to checkpoint undecided entry seq {wal.last_decided + 1}"
+        )
+    segment = wal.path.read_bytes()
+    path = wal.directory / "checkpoint.log"
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        through_seq = _last_watermark(fd, path)
-        first = len(entries)
-        while first and entries[first - 1].seq > through_seq:
-            first -= 1
-        delta = entries[first:]
-        for e in delta:
-            if e.decision is None:
-                raise WalCorruptionError(
-                    f"refusing to checkpoint undecided entry seq {e.seq}"
-                )
-        segment = _jobs_frame(delta) + _decisions_frame(
-            [e.seq for e in delta], [e.decision for e in delta]  # type: ignore[misc]
-        )[0]
         mark = {
             "k": "mark",
             "v": WAL_VERSION,
-            "through_seq": delta[-1].seq if delta else through_seq,
-            "count": len(delta),
+            "through_seq": wal.last_seq,
+            "count": wal.last_seq - _last_watermark(fd, path),
             "sha256": hashlib.sha256(segment).hexdigest(),
         }
         os.write(fd, segment + _encode(mark))

@@ -328,6 +328,42 @@ def test_an_interrupt_waits_for_the_call_to_return(monkeypatch):
         assert not kernel_batch._worker.busy.locked()  # noqa: SLF001
 
 
+@pytest.mark.parametrize("overlap", (False, True), ids=("inline", "overlapped"))
+def test_an_interrupted_write_back_books_the_batch(monkeypatch, overlap):
+    """A ``KeyboardInterrupt`` in the write-back after the C loop returned
+    ``BATCH_OK`` reaches the caller with the batch booked: the counters,
+    the schedule and the profile agree with the reference, and the next
+    batch decides as the serial loop would (not against commits the
+    schedule never saw)."""
+    jobs = _campaign(random.Random(5), 600)
+    starts = _spy_starts(monkeypatch)
+    with kernels.use("compiled"):
+        impl = kernels.active()
+        real = impl.progress
+        if overlap:
+            _every_batch_overlaps(monkeypatch)
+        else:
+            monkeypatch.setattr(kernel_batch, "_OVERLAP_WORK", 1 << 62)
+
+        def interrupted(ctx):
+            real(ctx)
+            raise KeyboardInterrupt
+
+        arbitrator = QoSArbitrator(64)
+        monkeypatch.setattr(impl, "progress", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            arbitrator.admit_batch(jobs[:300])
+        monkeypatch.setattr(impl, "progress", real)
+        assert arbitrator.admitted + arbitrator.rejected == 300
+        assert arbitrator.schedule.committed_jobs == arbitrator.admitted > 0
+        later = arbitrator.admit_batch(jobs[300:])
+    assert len(starts) == (2 if overlap else 0)
+    ref = QoSArbitrator(64, backend="scalar")
+    serial = [ref.submit(job) for job in jobs]
+    assert later == serial[300:]
+    assert _state(arbitrator) == _state(ref)
+
+
 def test_a_busy_worker_sends_the_caller_inline(monkeypatch):
     """While another caller holds the worker, a batch that would overlap
     is decided inline, alike."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import VerificationError, WalCorruptionError
+from repro.errors import ServiceUnavailableError, VerificationError, WalCorruptionError
 from repro.service.chaos import _arm_checkpoint_tear, chaos_workload
 from repro.service.recovery import recover
 from repro.service.service import AdmissionService, ServiceConfig, make_arbitrator
@@ -21,6 +21,7 @@ from repro.service.wal import (
     LedgerEntry,
     WriteAheadLog,
     decision_to_tuple,
+    read_checkpoint,
     read_wal,
 )
 from repro.verify.checks import verify_replay
@@ -317,11 +318,15 @@ def test_recovery_rejects_checkpoint_hiding_undecided_entries(tmp_path):
     entries = [
         LedgerEntry(seq=1, request_id="req-0", qos=0, degraded=False, job=jobs[0])
     ]
-    # The writer refuses (a real error, not an assert ``-O`` would strip),
-    # and only over the delta above the last watermark.
+    # The writer refuses a WAL whose last jobs frame has no decision (a
+    # real error, not an assert ``-O`` would strip), before it opens
+    # checkpoint.log.
+    wal = WriteAheadLog(tmp_path)
+    wal.append_jobs(entries)
     with pytest.raises(WalCorruptionError, match="undecided entry seq 1"):
-        write_checkpoint(tmp_path, entries)
-    assert (tmp_path / "checkpoint.log").stat().st_size == 0
+        write_checkpoint(wal)
+    wal.close()
+    assert not (tmp_path / "checkpoint.log").exists()
 
     # A committed segment whose jobs record has no decision: only another
     # writer could produce it, and recover() refuses it too.
@@ -336,7 +341,7 @@ def test_recovery_rejects_checkpoint_hiding_undecided_entries(tmp_path):
 def test_recovered_jobs_share_chain_objects_within_a_frame(tmp_path):
     """One template's chains come back as one set of objects per frame —
     a checkpoint segment and a WAL batch alike — and no frame borrows
-    from another."""
+    from another.  The checkpoint holds the WAL's frame byte for byte."""
     params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
     jobs = [params.tunable_job(float(i)) for i in range(12)]
     config = ServiceConfig(capacity=64)
@@ -344,21 +349,26 @@ def test_recovered_jobs_share_chain_objects_within_a_frame(tmp_path):
     async def run():
         service = AdmissionService(config, tmp_path)
         service.start()
-        for half in (jobs[:6], jobs[6:]):  # one batch each
+        answers, copied = [], b""
+        for first, half in ((True, jobs[:6]), (False, jobs[6:])):  # one batch each
             futures = [
                 await service.enqueue(job, request_id=f"req-{job.job_id}")
                 for job in half
             ]
-            await asyncio.gather(*futures)
-            if half is jobs[:6]:
+            answers += await asyncio.gather(*futures)
+            if first:
+                copied = service.wal.path.read_bytes()
                 service.checkpoint()
         await service.stop()
-        return service
+        return service, answers, copied
 
-    service = asyncio.run(run())
+    service, answers, copied = asyncio.run(run())
     assert service.counters["batches"] == 2
+    assert (tmp_path / "checkpoint.log").read_bytes().startswith(copied)
     state = recover(tmp_path, config)
-    assert _ledger(state.entries) == _ledger(service.entries)
+    assert [(e.seq, e.request_id, e.decision) for e in state.entries] == [
+        (a.seq, a.request_id, decision_to_tuple(a.decision)) for a in answers
+    ]
     checkpointed, logged = state.entries[:6], state.entries[6:]
     for frame in (checkpointed, logged):
         assert all(e.job.chains is frame[0].job.chains for e in frame)
@@ -368,22 +378,123 @@ def test_recovered_jobs_share_chain_objects_within_a_frame(tmp_path):
     )
 
 
-def test_service_checkpoint_guards_only_the_delta(tmp_path):
+def test_service_checkpoint_guards_only_the_delta(tmp_path, monkeypatch):
+    """A jobs frame in the WAL with no dec frame after it stops the
+    checkpoint cold, in O(1): the guard compares two sequence numbers the
+    WAL handle keeps and reads neither log."""
     capacity, jobs = _workload(seed=29, n=12)
     config = ServiceConfig(capacity=capacity, max_batch=4, checkpoint_every=4)
     service, _ = _run_service(config, tmp_path, jobs)
     assert service.counters["checkpoints"] >= 2
-    # An undecided entry *below* the watermark is history the checkpoint
-    # no longer looks at; one above it stops the checkpoint cold.
-    service.entries[0].decision = None
-    service.entries.append(
-        LedgerEntry(seq=service.entries[-1].seq + 1, request_id="late",
-                    qos=0, degraded=False, job=jobs[0])
+    restarted = AdmissionService(config, tmp_path, recovered=recover(tmp_path, config))
+    restarted.checkpoint()  # everything recovered is decided
+    seq = len(jobs) + 1
+    restarted.wal.append_jobs(
+        [LedgerEntry(seq=seq, request_id="late", qos=0, degraded=False, job=jobs[0])]
     )
-    before = (tmp_path / "checkpoint.log").read_bytes()
-    with pytest.raises(WalCorruptionError, match="undecided entry"):
-        service.checkpoint()
-    assert (tmp_path / "checkpoint.log").read_bytes() == before
+    checkpointed = (tmp_path / "checkpoint.log").read_bytes()
+    logged = restarted.wal.path.read_bytes()
+    monkeypatch.setattr(
+        "repro.service.wal._last_watermark",
+        lambda fd, path: pytest.fail("the guard opened checkpoint.log"),
+    )
+    with pytest.raises(WalCorruptionError, match=f"undecided entry seq {seq}"):
+        restarted.checkpoint()
+    restarted.wal.close()
+    assert (tmp_path / "checkpoint.log").read_bytes() == checkpointed
+    assert restarted.wal.path.read_bytes() == logged  # not truncated
+
+
+def _serve_on(config, directory, jobs):
+    """Recover ``directory``, submit every job again as ``req-<i>`` (the
+    decided ones are answered as duplicates) and stop; returns the service."""
+    async def run():
+        state = recover(directory, config)
+        service = AdmissionService(config, directory, recovered=state)
+        service.start()
+        for i, job in enumerate(jobs):
+            await service.submit(job, request_id=f"req-{i}")
+        await service.stop()
+        return service
+
+    return asyncio.run(run())
+
+
+def _marks_fold_to_their_counts(directory):
+    """Every watermark's ``count`` is its ``through_seq`` minus the one
+    before, and the checkpoint folds to exactly ``1..through_seq``."""
+    marks = [r for r in read_wal(directory / "checkpoint.log")[0] if r["k"] == "mark"]
+    previous = 0
+    for mark in marks:
+        assert mark["count"] == mark["through_seq"] - previous
+        previous = mark["through_seq"]
+    entries, through = read_checkpoint(directory)
+    assert [e.seq for e in entries] == list(range(1, through + 1)) and through == previous
+    return through
+
+
+@pytest.mark.parametrize("crash", ("kill", "between-watermark-and-truncation"))
+def test_a_checkpoint_after_recovery_folds_to_its_count(tmp_path, crash):
+    """recover() -> serve -> checkpoint, after a kill and after a crash that
+    left a durable watermark over an untruncated WAL (whose frames at or
+    below it the next segment carries along)."""
+    capacity, jobs = _workload(seed=32, n=20)
+    config = ServiceConfig(capacity=capacity, max_batch=4, checkpoint_every=4)
+    if crash == "kill":
+        _run_service(config, tmp_path, jobs, kill_after=6)
+    else:
+        def crash_before_truncation():
+            raise OSError("injected crash: watermark durable, WAL not truncated")
+
+        service = AdmissionService(config, tmp_path)
+        service.wal.truncate = crash_before_truncation
+
+        async def run():
+            service.start()
+            for i, job in enumerate(jobs):
+                try:
+                    await service.submit(job, request_id=f"req-{i}")
+                except ServiceUnavailableError:
+                    return
+
+        asyncio.run(run())
+        assert read_checkpoint(tmp_path)[1] == 4 and len(read_wal(service.wal.path)[0]) > 2
+    assert _marks_fold_to_their_counts(tmp_path) == 4
+    restarted = _serve_on(config, tmp_path, jobs)
+    assert restarted.counters["checkpoints"] >= 2
+    assert _marks_fold_to_their_counts(tmp_path) >= 12
+    final = recover(tmp_path, config)
+    assert final.report.ok
+    assert [e.request_id for e in final.entries] == [f"req-{i}" for i in range(len(jobs))]
+
+
+#: ``checkpoint.log`` and ``wal.log`` as the earlier version-4 writer left
+#: them, which re-encoded each checkpoint's delta as one ``jobs`` and one
+#: ``dec`` record: the first 18 jobs of ``_reencoded_workload()`` submitted
+#: lock-step as ``req-<i>`` with ``checkpoint_every=4``, then a graceful stop
+#: (four segments through seq 16; the WAL holds its ``base`` and seqs 17-18).
+REENCODED = Path(__file__).parent / "data" / "ledger-v4-reencoded"
+
+
+def _reencoded_workload():
+    capacity, jobs = chaos_workload(random.Random(31), 22, False)
+    return ServiceConfig(capacity=capacity, max_batch=4, checkpoint_every=4), jobs
+
+
+def test_a_directory_of_reencoded_segments_recovers_to_the_same_ledger(tmp_path):
+    config, jobs = _reencoded_workload()
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(REENCODED, old)
+    _run_service(config, new, jobs[:18])
+    assert read_checkpoint(old)[1] == read_checkpoint(new)[1] == 16
+    assert _ledger(recover(old, config).entries) == _ledger(recover(new, config).entries)
+    # Served on, each directory gains a segment of copied frames; the mixed
+    # log folds like the uniform one.
+    for directory in (old, new):
+        _serve_on(config, directory, jobs)
+        assert _marks_fold_to_their_counts(directory) == len(jobs)
+    assert _ledger(recover(old, config).entries) == _ledger(recover(new, config).entries)
+    assert len(recover(old, config).entries) == len(jobs)
 
 
 def test_verify_replay_flags_divergence_and_audits(tmp_path):

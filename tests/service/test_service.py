@@ -4,9 +4,11 @@ and fail-stop semantics."""
 from __future__ import annotations
 
 import asyncio
+import gc
 import math
 import random
 import time
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -27,7 +29,7 @@ from repro.service.service import (
     degrade_job,
     make_arbitrator,
 )
-from repro.service.wal import decision_to_tuple
+from repro.service.wal import LedgerEntry, decision_to_tuple
 
 
 def _workload(seed=11, n=12, malleable=False):
@@ -504,10 +506,19 @@ def test_service_decision_is_an_immutable_seven_field_record(tmp_path):
     assert late == stored._replace(outcome=late.outcome, late=True)
 
 
-def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
-    import gc
-    import weakref
+def _rows_alive(prefix):
+    """The ledger rows in memory whose request id starts with ``prefix``."""
+    gc.collect()
+    return [
+        o for o in gc.get_objects()
+        if isinstance(o, LedgerEntry) and o.request_id.startswith(prefix)
+    ]
 
+
+def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
+    """The row ``enqueue`` builds is what the WAL is handed (it carries the
+    caller's job object itself), and once acked neither its future nor the
+    row is held: the ledger is the log."""
     capacity, jobs = _workload(seed=17, n=9)
 
     async def run():
@@ -516,12 +527,12 @@ def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
         append_jobs = service.wal.append_jobs
 
         def spy(entries, **kw):
-            logged.extend(entries)
+            logged.extend((e.seq, e.request_id, e.job) for e in entries)
             return append_jobs(entries, **kw)
 
         service.wal.append_jobs = spy
         futures = [
-            await service.enqueue(job, request_id=f"req-{i}")
+            await service.enqueue(job, request_id=f"row-{i}")
             for i, job in enumerate(jobs)
         ]
         service.start()
@@ -531,17 +542,74 @@ def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
         await asyncio.sleep(0)  # the idle drain loop holds no batch either
         gc.collect()
         alive = [r for r in refs if r() is not None]
-        rows_are_logged = len(logged) == len(service.entries) and all(
-            a is b for a, b in zip(logged, service.entries)
-        )
+        rows = _rows_alive("row-")
         await service.stop()
-        return alive, rows_are_logged, service
+        return alive, rows, logged, service
 
-    alive, rows_are_logged, service = asyncio.run(run())
-    assert not alive
-    assert rows_are_logged
+    alive, rows, logged, service = asyncio.run(run())
+    assert not alive and not rows
+    assert [(seq, rid) for seq, rid, _ in logged] == [
+        (i + 1, f"row-{i}") for i in range(len(jobs))
+    ]
+    assert all(job is jobs[i] for i, (_, _, job) in enumerate(logged))
+    assert service.stats()["ledger_entries"] == len(service.entries) == len(jobs)
     assert [e.seq for e in service.entries] == list(range(1, len(jobs) + 1))
     assert all(e.decision is not None for e in service.entries)
+
+
+def test_a_client_that_drops_its_answers_leaves_no_ledger_rows(tmp_path):
+    """Fire-and-forget requests: after the acks the service holds no
+    ``LedgerEntry`` for them (it used to keep every row in ``entries``),
+    and the durable ledger still has every one."""
+    capacity, jobs = _workload(seed=23, n=40)
+
+    async def run():
+        service = AdmissionService(ServiceConfig(capacity, max_batch=8), tmp_path)
+        service.start()
+        for i, job in enumerate(jobs):
+            await service.enqueue(job, request_id=f"dropped-{i}")
+        while service.counters["acked"] < len(jobs):
+            await asyncio.sleep(0.001)
+        rows = _rows_alive("dropped-")
+        await service.stop()
+        return rows, service
+
+    rows, service = asyncio.run(run())
+    assert rows == []
+    assert service.counters["batches"] > 1
+    assert [e.request_id for e in service.entries] == [
+        f"dropped-{i}" for i in range(len(jobs))
+    ]
+
+
+def test_a_fail_stop_chains_its_cause_to_every_refusal(tmp_path):
+    """The exception that fail-stopped the service is the ``__cause__`` of
+    the refusal a queued caller gets and of every later ``enqueue``'s."""
+    capacity, jobs = _workload(n=4)
+    boom = RuntimeError("decider broke")
+
+    def broken(arbitrator, batch):
+        raise boom
+
+    async def run():
+        service = AdmissionService(ServiceConfig(capacity), tmp_path, decide=broken)
+        queued = [
+            await service.enqueue(job, request_id=f"r{i}")
+            for i, job in enumerate(jobs[:3])
+        ]
+        service.start()
+        refusals = []
+        for future in queued:
+            with pytest.raises(ServiceUnavailableError) as queued_error:
+                await future
+            refusals.append(queued_error.value)
+        with pytest.raises(ServiceUnavailableError) as later:
+            await service.enqueue(jobs[3], request_id="r3")
+        return refusals, later.value
+
+    refusals, later = asyncio.run(run())
+    assert all(error.__cause__ is boom for error in [*refusals, later])
+    assert "decider broke" in str(later)
 
 
 def test_fail_stop_after_a_partial_ack_resolves_nothing_twice(tmp_path):

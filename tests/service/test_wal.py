@@ -65,11 +65,18 @@ def _pack(typecode, values):
 def dec_record(seqs, decisions):
     """The ``dec`` record :meth:`WriteAheadLog.append_decisions` logs, as
     the reader parses it."""
-    return json.loads(_decisions_frame(seqs, decisions)[0][9:])
+    return json.loads(_decisions_frame(seqs, decisions)[9:])
 
 
 DEC = (True, 0, ((0.0, 2, 3.0), (3.0, 1, 1.5)))
 REJ = (False, None, ())
+
+
+def _log(wal, entries):
+    """Log decided ``entries`` as the service does: a ``jobs`` frame, then
+    a ``dec`` frame and its fsync."""
+    wal.append_jobs(entries, sync=False)
+    wal.append_decisions([e.seq for e in entries], [e.decision for e in entries])
 
 
 def _jobs_as_written(entries):
@@ -222,17 +229,20 @@ def test_ledgers_round_trip_through_the_wal_and_the_checkpoint(entries, cuts):
     frames = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        wal = WriteAheadLog(directory)
+        wal = WriteAheadLog(directory / "logged")
         for frame in frames:
-            wal.append_jobs(frame, sync=False)
-            wal.append_decisions([e.seq for e in frame], [e.decision for e in frame])
+            _log(wal, frame)
         wal.close()
-        records, truncated = read_wal(directory / "wal.log")
+        records, truncated = read_wal(wal.path)
         assert truncated == 0
         from_wal = records_to_entries(records)
-        for upto in bounds[1:]:
-            write_checkpoint(directory, entries[:upto])
-        from_checkpoint, through = read_checkpoint(directory)
+        wal = WriteAheadLog(directory / "checkpointed")
+        for frame in frames:  # one checkpoint per frame
+            _log(wal, frame)
+            write_checkpoint(wal)
+            wal.truncate()
+        wal.close()
+        from_checkpoint, through = read_checkpoint(wal.directory)
     assert through == len(entries)
     for loaded in (from_wal, from_checkpoint):
         assert [(e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in loaded] == [
@@ -425,8 +435,11 @@ def _assert_refused_by_version(directory, jobs_record, version):
     log.write_bytes(segment + _encode(mark))
     with pytest.raises(WalCorruptionError, match=f"version {version}"):
         read_checkpoint(old)
+    wal = WriteAheadLog(old)
+    _log(wal, [LedgerEntry(3, "r2", 0, False, entries[0].job, DEC)])
     with pytest.raises(WalCorruptionError, match=f"version {version}"):
-        write_checkpoint(old, [*entries, LedgerEntry(3, "r2", 0, False, entries[0].job, DEC)])
+        write_checkpoint(wal)
+    wal.close()
     assert log.read_bytes() == segment + _encode(mark)  # nothing cut, nothing added
 
 
@@ -475,29 +488,37 @@ def _fingerprint(entries):
     return [(e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in entries]
 
 
-def _checkpoint_in_steps(directory, entries, steps):
-    """Checkpoint ``entries`` cumulatively at each prefix length in ``steps``;
-    returns the log's size after each."""
+def _checkpoint_in_steps(wal, entries, steps):
+    """Log ``entries`` through ``wal`` and checkpoint, then truncate, at
+    each prefix length in ``steps``; returns ``checkpoint.log``'s size
+    after each."""
     sizes = []
     for upto in steps:
-        write_checkpoint(directory, entries[:upto])
-        sizes.append((directory / "checkpoint.log").stat().st_size)
+        if upto > wal.last_seq:
+            _log(wal, entries[wal.last_seq : upto])
+        write_checkpoint(wal)
+        wal.truncate()
+        sizes.append((wal.directory / "checkpoint.log").stat().st_size)
     return sizes
 
 
 def test_checkpoint_round_trip_truncation_and_watermark(tmp_path):
     entries = _decided(9)
     wal = WriteAheadLog(tmp_path)
+    path = tmp_path / "checkpoint.log"
     for upto in (2, 5, 5, 9):  # four checkpoints, one with nothing new
-        fresh = [e for e in entries[:upto] if e.seq > wal.last_seq]
-        if fresh:
-            wal.append_jobs(fresh)
-            wal.append_decisions([e.seq for e in fresh], [e.decision for e in fresh])
-        write_checkpoint(tmp_path, entries[:upto])
+        if upto > wal.last_seq:
+            _log(wal, entries[wal.last_seq : upto])
+        logged = wal.path.read_bytes()
+        before = path.stat().st_size if path.exists() else 0
+        write_checkpoint(wal)
         wal.truncate()
         loaded, through = read_checkpoint(tmp_path)
         assert through == upto
         assert _fingerprint(loaded) == _fingerprint(entries[:upto])
+        # The segment is the WAL's frames as they were on disk, then the mark.
+        segment, mark = path.read_bytes()[before:].rsplit(b"\n", 2)[:2]
+        assert segment + b"\n" == logged and json.loads(mark[9:])["k"] == "mark"
     wal.close()
 
     # The emptied WAL names the watermark it was truncated against, and
@@ -515,7 +536,7 @@ def test_checkpoint_round_trip_truncation_and_watermark(tmp_path):
 def test_checkpoint_checksum_and_version_guards(tmp_path):
     entries = _decided(6)
     path = tmp_path / "checkpoint.log"
-    sizes = _checkpoint_in_steps(tmp_path, entries, (2, 4, 6))
+    sizes = _checkpoint_in_steps(WriteAheadLog(tmp_path), entries, (2, 4, 6))
     good = path.read_bytes()
 
     # A flipped byte in any committed segment or non-final watermark.
@@ -556,9 +577,11 @@ def test_checkpoint_checksum_and_version_guards(tmp_path):
 def test_checkpoint_uncommitted_tail_is_ignored_then_cut_by_the_next_write(tmp_path):
     entries = _decided(6)
     path = tmp_path / "checkpoint.log"
-    sizes = _checkpoint_in_steps(tmp_path, entries, (2, 4))
+    wal = WriteAheadLog(tmp_path)
+    sizes = _checkpoint_in_steps(wal, entries, (2, 4))
     committed = path.read_bytes()
-    write_checkpoint(tmp_path, entries)
+    _log(wal, entries[4:])
+    write_checkpoint(wal)  # and no truncation: the WAL still holds 5 and 6
     third = path.read_bytes()[sizes[1]:]
 
     # Every proper prefix of the third append is an uncommitted tail:
@@ -571,14 +594,15 @@ def test_checkpoint_uncommitted_tail_is_ignored_then_cut_by_the_next_write(tmp_p
         assert path.stat().st_size == sizes[1] + keep  # the reader writes nothing
 
     # The next checkpoint cuts the tail off and commits over it.
-    write_checkpoint(tmp_path, entries)
+    write_checkpoint(wal)
     assert path.read_bytes() == committed + third
     assert _fingerprint(read_checkpoint(tmp_path)[0]) == _fingerprint(entries)
 
 
 def test_checkpoint_cost_follows_the_delta_not_the_ledger(tmp_path, monkeypatch):
     """Counts, not time: bytes appended per checkpoint stay flat as the
-    ledger grows, and the writer reads O(1) bytes of what is already there."""
+    ledger grows, and the writer reads O(1) bytes of what is already in
+    ``checkpoint.log`` (the WAL it copies is the delta)."""
     every, rounds = 8, 10
     # The same jobs in every segment, so each holds the same chain table.
     template = _entries(every)
@@ -601,13 +625,15 @@ def test_checkpoint_cost_follows_the_delta_not_the_ledger(tmp_path, monkeypatch)
         lambda path: pytest.fail("steady-state checkpoint rescanned history"),
     )
     sizes = _checkpoint_in_steps(
-        tmp_path, entries, range(every, every * rounds + 1, every)
+        WriteAheadLog(tmp_path), entries, range(every, every * rounds + 1, every)
     )
     monkeypatch.undo()
 
     appended = [b - a for a, b in zip([0] + sizes, sizes)]
     assert len(appended) == rounds >= 8
-    assert max(appended) <= 1.25 * appended[0]  # seq digits grow, nothing else
+    # Seq digits grow, and every segment after the first opens with the
+    # WAL's ``base`` frame; nothing else.
+    assert max(appended) <= 1.25 * appended[0]
     assert len(read) == rounds - 1 and max(read) <= 512  # one tail read each
     assert _fingerprint(read_checkpoint(tmp_path)[0]) == _fingerprint(entries)
 
