@@ -122,8 +122,7 @@ def recover(
         wal = WriteAheadLog(directory)
         try:
             wal.append_decisions(
-                [entries[i].seq for i in undecided],
-                [entries[i].decision for i in undecided],
+                [entries[i].seq for i in undecided], [decisions[i] for i in undecided]
             )
         finally:
             wal.close()

@@ -11,10 +11,10 @@ properties a "predictable" resource manager owes its clients:
   unboundedly, up to the request's deadline.
 * **Batching** — a batch is what is waiting: the drain loop takes
   everything queued into one :meth:`~repro.core.arbitrator.QoSArbitrator.
-  admit_batch` call, one WAL frame pair and one fsync, riding the
-  compiled one-call admission kernel when it is available.  Batch
-  boundaries never change decisions (the batch API's equivalence
-  contract), so coalescing is pure amortization.
+  admit_batch` call, one WAL frame pair and one fsync.  A request is one
+  flat tuple ``(request_id, qos, job, future, deadline)`` from enqueue to
+  ack, and the WAL is handed the batch's columns.  Batch boundaries never
+  change decisions (the batch API's equivalence contract).
 * **Graceful degradation** — under overload the service degrades in
   order of honesty: QoS-class-aware **load shedding** (lower classes
   are turned away first, counted per class, never silently dropped) and
@@ -32,8 +32,8 @@ properties a "predictable" resource manager owes its clients:
   ``checkpoint.log`` and truncate it, and
   :func:`repro.service.recovery.recover` rebuilds the exact pre-crash
   schedule (bit-identical, auditor-verified) from the log.  The two
-  files are the only ledger: the service keeps no copy in memory, and
-  :attr:`AdmissionService.entries` reads them back on demand.
+  files are the only ledger (:attr:`AdmissionService.entries` reads them
+  back on demand); a fresh service refuses a directory that holds one.
 
 Idempotency: requests carry client ``request_id``\\ s; a duplicate of a
 pending request awaits the same future, and a duplicate of a decided one
@@ -48,6 +48,7 @@ import asyncio
 import itertools
 import operator
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -59,7 +60,7 @@ from repro.core.arbitrator import QoSArbitrator
 from repro.core.resources import TIME_LIMIT
 from repro.errors import ConfigurationError, ServiceUnavailableError
 from repro.model.job import Job
-from repro.service.wal import LedgerEntry, WriteAheadLog, decision_to_tuple, write_checkpoint
+from repro.service.wal import LedgerEntry, WriteAheadLog, write_checkpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.recovery import RecoveredState
@@ -192,10 +193,20 @@ def degrade_job(job: Job) -> tuple[Job, bool]:
     return replace(job, chains=(min(job.chains, key=_chain_rank),)), True
 
 
-#: What the ingress queue holds: the request's ledger row (built once, in
-#: ``enqueue``; what the WAL's ``jobs`` frame encodes), its future and its
-#: absolute deadline on the service clock.  Tuple and row die with the batch.
-_Queued = tuple[LedgerEntry, asyncio.Future, "float | None"]
+#: What the ingress queue holds, the request's one record from enqueue to
+#: ack: ``(request_id, qos, job, future, deadline)``, the deadline absolute
+#: on the service clock.  ``_process`` transposes a batch of them into the
+#: columns the WAL's ``jobs`` frame encodes; the tuple dies with its batch.
+_Queued = tuple[str, int, Job, asyncio.Future, "float | None"]
+
+
+def _shed_cutoffs(thresholds: Sequence[float], limit: int) -> tuple[int, ...]:
+    """Per class, the least queue length ``n <= limit + 1`` with
+    ``n / limit >= t`` (``limit + 2`` if none, as for a NaN): ``n / limit``
+    never decreases as ``n`` grows, and the queue never holds more than
+    ``limit``, so ``len(queue) >= cutoff`` sheds exactly as the float rule."""
+    lengths = range(limit + 2)
+    return tuple(bisect_left(lengths, True, key=lambda n: n / limit >= t) for t in thresholds)
 
 
 #: Decision executor signature: returns the batch's decisions with the
@@ -257,6 +268,11 @@ class AdmissionService:
         self.clock = clock
         self._decide_fn = decide
         self.wal = WriteAheadLog(wal_dir)
+        logs = (self.wal.path, self.wal.directory / "checkpoint.log")
+        if recovered is None and any(p.is_file() and p.stat().st_size for p in logs):
+            self.wal.close()  # a fresh service would number from 1 over the ledger
+            raise ConfigurationError(f"{self.wal.directory} already holds a ledger: pass "
+                                     "recovered=recover(directory, config), or an empty one")
         self.entries: Sequence[LedgerEntry] = _Ledger(self.wal)
         self._seen: dict[str, asyncio.Future | ServiceDecision] = {}
         if recovered is not None:
@@ -282,26 +298,15 @@ class AdmissionService:
         self._failed: str | None = None
         self._cause: BaseException | None = None  # chained to every refusal
         self._undecided_since_checkpoint = 0
-        self.counters: dict[str, float] = {
-            "submitted": 0,
-            "acked": 0,
-            "admitted": 0,
-            "rejected": 0,
-            "degraded": 0,
-            "duplicates": 0,
-            "shed": 0,
-            "timed_out_queue": 0,
-            "timed_out_backpressure": 0,
-            "late_decisions": 0,
-            "batches": 0,
-            "batch_jobs": 0,
-            # Always 0: a decision is never retried.  Kept because
-            # benchmarks/e2e/layers.py:246 reports it as service.retries.
-            "retries": 0,
-            "checkpoints": 0,
-        }
-        for cls in range(len(config.shed_thresholds)):
-            self.counters[f"shed_class_{cls}"] = 0
+        # "retries" is always 0 (a decision is never retried), kept because
+        # benchmarks/e2e/layers.py:246 reports it as service.retries.
+        self.counters: dict[str, float] = dict.fromkeys((
+            "submitted", "acked", "admitted", "rejected", "degraded", "duplicates",
+            "shed", "timed_out_queue", "timed_out_backpressure", "late_decisions",
+            "batches", "batch_jobs", "retries", "checkpoints",
+            *(f"shed_class_{cls}" for cls in range(len(config.shed_thresholds))),
+        ), 0)
+        self._shed_at = _shed_cutoffs(config.shed_thresholds, config.queue_limit)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -378,9 +383,9 @@ class AdmissionService:
 
     def _abandon(self, batch: Sequence[_Queued], reason: str) -> None:
         """Fail every request of ``batch`` that was not acked; the client retries."""
-        for row, future, _ in batch:
+        for rid, _, _, future, _ in batch:
             if not future.done():
-                self._seen.pop(row.request_id, None)
+                self._seen.pop(rid, None)
                 error = ServiceUnavailableError(reason)
                 error.__cause__ = self._cause
                 future.set_exception(error)
@@ -431,7 +436,7 @@ class AdmissionService:
             raise TypeError(
                 f"request_id must be a str or None, not {type(request_id).__name__}"
             )
-        if isinstance(qos, bool) or not isinstance(qos, int):
+        if type(qos) is not int and (isinstance(qos, bool) or not isinstance(qos, int)):
             raise TypeError(f"qos must be an int, not {type(qos).__name__}")
         if not 0 <= qos < 2**63:
             raise ValueError(f"qos must be in [0, 2**63), got {qos}")
@@ -457,24 +462,21 @@ class AdmissionService:
 
         deadline = None if timeout is None else self.clock() + timeout
 
-        # QoS-class-aware shedding: cheap, pre-queue, never logged.
-        queue, limit = self._queue, self.config.queue_limit
-        occupancy = len(queue) / limit
-        thresholds = self.config.shed_thresholds
-        threshold = thresholds[min(qos, len(thresholds) - 1)]
-        if occupancy >= threshold:
+        # QoS-class-aware shedding: cheap, pre-queue, never logged.  The
+        # occupancy rule ``len / limit >= threshold`` as one comparison.
+        queue, shed_at = self._queue, self._shed_at
+        cls = qos if qos < len(shed_at) else len(shed_at) - 1
+        if len(queue) >= shed_at[cls]:
             counters["shed"] += 1
-            key = f"shed_class_{min(qos, len(thresholds) - 1)}"
-            counters[key] = counters.get(key, 0) + 1
+            counters[f"shed_class_{cls}"] += 1
             done = loop.create_future()
             done.set_result(ServiceDecision(rid, ServiceOutcome.SHED, qos))
             return done
 
-        # The request's one record: this row is what the WAL is handed and
-        # what the ledger keeps; ``_process`` fills in seq and decision.
         future: asyncio.Future = loop.create_future()
-        item = (LedgerEntry(0, rid, qos, False, job), future, deadline)
+        item = (rid, qos, job, future, deadline)
         self._seen[rid] = future
+        limit = self.config.queue_limit
         if len(queue) < limit:
             queue.append(item)
             if self._idle is not None:
@@ -562,71 +564,66 @@ class AdmissionService:
     def _process(self, batch: list[_Queued]) -> None:
         now = self.clock()
         config, counters, seen = self.config, self.counters, self._seen
-        rows: list[LedgerEntry] = []
-        seq = self.wal.last_seq
-        for row, future, deadline in batch:
-            if deadline is not None and now > deadline:
-                counters["timed_out_queue"] += 1
-                seen.pop(row.request_id, None)
-                if not future.done():
-                    future.set_result(
-                        ServiceDecision(
-                            row.request_id, ServiceOutcome.TIMED_OUT, row.qos
-                        )
-                    )
-            else:
-                seq += 1
-                row.seq = seq
-                rows.append(row)
-        if not rows:
-            return
-        # Expired rows were never numbered.
-        live = batch if len(rows) == len(batch) else [q for q in batch if q[0].seq]
+        rids, qos, jobs, futures, deadlines = zip(*batch)
+        timed = deadlines.count(None) < len(batch)
+        if timed:  # expired requests are never numbered
+            live = [q for q in batch if q[4] is None or now <= q[4]]
+            for rid, cls, _, future, deadline in batch:
+                if deadline is not None and now > deadline:
+                    counters["timed_out_queue"] += 1
+                    seen.pop(rid, None)
+                    if not future.done():
+                        future.set_result(ServiceDecision(rid, ServiceOutcome.TIMED_OUT, cls))
+            if not live:
+                return
+            rids, qos, jobs, futures, deadlines = zip(*live)
+        n = len(rids)
+        first = self.wal.last_seq + 1
 
         # Degraded-quality admission under backlog: narrow OR-paths
         # *before* logging, so the WAL holds the effective jobs.
-        occupancy = (len(rows) + len(self._queue)) / config.queue_limit
-        if occupancy >= config.degrade_occupancy:
-            for row in rows:
-                row.job, row.degraded = degrade_job(row.job)
-                counters["degraded"] += row.degraded
+        degraded = (False,) * n
+        if (n + len(self._queue)) / config.queue_limit >= config.degrade_occupancy:
+            jobs, degraded = zip(*map(degrade_job, jobs))
+            counters["degraded"] += sum(degraded)
 
         # Append-before-ack, step 1: the effective jobs.  Durability is
         # deferred to the decision append's fsync — no ack happens before
         # that, and a crash in between loses only unacked work.
-        self.wal.append_jobs(rows, sync=False)
-        self._undecided_since_checkpoint += len(rows)
+        self.wal.append_jobs(first, rids, qos, degraded, jobs, sync=False)
+        self._undecided_since_checkpoint += n
 
-        decisions = self._decide_fn(self.arbitrator, [row.job for row in rows])
+        decisions = self._decide_fn(self.arbitrator, jobs)
 
         # Append-before-ack, step 2: the decisions; the one fsync hardens
         # both records of the batch.
-        self.wal.append_decisions(
-            range(rows[0].seq, seq + 1), map(decision_to_tuple, decisions)
-        )
+        self.wal.append_decisions(range(first, first + n), decisions)
 
-        # Ack, one pass.  Counters are tallied locally and folded in once
-        # after the loop — this runs for every decision the service ever
-        # makes.
+        # Ack.  Each answer is built positionally, column by column; the
+        # one loop left resolves the futures.  This runs for every decision
+        # the service ever makes.
         now = self.clock()
-        admitted = late = 0
-        for (row, future, deadline), decision in zip(live, decisions):
-            admitted += decision.admitted
-            answer = seen[row.request_id] = ServiceDecision(
-                row.request_id, _DECIDED[decision.admitted], row.qos, row.degraded,
-                decision, row.seq,
-            )
+        flags = list(map(operator.attrgetter("admitted"), decisions))
+        answers = list(map(tuple.__new__, itertools.repeat(ServiceDecision), zip(
+            rids, map(_DECIDED.__getitem__, flags), qos, degraded, decisions,
+            itertools.count(first), itertools.repeat(False),
+        )))
+        seen.update(zip(rids, answers))
+        late = 0
+        for i, deadline in enumerate(deadlines if timed else ()):
             if deadline is not None and now > deadline:
                 # Decided — durably — after the client's patience ran out.
                 late += 1
-                answer = answer._replace(outcome=ServiceOutcome.TIMED_OUT, late=True)
+                answers[i] = answers[i]._replace(outcome=ServiceOutcome.TIMED_OUT, late=True)
+        for future, answer in zip(futures, answers):
             if not future.done():
                 future.set_result(answer)
+        admitted = sum(flags)
         counters["batches"] += 1
-        counters["batch_jobs"] += len(rows)
-        counters["acked"] += len(rows)
+        counters["batch_jobs"] += n
+        counters["acked"] += n
         counters["admitted"] += admitted
-        counters["rejected"] += len(rows) - admitted
+        counters["rejected"] += n - admitted
         counters["late_decisions"] += late
 
         every = config.checkpoint_every

@@ -109,10 +109,9 @@ class LedgerEntry:
     *before* logging — the logged job is the degraded one, so replay needs
     no knowledge of the load situation that caused it.  ``decision`` is
     ``None`` for a job logged but not yet decided (the crash-mid-decision
-    window); recovery re-decides those.  The service builds one per request
-    in ``enqueue`` (``seq`` 0 until its batch numbers it) and hands it to
-    :meth:`WriteAheadLog.append_jobs`; the row dies with its batch, and the
-    ledger is the log (read back as rows by the readers below).
+    window); recovery re-decides those.  This is the readers' row: the
+    readers below fold the log into it, and nothing on the write path
+    builds one (the service hands the WAL a batch's columns).
     """
 
     seq: int
@@ -162,19 +161,20 @@ _JOB_COLUMNS = (("seq", "q"), ("cls", "q"), ("deg", "B"), ("id", "q"),
                 ("rel", "d"), ("nix", "q"), ("pix", "q"))
 
 
-def _jobs_frame(entries: Sequence[LedgerEntry]) -> bytes:
-    """One framed ``jobs`` record: packed per-job columns plus the tables.
+def _jobs_frame(first_seq: int, rids: Sequence[str], qos: Sequence[int],
+                degraded: Sequence[bool], jobs: Sequence[Job]) -> bytes:
+    """One framed ``jobs`` record of a batch's columns, numbered from ``first_seq``.
 
     Chains and ``job.chains`` tuples are interned by identity for this call
-    only (``entries`` keeps every id alive until it returns): shared chains
+    only (``jobs`` keeps every id alive until it returns): shared chains
     encode once, equal-but-distinct ones stay distinct, distinct tuples of
     the same chains are one path, and no state outlives the frame.
     """
-    jobs = [e.job for e in entries]
     table: dict[int, tuple[int, TaskChain]] = {}  # id -> (index, chain)
     paths: dict[tuple[int, ...], int] = {}  # chain indexes -> path index
     path_at: dict[int, int] = {}  # id(job.chains) -> path index
-    path_ix = []
+    names: dict[str, int] = {}
+    path_ix, name_ix = [], []
     for job in jobs:
         chains = job.chains
         path = path_at.get(id(chains))
@@ -182,20 +182,19 @@ def _jobs_frame(entries: Sequence[LedgerEntry]) -> bytes:
             ref = tuple([table.setdefault(id(c), (len(table), c))[0] for c in chains])
             path = path_at[id(chains)] = paths.setdefault(ref, len(paths))
         path_ix.append(path)
-    names: dict[str, int] = {}
-    name_ix = [names.setdefault(job.name, len(names)) for job in jobs]
+        name_ix.append(names.setdefault(job.name, len(names)))
     head = _dumps({
         "k": "jobs",
         "v": WAL_VERSION,
-        "rid": [e.request_id for e in entries],
+        "rid": rids,
         "name": list(names),
         "chains": [chain_to_dict(c) for _, c in table.values()],
         "ref": list(paths),
     })
     return _packed_frame(head.encode("utf-8")[:-1], (
-        (b"seq", _pack("q", [e.seq for e in entries])),
-        (b"cls", _pack("q", [e.qos for e in entries])),
-        (b"deg", _pack("B", [e.degraded for e in entries])),
+        (b"seq", _pack("q", range(first_seq, first_seq + len(jobs)))),
+        (b"cls", _pack("q", qos)),
+        (b"deg", _pack("B", degraded)),
         (b"id", _pack("q", [job.job_id for job in jobs])),
         (b"rel", _pack("d", [job.release for job in jobs])),
         (b"nix", _pack("q", name_ix)),
@@ -231,20 +230,22 @@ def _jobs_from_frame(record: Mapping[str, object]) -> list[LedgerEntry]:
 
 
 def _decisions_frame(
-    seqs: Sequence[int], decisions: Iterable[DecisionTuple]
+    seqs: Sequence[int], decisions: Iterable[AdmissionDecision]
 ) -> bytes:
-    """One framed ``dec`` record (``decisions`` is walked once)."""
-    chosen: list[int] = []
-    counts: list[int] = []
-    cells: list[tuple[float, int, float]] = []
-    for _, chain, placed in decisions:
-        if chain is None:
+    """One framed ``dec`` record, read off the decisions in one pass: the
+    columns :func:`decision_to_tuple` would give, with no tuple built."""
+    chosen, counts, starts, widths, durations = [], [], [], [], []  # type: ignore[var-annotated]
+    for decision in decisions:
+        cp = decision.placement
+        if cp is None or not decision.admitted:
             chosen.append(-1)
-        else:
-            chosen.append(chain)
-            counts.append(len(placed))
-            cells += placed
-    starts, widths, durations = zip(*cells) if cells else ((), (), ())
+            continue
+        chosen.append(cp.chain_index)
+        counts.append(len(cp.placements))
+        for pl in cp.placements:
+            starts.append(pl.start)
+            widths.append(pl.processors)
+            durations.append(pl.duration)
     return _packed_frame(b'{"k":"dec"', (
         (b"seq", _pack("q", seqs)), (b"chain", _pack("q", chosen)),
         (b"tasks", _pack("q", counts)), (b"start", _pack("d", starts)),
@@ -325,9 +326,11 @@ class WriteAheadLog:
         self.syncs += 1
 
     def append_jobs(
-        self, entries: Sequence[LedgerEntry], *, sync: bool = True
+        self, first_seq: int, rids: Sequence[str], qos: Sequence[int],
+        degraded: Sequence[bool], jobs: Sequence[Job], *, sync: bool = True,
     ) -> None:
-        """Log a batch of effective jobs (one write; fsync unless deferred).
+        """Log a batch of effective jobs, given as its columns and numbered
+        from ``first_seq`` (one write; fsync unless deferred).
 
         The whole batch is one framed record — one CRC, one ``os.write`` —
         so a torn append loses the entire batch, which is exactly the right
@@ -335,16 +338,16 @@ class WriteAheadLog:
         durability to the batch's :meth:`append_decisions` fsync (nothing
         is acked in between, so append-before-ack still holds).
         """
-        self._append(_jobs_frame(entries))
-        if entries:
-            self.last_seq = entries[-1].seq
+        self._append(_jobs_frame(first_seq, rids, qos, degraded, jobs))
+        if jobs:
+            self.last_seq = first_seq + len(jobs) - 1
         if sync:
             self.sync()
 
     def append_decisions(
-        self, seqs: Sequence[int], decisions: Iterable[DecisionTuple]
+        self, seqs: Sequence[int], decisions: Iterable[AdmissionDecision]
     ) -> None:
-        """Durably log one decision batch for previously logged jobs."""
+        """Durably log the decider's decisions for previously logged jobs."""
         self._append(_decisions_frame(seqs, decisions))
         if seqs:
             self.last_decided = seqs[-1]

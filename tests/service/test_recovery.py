@@ -26,6 +26,7 @@ from repro.service.wal import (
 )
 from repro.verify.checks import verify_replay
 from repro.workloads.synthetic import SyntheticParams
+from tests.service.test_wal import _columns, _decisions
 
 
 def _workload(seed=21, n=14, malleable=False):
@@ -297,11 +298,11 @@ def test_recovery_rejects_a_ledger_that_cannot_be_reproduced(tmp_path):
         LedgerEntry(seq=i + 1, request_id=f"req-{i}", qos=0, degraded=False, job=job)
         for i, job in enumerate(jobs)
     ]
-    wal.append_jobs(entries)
+    wal.append_jobs(*_columns(entries))
     # Log decisions that no deterministic replay could produce.
     wal.append_decisions(
         [e.seq for e in entries],
-        [(True, 0, ((123.0, 999, 1.0),))] * len(entries),
+        _decisions([(True, 0, ((123.0, 999, 1.0),))] * len(entries)),
     )
     wal.close()
     with pytest.raises(VerificationError):
@@ -322,7 +323,7 @@ def test_recovery_rejects_checkpoint_hiding_undecided_entries(tmp_path):
     # real error, not an assert ``-O`` would strip), before it opens
     # checkpoint.log.
     wal = WriteAheadLog(tmp_path)
-    wal.append_jobs(entries)
+    wal.append_jobs(*_columns(entries))
     with pytest.raises(WalCorruptionError, match="undecided entry seq 1"):
         write_checkpoint(wal)
     wal.close()
@@ -330,7 +331,7 @@ def test_recovery_rejects_checkpoint_hiding_undecided_entries(tmp_path):
 
     # A committed segment whose jobs record has no decision: only another
     # writer could produce it, and recover() refuses it too.
-    segment = _jobs_frame(entries)
+    segment = _jobs_frame(*_columns(entries))
     mark = {"k": "mark", "v": WAL_VERSION, "through_seq": 1, "count": 1,
             "sha256": hashlib.sha256(segment).hexdigest()}
     (tmp_path / "checkpoint.log").write_bytes(segment + _encode(mark))
@@ -389,9 +390,7 @@ def test_service_checkpoint_guards_only_the_delta(tmp_path, monkeypatch):
     restarted = AdmissionService(config, tmp_path, recovered=recover(tmp_path, config))
     restarted.checkpoint()  # everything recovered is decided
     seq = len(jobs) + 1
-    restarted.wal.append_jobs(
-        [LedgerEntry(seq=seq, request_id="late", qos=0, degraded=False, job=jobs[0])]
-    )
+    restarted.wal.append_jobs(seq, ["late"], [0], [False], [jobs[0]])
     checkpointed = (tmp_path / "checkpoint.log").read_bytes()
     logged = restarted.wal.path.read_bytes()
     monkeypatch.setattr(

@@ -10,7 +10,9 @@ import random
 import time
 import weakref
 from dataclasses import replace
+from enum import IntEnum
 
+import numpy as np
 import pytest
 
 from repro.core.arbitrator import QoSArbitrator
@@ -26,10 +28,11 @@ from repro.service.service import (
     ServiceConfig,
     ServiceDecision,
     ServiceOutcome,
+    _shed_cutoffs,
     degrade_job,
     make_arbitrator,
 )
-from repro.service.wal import LedgerEntry, decision_to_tuple
+from repro.service.wal import LedgerEntry, WriteAheadLog, decision_to_tuple
 
 
 def _workload(seed=11, n=12, malleable=False):
@@ -150,6 +153,76 @@ def test_qos_class_aware_shedding(tmp_path):
     assert service.counters["shed_class_1"] == 1
     # Shed requests are never logged — and may retry under the same id.
     assert all(e.request_id != "b" for e in service.entries)
+
+
+@pytest.mark.parametrize("limit", [1, 7, 8, 1024])
+def test_shed_cutoffs_decide_as_the_occupancy_rule(limit):
+    """``len(queue) >= cutoff`` sheds exactly when ``len / limit >= t``
+    does, for every queue length up to one past the limit."""
+    thresholds = (1.01, 1.0, 0.85, 0.6, 0.01, 0.0, -0.5, math.nan)
+    for t, cutoff in zip(thresholds, _shed_cutoffs(thresholds, limit), strict=True):
+        for n in range(limit + 2):
+            assert (n >= cutoff) == (n / limit >= t), (t, n, cutoff)
+
+
+def test_a_class_beyond_the_thresholds_sheds_as_the_last_one(tmp_path):
+    capacity, jobs = _workload(n=9)
+    config = ServiceConfig(capacity, queue_limit=8, shed_thresholds=(1.01, 0.5))
+
+    async def probe(n):
+        """Whether a class-7 request finds a queue of ``n`` too full."""
+        service = AdmissionService(config, tmp_path / str(n))
+        for i in range(n):  # not started: the queue holds them
+            await service.enqueue(jobs[i], qos=0, request_id=f"fill-{i}")
+        answer = await service.enqueue(jobs[n], qos=7, request_id="probe")
+        service.start()
+        await service.stop()
+        return answer.result().outcome is ServiceOutcome.SHED, service.counters
+
+    results = [asyncio.run(probe(n)) for n in range(config.queue_limit)]
+    assert [shed for shed, _ in results] == [False] * 4 + [True] * 4
+    assert [c["shed_class_1"] for _, c in results] == [0] * 4 + [1] * 4
+
+
+class _Class(IntEnum):
+    GOLD = 0
+    SILVER = 1
+
+
+class _TaggedJob(Job):
+    __slots__ = ()
+
+
+def test_enqueue_accepts_int_like_fields_and_job_subclasses(tmp_path):
+    """The contract checks refuse only what they say: an ``IntEnum`` class,
+    a NumPy job id and a ``Job`` subclass are served and logged."""
+    capacity, jobs = _workload(n=3)
+    tagged = _TaggedJob(jobs[2].chains, release=jobs[2].release, job_id=7)
+    requests = [
+        (jobs[0], {"qos": _Class.SILVER}),
+        (replace(jobs[1], job_id=np.int64(-(2**63))), {}),
+        (tagged, {}),
+    ]
+    config = ServiceConfig(capacity)
+
+    async def run():
+        service = AdmissionService(config, tmp_path)
+        service.start()
+        answers = [
+            await service.submit(job, request_id=f"r{i}", **kw)
+            for i, (job, kw) in enumerate(requests)
+        ]
+        await service.stop()
+        return answers, service
+
+    answers, service = asyncio.run(run())
+    assert all(a.decision is not None for a in answers)
+    assert answers[0].qos == 1
+    assert service.stats()["failed"] == 0
+    entries = recover(tmp_path, config).entries
+    assert [(e.qos, e.job.job_id) for e in entries] == [
+        (1, jobs[0].job_id), (0, -(2**63)), (0, 7)
+    ]
 
 
 def test_degraded_admission_narrows_or_paths_and_logs_effective_job(tmp_path):
@@ -507,18 +580,22 @@ def test_service_decision_is_an_immutable_seven_field_record(tmp_path):
 
 
 def _rows_alive(prefix):
-    """The ledger rows in memory whose request id starts with ``prefix``."""
+    """The ledger rows and queued request tuples in memory whose request id
+    starts with ``prefix``."""
     gc.collect()
     return [
         o for o in gc.get_objects()
         if isinstance(o, LedgerEntry) and o.request_id.startswith(prefix)
+        or type(o) is tuple and len(o) == 5 and isinstance(o[0], str)
+        and o[0].startswith(prefix)
     ]
 
 
 def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
-    """The row ``enqueue`` builds is what the WAL is handed (it carries the
-    caller's job object itself), and once acked neither its future nor the
-    row is held: the ledger is the log."""
+    """The tuple ``enqueue`` queues carries the caller's job object itself
+    to the WAL, whose ``jobs`` frame is handed the batch's columns; once
+    acked no future, request tuple or ledger row is held: the ledger is
+    the log."""
     capacity, jobs = _workload(seed=17, n=9)
 
     async def run():
@@ -526,9 +603,9 @@ def test_ledger_row_is_the_logged_object_and_pins_no_future(tmp_path):
         logged = []
         append_jobs = service.wal.append_jobs
 
-        def spy(entries, **kw):
-            logged.extend((e.seq, e.request_id, e.job) for e in entries)
-            return append_jobs(entries, **kw)
+        def spy(first, rids, qos, degraded, jobs, **kw):
+            logged.extend(zip(range(first, first + len(jobs)), rids, jobs))
+            return append_jobs(first, rids, qos, degraded, jobs, **kw)
 
         service.wal.append_jobs = spy
         futures = [
@@ -699,6 +776,59 @@ def test_caller_blocked_in_backpressure_survives_a_kill(tmp_path):
 
     service = asyncio.run(run())
     assert not service._seen and service.stats()["queue_depth"] == 0
+
+
+def test_a_fresh_service_refuses_a_used_directory(tmp_path, monkeypatch):
+    """A service built without ``recovered=`` on a directory that holds a
+    ledger would number its requests from 1 again, and recovery would then
+    return fewer decisions than were acked (8 against 10, once).  It is
+    refused before any request is numbered, and its WAL descriptor closed."""
+    import repro.service.service as service_module
+
+    capacity, jobs = _workload(seed=24, n=10)
+    config = ServiceConfig(capacity, max_batch=2, checkpoint_every=4)
+    _, first = _run_queued(config, tmp_path, jobs[:8])
+    assert len(first) == 8 and (tmp_path / "checkpoint.log").stat().st_size
+
+    opened = []
+
+    class Spy(WriteAheadLog):
+        def __init__(self, directory):
+            super().__init__(directory)
+            opened.append(self)
+
+    monkeypatch.setattr(service_module, "WriteAheadLog", Spy)
+    with pytest.raises(ConfigurationError, match=str(tmp_path)):
+        AdmissionService(config, tmp_path)
+    # The checkpoint alone is a ledger too.
+    (tmp_path / "wal.log").write_bytes(b"")
+    with pytest.raises(ConfigurationError, match="already holds a ledger"):
+        AdmissionService(config, tmp_path)
+    assert [w._fd for w in opened] == [-1, -1]
+
+    async def second_life():
+        service = AdmissionService(config, tmp_path, recovered=recover(tmp_path, config))
+        service.start()
+        answers = [
+            await service.submit(job, request_id=f"late-{i}")
+            for i, job in enumerate(jobs[8:])
+        ]
+        await service.stop()
+        return answers
+
+    assert [a.seq for a in asyncio.run(second_life())] == [9, 10]
+    assert len(recover(tmp_path, config).entries) == 10
+
+
+def test_an_empty_directory_serves_as_before(tmp_path):
+    """A directory whose ``wal.log`` is empty (a life that logged nothing)
+    is no ledger: a fresh service starts on it."""
+    capacity, jobs = _workload(n=2)
+    config = ServiceConfig(capacity)
+    (tmp_path / "wal.log").write_bytes(b"")
+    (tmp_path / "checkpoint.log").write_bytes(b"")
+    _, answers = _run_queued(config, tmp_path, jobs)
+    assert [a.seq for a in answers] == [1, 2]
 
 
 def test_auto_request_ids_do_not_collide_across_lives(tmp_path, monkeypatch):

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.admission import AdmissionDecision
+from repro.core.placement import ChainPlacement, Placement
 from repro.core.resources import TIME_LIMIT, ProcessorTimeRequest
 from repro.errors import WalCorruptionError
 from repro.model.chain import TaskChain
@@ -23,7 +25,7 @@ from repro.model.job import Job
 from repro.model.task import TaskSpec
 from repro.service import wal
 from repro.service.recovery import recover
-from repro.service.service import ServiceConfig, degrade_job
+from repro.service.service import ServiceConfig, degrade_job, make_arbitrator
 from repro.service.wal import (
     WAL_VERSION,
     LedgerEntry,
@@ -31,6 +33,7 @@ from repro.service.wal import (
     _decisions_frame,
     _encode,
     _jobs_frame,
+    decision_to_tuple,
     read_checkpoint,
     read_wal,
     records_to_entries,
@@ -51,10 +54,35 @@ def _entries(n=3, seed=0):
     ]
 
 
+def _columns(entries):
+    """Contiguously numbered ``entries`` as the columns
+    :meth:`WriteAheadLog.append_jobs` takes."""
+    return (
+        entries[0].seq if entries else 1, [e.request_id for e in entries],
+        [e.qos for e in entries], [e.degraded for e in entries], [e.job for e in entries],
+    )
+
+
+def _decisions(tuples):
+    """An :class:`AdmissionDecision` for each ledger form in ``tuples``,
+    what :meth:`WriteAheadLog.append_decisions` takes."""
+    out = []
+    for admitted, chain, placed in tuples:
+        if not admitted:
+            out.append(AdmissionDecision(0, False, None, "no fit"))
+            continue
+        tasks = [TaskSpec(f"t{i}", ProcessorTimeRequest(w, d)) for i, (_, w, d) in enumerate(placed)]
+        placements = [Placement(t, *cell) for t, cell in zip(tasks, placed)]
+        out.append(AdmissionDecision(
+            0, True, ChainPlacement(0, chain, TaskChain(tasks), placements, 0.0)
+        ))
+    return out
+
+
 def jobs_record(entries):
     """The ``jobs`` record :meth:`WriteAheadLog.append_jobs` logs for
     ``entries``, as the reader parses it."""
-    return json.loads(_jobs_frame(entries)[9:])
+    return json.loads(_jobs_frame(*_columns(entries))[9:])
 
 
 def _pack(typecode, values):
@@ -65,7 +93,7 @@ def _pack(typecode, values):
 def dec_record(seqs, decisions):
     """The ``dec`` record :meth:`WriteAheadLog.append_decisions` logs, as
     the reader parses it."""
-    return json.loads(_decisions_frame(seqs, decisions)[9:])
+    return json.loads(_decisions_frame(seqs, _decisions(decisions))[9:])
 
 
 DEC = (True, 0, ((0.0, 2, 3.0), (3.0, 1, 1.5)))
@@ -75,8 +103,8 @@ REJ = (False, None, ())
 def _log(wal, entries):
     """Log decided ``entries`` as the service does: a ``jobs`` frame, then
     a ``dec`` frame and its fsync."""
-    wal.append_jobs(entries, sync=False)
-    wal.append_decisions([e.seq for e in entries], [e.decision for e in entries])
+    wal.append_jobs(*_columns(entries), sync=False)
+    wal.append_decisions([e.seq for e in entries], _decisions([e.decision for e in entries]))
 
 
 def _jobs_as_written(entries):
@@ -95,8 +123,8 @@ def _sharing(entries):
 def test_wal_round_trips_jobs_and_decisions(tmp_path):
     entries = _entries(3)
     wal = WriteAheadLog(tmp_path)
-    wal.append_jobs(entries)
-    wal.append_decisions([1, 2, 3], [DEC, REJ, DEC])
+    wal.append_jobs(*_columns(entries))
+    wal.append_decisions([1, 2, 3], _decisions([DEC, REJ, DEC]))
     wal.close()
 
     records, truncated = read_wal(tmp_path / "wal.log")
@@ -119,8 +147,8 @@ def test_jobs_from_one_frame_share_chain_objects(tmp_path):
     assert len(jobs_record(entries)["chains"]) == len(jobs[0].chains)
 
     wal = WriteAheadLog(tmp_path)
-    wal.append_jobs(entries[:2])
-    wal.append_jobs(entries[2:])
+    wal.append_jobs(*_columns(entries[:2]))
+    wal.append_jobs(*_columns(entries[2:]))
     wal.close()
     a, b, c, d = (e.job for e in records_to_entries(read_wal(tmp_path / "wal.log")[0]))
     # Equal reference lists share one tuple of shared chain objects ...
@@ -149,6 +177,73 @@ def test_equal_but_distinct_chains_stay_distinct():
     assert b.chains[1] is a.chains[0] and b.chains[0] is not a.chains[0]
     assert math.copysign(1.0, b.chains[0].tasks[0].quality) == -1.0
     assert _jobs_as_written(records_to_entries([record])) == _jobs_as_written(entries)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden-v4"
+GOLDEN_CONFIG = ServiceConfig(capacity=8, malleable=True)
+
+
+def _golden_batch():
+    """The batch ``data/golden-v4`` was written for, as the columns the
+    appenders take plus its decisions: two jobs share one chains tuple,
+    another offers a chain equal to but distinct from theirs, a degraded
+    job of class 3, a rejection, and a malleable placement four wide for
+    2.0 where its task asks two for 4.0."""
+    def task(name, width, duration, deadline, concurrency=0, quality=1.0):
+        return TaskSpec(name, ProcessorTimeRequest(width, duration), deadline=deadline,
+                        quality=quality, max_concurrency=concurrency)
+
+    wide = TaskChain((task("w", 2, 4.0, 30.0, concurrency=4),), label="wide")
+    pair = TaskChain((task("a", 3, 1.0, 40.0), task("b", 1, 0.5, 40.0, quality=0.5)),
+                     label="pair")
+    shared = (pair, wide)
+    twin = TaskChain((task("w", 2, 4.0, 30.0, concurrency=4),), label="wide")
+    late = TaskChain((task("z", 8, 5.0, 5.5),), label="late")
+    tunable = Job((TaskChain((task("x", 8, 6.0, 50.0),), label="big"),
+                   TaskChain((task("y", 1, 2.0, 50.0),), label="small")),
+                  release=3.0, job_id=104, name="tunable")
+    narrowed, degraded = degrade_job(tunable)
+    jobs = [
+        Job(shared, release=0.0, job_id=101, name="alpha"),
+        Job(shared, release=1.0, job_id=102, name="alpha"),
+        Job((late, twin), release=2.0, job_id=103, name="bête"),
+        narrowed,
+        Job((late,), release=3.5, job_id=-105, name="hopeless"),
+    ]
+    decisions = make_arbitrator(GOLDEN_CONFIG).admit_batch(jobs)
+    columns = (1, ["r-1", "r-2", "r-3", "r-4", "r-5"], [0, 2, 1, 3, 0],
+               [False, False, False, degraded, False], jobs)
+    return columns, decisions
+
+
+def test_the_column_encoders_write_the_golden_frames(tmp_path):
+    """``data/golden-v4`` holds a ``jobs`` and a ``dec`` frame written by
+    the version-4 encoders of commit dc84764, which were handed one ledger
+    row and one decision tuple per request.  The column encoders write the
+    same bytes, and a directory holding them recovers to the same ledger."""
+    columns, decisions = _golden_batch()
+    first, rids, qos, degraded, jobs = columns
+    assert [d.admitted for d in decisions] == [True, True, True, True, False]
+    malleable = decisions[2].placement.placements[0]
+    assert (malleable.processors, malleable.duration) == (4, 2.0)
+    assert (malleable.task.processors, malleable.task.duration) == (2, 4.0)
+
+    jobs_frame, dec_frame = (GOLDEN / "jobs.frame").read_bytes(), (GOLDEN / "dec.frame").read_bytes()
+    assert _jobs_frame(*columns) == jobs_frame
+    assert _decisions_frame(range(1, 6), decisions) == dec_frame
+    wal = WriteAheadLog(tmp_path)
+    wal.append_jobs(*columns, sync=False)
+    wal.append_decisions(range(1, 6), decisions)
+    wal.close()
+    assert (tmp_path / "wal.log").read_bytes() == jobs_frame + dec_frame
+
+    state = recover(tmp_path, GOLDEN_CONFIG)
+    assert state.redecided == 0 and state.report.ok
+    assert [(e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in state.entries] == [
+        (first + i, rids[i], qos[i], degraded[i], decision_to_tuple(decisions[i]))
+        for i in range(len(jobs))
+    ]
+    assert _jobs_as_written(state.entries) == [repr(job_to_dict(j)) for j in jobs]
 
 
 # ----------------------------------------------------------------------
@@ -263,9 +358,9 @@ def _three_frames(path):
     its bytes and the offset the final frame starts at."""
     entries = _entries(4, seed=3)
     wal = WriteAheadLog(path)
-    wal.append_jobs(entries[:2])
-    wal.append_decisions([1, 2], [DEC, REJ])
-    wal.append_jobs(entries[2:])
+    wal.append_jobs(*_columns(entries[:2]))
+    wal.append_decisions([1, 2], _decisions([DEC, REJ]))
+    wal.append_jobs(*_columns(entries[2:]))
     wal.close()
     data = (path / "wal.log").read_bytes()
     return data, data.rindex(b"\n", 0, -1) + 1
@@ -274,7 +369,7 @@ def _three_frames(path):
 def test_torn_tail_is_tolerated_and_repaired(tmp_path):
     entries = _entries(2)
     wal = WriteAheadLog(tmp_path)
-    wal.append_jobs(entries)
+    wal.append_jobs(*_columns(entries))
     wal.close()
     path = tmp_path / "wal.log"
     good = path.read_bytes()
@@ -315,8 +410,8 @@ def test_a_flipped_byte_in_any_earlier_frame_is_corruption(tmp_path):
 def test_damage_before_valid_records_is_corruption(tmp_path):
     entries = _entries(2)
     wal = WriteAheadLog(tmp_path)
-    wal.append_jobs(entries)
-    wal.append_decisions([1, 2], [DEC, REJ])  # a valid record *after* it
+    wal.append_jobs(*_columns(entries))
+    wal.append_decisions([1, 2], _decisions([DEC, REJ]))  # a valid record *after* it
     wal.close()
     path = tmp_path / "wal.log"
     data = bytearray(path.read_bytes())
@@ -641,10 +736,10 @@ def test_checkpoint_cost_follows_the_delta_not_the_ledger(tmp_path, monkeypatch)
 def test_partial_write_failpoint_tears_exactly_one_append(tmp_path):
     entries = _entries(2)
     wal = WriteAheadLog(tmp_path)
-    wal.append_jobs(entries)
+    wal.append_jobs(*_columns(entries))
     wal.partial_write_after = 1
     with pytest.raises(OSError):
-        wal.append_decisions([1, 2], [DEC, REJ])
+        wal.append_decisions([1, 2], _decisions([DEC, REJ]))
     wal.abandon()
 
     records, truncated = read_wal(tmp_path / "wal.log", repair=True)
